@@ -31,6 +31,7 @@ from .measurement import (
 from .qstate import (
     EIG_CLIP,
     QState,
+    normalize_partition,
     partial_trace,
     permute_subsystems,
     von_neumann_entropy,
@@ -261,27 +262,12 @@ def minimize_over_measurements(
     )
 
 
-def _check_partition(state: QState, partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    n = state.n_subsystems
-    if partition is None:
-        if n < 2:
-            raise ValueError("a bipartition needs at least two subsystems")
-        return (0,), tuple(range(1, n))
-    part_a = tuple(int(i) for i in partition[0])
-    part_b = tuple(int(i) for i in partition[1])
-    if sorted(part_a + part_b) != list(range(n)) or not part_a or not part_b:
-        raise ValueError(
-            f"partition {partition} must split all {n} subsystems into two nonempty groups"
-        )
-    return part_a, part_b
-
-
 def mutual_information(state: QState, partition=None) -> float:
     """Quantum mutual information S(A) + S(B) - S(AB) across ``partition``.
 
     ``partition`` defaults to subsystem 0 versus the rest.
     """
-    part_a, part_b = _check_partition(state, partition)
+    part_a, part_b = normalize_partition(state.n_subsystems, partition)
     s_a = von_neumann_entropy(partial_trace(state, part_a))
     s_b = von_neumann_entropy(partial_trace(state, part_b))
     return s_a + s_b - von_neumann_entropy(state)

@@ -17,11 +17,11 @@ import numpy as np
 
 from .correlations import OptimizerConfig
 from .qstate import (
-    EIG_CLIP,
     InvalidStateError,
     PureStateVector,
     QState,
     is_pure,
+    normalize_partition,
     spectrum,
 )
 from .states import stream
@@ -70,7 +70,8 @@ class EofResult:
     """Entanglement-of-formation value with its exactness tag.
 
     ``tag`` is one of ``exact_pure``, ``exact_wootters``, ``upper_bound``;
-    only ``upper_bound`` results carry a decomposition witness.
+    only ``upper_bound`` results carry a decomposition witness and the
+    convex-roof diagnostics ``converged`` and ``sweeps`` (per restart).
     """
 
     value: float
@@ -79,6 +80,7 @@ class EofResult:
     crosscheck_gap: float | None = None
     converged: bool = True
     restart_spread: float = 0.0
+    sweeps: tuple[int, ...] = ()
 
     @property
     def exact(self) -> bool:
@@ -94,31 +96,6 @@ def binary_entropy(x: float) -> float:
     if x < 1.0:
         out -= (1.0 - x) * math.log2(1.0 - x)
     return out
-
-
-def _normalize_partition(n: int, partition):
-    if partition is None:
-        if n < 2:
-            raise ValueError("a bipartition needs at least two subsystems")
-        return (0,), tuple(range(1, n))
-    part_a = tuple(int(i) for i in partition[0])
-    part_b = tuple(int(i) for i in partition[1])
-    if sorted(part_a + part_b) != list(range(n)) or not part_a or not part_b:
-        raise ValueError(f"partition {partition} must split all {n} subsystems disjointly")
-    return part_a, part_b
-
-
-def _marginal_entropy_of_vector(amps: np.ndarray, dims, part_a, part_b) -> float:
-    da = int(np.prod([dims[i] for i in part_a]))
-    m = amps.reshape(dims).transpose(part_a + part_b).reshape(da, -1)
-    w = np.linalg.eigvalsh(m @ m.conj().T)
-    w = np.where(w < EIG_CLIP, 0.0, w)
-    total = w.sum()
-    if total <= 0.0:
-        return 0.0
-    w = w / total
-    pos = w[w > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
 
 
 def eof_pure(state, partition=None) -> EofResult:
@@ -138,8 +115,9 @@ def eof_pure(state, partition=None) -> EofResult:
         amps = sp.eigenvectors[:, 0]
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    part_a, part_b = _normalize_partition(len(dims), partition)
-    return EofResult(_marginal_entropy_of_vector(amps, dims, part_a, part_b), EXACT_PURE)
+    part_a, part_b = normalize_partition(len(dims), partition)
+    value = _batch_contributions(amps[None, :], dims, part_a, part_b)[0] / np.vdot(amps, amps).real
+    return EofResult(float(value), EXACT_PURE)
 
 
 def _require_two_qubits(state: QState, name: str):
@@ -176,13 +154,20 @@ def eof_2qubit(state: QState) -> EofResult:
 
 
 def _batch_contributions(vectors: np.ndarray, dims, part_a, part_b) -> np.ndarray:
-    """p * S(marginal) for each unnormalized vector in the batch (rows)."""
+    """p * S(marginal) for each unnormalized vector in the batch (rows).
+
+    Each row is reshaped to its d_A x d_B amplitude block M; the spectrum is
+    taken from the smaller Gram side (M M^dag or M^T M^*, whose nonzero
+    eigenvalues agree), so any block with a qubit side takes the closed form.
+    """
     da = int(np.prod([dims[i] for i in part_a]))
     g = vectors.shape[0]
     m = vectors.reshape((g,) + tuple(dims))
     m = m.transpose((0,) + tuple(1 + i for i in part_a) + tuple(1 + i for i in part_b))
     m = m.reshape(g, da, -1)
-    if da == 2:
+    if m.shape[2] < da:
+        m = m.transpose(0, 2, 1)
+    if m.shape[1] == 2:
         # Closed-form 2x2 Hermitian eigenvalues; avoids LAPACK per pair.
         a = np.einsum("gj,gj->g", m[:, 0, :], m[:, 0, :].conj()).real
         d = np.einsum("gj,gj->g", m[:, 1, :], m[:, 1, :].conj()).real
@@ -206,56 +191,91 @@ _MAX_SWEEPS = 40
 _MIN_WINDOW = 2e-4
 
 
-def _roof_sweeps(psi, iso, contrib, dims, part_a, part_b, tol):
-    """Cyclic two-level (Givens) coordinate descent over ensemble members.
+def _round_robin(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Circle-method schedule of all pairs i < j of ``m`` members.
 
-    Each pair of members is re-mixed by the best rotation on a theta/phi
-    grid; the theta window cools geometrically, skipping ahead whenever a
-    full sweep stops improving, which gives pattern-search-style convergence
-    within a bounded budget.
+    Returns rounds of disjoint pairs as index arrays ``(ii, jj)``: m - 1 rounds
+    of m / 2 pairs, or m rounds with one member sitting out when m is odd
+    (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985).
     """
-    m = psi.shape[0]
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    n = m + m % 2
+    ring = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        pairs = sorted(
+            (min(a, b), max(a, b)) for a, b in zip(ring[: n // 2], ring[::-1]) if max(a, b) < m
+        )
+        if pairs:
+            ii, jj = np.array(pairs).T
+            rounds.append((ii, jj))
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return rounds
+
+
+def _roof_round(psi, iso, contrib, ii, jj, grid, dims, part_a, part_b) -> float:
+    """Re-mix the disjoint member pairs ``(ii[k], jj[k])`` of one round in place.
+
+    All grid candidates of all live pairs are scored in one kernel call; as
+    the pairs share no member, this equals visiting them one after another.
+    Returns the improvement.
+    """
+    cos_t, sin_t, phase = grid
     weights = np.real(np.einsum("id,id->i", psi, psi.conj()))
+    live = weights[ii] + weights[jj] >= 1e-14
+    ii, jj = ii[live], jj[live]
+    if ii.size == 0:
+        return 0.0
+    psi_i, psi_j = psi[ii][:, None, :], psi[jj][:, None, :]
+    cand_i = cos_t[:, None] * psi_i - (phase * sin_t)[:, None] * psi_j
+    cand_j = (phase.conj() * sin_t)[:, None] * psi_i + cos_t[:, None] * psi_j
+    n_pairs, n_cand, dim = cand_i.shape
+    both = _batch_contributions(
+        np.concatenate([cand_i, cand_j]).reshape(-1, dim), dims, part_a, part_b
+    ).reshape(2, n_pairs, n_cand)
+    tot = both[0] + both[1]
+    rows = np.arange(n_pairs)
+    k = tot.argmin(axis=1)
+    best = tot[rows, k]
+    current = contrib[ii] + contrib[jj]
+    accept = best < current - 1e-14
+    ii, jj, k, rows = ii[accept], jj[accept], k[accept], rows[accept]
+    c, s, f = cos_t[k][:, None], sin_t[k][:, None], phase[k][:, None]
+    psi[ii], psi[jj] = cand_i[rows, k], cand_j[rows, k]
+    row_i = iso[ii]
+    iso[ii] = c * row_i - f * s * iso[jj]
+    iso[jj] = f.conjugate() * s * row_i + c * iso[jj]
+    contrib[ii], contrib[jj] = both[0, rows, k], both[1, rows, k]
+    return float((current - best)[accept].sum())
+
+
+def _roof_sweeps(psi, iso, contrib, dims, part_a, part_b, tol) -> tuple[float, int, bool]:
+    """Two-level (Givens) coordinate descent over ensemble members.
+
+    Each sweep re-mixes every pair of members once by its best rotation on a
+    theta/phi grid, in round-robin rounds of disjoint pairs.  The theta window
+    cools geometrically, skipping ahead whenever a full sweep stops improving.
+    Returns the value, the sweeps used, and whether the loop converged (the
+    window reached its floor without improvement, or the value reached zero)
+    rather than stopping at ``_MAX_SWEEPS``.
+    """
+    rounds = _round_robin(psi.shape[0])
     cool = 0
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         window = max(np.pi / 2.0 * 0.6**cool, _MIN_WINDOW)
-        th = _PAIR_THETAS * window
-        cos_t = np.cos(th)[:, None].repeat(_PAIR_PHIS.size, axis=1).ravel()
-        sin_t = np.sin(th)[:, None].repeat(_PAIR_PHIS.size, axis=1).ravel()
-        phase = np.tile(np.exp(1j * _PAIR_PHIS), th.size)
-        n_cand = cos_t.size
+        th = np.repeat(_PAIR_THETAS * window, _PAIR_PHIS.size)
+        grid = (np.cos(th), np.sin(th), np.tile(np.exp(1j * _PAIR_PHIS), _PAIR_THETAS.size))
         improvement = 0.0
-        for i, j in pairs:
-            if weights[i] + weights[j] < 1e-14:
-                continue
-            cand_i = cos_t[:, None] * psi[i] - (phase * sin_t)[:, None] * psi[j]
-            cand_j = (phase.conj() * sin_t)[:, None] * psi[i] + cos_t[:, None] * psi[j]
-            both = _batch_contributions(
-                np.concatenate([cand_i, cand_j]), dims, part_a, part_b
-            )
-            tot = both[:n_cand] + both[n_cand:]
-            k = int(np.argmin(tot))
-            current = contrib[i] + contrib[j]
-            if tot[k] < current - 1e-14:
-                c, s, f = cos_t[k], sin_t[k], phase[k]
-                psi[i], psi[j] = cand_i[k], cand_j[k]
-                row_i = iso[i].copy()
-                iso[i] = c * row_i - f * s * iso[j]
-                iso[j] = f.conjugate() * s * row_i + c * iso[j]
-                contrib[i], contrib[j] = both[k], both[n_cand + k]
-                weights[i] = float(np.real(np.vdot(psi[i], psi[i])))
-                weights[j] = float(np.real(np.vdot(psi[j], psi[j])))
-                improvement += current - tot[k]
+        for ii, jj in rounds:
+            improvement += _roof_round(psi, iso, contrib, ii, jj, grid, dims, part_a, part_b)
         if contrib.sum() < 1e-12:
-            break
+            return float(contrib.sum()), sweep, True
         if improvement < max(tol, 1e-11):
             if window <= _MIN_WINDOW * 1.01:
-                break
+                return float(contrib.sum()), sweep, True
             cool += 3
         else:
             cool += 1
-    return float(contrib.sum())
+    return float(contrib.sum()), _MAX_SWEEPS, False
 
 
 def _random_isometry(g: np.random.Generator, m: int, r: int) -> np.ndarray:
@@ -268,13 +288,17 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     """Convex-roof upper bound on the entanglement of formation.
 
     Minimizes sum_i p_i S_A(psi_i) over ensembles of size rank^2 generated
-    from the canonical purification by an isometry, using cyclic two-level
-    (Givens) coordinate descent with a shrinking angle window; restart 0
-    starts from the eigen-ensemble, the rest from seeded random isometries.
-    On dims (2, 2) the result carries its gap to the exact Wootters value.
+    from the canonical purification by an isometry, using two-level (Givens)
+    coordinate descent in round-robin rounds of disjoint pairs with a
+    shrinking angle window; each member's entropy comes from the spectrum of
+    the smaller side of its bipartition.  Restart 0 starts from the
+    eigen-ensemble, the rest from seeded random isometries.  ``converged`` is
+    true when no restart stopped at the sweep cap, and ``sweeps`` lists the
+    sweeps each restart used.  On dims (2, 2) the result carries its gap to
+    the exact Wootters value.
     """
     cfg = cfg or EOF_DEFAULT_CONFIG
-    part_a, part_b = _normalize_partition(state.n_subsystems, partition)
+    part_a, part_b = normalize_partition(state.n_subsystems, partition)
     dims = state.dims
     sp = spectrum(state)
     r = sp.rank
@@ -283,6 +307,8 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
 
     best = None
     restart_finals = []
+    sweeps = []
+    converged = True
     for k in range(cfg.restarts):
         if k == 0:
             iso = np.eye(m, dtype=complex)[:, :r]
@@ -291,10 +317,12 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
         psi = iso @ e0
         contrib = _batch_contributions(psi, dims, part_a, part_b)
         if m > 1:
-            value = _roof_sweeps(psi, iso, contrib, dims, part_a, part_b, cfg.tol)
+            value, used, done = _roof_sweeps(psi, iso, contrib, dims, part_a, part_b, cfg.tol)
         else:
-            value = float(contrib.sum())
+            value, used, done = float(contrib.sum()), 0, True
         restart_finals.append(value)
+        sweeps.append(used)
+        converged = converged and done
         if best is None or value < best[0]:
             best = (value, psi.copy(), iso.copy())
 
@@ -313,6 +341,7 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
         tag=UPPER_BOUND,
         decomposition=witness,
         crosscheck_gap=gap,
-        converged=True,
+        converged=converged,
         restart_spread=spread,
+        sweeps=tuple(sweeps),
     )

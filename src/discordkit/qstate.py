@@ -289,6 +289,21 @@ def permute_subsystems(state: QState, order: Sequence[int]) -> QState:
     return QState(new_dims, t.reshape(side, side))
 
 
+def normalize_partition(n: int, partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Validate a bipartition ``(A, B)`` of ``n`` subsystems; ``None`` means 0 versus the rest."""
+    if partition is None:
+        if n < 2:
+            raise ValueError("a bipartition needs at least two subsystems")
+        return (0,), tuple(range(1, n))
+    part_a = tuple(int(i) for i in partition[0])
+    part_b = tuple(int(i) for i in partition[1])
+    if sorted(part_a + part_b) != list(range(n)) or not part_a or not part_b:
+        raise ValueError(
+            f"partition {partition} must split all {n} subsystems into two nonempty groups"
+        )
+    return part_a, part_b
+
+
 def conditional_entropy(state: QState, target: int, condition: int) -> float:
     """S(target | condition) = S(joint) - S(condition marginal), in bits.
 

@@ -15,10 +15,23 @@ from discordkit import (
     eof_upper,
     partial_trace,
     purify,
+    spectrum,
     tensor,
     von_neumann_entropy,
 )
-from discordkit.entanglement import EXACT_PURE, EXACT_WOOTTERS, UPPER_BOUND, binary_entropy
+from discordkit import entanglement
+from discordkit.entanglement import (
+    _PAIR_PHIS,
+    _PAIR_THETAS,
+    EXACT_PURE,
+    EXACT_WOOTTERS,
+    UPPER_BOUND,
+    _batch_contributions,
+    _random_isometry,
+    _roof_round,
+    _round_robin,
+    binary_entropy,
+)
 from discordkit.states import (
     example3_state,
     haar_random_pure,
@@ -172,3 +185,71 @@ def test_upper_bound_tag_never_exact():
     roof = eof_upper(random_mixed((2, 2), 2, 11))
     assert roof.tag == UPPER_BOUND
     assert not roof.exact
+
+
+def test_round_robin_schedule_covers_each_pair_once():
+    for m in range(1, 18):
+        rounds = _round_robin(m)
+        seen = []
+        for ii, jj in rounds:
+            members = np.concatenate([ii, jj])
+            assert len(set(members.tolist())) == members.size  # disjoint within a round
+            assert np.all(ii < jj)
+            seen.extend(zip(ii.tolist(), jj.tolist()))
+        assert sorted(seen) == [(i, j) for i in range(m) for j in range(i + 1, m)]
+        assert len(rounds) == (0 if m == 1 else m - 1 + m % 2)
+
+
+def _reference_contributions(vectors, da, db):
+    out = []
+    for v in vectors:
+        m = v.reshape(da, db)
+        mu = np.clip(np.linalg.eigvalsh(m @ m.conj().T), 0.0, None)
+        p = mu.sum()
+        pos = mu[mu > 0.0] / p
+        out.append(-p * float((pos * np.log2(pos)).sum()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (4, 2), (2, 3), (3, 4)])
+def test_batch_contributions_smaller_gram_side(dims):
+    g = stream(77, 10 * dims[0] + dims[1])
+    d = dims[0] * dims[1]
+    vectors = (g.normal(size=(40, d)) + 1j * g.normal(size=(40, d))) * g.uniform(0.05, 1.0, (40, 1))
+    got = _batch_contributions(vectors, dims, (0,), (1,))
+    np.testing.assert_allclose(got, _reference_contributions(vectors, *dims), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims, rank", [((2, 2), 4), ((3, 3), 3)])
+def test_batched_round_equals_pairs_one_at_a_time(dims, rank):
+    state = random_mixed(dims, rank, 12)
+    sp = spectrum(state)
+    e0 = (sp.eigenvectors[:, :rank] * np.sqrt(sp.eigenvalues[:rank])).T
+    m = rank * rank
+    iso = _random_isometry(stream(12, 1), m, rank)
+    th = np.repeat(_PAIR_THETAS * 0.3, _PAIR_PHIS.size)
+    grid = (np.cos(th), np.sin(th), np.tile(np.exp(1j * _PAIR_PHIS), _PAIR_THETAS.size))
+    parts = ((0,), (1,))
+    batched = [iso @ e0, iso.copy()]
+    batched.append(_batch_contributions(batched[0], dims, *parts))
+    single = [a.copy() for a in batched]
+    gain_batched = gain_single = 0.0
+    for ii, jj in _round_robin(m):
+        gain_batched += _roof_round(*batched, ii, jj, grid, dims, *parts)
+        for k in range(ii.size):
+            gain_single += _roof_round(*single, ii[k : k + 1], jj[k : k + 1], grid, dims, *parts)
+    assert gain_batched > 0.0
+    assert gain_batched == pytest.approx(gain_single, abs=1e-12)
+    for got, want in zip(batched, single):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_eof_upper_convergence_diagnostics(monkeypatch):
+    state = random_mixed((2, 2), 4, 8001)
+    roof = eof_upper(state)
+    assert roof.converged is True
+    assert len(roof.sweeps) == 3 and all(1 <= s < entanglement._MAX_SWEEPS for s in roof.sweeps)
+    monkeypatch.setattr(entanglement, "_MAX_SWEEPS", 1)
+    capped = eof_upper(state)
+    assert capped.converged is False
+    assert capped.sweeps == (1, 1, 1)

@@ -21,6 +21,7 @@ from discordkit import (
     validate,
     von_neumann_entropy,
 )
+from discordkit.qstate import normalize_partition
 from discordkit.states import example3_state, random_mixed, werner_2qubit_example4
 
 from conftest import bell_state, bell_vector, ghz_vector, haar_unitary
@@ -288,3 +289,13 @@ def test_state_json_errors():
         state_from_json({"dims": [2]})
     with pytest.raises(InvalidStateError):
         state_from_json({"dims": [2], "matrix": [[1.0, 0.0], [0.0, 0.0]]})
+
+
+def test_normalize_partition():
+    assert normalize_partition(3, None) == ((0,), (1, 2))
+    assert normalize_partition(3, ([2], [0, 1])) == ((2,), (0, 1))
+    for bad in (((0,), (0, 1)), ((0,), (1,)), ((), (0, 1, 2)), ((0, 1, 2), ())):
+        with pytest.raises(ValueError, match="nonempty groups"):
+            normalize_partition(3, bad)
+    with pytest.raises(ValueError, match="at least two subsystems"):
+        normalize_partition(1, None)
