@@ -193,6 +193,12 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _json_text(obj) -> str:
+    """Strict JSON: NaN and infinities are written as null."""
+    plain = json.loads(json.dumps(obj), parse_constant=lambda _constant: None)
+    return json.dumps(plain, indent=2, allow_nan=False) + "\n"
+
+
 def _csv_text(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -225,7 +231,7 @@ def _cmd_compute(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
+        _emit(_json_text(report.to_json()), args.out)
     elif args.format == "csv":
         _emit(_csv_text([list(REPORT_CSV_COLUMNS), report.to_csv_row()]), args.out)
     else:
@@ -262,7 +268,7 @@ def _cmd_verify(args) -> int:
         return 2
     if args.out or args.format == "csv":
         if args.format == "json":
-            _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
+            _emit(_json_text(report.to_json()), args.out)
         else:
             _emit(_csv_text(suite_csv_rows(report)), args.out)
     for name, counts in report.relation_summary().items():
@@ -327,7 +333,7 @@ def _cmd_example(args) -> int:
             ],
             **extras,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     else:
         _emit(_human_table(table, ("quantity", "reference", "computed", "delta")), args.out)
     return 0
@@ -372,7 +378,7 @@ def _cmd_hunt(args) -> int:
         )
     payload = {"mode": "hunt", "d": args.d, "label": HUNT_LABEL, "rows": rows}
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     elif args.format == "csv":
         table = [["x", "s_measured", "s_env", "j_classical", "d_upper", "gap", "label"]]
         for r in rows:

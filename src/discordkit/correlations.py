@@ -13,8 +13,8 @@ estimates are lower bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
@@ -31,6 +31,7 @@ from .measurement import (
 from .qstate import (
     EIG_CLIP,
     QState,
+    _entropy_bits,
     normalize_partition,
     partial_trace,
     permute_subsystems,
@@ -97,13 +98,7 @@ class OptimizerConfig:
             raise ValueError("max_iter must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "grid_resolution": self.grid_resolution,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -133,16 +128,6 @@ class OptimizedValue:
             "converged": self.converged,
             "restart_values": list(self.restart_values),
         }
-
-
-def _entropy_of_weights(weights: np.ndarray) -> float:
-    w = np.where(weights < EIG_CLIP, 0.0, weights)
-    total = w.sum()
-    if total <= 0.0:
-        return 0.0
-    w = w / total
-    pos = w[w > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
 
 
 def _block_entropies(blocks: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -184,7 +169,7 @@ def _dephasing_objective(state: QState, measured: int) -> Callable:
         basis = unitary_from_params(dm, params)
         blocks = _conditional_blocks(t, basis)
         w = np.linalg.eigvalsh(blocks).ravel()
-        return _entropy_of_weights(w) - base_entropy
+        return _entropy_bits(w) - base_entropy
 
     return objective, dm
 
@@ -279,16 +264,31 @@ def min_conditional_entropy(
     """Minimize sum_k p_k S(rho_k) over projective bases on ``measured``.
 
     This is the shared inner optimization behind classical correlation and
-    discord; both derive from the same run, so their decomposition against
-    the mutual information is exact.
+    discord; both derive from the same run, so they add up to the mutual
+    information to rounding.
     """
     objective, dm = _avg_conditional_entropy_objective(state, measured)
     return minimize_over_measurements(objective, dm, cfg, subsystem=measured)
 
 
-def _unmeasured_entropy(state: QState, measured: int) -> float:
+def _j_and_d(state: QState, measured: int, m: float) -> tuple[float, float]:
+    """(J, D) with ``measured`` measured, from the conditional-entropy minimum ``m``.
+
+    J = S(unmeasured) - m and D = m - S(unmeasured | measured).  A D above
+    S(measured) + ``CONJECTURE_I_SLACK`` breaks a proved bound and raises
+    ``DiscordBoundError``, since that indicates a defect.
+    """
     others = tuple(i for i in range(state.n_subsystems) if i != measured)
-    return von_neumann_entropy(partial_trace(state, others))
+    s_measured = von_neumann_entropy(partial_trace(state, (measured,)))
+    j = von_neumann_entropy(partial_trace(state, others)) - m
+    d = m - (von_neumann_entropy(state) - s_measured)
+    if d > s_measured + CONJECTURE_I_SLACK:
+        raise DiscordBoundError(
+            f"discord estimate {d:.6g} on subsystem {measured} exceeds its entropy "
+            f"{s_measured:.6g} + {CONJECTURE_I_SLACK:g}; this bound is proved, so the "
+            "optimizer or state construction is defective"
+        )
+    return j, d
 
 
 def classical_correlation(
@@ -297,11 +297,11 @@ def classical_correlation(
     """Classical correlation J = S(unmeasured) - min_k sum p_k S(rho_k).
 
     The returned estimate is a lower bound on the projective-measurement
-    optimum (the inner minimization is truncated).
+    optimum (the inner minimization is truncated).  Raises
+    ``DiscordBoundError`` when the discord of the same run breaks its bound.
     """
     opt = min_conditional_entropy(state, measured, cfg)
-    value = _unmeasured_entropy(state, measured) - opt.value
-    return OptimizedValue(value, opt.argbasis, opt.spread, opt.converged, opt.restart_values)
+    return replace(opt, value=_j_and_d(state, measured, opt.value)[0])
 
 
 def discord(
@@ -309,21 +309,13 @@ def discord(
 ) -> OptimizedValue:
     """Quantum discord D = min_k sum p_k S(rho_k) - S(rest | measured).
 
-    Shares its optimizer run with ``classical_correlation``, so
-    I = J + D holds exactly.  The estimate upper-bounds the true discord;
-    if it exceeds S(measured marginal) + ``CONJECTURE_I_SLACK`` (a proved
-    bound) a ``DiscordBoundError`` is raised, since that indicates a defect.
+    Shares its optimizer run with ``classical_correlation``, so I = J + D
+    holds to rounding.  The estimate upper-bounds the true discord; above
+    S(measured marginal) + ``CONJECTURE_I_SLACK`` (a proved bound) a
+    ``DiscordBoundError`` is raised, since that indicates a defect.
     """
     opt = min_conditional_entropy(state, measured, cfg)
-    s_measured = von_neumann_entropy(partial_trace(state, (measured,)))
-    value = opt.value - (von_neumann_entropy(state) - s_measured)
-    if value > s_measured + CONJECTURE_I_SLACK:
-        raise DiscordBoundError(
-            f"discord estimate {value:.6g} exceeds measured-subsystem entropy "
-            f"{s_measured:.6g} + {CONJECTURE_I_SLACK:g}; this bound is proved, so the "
-            "optimizer or state construction is defective"
-        )
-    return OptimizedValue(value, opt.argbasis, opt.spread, opt.converged, opt.restart_values)
+    return replace(opt, value=_j_and_d(state, measured, opt.value)[1])
 
 
 def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float:
@@ -368,8 +360,7 @@ def _re_discord_multi_detailed(state: QState, measured: tuple[int, ...], cfg) ->
     for b in chain_bases[1:]:
         product_basis = np.kron(product_basis, b)
 
-    merged = QState((d_joint,) + rest_dims, sigma.matrix)
-    joint = _re_discord_single(merged, 0, cfg)
+    joint = _re_discord_single(QState((d_joint,) + rest_dims, sigma.matrix), 0, cfg)
 
     if chain_value < joint.value:
         value = chain_value
@@ -385,7 +376,6 @@ def _re_discord_multi_detailed(state: QState, measured: tuple[int, ...], cfg) ->
         "spread": joint.spread,
         "converged": joint.converged and chain_converged,
         "restart_values": joint.restart_values,
-        "merged_state": merged,
     }
 
 
@@ -442,8 +432,8 @@ REPORT_CSV_COLUMNS = (
 class CorrelationReport:
     """All scalar correlation measures of one bipartite state.
 
-    ``I = J + D`` holds exactly on each side because both derive from one
-    optimizer run.  ``measurement_class`` records that the optimization ran
+    ``I = J + D`` holds to rounding on each side because both derive from
+    one optimizer run.  ``measurement_class`` records that the optimization ran
     over rank-1 projective measurements only.
     """
 
@@ -461,20 +451,7 @@ class CorrelationReport:
     estimator_bias: str = ESTIMATOR_BIAS_NOTE
 
     def to_json(self) -> dict:
-        return {
-            "s_a": self.s_a,
-            "s_b": self.s_b,
-            "s_ab": self.s_ab,
-            "mutual_information": self.mutual_information,
-            "j_a": self.j_a,
-            "j_b": self.j_b,
-            "d_a": self.d_a,
-            "d_b": self.d_b,
-            "discord_distance": self.discord_distance,
-            "diagnostics": self.diagnostics,
-            "measurement_class": self.measurement_class,
-            "estimator_bias": self.estimator_bias,
-        }
+        return asdict(self)
 
     def to_csv_row(self) -> list:
         diag = self.diagnostics
@@ -499,7 +476,7 @@ def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> Cor
     """Full correlation report for a two-subsystem state.
 
     Runs one conditional-entropy minimization per side and derives J and D
-    from it, so I = J + D by construction on both sides.
+    from it, so I = J + D holds to rounding on both sides.
     """
     if state.n_subsystems != 2:
         raise ValueError("correlation_report needs a state with exactly two subsystems")
@@ -510,15 +487,8 @@ def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> Cor
 
     opt_a = min_conditional_entropy(state, 0, cfg)
     opt_b = min_conditional_entropy(state, 1, cfg)
-    j_a = s_b - opt_a.value
-    j_b = s_a - opt_b.value
-    d_a = info - j_a
-    d_b = info - j_b
-    for d_val, s_meas, side in ((d_a, s_a, "A"), (d_b, s_b, "B")):
-        if d_val > s_meas + CONJECTURE_I_SLACK:
-            raise DiscordBoundError(
-                f"discord estimate on side {side} exceeds its proved entropy bound"
-            )
+    j_a, d_a = _j_and_d(state, 0, opt_a.value)
+    j_b, d_b = _j_and_d(state, 1, opt_b.value)
     return CorrelationReport(
         s_a=s_a,
         s_b=s_b,

@@ -16,13 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .qstate import (
-    EIG_CLIP,
-    QState,
-    matrix_from_json,
-    matrix_to_json,
-    von_neumann_entropy,
-)
+from .qstate import QState, von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -32,8 +26,6 @@ __all__ = [
     "apply_measurement",
     "avg_conditional_entropy",
     "dephase",
-    "measurement_from_json",
-    "measurement_to_json",
     "n_measurement_params",
     "projective_from_params",
     "unitary_from_params",
@@ -114,11 +106,6 @@ class ProjectiveMeasurement:
     @property
     def d(self) -> int:
         return self.basis.shape[0]
-
-    def relabeled(self, permutation) -> "ProjectiveMeasurement":
-        """Same measurement with outcome labels permuted."""
-        perm = list(permutation)
-        return ProjectiveMeasurement(self.subsystem, self.basis[:, perm])
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,11 +275,3 @@ def dephase(state: QState, m: ProjectiveMeasurement) -> QState:
     out = deph.reshape(side, side)
     return QState(state.dims, (out + out.conj().T) / 2.0)
 
-
-def measurement_to_json(m: ProjectiveMeasurement) -> dict:
-    """Serialize a projective measurement for report reproducibility."""
-    return {"subsystem": int(m.subsystem), "basis": matrix_to_json(m.basis)}
-
-
-def measurement_from_json(obj: dict) -> ProjectiveMeasurement:
-    return ProjectiveMeasurement(int(obj["subsystem"]), matrix_from_json(obj["basis"]))

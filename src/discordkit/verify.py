@@ -4,7 +4,8 @@ Each check returns a ``BoundCheck`` carrying both sides of the relation,
 the slack, the tolerance, and (where a saturation condition exists) an
 equality flag.  Checks whose hypotheses are unmet come back skipped with a
 reason instead of failing, and a batch runner aggregates checks over seeded
-state families into reproducible ``SuiteReport`` objects.
+state families into reproducible ``SuiteReport`` objects, computing each
+quantity of a sample (optimizer run, convex roof, entropy) once.
 
 Exact entropy identities use a 1e-9 tolerance; optimizer-dependent checks
 use 1e-3 to 2e-3, sized around the one-sided estimator bias (discord
@@ -13,21 +14,17 @@ estimates high, classical correlation low).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .correlations import (
     DEFAULT_CONFIG,
     OptimizerConfig,
+    _j_and_d,
+    _random_start,
     _re_discord_multi_detailed,
-    classical_correlation,
-    discord,
     min_conditional_entropy,
-    mutual_information,
     re_discord,
 )
 from .entanglement import eof_2qubit, eof_pure, eof_upper
@@ -41,7 +38,6 @@ from .qstate import (
     InvalidStateError,
     PureStateVector,
     QState,
-    conditional_entropy,
     is_pure,
     partial_trace,
     purify,
@@ -124,15 +120,8 @@ def _skipped(name, kind, reason, provenance=None) -> BoundCheck:
     return BoundCheck(name, kind, nan, nan, nan, nan, None, None, reason, provenance or {})
 
 
-def _as_density(state) -> QState:
-    if isinstance(state, PureStateVector):
-        return state.to_density()
-    return state
-
-
 def _as_tripartite(state: QState) -> QState:
     """Return a pure three-subsystem state, purifying a bipartite input."""
-    state = _as_density(state)
     if state.n_subsystems == 2:
         return purify(state).to_density()
     if state.n_subsystems == 3:
@@ -149,63 +138,121 @@ def _certified_eof(state: QState, cfg: OptimizerConfig | None):
     otherwise the convex-roof upper bound (not exact, but an upper bound at
     or below ``EF_ZERO_TOL`` still certifies a vanishing value).
     """
-    if state.n_subsystems != 2:
-        raise ValueError("entanglement route needs a two-subsystem state")
     if 1 in state.dims:
         return 0.0, True, "trivial"
     if is_pure(state):
         return eof_pure(state).value, True, "pure"
     if state.dims == (2, 2):
         return eof_2qubit(state).value, True, "wootters"
-    roof = eof_upper(state, cfg=cfg)
-    return roof.value, False, "upper"
+    return eof_upper(state, cfg=cfg).value, False, "upper"
+
+
+# Two-subsystem reductions of the pure tripartite form ABC.
+_PAIRS = {"ab": (0, 1), "ac": (0, 2), "bc": (1, 2)}
+
+
+class _StateAnalysis:
+    """The quantities the relations read on one state, each computed once.
+
+    A source is the input state (``"state"``), its pure tripartite form
+    (``"abc"``, the purification of a bipartite input) or a reduction of
+    ``"abc"`` named in ``_PAIRS``.  Values are computed on first use and kept
+    in this object only.
+    """
+
+    def __init__(self, state, cfg: OptimizerConfig | None):
+        if isinstance(state, PureStateVector):
+            state = state.to_density()
+        self.state = state
+        self.cfg = cfg
+        self._memo: dict = {"state": state}
+
+    def _memoized(self, key, compute: Callable):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def source(self, name: str) -> QState:
+        if name == "abc":
+            return self._memoized(name, lambda: _as_tripartite(self.state))
+        return self._memoized(name, lambda: partial_trace(self.source("abc"), _PAIRS[name]))
+
+    def entropy(self, name: str, keep: tuple | None = None) -> float:
+        """S of ``source(name)``, or of its reduction to the subsystems ``keep``."""
+
+        def compute():
+            rho = self.source(name)
+            return von_neumann_entropy(rho if keep is None else partial_trace(rho, keep))
+
+        return self._memoized(("entropy", name, keep), compute)
+
+    def eof(self, pair: str):
+        """``_certified_eof`` of the reduction ``pair`` of ABC."""
+        return self._memoized(("eof", pair), lambda: _certified_eof(self.source(pair), self.cfg))
+
+    def j_and_d(self, name: str, measured: int) -> tuple[float, float]:
+        """(J, D) of ``source(name)`` measured on ``measured``, from one optimizer run."""
+
+        def compute():
+            rho = self.source(name)
+            return _j_and_d(rho, measured, min_conditional_entropy(rho, measured, self.cfg).value)
+
+        return self._memoized(("j_and_d", name, measured), compute)
+
+
+def _analysis(state, cfg) -> _StateAnalysis:
+    return state if isinstance(state, _StateAnalysis) else _StateAnalysis(state, cfg)
+
+
+def _saturated(a: _StateAnalysis) -> bool:
+    """S(A) - S(B) = S(C) on ABC, the equality condition of Theorem 1."""
+    s_a, s_b, s_c = (a.entropy("abc", (k,)) for k in range(3))
+    return abs(s_a - s_b - s_c) <= EQUALITY_TOL
 
 
 def check_eq5(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """Mutual-information bound I <= 2 min(S(A), S(B)); entropy exact."""
-    state = _as_density(state)
-    info = mutual_information(state)
-    s_a = von_neumann_entropy(partial_trace(state, (0,)))
-    s_b = von_neumann_entropy(partial_trace(state, tuple(range(1, state.n_subsystems))))
-    return _inequality("eq5", info, 2.0 * min(s_a, s_b), TOL_EXACT)
+    a = _analysis(state, cfg)
+    s_a = a.entropy("state", (0,))
+    s_b = a.entropy("state", tuple(range(1, a.state.n_subsystems)))
+    return _inequality("eq5", s_a + s_b - a.entropy("state"), 2.0 * min(s_a, s_b), TOL_EXACT)
 
 
-def _kw_pieces(state: QState, cfg):
-    """Shared setup for the entanglement/classical-correlation tradeoffs."""
-    state = _as_density(state)
-    if state.n_subsystems != 2:
-        return None, "needs a bipartite state"
-    if state.dims[1] != 2:
-        return None, f"unmeasured subsystem must be a qubit, got dimension {state.dims[1]}"
-    abc = _as_tripartite(state)
-    if abc.dims[2] > 2:
-        return None, f"state rank {abc.dims[2]} > 2: exact entanglement route unavailable"
-    rho_bc = partial_trace(abc, (1, 2))
-    ef, _exact, route = _certified_eof(rho_bc, cfg)
-    s_b = von_neumann_entropy(partial_trace(state, (1,)))
-    return (state, abc, ef, route, s_b), None
+def _kw_unmet(a: _StateAnalysis) -> str | None:
+    """Why the entanglement/classical-correlation tradeoffs are skipped, or None."""
+    if a.state.n_subsystems != 2:
+        return "needs a bipartite state"
+    if a.state.dims[1] != 2:
+        return f"unmeasured subsystem must be a qubit, got dimension {a.state.dims[1]}"
+    rank = a.source("abc").dims[2]
+    if rank > 2:
+        return f"state rank {rank} > 2: exact entanglement route unavailable"
+    return None
 
 
 def check_koashi_winter(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """Tradeoff E_F(BC) + J_A(AB) = S(B) on states with a qubit environment."""
-    pieces, reason = _kw_pieces(state, cfg)
-    if pieces is None:
+    a = _analysis(state, cfg)
+    reason = _kw_unmet(a)
+    if reason:
         return _skipped("koashi_winter", "identity", reason)
-    state, _abc, ef, route, s_b = pieces
-    j_a = classical_correlation(state, 0, cfg).value
+    ef, _exact, route = a.eof("bc")
+    j_a, _d_a = a.j_and_d("state", 0)
     return _identity(
-        "koashi_winter", ef + j_a, s_b, TOL_OPT, provenance={"entanglement_route": route}
+        "koashi_winter", ef + j_a, a.entropy("state", (1,)), TOL_OPT,
+        provenance={"entanglement_route": route},
     )
 
 
 def check_eq8(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """Tradeoff D_A(AB) - E_F(BC) = -S(B|A) on states with a qubit environment."""
-    pieces, reason = _kw_pieces(state, cfg)
-    if pieces is None:
+    a = _analysis(state, cfg)
+    reason = _kw_unmet(a)
+    if reason:
         return _skipped("eq8", "identity", reason)
-    state, _abc, ef, route, _s_b = pieces
-    d_a = discord(state, 0, cfg).value
-    rhs = -(von_neumann_entropy(state) - von_neumann_entropy(partial_trace(state, (0,))))
+    ef, _exact, route = a.eof("bc")
+    _j_a, d_a = a.j_and_d("state", 0)
+    rhs = -(a.entropy("state") - a.entropy("state", (0,)))
     return _identity(
         "eq8", d_a - ef, rhs, TOL_OPT, provenance={"entanglement_route": route}
     )
@@ -213,13 +260,10 @@ def check_eq8(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 
 def check_monogamy(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """D_A(AB) + J_A(AC) = S(A) on tripartite pure states."""
-    abc = _as_tripartite(state)
-    rho_ab = partial_trace(abc, (0, 1))
-    rho_ac = partial_trace(abc, (0, 2))
-    d_ab = discord(rho_ab, 0, cfg).value
-    j_ac = classical_correlation(rho_ac, 0, cfg).value
-    s_a = von_neumann_entropy(partial_trace(abc, (0,)))
-    return _identity("monogamy", d_ab + j_ac, s_a, TOL_OPT2)
+    a = _analysis(state, cfg)
+    _j_ab, d_ab = a.j_and_d("ab", 0)
+    j_ac, _d_ac = a.j_and_d("ac", 0)
+    return _identity("monogamy", d_ab + j_ac, a.entropy("abc", (0,)), TOL_OPT2)
 
 
 def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
@@ -229,39 +273,29 @@ def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     overestimated, which keeps the inequality a valid sanity bound; the
     saturation flag S(A) - S(B) = S(C) is reported on exact routes only.
     """
-    state = _as_density(state)
-    if state.n_subsystems != 2:
+    a = _analysis(state, cfg)
+    if a.state.n_subsystems != 2:
         return _skipped("thm1", "inequality", "needs a bipartite state")
-    abc = _as_tripartite(state)
-    rho_bc = partial_trace(abc, (1, 2))
-    ef, exact, route = _certified_eof(rho_bc, cfg)
-    d_a = discord(state, 0, cfg).value
-    s_a = von_neumann_entropy(partial_trace(abc, (0,)))
-    s_b = von_neumann_entropy(partial_trace(abc, (1,)))
-    s_c = von_neumann_entropy(partial_trace(abc, (2,)))
-    equality = abs(s_a - s_b - s_c) <= EQUALITY_TOL if exact else None
+    ef, exact, route = a.eof("bc")
+    _j_a, d_a = a.j_and_d("state", 0)
     return _inequality(
-        "thm1", d_a, s_b + ef, TOL_OPT, equality=equality,
+        "thm1", d_a, a.entropy("abc", (1,)) + ef, TOL_OPT,
+        equality=_saturated(a) if exact else None,
         provenance={"entanglement_route": route},
     )
 
 
 def check_cor1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """D_A <= S(B) whenever E_F(BC) vanishes."""
-    state = _as_density(state)
-    if state.n_subsystems != 2:
+    a = _analysis(state, cfg)
+    if a.state.n_subsystems != 2:
         return _skipped("cor1", "inequality", "needs a bipartite state")
-    abc = _as_tripartite(state)
-    ef, _exact, route = _certified_eof(partial_trace(abc, (1, 2)), cfg)
+    ef, _exact, route = a.eof("bc")
     if ef > EF_ZERO_TOL:
         return _skipped("cor1", "inequality", f"hypothesis not met: E_F(BC) = {ef:.3g}")
-    d_a = discord(state, 0, cfg).value
-    s_a = von_neumann_entropy(partial_trace(abc, (0,)))
-    s_b = von_neumann_entropy(partial_trace(abc, (1,)))
-    s_c = von_neumann_entropy(partial_trace(abc, (2,)))
+    _j_a, d_a = a.j_and_d("state", 0)
     return _inequality(
-        "cor1", d_a, s_b, TOL_OPT,
-        equality=abs(s_a - s_b - s_c) <= EQUALITY_TOL,
+        "cor1", d_a, a.entropy("abc", (1,)), TOL_OPT, equality=_saturated(a),
         provenance={"entanglement_route": route},
     )
 
@@ -273,16 +307,11 @@ def check_lindblad_lemma3(state: QState, cfg: OptimizerConfig | None = None) -> 
     and recorded (a violation there is expected physics, not a failure), so
     the row comes back skip-classed with the outcome preserved.
     """
-    state = _as_density(state)
-    if state.n_subsystems != 2:
+    a = _analysis(state, cfg)
+    if a.state.n_subsystems != 2:
         return _skipped("lindblad", "inequality", "needs a bipartite state")
-    abc = _as_tripartite(state)
-    ef, _exact, route = _certified_eof(partial_trace(abc, (1, 2)), cfg)
-    opt = min_conditional_entropy(state, 0, cfg)
-    s_a = von_neumann_entropy(partial_trace(state, (0,)))
-    s_b = von_neumann_entropy(partial_trace(state, (1,)))
-    j_a = s_b - opt.value
-    d_a = opt.value - (von_neumann_entropy(state) - s_a)
+    ef, _exact, route = a.eof("bc")
+    j_a, d_a = a.j_and_d("state", 0)
     skipped = None
     if ef > EF_ZERO_TOL:
         skipped = f"survey: hypothesis not met (E_F(BC) = {ef:.3g})"
@@ -294,23 +323,20 @@ def check_lindblad_lemma3(state: QState, cfg: OptimizerConfig | None = None) -> 
 
 def check_eq12(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """Strong-subadditivity saturation S(B|A) + S(B|C) = 0 on pure states."""
-    abc = _as_tripartite(state)
-    lhs = conditional_entropy(abc, 1, 0) + conditional_entropy(abc, 1, 2)
-    return _identity("eq12", lhs, 0.0, TOL_EXACT)
+    a = _analysis(state, cfg)
+    s_b_given_a = a.entropy("abc", (0, 1)) - a.entropy("abc", (0,))
+    s_b_given_c = a.entropy("abc", (1, 2)) - a.entropy("abc", (2,))
+    return _identity("eq12", s_b_given_a + s_b_given_c, 0.0, TOL_EXACT)
 
 
-def _thm2_setup(state: QState, cfg):
-    state = _as_density(state)
-    if state.n_subsystems != 2:
-        return None, "needs a bipartite state"
-    abc = _as_tripartite(state)
-    ef_ac, _ea, route_ac = _certified_eof(partial_trace(abc, (0, 2)), cfg)
-    ef_bc, _eb, route_bc = _certified_eof(partial_trace(abc, (1, 2)), cfg)
+def _thm2_unmet(a: _StateAnalysis) -> str | None:
+    """Why Theorem 2 and Corollary 2 are skipped, or None."""
+    if a.state.n_subsystems != 2:
+        return "needs a bipartite state"
+    ef_ac, ef_bc = a.eof("ac")[0], a.eof("bc")[0]
     if ef_ac > EF_ZERO_TOL or ef_bc > EF_ZERO_TOL:
-        return None, (
-            f"hypothesis not met: E_F(AC) = {ef_ac:.3g}, E_F(BC) = {ef_bc:.3g}"
-        )
-    return (state, abc, ef_bc, {"route_ac": route_ac, "route_bc": route_bc}), None
+        return f"hypothesis not met: E_F(AC) = {ef_ac:.3g}, E_F(BC) = {ef_bc:.3g}"
+    return None
 
 
 def check_thm2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
@@ -319,19 +345,18 @@ def check_thm2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     Under the hypothesis the difference also equals S(A) - S(B); both the
     bound and that identity must hold for the check to pass.
     """
-    setup, reason = _thm2_setup(state, cfg)
-    if setup is None:
+    a = _analysis(state, cfg)
+    reason = _thm2_unmet(a)
+    if reason:
         return _skipped("thm2", "inequality", reason)
-    state, _abc, _ef_bc, routes = setup
-    d_a = discord(state, 0, cfg).value
-    d_b = discord(state, 1, cfg).value
-    s_a = von_neumann_entropy(partial_trace(state, (0,)))
-    s_b = von_neumann_entropy(partial_trace(state, (1,)))
-    s_ab = von_neumann_entropy(state)
-    identity_residual = abs((d_a - d_b) - (s_a - s_b))
+    d_a, d_b = a.j_and_d("state", 0)[1], a.j_and_d("state", 1)[1]
+    identity_residual = abs((d_a - d_b) - (a.entropy("state", (0,)) - a.entropy("state", (1,))))
     check = _inequality(
-        "thm2", abs(d_a - d_b), s_ab, TOL_OPT2,
-        provenance={**routes, "identity_residual": identity_residual},
+        "thm2", abs(d_a - d_b), a.entropy("state"), TOL_OPT2,
+        provenance={
+            "route_ac": a.eof("ac")[2], "route_bc": a.eof("bc")[2],
+            "identity_residual": identity_residual,
+        },
     )
     if identity_residual > TOL_OPT2:
         check = replace(check, holds=False)
@@ -343,20 +368,16 @@ def check_cor2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 
     The saturation flag records whether E_F(BC) vanishes and D_B = J_B.
     """
-    setup, reason = _thm2_setup(state, cfg)
-    if setup is None:
+    a = _analysis(state, cfg)
+    reason = _thm2_unmet(a)
+    if reason:
         return _skipped("cor2", "inequality", reason)
-    state, _abc, ef_bc, routes = setup
-    opt_b = min_conditional_entropy(state, 1, cfg)
-    s_a = von_neumann_entropy(partial_trace(state, (0,)))
-    s_b = von_neumann_entropy(partial_trace(state, (1,)))
-    s_ab = von_neumann_entropy(state)
-    j_b = s_a - opt_b.value
-    d_b = opt_b.value - (s_ab - s_b)
-    d_a = discord(state, 0, cfg).value
-    equality = ef_bc <= EF_ZERO_TOL and abs(d_b - j_b) <= TOL_OPT2
+    j_b, d_b = a.j_and_d("state", 1)
+    d_a = a.j_and_d("state", 0)[1]
+    equality = a.eof("bc")[0] <= EF_ZERO_TOL and abs(d_b - j_b) <= TOL_OPT2
     return _inequality(
-        "cor2", d_b - d_a, s_ab, TOL_OPT2, equality=equality, provenance=routes
+        "cor2", d_b - d_a, a.entropy("state"), TOL_OPT2, equality=equality,
+        provenance={"route_ac": a.eof("ac")[2], "route_bc": a.eof("bc")[2]},
     )
 
 
@@ -367,13 +388,12 @@ def check_thm3(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     product-measurement value (exact by construction, 1e-9), and (b) the
     aggregate bound against the two single-subsystem estimates at 2e-3.
     """
-    state = _as_density(state)
-    if state.n_subsystems != 3:
+    a = _analysis(state, cfg)
+    if a.state.n_subsystems != 3:
         return _skipped("thm3", "inequality", "needs a tripartite state")
-    cfg = cfg or DEFAULT_CONFIG
-    re_b = re_discord(state, 1, cfg)
-    re_c = re_discord(state, 2, cfg)
-    detail = _re_discord_multi_detailed(state, (1, 2), cfg)
+    re_b = re_discord(a.state, 1, a.cfg)
+    re_c = re_discord(a.state, 2, a.cfg)
+    detail = _re_discord_multi_detailed(a.state, (1, 2), a.cfg)
     chain_residual = detail["value"] - detail["chain_value"]
     check = _inequality(
         "thm3", detail["value"], re_b.value + re_c.value, TOL_OPT2,
@@ -401,26 +421,20 @@ def check_kw_pointwise(
     involved.  Evaluates the worst residual over ``n_measurements`` seeded
     random measurements (or a single supplied one).
     """
-    cfg = cfg or DEFAULT_CONFIG
-    abc = _as_tripartite(state)
+    a = _analysis(state, cfg)
+    abc = a.source("abc")
     d_a = abc.dims[0]
     if measurement is not None:
         measurements = [measurement]
     else:
-        n_par = n_measurement_params(d_a)
+        seed = (a.cfg or DEFAULT_CONFIG).seed
         measurements = []
         for j in range(n_measurements):
-            g = stream(cfg.seed, _MEASUREMENT_SALT + j)
-            params = np.concatenate(
-                [
-                    g.uniform(0.0, np.pi / 2.0, size=n_par // 2),
-                    g.uniform(0.0, 2.0 * np.pi, size=n_par // 2),
-                ]
-            )
-            measurements.append(projective_from_params(d_a, params, subsystem=0))
-    s_a = von_neumann_entropy(partial_trace(abc, (0,)))
-    s_c = von_neumann_entropy(partial_trace(abc, (2,)))
-    s_b_given_a = conditional_entropy(abc, 1, 0)
+            params = _random_start(stream(seed, _MEASUREMENT_SALT + j), n_measurement_params(d_a))
+            measurements.append(projective_from_params(d_a, params))
+    s_a = a.entropy("abc", (0,))
+    s_c = a.entropy("abc", (2,))
+    s_b_given_a = a.entropy("abc", (0, 1)) - s_a
     worst = 0.0
     for m in measurements:
         ens = apply_measurement(abc, m)
@@ -503,20 +517,15 @@ class SuiteReport:
     def all_pass(self) -> bool:
         return self.n_fail == 0
 
-    def failures(self) -> list:
-        return [r for r in self.rows if r.skipped is None and r.holds is False]
-
     def relation_summary(self) -> dict:
         out: dict[str, dict] = {}
         for name in self.relations:
-            rows = [r for r in self.rows if r.name == name]
+            part = replace(self, rows=tuple(r for r in self.rows if r.name == name))
             out[name] = {
-                "pass": sum(1 for r in rows if r.skipped is None and r.holds),
-                "fail": sum(1 for r in rows if r.skipped is None and r.holds is False),
-                "skip": sum(1 for r in rows if r.skipped is not None),
-                "recorded_violations": sum(
-                    1 for r in rows if r.skipped is not None and r.holds is False
-                ),
+                "pass": part.n_pass,
+                "fail": part.n_fail,
+                "skip": part.n_skip,
+                "recorded_violations": part.recorded_violations,
             }
         return out
 
@@ -527,21 +536,7 @@ class SuiteReport:
             "relations": list(self.relations),
             "samples": self.samples,
             "summary": self.relation_summary(),
-            "rows": [
-                {
-                    "name": r.name,
-                    "kind": r.kind,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "slack": r.slack,
-                    "tolerance": r.tolerance,
-                    "holds": r.holds,
-                    "equality": r.equality,
-                    "skipped": r.skipped,
-                    "provenance": r.provenance,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
 
@@ -587,9 +582,9 @@ def run_suite(
     cfg = cfg or DEFAULT_CONFIG
     rows = []
     for i in range(int(samples)):
-        state = _as_density(spec.sample(i))
+        analysis = _StateAnalysis(spec.sample(i), cfg)
         for name in relations:
-            row = RELATIONS[name](state, cfg)
+            row = RELATIONS[name](analysis, cfg)
             row = replace(
                 row,
                 provenance={

@@ -164,3 +164,28 @@ def test_byte_identical_reports(tmp_path):
     assert main(args + ["--out", str(c)]) == 0
     assert main(args + ["--out", str(d)]) == 0
     assert c.read_bytes() == d.read_bytes()
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_json_output_is_strict(tmp_path):
+    # thm3 needs a tripartite state, so the bipartite row is skipped (lhs NaN).
+    out = tmp_path / "verify.json"
+    rc = main(["verify", "--suite", "thm3", "--family", "random_mixed", "--dims", "2x2",
+               "--rank", "2", "--samples", "1", "--format", "json", "--out", str(out)])
+    assert rc == 0
+    row = _strict_json(out)["rows"][0]
+    assert row["skipped"] and row["lhs"] is None and row["slack"] is None
+
+    # No restart converges within five iterations, so the spread is infinite.
+    out = tmp_path / "hunt.json"
+    rc = main(["hunt", "--d", "2", "--x=0.3:0.3:1", "--restarts", "1", "--max-iter", "5",
+               "--format", "json", "--out", str(out)])
+    assert rc == 0
+    row = _strict_json(out)["rows"][0]
+    assert row["converged"] is False and row["spread"] is None

@@ -213,19 +213,56 @@ def test_kw_pointwise_identity():
         assert row.holds and row.lhs <= 1e-9
 
 
-def test_run_suite_deterministic_and_regenerable():
-    spec = StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 2}, 99)
-    r1 = run_suite(spec, ("eq5", "eq12"), 10, CFG)
-    r2 = run_suite(spec, ("eq5", "eq12"), 10, CFG)
-    assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
-    assert r1.n_pass == 20 and r1.n_fail == 0 and r1.n_skip == 0
+def _outcome(row) -> str:
+    """The row's values and flags; repr keeps NaN comparable."""
+    return repr((row.lhs, row.rhs, row.slack, row.holds, row.equality, row.skipped))
 
-    # any row regenerates bitwise from its provenance
-    row = r1.rows[7]
-    spec_again = StateFamilySpec.from_json(row.provenance["family"])
-    state = spec_again.sample(row.provenance["sample"])
-    again = RELATIONS[row.name](state, CFG)
-    assert again.lhs == row.lhs and again.rhs == row.rhs
+
+def test_run_suite_deterministic_and_regenerable():
+    # eq5 and eq12 plus the relations that share one analysis's cached values
+    relations = ("eq5", "eq12", "monogamy", "thm1", "lindblad", "thm2", "cor2")
+    spec = StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 2}, 99)
+    r1 = run_suite(spec, relations, 10, FAST)
+    r2 = run_suite(spec, relations, 10, FAST)
+    assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
+    summary = r1.relation_summary()
+    assert summary["eq5"]["pass"] == 10 and summary["eq12"]["pass"] == 10
+    assert r1.n_fail == 0 and r1.n_pass + r1.n_skip == len(r1.rows) == 70
+
+    # every row regenerates bitwise from its provenance, each check on a bare state
+    for row in r1.rows:
+        spec_again = StateFamilySpec.from_json(row.provenance["family"])
+        state = spec_again.sample(row.provenance["sample"])
+        again = RELATIONS[row.name](state, FAST)
+        assert _outcome(again) == _outcome(row)
+        assert {k: row.provenance[k] for k in again.provenance} == again.provenance
+
+
+def test_run_suite_computes_each_quantity_once(monkeypatch):
+    import discordkit.correlations as correlations
+    import discordkit.verify as verify
+
+    roof_inputs, opt_inputs = [], []
+    eof_upper, min_conditional_entropy = verify.eof_upper, verify.min_conditional_entropy
+
+    def counting_eof_upper(state, *args, **kwargs):
+        roof_inputs.append(state.matrix.tobytes())
+        return eof_upper(state, *args, **kwargs)
+
+    def counting_min_conditional_entropy(state, measured, cfg=None):
+        opt_inputs.append((state.dims, state.matrix.tobytes(), measured))
+        return min_conditional_entropy(state, measured, cfg)
+
+    monkeypatch.setattr(verify, "eof_upper", counting_eof_upper)
+    for module in (verify, correlations):
+        monkeypatch.setattr(module, "min_conditional_entropy", counting_min_conditional_entropy)
+    spec = StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11)
+    report = run_suite(spec, tuple(RELATIONS), 1, FAST)
+    assert len(report.rows) == 12
+    # E_F(BC) and E_F(AC) of the 2x2x3 purification take the convex roof
+    assert len(roof_inputs) == len(set(roof_inputs)) == 2
+    # D_A(AB) and J_A(AC) on the purification's reductions, D_A on the state
+    assert len(opt_inputs) == len(set(opt_inputs)) >= 3
 
 
 def test_run_suite_counts_skips_separately():
