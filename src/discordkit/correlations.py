@@ -8,6 +8,10 @@ report is labeled "projective-optimal" to keep the gap to the POVM
 definition explicit.  The estimator bias is one sided: discord estimates are
 upper bounds (the minimization is truncated) and classical-correlation
 estimates are lower bounds.
+
+``minimize_over_measurements`` scores a coarse scan, then runs multistart
+L-BFGS-B on the Givens parameters; the objective is batched, so each scan
+and each central-difference gradient is one objective call.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .measurement import (
+    OUTCOME_FLOOR,
     ProjectiveMeasurement,
     _conditional_blocks,
     _measured_view,
@@ -29,7 +34,6 @@ from .measurement import (
     unitary_from_params,
 )
 from .qstate import (
-    EIG_CLIP,
     QState,
     _entropy_bits,
     normalize_partition,
@@ -66,6 +70,12 @@ ESTIMATOR_BIAS_NOTE = (
 # code defect, not physics.
 CONJECTURE_I_SLACK = 1e-4
 
+# L-BFGS-B: the central-difference step (near eps^(1/3), which balances
+# truncation and rounding error), the stops on relative decrease and on the
+# gradient, and a memory of 30 corrections (full BFGS up to d = 6).
+_FD_STEP = 1e-5
+_LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-9, "maxcor": 30}
+
 
 class DiscordBoundError(RuntimeError):
     """A discord estimate exceeded the measured subsystem's entropy bound."""
@@ -77,8 +87,11 @@ class OptimizerConfig:
 
     ``grid_resolution`` is the number of coarse-grid points per mixing angle
     (qubit subsystems scan a theta x phi Bloch grid of
-    ``grid_resolution x 2*grid_resolution``); larger subsystems use seeded
-    random simplex restarts only, plus the canonical zero start.
+    ``grid_resolution x 2*grid_resolution``); larger subsystems start from
+    the canonical zero point and seeded random points only.  ``max_iter``
+    caps the iterations of each L-BFGS-B restart, and ``tol`` bounds the
+    restart spread of a converged result (10x ``tol``); ``eof_upper`` uses
+    ``tol`` as its sweep tolerance.
     """
 
     restarts: int = 16
@@ -108,12 +121,13 @@ DEFAULT_CONFIG = OptimizerConfig()
 class OptimizedValue:
     """Result of a measurement optimization.
 
-    ``value`` equals the optimized quantity at ``argbasis``.  ``spread`` is
-    max - min over converged local-search restarts and ``converged`` means
-    the spread stayed within 10x the objective tolerance.
-    ``restart_values`` holds the per-restart minima of the underlying
-    objective, in restart order (the running minimum is the convergence
-    trajectory).
+    ``value`` equals the optimized quantity at ``argbasis``.  A restart
+    counts toward ``spread`` when it stopped before the ``max_iter`` cap;
+    ``spread`` is max - min over those restarts (infinite when none did),
+    and ``converged`` means ``spread <= 10 * tol``.  A flat objective thus
+    converges with a spread near zero.  ``restart_values`` holds the
+    per-restart minima of the underlying objective, in restart order (the
+    running minimum is the convergence trajectory).
     """
 
     value: float
@@ -130,28 +144,15 @@ class OptimizedValue:
         }
 
 
-def _block_entropies(blocks: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each normalized block (blocks[k] / probs[k])."""
-    w = np.linalg.eigvalsh(blocks)
-    w = w / probs[:, None]
-    w = np.where(w < EIG_CLIP, 0.0, w)
-    w = w / w.sum(axis=1, keepdims=True)
-    logs = np.where(w > 0.0, np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
-    return -(w * logs).sum(axis=1)
-
-
 def _avg_conditional_entropy_objective(state: QState, measured: int) -> Callable:
     t, dm, _rest = _measured_view(state, measured)
 
-    def objective(params: np.ndarray) -> float:
-        basis = unitary_from_params(dm, params)
-        blocks = _conditional_blocks(t, basis)
-        probs = np.einsum("krr->k", blocks).real
-        keep = probs > 1e-12
-        if not np.any(keep):
-            return 0.0
-        ent = _block_entropies(blocks[keep], probs[keep])
-        return math.fsum(float(p * e) for p, e in zip(probs[keep], ent))
+    def objective(params: np.ndarray) -> np.ndarray:
+        w = np.linalg.eigvalsh(_conditional_blocks(t, unitary_from_params(dm, params)))
+        probs = w.sum(axis=-1)
+        # An outcome below OUTCOME_FLOOR gets all-zero weights: entropy 0.
+        scale = np.where(probs > OUTCOME_FLOOR, probs, np.inf)[..., None]
+        return (probs * _entropy_bits(w / scale)).sum(axis=-1)
 
     return objective, dm
 
@@ -165,11 +166,9 @@ def _dephasing_objective(state: QState, measured: int) -> Callable:
     t, dm, _rest = _measured_view(state, measured)
     base_entropy = von_neumann_entropy(state)
 
-    def objective(params: np.ndarray) -> float:
-        basis = unitary_from_params(dm, params)
-        blocks = _conditional_blocks(t, basis)
-        w = np.linalg.eigvalsh(blocks).ravel()
-        return _entropy_bits(w) - base_entropy
+    def objective(params: np.ndarray) -> np.ndarray:
+        w = np.linalg.eigvalsh(_conditional_blocks(t, unitary_from_params(dm, params)))
+        return _entropy_bits(w.reshape(w.shape[:-2] + (-1,))) - base_entropy
 
     return objective, dm
 
@@ -181,63 +180,64 @@ def _random_start(g: np.random.Generator, n_params: int) -> np.ndarray:
     return np.concatenate([thetas, phis])
 
 
+def _local_search(objective: Callable, x0: np.ndarray, max_iter: int) -> tuple[float, np.ndarray, bool]:
+    """One L-BFGS-B run: (lowest value at an iterate, its params, stopped before the cap)."""
+    n = x0.size
+    steps = _FD_STEP * np.eye(n)
+    best_value, best_x = math.inf, x0
+
+    def value_and_gradient(x):
+        nonlocal best_value, best_x
+        f = objective(np.concatenate([x[None], x + steps, x - steps]))
+        if f[0] < best_value:
+            best_value, best_x = float(f[0]), x.copy()
+        return f[0], (f[1 : n + 1] - f[n + 1 :]) / (2.0 * _FD_STEP)
+
+    res = _scipy_minimize(
+        value_and_gradient, x0, jac=True, method="L-BFGS-B", options={"maxiter": max_iter, **_LBFGS_OPTIONS}
+    )
+    return best_value, best_x, res.nit < max_iter
+
+
 def minimize_over_measurements(
     objective: Callable, d: int, cfg: OptimizerConfig | None = None, subsystem: int = 0
 ) -> OptimizedValue:
-    """Minimize ``objective(params)`` over projective-basis parameters.
+    """Minimize ``objective`` over projective-basis parameters.
 
-    Takes the best of a coarse scan (Bloch-sphere grid for d = 2, the
-    canonical zero point otherwise) and ``cfg.restarts`` Nelder-Mead
-    refinements: restart 0 starts from the best scan point, the rest from
-    seeded random parameter vectors.  Deterministic given ``cfg.seed``;
-    restart ties break toward the lowest restart index.  Non-convergence is
-    flagged, never raised.
+    ``objective`` is batched: it takes parameters of shape (n, d^2 - d) and
+    returns n values.  Takes the best of a coarse scan (the Bloch-sphere
+    grid, scored in one call, for d = 2; the canonical zero point otherwise)
+    and ``cfg.restarts`` L-BFGS-B refinements: restart 0 starts from the best
+    scan point, the rest from seeded random parameter vectors.  Deterministic
+    given ``cfg.seed``; restart ties break toward the lowest restart index.
+    Non-convergence is flagged, never raised.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = int(d)
     n_params = n_measurement_params(d)
 
-    scan: list[tuple[float, np.ndarray]] = []
     if d == 2:
         thetas = np.linspace(0.0, np.pi / 2.0, cfg.grid_resolution)
         phis = np.linspace(0.0, 2.0 * np.pi, 2 * cfg.grid_resolution, endpoint=False)
-        for th in thetas:
-            for ph in phis:
-                p = np.array([th, ph])
-                scan.append((float(objective(p)), p))
+        scan = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
     else:
-        zero = np.zeros(n_params)
-        scan.append((float(objective(zero)), zero))
-    scan_best = min(scan, key=lambda item: item[0])
+        scan = np.zeros((1, n_params))
+    scan_values = objective(scan)
+    i = int(np.argmin(scan_values))
+    best_value, best_params = float(scan_values[i]), scan[i]
 
-    best_value, best_params = scan_best
     restart_values: list[float] = []
     converged_values: list[float] = []
     for k in range(cfg.restarts):
-        x0 = scan_best[1] if k == 0 else _random_start(stream(cfg.seed, k), n_params)
-        res = _scipy_minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iter,
-                "maxfev": 4 * cfg.max_iter,
-                "xatol": 1e-6,
-                "fatol": cfg.tol,
-                "adaptive": n_params > 4,
-            },
-        )
-        value = float(res.fun)
+        x0 = scan[i] if k == 0 else _random_start(stream(cfg.seed, k), n_params)
+        value, params, stopped = _local_search(objective, x0, cfg.max_iter)
         restart_values.append(value)
-        if res.success:
+        if stopped:
             converged_values.append(value)
         if value < best_value:
-            best_value, best_params = value, np.asarray(res.x, dtype=float)
+            best_value, best_params = value, params
 
-    if converged_values:
-        spread = max(converged_values) - min(converged_values)
-    else:
-        spread = float("inf")
+    spread = max(converged_values) - min(converged_values) if converged_values else math.inf
     return OptimizedValue(
         value=best_value,
         argbasis=projective_from_params(d, best_params, subsystem),

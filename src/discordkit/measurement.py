@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Union
 
 import numpy as np
@@ -49,30 +50,28 @@ def unitary_from_params(d: int, params) -> np.ndarray:
     """Unitary built as an ordered product of two-level rotations.
 
     ``params`` holds the d(d-1)/2 Givens angles followed by the d(d-1)/2
-    phases, with pairs (i, j) visited in lexicographic order.
+    phases, with pairs (i, j) visited in lexicographic order.  Leading axes
+    broadcast: ``params`` of shape (..., d^2 - d) gives unitaries of shape
+    (..., d, d), and a 1-D vector gives one (d, d) unitary.
     """
     d = int(d)
-    params = np.asarray(params, dtype=float).ravel()
+    params = np.asarray(params, dtype=float)
     n_pairs = d * (d - 1) // 2
-    if params.size != 2 * n_pairs:
-        raise ValueError(
-            f"expected {2 * n_pairs} parameters for d={d}, got {params.size}"
-        )
-    thetas = params[:n_pairs]
-    phis = params[n_pairs:]
-    u = np.eye(d, dtype=complex)
-    k = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            c = math.cos(thetas[k])
-            s = math.sin(thetas[k])
-            ph = complex(math.cos(phis[k]), math.sin(phis[k]))
-            col_i = u[:, i].copy()
-            col_j = u[:, j].copy()
-            u[:, i] = c * col_i + ph.conjugate() * s * col_j
-            u[:, j] = -ph * s * col_i + c * col_j
-            k += 1
-    return u
+    if params.ndim == 0 or params.shape[-1] != 2 * n_pairs:
+        raise ValueError(f"expected {2 * n_pairs} parameters for d={d}, got shape {params.shape}")
+    lead = params.shape[:-1]
+    n = math.prod(lead)
+    # Angles and phases with the pair index leading, one row per basis.
+    p = params.reshape(n, 2 * n_pairs).T[..., None]
+    theta, phi = p[:n_pairs], p[n_pairs:]
+    c, s = np.cos(theta), np.sin(theta)
+    ph = np.cos(phi) + 1j * np.sin(phi)
+    b, e = ph.conj() * s, -ph * s
+    # cols[i] holds column i of every unitary.
+    cols = np.repeat(np.eye(d, dtype=complex)[:, None, :], n, axis=1)
+    for k, (i, j) in enumerate(combinations(range(d), 2)):
+        cols[i], cols[j] = c[k] * cols[i] + b[k] * cols[j], e[k] * cols[i] + c[k] * cols[j]
+    return cols.transpose(1, 2, 0).reshape(lead + (d, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +199,10 @@ def _measured_view(state: QState, subsystem: int):
 
 
 def _conditional_blocks(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Unnormalized conditional blocks <b_k| rho |b_k> for every outcome."""
-    u = np.tensordot(basis.conj().T, t, axes=([1], [0]))
-    return np.einsum("krbs,bk->krs", u, basis)
+    """Blocks <b_k| rho |b_k> of every outcome; a (..., d_m, d_m) stack of bases gives (..., d_m, R, R)."""
+    dm, r = t.shape[:2]
+    u = np.swapaxes(basis.conj(), -1, -2) @ t.reshape(dm, -1)
+    return np.einsum("...krbs,...bk->...krs", u.reshape(u.shape[:-1] + (r, dm, r)), basis)
 
 
 def _povm_blocks(t: np.ndarray, elements) -> np.ndarray:

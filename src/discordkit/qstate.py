@@ -233,20 +233,17 @@ def spectrum(state: QState) -> Spectrum:
     return Spectrum(w, v)
 
 
-def _entropy_bits(weights: np.ndarray) -> float:
-    """Shannon entropy in bits of a clipped, renormalized weight vector."""
+def _entropy_bits(weights: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of clipped, renormalized weights along the last axis."""
     w = np.where(weights < EIG_CLIP, 0.0, weights)
-    total = w.sum()
-    if total <= 0.0:
-        return 0.0
-    w = w / total
-    pos = w[w > 0.0]
-    return float(-(pos * np.log2(pos)).sum()) + 0.0
+    total = w.sum(axis=-1, keepdims=True)
+    w = w / np.where(total > 0.0, total, 1.0)
+    return -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1) + 0.0
 
 
 def von_neumann_entropy(state: QState) -> float:
     """Von Neumann entropy of ``state`` in bits; ``0 * log 0`` is 0."""
-    return _entropy_bits(np.linalg.eigvalsh(state.matrix))
+    return float(_entropy_bits(np.linalg.eigvalsh(state.matrix)))
 
 
 def tensor(a: QState, b: QState) -> QState:

@@ -15,18 +15,25 @@ from discordkit import (
     dephase,
     discord,
     discord_distance,
+    eof_2qubit,
     eof_upper,
     min_conditional_entropy,
     minimize_over_measurements,
     mutual_information,
     partial_trace,
+    projective_from_params,
     purify,
     re_discord,
     tensor,
     von_neumann_entropy,
 )
-from discordkit.correlations import MEASUREMENT_CLASS_LABEL
-from discordkit.measurement import _measured_view
+from discordkit.correlations import (
+    MEASUREMENT_CLASS_LABEL,
+    _avg_conditional_entropy_objective,
+    _dephasing_objective,
+    _random_start,
+)
+from discordkit.measurement import _measured_view, n_measurement_params
 from discordkit.states import (
     classical_quantum,
     example3_state,
@@ -71,14 +78,16 @@ def test_mutual_information_partition_validation():
 
 def test_minimize_quadratic_objective():
     def objective(p):
-        return (p[0] - 0.4) ** 2 + (p[1] - 1.3) ** 2 + 0.25
+        return (p[:, 0] - 0.4) ** 2 + (p[:, 1] - 1.3) ** 2 + 0.25
 
     opt = minimize_over_measurements(objective, 2, OptimizerConfig(restarts=4, seed=2))
     assert opt.value == pytest.approx(0.25, abs=1e-7)
 
 
 def test_minimize_constant_objective_has_zero_spread():
-    opt = minimize_over_measurements(lambda p: 1.5, 2, OptimizerConfig(restarts=4, seed=2))
+    opt = minimize_over_measurements(
+        lambda p: np.full(len(p), 1.5), 2, OptimizerConfig(restarts=4, seed=2)
+    )
     assert opt.value == 1.5
     assert opt.spread == 0.0
     assert opt.converged
@@ -88,6 +97,34 @@ def test_bell_conditional_entropy_landscape_is_flat_zero():
     opt = min_conditional_entropy(bell_state(), 0, OptimizerConfig(restarts=6, seed=3))
     assert opt.value == pytest.approx(0.0, abs=1e-9)
     assert all(v <= 1e-9 for v in opt.restart_values)
+
+
+@pytest.mark.parametrize("dims, rank", [((2, 3), 4), ((3, 2), 5), ((6, 2), 7)])
+def test_batched_objectives_match_per_point_references(dims, rank):
+    state = random_mixed(dims, rank, 31)
+    d = dims[0]
+    g = stream(31, d)
+    params = np.stack([_random_start(g, n_measurement_params(d)) for _ in range(20)])
+    cond, _ = _avg_conditional_entropy_objective(state, 0)
+    deph, _ = _dephasing_objective(state, 0)
+    s_state = von_neumann_entropy(state)
+    ref_cond = [avg_conditional_entropy(apply_measurement(state, projective_from_params(d, p)))
+                for p in params]
+    ref_deph = [von_neumann_entropy(dephase(state, projective_from_params(d, p))) - s_state
+                for p in params]
+    np.testing.assert_allclose(cond(params), ref_cond, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(deph(params), ref_deph, rtol=0.0, atol=1e-12)
+
+
+def test_min_conditional_entropy_meets_koashi_winter_oracle():
+    # Rank-2 (2,2) states have a qubit purifier C, so Koashi-Winter makes the
+    # minimum over measurements on A exactly E_F(BC), which Wootters gives.
+    for i in range(20):
+        state = random_mixed((2, 2), 2, 7000 + i)
+        oracle = eof_2qubit(partial_trace(purify(state).to_density(), (1, 2))).value
+        value = min_conditional_entropy(state, 0).value
+        assert abs(value - oracle) <= 1e-9
+        assert value >= oracle - 1e-12
 
 
 def test_optimized_value_matches_objective_at_argbasis():

@@ -43,6 +43,16 @@ def test_params_length_check():
         projective_from_params(3, np.zeros(4))
 
 
+def test_batched_unitaries_equal_single_calls(rng):
+    for d in (2, 3, 6):
+        params = np.stack([_random_params(rng, d) for _ in range(20)])
+        stacked = np.stack([unitary_from_params(d, p) for p in params])
+        batched = unitary_from_params(d, params)
+        assert batched.shape == (20, d, d)
+        assert np.array_equal(batched, stacked)
+        assert np.array_equal(unitary_from_params(d, params.reshape(4, 5, -1)), stacked.reshape(4, 5, d, d))
+
+
 def test_computational_basis_at_zero_params():
     m = projective_from_params(2, (0.0, 0.0))
     np.testing.assert_allclose(m.basis, np.eye(2), atol=1e-15)
