@@ -6,11 +6,11 @@ entanglement of formation, and tolerance-aware verification suites for the
 entropy identities and bounds tying them together.
 """
 
+from .config import OptimizerConfig
 from .correlations import (
     CorrelationReport,
     DiscordBoundError,
     OptimizedValue,
-    OptimizerConfig,
     classical_correlation,
     correlation_report,
     discord,

@@ -24,9 +24,9 @@ import sys
 
 import numpy as np
 
+from .config import OptimizerConfig
 from .correlations import (
     DiscordBoundError,
-    OptimizerConfig,
     REPORT_CSV_COLUMNS,
     classical_correlation,
     correlation_report,

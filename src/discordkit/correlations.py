@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
+from .config import OptimizerConfig
 from .measurement import (
     OUTCOME_FLOOR,
     ProjectiveMeasurement,
@@ -79,39 +80,6 @@ _LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-9, "maxcor": 30}
 
 class DiscordBoundError(RuntimeError):
     """A discord estimate exceeded the measured subsystem's entropy bound."""
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Budget and seeding for measurement optimization.
-
-    ``grid_resolution`` is the number of coarse-grid points per mixing angle
-    (qubit subsystems scan a theta x phi Bloch grid of
-    ``grid_resolution x 2*grid_resolution``); larger subsystems start from
-    the canonical zero point and seeded random points only.  ``max_iter``
-    caps the iterations of each L-BFGS-B restart, and ``tol`` bounds the
-    restart spread of a converged result (10x ``tol``); ``eof_upper`` uses
-    ``tol`` as its sweep tolerance.
-    """
-
-    restarts: int = 16
-    grid_resolution: int = 12
-    tol: float = 1e-8
-    max_iter: int = 2000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be >= 2")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 DEFAULT_CONFIG = OptimizerConfig()

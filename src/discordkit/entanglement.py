@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import OptimizerConfig
+from .config import OptimizerConfig
 from .qstate import (
     InvalidStateError,
     PureStateVector,
@@ -169,18 +169,21 @@ def _batch_contributions(vectors: np.ndarray, dims, part_a, part_b) -> np.ndarra
         m = m.transpose(0, 2, 1)
     if m.shape[1] == 2:
         # Closed-form 2x2 Hermitian eigenvalues; avoids LAPACK per pair.
-        a = np.einsum("gj,gj->g", m[:, 0, :], m[:, 0, :].conj()).real
-        d = np.einsum("gj,gj->g", m[:, 1, :], m[:, 1, :].conj()).real
-        b = np.einsum("gj,gj->g", m[:, 0, :], m[:, 1, :].conj())
+        m0, m1 = m[:, 0, :], m[:, 1, :]
+        c1 = m1.conj()
+        a = np.einsum("gj,gj->g", m0, m0.conj()).real
+        d = np.einsum("gj,gj->g", m1, c1).real
+        b = np.einsum("gj,gj->g", m0, c1)
         disc = np.sqrt(np.maximum((a - d) ** 2 + 4.0 * np.abs(b) ** 2, 0.0))
-        mu = np.stack([(a + d + disc) / 2.0, np.maximum((a + d - disc) / 2.0, 0.0)], axis=1)
+        mu = np.stack([(a + d + disc) / 2.0, np.maximum((a + d - disc) / 2.0, 0.0)])
     else:
         red = m @ m.conj().transpose(0, 2, 1)
-        mu = np.linalg.eigvalsh(red)
+        mu = np.linalg.eigvalsh(red).T
         mu = np.where(mu > 1e-18, mu, 0.0)
-    p = mu.sum(axis=1)
+    # Eigenvalues run along axis 0: summing over a short last axis is slow.
+    p = mu.sum(axis=0)
     logs = np.where(mu > 0.0, np.log2(np.where(mu > 0.0, mu, 1.0)), 0.0)
-    terms = -(mu * logs).sum(axis=1)
+    terms = -(mu * logs).sum(axis=0)
     plog = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
     return terms + plog
 
@@ -212,22 +215,25 @@ def _round_robin(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _roof_round(psi, iso, contrib, ii, jj, grid, dims, part_a, part_b) -> float:
+def _roof_round(psi, iso, contrib, ii, jj, grid, dims, part_a, part_b) -> np.ndarray:
     """Re-mix the disjoint member pairs ``(ii[k], jj[k])`` of one round in place.
 
-    All grid candidates of all live pairs are scored in one kernel call; as
-    the pairs share no member, this equals visiting them one after another.
-    Returns the improvement.
+    ``psi``, ``iso`` and ``contrib`` are stacks over restarts, and each restart
+    has its own grid row.  All candidates of all live (restart, pair) cases are
+    scored in one kernel call; as the pairs share no member, this equals
+    visiting them one after another.  Returns the improvement of each restart.
     """
     cos_t, sin_t, phase = grid
-    weights = np.real(np.einsum("id,id->i", psi, psi.conj()))
-    live = weights[ii] + weights[jj] >= 1e-14
-    ii, jj = ii[live], jj[live]
-    if ii.size == 0:
-        return 0.0
-    psi_i, psi_j = psi[ii][:, None, :], psi[jj][:, None, :]
-    cand_i = cos_t[:, None] * psi_i - (phase * sin_t)[:, None] * psi_j
-    cand_j = (phase.conj() * sin_t)[:, None] * psi_i + cos_t[:, None] * psi_j
+    weights = np.real(np.einsum("rid,rid->ri", psi, psi.conj()))
+    gain = np.zeros(psi.shape[0])
+    rr, pp = np.nonzero(weights[:, ii] + weights[:, jj] >= 1e-14)
+    if rr.size == 0:
+        return gain
+    ii, jj = ii[pp], jj[pp]
+    psi_i, psi_j = psi[rr, ii][:, None, :], psi[rr, jj][:, None, :]
+    cos_r, sin_r = cos_t[rr][:, :, None], sin_t[rr]
+    cand_i = cos_r * psi_i - (phase * sin_r)[:, :, None] * psi_j
+    cand_j = (phase.conj() * sin_r)[:, :, None] * psi_i + cos_r * psi_j
     n_pairs, n_cand, dim = cand_i.shape
     both = _batch_contributions(
         np.concatenate([cand_i, cand_j]).reshape(-1, dim), dims, part_a, part_b
@@ -236,46 +242,50 @@ def _roof_round(psi, iso, contrib, ii, jj, grid, dims, part_a, part_b) -> float:
     rows = np.arange(n_pairs)
     k = tot.argmin(axis=1)
     best = tot[rows, k]
-    current = contrib[ii] + contrib[jj]
+    current = contrib[rr, ii] + contrib[rr, jj]
     accept = best < current - 1e-14
-    ii, jj, k, rows = ii[accept], jj[accept], k[accept], rows[accept]
-    c, s, f = cos_t[k][:, None], sin_t[k][:, None], phase[k][:, None]
-    psi[ii], psi[jj] = cand_i[rows, k], cand_j[rows, k]
-    row_i = iso[ii]
-    iso[ii] = c * row_i - f * s * iso[jj]
-    iso[jj] = f.conjugate() * s * row_i + c * iso[jj]
-    contrib[ii], contrib[jj] = both[0, rows, k], both[1, rows, k]
-    return float((current - best)[accept].sum())
+    rr, ii, jj, k, rows = rr[accept], ii[accept], jj[accept], k[accept], rows[accept]
+    c, s, f = cos_t[rr, k][:, None], sin_t[rr, k][:, None], phase[k][:, None]
+    psi[rr, ii], psi[rr, jj] = cand_i[rows, k], cand_j[rows, k]
+    row_i = iso[rr, ii]
+    iso[rr, ii] = c * row_i - f * s * iso[rr, jj]
+    iso[rr, jj] = f.conjugate() * s * row_i + c * iso[rr, jj]
+    contrib[rr, ii], contrib[rr, jj] = both[0, rows, k], both[1, rows, k]
+    np.add.at(gain, rr, (current - best)[accept])
+    return gain
 
 
-def _roof_sweeps(psi, iso, contrib, dims, part_a, part_b, tol) -> tuple[float, int, bool]:
-    """Two-level (Givens) coordinate descent over ensemble members.
+def _roof_sweeps(psi, iso, contrib, dims, part_a, part_b, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Two-level (Givens) coordinate descent over ensemble members, in place.
 
     Each sweep re-mixes every pair of members once by its best rotation on a
     theta/phi grid, in round-robin rounds of disjoint pairs.  The theta window
     cools geometrically, skipping ahead whenever a full sweep stops improving.
-    Returns the value, the sweeps used, and whether the loop converged (the
-    window reached its floor without improvement, or the value reached zero)
-    rather than stopping at ``_MAX_SWEEPS``.
+    All restarts of the (R, m, .) stacks run in lockstep, each with its own
+    window; a restart leaves the stack once its window reaches its floor
+    without improvement or its value reaches zero (converged), or at
+    ``_MAX_SWEEPS``.  Returns the sweeps and the convergence flag of each.
     """
-    rounds = _round_robin(psi.shape[0])
-    cool = 0
+    n_restarts, m = contrib.shape
+    sweeps = np.full(n_restarts, _MAX_SWEEPS if m > 1 else 0)
+    converged = np.full(n_restarts, m == 1)
+    rounds = _round_robin(m)
+    act = np.flatnonzero(~converged)
+    cool = np.zeros(act.size, dtype=int)
     for sweep in range(1, _MAX_SWEEPS + 1):
-        window = max(np.pi / 2.0 * 0.6**cool, _MIN_WINDOW)
-        th = np.repeat(_PAIR_THETAS * window, _PAIR_PHIS.size)
+        if act.size == 0:
+            break
+        p, q, c = psi[act], iso[act], contrib[act]
+        window = np.maximum(np.pi / 2.0 * 0.6**cool, _MIN_WINDOW)
+        th = np.repeat(_PAIR_THETAS * window[:, None], _PAIR_PHIS.size, axis=1)
         grid = (np.cos(th), np.sin(th), np.tile(np.exp(1j * _PAIR_PHIS), _PAIR_THETAS.size))
-        improvement = 0.0
-        for ii, jj in rounds:
-            improvement += _roof_round(psi, iso, contrib, ii, jj, grid, dims, part_a, part_b)
-        if contrib.sum() < 1e-12:
-            return float(contrib.sum()), sweep, True
-        if improvement < max(tol, 1e-11):
-            if window <= _MIN_WINDOW * 1.01:
-                return float(contrib.sum()), sweep, True
-            cool += 3
-        else:
-            cool += 1
-    return float(contrib.sum()), _MAX_SWEEPS, False
+        improvement = sum(_roof_round(p, q, c, ii, jj, grid, dims, part_a, part_b) for ii, jj in rounds)
+        psi[act], iso[act], contrib[act] = p, q, c
+        flat = improvement < max(tol, 1e-11)
+        done = (c.sum(axis=1) < 1e-12) | (flat & (window <= _MIN_WINDOW * 1.01))
+        sweeps[act[done]], converged[act[done]] = sweep, True
+        act, cool = act[~done], (cool + np.where(flat, 3, 1))[~done]
+    return sweeps, converged
 
 
 def _random_isometry(g: np.random.Generator, m: int, r: int) -> np.ndarray:
@@ -292,7 +302,9 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     coordinate descent in round-robin rounds of disjoint pairs with a
     shrinking angle window; each member's entropy comes from the spectrum of
     the smaller side of its bipartition.  Restart 0 starts from the
-    eigen-ensemble, the rest from seeded random isometries.  ``converged`` is
+    eigen-ensemble, the rest from seeded random isometries; all restarts run
+    in lockstep, one kernel call per round for every restart still running,
+    each with its own window and exit, as if run alone.  ``converged`` is
     true when no restart stopped at the sweep cap, and ``sweeps`` lists the
     sweeps each restart used.  On dims (2, 2) the result carries its gap to
     the exact Wootters value.
@@ -305,33 +317,21 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     m = r * r
     e0 = (sp.eigenvectors[:, :r] * np.sqrt(sp.eigenvalues[:r])).T  # r x D rows
 
-    best = None
-    restart_finals = []
-    sweeps = []
-    converged = True
-    for k in range(cfg.restarts):
-        if k == 0:
-            iso = np.eye(m, dtype=complex)[:, :r]
-        else:
-            iso = _random_isometry(stream(cfg.seed, k), m, r)
-        psi = iso @ e0
-        contrib = _batch_contributions(psi, dims, part_a, part_b)
-        if m > 1:
-            value, used, done = _roof_sweeps(psi, iso, contrib, dims, part_a, part_b, cfg.tol)
-        else:
-            value, used, done = float(contrib.sum()), 0, True
-        restart_finals.append(value)
-        sweeps.append(used)
-        converged = converged and done
-        if best is None or value < best[0]:
-            best = (value, psi.copy(), iso.copy())
-
-    value, psi, iso = best
+    iso = np.stack(
+        [np.eye(m, dtype=complex)[:, :r]]
+        + [_random_isometry(stream(cfg.seed, k), m, r) for k in range(1, cfg.restarts)]
+    )
+    psi = iso @ e0
+    contrib = _batch_contributions(psi.reshape(-1, e0.shape[1]), dims, part_a, part_b).reshape(-1, m)
+    sweeps, converged = _roof_sweeps(psi, iso, contrib, dims, part_a, part_b, cfg.tol)
+    finals = contrib.sum(axis=1)
+    b = int(np.argmin(finals))  # ties go to the lowest restart
+    value, psi, iso = float(finals[b]), psi[b], iso[b]
     weights = np.real(np.einsum("id,id->i", psi, psi.conj()))
     keep = weights > 1e-12
     vectors = psi[keep] / np.sqrt(weights[keep])[:, None]
     witness = EnsembleDecomposition(weights[keep], vectors, iso)
-    spread = max(restart_finals) - min(restart_finals)
+    spread = float(finals.max() - finals.min())
 
     gap = None
     if dims == (2, 2) and part_a == (0,):
@@ -341,7 +341,7 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
         tag=UPPER_BOUND,
         decomposition=witness,
         crosscheck_gap=gap,
-        converged=converged,
+        converged=bool(converged.all()),
         restart_spread=spread,
-        sweeps=tuple(sweeps),
+        sweeps=tuple(int(n) for n in sweeps),
     )

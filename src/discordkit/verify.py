@@ -18,9 +18,9 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable
 
+from .config import OptimizerConfig
 from .correlations import (
     DEFAULT_CONFIG,
-    OptimizerConfig,
     _j_and_d,
     _random_start,
     _re_discord_multi_detailed,

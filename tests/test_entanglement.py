@@ -29,6 +29,7 @@ from discordkit.entanglement import (
     _batch_contributions,
     _random_isometry,
     _roof_round,
+    _roof_sweeps,
     _round_robin,
     binary_entropy,
 )
@@ -220,28 +221,78 @@ def test_batch_contributions_smaller_gram_side(dims):
     np.testing.assert_allclose(got, _reference_contributions(vectors, *dims), rtol=0, atol=1e-12)
 
 
+def _grid(windows):
+    th = np.repeat(_PAIR_THETAS * np.asarray(windows)[:, None], _PAIR_PHIS.size, axis=1)
+    return np.cos(th), np.sin(th), np.tile(np.exp(1j * _PAIR_PHIS), _PAIR_THETAS.size)
+
+
 @pytest.mark.parametrize("dims, rank", [((2, 2), 4), ((3, 3), 3)])
 def test_batched_round_equals_pairs_one_at_a_time(dims, rank):
+    # Two restarts at different theta windows: a grid row given to the wrong
+    # restart changes the result.
     state = random_mixed(dims, rank, 12)
     sp = spectrum(state)
     e0 = (sp.eigenvectors[:, :rank] * np.sqrt(sp.eigenvalues[:rank])).T
     m = rank * rank
-    iso = _random_isometry(stream(12, 1), m, rank)
-    th = np.repeat(_PAIR_THETAS * 0.3, _PAIR_PHIS.size)
-    grid = (np.cos(th), np.sin(th), np.tile(np.exp(1j * _PAIR_PHIS), _PAIR_THETAS.size))
+    iso = np.stack([_random_isometry(stream(12, k), m, rank) for k in (1, 2)])
+    windows = (0.3, 1.2)
     parts = ((0,), (1,))
     batched = [iso @ e0, iso.copy()]
-    batched.append(_batch_contributions(batched[0], dims, *parts))
+    batched.append(_batch_contributions(batched[0].reshape(2 * m, -1), dims, *parts).reshape(2, m))
     single = [a.copy() for a in batched]
-    gain_batched = gain_single = 0.0
+    gain_batched, gain_single = np.zeros(2), np.zeros(2)
     for ii, jj in _round_robin(m):
-        gain_batched += _roof_round(*batched, ii, jj, grid, dims, *parts)
-        for k in range(ii.size):
-            gain_single += _roof_round(*single, ii[k : k + 1], jj[k : k + 1], grid, dims, *parts)
-    assert gain_batched > 0.0
-    assert gain_batched == pytest.approx(gain_single, abs=1e-12)
+        gain_batched += _roof_round(*batched, ii, jj, _grid(windows), dims, *parts)
+        for r, window in enumerate(windows):
+            stack = [a[r : r + 1] for a in single]
+            for k in range(ii.size):
+                pair = (ii[k : k + 1], jj[k : k + 1])
+                gain_single[r] += _roof_round(*stack, *pair, _grid([window]), dims, *parts)[0]
+    assert np.all(gain_batched > 0.0)
+    np.testing.assert_allclose(gain_batched, gain_single, rtol=0, atol=1e-12)
     for got, want in zip(batched, single):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("restarts", [3, 16])
+@pytest.mark.parametrize(
+    "dims, rank, seed, index, max_sweeps",
+    [((2, 2), 4, 1, 4, 40), ((3, 2), 3, 2, 0, 40), ((2, 3), 6, 3, 0, 10)],
+    ids=["2x2-rank4", "3x2-rank3", "2x3-rank6"],
+)
+def test_lockstep_restarts_equal_restarts_run_alone(
+    monkeypatch, dims, rank, seed, index, max_sweeps, restarts
+):
+    # Every rank-6 restart runs to the sweep cap, so a lower cap keeps that case short.
+    monkeypatch.setattr(entanglement, "_MAX_SWEEPS", max_sweeps)
+    state = random_mixed(dims, rank, seed, index)
+    cfg = OptimizerConfig(restarts=restarts)
+    roof = eof_upper(state, cfg=cfg)
+
+    sp = spectrum(state)
+    e0 = (sp.eigenvectors[:, :rank] * np.sqrt(sp.eigenvalues[:rank])).T
+    m = rank * rank
+    finals, sweeps, converged, isos = [], [], [], []
+    for k in range(restarts):
+        iso = np.eye(m, dtype=complex)[:, :rank] if k == 0 else _random_isometry(stream(0, k), m, rank)
+        iso = iso[None].copy()
+        psi = iso @ e0
+        contrib = _batch_contributions(psi[0], dims, (0,), (1,))[None]
+        used, done = _roof_sweeps(psi, iso, contrib, dims, (0,), (1,), cfg.tol)
+        finals.append(contrib.sum())
+        sweeps.append(int(used[0]))
+        converged.append(bool(done[0]))
+        isos.append(iso[0])
+    if (dims, restarts) == ((2, 2), 3):
+        assert len(set(sweeps)) == 3  # the restarts leave after different sweeps
+    best = int(np.argmin(finals))
+    assert roof.sweeps == tuple(sweeps)
+    assert roof.converged == all(converged)
+    assert roof.value == pytest.approx(finals[best], abs=1e-12)
+    assert roof.restart_spread == pytest.approx(max(finals) - min(finals), abs=1e-12)
+    np.testing.assert_allclose(roof.decomposition.isometry, isos[best], rtol=0, atol=1e-12)
+    others = [k for k in range(restarts) if k != best]
+    assert all(np.abs(isos[k] - isos[best]).max() > 1e-6 for k in others)
 
 
 def test_eof_upper_convergence_diagnostics(monkeypatch):
