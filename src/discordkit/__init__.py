@@ -11,6 +11,7 @@ from .correlations import (
     CorrelationReport,
     DiscordBoundError,
     OptimizedValue,
+    ReDiscordDetail,
     classical_correlation,
     correlation_report,
     discord,
@@ -19,6 +20,7 @@ from .correlations import (
     minimize_over_measurements,
     mutual_information,
     re_discord,
+    re_discord_detailed,
 )
 from .entanglement import (
     EnsembleDecomposition,

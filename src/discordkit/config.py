@@ -14,10 +14,10 @@ class OptimizerConfig:
     ``grid_resolution`` is the number of coarse-grid points per mixing angle
     (qubit subsystems scan a theta x phi Bloch grid of
     ``grid_resolution x 2*grid_resolution``); larger subsystems start from
-    the canonical zero point and seeded random points only.  ``max_iter``
-    caps the iterations of each L-BFGS-B restart, and ``tol`` bounds the
-    restart spread of a converged result (10x ``tol``); ``eof_upper`` uses
-    ``tol`` as its sweep tolerance.
+    the canonical basis and seeded random bases only.  ``max_iter`` caps the
+    Riemannian descent iterations (accepted steps) of each restart, and
+    ``tol`` bounds the restart spread of a converged result (10x ``tol``);
+    ``eof_upper`` uses ``tol`` as its sweep tolerance.
     """
 
     restarts: int = 16

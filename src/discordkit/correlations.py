@@ -9,9 +9,11 @@ definition explicit.  The estimator bias is one sided: discord estimates are
 upper bounds (the minimization is truncated) and classical-correlation
 estimates are lower bounds.
 
-``minimize_over_measurements`` scores a coarse scan, then runs multistart
-L-BFGS-B on the Givens parameters; the objective is batched, so each scan
-and each central-difference gradient is one objective call.
+``minimize_over_measurements`` starts one restart from a coarse scan and
+the others from seeded random bases, then runs them all in lockstep by
+Riemannian conjugate-gradient descent on U(d) (``_descent``).  Both
+objectives come with an analytic gradient, so each round of the descent is
+one objective call for all live restarts.
 """
 
 from __future__ import annotations
@@ -21,22 +23,18 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
+from ._descent import CAP, descend
 from .config import OptimizerConfig
 from .measurement import (
-    OUTCOME_FLOOR,
     ProjectiveMeasurement,
-    _conditional_blocks,
-    _measured_view,
+    _measurement_objective,
     dephase,
     n_measurement_params,
-    projective_from_params,
     unitary_from_params,
 )
 from .qstate import (
     QState,
-    _entropy_bits,
     normalize_partition,
     partial_trace,
     permute_subsystems,
@@ -51,6 +49,7 @@ __all__ = [
     "MEASUREMENT_CLASS_LABEL",
     "OptimizedValue",
     "OptimizerConfig",
+    "ReDiscordDetail",
     "classical_correlation",
     "correlation_report",
     "discord",
@@ -59,6 +58,7 @@ __all__ = [
     "minimize_over_measurements",
     "mutual_information",
     "re_discord",
+    "re_discord_detailed",
 ]
 
 MEASUREMENT_CLASS_LABEL = "projective-optimal"
@@ -70,13 +70,6 @@ ESTIMATOR_BIAS_NOTE = (
 # subsystem's entropy by more than this slack indicates an optimizer or
 # code defect, not physics.
 CONJECTURE_I_SLACK = 1e-4
-
-# L-BFGS-B: the central-difference step (near eps^(1/3), which balances
-# truncation and rounding error), the stops on relative decrease and on the
-# gradient, and a memory of 30 corrections (full BFGS up to d = 6).
-_FD_STEP = 1e-5
-_LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-9, "maxcor": 30}
-
 
 class DiscordBoundError(RuntimeError):
     """A discord estimate exceeded the measured subsystem's entropy bound."""
@@ -93,9 +86,13 @@ class OptimizedValue:
     counts toward ``spread`` when it stopped before the ``max_iter`` cap;
     ``spread`` is max - min over those restarts (infinite when none did),
     and ``converged`` means ``spread <= 10 * tol``.  A flat objective thus
-    converges with a spread near zero.  ``restart_values`` holds the
-    per-restart minima of the underlying objective, in restart order (the
-    running minimum is the convergence trajectory).
+    converges with a spread near zero.  The per-restart tuples run in
+    restart order: ``restart_values`` holds the minima of the underlying
+    objective (the running minimum is the convergence trajectory),
+    ``iterations`` the accepted descent steps, ``evaluations`` the objective
+    calls the restart was live for, and ``stop_reasons`` why it stopped:
+    ``gradient`` (Riemannian gradient norm), ``no_decrease`` (the next step
+    could not measurably lower the value) or ``cap`` (``max_iter``).
     """
 
     value: float
@@ -103,42 +100,19 @@ class OptimizedValue:
     spread: float
     converged: bool
     restart_values: tuple = ()
+    iterations: tuple = ()
+    evaluations: tuple = ()
+    stop_reasons: tuple = ()
 
     def diagnostics(self) -> dict:
         return {
             "spread": self.spread,
             "converged": self.converged,
             "restart_values": list(self.restart_values),
+            "iterations": list(self.iterations),
+            "evaluations": list(self.evaluations),
+            "stop_reasons": list(self.stop_reasons),
         }
-
-
-def _avg_conditional_entropy_objective(state: QState, measured: int) -> Callable:
-    t, dm, _rest = _measured_view(state, measured)
-
-    def objective(params: np.ndarray) -> np.ndarray:
-        w = np.linalg.eigvalsh(_conditional_blocks(t, unitary_from_params(dm, params)))
-        probs = w.sum(axis=-1)
-        # An outcome below OUTCOME_FLOOR gets all-zero weights: entropy 0.
-        scale = np.where(probs > OUTCOME_FLOOR, probs, np.inf)[..., None]
-        return (probs * _entropy_bits(w / scale)).sum(axis=-1)
-
-    return objective, dm
-
-
-def _dephasing_objective(state: QState, measured: int) -> Callable:
-    """Entropy increase S(dephased) - S(rho) as a function of basis params.
-
-    The dephased state is block diagonal in the measurement basis, so its
-    spectrum is the union of the unnormalized conditional-block spectra.
-    """
-    t, dm, _rest = _measured_view(state, measured)
-    base_entropy = von_neumann_entropy(state)
-
-    def objective(params: np.ndarray) -> np.ndarray:
-        w = np.linalg.eigvalsh(_conditional_blocks(t, unitary_from_params(dm, params)))
-        return _entropy_bits(w.reshape(w.shape[:-2] + (-1,))) - base_entropy
-
-    return objective, dm
 
 
 def _random_start(g: np.random.Generator, n_params: int) -> np.ndarray:
@@ -148,70 +122,50 @@ def _random_start(g: np.random.Generator, n_params: int) -> np.ndarray:
     return np.concatenate([thetas, phis])
 
 
-def _local_search(objective: Callable, x0: np.ndarray, max_iter: int) -> tuple[float, np.ndarray, bool]:
-    """One L-BFGS-B run: (lowest value at an iterate, its params, stopped before the cap)."""
-    n = x0.size
-    steps = _FD_STEP * np.eye(n)
-    best_value, best_x = math.inf, x0
-
-    def value_and_gradient(x):
-        nonlocal best_value, best_x
-        f = objective(np.concatenate([x[None], x + steps, x - steps]))
-        if f[0] < best_value:
-            best_value, best_x = float(f[0]), x.copy()
-        return f[0], (f[1 : n + 1] - f[n + 1 :]) / (2.0 * _FD_STEP)
-
-    res = _scipy_minimize(
-        value_and_gradient, x0, jac=True, method="L-BFGS-B", options={"maxiter": max_iter, **_LBFGS_OPTIONS}
-    )
-    return best_value, best_x, res.nit < max_iter
-
-
 def minimize_over_measurements(
     objective: Callable, d: int, cfg: OptimizerConfig | None = None, subsystem: int = 0
 ) -> OptimizedValue:
-    """Minimize ``objective`` over projective-basis parameters.
+    """Minimize ``objective`` over projective bases on a d-level subsystem.
 
-    ``objective`` is batched: it takes parameters of shape (n, d^2 - d) and
-    returns n values.  Takes the best of a coarse scan (the Bloch-sphere
-    grid, scored in one call, for d = 2; the canonical zero point otherwise)
-    and ``cfg.restarts`` L-BFGS-B refinements: restart 0 starts from the best
-    scan point, the rest from seeded random parameter vectors.  Deterministic
-    given ``cfg.seed``; restart ties break toward the lowest restart index.
-    Non-convergence is flagged, never raised.
+    ``objective`` is batched: it maps an (R, d, d) stack of bases (columns
+    are the measurement vectors) to R values and R Euclidean gradients
+    (values only, and ``None``, when called with ``gradient=False``).
+    Restart 0 starts from the canonical basis, or for d = 2 from the best
+    point of a Bloch-sphere grid scored in one values-only call; the others
+    start from seeded random bases.  All restarts descend in lockstep by
+    Riemannian conjugate gradient on U(d), one objective call per round.
+    Deterministic given ``cfg.seed``; restart ties break toward the lowest
+    restart index.  Non-convergence is flagged, never raised.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = int(d)
     n_params = n_measurement_params(d)
 
+    first = np.eye(d, dtype=complex)[None]
     if d == 2:
         thetas = np.linspace(0.0, np.pi / 2.0, cfg.grid_resolution)
         phis = np.linspace(0.0, 2.0 * np.pi, 2 * cfg.grid_resolution, endpoint=False)
-        scan = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-    else:
-        scan = np.zeros((1, n_params))
-    scan_values = objective(scan)
-    i = int(np.argmin(scan_values))
-    best_value, best_params = float(scan_values[i]), scan[i]
+        scan = unitary_from_params(2, np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2))
+        scan_values, _ = objective(scan, gradient=False)
+        first = scan[int(np.argmin(scan_values))][None]
+    randoms = [_random_start(stream(cfg.seed, k), n_params) for k in range(1, cfg.restarts)]
+    randoms = np.reshape(randoms, (cfg.restarts - 1, n_params))
+    starts = np.concatenate([first, unitary_from_params(d, randoms)])
+    values, grads = objective(starts)
+    run = descend(objective, starts, values, grads, cfg.max_iter)
 
-    restart_values: list[float] = []
-    converged_values: list[float] = []
-    for k in range(cfg.restarts):
-        x0 = scan[i] if k == 0 else _random_start(stream(cfg.seed, k), n_params)
-        value, params, stopped = _local_search(objective, x0, cfg.max_iter)
-        restart_values.append(value)
-        if stopped:
-            converged_values.append(value)
-        if value < best_value:
-            best_value, best_params = value, params
-
-    spread = max(converged_values) - min(converged_values) if converged_values else math.inf
+    b = int(np.argmin(run.values))  # ties go to the lowest restart
+    stopped = [v for v, why in zip(run.values, run.reasons) if why != CAP]
+    spread = float(max(stopped) - min(stopped)) if stopped else math.inf
     return OptimizedValue(
-        value=best_value,
-        argbasis=projective_from_params(d, best_params, subsystem),
+        value=float(run.values[b]),
+        argbasis=ProjectiveMeasurement(subsystem, run.x[b]),
         spread=spread,
         converged=spread <= 10.0 * cfg.tol,
-        restart_values=tuple(restart_values),
+        restart_values=tuple(float(v) for v in run.values),
+        iterations=run.iterations,
+        evaluations=run.evaluations,
+        stop_reasons=run.reasons,
     )
 
 
@@ -235,21 +189,23 @@ def min_conditional_entropy(
     discord; both derive from the same run, so they add up to the mutual
     information to rounding.
     """
-    objective, dm = _avg_conditional_entropy_objective(state, measured)
+    objective, dm = _measurement_objective(state, measured, dephasing=False)
     return minimize_over_measurements(objective, dm, cfg, subsystem=measured)
 
 
-def _j_and_d(state: QState, measured: int, m: float) -> tuple[float, float]:
-    """(J, D) with ``measured`` measured, from the conditional-entropy minimum ``m``.
+def _j_and_d(
+    m: float, s_measured: float, s_unmeasured: float, s_total: float, measured: int
+) -> tuple[float, float]:
+    """(J, D) from the conditional-entropy minimum ``m`` and three entropies.
 
-    J = S(unmeasured) - m and D = m - S(unmeasured | measured).  A D above
-    S(measured) + ``CONJECTURE_I_SLACK`` breaks a proved bound and raises
+    The entropies are those of the measured subsystem, of the unmeasured
+    rest and of the whole state: J = S(unmeasured) - m and
+    D = m - S(unmeasured | measured).  A D above S(measured) +
+    ``CONJECTURE_I_SLACK`` breaks a proved bound and raises
     ``DiscordBoundError``, since that indicates a defect.
     """
-    others = tuple(i for i in range(state.n_subsystems) if i != measured)
-    s_measured = von_neumann_entropy(partial_trace(state, (measured,)))
-    j = von_neumann_entropy(partial_trace(state, others)) - m
-    d = m - (von_neumann_entropy(state) - s_measured)
+    j = s_unmeasured - m
+    d = m - (s_total - s_measured)
     if d > s_measured + CONJECTURE_I_SLACK:
         raise DiscordBoundError(
             f"discord estimate {d:.6g} on subsystem {measured} exceeds its entropy "
@@ -257,6 +213,20 @@ def _j_and_d(state: QState, measured: int, m: float) -> tuple[float, float]:
             "optimizer or state construction is defective"
         )
     return j, d
+
+
+def _measured_run(state: QState, measured: int, cfg: OptimizerConfig | None):
+    """One conditional-entropy minimization and the (J, D) derived from it."""
+    opt = min_conditional_entropy(state, measured, cfg)
+    others = tuple(i for i in range(state.n_subsystems) if i != measured)
+    j, d = _j_and_d(
+        opt.value,
+        von_neumann_entropy(partial_trace(state, (measured,))),
+        von_neumann_entropy(partial_trace(state, others)),
+        von_neumann_entropy(state),
+        measured,
+    )
+    return opt, j, d
 
 
 def classical_correlation(
@@ -268,8 +238,8 @@ def classical_correlation(
     optimum (the inner minimization is truncated).  Raises
     ``DiscordBoundError`` when the discord of the same run breaks its bound.
     """
-    opt = min_conditional_entropy(state, measured, cfg)
-    return replace(opt, value=_j_and_d(state, measured, opt.value)[0])
+    opt, j, _d = _measured_run(state, measured, cfg)
+    return replace(opt, value=j)
 
 
 def discord(
@@ -282,8 +252,8 @@ def discord(
     S(measured marginal) + ``CONJECTURE_I_SLACK`` (a proved bound) a
     ``DiscordBoundError`` is raised, since that indicates a defect.
     """
-    opt = min_conditional_entropy(state, measured, cfg)
-    return replace(opt, value=_j_and_d(state, measured, opt.value)[1])
+    opt, _j, d = _measured_run(state, measured, cfg)
+    return replace(opt, value=d)
 
 
 def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float:
@@ -296,33 +266,62 @@ def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float
 
 
 def _re_discord_single(state: QState, measured: int, cfg: OptimizerConfig | None) -> OptimizedValue:
-    objective, dm = _dephasing_objective(state, measured)
+    objective, dm = _measurement_objective(state, measured, dephasing=True)
     return minimize_over_measurements(objective, dm, cfg, subsystem=measured)
 
 
-def _re_discord_multi_detailed(state: QState, measured: tuple[int, ...], cfg) -> dict:
+@dataclass(frozen=True, eq=False)
+class ReDiscordDetail:
+    """Dephasing discord over several measured subsystems, by two routes.
+
+    ``chain_value`` comes from optimizing each measured factor in turn on the
+    running dephased state (a product basis), ``joint_value`` from one
+    search over full bases of the merged factor; ``value`` and ``argbasis``
+    belong to the lower of the two, so ``value`` never exceeds either.
+    ``spread`` and ``restart_values`` are the joint search's, and
+    ``converged`` holds when every search converged.
+    """
+
+    value: float
+    argbasis: ProjectiveMeasurement
+    chain_value: float
+    joint_value: float
+    spread: float
+    converged: bool
+    restart_values: tuple
+
+
+def re_discord_detailed(
+    state: QState,
+    measured: tuple[int, ...],
+    cfg: OptimizerConfig | None = None,
+    first: OptimizedValue | None = None,
+) -> ReDiscordDetail:
     """Joint-basis and chained product-basis dephasing minimization.
 
-    Works on the state permuted so the measured subsystems sit in front; the
-    chain optimizes each measured subsystem in turn on the previously
-    dephased state and its product basis is kept as a candidate, so the
-    returned value never exceeds the chain value.
+    ``measured`` is a sorted tuple of subsystem indices.  Works on the state
+    permuted so the measured subsystems sit in front; the reported basis
+    refers to their merged factor.  ``first``, when given, is
+    ``re_discord(state, measured[0], cfg)`` already computed, and stands in
+    for the chain's first step, which is the same optimization.
     """
     rest = tuple(i for i in range(state.n_subsystems) if i not in measured)
     sigma = permute_subsystems(state, measured + rest)
     measured_dims = tuple(state.dims[i] for i in measured)
     d_joint = int(np.prod(measured_dims))
     rest_dims = tuple(state.dims[i] for i in rest)
+    if first is not None and first.argbasis.subsystem != measured[0]:
+        raise ValueError(f"first must measure subsystem {measured[0]}, not {first.argbasis.subsystem}")
 
     # Chain route: optimize each measured factor on the running dephased state.
     tau = sigma
     chain_bases = []
     chain_converged = True
     for pos in range(len(measured)):
-        step = _re_discord_single(tau, pos, cfg)
+        step = first if pos == 0 and first is not None else _re_discord_single(tau, pos, cfg)
         chain_bases.append(step.argbasis.basis)
         chain_converged = chain_converged and step.converged
-        tau = dephase(tau, step.argbasis)
+        tau = dephase(tau, ProjectiveMeasurement(pos, step.argbasis.basis))
     chain_value = von_neumann_entropy(tau) - von_neumann_entropy(sigma)
     product_basis = chain_bases[0]
     for b in chain_bases[1:]:
@@ -336,15 +335,15 @@ def _re_discord_multi_detailed(state: QState, measured: tuple[int, ...], cfg) ->
     else:
         value = joint.value
         argbasis = joint.argbasis
-    return {
-        "value": value,
-        "argbasis": argbasis,
-        "chain_value": chain_value,
-        "joint_value": joint.value,
-        "spread": joint.spread,
-        "converged": joint.converged and chain_converged,
-        "restart_values": joint.restart_values,
-    }
+    return ReDiscordDetail(
+        value=value,
+        argbasis=argbasis,
+        chain_value=chain_value,
+        joint_value=joint.value,
+        spread=joint.spread,
+        converged=joint.converged and chain_converged,
+        restart_values=joint.restart_values,
+    )
 
 
 def re_discord(
@@ -354,9 +353,9 @@ def re_discord(
 
     ``measured`` is one subsystem index or a set of them.  For several
     measured subsystems the search covers full joint bases on the merged
-    factor as well as chained per-subsystem product bases; the reported
-    basis then refers to the merged measured block of the state permuted
-    measured-subsystems-first.
+    factor as well as chained per-subsystem product bases
+    (``re_discord_detailed``); the reported basis then refers to the merged
+    measured block of the state permuted measured-subsystems-first.
     """
     if isinstance(measured, (int, np.integer)):
         measured_t = (int(measured),)
@@ -369,13 +368,13 @@ def re_discord(
         raise ValueError(f"measured indices {measured_t} out of range for {n} subsystems")
     if len(measured_t) == 1:
         return _re_discord_single(state, measured_t[0], cfg)
-    detail = _re_discord_multi_detailed(state, measured_t, cfg)
+    detail = re_discord_detailed(state, measured_t, cfg)
     return OptimizedValue(
-        value=detail["value"],
-        argbasis=detail["argbasis"],
-        spread=detail["spread"],
-        converged=detail["converged"],
-        restart_values=detail["restart_values"],
+        value=detail.value,
+        argbasis=detail.argbasis,
+        spread=detail.spread,
+        converged=detail.converged,
+        restart_values=detail.restart_values,
     )
 
 
@@ -455,8 +454,8 @@ def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> Cor
 
     opt_a = min_conditional_entropy(state, 0, cfg)
     opt_b = min_conditional_entropy(state, 1, cfg)
-    j_a, d_a = _j_and_d(state, 0, opt_a.value)
-    j_b, d_b = _j_and_d(state, 1, opt_b.value)
+    j_a, d_a = _j_and_d(opt_a.value, s_a, s_b, s_ab, 0)
+    j_b, d_b = _j_and_d(opt_b.value, s_b, s_a, s_ab, 1)
     return CorrelationReport(
         s_a=s_a,
         s_b=s_b,

@@ -6,6 +6,9 @@ lexicographic order, each carrying one mixing angle and one relative phase:
 d^2 - d real parameters in total (angles first, then phases).  Every basis
 is reachable up to outcome relabeling and per-vector phase, which is all a
 projective measurement can distinguish.
+
+``_measurement_objective`` scores stacks of bases at once, with analytic
+gradients, for the measurement optimizer in ``correlations``.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .qstate import QState, von_neumann_entropy
+from .qstate import EIG_CLIP, QState, _entropy_bits, von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -39,6 +42,10 @@ COMPLETENESS_TOL = 1e-9
 # Outcomes with probability below this floor are dropped to avoid 0/0 in
 # conditional-state normalization.
 OUTCOME_FLOOR = 1e-12
+
+# Eigenvalues of rho at or below this floor are rounding noise: the factor
+# rho = L L^H keeps only the others.
+_RANK_FLOOR = 1e-14
 
 
 def n_measurement_params(d: int) -> int:
@@ -208,6 +215,62 @@ def _conditional_blocks(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def _povm_blocks(t: np.ndarray, elements) -> np.ndarray:
     e = np.stack([np.asarray(el) for el in elements])
     return np.einsum("kab,bras->krs", e, t, optimize=True)
+
+
+def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tuple[Callable, int]:
+    """Batched objective over bases on ``measured``, with its Euclidean gradient.
+
+    Both objectives are sums over the conditional blocks B_k = <u_k|rho|u_k>
+    of a basis U: sum_k p_k S(B_k / p_k) (``dephasing`` false), or the
+    entropy S(dephased) - S(rho) of the dephased state, whose spectrum is the
+    union of the block spectra.  With rho = L L^H, B_k = N_k N_k^H for
+    N_k = (u_k^H (x) I) L, and each block's spectrum comes from the smaller
+    of its two Gram sides.  The derivative of either sum is
+    tr[W_k dB_k] with W_k = -log2(B_k / p_k), or -(log2 B_k + S) for the
+    dephasing entropy S, taken on the support of B_k, where N_k lives, so
+    rank-deficient blocks need no clipping.  The objective maps an (R, d, d)
+    stack of bases to R values and the R gradients G = 2 L (W N)^H, with
+    df = Re tr(G^H dU); called with ``gradient=False`` it returns the values
+    and ``None``, from eigenvalues alone.
+    """
+    t, dm, _rest = _measured_view(state, measured)
+    r = t.shape[1]
+    lam, vec = np.linalg.eigh(t.reshape(dm * r, dm * r))
+    keep = lam > _RANK_FLOOR
+    s = int(keep.sum())
+    factor = (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * s)
+    base_entropy = _entropy_bits(lam)
+    small = r <= s
+
+    def spectral_terms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values, and the eigenvalues of each W_k, from the block spectra ``w``."""
+        if dephasing:
+            kept = np.where(w < EIG_CLIP, 0.0, w)
+            total = kept.sum(axis=(-2, -1))[..., None, None]
+            mu = kept / total
+            logs = np.log2(np.where(kept > 0.0, mu, 1.0))
+            entropy = -(mu * logs).sum(axis=(-2, -1))
+            weights = np.where(kept > 0.0, -(logs + entropy[..., None, None]) / total, 0.0)
+            return entropy - base_entropy, weights
+        probs = w.sum(axis=-1)
+        # An outcome below OUTCOME_FLOOR gets all-zero weights: entropy 0.
+        mu = w / np.where(probs > OUTCOME_FLOOR, probs, np.inf)[..., None]
+        weights = np.where(mu >= EIG_CLIP, -np.log2(np.where(mu >= EIG_CLIP, mu, 1.0)), 0.0)
+        return (probs * _entropy_bits(mu)).sum(axis=-1), weights
+
+    def objective(u: np.ndarray, gradient: bool = True):
+        n = (np.swapaxes(u.conj(), -1, -2) @ factor).reshape(u.shape[:-2] + (dm, r, s))
+        nh = np.swapaxes(n.conj(), -1, -2)
+        gram = n @ nh if small else nh @ n
+        if not gradient:
+            return spectral_terms(np.linalg.eigvalsh(gram))[0], None
+        w, v = np.linalg.eigh(gram)
+        values, weights = spectral_terms(w)
+        wm = (v * weights[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        y = (wm @ n if small else n @ wm).reshape(u.shape[:-1] + (r * s,))
+        return values, 2.0 * factor @ np.swapaxes(y.conj(), -1, -2)
+
+    return objective, dm
 
 
 def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:

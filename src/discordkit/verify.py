@@ -23,9 +23,9 @@ from .correlations import (
     DEFAULT_CONFIG,
     _j_and_d,
     _random_start,
-    _re_discord_multi_detailed,
     min_conditional_entropy,
     re_discord,
+    re_discord_detailed,
 )
 from .entanglement import eof_2qubit, eof_pure, eof_upper
 from .measurement import (
@@ -195,7 +195,11 @@ class _StateAnalysis:
 
         def compute():
             rho = self.source(name)
-            return _j_and_d(rho, measured, min_conditional_entropy(rho, measured, self.cfg).value)
+            others = tuple(i for i in range(rho.n_subsystems) if i != measured)
+            m = min_conditional_entropy(rho, measured, self.cfg).value
+            return _j_and_d(
+                m, self.entropy(name, (measured,)), self.entropy(name, others), self.entropy(name), measured
+            )
 
         return self._memoized(("j_and_d", name, measured), compute)
 
@@ -393,13 +397,13 @@ def check_thm3(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
         return _skipped("thm3", "inequality", "needs a tripartite state")
     re_b = re_discord(a.state, 1, a.cfg)
     re_c = re_discord(a.state, 2, a.cfg)
-    detail = _re_discord_multi_detailed(a.state, (1, 2), a.cfg)
-    chain_residual = detail["value"] - detail["chain_value"]
+    detail = re_discord_detailed(a.state, (1, 2), a.cfg, first=re_b)
+    chain_residual = detail.value - detail.chain_value
     check = _inequality(
-        "thm3", detail["value"], re_b.value + re_c.value, TOL_OPT2,
+        "thm3", detail.value, re_b.value + re_c.value, TOL_OPT2,
         provenance={
-            "chain_value": detail["chain_value"],
-            "joint_value": detail["joint_value"],
+            "chain_value": detail.chain_value,
+            "joint_value": detail.joint_value,
             "chain_residual": chain_residual,
         },
     )

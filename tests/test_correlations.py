@@ -24,16 +24,19 @@ from discordkit import (
     projective_from_params,
     purify,
     re_discord,
+    re_discord_detailed,
     tensor,
     von_neumann_entropy,
 )
-from discordkit.correlations import (
-    MEASUREMENT_CLASS_LABEL,
-    _avg_conditional_entropy_objective,
-    _dephasing_objective,
-    _random_start,
+from discordkit import correlations
+from discordkit._descent import CAP, descend, tangent
+from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _random_start
+from discordkit.measurement import (
+    _measured_view,
+    _measurement_objective,
+    n_measurement_params,
+    unitary_from_params,
 )
-from discordkit.measurement import _measured_view, n_measurement_params
 from discordkit.states import (
     classical_quantum,
     example3_state,
@@ -41,6 +44,7 @@ from discordkit.states import (
     random_mixed,
     stream,
     werner_2qubit_example4,
+    werner_qudit,
 )
 
 from conftest import bell_state, haar_unitary
@@ -77,20 +81,26 @@ def test_mutual_information_partition_validation():
 
 
 def test_minimize_quadratic_objective():
-    def objective(p):
-        return (p[:, 0] - 0.4) ** 2 + (p[:, 1] - 1.3) ** 2 + 0.25
+    # ||U - V||^2 + 0.25 over U(2): minimum 0.25 at U = V, gradient 2 (U - V).
+    target = unitary_from_params(2, [0.4, 1.3])
+
+    def objective(u, gradient=True):
+        return np.sum(np.abs(u - target) ** 2, axis=(-2, -1)) + 0.25, 2.0 * (u - target)
 
     opt = minimize_over_measurements(objective, 2, OptimizerConfig(restarts=4, seed=2))
     assert opt.value == pytest.approx(0.25, abs=1e-7)
+    np.testing.assert_allclose(opt.argbasis.basis, target, rtol=0, atol=1e-4)
 
 
 def test_minimize_constant_objective_has_zero_spread():
     opt = minimize_over_measurements(
-        lambda p: np.full(len(p), 1.5), 2, OptimizerConfig(restarts=4, seed=2)
+        lambda u, gradient=True: (np.full(len(u), 1.5), np.zeros_like(u)), 2, OptimizerConfig(restarts=4, seed=2)
     )
     assert opt.value == 1.5
     assert opt.spread == 0.0
     assert opt.converged
+    assert opt.iterations == (0,) * 4 and opt.evaluations == (1,) * 4
+    assert opt.stop_reasons == ("gradient",) * 4
 
 
 def test_bell_conditional_entropy_landscape_is_flat_zero():
@@ -105,15 +115,89 @@ def test_batched_objectives_match_per_point_references(dims, rank):
     d = dims[0]
     g = stream(31, d)
     params = np.stack([_random_start(g, n_measurement_params(d)) for _ in range(20)])
-    cond, _ = _avg_conditional_entropy_objective(state, 0)
-    deph, _ = _dephasing_objective(state, 0)
+    cond, _ = _measurement_objective(state, 0, dephasing=False)
+    deph, _ = _measurement_objective(state, 0, dephasing=True)
     s_state = von_neumann_entropy(state)
     ref_cond = [avg_conditional_entropy(apply_measurement(state, projective_from_params(d, p)))
                 for p in params]
     ref_deph = [von_neumann_entropy(dephase(state, projective_from_params(d, p))) - s_state
                 for p in params]
-    np.testing.assert_allclose(cond(params), ref_cond, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(deph(params), ref_deph, rtol=0.0, atol=1e-12)
+    bases = unitary_from_params(d, params)
+    np.testing.assert_allclose(cond(bases)[0], ref_cond, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(deph(bases)[0], ref_deph, rtol=0.0, atol=1e-12)
+
+
+def _gradient_case(dims, rank, seed):
+    if rank == 1:
+        return haar_random_pure(dims, seed).to_density()
+    return random_mixed(dims, rank, seed)
+
+
+@pytest.mark.parametrize("dephasing", [False, True], ids=["conditional", "dephasing"])
+@pytest.mark.parametrize(
+    "dims, rank, measured",
+    [((2, 2), 2, 0), ((2, 3), 1, 0), ((3, 2), 4, 0), ((2, 3), 1, 1), ((4, 2), 8, 0),
+     ((6, 2), 5, 0), ((6, 2), 1, 0)],
+    ids=["d2", "d2-pure", "d3", "d3-pure", "d4", "d6", "d6-pure"],
+)
+def test_objective_gradient_matches_central_differences(dims, rank, measured, dephasing):
+    # Off the manifold too: df = Re tr(G^H dU) for any direction dU.
+    state = _gradient_case(dims, rank, 23)
+    objective, d = _measurement_objective(state, measured, dephasing)
+    g = stream(23, d)
+    bases = unitary_from_params(d, np.stack([_random_start(g, n_measurement_params(d)) for _ in range(3)]))
+    _values, grads = objective(bases)
+    h = 1e-5
+    for _ in range(4):
+        e = g.normal(size=bases.shape) + 1j * g.normal(size=bases.shape)
+        e /= np.linalg.norm(e, axis=(-2, -1), keepdims=True)
+        central = (objective(bases + h * e)[0] - objective(bases - h * e)[0]) / (2.0 * h)
+        analytic = np.einsum("rij,rij->r", grads.conj(), e).real
+        np.testing.assert_allclose(analytic, central, rtol=0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("dephasing", [False, True], ids=["conditional", "dephasing"])
+def test_werner_objective_is_certified_flat(dephasing):
+    # A U (x) U-invariant state has a basis-independent objective, so its
+    # Riemannian gradient vanishes at every basis: a certificate of flatness.
+    objective, d = _measurement_objective(werner_qudit(3, 0.3), 0, dephasing)
+    u = np.eye(3, dtype=complex)[None]
+    _value, grad = objective(u)
+    assert np.linalg.norm(tangent(u, grad)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "dims, rank, measured, dephasing",
+    [((2, 2), 4, 0, False), ((2, 3), 6, 1, False), ((4, 2), 8, 0, True)],
+    ids=["2x2-rank4", "2x3-rank6-B", "4x2-rank8-dephasing"],
+)
+def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephasing):
+    objective, d = _measurement_objective(random_mixed(dims, rank, 11), measured, dephasing)
+    cfg = OptimizerConfig(seed=2)
+    calls = []
+
+    def recording(u, gradient=True):
+        calls.append(u.copy())
+        return objective(u, gradient)
+
+    opt = minimize_over_measurements(recording, d, cfg, measured)
+    # A qubit's Bloch-grid scan takes one values-only call; the next call
+    # scores the starts, and every later call is one lockstep round.
+    scanned = d == 2
+    starts = calls[int(scanned)]
+    assert len(starts) == cfg.restarts
+    assert len(calls) == int(scanned) + max(opt.evaluations)
+    values, grads = objective(starts)
+    alone = [descend(objective, starts[k : k + 1], values[k : k + 1], grads[k : k + 1], cfg.max_iter)
+             for k in range(cfg.restarts)]
+    assert opt.iterations == tuple(run.iterations[0] for run in alone)
+    assert opt.evaluations == tuple(run.evaluations[0] for run in alone)
+    assert opt.stop_reasons == tuple(run.reasons[0] for run in alone)
+    assert CAP not in opt.stop_reasons and len(set(opt.iterations)) > 1
+    np.testing.assert_allclose(opt.restart_values, [run.values[0] for run in alone], rtol=0, atol=1e-12)
+    best = int(np.argmin([run.values[0] for run in alone]))
+    assert opt.value == pytest.approx(alone[best].values[0], abs=1e-12)
+    np.testing.assert_allclose(opt.argbasis.basis, alone[best].x[0], rtol=0, atol=1e-12)
 
 
 def test_min_conditional_entropy_meets_koashi_winter_oracle():
@@ -276,12 +360,33 @@ def test_re_discord_invariant_under_re_dephasing():
 def test_re_discord_joint_includes_chain_candidate():
     state = random_mixed((2, 2, 2), 8, 77)
     cfg = OptimizerConfig(restarts=2, max_iter=300, seed=5)
-    from discordkit.correlations import _re_discord_multi_detailed
+    detail = re_discord_detailed(state, (1, 2), cfg)
+    assert detail.value <= detail.chain_value + 1e-12
+    assert detail.value <= detail.joint_value + 1e-12
+    assert detail.value >= -1e-9
 
-    detail = _re_discord_multi_detailed(state, (1, 2), cfg)
-    assert detail["value"] <= detail["chain_value"] + 1e-12
-    assert detail["value"] <= detail["joint_value"] + 1e-12
-    assert detail["value"] >= -1e-9
+
+def test_re_discord_chain_reuses_first_factor(monkeypatch):
+    # The chain's first step is re_discord on the first measured subsystem;
+    # passing that result in gives the same chain with one search fewer.
+    state = random_mixed((2, 2, 2), 8, 78)
+    cfg = OptimizerConfig(restarts=2, max_iter=300, seed=5)
+    first = re_discord(state, 1, cfg)
+    searches = []
+    search = correlations.minimize_over_measurements
+    monkeypatch.setattr(
+        correlations, "minimize_over_measurements", lambda *a, **k: searches.append(a[1]) or search(*a, **k)
+    )
+    fresh = re_discord_detailed(state, (1, 2), cfg)
+    assert searches == [2, 2, 4]
+    reused = re_discord_detailed(state, (1, 2), cfg, first=first)
+    assert searches == [2, 2, 4, 2, 4]
+    # The two first-factor searches see the blocks in another order, so
+    # their bases agree only to the optimizer's resolution.
+    assert reused.chain_value == pytest.approx(fresh.chain_value, abs=1e-9)
+    assert reused.joint_value == fresh.joint_value
+    with pytest.raises(ValueError):
+        re_discord_detailed(state, (1, 2), cfg, first=re_discord(state, 2, cfg))
 
 
 def test_re_discord_index_validation():

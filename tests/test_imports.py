@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or scipy.
 
 ``__init__.py`` re-exports its imports and ``__future__`` imports are
-directives, so both are exempt.
+directives, so both are exempt from the unused-import check.  The package
+depends on numpy alone.
 """
 
 import ast
@@ -31,6 +32,27 @@ def unused_imports(source: str) -> list:
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set:
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            modules.add(node.module)
+    return modules
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    modules = imported_modules(path.read_text(encoding="utf-8"))
+    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_scipy_import_detection():
+    source = "import numpy as np\nimport scipy.linalg\nfrom scipy.optimize import minimize\nfrom . import qstate\n"
+    assert imported_modules(source) == {"numpy", "scipy.linalg", "scipy.optimize"}
 
 
 def test_unused_import_detection():
