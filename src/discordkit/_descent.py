@@ -18,6 +18,7 @@ step, direction and exit, so it follows the path it takes alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -166,7 +167,10 @@ def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
         a = np.where(same, 0.0, -1.0)
         b = np.where(same, 1.0, np.where(beta * gm < gg, beta, 0.0))
         slope_new = a * gg + b * gm
-        newton = -slope_new / ((a * a * gg + 2.0 * a * b * gm + b * b * mm) * np.where(kappa > 0.0, kappa, np.nan))
+        # The Newton step along the next direction, where the curvature
+        # there is positive (a zero gradient leaves the quadratic at 0).
+        quad = (a * a * gg + 2.0 * a * b * gm + b * b * mm) * kappa
+        newton = -slope_new / np.where((kappa > 0.0) & (quad > 0.0), quad, np.inf)
         grown = np.where(newton > 0.0, np.minimum(newton, GROW * step), GROW * step)
 
         fresh = ok & ~same
@@ -187,3 +191,15 @@ def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
         evaluations=tuple(int(k) for k in out_evaluations),
         reasons=tuple(reasons),
     )
+
+
+def summary(run: Descent, tol: float) -> tuple[int, float, bool]:
+    """The best restart of ``run``, its restart spread, and whether it converged.
+
+    Ties go to the lowest restart index.  The spread is max - min of the
+    values of the restarts that stopped before the cap (infinite when none
+    did), and the run converged when the spread is at most ``10 * tol``.
+    """
+    stopped = [v for v, why in zip(run.values, run.reasons) if why != CAP]
+    spread = float(max(stopped) - min(stopped)) if stopped else math.inf
+    return int(np.argmin(run.values)), spread, spread <= 10.0 * tol

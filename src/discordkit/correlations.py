@@ -18,13 +18,12 @@ one objective call for all live restarts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from ._descent import CAP, descend
+from ._descent import descend, summary
 from .config import OptimizerConfig
 from .measurement import (
     ProjectiveMeasurement,
@@ -76,6 +75,20 @@ class DiscordBoundError(RuntimeError):
 
 
 DEFAULT_CONFIG = OptimizerConfig()
+
+# Restart 0's candidates for d = 2: one basis per measurement of a 12 x 24
+# theta x phi Bloch grid.  (theta, phi) and (pi/2 - theta, phi + pi) give the
+# same measurement with its two vectors swapped, and theta = 0 gives the
+# identity for every phi, so the identity and the rows 0 < theta < pi/4 hold
+# each of the 121 measurements once, at its first place in grid order.
+_BLOCH_THETAS = np.linspace(0.0, np.pi / 2.0, 12)[1:6]
+_BLOCH_PHIS = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+_BLOCH_SCAN = unitary_from_params(
+    2,
+    np.concatenate(
+        [np.zeros((1, 2)), np.stack(np.meshgrid(_BLOCH_THETAS, _BLOCH_PHIS, indexing="ij"), axis=-1).reshape(-1, 2)]
+    ),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +144,10 @@ def minimize_over_measurements(
     are the measurement vectors) to R values and R Euclidean gradients
     (values only, and ``None``, when called with ``gradient=False``).
     Restart 0 starts from the canonical basis, or for d = 2 from the best
-    point of a Bloch-sphere grid scored in one values-only call; the others
-    start from seeded random bases.  All restarts descend in lockstep by
-    Riemannian conjugate gradient on U(d), one objective call per round.
+    of the 121 measurements of a Bloch-sphere grid (``_BLOCH_SCAN``), scored
+    in one values-only call; the others start from seeded random bases.
+    All restarts descend in lockstep by Riemannian conjugate gradient on
+    U(d), one objective call per round.
     Deterministic given ``cfg.seed``; restart ties break toward the lowest
     restart index.  Non-convergence is flagged, never raised.
     """
@@ -143,25 +157,20 @@ def minimize_over_measurements(
 
     first = np.eye(d, dtype=complex)[None]
     if d == 2:
-        thetas = np.linspace(0.0, np.pi / 2.0, cfg.grid_resolution)
-        phis = np.linspace(0.0, 2.0 * np.pi, 2 * cfg.grid_resolution, endpoint=False)
-        scan = unitary_from_params(2, np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2))
-        scan_values, _ = objective(scan, gradient=False)
-        first = scan[int(np.argmin(scan_values))][None]
+        scan_values, _ = objective(_BLOCH_SCAN, gradient=False)
+        first = _BLOCH_SCAN[int(np.argmin(scan_values))][None]
     randoms = [_random_start(stream(cfg.seed, k), n_params) for k in range(1, cfg.restarts)]
     randoms = np.reshape(randoms, (cfg.restarts - 1, n_params))
     starts = np.concatenate([first, unitary_from_params(d, randoms)])
     values, grads = objective(starts)
     run = descend(objective, starts, values, grads, cfg.max_iter)
 
-    b = int(np.argmin(run.values))  # ties go to the lowest restart
-    stopped = [v for v, why in zip(run.values, run.reasons) if why != CAP]
-    spread = float(max(stopped) - min(stopped)) if stopped else math.inf
+    b, spread, converged = summary(run, cfg.tol)
     return OptimizedValue(
         value=float(run.values[b]),
         argbasis=ProjectiveMeasurement(subsystem, run.x[b]),
         spread=spread,
-        converged=spread <= 10.0 * cfg.tol,
+        converged=converged,
         restart_values=tuple(float(v) for v in run.values),
         iterations=run.iterations,
         evaluations=run.evaluations,

@@ -4,17 +4,21 @@ Exact for pure states (marginal entropy) and for two-qubit mixed states
 (Wootters concurrence); a convex-roof upper bound everywhere else.  The roof
 searches pure-state ensembles of size rank^2 generated from the canonical
 purification by an isometry, which is known to be a sufficient ensemble
-size.  Results carry an exactness tag and upper bounds are never reported
-as exact.
+size, by Riemannian conjugate gradient on the Stiefel manifold: the same
+``_descent`` optimizer as the measurement search, on one batched objective
+with an analytic gradient that also gives the pure-state value.  Results
+carry an exactness tag and upper bounds are never reported as exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from ._descent import descend, summary
 from .config import OptimizerConfig
 from .qstate import (
     InvalidStateError,
@@ -71,7 +75,13 @@ class EofResult:
 
     ``tag`` is one of ``exact_pure``, ``exact_wootters``, ``upper_bound``;
     only ``upper_bound`` results carry a decomposition witness and the
-    convex-roof diagnostics ``converged`` and ``sweeps`` (per restart).
+    convex-roof diagnostics.  Those follow ``OptimizedValue``:
+    ``restart_spread`` is max - min over the restarts that stopped before
+    the ``max_iter`` cap (infinite when none did), ``converged`` means
+    ``restart_spread <= 10 * tol``, and the per-restart tuples hold the
+    accepted descent steps (``iterations``), the objective calls the
+    restart was live for (``evaluations``) and why it stopped
+    (``stop_reasons``: ``gradient``, ``no_decrease`` or ``cap``).
     """
 
     value: float
@@ -80,7 +90,9 @@ class EofResult:
     crosscheck_gap: float | None = None
     converged: bool = True
     restart_spread: float = 0.0
-    sweeps: tuple[int, ...] = ()
+    iterations: tuple[int, ...] = ()
+    evaluations: tuple[int, ...] = ()
+    stop_reasons: tuple[str, ...] = ()
 
     @property
     def exact(self) -> bool:
@@ -116,7 +128,8 @@ def eof_pure(state, partition=None) -> EofResult:
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     part_a, part_b = normalize_partition(len(dims), partition)
-    value = _batch_contributions(amps[None, :], dims, part_a, part_b)[0] / np.vdot(amps, amps).real
+    values, _ = _roof_objective(amps[None, :], dims, part_a, part_b)(np.ones((1, 1, 1)))
+    value = values[0] / np.vdot(amps, amps).real
     return EofResult(float(value), EXACT_PURE)
 
 
@@ -153,139 +166,40 @@ def eof_2qubit(state: QState) -> EofResult:
     return EofResult(value, EXACT_WOOTTERS)
 
 
-def _batch_contributions(vectors: np.ndarray, dims, part_a, part_b) -> np.ndarray:
-    """p * S(marginal) for each unnormalized vector in the batch (rows).
+def _roof_objective(e0: np.ndarray, dims, part_a, part_b) -> Callable:
+    """Batched convex-roof objective over the ensembles psi = V e0, with its gradient.
 
-    Each row is reshaped to its d_A x d_B amplitude block M; the spectrum is
-    taken from the smaller Gram side (M M^dag or M^T M^*, whose nonzero
-    eigenvalues agree), so any block with a qubit side takes the closed form.
+    ``e0`` holds the r unnormalized amplitude rows of the canonical
+    ensemble.  The objective maps an (R, m, r) stack of isometries V to the
+    R values sum_i p_i S(rho_i / p_i) over the members psi_i = (V e0)_i and
+    the R Euclidean gradients G_V = G_psi e0^H (df = Re tr(G^H dV)).  Each
+    member, reshaped to its d_A x d_B amplitude block M_i, gives rho_i =
+    M_i M_i^H, taken on the smaller Gram side (M_i M_i^H or M_i^H M_i, whose
+    nonzero eigenvalues agree).  From one batched ``eigh``, the gradient of
+    the member's term is G_M = 2 W M_i (or 2 M_i W on the other side) with
+    W = -(log2 rho_i - log2 p_i) on the support of rho_i, where M_i lives,
+    so zero eigenvalues need no clipping.
     """
+    r = e0.shape[0]
     da = int(np.prod([dims[i] for i in part_a]))
-    g = vectors.shape[0]
-    m = vectors.reshape((g,) + tuple(dims))
-    m = m.transpose((0,) + tuple(1 + i for i in part_a) + tuple(1 + i for i in part_b))
-    m = m.reshape(g, da, -1)
-    if m.shape[2] < da:
-        m = m.transpose(0, 2, 1)
-    if m.shape[1] == 2:
-        # Closed-form 2x2 Hermitian eigenvalues; avoids LAPACK per pair.
-        m0, m1 = m[:, 0, :], m[:, 1, :]
-        c1 = m1.conj()
-        a = np.einsum("gj,gj->g", m0, m0.conj()).real
-        d = np.einsum("gj,gj->g", m1, c1).real
-        b = np.einsum("gj,gj->g", m0, c1)
-        disc = np.sqrt(np.maximum((a - d) ** 2 + 4.0 * np.abs(b) ** 2, 0.0))
-        mu = np.stack([(a + d + disc) / 2.0, np.maximum((a + d - disc) / 2.0, 0.0)])
-    else:
-        red = m @ m.conj().transpose(0, 2, 1)
-        mu = np.linalg.eigvalsh(red).T
-        mu = np.where(mu > 1e-18, mu, 0.0)
-    # Eigenvalues run along axis 0: summing over a short last axis is slow.
-    p = mu.sum(axis=0)
-    logs = np.where(mu > 0.0, np.log2(np.where(mu > 0.0, mu, 1.0)), 0.0)
-    terms = -(mu * logs).sum(axis=0)
-    plog = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return terms + plog
+    order = (0,) + tuple(1 + i for i in part_a) + tuple(1 + i for i in part_b)
+    basis = e0.reshape((r,) + tuple(dims)).transpose(order).reshape(r, -1)
+    db = basis.shape[1] // da
+    left = da <= db
 
+    def objective(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        blocks = (v @ basis).reshape(v.shape[:-1] + (da, db))
+        blocks_h = np.swapaxes(blocks.conj(), -1, -2)
+        w, u = np.linalg.eigh(blocks @ blocks_h if left else blocks_h @ blocks)
+        w = np.maximum(w, 0.0)
+        p = w.sum(axis=-1, keepdims=True)
+        mu = w / np.where(p > 0.0, p, 1.0)
+        logs = np.log2(np.where(mu > 0.0, mu, 1.0))
+        log_ratio = (u * logs[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)  # -W
+        grad = -2.0 * (log_ratio @ blocks if left else blocks @ log_ratio)
+        return -(w * logs).sum(axis=(-2, -1)), grad.reshape(v.shape[:-1] + (-1,)) @ basis.conj().T
 
-_PAIR_THETAS = np.linspace(-1.0, 1.0, 7)
-_PAIR_PHIS = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-_MAX_SWEEPS = 40
-_MIN_WINDOW = 2e-4
-
-
-def _round_robin(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Circle-method schedule of all pairs i < j of ``m`` members.
-
-    Returns rounds of disjoint pairs as index arrays ``(ii, jj)``: m - 1 rounds
-    of m / 2 pairs, or m rounds with one member sitting out when m is odd
-    (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985).
-    """
-    n = m + m % 2
-    ring = list(range(n))
-    rounds = []
-    for _ in range(n - 1):
-        pairs = sorted(
-            (min(a, b), max(a, b)) for a, b in zip(ring[: n // 2], ring[::-1]) if max(a, b) < m
-        )
-        if pairs:
-            ii, jj = np.array(pairs).T
-            rounds.append((ii, jj))
-        ring = ring[:1] + ring[-1:] + ring[1:-1]
-    return rounds
-
-
-def _roof_round(psi, iso, contrib, ii, jj, grid, dims, part_a, part_b) -> np.ndarray:
-    """Re-mix the disjoint member pairs ``(ii[k], jj[k])`` of one round in place.
-
-    ``psi``, ``iso`` and ``contrib`` are stacks over restarts, and each restart
-    has its own grid row.  All candidates of all live (restart, pair) cases are
-    scored in one kernel call; as the pairs share no member, this equals
-    visiting them one after another.  Returns the improvement of each restart.
-    """
-    cos_t, sin_t, phase = grid
-    weights = np.real(np.einsum("rid,rid->ri", psi, psi.conj()))
-    gain = np.zeros(psi.shape[0])
-    rr, pp = np.nonzero(weights[:, ii] + weights[:, jj] >= 1e-14)
-    if rr.size == 0:
-        return gain
-    ii, jj = ii[pp], jj[pp]
-    psi_i, psi_j = psi[rr, ii][:, None, :], psi[rr, jj][:, None, :]
-    cos_r, sin_r = cos_t[rr][:, :, None], sin_t[rr]
-    cand_i = cos_r * psi_i - (phase * sin_r)[:, :, None] * psi_j
-    cand_j = (phase.conj() * sin_r)[:, :, None] * psi_i + cos_r * psi_j
-    n_pairs, n_cand, dim = cand_i.shape
-    both = _batch_contributions(
-        np.concatenate([cand_i, cand_j]).reshape(-1, dim), dims, part_a, part_b
-    ).reshape(2, n_pairs, n_cand)
-    tot = both[0] + both[1]
-    rows = np.arange(n_pairs)
-    k = tot.argmin(axis=1)
-    best = tot[rows, k]
-    current = contrib[rr, ii] + contrib[rr, jj]
-    accept = best < current - 1e-14
-    rr, ii, jj, k, rows = rr[accept], ii[accept], jj[accept], k[accept], rows[accept]
-    c, s, f = cos_t[rr, k][:, None], sin_t[rr, k][:, None], phase[k][:, None]
-    psi[rr, ii], psi[rr, jj] = cand_i[rows, k], cand_j[rows, k]
-    row_i = iso[rr, ii]
-    iso[rr, ii] = c * row_i - f * s * iso[rr, jj]
-    iso[rr, jj] = f.conjugate() * s * row_i + c * iso[rr, jj]
-    contrib[rr, ii], contrib[rr, jj] = both[0, rows, k], both[1, rows, k]
-    np.add.at(gain, rr, (current - best)[accept])
-    return gain
-
-
-def _roof_sweeps(psi, iso, contrib, dims, part_a, part_b, tol) -> tuple[np.ndarray, np.ndarray]:
-    """Two-level (Givens) coordinate descent over ensemble members, in place.
-
-    Each sweep re-mixes every pair of members once by its best rotation on a
-    theta/phi grid, in round-robin rounds of disjoint pairs.  The theta window
-    cools geometrically, skipping ahead whenever a full sweep stops improving.
-    All restarts of the (R, m, .) stacks run in lockstep, each with its own
-    window; a restart leaves the stack once its window reaches its floor
-    without improvement or its value reaches zero (converged), or at
-    ``_MAX_SWEEPS``.  Returns the sweeps and the convergence flag of each.
-    """
-    n_restarts, m = contrib.shape
-    sweeps = np.full(n_restarts, _MAX_SWEEPS if m > 1 else 0)
-    converged = np.full(n_restarts, m == 1)
-    rounds = _round_robin(m)
-    act = np.flatnonzero(~converged)
-    cool = np.zeros(act.size, dtype=int)
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        if act.size == 0:
-            break
-        p, q, c = psi[act], iso[act], contrib[act]
-        window = np.maximum(np.pi / 2.0 * 0.6**cool, _MIN_WINDOW)
-        th = np.repeat(_PAIR_THETAS * window[:, None], _PAIR_PHIS.size, axis=1)
-        grid = (np.cos(th), np.sin(th), np.tile(np.exp(1j * _PAIR_PHIS), _PAIR_THETAS.size))
-        improvement = sum(_roof_round(p, q, c, ii, jj, grid, dims, part_a, part_b) for ii, jj in rounds)
-        psi[act], iso[act], contrib[act] = p, q, c
-        flat = improvement < max(tol, 1e-11)
-        done = (c.sum(axis=1) < 1e-12) | (flat & (window <= _MIN_WINDOW * 1.01))
-        sweeps[act[done]], converged[act[done]] = sweep, True
-        act, cool = act[~done], (cool + np.where(flat, 3, 1))[~done]
-    return sweeps, converged
+    return objective
 
 
 def _random_isometry(g: np.random.Generator, m: int, r: int) -> np.ndarray:
@@ -297,51 +211,50 @@ def _random_isometry(g: np.random.Generator, m: int, r: int) -> np.ndarray:
 def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
     """Convex-roof upper bound on the entanglement of formation.
 
-    Minimizes sum_i p_i S_A(psi_i) over ensembles of size rank^2 generated
-    from the canonical purification by an isometry, using two-level (Givens)
-    coordinate descent in round-robin rounds of disjoint pairs with a
-    shrinking angle window; each member's entropy comes from the spectrum of
-    the smaller side of its bipartition.  Restart 0 starts from the
-    eigen-ensemble, the rest from seeded random isometries; all restarts run
-    in lockstep, one kernel call per round for every restart still running,
-    each with its own window and exit, as if run alone.  ``converged`` is
-    true when no restart stopped at the sweep cap, and ``sweeps`` lists the
-    sweeps each restart used.  On dims (2, 2) the result carries its gap to
-    the exact Wootters value.
+    Minimizes sum_i p_i S_A(psi_i) over ensembles psi = V e0 of size rank^2,
+    generated from the canonical purification e0 by an isometry V: a point
+    of the Stiefel manifold (Rothlisberger, Rehacek & Loss, PRA 80, 042301,
+    2009).  Restart 0 starts from the eigen-ensemble, the rest from seeded
+    random isometries; all descend in lockstep by the Riemannian conjugate
+    gradient of ``_descent`` (the measurement search's optimizer), each for
+    at most ``cfg.max_iter`` iterations, on ``_roof_objective``.  Every
+    isometry gives a valid ensemble, so the value is an upper bound by
+    construction; ties go to the lowest restart.  ``restart_spread`` and
+    ``converged`` follow the measurement search's rule, and ``iterations``,
+    ``evaluations`` and ``stop_reasons`` report each restart.  On dims
+    (2, 2) the result carries its gap to the exact Wootters value.
     """
     cfg = cfg or EOF_DEFAULT_CONFIG
     part_a, part_b = normalize_partition(state.n_subsystems, partition)
-    dims = state.dims
     sp = spectrum(state)
     r = sp.rank
     m = r * r
     e0 = (sp.eigenvectors[:, :r] * np.sqrt(sp.eigenvalues[:r])).T  # r x D rows
-
-    iso = np.stack(
+    objective = _roof_objective(e0, state.dims, part_a, part_b)
+    starts = np.stack(
         [np.eye(m, dtype=complex)[:, :r]]
         + [_random_isometry(stream(cfg.seed, k), m, r) for k in range(1, cfg.restarts)]
     )
+    run = descend(objective, starts, *objective(starts), cfg.max_iter)
+    b, spread, converged = summary(run, cfg.tol)
+    iso = run.x[b]
     psi = iso @ e0
-    contrib = _batch_contributions(psi.reshape(-1, e0.shape[1]), dims, part_a, part_b).reshape(-1, m)
-    sweeps, converged = _roof_sweeps(psi, iso, contrib, dims, part_a, part_b, cfg.tol)
-    finals = contrib.sum(axis=1)
-    b = int(np.argmin(finals))  # ties go to the lowest restart
-    value, psi, iso = float(finals[b]), psi[b], iso[b]
     weights = np.real(np.einsum("id,id->i", psi, psi.conj()))
     keep = weights > 1e-12
     vectors = psi[keep] / np.sqrt(weights[keep])[:, None]
-    witness = EnsembleDecomposition(weights[keep], vectors, iso)
-    spread = float(finals.max() - finals.min())
+    value = float(run.values[b])
 
     gap = None
-    if dims == (2, 2) and part_a == (0,):
+    if state.dims == (2, 2) and part_a == (0,):
         gap = value - eof_2qubit(state).value
     return EofResult(
         value=value,
         tag=UPPER_BOUND,
-        decomposition=witness,
+        decomposition=EnsembleDecomposition(weights[keep], vectors, iso),
         crosscheck_gap=gap,
-        converged=bool(converged.all()),
+        converged=converged,
         restart_spread=spread,
-        sweeps=tuple(int(n) for n in sweeps),
+        iterations=run.iterations,
+        evaluations=run.evaluations,
+        stop_reasons=run.reasons,
     )

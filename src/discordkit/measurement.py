@@ -85,14 +85,11 @@ def unitary_from_params(d: int, params) -> np.ndarray:
 class ProjectiveMeasurement:
     """Complete rank-1 projective measurement on one subsystem.
 
-    ``basis`` columns are the measurement vectors; ``params`` records the
-    generating parameter vector when the basis came from
-    ``projective_from_params``.
+    ``basis`` columns are the measurement vectors.
     """
 
     subsystem: int
     basis: np.ndarray
-    params: np.ndarray | None = None
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=np.complex128)
@@ -104,10 +101,6 @@ class ProjectiveMeasurement:
         b.setflags(write=False)
         object.__setattr__(self, "subsystem", int(self.subsystem))
         object.__setattr__(self, "basis", b)
-        if self.params is not None:
-            p = np.array(self.params, dtype=float)
-            p.setflags(write=False)
-            object.__setattr__(self, "params", p)
 
     @property
     def d(self) -> int:
@@ -179,8 +172,7 @@ class OutcomeEnsemble:
 
 def projective_from_params(d: int, params, subsystem: int = 0) -> ProjectiveMeasurement:
     """Projective measurement whose basis is ``unitary_from_params(d, params)``."""
-    params = np.asarray(params, dtype=float).ravel()
-    return ProjectiveMeasurement(subsystem, unitary_from_params(d, params), params)
+    return ProjectiveMeasurement(subsystem, unitary_from_params(d, np.asarray(params, dtype=float).ravel()))
 
 
 def _measured_axes(n: int, subsystem: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

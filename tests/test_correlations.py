@@ -1,6 +1,7 @@
 """Correlation measures: mutual information, J, D, distances, dephasing discord."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ def test_werner_objective_is_certified_flat(dephasing):
     u = np.eye(3, dtype=complex)[None]
     _value, grad = objective(u)
     assert np.linalg.norm(tangent(u, grad)) < 1e-10
+
+
+def test_descend_stops_on_an_exact_zero_gradient_without_warnings():
+    # The first trial lands where the value and the gradient are exactly zero,
+    # as on an exactly separable roof ensemble: the Newton step there has a
+    # zero numerator and denominator and must not be formed.
+    def objective(x):
+        return np.zeros(len(x)), np.zeros_like(x)
+
+    start = np.eye(2, dtype=complex)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run = descend(objective, start, np.ones(1), np.array([[[0.0, 1.0], [-1.0, 0.0]]]), 10)
+    assert run.reasons == ("gradient",)
+    assert run.iterations == (1,) and run.values[0] == 0.0
 
 
 @pytest.mark.parametrize(

@@ -19,18 +19,14 @@ from discordkit import (
     tensor,
     von_neumann_entropy,
 )
-from discordkit import entanglement
+from discordkit._descent import CAP, descend
 from discordkit.entanglement import (
-    _PAIR_PHIS,
-    _PAIR_THETAS,
+    EOF_DEFAULT_CONFIG,
     EXACT_PURE,
     EXACT_WOOTTERS,
     UPPER_BOUND,
-    _batch_contributions,
     _random_isometry,
-    _roof_round,
-    _roof_sweeps,
-    _round_robin,
+    _roof_objective,
     binary_entropy,
 )
 from discordkit.states import (
@@ -188,19 +184,6 @@ def test_upper_bound_tag_never_exact():
     assert not roof.exact
 
 
-def test_round_robin_schedule_covers_each_pair_once():
-    for m in range(1, 18):
-        rounds = _round_robin(m)
-        seen = []
-        for ii, jj in rounds:
-            members = np.concatenate([ii, jj])
-            assert len(set(members.tolist())) == members.size  # disjoint within a round
-            assert np.all(ii < jj)
-            seen.extend(zip(ii.tolist(), jj.tolist()))
-        assert sorted(seen) == [(i, j) for i in range(m) for j in range(i + 1, m)]
-        assert len(rounds) == (0 if m == 1 else m - 1 + m % 2)
-
-
 def _reference_contributions(vectors, da, db):
     out = []
     for v in vectors:
@@ -214,93 +197,96 @@ def _reference_contributions(vectors, da, db):
 
 @pytest.mark.parametrize("dims", [(3, 2), (4, 2), (2, 3), (3, 4)])
 def test_batch_contributions_smaller_gram_side(dims):
+    # Stack k is the one-member ensemble whose member is row k of ``vectors``.
     g = stream(77, 10 * dims[0] + dims[1])
     d = dims[0] * dims[1]
     vectors = (g.normal(size=(40, d)) + 1j * g.normal(size=(40, d))) * g.uniform(0.05, 1.0, (40, 1))
-    got = _batch_contributions(vectors, dims, (0,), (1,))
+    got, _ = _roof_objective(vectors, dims, (0,), (1,))(np.eye(40, dtype=complex)[:, None, :])
     np.testing.assert_allclose(got, _reference_contributions(vectors, *dims), rtol=0, atol=1e-12)
 
 
-def _grid(windows):
-    th = np.repeat(_PAIR_THETAS * np.asarray(windows)[:, None], _PAIR_PHIS.size, axis=1)
-    return np.cos(th), np.sin(th), np.tile(np.exp(1j * _PAIR_PHIS), _PAIR_THETAS.size)
-
-
-@pytest.mark.parametrize("dims, rank", [((2, 2), 4), ((3, 3), 3)])
-def test_batched_round_equals_pairs_one_at_a_time(dims, rank):
-    # Two restarts at different theta windows: a grid row given to the wrong
-    # restart changes the result.
-    state = random_mixed(dims, rank, 12)
+def _canonical_rows(state):
     sp = spectrum(state)
-    e0 = (sp.eigenvectors[:, :rank] * np.sqrt(sp.eigenvalues[:rank])).T
+    return (sp.eigenvectors[:, : sp.rank] * np.sqrt(sp.eigenvalues[: sp.rank])).T
+
+
+@pytest.mark.parametrize(
+    "dims, rank", [((2, 2), 3), ((3, 2), 3), ((2, 3), 4), ((3, 3), 2)], ids=["2x2", "3x2", "2x3", "3x3"]
+)
+def test_roof_gradient_matches_central_differences(dims, rank):
+    # Random isometries; the eigen-ensemble, whose members past the rank are
+    # zero; product members (rank-one blocks); and points off the manifold,
+    # probed along arbitrary directions: df = Re tr(G^H dV) for any dV.
+    g = stream(24, 10 * dims[0] + dims[1])
     m = rank * rank
-    iso = np.stack([_random_isometry(stream(12, k), m, rank) for k in (1, 2)])
-    windows = (0.3, 1.2)
-    parts = ((0,), (1,))
-    batched = [iso @ e0, iso.copy()]
-    batched.append(_batch_contributions(batched[0].reshape(2 * m, -1), dims, *parts).reshape(2, m))
-    single = [a.copy() for a in batched]
-    gain_batched, gain_single = np.zeros(2), np.zeros(2)
-    for ii, jj in _round_robin(m):
-        gain_batched += _roof_round(*batched, ii, jj, _grid(windows), dims, *parts)
-        for r, window in enumerate(windows):
-            stack = [a[r : r + 1] for a in single]
-            for k in range(ii.size):
-                pair = (ii[k : k + 1], jj[k : k + 1])
-                gain_single[r] += _roof_round(*stack, *pair, _grid([window]), dims, *parts)[0]
-    assert np.all(gain_batched > 0.0)
-    np.testing.assert_allclose(gain_batched, gain_single, rtol=0, atol=1e-12)
-    for got, want in zip(batched, single):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    eye = np.eye(m, dtype=complex)[:, :rank]
+    isos = np.stack([_random_isometry(g, m, rank) for _ in range(2)] + [eye])
+    off = isos + 0.3 * (g.normal(size=isos.shape) + 1j * g.normal(size=isos.shape))
+    product = np.stack(
+        [np.kron(g.normal(size=dims[0]) + 1j * g.normal(size=dims[0]), g.normal(size=dims[1])) for _ in range(rank)]
+    )
+    cases = [
+        (_roof_objective(_canonical_rows(random_mixed(dims, rank, 24)), dims, (0,), (1,)), np.concatenate([isos, off])),
+        (_roof_objective(product, dims, (0,), (1,)), np.stack([eye, isos[0]])),
+    ]
+    h = 1e-5
+    for objective, v in cases:
+        _values, grads = objective(v)
+        for _ in range(4):
+            e = g.normal(size=v.shape) + 1j * g.normal(size=v.shape)
+            e /= np.linalg.norm(e, axis=(-2, -1), keepdims=True)
+            central = (objective(v + h * e)[0] - objective(v - h * e)[0]) / (2.0 * h)
+            analytic = np.einsum("rij,rij->r", grads.conj(), e).real
+            np.testing.assert_allclose(analytic, central, rtol=0.0, atol=1e-7)
 
 
 @pytest.mark.parametrize("restarts", [3, 16])
 @pytest.mark.parametrize(
-    "dims, rank, seed, index, max_sweeps",
-    [((2, 2), 4, 1, 4, 40), ((3, 2), 3, 2, 0, 40), ((2, 3), 6, 3, 0, 10)],
+    "dims, rank, seed, index, max_iter",
+    [((2, 2), 4, 1, 4, 2000), ((3, 2), 3, 2, 0, 2000), ((2, 3), 6, 3, 0, 150)],
     ids=["2x2-rank4", "3x2-rank3", "2x3-rank6"],
 )
-def test_lockstep_restarts_equal_restarts_run_alone(
-    monkeypatch, dims, rank, seed, index, max_sweeps, restarts
-):
-    # Every rank-6 restart runs to the sweep cap, so a lower cap keeps that case short.
-    monkeypatch.setattr(entanglement, "_MAX_SWEEPS", max_sweeps)
+def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, seed, index, max_iter, restarts):
+    # Most rank-6 restarts run to the default 2,000-iteration cap, so a lower
+    # cap keeps that case short; at 150 every restart reaches it.
     state = random_mixed(dims, rank, seed, index)
-    cfg = OptimizerConfig(restarts=restarts)
+    cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter)
     roof = eof_upper(state, cfg=cfg)
 
-    sp = spectrum(state)
-    e0 = (sp.eigenvectors[:, :rank] * np.sqrt(sp.eigenvalues[:rank])).T
+    objective = _roof_objective(_canonical_rows(state), dims, (0,), (1,))
     m = rank * rank
-    finals, sweeps, converged, isos = [], [], [], []
+    alone = []
     for k in range(restarts):
-        iso = np.eye(m, dtype=complex)[:, :rank] if k == 0 else _random_isometry(stream(0, k), m, rank)
-        iso = iso[None].copy()
-        psi = iso @ e0
-        contrib = _batch_contributions(psi[0], dims, (0,), (1,))[None]
-        used, done = _roof_sweeps(psi, iso, contrib, dims, (0,), (1,), cfg.tol)
-        finals.append(contrib.sum())
-        sweeps.append(int(used[0]))
-        converged.append(bool(done[0]))
-        isos.append(iso[0])
+        start = np.eye(m, dtype=complex)[:, :rank] if k == 0 else _random_isometry(stream(0, k), m, rank)
+        alone.append(descend(objective, start[None], *objective(start[None]), max_iter))
+    assert roof.iterations == tuple(run.iterations[0] for run in alone)
+    assert roof.evaluations == tuple(run.evaluations[0] for run in alone)
+    assert roof.stop_reasons == tuple(run.reasons[0] for run in alone)
     if (dims, restarts) == ((2, 2), 3):
-        assert len(set(sweeps)) == 3  # the restarts leave after different sweeps
+        assert len(set(roof.iterations)) == 3  # the restarts leave after different rounds
+    finals = [run.values[0] for run in alone]
+    stopped = [f for f, run in zip(finals, alone) if run.reasons[0] != CAP]
+    spread = max(stopped) - min(stopped) if stopped else math.inf
     best = int(np.argmin(finals))
-    assert roof.sweeps == tuple(sweeps)
-    assert roof.converged == all(converged)
     assert roof.value == pytest.approx(finals[best], abs=1e-12)
-    assert roof.restart_spread == pytest.approx(max(finals) - min(finals), abs=1e-12)
-    np.testing.assert_allclose(roof.decomposition.isometry, isos[best], rtol=0, atol=1e-12)
+    assert roof.restart_spread == pytest.approx(spread, abs=1e-12)
+    assert roof.converged == (spread <= 10.0 * cfg.tol)
+    np.testing.assert_allclose(roof.decomposition.isometry, alone[best].x[0], rtol=0, atol=1e-12)
     others = [k for k in range(restarts) if k != best]
-    assert all(np.abs(isos[k] - isos[best]).max() > 1e-6 for k in others)
+    assert all(np.abs(alone[k].x[0] - alone[best].x[0]).max() > 1e-6 for k in others)
 
 
-def test_eof_upper_convergence_diagnostics(monkeypatch):
+def test_eof_upper_convergence_diagnostics():
     state = random_mixed((2, 2), 4, 8001)
     roof = eof_upper(state)
     assert roof.converged is True
-    assert len(roof.sweeps) == 3 and all(1 <= s < entanglement._MAX_SWEEPS for s in roof.sweeps)
-    monkeypatch.setattr(entanglement, "_MAX_SWEEPS", 1)
-    capped = eof_upper(state)
+    assert roof.restart_spread <= 10.0 * EOF_DEFAULT_CONFIG.tol
+    assert len(roof.iterations) == len(roof.evaluations) == len(roof.stop_reasons) == 3
+    assert CAP not in roof.stop_reasons
+    assert all(1 <= n < e for n, e in zip(roof.iterations, roof.evaluations))
+    capped = eof_upper(state, cfg=OptimizerConfig(restarts=3, max_iter=1))
+    assert capped.stop_reasons == (CAP, CAP, CAP)
+    assert capped.iterations == (1, 1, 1)
     assert capped.converged is False
-    assert capped.sweeps == (1, 1, 1)
+    assert capped.restart_spread == math.inf
+    assert capped.value >= roof.value
