@@ -98,7 +98,8 @@ class OptimizedValue:
     ``value`` equals the optimized quantity at ``argbasis``.  A restart
     counts toward ``spread`` when it stopped before the ``max_iter`` cap;
     ``spread`` is max - min over those restarts (infinite when none did),
-    and ``converged`` means ``spread <= 10 * tol``.  A flat objective thus
+    and ``converged`` means that more than half of the restarts did and
+    ``spread <= 10 * tol``.  A flat objective thus
     converges with a spread near zero.  The per-restart tuples run in
     restart order: ``restart_values`` holds the minima of the underlying
     objective (the running minimum is the convergence trajectory),
@@ -310,16 +311,18 @@ def re_discord_detailed(
 
     ``measured`` is a sorted tuple of subsystem indices.  Works on the state
     permuted so the measured subsystems sit in front; the reported basis
-    refers to their merged factor.  ``first``, when given, is
-    ``re_discord(state, measured[0], cfg)`` already computed, and stands in
-    for the chain's first step, which is the same optimization.
+    refers to their merged factor.  The chain's first step is
+    ``re_discord(state, measured[0], cfg)`` on the unpermuted state;
+    ``first``, when given, is that result already computed.
     """
     rest = tuple(i for i in range(state.n_subsystems) if i not in measured)
     sigma = permute_subsystems(state, measured + rest)
     measured_dims = tuple(state.dims[i] for i in measured)
     d_joint = int(np.prod(measured_dims))
     rest_dims = tuple(state.dims[i] for i in rest)
-    if first is not None and first.argbasis.subsystem != measured[0]:
+    if first is None:
+        first = _re_discord_single(state, measured[0], cfg)
+    elif first.argbasis.subsystem != measured[0]:
         raise ValueError(f"first must measure subsystem {measured[0]}, not {first.argbasis.subsystem}")
 
     # Chain route: optimize each measured factor on the running dephased state.
@@ -327,7 +330,7 @@ def re_discord_detailed(
     chain_bases = []
     chain_converged = True
     for pos in range(len(measured)):
-        step = first if pos == 0 and first is not None else _re_discord_single(tau, pos, cfg)
+        step = first if pos == 0 else _re_discord_single(tau, pos, cfg)
         chain_bases.append(step.argbasis.basis)
         chain_converged = chain_converged and step.converged
         tau = dephase(tau, ProjectiveMeasurement(pos, step.argbasis.basis))

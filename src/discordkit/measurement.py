@@ -8,7 +8,9 @@ is reachable up to outcome relabeling and per-vector phase, which is all a
 projective measurement can distinguish.
 
 ``_measurement_objective`` scores stacks of bases at once, with analytic
-gradients, for the measurement optimizer in ``correlations``.
+gradients, for the measurement optimizer in ``correlations``; its block
+spectra and spectral weights come from ``qstate._gram_spectrum``, the
+closed form for blocks of side 1 or 2 and LAPACK for larger ones.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .qstate import EIG_CLIP, QState, _entropy_bits, von_neumann_entropy
+from .qstate import EIG_CLIP, QState, _entropy_bits, _gram_spectrum, von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -217,8 +219,8 @@ def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tup
     entropy S(dephased) - S(rho) of the dephased state, whose spectrum is the
     union of the block spectra.  With rho = L L^H, B_k = N_k N_k^H for
     N_k = (u_k^H (x) I) L, and each block's spectrum comes from the smaller
-    of its two Gram sides.  The derivative of either sum is
-    tr[W_k dB_k] with W_k = -log2(B_k / p_k), or -(log2 B_k + S) for the
+    of its two Gram sides (``_gram_spectrum``).  The derivative of either
+    sum is tr[W_k dB_k] with W_k = -log2(B_k / p_k), or -(log2 B_k + S) for the
     dephasing entropy S, taken on the support of B_k, where N_k lives, so
     rank-deficient blocks need no clipping.  The objective maps an (R, d, d)
     stack of bases to R values and the R gradients G = 2 L (W N)^H, with
@@ -253,12 +255,11 @@ def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tup
     def objective(u: np.ndarray, gradient: bool = True):
         n = (np.swapaxes(u.conj(), -1, -2) @ factor).reshape(u.shape[:-2] + (dm, r, s))
         nh = np.swapaxes(n.conj(), -1, -2)
-        gram = n @ nh if small else nh @ n
-        if not gradient:
-            return spectral_terms(np.linalg.eigvalsh(gram))[0], None
-        w, v = np.linalg.eigh(gram)
+        w, apply = _gram_spectrum(n @ nh if small else nh @ n, gradient)
         values, weights = spectral_terms(w)
-        wm = (v * weights[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        if not gradient:
+            return values, None
+        wm = apply(weights)
         y = (wm @ n if small else n @ wm).reshape(u.shape[:-1] + (r * s,))
         return values, 2.0 * factor @ np.swapaxes(y.conj(), -1, -2)
 

@@ -15,7 +15,7 @@ across concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +47,9 @@ NORM_TOL = 1e-10
 
 # Floor below which eigenvalues are treated as exact zeros.
 EIG_CLIP = 1e-10
+
+_EYE2 = np.eye(2)
+_MINUS_PLUS = np.array([-1.0, 1.0])
 
 
 class InvalidStateError(ValueError):
@@ -239,6 +242,36 @@ def _entropy_bits(weights: np.ndarray) -> np.ndarray:
     total = w.sum(axis=-1, keepdims=True)
     w = w / np.where(total > 0.0, total, 1.0)
     return -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1) + 0.0
+
+
+def _gram_spectrum(blocks: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, Callable]:
+    """Ascending eigenvalues of a stack of Hermitian blocks, and h -> sum_j h_j P_j.
+
+    ``blocks`` has shape (..., k, k).  The returned function maps values h of
+    shape (..., k), h_j belonging to the j-th eigenvalue, to the stack of
+    sum_j h_j P_j over the spectral projectors.  Sides 1 and 2 take the
+    closed form: lambda_+- = mean +- hypot((a - d)/2, |c|), and
+    h_- I + (h_+ - h_-)(G - lambda_- I)/(lambda_+ - lambda_-), which is h_- I
+    at a double eigenvalue.  Larger sides take one batched LAPACK ``eigh``,
+    or ``eigvalsh`` and no function when ``vectors`` is false.
+    """
+    side = blocks.shape[-1]
+    if side == 1:
+        return blocks[..., 0].real, lambda h: h[..., None]
+    if side == 2:
+        a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+        rad = np.hypot((a - d) / 2.0, np.abs(blocks[..., 1, 0]))
+        w = ((a + d) / 2.0)[..., None] + rad[..., None] * _MINUS_PLUS
+
+        def apply(h: np.ndarray) -> np.ndarray:
+            coef = (h[..., 1] - h[..., 0]) / np.where(rad > 0.0, 2.0 * rad, np.inf)
+            return coef[..., None, None] * blocks + (h[..., 0] - coef * w[..., 0])[..., None, None] * _EYE2
+
+        return w, apply
+    if not vectors:
+        return np.linalg.eigvalsh(blocks), None
+    w, v = np.linalg.eigh(blocks)
+    return w, lambda h: (v * h[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def von_neumann_entropy(state: QState) -> float:

@@ -30,7 +30,7 @@ from discordkit import (
     von_neumann_entropy,
 )
 from discordkit import correlations
-from discordkit._descent import CAP, descend, tangent
+from discordkit._descent import CAP, GRADIENT, NO_DECREASE, Descent, descend, retract, summary, tangent
 from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _random_start
 from discordkit.measurement import (
     _measured_view,
@@ -180,6 +180,42 @@ def test_descend_stops_on_an_exact_zero_gradient_without_warnings():
         run = descend(objective, start, np.ones(1), np.array([[[0.0, 1.0], [-1.0, 0.0]]]), 10)
     assert run.reasons == ("gradient",)
     assert run.iterations == (1,) and run.values[0] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(3, 16, 4), (3, 9, 3), (16, 2, 2), (16, 4, 4), (4, 6, 6)])
+def test_retract_is_the_householder_q_factor(shape):
+    # Cholesky QR gives the QR factor with a positive diagonal in R, which is
+    # unique: Householder QR with its R diagonal turned positive.
+    g = np.random.default_rng(sum(shape))
+    x, _ = np.linalg.qr(g.normal(size=shape) + 1j * g.normal(size=shape))
+    for norm in (1e-6, 0.1, 1.0, 3.0, 10.0):
+        v = tangent(x, g.normal(size=shape) + 1j * g.normal(size=shape))
+        v *= norm / np.linalg.norm(v, axis=(-2, -1), keepdims=True)
+        q = retract(x, v)
+        q_ref, r_ref = np.linalg.qr(x + v)
+        diag = np.diagonal(r_ref, axis1=-2, axis2=-1)
+        np.testing.assert_allclose(q, q_ref * (diag / np.abs(diag))[..., None, :], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(shape[-1]), 0.0, rtol=0, atol=1e-13)
+
+
+def _run(values, reasons):
+    n = len(values)
+    return Descent(np.zeros((n, 1, 1)), np.array(values, dtype=float), (1,) * n, (2,) * n, tuple(reasons))
+
+
+def test_summary_converges_only_when_most_restarts_stopped():
+    tol = 1e-9
+    # One stopped restart has spread 0, but 15 capped ones outvote it.
+    assert summary(_run([0.1] * 16, [CAP] * 15 + [NO_DECREASE]), tol) == (0, 0.0, False)
+    assert summary(_run([0.3], [GRADIENT]), tol) == (0, 0.0, True)
+    agreeing = _run([0.2 + 1e-9, 0.2, 0.2 + 5e-9], [NO_DECREASE, GRADIENT, NO_DECREASE])
+    best, spread, converged = summary(agreeing, tol)
+    assert best == 1 and spread == pytest.approx(5e-9) and converged
+    # Half is not a majority; all capped has no spread.
+    assert summary(_run([0.2, 0.2], [CAP, GRADIENT]), tol)[2] is False
+    assert summary(_run([0.2, 0.1], [CAP, CAP]), tol) == (1, math.inf, False)
+    # Stopped restarts that disagree do not converge.
+    assert summary(_run([0.2, 0.3, 0.2], [GRADIENT] * 3), tol)[2] is False
 
 
 @pytest.mark.parametrize(

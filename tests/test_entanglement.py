@@ -270,7 +270,7 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, seed, index, max
     best = int(np.argmin(finals))
     assert roof.value == pytest.approx(finals[best], abs=1e-12)
     assert roof.restart_spread == pytest.approx(spread, abs=1e-12)
-    assert roof.converged == (spread <= 10.0 * cfg.tol)
+    assert roof.converged == (2 * len(stopped) > restarts and spread <= 10.0 * cfg.tol)
     np.testing.assert_allclose(roof.decomposition.isometry, alone[best].x[0], rtol=0, atol=1e-12)
     others = [k for k in range(restarts) if k != best]
     assert all(np.abs(alone[k].x[0] - alone[best].x[0]).max() > 1e-6 for k in others)

@@ -21,7 +21,7 @@ from discordkit import (
     validate,
     von_neumann_entropy,
 )
-from discordkit.qstate import normalize_partition
+from discordkit.qstate import _gram_spectrum, normalize_partition
 from discordkit.states import example3_state, random_mixed, werner_2qubit_example4
 
 from conftest import bell_state, bell_vector, ghz_vector, haar_unitary
@@ -299,3 +299,46 @@ def test_normalize_partition():
             normalize_partition(3, bad)
     with pytest.raises(ValueError, match="at least two subsystems"):
         normalize_partition(1, None)
+
+
+def _gram_cases(side: int, g: np.random.Generator) -> np.ndarray:
+    """Hermitian PSD blocks: random, rank 1, zero, a multiple of I, a gap of
+    1e-9, diagonal and real (for side 1 these collapse to a few scalars)."""
+    if side == 1:
+        return np.array([[[0.37]], [[0.0]], [[2.5]], [[1e-12]]], dtype=complex)
+    z = g.normal(size=(2, 2)) + 1j * g.normal(size=(2, 2))
+    z /= np.linalg.norm(z)
+    u = haar_unitary(g, 2)
+    near = u @ np.diag([0.3, 0.3 + 1e-9]) @ u.conj().T
+    real = g.normal(size=(2, 2)) / 2.0
+    cases = [
+        z @ z.conj().T,
+        np.outer(z[0], z[0].conj()),
+        np.zeros((2, 2)),
+        0.4 * np.eye(2),
+        (near + near.conj().T) / 2.0,
+        np.diag([0.7, 0.2]),
+        real @ real.T,
+    ]
+    return np.array(cases, dtype=complex)
+
+
+@pytest.mark.parametrize("side", [1, 2, 3])
+def test_gram_spectrum_matches_lapack_eigh(side):
+    # Sides 1 and 2 take the closed form, side 3 LAPACK; all must give
+    # eigh's ascending eigenvalues and its sum_j h(lambda_j) P_j.
+    g = np.random.default_rng(40 + side)
+    if side == 3:
+        z = g.normal(size=(5, 3, 3)) + 1j * g.normal(size=(5, 3, 3))
+        blocks = z @ np.swapaxes(z.conj(), -1, -2) / 9.0
+    else:
+        blocks = _gram_cases(side, g)
+    blocks = np.stack([blocks, 2.0 * blocks])  # a leading stack axis
+    w, apply = _gram_spectrum(blocks)
+    w_ref, v_ref = np.linalg.eigh(blocks)
+    scale = np.linalg.norm(blocks, ord=2, axis=(-2, -1))[..., None]
+    for values in (w, _gram_spectrum(blocks, vectors=False)[0]):
+        assert np.all(np.abs(values - w_ref) <= 1e-14 * scale)
+    for h in (np.exp, np.sin, np.square, lambda t: np.cos(3.0 * t)):
+        reference = (v_ref * h(w_ref)[..., None, :]) @ np.swapaxes(v_ref.conj(), -1, -2)
+        np.testing.assert_allclose(apply(h(w)), reference, rtol=0, atol=1e-12)
