@@ -43,7 +43,7 @@ from .qstate import (
     von_neumann_entropy,
 )
 from .states import FAMILIES, StateFamilySpec, haar_random_pure
-from .verify import RELATIONS, run_suite, suite_csv_rows
+from .verify import RELATIONS, SUITE_CSV_COLUMNS, run_suite, suite_csv_rows
 
 HUNT_LABEL = "non-certifying upper estimate of D_A"
 
@@ -51,7 +51,7 @@ _EPILOG = f"""\
 compute CSV column order:
   {', '.join(REPORT_CSV_COLUMNS)}
 verify CSV column order:
-  suite, sample, relation, lhs, rhs, slack, tolerance, holds, skipped, seed
+  {', '.join(SUITE_CSV_COLUMNS)}
 known suites: {', '.join(sorted(RELATIONS))}
 known families: {', '.join(FAMILIES)}
 """
@@ -118,7 +118,7 @@ def _config_from_args(args) -> OptimizerConfig:
         kwargs["restarts"] = args.restarts
     if args.tol is not None:
         kwargs["tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         kwargs["max_iter"] = args.max_iter
     return OptimizerConfig(**kwargs)
 
@@ -222,10 +222,9 @@ def _human_table(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args, cfg: OptimizerConfig) -> int:
     try:
         state = _load_state(args)
-        cfg = _config_from_args(args)
         report = correlation_report(state, cfg)
     except (InvalidStateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -253,7 +252,7 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, cfg: OptimizerConfig) -> int:
     relations = tuple(name.strip() for name in args.suite.split(",") if name.strip())
     unknown = [r for r in relations if r not in RELATIONS]
     if not relations or unknown:
@@ -261,7 +260,6 @@ def _cmd_verify(args) -> int:
         return 2
     try:
         spec = _family_spec_from_args(args)
-        cfg = _config_from_args(args)
         report = run_suite(spec, relations, args.samples, cfg)
     except (InvalidStateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -320,8 +318,7 @@ def _example_rows(name: str, cfg: OptimizerConfig):
     ], {"diagnostics": report.diagnostics}
 
 
-def _cmd_example(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_example(args, cfg: OptimizerConfig) -> int:
     rows, extras = _example_rows(args.name, cfg)
     table = [(q, ref, got, abs(got - ref)) for q, ref, got in rows]
     if args.format == "json":
@@ -339,14 +336,13 @@ def _cmd_example(args) -> int:
     return 0
 
 
-def _cmd_hunt(args) -> int:
+def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
     try:
         grid = _parse_range(args.x)
         if args.d < 2:
             raise ValueError("hunt requires d >= 2")
         if np.any(grid <= -1.0) or np.any(grid >= 1.0):
             raise ValueError("hunt requires x values inside (-1, 1)")
-        cfg = _config_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -402,14 +398,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    commands = {"compute": _cmd_compute, "verify": _cmd_verify, "example": _cmd_example, "hunt": _cmd_hunt}
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "example":
-            return _cmd_example(args)
-        return _cmd_hunt(args)
+        cfg = _config_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return commands[args.command](args, cfg)
     except DiscordBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,10 +6,10 @@ searches pure-state ensembles of size rank^2 generated from the canonical
 purification by an isometry, which is known to be a sufficient ensemble
 size, by Riemannian conjugate gradient on the Stiefel manifold: the same
 ``_descent`` optimizer as the measurement search, on one batched objective
-with an analytic gradient that also gives the pure-state value.  Its member
-spectra come from ``qstate._gram_spectrum``, the spectral kernel the
-measurement objective uses too.  Results carry an exactness tag and upper
-bounds are never reported as exact.
+with an analytic gradient that also gives the pure-state value:
+``qstate._ensemble_objective``, the kernel the measurement objective uses
+too.  Results carry an exactness tag and upper bounds are never reported as
+exact.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .qstate import (
     InvalidStateError,
     PureStateVector,
     QState,
-    _gram_spectrum,
+    _ensemble_objective,
     is_pure,
     normalize_partition,
     spectrum,
@@ -174,37 +174,17 @@ def _roof_objective(e0: np.ndarray, dims, part_a, part_b) -> Callable:
     """Batched convex-roof objective over the ensembles psi = V e0, with its gradient.
 
     ``e0`` holds the r unnormalized amplitude rows of the canonical
-    ensemble.  The objective maps an (R, m, r) stack of isometries V to the
-    R values sum_i p_i S(rho_i / p_i) over the members psi_i = (V e0)_i and
-    the R Euclidean gradients G_V = G_psi e0^H (df = Re tr(G^H dV)).  Each
-    member, reshaped to its d_A x d_B amplitude block M_i, gives rho_i =
-    M_i M_i^H, taken on the smaller Gram side (M_i M_i^H or M_i^H M_i, whose
-    nonzero eigenvalues agree).  From its spectrum (``_gram_spectrum``: in
-    closed form on a Gram side of 1 or 2, else one batched ``eigh``), the
-    gradient of the member's term is G_M = 2 W M_i (or 2 M_i W on the other
-    side) with W = -(log2 rho_i - log2 p_i) on the support of rho_i, where
-    M_i lives, so zero eigenvalues need no clipping.
+    ensemble.  Its rows are permuted to the (A, B) order, so that member
+    psi_i = (V e0)_i reshapes to its d_A x d_B amplitude block and
+    ``qstate._ensemble_objective`` maps an (R, m, r) stack of isometries V
+    to the R values sum_i p_i S(rho_i / p_i), rho_i the member's reduced
+    state on A, and the R Euclidean gradients G_V (df = Re tr(G^H dV)).
     """
     r = e0.shape[0]
     da = int(np.prod([dims[i] for i in part_a]))
     order = (0,) + tuple(1 + i for i in part_a) + tuple(1 + i for i in part_b)
     basis = e0.reshape((r,) + tuple(dims)).transpose(order).reshape(r, -1)
-    db = basis.shape[1] // da
-    left = da <= db
-
-    def objective(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        blocks = (v @ basis).reshape(v.shape[:-1] + (da, db))
-        blocks_h = np.swapaxes(blocks.conj(), -1, -2)
-        w, apply = _gram_spectrum(blocks @ blocks_h if left else blocks_h @ blocks)
-        w = np.maximum(w, 0.0)
-        p = w.sum(axis=-1, keepdims=True)
-        mu = w / np.where(p > 0.0, p, 1.0)
-        logs = np.log2(np.where(mu > 0.0, mu, 1.0))
-        log_ratio = apply(logs)  # -W
-        grad = -2.0 * (log_ratio @ blocks if left else blocks @ log_ratio)
-        return -(w * logs).sum(axis=(-2, -1)), grad.reshape(v.shape[:-1] + (-1,)) @ basis.conj().T
-
-    return objective
+    return _ensemble_objective(basis, da, basis.shape[1] // da)
 
 
 def _random_isometry(g: np.random.Generator, m: int, r: int) -> np.ndarray:

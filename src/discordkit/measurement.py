@@ -1,16 +1,15 @@
 """Complete projective measurements and POVMs on a chosen subsystem.
 
-A measurement basis on a d-level subsystem is parameterized by an ordered
-product of two-level (Givens) rotations over the d(d-1)/2 index pairs in
-lexicographic order, each carrying one mixing angle and one relative phase:
-d^2 - d real parameters in total (angles first, then phases).  Every basis
-is reachable up to outcome relabeling and per-vector phase, which is all a
-projective measurement can distinguish.
+The measurement optimizer in ``correlations`` searches bases on U(d)
+itself.  Givens products only build its random starts, its qubit scan and
+``projective_from_params``: ``unitary_from_params`` multiplies two-level
+rotations over the d(d-1)/2 index pairs in lexicographic order, each with a
+mixing angle and a relative phase (d^2 - d parameters, angles first), which
+reach every basis up to outcome relabeling and per-vector phase.
 
-``_measurement_objective`` scores stacks of bases at once, with analytic
-gradients, for the measurement optimizer in ``correlations``; its block
-spectra and spectral weights come from ``qstate._gram_spectrum``, the
-closed form for blocks of side 1 or 2 and LAPACK for larger ones.
+``_measurement_objective`` scores stacks of bases with analytic gradients:
+measuring with basis U is the ensemble U^H L of a factor rho = L L^H, scored
+by ``qstate._ensemble_objective``, the convex roof's kernel too.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .qstate import EIG_CLIP, QState, _entropy_bits, _gram_spectrum, von_neumann_entropy
+from .qstate import QState, _ensemble_objective, _entropy_bits, von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -214,18 +213,12 @@ def _povm_blocks(t: np.ndarray, elements) -> np.ndarray:
 def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tuple[Callable, int]:
     """Batched objective over bases on ``measured``, with its Euclidean gradient.
 
-    Both objectives are sums over the conditional blocks B_k = <u_k|rho|u_k>
-    of a basis U: sum_k p_k S(B_k / p_k) (``dephasing`` false), or the
-    entropy S(dephased) - S(rho) of the dephased state, whose spectrum is the
-    union of the block spectra.  With rho = L L^H, B_k = N_k N_k^H for
-    N_k = (u_k^H (x) I) L, and each block's spectrum comes from the smaller
-    of its two Gram sides (``_gram_spectrum``).  The derivative of either
-    sum is tr[W_k dB_k] with W_k = -log2(B_k / p_k), or -(log2 B_k + S) for the
-    dephasing entropy S, taken on the support of B_k, where N_k lives, so
-    rank-deficient blocks need no clipping.  The objective maps an (R, d, d)
-    stack of bases to R values and the R gradients G = 2 L (W N)^H, with
-    df = Re tr(G^H dU); called with ``gradient=False`` it returns the values
-    and ``None``, from eigenvalues alone.
+    Maps an (R, d, d) stack of bases U to R values and R gradients G_U (df =
+    Re tr(G^H dU)): sum_k p_k S(B_k / p_k) over the conditional blocks B_k =
+    <u_k|rho|u_k>, or with ``dephasing`` S(dephased) - S(rho), the dephased
+    spectrum being the union of the block spectra.  With rho = L L^H, B_k =
+    N_k N_k^H for the rows N_k = (u_k^H (x) I) L of V L, V = U^H, so this is
+    ``_ensemble_objective`` at V with G_U = G_V^H.
     """
     t, dm, _rest = _measured_view(state, measured)
     r = t.shape[1]
@@ -233,35 +226,12 @@ def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tup
     keep = lam > _RANK_FLOOR
     s = int(keep.sum())
     factor = (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * s)
-    base_entropy = _entropy_bits(lam)
-    small = r <= s
-
-    def spectral_terms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values, and the eigenvalues of each W_k, from the block spectra ``w``."""
-        if dephasing:
-            kept = np.where(w < EIG_CLIP, 0.0, w)
-            total = kept.sum(axis=(-2, -1))[..., None, None]
-            mu = kept / total
-            logs = np.log2(np.where(kept > 0.0, mu, 1.0))
-            entropy = -(mu * logs).sum(axis=(-2, -1))
-            weights = np.where(kept > 0.0, -(logs + entropy[..., None, None]) / total, 0.0)
-            return entropy - base_entropy, weights
-        probs = w.sum(axis=-1)
-        # An outcome below OUTCOME_FLOOR gets all-zero weights: entropy 0.
-        mu = w / np.where(probs > OUTCOME_FLOOR, probs, np.inf)[..., None]
-        weights = np.where(mu >= EIG_CLIP, -np.log2(np.where(mu >= EIG_CLIP, mu, 1.0)), 0.0)
-        return (probs * _entropy_bits(mu)).sum(axis=-1), weights
+    ensemble = _ensemble_objective(factor, r, s, dephasing)
+    base_entropy = _entropy_bits(lam) if dephasing else 0.0
 
     def objective(u: np.ndarray, gradient: bool = True):
-        n = (np.swapaxes(u.conj(), -1, -2) @ factor).reshape(u.shape[:-2] + (dm, r, s))
-        nh = np.swapaxes(n.conj(), -1, -2)
-        w, apply = _gram_spectrum(n @ nh if small else nh @ n, gradient)
-        values, weights = spectral_terms(w)
-        if not gradient:
-            return values, None
-        wm = apply(weights)
-        y = (wm @ n if small else n @ wm).reshape(u.shape[:-1] + (r * s,))
-        return values, 2.0 * factor @ np.swapaxes(y.conj(), -1, -2)
+        values, grad = ensemble(np.swapaxes(u.conj(), -1, -2), gradient)
+        return values - base_entropy, grad if grad is None else np.swapaxes(grad.conj(), -1, -2)
 
     return objective, dm
 

@@ -274,6 +274,49 @@ def _gram_spectrum(blocks: np.ndarray, vectors: bool = True) -> tuple[np.ndarray
     return w, lambda h: (v * h[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
+def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = False) -> Callable:
+    """Batched entropy of the ensembles V rows, with its Euclidean gradient.
+
+    Maps an (R, m, n) stack V to R values and R gradients G_V (df = Re
+    tr(G^H dV)).  Member i is the row (V rows)_i cut into a da x db block
+    M_i, with state rho_i = M_i M_i^H of weight p_i = tr rho_i.  The value is
+    sum_i p_i S(rho_i / p_i), or with ``dephasing`` the entropy S of the
+    union of all member spectra, normalized to unit sum.  Spectra come from
+    the smaller Gram side B_i (M_i M_i^H or M_i^H M_i) by ``_gram_spectrum``.
+    A normalized eigenvalue mu below ``EIG_CLIP`` counts as zero, so the
+    value is never high and is low by at most (k - 1) EIG_CLIP log2(1 /
+    EIG_CLIP) ~ (k - 1) 3.3e-9 bits, k the Gram side (for the union, the
+    count of all member eigenvalues).  The derivative is sum_i tr[W_i dB_i]
+    with W_i = -log2 mu, or -(log2 mu + S) / sum for the union, above the
+    floor, where M_i lives: G_M = 2 W_i M_i (2 M_i W_i on the other side),
+    G_V = G_M rows^H.  With ``gradient=False`` it returns the values and
+    ``None``, from eigenvalues alone.
+    """
+    left = da <= db
+    rows_h = rows.conj().T
+    axes = (-2, -1) if dephasing else -1
+
+    def objective(v: np.ndarray, gradient: bool = True):
+        blocks = (v @ rows).reshape(v.shape[:-1] + (da, db))
+        blocks_h = np.swapaxes(blocks.conj(), -1, -2)
+        w, apply = _gram_spectrum(blocks @ blocks_h if left else blocks_h @ blocks, gradient)
+        w = np.maximum(w, 0.0)
+        p = w.sum(axis=axes, keepdims=True)
+        mu = w / np.where(p > 0.0, p, 1.0)
+        above = mu >= EIG_CLIP
+        logs = np.log2(np.where(above, mu, 1.0))
+        values = -((mu if dephasing else w) * logs).sum(axis=(-2, -1))
+        if not gradient:
+            return values, None
+        if dephasing:
+            logs = np.where(above, (logs + values[..., None, None]) / p, 0.0)
+        log_ratio = apply(logs)  # -W
+        grad = -2.0 * (log_ratio @ blocks if left else blocks @ log_ratio)
+        return values, grad.reshape(v.shape[:-1] + (-1,)) @ rows_h
+
+    return objective
+
+
 def von_neumann_entropy(state: QState) -> float:
     """Von Neumann entropy of ``state`` in bits; ``0 * log 0`` is 0."""
     return float(_entropy_bits(np.linalg.eigvalsh(state.matrix)))

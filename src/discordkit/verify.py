@@ -574,12 +574,14 @@ def run_suite(
     """Run the named relations over ``samples`` draws of a state family.
 
     Deterministic given the family seed and optimizer seed; unknown relation
-    names raise ``ValueError``.  Skipped rows (unmet hypotheses) never count
-    as failures.
+    names and ``samples < 1`` raise ``ValueError``.  Skipped rows (unmet
+    hypotheses) never count as failures.
     """
     relations = tuple(relations)
     if not relations:
         raise ValueError("relations must be nonempty")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     unknown = [r for r in relations if r not in RELATIONS]
     if unknown:
         raise ValueError(f"unknown relations {unknown}; known: {sorted(RELATIONS)}")

@@ -147,6 +147,33 @@ def test_hunt_bad_range():
     assert main(["hunt", "--d", "2", "--x=-1.5:-0.5:2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compute", "--family", "example3"],
+        ["verify", "--suite", "eq5", "--family", "example3"],
+        ["example", "example4"],
+        ["hunt", "--d", "2", "--x=-0.5:-0.5:1"],
+    ],
+    ids=["compute", "verify", "example", "hunt"],
+)
+@pytest.mark.parametrize(
+    "bad", [["--restarts", "0"], ["--tol", "-1"], ["--max-iter", "0"]], ids=["restarts", "tol", "max-iter"]
+)
+def test_bad_optimizer_config_is_a_usage_error(command, bad, capsys):
+    assert main(command + bad) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_empty_runs(samples, capsys):
+    rc = main(["verify", "--suite", "eq5", "--family", "example3", "--samples", samples])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "samples must be >= 1" in captured.err and captured.out == ""
+
+
 def test_unknown_flags_rejected():
     assert main(["compute", "--family", "example3", "--bogus-flag"]) == 2
 

@@ -17,8 +17,10 @@ from discordkit import (
     eof_upper,
     partial_trace,
     permute_subsystems,
+    von_neumann_entropy,
 )
 from discordkit.correlations import CONJECTURE_I_SLACK
+from discordkit.measurement import ProjectiveMeasurement, _measurement_objective, apply_measurement
 from discordkit.states import random_mixed
 
 from conftest import haar_unitary
@@ -76,3 +78,33 @@ def test_eof_upper_under_local_unitaries_meets_wootters(rank, seed):
     u = np.kron(haar_unitary(g, 2), haar_unitary(g, 2))
     rotated = QState((2, 2), u @ state.matrix @ u.conj().T)
     assert eof_upper(rotated).value == pytest.approx(eof_2qubit(state).value, abs=1e-6)
+
+
+@PROPERTY
+@given(case=CASES, measured=st.integers(0, 1), seed=SEEDS)
+def test_dephasing_objective_is_conditional_plus_outcome_entropy(case, measured, seed):
+    # S(dephased) - S(rho) = sum_k p_k S(rho_k) + H(p) - S(rho): the kernel's
+    # union branch against its conditional branch.
+    dims, rank = case
+    state = random_mixed(dims, rank, seed)
+    g = np.random.default_rng(seed)
+    d = dims[measured]
+    bases = np.stack([haar_unitary(g, d) for _ in range(3)])
+    conditional, _ = _measurement_objective(state, measured, dephasing=False)
+    dephasing, _ = _measurement_objective(state, measured, dephasing=True)
+    outcome_entropy = []
+    for u in bases:
+        p = apply_measurement(state, ProjectiveMeasurement(measured, u)).probabilities
+        outcome_entropy.append(-np.sum(p * np.log2(p)))
+    expected = conditional(bases)[0] + np.array(outcome_entropy) - von_neumann_entropy(state)
+    np.testing.assert_allclose(dephasing(bases)[0], expected, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(rank=st.integers(1, 4), seed=SEEDS)
+def test_eof_upper_is_never_below_wootters_beyond_the_floor_bias(rank, seed):
+    # The eigenvalue floor lowers a 2x2 member's entropy by at most
+    # EIG_CLIP log2(1 / EIG_CLIP) ~ 3.3e-9 bits, and nothing else can take
+    # the roof below the exact value.
+    state = random_mixed((2, 2), rank, seed)
+    assert eof_upper(state).value >= eof_2qubit(state).value - 3.4e-9

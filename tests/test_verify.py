@@ -281,6 +281,13 @@ def test_run_suite_unknown_relation():
         run_suite(spec, (), 1, CFG)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_run_suite_rejects_empty_runs(samples):
+    spec = StateFamilySpec("example3", {}, 0)
+    with pytest.raises(ValueError, match="samples"):
+        run_suite(spec, ("eq5",), samples, CFG)
+
+
 def test_suite_csv_shape():
     spec = StateFamilySpec("haar_pure", {"dims": (2, 2)}, 3)
     report = run_suite(spec, ("eq5",), 3, CFG)
