@@ -13,11 +13,13 @@ Eriksson & Koivunen, IEEE Trans. Signal Process. 56(3), 2008).
 All restarts advance in lockstep: a round makes one objective call that
 scores the pending point of every live restart, whether that is the first
 trial of a new iteration or a backtracking trial.  Each restart keeps its own
-step, direction and exit, so it follows the path it takes alone.  On these
-small stacks a round costs mostly NumPy call overhead, so it makes one
-retraction, one objective call and, when some trial is accepted, one tangent
-projection of the new gradient, the line direction and the line's starting
-gradient together.
+step, direction and exit, so it follows the path it takes alone.  A round
+makes one retraction, one objective call and, when some trial is accepted,
+one tangent projection of the new gradient, the line direction and the line's
+starting gradient together.  Only these stacks are arrays: with a few live
+restarts a NumPy call costs more than the scalar arithmetic it would batch,
+so each restart's value, slopes, step and counts are Python floats and ints,
+on which it does the same binary64 operations in a stack as alone.
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ def retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return a @ _herm(np.linalg.inv(chol))
 
 
+def _stall(step: float, slope: float, f: float) -> int:
+    # 2 (NO_DECREASE) unless the trial predicts a decrease above DECREASE_TOL
+    # relative to max(1, |f|), written "not above" so that a NaN stops it too.
+    # max() and min() take the operand that may be NaN first, to keep a NaN.
+    return 0 if -step * slope > DECREASE_TOL * max(abs(f), 1.0) else 2
+
+
 def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
     """Minimize ``objective`` from every isometry of the stack ``x``.
 
@@ -112,102 +121,103 @@ def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
     max(1, |f|)), or after ``max_iter`` iterates.
     """
     out_x = np.array(x, dtype=complex)
-    out_f = np.array(values, dtype=float)
     n_restarts = out_x.shape[0]
-    out_iterations = np.zeros(n_restarts, dtype=int)
-    out_evaluations = np.zeros(n_restarts, dtype=int)
-    reasons = [""] * n_restarts
+    out_f, out_iterations, out_evaluations, reasons = ([v] * n_restarts for v in (0.0, 0, 0, ""))
 
-    # Per live restart (``ids`` maps them to the stack): the iterate x and
-    # its value f; in ``lines``, the current line's direction eta (slot 1)
-    # and the gradient g_line where the line began (slot 2), with slot 0
-    # free for the trial's gradient; the slope along eta and the line's
-    # starting slope slope0; the next trial step, the counts, and the index
-    # of the stop reason in _REASONS (0 while the restart runs).
-    ids = np.arange(n_restarts)
-    x, f = out_x.copy(), out_f.copy()
+    # Per live restart (``ids`` maps them to the stack), in arrays: the
+    # iterate x and, in ``lines``, the current line's direction eta (slot 1)
+    # and the gradient g_line where the line began (slot 2), with slot 0 free
+    # for the trial's gradient.  In lists: its value f, the slope along eta,
+    # the line's starting slope slope0, the next trial step, the iterations
+    # and the index of the stop reason in _REASONS (0 while it runs).
+    ids = list(range(n_restarts))
+    x = out_x.copy()
     grad = tangent(x, np.asarray(egrad))
     gnorm2 = np.einsum("rij,rij->r", grad.conj(), grad).real
     lines = np.stack([grad, -grad, grad], axis=1)
-    slope = slope0 = -gnorm2
-    step = FIRST_ANGLE / np.sqrt(np.where(gnorm2 > 0.0, gnorm2, 1.0))
-    iterations = np.zeros(n_restarts, dtype=int)
-    evaluations = np.ones(n_restarts, dtype=int)
-    done = np.where(gnorm2 <= GRAD_TOL**2, 1, 0)
+    f = np.array(values, dtype=float).tolist()
+    slope, slope0 = (-gnorm2).tolist(), (-gnorm2).tolist()
+    step = (FIRST_ANGLE / np.sqrt(np.where(gnorm2 > 0.0, gnorm2, 1.0))).tolist()
+    iterations, evaluations = [0] * n_restarts, 1  # the calls each live restart has made
+    done = [1 if g2 <= GRAD_TOL**2 else _stall(s, sl, fk)
+            for g2, s, sl, fk in zip(gnorm2.tolist(), step, slope, f)]
 
     while True:
-        # Written as "not above" so that a NaN step also stops the restart.
-        done[(done == 0) & ~(-step * slope > DECREASE_TOL * np.maximum(1.0, np.abs(f)))] = 2
-        if done.any():
-            for k in np.flatnonzero(done):
-                i = ids[k]
-                out_x[i], out_f[i], reasons[i] = x[k], f[k], _REASONS[done[k]]
-                out_iterations[i], out_evaluations[i] = iterations[k], evaluations[k]
-            keep = done == 0
-            if not keep.any():
+        if any(done):
+            for k, i in enumerate(ids):
+                if done[k]:
+                    out_x[i], out_f[i], reasons[i] = x[k], f[k], _REASONS[done[k]]
+                    out_iterations[i], out_evaluations[i] = iterations[k], evaluations
+            keep = [k for k in range(len(ids)) if not done[k]]
+            if not keep:
                 break
-            ids, x, f, lines = ids[keep], x[keep], f[keep], lines[keep]
-            slope, slope0, step = slope[keep], slope0[keep], step[keep]
-            iterations, evaluations = iterations[keep], evaluations[keep]
-        trial = retract(x, step[:, None, None] * lines[:, 1])
+            x, lines, done = x[keep], lines[keep], [0] * len(keep)
+            ids, f, slope, slope0, step, iterations = (
+                [v[k] for k in keep] for v in (ids, f, slope, slope0, step, iterations))
+        trial = retract(x, np.array(step)[:, None, None] * lines[:, 1])
         f_trial, g_trial = objective(trial)
-        evaluations += 1
-        ok = f_trial <= f + ARMIJO * step * slope
-
-        shrunk = None
-        if not ok.all():
-            # Rejected: a safeguarded quadratic fit along the line.
-            curv = f_trial - f - step * slope
-            fit = -slope * step**2 / (2.0 * np.where(curv > 0.0, curv, np.inf))
-            shrunk = np.minimum(np.maximum(fit, SHRINK[0] * step), SHRINK[1] * step)
-            if not ok.any():
-                step, done = shrunk, np.zeros(ids.size, dtype=int)
+        f_trial, evaluations = f_trial.tolist(), evaluations + 1
+        ok = [ft <= fk + ARMIJO * s * sl for ft, fk, s, sl in zip(f_trial, f, step, slope)]
+        if any(ok):
+            # Accepted: the new gradient, the line direction and the gradient
+            # where the line began, all in the tangent space at the trial,
+            # and their inner products.
+            lines[:, 0] = g_trial
+            vecs = tangent(trial[:, None], lines)
+            flat = vecs.reshape(len(ids), 3, -1)
+            gram = (flat.conj() @ np.swapaxes(flat, -1, -2)).real.tolist()
+        coef = []
+        for k in range(len(ids)):
+            s, sl = step[k], slope[k]
+            if not ok[k]:
+                # Rejected: a safeguarded quadratic fit along the line.
+                curv = f_trial[k] - f[k] - s * sl
+                fit = -sl * (s * s) / (2.0 * (curv if curv > 0.0 else math.inf))
+                step[k] = min(max(fit, SHRINK[0] * s), SHRINK[1] * s)
+                done[k] = _stall(step[k], sl, f[k])
+                coef.append((0.0, 0.0))
                 continue
-
-        # Accepted: the new gradient, the line direction and the gradient
-        # where the line began, all in the tangent space at the trial, and
-        # their inner products.
-        lines[:, 0] = g_trial
-        vecs = tangent(trial[:, None], lines)
-        flat = vecs.reshape(ids.size, 3, -1)
-        gram = (flat.conj() @ np.swapaxes(flat, -1, -2)).real
-        gg, gm, mm, go, oo = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1], gram[:, 0, 2], gram[:, 2, 2]
-        # Curvature of f along the line, per unit of squared direction norm.
-        kappa = (gm - slope) / (step * mm)
-        # The next direction is a g + b moved: the same line, a
-        # Polak-Ribiere+ direction, or steepest descent when that one is
-        # not a descent direction or when the gradient has kept too much of
-        # the line's starting one (Powell's restart test).
-        same = gm < CURVATURE * slope0
-        beta = np.maximum(0.0, (gg - go) / np.where(oo > 0.0, oo, np.inf))
-        beta[np.abs(go) >= POWELL * gg] = 0.0
-        a = np.where(same, 0.0, -1.0)
-        b = np.where(same, 1.0, np.where(beta * gm < gg, beta, 0.0))
-        slope_new = a * gg + b * gm
-        # The Newton step along the next direction, where the curvature
-        # there is positive (a zero gradient leaves the quadratic at 0).
-        quad = (a * a * gg + 2.0 * a * b * gm + b * b * mm) * kappa
-        newton = -slope_new / np.where((kappa > 0.0) & (quad > 0.0), quad, np.inf)
-        grown = np.where(newton > 0.0, np.minimum(newton, GROW * step), GROW * step)
-
-        fresh = ok & ~same
-        x = np.where(ok[:, None, None], trial, x)
-        f = np.where(ok, f_trial, f)
-        eta = a[:, None, None] * vecs[:, 0] + b[:, None, None] * vecs[:, 1]
-        vecs[:, 1] = np.where(ok[:, None, None], eta, lines[:, 1])
-        vecs[:, 2] = np.where(fresh[:, None, None], vecs[:, 0], lines[:, 2])
-        lines = vecs
-        slope = np.where(ok, slope_new, slope)
-        slope0 = np.where(fresh, slope_new, slope0)
-        step = grown if shrunk is None else np.where(ok, grown, shrunk)
-        iterations += ok
-        done = np.where(ok, np.where(gg <= GRAD_TOL**2, 1, np.where(iterations >= max_iter, 3, 0)), 0)
+            (gg, gm, go), (_, mm, _), (_, _, oo) = gram[k]
+            # Curvature of f along the line, per unit of squared direction
+            # norm (NaN for a zero direction: no Newton step then).
+            kappa = (gm - sl) / (s * mm) if s * mm else math.nan
+            # The next direction is a g + b moved: the same line, a
+            # Polak-Ribiere+ direction, or steepest descent when that one is
+            # not a descent direction or when the gradient has kept too much
+            # of the line's starting one (Powell's restart test).
+            same = gm < CURVATURE * slope0[k]
+            beta = max((gg - go) / (oo if oo > 0.0 else math.inf), 0.0)
+            beta = 0.0 if abs(go) >= POWELL * gg else beta
+            a, b = (0.0, 1.0) if same else (-1.0, beta if beta * gm < gg else 0.0)
+            slope_new = a * gg + b * gm
+            # The Newton step along the next direction, where the curvature
+            # there is positive (a zero gradient leaves the quadratic at 0).
+            quad = (a * a * gg + 2.0 * a * b * gm + b * b * mm) * kappa
+            newton = -slope_new / (quad if kappa > 0.0 and quad > 0.0 else math.inf)
+            step[k] = min(GROW * s, newton) if newton > 0.0 else GROW * s
+            f[k], slope[k], slope0[k] = f_trial[k], slope_new, slope0[k] if same else slope_new
+            iterations[k] += 1
+            done[k] = (1 if gg <= GRAD_TOL**2 else 3 if iterations[k] >= max_iter
+                       else _stall(step[k], slope_new, f[k]))
+            coef.append((a, b))
+        if any(ok):
+            # Accepted: the trial, the line a g + b moved and, unless on the
+            # same line, g as its start.  Rejected: the old iterate and lines.
+            terms = np.array(coef)[:, :, None, None] * vecs[:, :2]
+            np.add(terms[:, 0], terms[:, 1], out=vecs[:, 1])
+            vecs[:, 2] = vecs[:, 0]
+            for k, (a_k, _) in enumerate(coef):
+                if not ok[k]:
+                    trial[k], vecs[k] = x[k], lines[k]
+                elif a_k == 0.0:
+                    vecs[k, 2] = lines[k, 2]
+            x, lines = trial, vecs
 
     return Descent(
         x=out_x,
-        values=out_f,
-        iterations=tuple(int(k) for k in out_iterations),
-        evaluations=tuple(int(k) for k in out_evaluations),
+        values=np.array(out_f),
+        iterations=tuple(out_iterations),
+        evaluations=tuple(out_evaluations),
         reasons=tuple(reasons),
     )
 

@@ -158,7 +158,9 @@ def test_hunt_bad_range():
     ids=["compute", "verify", "example", "hunt"],
 )
 @pytest.mark.parametrize(
-    "bad", [["--restarts", "0"], ["--tol", "-1"], ["--max-iter", "0"]], ids=["restarts", "tol", "max-iter"]
+    "bad",
+    [["--restarts", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "0"]],
+    ids=["restarts", "tol", "tol-nan", "tol-inf", "max-iter"],
 )
 def test_bad_optimizer_config_is_a_usage_error(command, bad, capsys):
     assert main(command + bad) == 2

@@ -61,8 +61,9 @@ EX4_D = EX4_INFO - EX4_J
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tol=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OptimizerConfig(tol=tol)
 
 
 def test_mutual_information_values():
@@ -182,6 +183,43 @@ def test_descend_stops_on_an_exact_zero_gradient_without_warnings():
     assert run.iterations == (1,) and run.values[0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "kind, level, pinned",
+    [("value", 0.5, (CAP, 50, 95)), ("value", 0.0, (NO_DECREASE, 0, 1)),
+     ("gradient", 0.5, (NO_DECREASE, 2, 3)), ("gradient", 0.0, (NO_DECREASE, 0, 1))],
+    ids=["nan-value-later", "nan-value-at-start", "nan-gradient-later", "nan-gradient-at-start"],
+)
+def test_descend_confines_a_nan_to_its_restart(kind, level, pinned):
+    # The Rayleigh quotient of diag(1, 2, 0) on unit vectors of C^3, NaN
+    # (in the value or the gradient) where |x_2|^2 > level.  Restart 1 heads
+    # for e_2 and meets the NaN region after a few calls, or starts in it;
+    # restarts 0 and 2 stay in span(e_0, e_1), where x_2 is exactly 0.
+    diag = np.array([1.0, 2.0, 0.0])
+
+    def objective(x):
+        values = np.einsum("rip,i,rip->r", x.conj(), diag, x).real
+        grads = 2.0 * diag[:, None] * x
+        bad = np.abs(x[:, 2, 0]) ** 2 > level
+        if kind == "value":
+            values[bad] = np.nan
+        else:
+            grads[bad] = np.nan
+        return values, grads
+
+    starts = np.array([[0.3, 1.0, 0.0], [0.2, 1.0, 0.3j], [0.6, 1.0j, 0.0]], dtype=complex)[:, :, None]
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run = descend(objective, starts, *objective(starts), 50)
+        alone = [descend(objective, starts[k : k + 1], *(v[k : k + 1] for v in objective(starts)), 50)
+                 for k in range(3)]
+    assert (run.reasons[1], run.iterations[1], run.evaluations[1]) == pinned
+    for k in (0, 2):
+        assert (run.reasons[k], run.iterations[k], run.evaluations[k]) == (
+            alone[k].reasons[0], alone[k].iterations[0], alone[k].evaluations[0])
+        assert run.values[k] == alone[k].values[0] and np.array_equal(run.x[k], alone[k].x[0])
+
+
 @pytest.mark.parametrize("shape", [(3, 16, 4), (3, 9, 3), (16, 2, 2), (16, 4, 4), (4, 6, 6)])
 def test_retract_is_the_householder_q_factor(shape):
     # Cholesky QR gives the QR factor with a positive diagonal in R, which is
@@ -219,13 +257,16 @@ def test_summary_converges_only_when_most_restarts_stopped():
 
 
 @pytest.mark.parametrize(
-    "dims, rank, measured, dephasing",
-    [((2, 2), 4, 0, False), ((2, 3), 6, 1, False), ((4, 2), 8, 0, True)],
-    ids=["2x2-rank4", "2x3-rank6-B", "4x2-rank8-dephasing"],
+    "dims, rank, measured, dephasing, max_iter",
+    [((2, 2), 4, 0, False, 2000), ((2, 3), 6, 1, False, 2000), ((4, 2), 8, 0, True, 2000),
+     ((2, 2), 4, 0, False, 8)],
+    ids=["2x2-rank4", "2x3-rank6-B", "4x2-rank8-dephasing", "2x2-rank4-capped"],
 )
-def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephasing):
+def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephasing, max_iter):
+    # At 8 iterations 15 of the 16 restarts stop at the cap, in rounds where
+    # other restarts backtrack or take a step, and one stops before it.
     objective, d = _measurement_objective(random_mixed(dims, rank, 11), measured, dephasing)
-    cfg = OptimizerConfig(seed=2)
+    cfg = OptimizerConfig(seed=2, max_iter=max_iter)
     calls = []
 
     def recording(u, gradient=True):
@@ -245,7 +286,8 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     assert opt.iterations == tuple(run.iterations[0] for run in alone)
     assert opt.evaluations == tuple(run.evaluations[0] for run in alone)
     assert opt.stop_reasons == tuple(run.reasons[0] for run in alone)
-    assert CAP not in opt.stop_reasons and len(set(opt.iterations)) > 1
+    assert opt.stop_reasons.count(CAP) == (0 if max_iter == 2000 else 15)
+    assert len(set(opt.iterations)) > 1
     np.testing.assert_allclose(opt.restart_values, [run.values[0] for run in alone], rtol=0, atol=1e-12)
     best = int(np.argmin([run.values[0] for run in alone]))
     assert opt.value == pytest.approx(alone[best].values[0], abs=1e-12)
