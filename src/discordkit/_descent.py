@@ -1,25 +1,29 @@
-"""Riemannian conjugate-gradient descent on stacks of isometries.
+"""Riemannian limited-memory BFGS descent on stacks of isometries.
 
 A stack holds R independent restarts, each an n x p isometry (X^H X = I): a
 point of the Stiefel manifold, with the unitary group U(n) as the square
 case.  The metric is the embedded one, <A, B> = Re tr(A^H B), so the
 Riemannian gradient is the tangent projection of the Euclidean one.  Each
-restart takes Polak-Ribiere+ conjugate-gradient steps with Powell restarts,
-carrying its previous direction over by tangent projection, with an Armijo
-backtracking line search and the QR retraction, computed as Cholesky QR
-(Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20(2), 1998; Abrudan,
-Eriksson & Koivunen, IEEE Trans. Signal Process. 56(3), 2008).
+restart takes L-BFGS steps: the two-loop recursion over its last ``MEMORY``
+(s, y) pairs, kept in ambient coordinates and scaled by s.y / y.y of the
+newest, with the result projected onto the tangent space (Huang, Gallivan &
+Absil, SIAM J. Optim. 25(3), 2015; Nocedal & Wright, Numerical Optimization,
+2006, ch. 7).  It searches each line by Armijo backtracking from a unit
+step and moves by the QR retraction, computed as Cholesky QR (Edelman, Arias
+& Smith, SIAM J. Matrix Anal. Appl. 20(2), 1998).
 
 All restarts advance in lockstep: a round makes one objective call that
 scores the pending point of every live restart, whether that is the first
 trial of a new iteration or a backtracking trial.  Each restart keeps its own
-step, direction and exit, so it follows the path it takes alone.  A round
-makes one retraction, one objective call and, when some trial is accepted,
-one tangent projection of the new gradient, the line direction and the line's
-starting gradient together.  Only these stacks are arrays: with a few live
-restarts a NumPy call costs more than the scalar arithmetic it would batch,
-so each restart's value, slopes, step and counts are Python floats and ints,
-on which it does the same binary64 operations in a stack as alone.
+step, direction, pairs and exit, so it follows the path it takes alone.  A
+round makes one retraction, one objective call and, when some trial is
+accepted, one tangent projection of the new gradients, one product of the new
+gradient and y against every ring slot, one product that builds the
+directions from the ring, and one tangent projection of them.  Only these
+stacks are arrays: with a few live restarts a NumPy call costs more than the
+scalar arithmetic it would batch, so each restart's value, slope, step,
+counts, inner-product tables and two-loop recursion are Python floats and
+ints, on which it does the same binary64 operations in a stack as alone.
 """
 
 from __future__ import annotations
@@ -35,18 +39,19 @@ import numpy as np
 # Armijo test only compares rounding errors.
 GRAD_TOL = 1e-9
 DECREASE_TOL = 1e-15
-# Line search: the Armijo constant; the curvature constant, below which a
-# point that passes Armijo is taken but the search goes on along the same
-# line; the backtracking factor bounds; and the cap on the growth of the
-# first trial step from one step to the next.
+# Line search: the Armijo constant; the backtracking factor bounds; the
+# cap on the growth of a steepest-descent first step from the last step;
+# and the cap on the norm of a first trial step.
 ARMIJO = 1e-4
-CURVATURE = 0.3
 SHRINK = (0.1, 0.5)
 GROW = 4.0
-# Restart with steepest descent when |<g_new, g_line>| >= POWELL |g_new|^2.
-POWELL = 0.2
+MAX_STEP = 2.0
 # Norm of a restart's first step: a rotation by about this angle.
 FIRST_ANGLE = 0.5
+# L-BFGS memory: the (s, y) pairs each restart keeps, in a ring with one
+# more slot, where the newest pair is written before its s.y is known.
+MEMORY = 4
+SLOTS = MEMORY + 1
 
 GRADIENT, NO_DECREASE, CAP = "gradient", "no_decrease", "cap"
 _REASONS = ("", GRADIENT, NO_DECREASE, CAP)
@@ -88,8 +93,7 @@ def retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     with a positive diagonal is unique, so this is the Householder Q to
     rounding.  For a tangent V, A^H A = I + V^H V has condition number at
     most 1 + |V|_2^2: Q stays orthonormal to rounding for steps of norm up
-    to 10, and the steps of ``descend`` stayed below 2.6 in a survey of roof
-    and measurement searches on random 2x2, 3x2 and 2x3 states.
+    to 10, and ``descend`` caps its trial steps at norm ``MAX_STEP``.
     """
     a = x + v
     chol = np.linalg.cholesky(_herm(a) @ a)
@@ -108,39 +112,52 @@ def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
 
     ``objective`` maps an (R', n, p) stack to its R' values and Euclidean
     gradients (df = Re tr(G^H dX)); ``values`` and ``egrad`` are its output
-    at ``x``.  A trial that fails the Armijo test shrinks its step by a
-    safeguarded quadratic fit.  A trial that passes becomes the next
-    iterate; if the slope there is still below ``CURVATURE`` times the
-    line's starting slope the search goes on along the same line, else a
-    new Polak-Ribiere+ direction starts (steepest descent under Powell's
-    restart test).  Either way the first step along the next line comes
-    from the curvature the last trial measured along its line, capped at
-    ``GROW`` times that trial's step.  A restart stops
-    when its Riemannian gradient norm reaches ``GRAD_TOL``, when its next
-    trial predicts a decrease below ``DECREASE_TOL`` (relative to
-    max(1, |f|)), or after ``max_iter`` iterates.
+    at ``x``.  The first line is steepest descent with a step of norm
+    ``FIRST_ANGLE``.  A trial that fails the Armijo test shrinks its step by
+    a safeguarded quadratic fit.  A trial that passes becomes the next
+    iterate and stores the pair s = step eta, y = g_new - g_old, unless
+    s.y <= 0 (a pair that would make the inverse Hessian indefinite), in
+    place of the oldest once ``MEMORY`` are stored.  The next direction is
+    the L-BFGS two-loop recursion over the stored pairs, with the initial
+    inverse Hessian s.y / y.y of the newest, projected onto the tangent
+    space; its first trial step is 1.  With no stored pair, or when that
+    direction does not descend, it is steepest descent with a first step of
+    ``GROW`` times the last one.  Every first step is capped at norm
+    ``MAX_STEP``.  A restart stops when its Riemannian gradient norm reaches
+    ``GRAD_TOL``, when its next trial predicts a decrease below
+    ``DECREASE_TOL`` (relative to max(1, |f|)), or after ``max_iter``
+    iterates.
     """
     out_x = np.array(x, dtype=complex)
     n_restarts = out_x.shape[0]
     out_f, out_iterations, out_evaluations, reasons = ([v] * n_restarts for v in (0.0, 0, 0, ""))
 
     # Per live restart (``ids`` maps them to the stack), in arrays: the
-    # iterate x and, in ``lines``, the current line's direction eta (slot 1)
-    # and the gradient g_line where the line began (slot 2), with slot 0 free
-    # for the trial's gradient.  In lists: its value f, the slope along eta,
-    # the line's starting slope slope0, the next trial step, the iterations
-    # and the index of the stop reason in _REASONS (0 while it runs).
+    # iterate x, the direction eta and, in ``mem``, the pair ring as real
+    # views of the flattened complex arrays, so that <A, B> is a real dot
+    # product: the gradient g (slot 0), the steps s (slots 1 .. SLOTS) and
+    # the gradient changes y (slots SLOTS + 1 .. 2 SLOTS).  In lists: its
+    # value f, the slope along eta, the next trial step, the iterations, the
+    # index of the stop reason in _REASONS (0 while it runs), the ring slots
+    # of the stored pairs (oldest first), the free slot the next pair is
+    # written to, and the tables sy[i][j] = <s_i, y_j> (i stored before j,
+    # or i = j) and yy[i][j] = <y_i, y_j>.
     ids = list(range(n_restarts))
     x = out_x.copy()
     grad = tangent(x, np.asarray(egrad))
     gnorm2 = np.einsum("rij,rij->r", grad.conj(), grad).real
-    lines = np.stack([grad, -grad, grad], axis=1)
+    eta = -grad
+    mem = np.zeros((n_restarts, 1 + 2 * SLOTS, 2 * grad[0].size))
+    mem[:, 0] = grad.reshape(n_restarts, -1).view(float)
     f = np.array(values, dtype=float).tolist()
-    slope, slope0 = (-gnorm2).tolist(), (-gnorm2).tolist()
+    slope = (-gnorm2).tolist()
     step = (FIRST_ANGLE / np.sqrt(np.where(gnorm2 > 0.0, gnorm2, 1.0))).tolist()
     iterations, evaluations = [0] * n_restarts, 1  # the calls each live restart has made
     done = [1 if g2 <= GRAD_TOL**2 else _stall(s, sl, fk)
             for g2, s, sl, fk in zip(gnorm2.tolist(), step, slope, f)]
+    pairs, free = [[] for _ in ids], [0] * n_restarts
+    sy = [[[0.0] * SLOTS for _ in range(SLOTS)] for _ in ids]
+    yy = [[[0.0] * SLOTS for _ in range(SLOTS)] for _ in ids]
 
     while True:
         if any(done):
@@ -151,67 +168,101 @@ def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
             keep = [k for k in range(len(ids)) if not done[k]]
             if not keep:
                 break
-            x, lines, done = x[keep], lines[keep], [0] * len(keep)
-            ids, f, slope, slope0, step, iterations = (
-                [v[k] for k in keep] for v in (ids, f, slope, slope0, step, iterations))
-        trial = retract(x, np.array(step)[:, None, None] * lines[:, 1])
+            x, eta, mem, done = x[keep], eta[keep], mem[keep], [0] * len(keep)
+            ids, f, slope, step, iterations, pairs, free, sy, yy = (
+                [v[k] for k in keep] for v in (ids, f, slope, step, iterations, pairs, free, sy, yy))
+        moves = np.array(step)[:, None, None] * eta
+        trial = retract(x, moves)
         f_trial, g_trial = objective(trial)
         f_trial, evaluations = f_trial.tolist(), evaluations + 1
-        ok = [ft <= fk + ARMIJO * s * sl for ft, fk, s, sl in zip(f_trial, f, step, slope)]
-        if any(ok):
-            # Accepted: the new gradient, the line direction and the gradient
-            # where the line began, all in the tangent space at the trial,
-            # and their inner products.
-            lines[:, 0] = g_trial
-            vecs = tangent(trial[:, None], lines)
-            flat = vecs.reshape(len(ids), 3, -1)
-            gram = (flat.conj() @ np.swapaxes(flat, -1, -2)).real.tolist()
-        coef = []
+        accepted = []
         for k in range(len(ids)):
             s, sl = step[k], slope[k]
-            if not ok[k]:
-                # Rejected: a safeguarded quadratic fit along the line.
-                curv = f_trial[k] - f[k] - s * sl
-                fit = -sl * (s * s) / (2.0 * (curv if curv > 0.0 else math.inf))
-                step[k] = min(max(fit, SHRINK[0] * s), SHRINK[1] * s)
-                done[k] = _stall(step[k], sl, f[k])
-                coef.append((0.0, 0.0))
+            if f_trial[k] <= f[k] + ARMIJO * s * sl:
+                accepted.append(k)
                 continue
-            (gg, gm, go), (_, mm, _), (_, _, oo) = gram[k]
-            # Curvature of f along the line, per unit of squared direction
-            # norm (NaN for a zero direction: no Newton step then).
-            kappa = (gm - sl) / (s * mm) if s * mm else math.nan
-            # The next direction is a g + b moved: the same line, a
-            # Polak-Ribiere+ direction, or steepest descent when that one is
-            # not a descent direction or when the gradient has kept too much
-            # of the line's starting one (Powell's restart test).
-            same = gm < CURVATURE * slope0[k]
-            beta = max((gg - go) / (oo if oo > 0.0 else math.inf), 0.0)
-            beta = 0.0 if abs(go) >= POWELL * gg else beta
-            a, b = (0.0, 1.0) if same else (-1.0, beta if beta * gm < gg else 0.0)
-            slope_new = a * gg + b * gm
-            # The Newton step along the next direction, where the curvature
-            # there is positive (a zero gradient leaves the quadratic at 0).
-            quad = (a * a * gg + 2.0 * a * b * gm + b * b * mm) * kappa
-            newton = -slope_new / (quad if kappa > 0.0 and quad > 0.0 else math.inf)
-            step[k] = min(GROW * s, newton) if newton > 0.0 else GROW * s
-            f[k], slope[k], slope0[k] = f_trial[k], slope_new, slope0[k] if same else slope_new
+            # Rejected: a safeguarded quadratic fit along the line.
+            curv = f_trial[k] - f[k] - s * sl
+            fit = -sl * (s * s) / (2.0 * (curv if curv > 0.0 else math.inf))
+            step[k] = min(max(fit, SHRINK[0] * s), SHRINK[1] * s)
+            done[k] = _stall(step[k], sl, f[k])
+        if not accepted:
+            continue
+
+        # Accepted: the new gradient g and pair (s, y) written to the ring,
+        # and the inner products of g and y with every slot in one product.
+        n_acc = len(accepted)
+        every = n_acc == len(ids)
+        at = trial if every else trial[accepted]
+        g = tangent(at, g_trial if every else g_trial[accepted]).reshape(n_acc, -1).view(float)
+        ring = mem if every else mem[accepted]
+        s_new = moves.reshape(len(ids), -1).view(float)
+        y_new = g - ring[:, 0]
+        rows, slot = np.arange(n_acc), [free[k] for k in accepted]
+        ring[:, 0] = g
+        ring[rows, [1 + t for t in slot]] = s_new if every else s_new[accepted]
+        ring[rows, [1 + SLOTS + t for t in slot]] = y_new
+        products = (np.stack([g, y_new], axis=1) @ np.swapaxes(ring, 1, 2)).tolist()
+        coefs, slopes_new, steps_new = [], [], []
+        for (gp, yp), k, t in zip(products, accepted, slot):
+            stored, s_y, y_y = pairs[k], sy[k], yy[k]
+            y_t = y_y[t]
+            for i in stored:
+                s_y[i][t] = yp[1 + i]
+                y_y[i][t] = y_t[i] = yp[1 + SLOTS + i]
+            s_y[t][t], y_t[t] = yp[1 + t], yp[1 + SLOTS + t]
+            if s_y[t][t] > 0.0 and y_t[t] > 0.0:
+                stored.append(t)
+                free[k] = stored.pop(0) if len(stored) > MEMORY else len(stored)
+            coef = [0.0] * (1 + 2 * SLOTS)
+            slope_new = math.nan
+            if stored:
+                # The two-loop recursion, on the coefficients of the next
+                # direction in the ring, and its slope <g, d>.
+                newest = stored[-1]
+                gamma = s_y[newest][newest] / y_y[newest][newest]
+                alpha, seen = [0.0] * SLOTS, []
+                for i in reversed(stored):
+                    row, q = s_y[i], gp[1 + i]
+                    for j in seen:
+                        q -= alpha[j] * row[j]
+                    alpha[i] = q / row[i]
+                    seen.append(i)
+                coef[0], slope_new, seen = -gamma, -gamma * gp[0], []
+                for i in stored:
+                    row, r = y_y[i], gp[1 + SLOTS + i]
+                    for j in stored:
+                        r -= alpha[j] * row[j]
+                    r *= gamma
+                    for j in seen:
+                        r -= coef[1 + j] * s_y[j][i]
+                    coef[1 + i] = c_s = r / s_y[i][i] - alpha[i]
+                    coef[1 + SLOTS + i] = c_y = gamma * alpha[i]
+                    slope_new += c_s * gp[1 + i] + c_y * gp[1 + SLOTS + i]
+                    seen.append(i)
+            if slope_new < 0.0:
+                steps_new.append(1.0)
+            else:
+                # No stored pair (a NaN slope) or no descent: steepest descent.
+                coef = [-1.0] + [0.0] * (2 * SLOTS)
+                slope_new = -gp[0]
+                steps_new.append(GROW * step[k])
+            coefs.append(coef)
+            slopes_new.append(slope_new)
+        eta_new = tangent(at, (np.array(coefs)[:, None, :] @ ring).view(complex).reshape(at.shape))
+        flat = eta_new.reshape(n_acc, -1).view(float)
+        norms2 = np.einsum("ri,ri->r", flat, flat).tolist()
+        for (gp, _), k, slope_new, s, d2 in zip(products, accepted, slopes_new, steps_new, norms2):
+            if s * s * d2 > MAX_STEP**2:
+                s = MAX_STEP / math.sqrt(d2)
+            f[k], slope[k], step[k] = f_trial[k], slope_new, s
             iterations[k] += 1
-            done[k] = (1 if gg <= GRAD_TOL**2 else 3 if iterations[k] >= max_iter
-                       else _stall(step[k], slope_new, f[k]))
-            coef.append((a, b))
-        if any(ok):
-            # Accepted: the trial, the line a g + b moved and, unless on the
-            # same line, g as its start.  Rejected: the old iterate and lines.
-            terms = np.array(coef)[:, :, None, None] * vecs[:, :2]
-            np.add(terms[:, 0], terms[:, 1], out=vecs[:, 1])
-            vecs[:, 2] = vecs[:, 0]
-            for k, (a_k, _) in enumerate(coef):
-                if not ok[k]:
-                    trial[k], vecs[k] = x[k], lines[k]
-                elif a_k == 0.0:
-                    vecs[k, 2] = lines[k, 2]
-            x, lines = trial, vecs
+            done[k] = (1 if gp[0] <= GRAD_TOL**2 else 3 if iterations[k] >= max_iter
+                       else _stall(s, slope_new, f[k]))
+        if every:
+            x, eta = trial, eta_new
+        else:
+            x[accepted], eta[accepted], mem[accepted] = at, eta_new, ring
 
     return Descent(
         x=out_x,

@@ -11,7 +11,7 @@ estimates are lower bounds.
 
 ``minimize_over_measurements`` starts one restart from a coarse scan and
 the others from seeded random bases, then runs them all in lockstep by
-Riemannian conjugate-gradient descent on U(d) (``_descent``).  Both
+Riemannian L-BFGS descent on U(d) (``_descent``).  Both
 objectives come with an analytic gradient, so each round of the descent is
 one objective call for all live restarts.
 """
@@ -147,8 +147,8 @@ def minimize_over_measurements(
     Restart 0 starts from the canonical basis, or for d = 2 from the best
     of the 121 measurements of a Bloch-sphere grid (``_BLOCH_SCAN``), scored
     in one values-only call; the others start from seeded random bases.
-    All restarts descend in lockstep by Riemannian conjugate gradient on
-    U(d), one objective call per round.
+    All restarts descend in lockstep by Riemannian L-BFGS on U(d), one
+    objective call per round.
     Deterministic given ``cfg.seed``; restart ties break toward the lowest
     restart index.  Non-convergence is flagged, never raised.
     """

@@ -4,7 +4,7 @@ Exact for pure states (marginal entropy) and for two-qubit mixed states
 (Wootters concurrence); a convex-roof upper bound everywhere else.  The roof
 searches pure-state ensembles of size rank^2 generated from the canonical
 purification by an isometry, which is known to be a sufficient ensemble
-size, by Riemannian conjugate gradient on the Stiefel manifold: the same
+size, by Riemannian L-BFGS on the Stiefel manifold: the same
 ``_descent`` optimizer as the measurement search, on one batched objective
 with an analytic gradient that also gives the pure-state value:
 ``qstate._ensemble_objective``, the kernel the measurement objective uses
@@ -200,8 +200,8 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     generated from the canonical purification e0 by an isometry V: a point
     of the Stiefel manifold (Rothlisberger, Rehacek & Loss, PRA 80, 042301,
     2009).  Restart 0 starts from the eigen-ensemble, the rest from seeded
-    random isometries; all descend in lockstep by the Riemannian conjugate
-    gradient of ``_descent`` (the measurement search's optimizer), each for
+    random isometries; all descend in lockstep by the Riemannian L-BFGS
+    of ``_descent`` (the measurement search's optimizer), each for
     at most ``cfg.max_iter`` iterations, on ``_roof_objective``.  Every
     isometry gives a valid ensemble, so the value is an upper bound by
     construction; ties go to the lowest restart.  ``restart_spread`` and

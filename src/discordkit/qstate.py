@@ -8,7 +8,10 @@ up to ~64).  All entropies are in bits (base-2 logarithms).
 Eigenvalues below ``EIG_CLIP`` are treated as exact zeros and the remaining
 spectrum is renormalized; this keeps ``0 * log 0`` and positivity checks
 stable under floating-point eigensolvers, and it fixes the rank used for
-purification.  Values are immutable after construction and safe to share
+purification.  The optimizers' batched entropy (``_ensemble_objective``)
+floors the logarithm instead, -mu log2 max(mu, EIG_CLIP), which is
+continuous in mu and low by at most EIG_CLIP / (e ln 2) ~ 5.3e-11 bits per
+floored eigenvalue.  Values are immutable after construction and safe to share
 across concurrent workers.
 """
 
@@ -283,14 +286,16 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
     sum_i p_i S(rho_i / p_i), or with ``dephasing`` the entropy S of the
     union of all member spectra, normalized to unit sum.  Spectra come from
     the smaller Gram side B_i (M_i M_i^H or M_i^H M_i) by ``_gram_spectrum``.
-    A normalized eigenvalue mu below ``EIG_CLIP`` counts as zero, so the
-    value is never high and is low by at most (k - 1) EIG_CLIP log2(1 /
-    EIG_CLIP) ~ (k - 1) 3.3e-9 bits, k the Gram side (for the union, the
-    count of all member eigenvalues).  The derivative is sum_i tr[W_i dB_i]
-    with W_i = -log2 mu, or -(log2 mu + S) / sum for the union, above the
-    floor, where M_i lives: G_M = 2 W_i M_i (2 M_i W_i on the other side),
-    G_V = G_M rows^H.  With ``gradient=False`` it returns the values and
-    ``None``, from eigenvalues alone.
+    Each normalized eigenvalue mu enters as -mu log2 max(mu, EIG_CLIP): a
+    floor that is continuous in mu, so that no line search meets a jump.
+    The value is never high, and it is low by at most EIG_CLIP / (e ln 2) ~
+    5.3e-11 bits per floored eigenvalue, so by at most (k - 1) 5.3e-11, k
+    the Gram side (for the union, the count of all member eigenvalues).  The
+    derivative is sum_i tr[W_i dB_i] with W_i = -log2 max(mu, EIG_CLIP), or
+    -(log2 max(mu, EIG_CLIP) + S) / sum for the union, where M_i lives: G_M
+    = 2 W_i M_i (2 M_i W_i on the other side), G_V = G_M rows^H.  With
+    ``gradient=False`` it returns the values and ``None``, from eigenvalues
+    alone.
     """
     left = da <= db
     rows_h = rows.conj().T
@@ -303,13 +308,12 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
         w = np.maximum(w, 0.0)
         p = w.sum(axis=axes, keepdims=True)
         mu = w / np.where(p > 0.0, p, 1.0)
-        above = mu >= EIG_CLIP
-        logs = np.log2(np.where(above, mu, 1.0))
+        logs = np.log2(np.maximum(mu, EIG_CLIP))
         values = -((mu if dephasing else w) * logs).sum(axis=(-2, -1))
         if not gradient:
             return values, None
         if dephasing:
-            logs = np.where(above, (logs + values[..., None, None]) / p, 0.0)
+            logs = (logs + values[..., None, None]) / p
         log_ratio = apply(logs)  # -W
         grad = -2.0 * (log_ratio @ blocks if left else blocks @ log_ratio)
         return values, grad.reshape(v.shape[:-1] + (-1,)) @ rows_h

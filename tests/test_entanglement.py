@@ -146,6 +146,17 @@ def test_eof_upper_never_undercuts_wootters():
         assert roof.crosscheck_gap <= 5e-3
 
 
+@pytest.mark.parametrize(
+    "rank, seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 7), (3, 8), (3, 10), (4, 0), (4, 13), (4, 21), (4, 23)]
+)
+def test_eof_upper_meets_wootters_to_rounding(rank, seed):
+    # On these states member eigenvalues cross EIG_CLIP on the way to the
+    # optimum, so a jump in the eigenvalue floor there would fail the line
+    # searches' Armijo tests and stop the roof above Wootters (by up to
+    # 8.5e-10 at rank 3, seed 7).
+    assert eof_upper(random_mixed((2, 2), rank, seed)).crosscheck_gap <= 1e-12
+
+
 def test_eof_upper_witness_reconstructs_state():
     state = random_mixed((2, 2), 3, 31)
     roof = eof_upper(state)

@@ -104,7 +104,7 @@ def test_dephasing_objective_is_conditional_plus_outcome_entropy(case, measured,
 @given(rank=st.integers(1, 4), seed=SEEDS)
 def test_eof_upper_is_never_below_wootters_beyond_the_floor_bias(rank, seed):
     # The eigenvalue floor lowers a 2x2 member's entropy by at most
-    # EIG_CLIP log2(1 / EIG_CLIP) ~ 3.3e-9 bits, and nothing else can take
-    # the roof below the exact value.
+    # EIG_CLIP / (e ln 2) ~ 5.3e-11 bits, and nothing else can take the roof
+    # below the exact value.
     state = random_mixed((2, 2), rank, seed)
-    assert eof_upper(state).value >= eof_2qubit(state).value - 3.4e-9
+    assert eof_upper(state).value >= eof_2qubit(state).value - 5.4e-11
