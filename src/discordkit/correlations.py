@@ -10,7 +10,8 @@ upper bounds (the minimization is truncated) and classical-correlation
 estimates are lower bounds.
 
 ``minimize_over_measurements`` starts one restart from a coarse scan and
-the others from seeded random bases, then runs them all in lockstep by
+the others from seeded random bases, cached per (d, seed, restarts) since
+no state enters them, then runs them all in lockstep by
 Riemannian L-BFGS descent on U(d) (``_descent``).  Both
 objectives come with an analytic gradient, so each round of the descent is
 one objective call for all live restarts.
@@ -18,6 +19,7 @@ one objective call for all live restarts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -136,6 +138,21 @@ def _random_start(g: np.random.Generator, n_params: int) -> np.ndarray:
     return np.concatenate([thetas, phis])
 
 
+@functools.lru_cache(maxsize=64)
+def _random_bases(d: int, seed: int, restarts: int) -> np.ndarray:
+    """Read-only (restarts - 1, d, d) starts of restarts 1, 2, ...: one Philox stream each.
+
+    They depend on (d, seed, restarts) alone, so every search with one
+    configuration shares them; the cache is bounded, so a loop over seeds
+    does not grow it without limit.
+    """
+    n_params = n_measurement_params(d)
+    randoms = [_random_start(stream(seed, k), n_params) for k in range(1, restarts)]
+    bases = unitary_from_params(d, np.reshape(randoms, (restarts - 1, n_params)))
+    bases.setflags(write=False)
+    return bases
+
+
 def minimize_over_measurements(
     objective: Callable, d: int, cfg: OptimizerConfig | None = None, subsystem: int = 0
 ) -> OptimizedValue:
@@ -146,23 +163,21 @@ def minimize_over_measurements(
     (values only, and ``None``, when called with ``gradient=False``).
     Restart 0 starts from the canonical basis, or for d = 2 from the best
     of the 121 measurements of a Bloch-sphere grid (``_BLOCH_SCAN``), scored
-    in one values-only call; the others start from seeded random bases.
-    All restarts descend in lockstep by Riemannian L-BFGS on U(d), one
-    objective call per round.
+    in one values-only call; the others start from seeded random bases,
+    which depend on d, ``cfg.seed`` and ``cfg.restarts`` alone, so they are
+    built once and cached (``_random_bases``).  All restarts descend in
+    lockstep by Riemannian L-BFGS on U(d), one objective call per round.
     Deterministic given ``cfg.seed``; restart ties break toward the lowest
     restart index.  Non-convergence is flagged, never raised.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = int(d)
-    n_params = n_measurement_params(d)
 
     first = np.eye(d, dtype=complex)[None]
     if d == 2:
         scan_values, _ = objective(_BLOCH_SCAN, gradient=False)
         first = _BLOCH_SCAN[int(np.argmin(scan_values))][None]
-    randoms = [_random_start(stream(cfg.seed, k), n_params) for k in range(1, cfg.restarts)]
-    randoms = np.reshape(randoms, (cfg.restarts - 1, n_params))
-    starts = np.concatenate([first, unitary_from_params(d, randoms)])
+    starts = np.concatenate([first, _random_bases(d, cfg.seed, cfg.restarts)])
     values, grads = objective(starts)
     run = descend(objective, starts, values, grads, cfg.max_iter)
 

@@ -8,8 +8,10 @@ size, by Riemannian L-BFGS on the Stiefel manifold: the same
 ``_descent`` optimizer as the measurement search, on one batched objective
 with an analytic gradient that also gives the pure-state value:
 ``qstate._ensemble_objective``, the kernel the measurement objective uses
-too.  Results carry an exactness tag and upper bounds are never reported as
-exact.
+too, which gets the member Grams of every restart from one product with a
+kernel built once per state.  Restart 0 starts from the eigen-ensemble
+rotated by the m-point DFT, so that no member is zero.  Results carry an
+exactness tag and upper bounds are never reported as exact.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ EXACT_PURE = "exact_pure"
 EXACT_WOOTTERS = "exact_wootters"
 UPPER_BOUND = "upper_bound"
 
-# Convex-roof default budget: eigen-ensemble start plus two random
-# isometry restarts.
+# Convex-roof default budget: the rotated eigen-ensemble start plus two
+# random isometry restarts.
 EOF_DEFAULT_CONFIG = OptimizerConfig(restarts=3)
 
 
@@ -187,6 +189,12 @@ def _roof_objective(e0: np.ndarray, dims, part_a, part_b) -> Callable:
     return _ensemble_objective(basis, da, basis.shape[1] // da)
 
 
+def _dft_isometry(m: int, r: int) -> np.ndarray:
+    """The first r columns of the unitary m-point DFT: every row has norm sqrt(r / m)."""
+    jk = np.outer(np.arange(m), np.arange(r)) % m
+    return np.exp(-2j * np.pi * jk / m) / math.sqrt(m)
+
+
 def _random_isometry(g: np.random.Generator, m: int, r: int) -> np.ndarray:
     z = g.normal(size=(m, r)) + 1j * g.normal(size=(m, r))
     q, _ = np.linalg.qr(z)
@@ -199,15 +207,19 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     Minimizes sum_i p_i S_A(psi_i) over ensembles psi = V e0 of size rank^2,
     generated from the canonical purification e0 by an isometry V: a point
     of the Stiefel manifold (Rothlisberger, Rehacek & Loss, PRA 80, 042301,
-    2009).  Restart 0 starts from the eigen-ensemble, the rest from seeded
-    random isometries; all descend in lockstep by the Riemannian L-BFGS
-    of ``_descent`` (the measurement search's optimizer), each for
-    at most ``cfg.max_iter`` iterations, on ``_roof_objective``.  Every
-    isometry gives a valid ensemble, so the value is an upper bound by
-    construction; ties go to the lowest restart.  ``restart_spread`` and
-    ``converged`` follow the measurement search's rule, and ``iterations``,
-    ``evaluations`` and ``stop_reasons`` report each restart.  On dims
-    (2, 2) the result carries its gap to the exact Wootters value.
+    2009).  Restart 0 starts from the eigen-ensemble rotated by the unitary
+    m-point DFT, V = F_m[:, :r] (``_dft_isometry``), whose m members all
+    have weight 1/m: the unrotated start [I_r; 0] has m - r zero members,
+    where the gradient vanishes, so it would only search ensembles of r
+    members.  The rest start from seeded random isometries; all descend in
+    lockstep by the Riemannian L-BFGS of ``_descent`` (the measurement
+    search's optimizer), each for at most ``cfg.max_iter`` iterations, on
+    ``_roof_objective``.  Every isometry gives a valid ensemble, so the
+    value is an upper bound by construction; ties go to the lowest restart.
+    ``restart_spread`` and ``converged`` follow the measurement search's
+    rule, and ``iterations``, ``evaluations`` and ``stop_reasons`` report
+    each restart.  On dims (2, 2) the result carries its gap to the exact
+    Wootters value.
     """
     cfg = cfg or EOF_DEFAULT_CONFIG
     part_a, part_b = normalize_partition(state.n_subsystems, partition)
@@ -217,7 +229,7 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     e0 = (sp.eigenvectors[:, :r] * np.sqrt(sp.eigenvalues[:r])).T  # r x D rows
     objective = _roof_objective(e0, state.dims, part_a, part_b)
     starts = np.stack(
-        [np.eye(m, dtype=complex)[:, :r]]
+        [_dft_isometry(m, r)]
         + [_random_isometry(stream(cfg.seed, k), m, r) for k in range(1, cfg.restarts)]
     )
     run = descend(objective, starts, *objective(starts), cfg.max_iter)

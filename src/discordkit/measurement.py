@@ -8,8 +8,10 @@ mixing angle and a relative phase (d^2 - d parameters, angles first), which
 reach every basis up to outcome relabeling and per-vector phase.
 
 ``_measurement_objective`` scores stacks of bases with analytic gradients:
-measuring with basis U is the ensemble U^H L of a factor rho = L L^H, scored
-by ``qstate._ensemble_objective``, the convex roof's kernel too.
+measuring with basis U is the ensemble whose member k is row k of U^H L,
+for a factor rho = L L^H, scored by ``qstate._ensemble_objective`` (the
+convex roof's kernel too), which gets every member Gram of a stack from
+one product with a kernel built once per state.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ Eigenvalues below ``EIG_CLIP`` are treated as exact zeros and the remaining
 spectrum is renormalized; this keeps ``0 * log 0`` and positivity checks
 stable under floating-point eigensolvers, and it fixes the rank used for
 purification.  The optimizers' batched entropy (``_ensemble_objective``)
-floors the logarithm instead, -mu log2 max(mu, EIG_CLIP), which is
-continuous in mu and low by at most EIG_CLIP / (e ln 2) ~ 5.3e-11 bits per
-floored eigenvalue.  Values are immutable after construction and safe to share
-across concurrent workers.
+scores ensembles whose member i is row i of V rows, for a fixed ``rows``;
+it gets the member Grams of a whole stack of V from one product with a
+kernel built once per ``rows``.  It floors the logarithm instead, -mu log2
+max(mu, EIG_CLIP), which is continuous in mu and low by at most EIG_CLIP /
+(e ln 2) ~ 5.3e-11 bits per floored eigenvalue.  Values are immutable after
+construction and safe to share across concurrent workers.
 """
 
 from __future__ import annotations
@@ -282,29 +284,43 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
 
     Maps an (R, m, n) stack V to R values and R gradients G_V (df = Re
     tr(G^H dV)).  Member i is the row (V rows)_i cut into a da x db block
-    M_i, with state rho_i = M_i M_i^H of weight p_i = tr rho_i.  The value is
-    sum_i p_i S(rho_i / p_i), or with ``dephasing`` the entropy S of the
-    union of all member spectra, normalized to unit sum.  Spectra come from
-    the smaller Gram side B_i (M_i M_i^H or M_i^H M_i) by ``_gram_spectrum``.
-    Each normalized eigenvalue mu enters as -mu log2 max(mu, EIG_CLIP): a
-    floor that is continuous in mu, so that no line search meets a jump.
-    The value is never high, and it is low by at most EIG_CLIP / (e ln 2) ~
-    5.3e-11 bits per floored eigenvalue, so by at most (k - 1) 5.3e-11, k
-    the Gram side (for the union, the count of all member eigenvalues).  The
-    derivative is sum_i tr[W_i dB_i] with W_i = -log2 max(mu, EIG_CLIP), or
-    -(log2 max(mu, EIG_CLIP) + S) / sum for the union, where M_i lives: G_M
-    = 2 W_i M_i (2 M_i W_i on the other side), G_V = G_M rows^H.  With
+    M_i = sum_k V_ik B_k, B_k the block of row k of ``rows``, with state
+    rho_i = M_i M_i^H of weight p_i = tr rho_i.  The value is sum_i p_i
+    S(rho_i / p_i), or with ``dephasing`` the entropy S of the union of all
+    member spectra, normalized to unit sum.  Spectra come from the s x s
+    Gram G_i of the smaller side, s = min(da, db), by ``_gram_spectrum``.
+    With C_k = B_k, or B_k^T when da > db (then G_i is the transpose of
+    M_i^H M_i, which has the same spectrum), one code path serves both
+    sides: the kernel K[(k, l), (a, c)] = sum_b C_k[a, b] conj(C_l[c, b]),
+    an (n^2, s^2) array built once per ``rows``, gives every Gram of the
+    stack in one product, G_i = (V_i (x) conj V_i) K.  Its left factor holds
+    R m n^2 entries, where the member blocks hold R m da db: more on
+    high-rank roofs (n = r, m = r^2), 81^2 against 81 x 9 per restart on a
+    full-rank (3, 3) state.  Each normalized eigenvalue mu enters as -mu
+    log2 max(mu, EIG_CLIP): a floor that is continuous in mu, so that no
+    line search meets a jump.  The value is never high, and it is low by at
+    most EIG_CLIP / (e ln 2) ~ 5.3e-11 bits per floored eigenvalue, so by at
+    most (s - 1) 5.3e-11 (for the union, s - 1 becomes the count of all
+    member eigenvalues less one).  The derivative is sum_i tr[W_i dG_i] with
+    W_i = -log2 max(mu, EIG_CLIP), or -(log2 max(mu, EIG_CLIP) + S) / sum
+    for the union, so G_V_i = 2 T_i V_i, with the n x n matrix T_i = W_i K^H
+    (W_i read as a row of s^2 entries): a second product.  With
     ``gradient=False`` it returns the values and ``None``, from eigenvalues
     alone.
     """
-    left = da <= db
-    rows_h = rows.conj().T
+    s = min(da, db)
+    n = rows.shape[0]
+    c = rows.reshape(n, da, db)
+    if da > db:
+        c = np.swapaxes(c, -1, -2)
+    kernel = np.einsum("kab,lcb->klac", c, c.conj()).reshape(n * n, s * s)
+    kernel_h = np.ascontiguousarray(kernel.conj().T)
     axes = (-2, -1) if dephasing else -1
 
     def objective(v: np.ndarray, gradient: bool = True):
-        blocks = (v @ rows).reshape(v.shape[:-1] + (da, db))
-        blocks_h = np.swapaxes(blocks.conj(), -1, -2)
-        w, apply = _gram_spectrum(blocks @ blocks_h if left else blocks_h @ blocks, gradient)
+        outer = (v[..., :, None] * v.conj()[..., None, :]).reshape(-1, n * n)
+        grams = (outer @ kernel).reshape(v.shape[:-1] + (s, s))
+        w, apply = _gram_spectrum(grams, gradient)
         w = np.maximum(w, 0.0)
         p = w.sum(axis=axes, keepdims=True)
         mu = w / np.where(p > 0.0, p, 1.0)
@@ -314,9 +330,8 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
             return values, None
         if dephasing:
             logs = (logs + values[..., None, None]) / p
-        log_ratio = apply(logs)  # -W
-        grad = -2.0 * (log_ratio @ blocks if left else blocks @ log_ratio)
-        return values, grad.reshape(v.shape[:-1] + (-1,)) @ rows_h
+        t = (apply(logs).reshape(-1, s * s) @ kernel_h).reshape(v.shape + (n,))  # -T
+        return values, -2.0 * (t @ v[..., None])[..., 0]
 
     return objective
 

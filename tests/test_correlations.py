@@ -46,7 +46,7 @@ from discordkit._descent import (
     summary,
     tangent,
 )
-from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _random_start
+from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _random_bases, _random_start
 from discordkit.measurement import (
     _measured_view,
     _measurement_objective,
@@ -413,6 +413,28 @@ def test_min_conditional_entropy_meets_koashi_winter_oracle():
         value = min_conditional_entropy(state, 0).value
         assert abs(value - oracle) <= 1e-9
         assert value >= oracle - 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_cached_restart_bases_equal_a_fresh_build(d):
+    n_params = n_measurement_params(d)
+    fresh = unitary_from_params(d, np.stack([_random_start(stream(5, k), n_params) for k in range(1, 16)]))
+    for _ in range(2):  # a first call and a repeat
+        cached = _random_bases(d, 5, 16)
+        assert cached.shape == (15, d, d)
+        assert cached.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        cached[0, 0, 0] = 0.0
+    assert _random_bases(d, 5, 16).tobytes() == fresh.tobytes()
+    assert not np.array_equal(_random_bases(d, 6, 16), cached)
+
+
+def test_repeated_searches_are_identical_with_cached_starts():
+    state = random_mixed((3, 2), 4, 23)
+    runs = [min_conditional_entropy(state, 0, CFG) for _ in range(2)]
+    assert runs[0].restart_values == runs[1].restart_values
+    assert runs[0].iterations == runs[1].iterations
+    assert runs[0].argbasis.basis.tobytes() == runs[1].argbasis.basis.tobytes()
 
 
 def test_optimized_value_matches_objective_at_argbasis():

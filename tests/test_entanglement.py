@@ -19,12 +19,14 @@ from discordkit import (
     tensor,
     von_neumann_entropy,
 )
-from discordkit._descent import CAP, descend
+from discordkit import entanglement
+from discordkit._descent import CAP, Descent, descend, summary
 from discordkit.entanglement import (
     EOF_DEFAULT_CONFIG,
     EXACT_PURE,
     EXACT_WOOTTERS,
     UPPER_BOUND,
+    _dft_isometry,
     _random_isometry,
     _roof_objective,
     binary_entropy,
@@ -270,7 +272,7 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, seed, index, max
     m = rank * rank
     alone = []
     for k in range(restarts):
-        start = np.eye(m, dtype=complex)[:, :rank] if k == 0 else _random_isometry(stream(0, k), m, rank)
+        start = _dft_isometry(m, rank) if k == 0 else _random_isometry(stream(0, k), m, rank)
         alone.append(descend(objective, start[None], *objective(start[None]), max_iter))
     assert roof.iterations == tuple(run.iterations[0] for run in alone)
     assert roof.evaluations == tuple(run.evaluations[0] for run in alone)
@@ -287,6 +289,31 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, seed, index, max
     np.testing.assert_allclose(roof.decomposition.isometry, alone[best].x[0], rtol=0, atol=1e-12)
     others = [k for k in range(restarts) if k != best]
     assert all(np.abs(alone[k].x[0] - alone[best].x[0]).max() > 1e-6 for k in others)
+
+
+def test_eof_upper_restart_zero_is_never_the_lone_outlier(monkeypatch):
+    # An eigen-ensemble start [I_r; 0] has zero gradient on its m - r zero
+    # members, so it searches r-member ensembles only; on 8 of these states
+    # it stops above two random restarts that agree.  The DFT-rotated start
+    # has no zero member.  Restart 0 is the lone outlier when the result
+    # did not converge but the other restarts, alone, would have.
+    runs = []
+
+    def recording(*args):
+        runs.append(descend(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(entanglement, "descend", recording)
+    lone = []
+    for seed in range(8000, 8040):
+        roof = eof_upper(random_mixed((3, 2), 3, seed))
+        run = runs[-1]
+        assert roof.value == float(run.values.min())
+        rest = Descent(run.x[1:], run.values[1:], run.iterations[1:], run.evaluations[1:], run.reasons[1:])
+        if not roof.converged and summary(rest, EOF_DEFAULT_CONFIG.tol)[2]:
+            lone.append(seed)
+    assert len(runs) == 40
+    assert lone == []
 
 
 def test_eof_upper_convergence_diagnostics():

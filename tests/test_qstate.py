@@ -21,7 +21,7 @@ from discordkit import (
     validate,
     von_neumann_entropy,
 )
-from discordkit.qstate import _gram_spectrum, normalize_partition
+from discordkit.qstate import _ensemble_objective, _gram_spectrum, normalize_partition
 from discordkit.states import example3_state, random_mixed, werner_2qubit_example4
 
 from conftest import bell_state, bell_vector, ghz_vector, haar_unitary
@@ -342,3 +342,47 @@ def test_gram_spectrum_matches_lapack_eigh(side):
     for h in (np.exp, np.sin, np.square, lambda t: np.cos(3.0 * t)):
         reference = (v_ref * h(w_ref)[..., None, :]) @ np.swapaxes(v_ref.conj(), -1, -2)
         np.testing.assert_allclose(apply(h(w)), reference, rtol=0, atol=1e-12)
+
+
+def _member_block_objective(rows, da, db, dephasing, v):
+    # The explicit formula the Gram kernel replaces: cut each member row of
+    # V rows into its da x db block M_i, take the smaller Gram side, and
+    # carry the gradient back through the blocks and rows^H.
+    left = da <= db
+    blocks = (v @ rows).reshape(v.shape[:-1] + (da, db))
+    blocks_h = np.swapaxes(blocks.conj(), -1, -2)
+    w, vec = np.linalg.eigh(blocks @ blocks_h if left else blocks_h @ blocks)
+    w = np.maximum(w, 0.0)
+    axes = (-2, -1) if dephasing else -1
+    p = w.sum(axis=axes, keepdims=True)
+    mu = w / np.where(p > 0.0, p, 1.0)
+    logs = np.log2(np.maximum(mu, 1e-10))
+    values = -((mu if dephasing else w) * logs).sum(axis=(-2, -1))
+    if dephasing:
+        logs = (logs + values[..., None, None]) / p
+    log_ratio = (vec * logs[..., None, :]) @ np.swapaxes(vec.conj(), -1, -2)
+    grad = -2.0 * (log_ratio @ blocks if left else blocks @ log_ratio)
+    return values, grad.reshape(v.shape[:-1] + (-1,)) @ rows.conj().T
+
+
+@pytest.mark.parametrize("dephasing", [False, True], ids=["entropy", "dephasing"])
+@pytest.mark.parametrize(
+    "da, db, n, m",
+    [(1, 3, 3, 3), (3, 1, 2, 2), (2, 2, 4, 16), (2, 3, 3, 9), (3, 2, 3, 9), (3, 4, 2, 4), (4, 3, 3, 3)],
+)
+def test_ensemble_objective_matches_member_blocks(da, db, n, m, dephasing):
+    # Gram sides 1, 2 and 3 in both orientations, on R = 16 stacks of
+    # isometries, some with zero members, and of arbitrary matrices.
+    g = np.random.default_rng(100 * da + 10 * db + n)
+    rows = g.normal(size=(n, da * db)) + 1j * g.normal(size=(n, da * db))
+    rows /= np.linalg.norm(rows)
+    z = g.normal(size=(16, m, n)) + 1j * g.normal(size=(16, m, n))
+    isometries = np.linalg.qr(z)[0]
+    isometries[:4] = np.eye(m, n)
+    objective = _ensemble_objective(rows, da, db, dephasing)
+    for v in (isometries, z / np.sqrt(m * n)):
+        values, grads = objective(v)
+        ref_values, ref_grads = _member_block_objective(rows, da, db, dephasing, v)
+        np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(objective(v, gradient=False)[0], values, rtol=0, atol=1e-12)
