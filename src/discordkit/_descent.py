@@ -100,6 +100,16 @@ def retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return a @ _herm(np.linalg.inv(chol))
 
 
+def random_isometry(g: np.random.Generator, n: int, p: int) -> np.ndarray:
+    """A random n x p isometry, n >= p: the Q factor of a complex Gaussian matrix.
+
+    The random start of every restart after the first, in both searches; with
+    n = p it is a random unitary.
+    """
+    z = g.normal(size=(n, p)) + 1j * g.normal(size=(n, p))
+    return np.linalg.qr(z)[0]
+
+
 def _stall(step: float, slope: float, f: float) -> int:
     # 2 (NO_DECREASE) unless the trial predicts a decrease above DECREASE_TOL
     # relative to max(1, |f|), written "not above" so that a NaN stops it too.

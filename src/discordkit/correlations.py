@@ -9,10 +9,11 @@ definition explicit.  The estimator bias is one sided: discord estimates are
 upper bounds (the minimization is truncated) and classical-correlation
 estimates are lower bounds.
 
-``minimize_over_measurements`` starts one restart from a coarse scan and
-the others from seeded random bases, cached per (d, seed, restarts) since
-no state enters them, then runs them all in lockstep by
-Riemannian L-BFGS descent on U(d) (``_descent``).  Both
+``minimize_over_measurements`` starts one restart from the canonical basis
+and the others from seeded random unitaries (``_descent.random_isometry``,
+the convex roof's start generator too), cached per (d, seed, restarts)
+since no state enters them, then runs them all in lockstep by Riemannian
+L-BFGS descent on U(d) (``_descent``).  Both
 objectives come with an analytic gradient, so each round of the descent is
 one objective call for all live restarts.
 """
@@ -25,15 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import descend, summary
+from ._descent import descend, random_isometry, summary
 from .config import OptimizerConfig
-from .measurement import (
-    ProjectiveMeasurement,
-    _measurement_objective,
-    dephase,
-    n_measurement_params,
-    unitary_from_params,
-)
+from .measurement import ProjectiveMeasurement, _measurement_objective, dephase
 from .qstate import (
     QState,
     normalize_partition,
@@ -78,21 +73,6 @@ class DiscordBoundError(RuntimeError):
 
 DEFAULT_CONFIG = OptimizerConfig()
 
-# Restart 0's candidates for d = 2: one basis per measurement of a 12 x 24
-# theta x phi Bloch grid.  (theta, phi) and (pi/2 - theta, phi + pi) give the
-# same measurement with its two vectors swapped, and theta = 0 gives the
-# identity for every phi, so the identity and the rows 0 < theta < pi/4 hold
-# each of the 121 measurements once, at its first place in grid order.
-_BLOCH_THETAS = np.linspace(0.0, np.pi / 2.0, 12)[1:6]
-_BLOCH_PHIS = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-_BLOCH_SCAN = unitary_from_params(
-    2,
-    np.concatenate(
-        [np.zeros((1, 2)), np.stack(np.meshgrid(_BLOCH_THETAS, _BLOCH_PHIS, indexing="ij"), axis=-1).reshape(-1, 2)]
-    ),
-)
-
-
 @dataclass(frozen=True, eq=False)
 class OptimizedValue:
     """Result of a measurement optimization.
@@ -131,13 +111,6 @@ class OptimizedValue:
         }
 
 
-def _random_start(g: np.random.Generator, n_params: int) -> np.ndarray:
-    half = n_params // 2
-    thetas = g.uniform(0.0, np.pi / 2.0, size=half)
-    phis = g.uniform(0.0, 2.0 * np.pi, size=half)
-    return np.concatenate([thetas, phis])
-
-
 @functools.lru_cache(maxsize=64)
 def _random_bases(d: int, seed: int, restarts: int) -> np.ndarray:
     """Read-only (restarts - 1, d, d) starts of restarts 1, 2, ...: one Philox stream each.
@@ -146,9 +119,8 @@ def _random_bases(d: int, seed: int, restarts: int) -> np.ndarray:
     configuration shares them; the cache is bounded, so a loop over seeds
     does not grow it without limit.
     """
-    n_params = n_measurement_params(d)
-    randoms = [_random_start(stream(seed, k), n_params) for k in range(1, restarts)]
-    bases = unitary_from_params(d, np.reshape(randoms, (restarts - 1, n_params)))
+    bases = np.array([random_isometry(stream(seed, k), d, d) for k in range(1, restarts)], dtype=complex)
+    bases = bases.reshape(restarts - 1, d, d)
     bases.setflags(write=False)
     return bases
 
@@ -159,25 +131,19 @@ def minimize_over_measurements(
     """Minimize ``objective`` over projective bases on a d-level subsystem.
 
     ``objective`` is batched: it maps an (R, d, d) stack of bases (columns
-    are the measurement vectors) to R values and R Euclidean gradients
-    (values only, and ``None``, when called with ``gradient=False``).
-    Restart 0 starts from the canonical basis, or for d = 2 from the best
-    of the 121 measurements of a Bloch-sphere grid (``_BLOCH_SCAN``), scored
-    in one values-only call; the others start from seeded random bases,
-    which depend on d, ``cfg.seed`` and ``cfg.restarts`` alone, so they are
-    built once and cached (``_random_bases``).  All restarts descend in
-    lockstep by Riemannian L-BFGS on U(d), one objective call per round.
-    Deterministic given ``cfg.seed``; restart ties break toward the lowest
-    restart index.  Non-convergence is flagged, never raised.
+    are the measurement vectors) to R values and R Euclidean gradients.
+    Restart 0 starts from the canonical basis; the others start from seeded
+    random unitaries (``_descent.random_isometry``), which depend on d,
+    ``cfg.seed`` and ``cfg.restarts`` alone, so they are built once and
+    cached (``_random_bases``).  All restarts descend in lockstep by
+    Riemannian L-BFGS on U(d), one objective call per round.  Deterministic
+    given ``cfg.seed``; restart ties break toward the lowest restart index.
+    Non-convergence is flagged, never raised.
     """
     cfg = cfg or DEFAULT_CONFIG
     d = int(d)
 
-    first = np.eye(d, dtype=complex)[None]
-    if d == 2:
-        scan_values, _ = objective(_BLOCH_SCAN, gradient=False)
-        first = _BLOCH_SCAN[int(np.argmin(scan_values))][None]
-    starts = np.concatenate([first, _random_bases(d, cfg.seed, cfg.restarts)])
+    starts = np.concatenate([np.eye(d, dtype=complex)[None], _random_bases(d, cfg.seed, cfg.restarts)])
     values, grads = objective(starts)
     run = descend(objective, starts, values, grads, cfg.max_iter)
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import descend, summary
+from ._descent import descend, random_isometry, summary
 from .config import OptimizerConfig
 from .qstate import (
     InvalidStateError,
@@ -195,12 +195,6 @@ def _dft_isometry(m: int, r: int) -> np.ndarray:
     return np.exp(-2j * np.pi * jk / m) / math.sqrt(m)
 
 
-def _random_isometry(g: np.random.Generator, m: int, r: int) -> np.ndarray:
-    z = g.normal(size=(m, r)) + 1j * g.normal(size=(m, r))
-    q, _ = np.linalg.qr(z)
-    return q[:, :r] if q.shape[1] >= r else q
-
-
 def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
     """Convex-roof upper bound on the entanglement of formation.
 
@@ -211,11 +205,12 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     m-point DFT, V = F_m[:, :r] (``_dft_isometry``), whose m members all
     have weight 1/m: the unrotated start [I_r; 0] has m - r zero members,
     where the gradient vanishes, so it would only search ensembles of r
-    members.  The rest start from seeded random isometries; all descend in
-    lockstep by the Riemannian L-BFGS of ``_descent`` (the measurement
-    search's optimizer), each for at most ``cfg.max_iter`` iterations, on
-    ``_roof_objective``.  Every isometry gives a valid ensemble, so the
-    value is an upper bound by construction; ties go to the lowest restart.
+    members.  The rest start from seeded random isometries
+    (``_descent.random_isometry``); all descend in lockstep by the
+    Riemannian L-BFGS of ``_descent`` (the measurement search's optimizer),
+    each for at most ``cfg.max_iter`` iterations, on ``_roof_objective``.
+    Every isometry gives a valid ensemble, so the value is an upper bound by
+    construction; ties go to the lowest restart.
     ``restart_spread`` and ``converged`` follow the measurement search's
     rule, and ``iterations``, ``evaluations`` and ``stop_reasons`` report
     each restart.  On dims (2, 2) the result carries its gap to the exact
@@ -230,7 +225,7 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     objective = _roof_objective(e0, state.dims, part_a, part_b)
     starts = np.stack(
         [_dft_isometry(m, r)]
-        + [_random_isometry(stream(cfg.seed, k), m, r) for k in range(1, cfg.restarts)]
+        + [random_isometry(stream(cfg.seed, k), m, r) for k in range(1, cfg.restarts)]
     )
     run = descend(objective, starts, *objective(starts), cfg.max_iter)
     b, spread, converged = summary(run, cfg.tol)

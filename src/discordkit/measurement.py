@@ -1,11 +1,12 @@
 """Complete projective measurements and POVMs on a chosen subsystem.
 
 The measurement optimizer in ``correlations`` searches bases on U(d)
-itself.  Givens products only build its random starts, its qubit scan and
-``projective_from_params``: ``unitary_from_params`` multiplies two-level
-rotations over the d(d-1)/2 index pairs in lexicographic order, each with a
-mixing angle and a relative phase (d^2 - d parameters, angles first), which
-reach every basis up to outcome relabeling and per-vector phase.
+itself, from random unitaries drawn by ``_descent.random_isometry``.
+Givens products only parametrize bases for ``projective_from_params``:
+``unitary_from_params`` multiplies two-level rotations over the d(d-1)/2
+index pairs in lexicographic order, each with a mixing angle and a relative
+phase (d^2 - d parameters, angles first), which reach every basis up to
+outcome relabeling and per-vector phase.
 
 ``_measurement_objective`` scores stacks of bases with analytic gradients:
 measuring with basis U is the ensemble whose member k is row k of U^H L,
@@ -231,9 +232,9 @@ def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tup
     ensemble = _ensemble_objective(factor, r, s, dephasing)
     base_entropy = _entropy_bits(lam) if dephasing else 0.0
 
-    def objective(u: np.ndarray, gradient: bool = True):
-        values, grad = ensemble(np.swapaxes(u.conj(), -1, -2), gradient)
-        return values - base_entropy, grad if grad is None else np.swapaxes(grad.conj(), -1, -2)
+    def objective(u: np.ndarray):
+        values, grad = ensemble(np.swapaxes(u.conj(), -1, -2))
+        return values - base_entropy, np.swapaxes(grad.conj(), -1, -2)
 
     return objective, dm
 

@@ -249,7 +249,7 @@ def _entropy_bits(weights: np.ndarray) -> np.ndarray:
     return -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1) + 0.0
 
 
-def _gram_spectrum(blocks: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, Callable]:
+def _gram_spectrum(blocks: np.ndarray) -> tuple[np.ndarray, Callable]:
     """Ascending eigenvalues of a stack of Hermitian blocks, and h -> sum_j h_j P_j.
 
     ``blocks`` has shape (..., k, k).  The returned function maps values h of
@@ -257,8 +257,7 @@ def _gram_spectrum(blocks: np.ndarray, vectors: bool = True) -> tuple[np.ndarray
     sum_j h_j P_j over the spectral projectors.  Sides 1 and 2 take the
     closed form: lambda_+- = mean +- hypot((a - d)/2, |c|), and
     h_- I + (h_+ - h_-)(G - lambda_- I)/(lambda_+ - lambda_-), which is h_- I
-    at a double eigenvalue.  Larger sides take one batched LAPACK ``eigh``,
-    or ``eigvalsh`` and no function when ``vectors`` is false.
+    at a double eigenvalue.  Larger sides take one batched LAPACK ``eigh``.
     """
     side = blocks.shape[-1]
     if side == 1:
@@ -273,8 +272,6 @@ def _gram_spectrum(blocks: np.ndarray, vectors: bool = True) -> tuple[np.ndarray
             return coef[..., None, None] * blocks + (h[..., 0] - coef * w[..., 0])[..., None, None] * _EYE2
 
         return w, apply
-    if not vectors:
-        return np.linalg.eigvalsh(blocks), None
     w, v = np.linalg.eigh(blocks)
     return w, lambda h: (v * h[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
@@ -304,9 +301,7 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
     member eigenvalues less one).  The derivative is sum_i tr[W_i dG_i] with
     W_i = -log2 max(mu, EIG_CLIP), or -(log2 max(mu, EIG_CLIP) + S) / sum
     for the union, so G_V_i = 2 T_i V_i, with the n x n matrix T_i = W_i K^H
-    (W_i read as a row of s^2 entries): a second product.  With
-    ``gradient=False`` it returns the values and ``None``, from eigenvalues
-    alone.
+    (W_i read as a row of s^2 entries): a second product.
     """
     s = min(da, db)
     n = rows.shape[0]
@@ -317,17 +312,15 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
     kernel_h = np.ascontiguousarray(kernel.conj().T)
     axes = (-2, -1) if dephasing else -1
 
-    def objective(v: np.ndarray, gradient: bool = True):
+    def objective(v: np.ndarray):
         outer = (v[..., :, None] * v.conj()[..., None, :]).reshape(-1, n * n)
         grams = (outer @ kernel).reshape(v.shape[:-1] + (s, s))
-        w, apply = _gram_spectrum(grams, gradient)
+        w, apply = _gram_spectrum(grams)
         w = np.maximum(w, 0.0)
         p = w.sum(axis=axes, keepdims=True)
         mu = w / np.where(p > 0.0, p, 1.0)
         logs = np.log2(np.maximum(mu, EIG_CLIP))
         values = -((mu if dephasing else w) * logs).sum(axis=(-2, -1))
-        if not gradient:
-            return values, None
         if dephasing:
             logs = (logs + values[..., None, None]) / p
         t = (apply(logs).reshape(-1, s * s) @ kernel_h).reshape(v.shape + (n,))  # -T

@@ -18,11 +18,12 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .config import OptimizerConfig
 from .correlations import (
     DEFAULT_CONFIG,
     _j_and_d,
-    _random_start,
     min_conditional_entropy,
     re_discord,
     re_discord_detailed,
@@ -410,6 +411,14 @@ def check_thm3(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     if chain_residual > TOL_EXACT:
         check = replace(check, holds=False)
     return check
+
+
+def _random_start(g: np.random.Generator, n_params: int) -> np.ndarray:
+    """Givens angles in [0, pi/2) then phases in [0, 2 pi): a regenerable random measurement."""
+    half = n_params // 2
+    thetas = g.uniform(0.0, np.pi / 2.0, size=half)
+    phis = g.uniform(0.0, 2.0 * np.pi, size=half)
+    return np.concatenate([thetas, phis])
 
 
 def check_kw_pointwise(

@@ -42,11 +42,12 @@ from discordkit._descent import (
     SHRINK,
     Descent,
     descend,
+    random_isometry,
     retract,
     summary,
     tangent,
 )
-from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _random_bases, _random_start
+from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _random_bases
 from discordkit.measurement import (
     _measured_view,
     _measurement_objective,
@@ -62,6 +63,7 @@ from discordkit.states import (
     werner_2qubit_example4,
     werner_qudit,
 )
+from discordkit.verify import _random_start
 
 from conftest import bell_state, haar_unitary
 
@@ -101,7 +103,7 @@ def test_minimize_quadratic_objective():
     # ||U - V||^2 + 0.25 over U(2): minimum 0.25 at U = V, gradient 2 (U - V).
     target = unitary_from_params(2, [0.4, 1.3])
 
-    def objective(u, gradient=True):
+    def objective(u):
         return np.sum(np.abs(u - target) ** 2, axis=(-2, -1)) + 0.25, 2.0 * (u - target)
 
     opt = minimize_over_measurements(objective, 2, OptimizerConfig(restarts=4, seed=2))
@@ -111,7 +113,7 @@ def test_minimize_quadratic_objective():
 
 def test_minimize_constant_objective_has_zero_spread():
     opt = minimize_over_measurements(
-        lambda u, gradient=True: (np.full(len(u), 1.5), np.zeros_like(u)), 2, OptimizerConfig(restarts=4, seed=2)
+        lambda u: (np.full(len(u), 1.5), np.zeros_like(u)), 2, OptimizerConfig(restarts=4, seed=2)
     )
     assert opt.value == 1.5
     assert opt.spread == 0.0
@@ -372,31 +374,30 @@ def test_summary_converges_only_when_most_restarts_stopped():
     ids=["2x2-rank4", "2x3-rank6-B", "4x2-rank8-dephasing", "2x2-rank4-capped"],
 )
 def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephasing, max_iter):
-    # At 7 iterations 14 of the 16 restarts stop at the cap and two stop
-    # before it; one round holds a restart that reaches the cap, one that
-    # backtracks and one that takes a step.
+    # At 7 iterations 12 of the 16 restarts stop at the cap and four stop
+    # before it; one round holds restarts that reach the cap, two that
+    # backtrack and ten that take a step.
     objective, d = _measurement_objective(random_mixed(dims, rank, 11), measured, dephasing)
     cfg = OptimizerConfig(seed=2, max_iter=max_iter)
     calls = []
 
-    def recording(u, gradient=True):
+    def recording(u):
         calls.append(u.copy())
-        return objective(u, gradient)
+        return objective(u)
 
     opt = minimize_over_measurements(recording, d, cfg, measured)
-    # A qubit's Bloch-grid scan takes one values-only call; the next call
-    # scores the starts, and every later call is one lockstep round.
-    scanned = d == 2
-    starts = calls[int(scanned)]
+    # The first call scores the starts, and every later call is one
+    # lockstep round.
+    starts = calls[0]
     assert len(starts) == cfg.restarts
-    assert len(calls) == int(scanned) + max(opt.evaluations)
+    assert len(calls) == max(opt.evaluations)
     values, grads = objective(starts)
     alone = [descend(objective, starts[k : k + 1], values[k : k + 1], grads[k : k + 1], cfg.max_iter)
              for k in range(cfg.restarts)]
     assert opt.iterations == tuple(run.iterations[0] for run in alone)
     assert opt.evaluations == tuple(run.evaluations[0] for run in alone)
     assert opt.stop_reasons == tuple(run.reasons[0] for run in alone)
-    assert opt.stop_reasons.count(CAP) == (0 if max_iter == 2000 else 14)
+    assert opt.stop_reasons.count(CAP) == (0 if max_iter == 2000 else 12)
     assert len(set(opt.iterations)) > 1
     np.testing.assert_allclose(opt.restart_values, [run.values[0] for run in alone], rtol=0, atol=1e-12)
     best = int(np.argmin([run.values[0] for run in alone]))
@@ -404,21 +405,23 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     np.testing.assert_allclose(opt.argbasis.basis, alone[best].x[0], rtol=0, atol=1e-12)
 
 
-def test_min_conditional_entropy_meets_koashi_winter_oracle():
+@pytest.mark.parametrize("restarts", [1, 2, OptimizerConfig().restarts])
+def test_min_conditional_entropy_meets_koashi_winter_oracle(restarts):
     # Rank-2 (2,2) states have a qubit purifier C, so Koashi-Winter makes the
     # minimum over measurements on A exactly E_F(BC), which Wootters gives.
+    # At one restart the search runs from the identity alone.
+    cfg = OptimizerConfig(restarts=restarts)
     for i in range(20):
         state = random_mixed((2, 2), 2, 7000 + i)
         oracle = eof_2qubit(partial_trace(purify(state).to_density(), (1, 2))).value
-        value = min_conditional_entropy(state, 0).value
+        value = min_conditional_entropy(state, 0, cfg).value
         assert abs(value - oracle) <= 1e-9
         assert value >= oracle - 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_cached_restart_bases_equal_a_fresh_build(d):
-    n_params = n_measurement_params(d)
-    fresh = unitary_from_params(d, np.stack([_random_start(stream(5, k), n_params) for k in range(1, 16)]))
+    fresh = np.stack([random_isometry(stream(5, k), d, d) for k in range(1, 16)])
     for _ in range(2):  # a first call and a repeat
         cached = _random_bases(d, 5, 16)
         assert cached.shape == (15, d, d)

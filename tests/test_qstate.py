@@ -337,8 +337,7 @@ def test_gram_spectrum_matches_lapack_eigh(side):
     w, apply = _gram_spectrum(blocks)
     w_ref, v_ref = np.linalg.eigh(blocks)
     scale = np.linalg.norm(blocks, ord=2, axis=(-2, -1))[..., None]
-    for values in (w, _gram_spectrum(blocks, vectors=False)[0]):
-        assert np.all(np.abs(values - w_ref) <= 1e-14 * scale)
+    assert np.all(np.abs(w - w_ref) <= 1e-14 * scale)
     for h in (np.exp, np.sin, np.square, lambda t: np.cos(3.0 * t)):
         reference = (v_ref * h(w_ref)[..., None, :]) @ np.swapaxes(v_ref.conj(), -1, -2)
         np.testing.assert_allclose(apply(h(w)), reference, rtol=0, atol=1e-12)
@@ -385,4 +384,3 @@ def test_ensemble_objective_matches_member_blocks(da, db, n, m, dephasing):
         ref_values, ref_grads = _member_block_objective(rows, da, db, dephasing, v)
         np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(objective(v, gradient=False)[0], values, rtol=0, atol=1e-12)
