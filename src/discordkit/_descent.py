@@ -28,11 +28,14 @@ ints, on which it does the same binary64 operations in a stack as alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .states import stream
 
 # Stops: the Riemannian gradient norm, and the decrease a trial step
 # predicts to first order, relative to max(1, |f|); below the latter the
@@ -103,11 +106,24 @@ def retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def random_isometry(g: np.random.Generator, n: int, p: int) -> np.ndarray:
     """A random n x p isometry, n >= p: the Q factor of a complex Gaussian matrix.
 
-    The random start of every restart after the first, in both searches; with
-    n = p it is a random unitary.
+    With n = p it is a random unitary.
     """
     z = g.normal(size=(n, p)) + 1j * g.normal(size=(n, p))
     return np.linalg.qr(z)[0]
+
+
+@functools.lru_cache(maxsize=64)
+def random_starts(n: int, p: int, seed: int, restarts: int) -> np.ndarray:
+    """Read-only (restarts - 1, n, p) starts of restarts 1, 2, ... of both searches.
+
+    Restart k starts from ``random_isometry`` on Philox stream k of ``seed``,
+    so every search of one shape and configuration shares them; the cache is
+    bounded, so a loop over seeds does not grow it without limit.
+    """
+    starts = np.array([random_isometry(stream(seed, k), n, p) for k in range(1, restarts)], dtype=complex)
+    starts = starts.reshape(restarts - 1, n, p)
+    starts.setflags(write=False)
+    return starts
 
 
 def _stall(step: float, slope: float, f: float) -> int:

@@ -10,9 +10,9 @@ upper bounds (the minimization is truncated) and classical-correlation
 estimates are lower bounds.
 
 ``minimize_over_measurements`` starts one restart from the canonical basis
-and the others from seeded random unitaries (``_descent.random_isometry``,
-the convex roof's start generator too), cached per (d, seed, restarts)
-since no state enters them, then runs them all in lockstep by Riemannian
+and the others from seeded random unitaries (``_descent.random_starts``,
+cached per shape, seed and restart count and shared with the convex roof,
+since no state enters them), then runs them all in lockstep by Riemannian
 L-BFGS descent on U(d) (``_descent``).  Both
 objectives come with an analytic gradient, so each round of the descent is
 one objective call for all live restarts.
@@ -20,13 +20,12 @@ one objective call for all live restarts.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from ._descent import descend, random_isometry, summary
+from ._descent import descend, random_starts, summary
 from .config import OptimizerConfig
 from .measurement import ProjectiveMeasurement, _measurement_objective, dephase
 from .qstate import (
@@ -36,7 +35,6 @@ from .qstate import (
     permute_subsystems,
     von_neumann_entropy,
 )
-from .states import stream
 
 __all__ = [
     "CONJECTURE_I_SLACK",
@@ -111,20 +109,6 @@ class OptimizedValue:
         }
 
 
-@functools.lru_cache(maxsize=64)
-def _random_bases(d: int, seed: int, restarts: int) -> np.ndarray:
-    """Read-only (restarts - 1, d, d) starts of restarts 1, 2, ...: one Philox stream each.
-
-    They depend on (d, seed, restarts) alone, so every search with one
-    configuration shares them; the cache is bounded, so a loop over seeds
-    does not grow it without limit.
-    """
-    bases = np.array([random_isometry(stream(seed, k), d, d) for k in range(1, restarts)], dtype=complex)
-    bases = bases.reshape(restarts - 1, d, d)
-    bases.setflags(write=False)
-    return bases
-
-
 def minimize_over_measurements(
     objective: Callable, d: int, cfg: OptimizerConfig | None = None, subsystem: int = 0
 ) -> OptimizedValue:
@@ -133,9 +117,9 @@ def minimize_over_measurements(
     ``objective`` is batched: it maps an (R, d, d) stack of bases (columns
     are the measurement vectors) to R values and R Euclidean gradients.
     Restart 0 starts from the canonical basis; the others start from seeded
-    random unitaries (``_descent.random_isometry``), which depend on d,
-    ``cfg.seed`` and ``cfg.restarts`` alone, so they are built once and
-    cached (``_random_bases``).  All restarts descend in lockstep by
+    random unitaries, which depend on d, ``cfg.seed`` and ``cfg.restarts``
+    alone, so they come from the start cache the convex roof shares
+    (``_descent.random_starts``).  All restarts descend in lockstep by
     Riemannian L-BFGS on U(d), one objective call per round.  Deterministic
     given ``cfg.seed``; restart ties break toward the lowest restart index.
     Non-convergence is flagged, never raised.
@@ -143,7 +127,7 @@ def minimize_over_measurements(
     cfg = cfg or DEFAULT_CONFIG
     d = int(d)
 
-    starts = np.concatenate([np.eye(d, dtype=complex)[None], _random_bases(d, cfg.seed, cfg.restarts)])
+    starts = np.concatenate([np.eye(d, dtype=complex)[None], random_starts(d, d, cfg.seed, cfg.restarts)])
     values, grads = objective(starts)
     run = descend(objective, starts, values, grads, cfg.max_iter)
 

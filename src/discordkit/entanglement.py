@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import descend, random_isometry, summary
+from ._descent import descend, random_starts, summary
 from .config import OptimizerConfig
 from .qstate import (
     InvalidStateError,
@@ -33,7 +33,6 @@ from .qstate import (
     normalize_partition,
     spectrum,
 )
-from .states import stream
 
 __all__ = [
     "EOF_DEFAULT_CONFIG",
@@ -205,8 +204,9 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     m-point DFT, V = F_m[:, :r] (``_dft_isometry``), whose m members all
     have weight 1/m: the unrotated start [I_r; 0] has m - r zero members,
     where the gradient vanishes, so it would only search ensembles of r
-    members.  The rest start from seeded random isometries
-    (``_descent.random_isometry``); all descend in lockstep by the
+    members.  The rest start from seeded random isometries, cached per
+    (m, r, seed, restarts) and shared with the measurement search
+    (``_descent.random_starts``); all descend in lockstep by the
     Riemannian L-BFGS of ``_descent`` (the measurement search's optimizer),
     each for at most ``cfg.max_iter`` iterations, on ``_roof_objective``.
     Every isometry gives a valid ensemble, so the value is an upper bound by
@@ -223,10 +223,7 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     m = r * r
     e0 = (sp.eigenvectors[:, :r] * np.sqrt(sp.eigenvalues[:r])).T  # r x D rows
     objective = _roof_objective(e0, state.dims, part_a, part_b)
-    starts = np.stack(
-        [_dft_isometry(m, r)]
-        + [random_isometry(stream(cfg.seed, k), m, r) for k in range(1, cfg.restarts)]
-    )
+    starts = np.concatenate([_dft_isometry(m, r)[None], random_starts(m, r, cfg.seed, cfg.restarts)])
     run = descend(objective, starts, *objective(starts), cfg.max_iter)
     b, spread, converged = summary(run, cfg.tol)
     iso = run.x[b]

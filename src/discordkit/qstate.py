@@ -108,25 +108,33 @@ def validate(matrix, dims) -> StateDiagnostics:
     Parameters
     ----------
     matrix:
-        Any square complex matrix.
+        Any square complex matrix, or a stack of them of shape (..., D, D);
+        a stack reports the worst residual of each kind over its members.
     dims:
         Ordered subsystem dimensions; their product must equal the matrix
         side (a mismatch raises ``ValueError``, every other defect is
         reported in the diagnostics rather than raised).
     """
-    m = _as_complex_matrix(matrix)
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     d = _as_dims(dims)
     side = int(np.prod(d))
-    if m.shape[0] != side:
-        raise ValueError(
-            f"matrix side {m.shape[0]} does not match prod(dims) = {side}"
-        )
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    tr = float(abs(m.trace() - 1.0))
+    if m.shape[-1] != side:
+        raise ValueError(f"matrix side {m.shape[-1]} does not match prod(dims) = {side}")
+    mh = m.conj().swapaxes(-1, -2)
+    herm = float(np.abs(m - mh).max(initial=0.0))
+    tr = float(np.abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     # eigvalsh assumes Hermitian input; symmetrize so the positivity residual
     # stays meaningful even when the Hermiticity check itself fails.
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return StateDiagnostics(herm, tr, float(w[0]))
+    w = np.linalg.eigvalsh((m + mh) / 2.0)
+    return StateDiagnostics(herm, tr, float(w[..., 0].min(initial=np.inf)))
+
+
+def _require_valid(diag: StateDiagnostics) -> None:
+    """Raise ``InvalidStateError`` unless ``diag`` passes every check."""
+    if not diag.ok:
+        raise InvalidStateError(f"invalid density matrix: {diag}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +154,7 @@ class QState:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         m = _as_complex_matrix(self.matrix)
-        diag = validate(m, dims)
-        if not diag.ok:
-            raise InvalidStateError(f"invalid density matrix: {diag}")
+        _require_valid(validate(m, dims))
         m.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)

@@ -14,6 +14,7 @@ estimates high, classical correlation low).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable
@@ -30,18 +31,23 @@ from .correlations import (
 )
 from .entanglement import eof_2qubit, eof_pure, eof_upper
 from .measurement import (
+    OUTCOME_FLOOR,
     ProjectiveMeasurement,
-    apply_measurement,
-    projective_from_params,
+    _conditional_blocks,
+    _measured_view,
     n_measurement_params,
+    unitary_from_params,
 )
 from .qstate import (
     InvalidStateError,
     PureStateVector,
     QState,
+    _entropy_bits,
+    _require_valid,
     is_pure,
     partial_trace,
     purify,
+    validate,
     von_neumann_entropy,
 )
 from .states import StateFamilySpec, stream
@@ -157,8 +163,13 @@ class _StateAnalysis:
 
     A source is the input state (``"state"``), its pure tripartite form
     (``"abc"``, the purification of a bipartite input) or a reduction of
-    ``"abc"`` named in ``_PAIRS``.  Values are computed on first use and kept
-    in this object only.
+    ``"abc"`` named in ``_PAIRS``, and one state has one name: ``"ab"`` is
+    ``"state"`` for a bipartite input, and so is ``"abc"`` for a pure
+    tripartite one, so each search runs once per distinct state.  (``purify``
+    drops eigenvalues below ``EIG_CLIP``, so the AB reduction of the
+    purification may differ from the input by that weight, far inside
+    monogamy's 2e-3; the paper states its relations for the input.)  Values
+    are computed on first use and kept in this object only.
     """
 
     def __init__(self, state, cfg: OptimizerConfig | None):
@@ -167,6 +178,8 @@ class _StateAnalysis:
         self.state = state
         self.cfg = cfg
         self._memo: dict = {"state": state}
+        n = state.n_subsystems
+        self._alias = {"ab": "state"} if n == 2 else {"abc": "state"} if n == 3 and is_pure(state) else {}
 
     def _memoized(self, key, compute: Callable):
         if key not in self._memo:
@@ -174,12 +187,14 @@ class _StateAnalysis:
         return self._memo[key]
 
     def source(self, name: str) -> QState:
+        name = self._alias.get(name, name)
         if name == "abc":
             return self._memoized(name, lambda: _as_tripartite(self.state))
         return self._memoized(name, lambda: partial_trace(self.source("abc"), _PAIRS[name]))
 
     def entropy(self, name: str, keep: tuple | None = None) -> float:
         """S of ``source(name)``, or of its reduction to the subsystems ``keep``."""
+        name = self._alias.get(name, name)
 
         def compute():
             rho = self.source(name)
@@ -193,6 +208,7 @@ class _StateAnalysis:
 
     def j_and_d(self, name: str, measured: int) -> tuple[float, float]:
         """(J, D) of ``source(name)`` measured on ``measured``, from one optimizer run."""
+        name = self._alias.get(name, name)
 
         def compute():
             rho = self.source(name)
@@ -421,6 +437,19 @@ def _random_start(g: np.random.Generator, n_params: int) -> np.ndarray:
     return np.concatenate([thetas, phis])
 
 
+@functools.lru_cache(maxsize=64)
+def _seeded_bases(d: int, seed: int, n: int) -> np.ndarray:
+    """Read-only (n, d, d) bases of ``check_kw_pointwise``'s seeded measurements.
+
+    Basis j comes from ``_random_start`` on stream ``_MEASUREMENT_SALT + j``
+    of ``seed``; the cache is bounded, so a loop over seeds stays small.
+    """
+    params = [_random_start(stream(seed, _MEASUREMENT_SALT + j), n_measurement_params(d)) for j in range(n)]
+    bases = unitary_from_params(d, np.reshape(params, (n, n_measurement_params(d))))
+    bases.setflags(write=False)
+    return bases
+
+
 def check_kw_pointwise(
     state: QState,
     cfg: OptimizerConfig | None = None,
@@ -432,38 +461,46 @@ def check_kw_pointwise(
     For a pure tripartite state and any projective measurement on A,
     [S(B|{E}) - S(B|A)] + [S(C) - S(C|{E})] = S(A) exactly; no optimizer is
     involved.  Evaluates the worst residual over ``n_measurements`` seeded
-    random measurements (or a single supplied one).
+    random measurements (or a single supplied one, which must measure A, or
+    ``ValueError`` is raised), all in one pass: outcomes below
+    ``OUTCOME_FLOOR`` are dropped as in ``apply_measurement``, and the kept
+    conditional states and their B and C reductions must pass ``QState``'s
+    checks (``validate``), or ``InvalidStateError`` is raised.
     """
     a = _analysis(state, cfg)
     abc = a.source("abc")
     d_a = abc.dims[0]
-    if measurement is not None:
-        measurements = [measurement]
+    if measurement is None:
+        bases = _seeded_bases(d_a, (a.cfg or DEFAULT_CONFIG).seed, max(int(n_measurements), 0))
+    elif measurement.subsystem != 0:
+        raise ValueError(f"the measurement must be on subsystem 0 (A), not {measurement.subsystem}")
+    elif measurement.d != d_a:
+        raise ValueError(f"measurement dimension {measurement.d} does not match subsystem dimension {d_a}")
     else:
-        seed = (a.cfg or DEFAULT_CONFIG).seed
-        measurements = []
-        for j in range(n_measurements):
-            params = _random_start(stream(seed, _MEASUREMENT_SALT + j), n_measurement_params(d_a))
-            measurements.append(projective_from_params(d_a, params))
+        bases = measurement.basis[None]
+    rest = abc.dims[1:]
+    blocks = _conditional_blocks(_measured_view(abc, 0)[0], bases)
+    probs = np.einsum("...krr->...k", blocks).real
+    kept = ~(probs < OUTCOME_FLOOR)  # a NaN outcome is kept, so validation flags it
+    p = probs[kept]
+    c = blocks[kept] / p[:, None, None]
+    cond = (c + np.swapaxes(c.conj(), -1, -2)) / 2.0
+    _require_valid(validate(cond, rest))
+    per_outcome = cond.reshape((-1,) + rest + rest)
+    s_meas = []
+    for subscripts, dims in (("kbcdc->kbd", rest[:1]), ("kbcbd->kcd", rest[1:])):
+        reduced = np.einsum(subscripts, per_outcome)
+        _require_valid(validate(reduced, dims))
+        terms = np.zeros(probs.shape)
+        terms[kept] = p * _entropy_bits(np.linalg.eigvalsh(reduced))
+        s_meas.append(np.array([math.fsum(row) for row in terms.tolist()]))
     s_a = a.entropy("abc", (0,))
     s_c = a.entropy("abc", (2,))
     s_b_given_a = a.entropy("abc", (0, 1)) - s_a
-    worst = 0.0
-    for m in measurements:
-        ens = apply_measurement(abc, m)
-        s_b_meas = math.fsum(
-            p * von_neumann_entropy(partial_trace(s, (0,)))
-            for p, s in zip(ens.probabilities, ens.states)
-        )
-        s_c_meas = math.fsum(
-            p * von_neumann_entropy(partial_trace(s, (1,)))
-            for p, s in zip(ens.probabilities, ens.states)
-        )
-        residual = abs((s_b_meas - s_b_given_a) + (s_c - s_c_meas) - s_a)
-        worst = max(worst, residual)
+    residuals = np.abs((s_meas[0] - s_b_given_a) + (s_c - s_meas[1]) - s_a)
     return _identity(
-        "kw_pointwise", worst, 0.0, TOL_EXACT,
-        provenance={"n_measurements": len(measurements)},
+        "kw_pointwise", max([0.0] + residuals.tolist()), 0.0, TOL_EXACT,
+        provenance={"n_measurements": len(bases)},
     )
 
 

@@ -43,11 +43,12 @@ from discordkit._descent import (
     Descent,
     descend,
     random_isometry,
+    random_starts,
     retract,
     summary,
     tangent,
 )
-from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _random_bases
+from discordkit.correlations import MEASUREMENT_CLASS_LABEL
 from discordkit.measurement import (
     _measured_view,
     _measurement_objective,
@@ -419,17 +420,21 @@ def test_min_conditional_entropy_meets_koashi_winter_oracle(restarts):
         assert value >= oracle - 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 6])
-def test_cached_restart_bases_equal_a_fresh_build(d):
-    fresh = np.stack([random_isometry(stream(5, k), d, d) for k in range(1, 16)])
+# Unitary starts of the measurement search (d x d) and Stiefel starts of the
+# convex roof (m x r, m = r^2).
+@pytest.mark.parametrize(
+    "n, p", [(2, 2), (3, 3), (4, 4), (6, 6), (16, 4), (9, 3)], ids=["2", "3", "4", "6", "16x4", "9x3"]
+)
+def test_cached_restart_bases_equal_a_fresh_build(n, p):
+    fresh = np.stack([random_isometry(stream(5, k), n, p) for k in range(1, 16)])
     for _ in range(2):  # a first call and a repeat
-        cached = _random_bases(d, 5, 16)
-        assert cached.shape == (15, d, d)
+        cached = random_starts(n, p, 5, 16)
+        assert cached.shape == (15, n, p)
         assert cached.tobytes() == fresh.tobytes()
     with pytest.raises(ValueError):
         cached[0, 0, 0] = 0.0
-    assert _random_bases(d, 5, 16).tobytes() == fresh.tobytes()
-    assert not np.array_equal(_random_bases(d, 6, 16), cached)
+    assert random_starts(n, p, 5, 16).tobytes() == fresh.tobytes()
+    assert not np.array_equal(random_starts(n, p, 6, 16), cached)
 
 
 def test_repeated_searches_are_identical_with_cached_starts():

@@ -46,6 +46,26 @@ def test_validate_flags_residuals():
 def test_validate_dimension_mismatch():
     with pytest.raises(ValueError):
         validate(np.eye(4) / 4.0, (2, 3))
+    with pytest.raises(ValueError):
+        validate(np.stack([np.eye(4) / 4.0] * 2), (2, 3))
+
+
+def test_validate_reports_the_worst_member_of_a_stack():
+    good = np.stack([np.eye(2) / 2.0, np.diag([0.9, 0.1])])
+    assert validate(good, (2,)).ok
+    assert validate(good, (2,)).min_eigenvalue == validate(good[1], (2,)).min_eigenvalue
+    bad = {
+        "hermitian_ok": np.array([[0.5, 0.5], [-0.5, 0.5]]),
+        "trace_ok": np.eye(2),
+        "psd_ok": np.diag([1.0 + 1e-6, -1e-6]),
+    }
+    for check, matrix in bad.items():
+        for where in range(3):
+            stack = np.insert(good, where, matrix, axis=0)
+            diag = validate(stack, (2,))
+            assert not diag.ok
+            assert [name for name in bad if not getattr(diag, name)] == [check]
+    assert validate(np.stack([good, good]), (2,)).ok  # any leading axes
 
 
 def test_qstate_rejects_invalid():

@@ -1,6 +1,7 @@
 """Named relation checks and suite aggregation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,21 +9,29 @@ import pytest
 from discordkit import (
     InvalidStateError,
     OptimizerConfig,
+    ProjectiveMeasurement,
     QState,
+    apply_measurement,
     partial_trace,
+    projective_from_params,
     purify,
     tensor,
     von_neumann_entropy,
 )
+from discordkit.measurement import OUTCOME_FLOOR, n_measurement_params
 from discordkit.states import (
     StateFamilySpec,
     example3_state,
     haar_random_pure,
     random_mixed,
+    stream,
     werner_2qubit_example4,
 )
 from discordkit.verify import (
+    _MEASUREMENT_SALT,
     RELATIONS,
+    _random_start,
+    _StateAnalysis,
     check_cor1,
     check_cor2,
     check_eq5,
@@ -199,8 +208,6 @@ def test_thm3_requires_tripartite():
 
 
 def test_kw_pointwise_identity():
-    from discordkit import projective_from_params
-
     bell_abc = purify(bell_state()).to_density()  # trivial environment
     row = check_kw_pointwise(
         bell_abc, CFG, measurement=projective_from_params(2, (0.0, 0.0))
@@ -211,6 +218,76 @@ def test_kw_pointwise_identity():
         abc = purify(random_mixed((2, 2), 2, 7500 + i)).to_density()
         row = check_kw_pointwise(abc, CFG, n_measurements=10)
         assert row.holds and row.lhs <= 1e-9
+
+
+def _kw_reference(abc: QState, measurements) -> float:
+    """Worst kw_pointwise residual by one validated QState per outcome, measurement by measurement."""
+    s_a = von_neumann_entropy(partial_trace(abc, (0,)))
+    s_c = von_neumann_entropy(partial_trace(abc, (2,)))
+    s_b_given_a = von_neumann_entropy(partial_trace(abc, (0, 1))) - s_a
+    worst = 0.0
+    for m in measurements:
+        ens = apply_measurement(abc, m)
+        s_b_meas, s_c_meas = (
+            math.fsum(p * von_neumann_entropy(partial_trace(s, keep))
+                      for p, s in zip(ens.probabilities, ens.states))
+            for keep in ((0,), (1,))
+        )
+        worst = max(worst, abs((s_b_meas - s_b_given_a) + (s_c - s_c_meas) - s_a))
+    return worst
+
+
+def _seeded_measurements(d: int, seed: int, n: int) -> list:
+    return [
+        projective_from_params(d, _random_start(stream(seed, _MEASUREMENT_SALT + j), n_measurement_params(d)))
+        for j in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda i: purify(random_mixed((2, 2), 2, i)).to_density(),
+        lambda i: haar_random_pure((2, 2, 2), i).to_density(),
+        lambda i: haar_random_pure((2, 3, 2), i).to_density(),
+    ],
+    ids=["purified-2x2-rank2", "pure-2x2x2", "pure-2x3x2"],
+)
+def test_kw_pointwise_matches_the_per_measurement_loop(make):
+    for i in range(8):
+        abc = make(i)
+        cfg = OptimizerConfig(seed=40 + i)
+        row = check_kw_pointwise(abc, cfg, n_measurements=10)
+        assert row.provenance == {"n_measurements": 10}
+        reference = _kw_reference(abc, _seeded_measurements(abc.dims[0], cfg.seed, 10))
+        assert abs(row.lhs - reference) <= 1e-15
+        assert row.holds
+
+
+def test_kw_pointwise_drops_outcomes_below_the_floor():
+    # A in |0> (outcome 1 has probability 0), or nearly so (1e-13 < OUTCOME_FLOOR).
+    for weight in (0.0, 1e-13, 1e-11):
+        a = QState((2,), np.diag([1.0 - weight, weight]))
+        for i in range(4):
+            abc = tensor(a, haar_random_pure((2, 2), 60 + i).to_density())
+            m = ProjectiveMeasurement(0, np.eye(2))
+            kept = apply_measurement(abc, m).probabilities.size
+            assert kept == (1 if weight < OUTCOME_FLOOR else 2)
+            row = check_kw_pointwise(abc, CFG, measurement=m)
+            assert abs(row.lhs - _kw_reference(abc, [m])) <= 1e-15
+            assert row.holds and row.provenance == {"n_measurements": 1}
+
+
+def test_kw_pointwise_rejects_a_measurement_off_a():
+    abc = purify(random_mixed((2, 3), 2, 5)).to_density()
+    for subsystem, d in ((1, 3), (2, 2)):
+        with pytest.raises(ValueError, match="subsystem 0"):
+            check_kw_pointwise(abc, CFG, measurement=ProjectiveMeasurement(subsystem, np.eye(d)))
+    with pytest.raises(ValueError, match="dimension"):
+        check_kw_pointwise(abc, CFG, measurement=ProjectiveMeasurement(0, np.eye(3)))
+    mixed_abc = tensor(random_mixed((2, 2), 2, 1), QState((2,), np.eye(2) / 2.0))
+    with pytest.raises(InvalidStateError):
+        check_kw_pointwise(mixed_abc, CFG)
 
 
 def _outcome(row) -> str:
@@ -256,13 +333,29 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
     monkeypatch.setattr(verify, "eof_upper", counting_eof_upper)
     for module in (verify, correlations):
         monkeypatch.setattr(module, "min_conditional_entropy", counting_min_conditional_entropy)
-    spec = StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11)
-    report = run_suite(spec, tuple(RELATIONS), 1, FAST)
-    assert len(report.rows) == 12
     # E_F(BC) and E_F(AC) of the 2x2x3 purification take the convex roof
-    assert len(roof_inputs) == len(set(roof_inputs)) == 2
-    # D_A(AB) and J_A(AC) on the purification's reductions, D_A on the state
-    assert len(opt_inputs) == len(set(opt_inputs)) >= 3
+    for spec, roofs in (
+        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 2),
+        (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0),
+    ):
+        roof_inputs.clear()
+        opt_inputs.clear()
+        report = run_suite(spec, tuple(RELATIONS), 1, FAST)
+        assert len(report.rows) == 12
+        assert len(roof_inputs) == len(set(roof_inputs)) == roofs
+        # D_A on AB (the input itself when it is bipartite) and J_A on AC
+        assert len(opt_inputs) == len(set(opt_inputs)) == 2
+
+        # monogamy reads the D_A(AB) run that thm1, eq8 and lindblad read as D_A(state)
+        opt_inputs.clear()
+        analysis = _StateAnalysis(spec.sample(0), FAST)
+        rows = {name: check(analysis, FAST) for name, check in RELATIONS.items()}
+        d_ab, j_ac = analysis.j_and_d("ab", 0)[1], analysis.j_and_d("ac", 0)[0]
+        assert rows["monogamy"].lhs == d_ab + j_ac
+        if spec.family == "random_mixed":
+            assert analysis.j_and_d("ab", 0) == analysis.j_and_d("state", 0)
+            assert rows["thm1"].lhs == d_ab
+        assert len(opt_inputs) == 2
 
 
 def test_run_suite_counts_skips_separately():
