@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -77,7 +78,9 @@ def _add_family_args(p: argparse.ArgumentParser):
     p.add_argument("--x", default=None, help="flip expectation for werner_qudit")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="discordkit",
         description="Quantum-correlation measures and verification suites.",

@@ -30,6 +30,7 @@ from .config import OptimizerConfig
 from .measurement import ProjectiveMeasurement, _measurement_objective, dephase
 from .qstate import (
     QState,
+    _entropy_bits,
     normalize_partition,
     partial_trace,
     permute_subsystems,
@@ -65,6 +66,11 @@ ESTIMATOR_BIAS_NOTE = (
 # code defect, not physics.
 CONJECTURE_I_SLACK = 1e-4
 
+# A dephasing value within this of its proved lower bound is optimal to
+# rounding (``_re_discord_single``), and CERTIFIED is its stop reason.
+CERTIFY_TOL = 1e-12
+CERTIFIED = "certified"
+
 class DiscordBoundError(RuntimeError):
     """A discord estimate exceeded the measured subsystem's entropy bound."""
 
@@ -86,7 +92,9 @@ class OptimizedValue:
     ``iterations`` the accepted descent steps, ``evaluations`` the objective
     calls the restart was live for, and ``stop_reasons`` why it stopped:
     ``gradient`` (Riemannian gradient norm), ``no_decrease`` (the next step
-    could not measurably lower the value) or ``cap`` (``max_iter``).
+    could not measurably lower the value), ``cap`` (``max_iter``) or, for
+    the dephasing discord only, ``certified`` (one candidate basis met the
+    proved lower bound, so no search ran; see ``_re_discord_single``).
     """
 
     value: float
@@ -241,7 +249,35 @@ def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float
 
 
 def _re_discord_single(state: QState, measured: int, cfg: OptimizerConfig | None) -> OptimizedValue:
+    """Dephasing discord on one subsystem X: certified when possible, else searched.
+
+    Every basis scores at least L = max(0, S(rho_X) - S(rho)): dephasing
+    never lowers entropy, and S(Pi_X rho) = H(p) + sum_k p_k S(rho_k) >= H(p)
+    >= S(rho_X), because the outcome distribution p is majorized by rho_X's
+    spectrum.  The eigenbasis of rho_X is scored first; when its value is
+    within ``CERTIFY_TOL`` of L it is optimal to rounding and is returned
+    with stop reason ``"certified"``, one evaluation, no iterations and
+    spread 0.  This happens on every pure state, where the value is S(rho_X),
+    and on states classical on X in that eigenbasis, where it is 0.
+    Otherwise the search runs on the same objective.  Either way the value
+    is one that the objective reached, so it stays an upper bound.
+    """
     objective, dm = _measurement_objective(state, measured, dephasing=True)
+    lam, vec = np.linalg.eigh(partial_trace(state, (measured,)).matrix)
+    values, _grad = objective(vec[None])
+    value = float(values[0])
+    bound = max(0.0, float(_entropy_bits(lam)) - von_neumann_entropy(state))
+    if value <= bound + CERTIFY_TOL:
+        return OptimizedValue(
+            value=value,
+            argbasis=ProjectiveMeasurement(measured, vec),
+            spread=0.0,
+            converged=True,
+            restart_values=(value,),
+            iterations=(0,),
+            evaluations=(1,),
+            stop_reasons=(CERTIFIED,),
+        )
     return minimize_over_measurements(objective, dm, cfg, subsystem=measured)
 
 
@@ -254,7 +290,11 @@ class ReDiscordDetail:
     search over full bases of the merged factor; ``value`` and ``argbasis``
     belong to the lower of the two, so ``value`` never exceeds either.
     ``spread`` and ``restart_values`` are the joint search's, and
-    ``converged`` holds when every search converged.
+    ``converged`` holds when every search converged.  A step certified by
+    the bound max(0, S(rho_X) - S(rho)) runs no search
+    (``_re_discord_single``), so a certified joint step has spread 0 and one
+    restart value; on a pure state the first chain step and the joint step
+    always are.
     """
 
     value: float
@@ -333,6 +373,9 @@ def re_discord(
     factor as well as chained per-subsystem product bases
     (``re_discord_detailed``); the reported basis then refers to the merged
     measured block of the state permuted measured-subsystems-first.
+    When the eigenbasis of the measured factor's marginal rho_X meets the
+    lower bound max(0, S(rho_X) - S(rho)), it is returned with stop reason
+    ``"certified"`` and no search runs; every pure state is such a case.
     """
     if isinstance(measured, (int, np.integer)):
         measured_t = (int(measured),)

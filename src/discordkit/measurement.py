@@ -100,7 +100,7 @@ class ProjectiveMeasurement:
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"basis must be square, got shape {b.shape}")
         residual = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
-        if residual > UNITARITY_TOL:
+        if not residual <= UNITARITY_TOL:  # a NaN residual fails too
             raise ValueError(f"basis unitarity residual {residual:.3g} exceeds {UNITARITY_TOL}")
         b.setflags(write=False)
         object.__setattr__(self, "subsystem", int(self.subsystem))

@@ -465,13 +465,17 @@ def check_kw_pointwise(
     ``ValueError`` is raised), all in one pass: outcomes below
     ``OUTCOME_FLOOR`` are dropped as in ``apply_measurement``, and the kept
     conditional states and their B and C reductions must pass ``QState``'s
-    checks (``validate``), or ``InvalidStateError`` is raised.
+    checks (``validate``), or ``InvalidStateError`` is raised.  Without a
+    supplied measurement, ``n_measurements < 1`` raises ``ValueError``: a
+    row that checked nothing must not pass.
     """
+    if measurement is None and n_measurements < 1:
+        raise ValueError(f"n_measurements must be >= 1, got {n_measurements}")
     a = _analysis(state, cfg)
     abc = a.source("abc")
     d_a = abc.dims[0]
     if measurement is None:
-        bases = _seeded_bases(d_a, (a.cfg or DEFAULT_CONFIG).seed, max(int(n_measurements), 0))
+        bases = _seeded_bases(d_a, (a.cfg or DEFAULT_CONFIG).seed, int(n_measurements))
     elif measurement.subsystem != 0:
         raise ValueError(f"the measurement must be on subsystem 0 (A), not {measurement.subsystem}")
     elif measurement.d != d_a:

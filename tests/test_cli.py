@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from discordkit import OptimizerConfig, PureStateVector, state_to_json
+from discordkit import cli
 from discordkit.cli import main
 from discordkit.correlations import REPORT_CSV_COLUMNS
 
@@ -229,3 +230,35 @@ def test_hunt_flat_werner_objective_converges(tmp_path):
     for row in _strict_json(out)["rows"]:
         assert row["converged"] is True
         assert row["spread"] <= 10 * OptimizerConfig().tol
+
+
+def test_cached_parser_writes_what_a_fresh_parser_writes(tmp_path, capsys):
+    # One process: hunt, verify, a bad --tol (exit 2), hunt again, then help
+    # texts; each must match the same call on a freshly built parser.
+    calls = [
+        ["hunt", "--d", "2", "--x=-0.5:0.5:3", "--restarts", "2", "--seed", "4", "--format", "csv"],
+        ["verify", "--suite", "eq5,thm1", "--family", "random_mixed", "--dims", "2x2",
+         "--rank", "2", "--samples", "2", "--seed", "3", "--restarts", "2"],
+        ["example", "example4", "--tol", "nan"],
+        ["hunt", "--d", "3", "--x=0.1:0.1:1", "--restarts", "2", "--format", "json"],
+        ["--help"],
+        ["hunt", "--help"],
+    ]
+
+    def run(argv, name, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        out = tmp_path / name
+        rc = main(argv if "--help" in argv else argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        return rc, out.read_bytes() if out.exists() else None, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    cached = [run(argv, f"cached{i}", fresh=False) for i, argv in enumerate(calls)]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = [run(argv, f"fresh{i}", fresh=True) for i, argv in enumerate(calls)]
+    assert cached == fresh
+    assert [rc for rc, *_ in cached] == [0, 0, 2, 0, 0, 0]
+    assert cached[0][1] and cached[1][1] and cached[3][1] and cached[2][1] is None
+    assert cached[2][3].startswith("error: ")
+    assert cached[4][2].startswith("usage: discordkit") and "hunt" in cached[5][2]

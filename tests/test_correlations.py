@@ -22,6 +22,7 @@ from discordkit import (
     minimize_over_measurements,
     mutual_information,
     partial_trace,
+    permute_subsystems,
     projective_from_params,
     purify,
     re_discord,
@@ -538,11 +539,79 @@ def test_local_unitary_covariance(rng):
         assert abs(d1 - d2) <= 2 * cfg.tol
 
 
-def test_re_discord_zero_for_classical_states():
+def _no_search(*args, **kwargs):
+    raise AssertionError("the dephasing search ran")
+
+
+def _assert_certified(opt, value):
+    assert opt.stop_reasons == (correlations.CERTIFIED,)
+    assert opt.iterations == (0,) and opt.evaluations == (1,)
+    assert opt.restart_values == (opt.value,)
+    assert opt.spread == 0.0 and opt.converged
+    assert opt.value == pytest.approx(value, abs=1e-12)
+
+
+def test_re_discord_zero_for_classical_states(monkeypatch):
+    # Classical on A in A's eigenbasis: that basis scores 0, the lower bound
+    # max(0, S(A) - S(AB)), so no search runs.  The second state has
+    # S(AB) > S(A), where the bound's max(0, .) is what certifies it.
     zero = QState((2,), np.diag([1.0, 0.0]))
     one = QState((2,), np.diag([0.0, 1.0]))
-    cc = classical_quantum([0.4, 0.6], [zero, one])
-    assert abs(re_discord(cc, 0, CFG).value) <= 1e-9
+    mixed = QState((2,), np.eye(2) / 2.0)
+    cq_pure = classical_quantum([0.4, 0.6], [zero, one])
+    cq_mixed = classical_quantum([0.3, 0.7], [zero, mixed])
+    assert von_neumann_entropy(cq_mixed) > von_neumann_entropy(partial_trace(cq_mixed, (0,))) + 0.5
+    monkeypatch.setattr(correlations, "minimize_over_measurements", _no_search)
+    for cq in (cq_pure, cq_mixed):
+        _assert_certified(re_discord(cq, 0, CFG), 0.0)
+
+
+def _merged_factor(state, measured):
+    """``state`` with the ``measured`` subsystems merged into subsystem 0."""
+    rest = tuple(i for i in range(state.n_subsystems) if i not in measured)
+    sigma = permute_subsystems(state, measured + rest)
+    d = math.prod(state.dims[i] for i in measured)
+    return QState((d,) + tuple(state.dims[i] for i in rest), sigma.matrix)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (2, 2, 2)], ids=["2x2", "2x3x2", "2x2x2"])
+def test_re_discord_certifies_pure_inputs(dims, monkeypatch):
+    # On a pure state the eigenbasis of the measured marginal attains the
+    # lower bound S(rho_X), so the value is certified without a search.
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    monkeypatch.setattr(correlations, "minimize_over_measurements", _no_search)
+    for i in range(3):
+        state = haar_random_pure(dims, 40 + i).to_density()
+        cases = [(state, m) for m in range(len(dims))]
+        if len(dims) == 3:
+            cases.append((_merged_factor(state, (1, 2)), 0))
+        for rho, m in cases:
+            opt = correlations._re_discord_single(rho, m, cfg)
+            _assert_certified(opt, von_neumann_entropy(partial_trace(rho, (m,))))
+            assert opt.argbasis.subsystem == m
+            # the imported name is the search itself, unpatched
+            forced = minimize_over_measurements(
+                *_measurement_objective(rho, m, dephasing=True), cfg, subsystem=m
+            )
+            assert opt.value <= forced.value + 1e-12
+
+
+def test_re_discord_certificate_never_fires_on_mixed_inputs():
+    # On these full-rank states S(rho) > S(rho_X), so the bound is 0, which
+    # only a state classical on X attains: every call searches, and returns
+    # exactly what the search alone returns.
+    cfg = OptimizerConfig(restarts=2, seed=5)
+    for i in range(4):
+        state = random_mixed((2, 2, 2), 8, 200 + i)
+        for rho, m in [(state, 0), (state, 1), (state, 2), (_merged_factor(state, (1, 2)), 0)]:
+            assert von_neumann_entropy(rho) > von_neumann_entropy(partial_trace(rho, (m,)))
+            opt = correlations._re_discord_single(rho, m, cfg)
+            assert correlations.CERTIFIED not in opt.stop_reasons
+            forced = minimize_over_measurements(
+                *_measurement_objective(rho, m, dephasing=True), cfg, subsystem=m
+            )
+            assert opt.value == forced.value
+            assert opt.restart_values == forced.restart_values
 
 
 def test_re_discord_pure_state_reaches_reduced_entropy():

@@ -84,6 +84,12 @@ def test_projective_validation():
         ProjectiveMeasurement(0, np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
+def test_projective_rejects_a_nan_basis():
+    # The unitarity residual is then NaN, which compares false with any bound.
+    with pytest.raises(ValueError, match="unitarity"):
+        ProjectiveMeasurement(0, np.full((2, 2), np.nan))
+
+
 def test_povm_validation():
     half = np.eye(2) / 2.0
     povm = POVM(0, (half, half))

@@ -290,6 +290,14 @@ def test_kw_pointwise_rejects_a_measurement_off_a():
         check_kw_pointwise(mixed_abc, CFG)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_kw_pointwise_rejects_an_empty_check(n):
+    # No measurement scored must not read as a pass.
+    abc = purify(random_mixed((2, 2), 2, 1)).to_density()
+    with pytest.raises(ValueError, match="n_measurements"):
+        check_kw_pointwise(abc, CFG, n_measurements=n)
+
+
 def _outcome(row) -> str:
     """The row's values and flags; repr keeps NaN comparable."""
     return repr((row.lhs, row.rhs, row.slack, row.holds, row.equality, row.skipped))
@@ -330,21 +338,34 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
         opt_inputs.append((state.dims, state.matrix.tobytes(), measured))
         return min_conditional_entropy(state, measured, cfg)
 
+    searches = []
+    search = correlations.minimize_over_measurements
+
+    def counting_search(*args, **kwargs):
+        searches.append(args[1])
+        return search(*args, **kwargs)
+
     monkeypatch.setattr(verify, "eof_upper", counting_eof_upper)
+    monkeypatch.setattr(correlations, "minimize_over_measurements", counting_search)
     for module in (verify, correlations):
         monkeypatch.setattr(module, "min_conditional_entropy", counting_min_conditional_entropy)
     # E_F(BC) and E_F(AC) of the 2x2x3 purification take the convex roof
-    for spec, roofs in (
-        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 2),
-        (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0),
+    # thm3 skips a bipartite input; on a pure ABC, D_B, D_C and the joint
+    # D_BC are certified without a search, and only the chain's step on the
+    # dephased state searches
+    for spec, roofs, dephasing_searches in (
+        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 2, 0),
+        (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0, 1),
     ):
         roof_inputs.clear()
         opt_inputs.clear()
+        searches.clear()
         report = run_suite(spec, tuple(RELATIONS), 1, FAST)
         assert len(report.rows) == 12
         assert len(roof_inputs) == len(set(roof_inputs)) == roofs
         # D_A on AB (the input itself when it is bipartite) and J_A on AC
         assert len(opt_inputs) == len(set(opt_inputs)) == 2
+        assert len(searches) - len(opt_inputs) == dephasing_searches
 
         # monogamy reads the D_A(AB) run that thm1, eq8 and lindblad read as D_A(state)
         opt_inputs.clear()
