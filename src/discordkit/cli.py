@@ -272,11 +272,13 @@ def _cmd_verify(args, cfg: OptimizerConfig) -> int:
             _emit(_json_text(report.to_json()), args.out)
         else:
             _emit(_csv_text(suite_csv_rows(report)), args.out)
+    # The summary goes to stderr when the report itself is on stdout.
+    summary_stream = sys.stdout if args.out or args.format != "csv" else sys.stderr
     for name, counts in report.relation_summary().items():
         line = f"{name}: {counts['pass']} pass, {counts['fail']} fail, {counts['skip']} skip"
         if counts["recorded_violations"]:
             line += f" ({counts['recorded_violations']} recorded violations)"
-        print(line)
+        print(line, file=summary_stream)
     return 0 if report.all_pass else 1
 
 

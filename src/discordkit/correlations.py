@@ -248,37 +248,48 @@ def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float
     return abs(d_a - d_b)
 
 
-def _re_discord_single(state: QState, measured: int, cfg: OptimizerConfig | None) -> OptimizedValue:
-    """Dephasing discord on one subsystem X: certified when possible, else searched.
+def _certificate(state: QState, measured: int):
+    """The dephasing objective on X, its dimension, and a certified result or None.
 
     Every basis scores at least L = max(0, S(rho_X) - S(rho)): dephasing
     never lowers entropy, and S(Pi_X rho) = H(p) + sum_k p_k S(rho_k) >= H(p)
     >= S(rho_X), because the outcome distribution p is majorized by rho_X's
-    spectrum.  The eigenbasis of rho_X is scored first; when its value is
-    within ``CERTIFY_TOL`` of L it is optimal to rounding and is returned
-    with stop reason ``"certified"``, one evaluation, no iterations and
-    spread 0.  This happens on every pure state, where the value is S(rho_X),
-    and on states classical on X in that eigenbasis, where it is 0.
-    Otherwise the search runs on the same objective.  Either way the value
-    is one that the objective reached, so it stays an upper bound.
+    spectrum.  The eigenbasis of rho_X is scored; when its value is within
+    ``CERTIFY_TOL`` of L it is optimal to rounding and comes back with stop
+    reason ``"certified"``, one evaluation, no iterations and spread 0.
+    This happens on every pure state, where the value is S(rho_X), and on
+    states classical on X in that eigenbasis, where it is 0.  Otherwise the
+    result is None, and the objective is returned for the search to reuse.
     """
     objective, dm = _measurement_objective(state, measured, dephasing=True)
     lam, vec = np.linalg.eigh(partial_trace(state, (measured,)).matrix)
     values, _grad = objective(vec[None])
     value = float(values[0])
     bound = max(0.0, float(_entropy_bits(lam)) - von_neumann_entropy(state))
-    if value <= bound + CERTIFY_TOL:
-        return OptimizedValue(
-            value=value,
-            argbasis=ProjectiveMeasurement(measured, vec),
-            spread=0.0,
-            converged=True,
-            restart_values=(value,),
-            iterations=(0,),
-            evaluations=(1,),
-            stop_reasons=(CERTIFIED,),
-        )
-    return minimize_over_measurements(objective, dm, cfg, subsystem=measured)
+    if not value <= bound + CERTIFY_TOL:  # a NaN value is not certified
+        return objective, dm, None
+    return objective, dm, OptimizedValue(
+        value=value,
+        argbasis=ProjectiveMeasurement(measured, vec),
+        spread=0.0,
+        converged=True,
+        restart_values=(value,),
+        iterations=(0,),
+        evaluations=(1,),
+        stop_reasons=(CERTIFIED,),
+    )
+
+
+def _re_discord_single(state: QState, measured: int, cfg: OptimizerConfig | None) -> OptimizedValue:
+    """Dephasing discord on one subsystem X: certified when possible, else searched.
+
+    The certificate (``_certificate``) scores the eigenbasis of rho_X against
+    the proved lower bound; when it fails, the search runs on the same
+    objective.  Either way the value is one that the objective reached, so
+    it stays an upper bound.
+    """
+    objective, dm, certified = _certificate(state, measured)
+    return certified or minimize_over_measurements(objective, dm, cfg, subsystem=measured)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,12 +300,15 @@ class ReDiscordDetail:
     running dephased state (a product basis), ``joint_value`` from one
     search over full bases of the merged factor; ``value`` and ``argbasis``
     belong to the lower of the two, so ``value`` never exceeds either.
-    ``spread`` and ``restart_values`` are the joint search's, and
-    ``converged`` holds when every search converged.  A step certified by
-    the bound max(0, S(rho_X) - S(rho)) runs no search
-    (``_re_discord_single``), so a certified joint step has spread 0 and one
-    restart value; on a pure state the first chain step and the joint step
-    always are.
+    ``spread`` and the per-restart tuples (``restart_values``,
+    ``iterations``, ``evaluations``, ``stop_reasons``, as in
+    ``OptimizedValue``) are the joint step's, and ``converged`` holds when
+    every search converged.  When the joint step is certified by the bound
+    max(0, S(rho_X) - S(rho)) (``_certificate``), its value is the minimum
+    over all bases of the merged factor, product bases included, so the
+    chain is skipped: ``chain_value`` is NaN, ``value`` is the joint value,
+    and the tuples hold the one certified candidate.  Every pure state takes
+    this route.
     """
 
     value: float
@@ -304,6 +318,9 @@ class ReDiscordDetail:
     spread: float
     converged: bool
     restart_values: tuple
+    iterations: tuple
+    evaluations: tuple
+    stop_reasons: tuple
 
 
 def re_discord_detailed(
@@ -316,35 +333,42 @@ def re_discord_detailed(
 
     ``measured`` is a sorted tuple of subsystem indices.  Works on the state
     permuted so the measured subsystems sit in front; the reported basis
-    refers to their merged factor.  The chain's first step is
-    ``re_discord(state, measured[0], cfg)`` on the unpermuted state;
-    ``first``, when given, is that result already computed.
+    refers to their merged factor.  The joint step's certificate is scored
+    first; when it holds, the chain is skipped and ``chain_value`` is NaN
+    (see ``ReDiscordDetail``).  Otherwise the chain runs, its first step
+    being ``re_discord(state, measured[0], cfg)`` on the unpermuted state
+    (``first``, when given, is that result already computed), and then the
+    joint search on the objective the certificate built.
     """
+    if first is not None and first.argbasis.subsystem != measured[0]:
+        raise ValueError(f"first must measure subsystem {measured[0]}, not {first.argbasis.subsystem}")
     rest = tuple(i for i in range(state.n_subsystems) if i not in measured)
     sigma = permute_subsystems(state, measured + rest)
     measured_dims = tuple(state.dims[i] for i in measured)
     d_joint = int(np.prod(measured_dims))
     rest_dims = tuple(state.dims[i] for i in rest)
-    if first is None:
-        first = _re_discord_single(state, measured[0], cfg)
-    elif first.argbasis.subsystem != measured[0]:
-        raise ValueError(f"first must measure subsystem {measured[0]}, not {first.argbasis.subsystem}")
+    objective, _dm, joint = _certificate(QState((d_joint,) + rest_dims, sigma.matrix), 0)
 
-    # Chain route: optimize each measured factor on the running dephased state.
-    tau = sigma
-    chain_bases = []
-    chain_converged = True
-    for pos in range(len(measured)):
-        step = first if pos == 0 else _re_discord_single(tau, pos, cfg)
-        chain_bases.append(step.argbasis.basis)
-        chain_converged = chain_converged and step.converged
-        tau = dephase(tau, ProjectiveMeasurement(pos, step.argbasis.basis))
-    chain_value = von_neumann_entropy(tau) - von_neumann_entropy(sigma)
-    product_basis = chain_bases[0]
-    for b in chain_bases[1:]:
-        product_basis = np.kron(product_basis, b)
-
-    joint = _re_discord_single(QState((d_joint,) + rest_dims, sigma.matrix), 0, cfg)
+    if joint is not None:
+        chain_value = float("nan")
+        chain_converged = True
+    else:
+        # Chain route: optimize each measured factor on the running dephased state.
+        if first is None:
+            first = _re_discord_single(state, measured[0], cfg)
+        tau = sigma
+        chain_bases = []
+        chain_converged = True
+        for pos in range(len(measured)):
+            step = first if pos == 0 else _re_discord_single(tau, pos, cfg)
+            chain_bases.append(step.argbasis.basis)
+            chain_converged = chain_converged and step.converged
+            tau = dephase(tau, ProjectiveMeasurement(pos, step.argbasis.basis))
+        chain_value = von_neumann_entropy(tau) - von_neumann_entropy(sigma)
+        product_basis = chain_bases[0]
+        for b in chain_bases[1:]:
+            product_basis = np.kron(product_basis, b)
+        joint = minimize_over_measurements(objective, d_joint, cfg, subsystem=0)
 
     if chain_value < joint.value:
         value = chain_value
@@ -360,6 +384,9 @@ def re_discord_detailed(
         spread=joint.spread,
         converged=joint.converged and chain_converged,
         restart_values=joint.restart_values,
+        iterations=joint.iterations,
+        evaluations=joint.evaluations,
+        stop_reasons=joint.stop_reasons,
     )
 
 
@@ -395,6 +422,9 @@ def re_discord(
         spread=detail.spread,
         converged=detail.converged,
         restart_values=detail.restart_values,
+        iterations=detail.iterations,
+        evaluations=detail.evaluations,
+        stop_reasons=detail.stop_reasons,
     )
 
 

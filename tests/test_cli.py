@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -106,6 +108,20 @@ def test_verify_csv_output(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "suite,sample,relation,lhs,rhs,slack,tolerance,holds,skipped,seed"
     assert len(lines) == 9
+
+
+def test_verify_csv_on_stdout_is_only_csv(capsys):
+    # The report is on stdout, so the summary lines go to stderr.
+    rc = main(
+        ["verify", "--suite", "eq5", "--family", "random_mixed", "--dims", "2x2",
+         "--rank", "2", "--samples", "2", "--format", "csv"]
+    )
+    assert rc == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert rows[0] == ["suite", "sample", "relation", "lhs", "rhs", "slack", "tolerance", "holds", "skipped", "seed"]
+    assert [r[1:3] for r in rows[1:]] == [["0", "eq5"], ["1", "eq5"]]
+    assert captured.err == "eq5: 2 pass, 0 fail, 0 skip\n"
 
 
 def test_example_subcommands(tmp_path, capsys):

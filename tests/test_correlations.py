@@ -692,6 +692,69 @@ def test_re_discord_chain_reuses_first_factor(monkeypatch):
         re_discord_detailed(state, (1, 2), cfg, first=re_discord(state, 2, cfg))
 
 
+def test_re_discord_on_several_subsystems_keeps_restart_diagnostics(monkeypatch):
+    # The joint step's per-restart tuples come through: one certified
+    # candidate on a pure input, one entry per restart on a mixed one.
+    cfg = OptimizerConfig(restarts=3, max_iter=300, seed=5)
+    pure = haar_random_pure((2, 2, 2), 3).to_density()
+    with monkeypatch.context() as m:
+        m.setattr(correlations, "minimize_over_measurements", _no_search)
+        _assert_certified(re_discord(pure, (1, 2), cfg), von_neumann_entropy(partial_trace(pure, (1, 2))))
+    mixed = re_discord(random_mixed((2, 2, 2), 8, 3), (1, 2), cfg).diagnostics()
+    for key in ("restart_values", "iterations", "evaluations", "stop_reasons"):
+        assert len(mixed[key]) == cfg.restarts
+
+
+def _binary_entropy(p):
+    p = np.clip(p, 0.0, 1.0)
+    return -sum(np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0) for q in (p, 1.0 - p))
+
+
+def _x_state_discords(a, b, c, d, w, z):
+    """(D_z, D_x) of the X state measured on its second qubit.
+
+    Closed forms for the sigma_z and sigma_x measurements (Ali, Rau & Alber,
+    PRA 81, 042105, 2010), for rho = [[a,0,0,w],[0,b,z,0],[0,z*,c,0],[w*,0,0,d]]
+    in the basis |00>, |01>, |10>, |11>.  D = S(B) - S(AB) + sum_k p_k S(rho_A|k).
+    """
+    outer = np.array([(a + d + np.hypot(a - d, 2 * abs(w))) / 2, (a + d - np.hypot(a - d, 2 * abs(w))) / 2])
+    inner = np.array([(b + c + np.hypot(b - c, 2 * abs(z))) / 2, (b + c - np.hypot(b - c, 2 * abs(z))) / 2])
+    lam = np.concatenate([outer, inner])
+    s_ab = -float(np.sum(np.where(lam > 0, lam * np.log2(np.where(lam > 0, lam, 1.0)), 0.0)))
+    s_b = float(_binary_entropy(a + c))
+    # sigma_z on B: outcome 0 leaves diag(a, c), outcome 1 leaves diag(b, d)
+    cond_z = (a + c) * _binary_entropy(a / (a + c)) + (b + d) * _binary_entropy(b / (b + d))
+    # sigma_x on B: both outcomes, each with weight 1/2, leave A with Bloch
+    # length sqrt((a + b - c - d)^2 + 4 |w + z|^2)
+    r = np.hypot(a + b - c - d, 2 * abs(w + z))
+    cond_x = _binary_entropy((1 + r) / 2)
+    return s_b - s_ab + float(cond_z), s_b - s_ab + float(cond_x)
+
+
+def test_discord_on_x_states_meets_the_sigma_z_and_sigma_x_closed_forms():
+    # The default-budget estimate is an upper bound on the projective
+    # optimum, which is at most the better of the two closed forms.  The
+    # identity start is stationary on X states, so a search from it alone
+    # stops at D_z even where D_x is lower.
+    rng = np.random.default_rng(20100405)
+    below_z = 0
+    for _ in range(50):
+        a, b, c, d = rng.dirichlet(np.ones(4))
+        w = np.sqrt(a * d) * rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        z = np.sqrt(b * c) * rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        m = np.array([[a, 0, 0, w], [0, b, z, 0], [0, np.conj(z), c, 0], [np.conj(w), 0, 0, d]])
+        state = QState((2, 2), m)
+        swapped = permute_subsystems(state, (1, 0))
+        for side, rho in ((1, state), (0, swapped)):
+            x = rho.matrix
+            d_z, d_x = _x_state_discords(
+                x[0, 0].real, x[1, 1].real, x[2, 2].real, x[3, 3].real, x[0, 3], x[1, 2]
+            )
+            below_z += d_x < d_z - 1e-6
+            assert discord(state, side).value <= min(d_z, d_x) + 1e-9
+    assert below_z >= 10
+
+
 def test_re_discord_index_validation():
     state = random_mixed((2, 2), 2, 1)
     with pytest.raises(ValueError):

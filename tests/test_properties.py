@@ -17,11 +17,12 @@ from discordkit import (
     eof_upper,
     partial_trace,
     permute_subsystems,
+    purify,
     von_neumann_entropy,
 )
 from discordkit.correlations import CONJECTURE_I_SLACK
 from discordkit.measurement import ProjectiveMeasurement, _measurement_objective, apply_measurement
-from discordkit.states import random_mixed
+from discordkit.states import haar_random_pure, random_mixed
 
 from conftest import haar_unitary
 
@@ -108,3 +109,39 @@ def test_eof_upper_is_never_below_wootters_beyond_the_floor_bias(rank, seed):
     # below the exact value.
     state = random_mixed((2, 2), rank, seed)
     assert eof_upper(state).value >= eof_2qubit(state).value - 5.4e-11
+
+
+def _pure_abc(kind: str, seed: int) -> QState:
+    if kind == "haar_2x2x2":
+        return haar_random_pure((2, 2, 2), seed).to_density()
+    if kind == "purified_2x3_rank3":
+        return purify(random_mixed((2, 3), 3, seed)).to_density()
+    return haar_random_pure((3, 2, 3), seed).to_density()
+
+
+def _ab_and_ac_objectives(abc: QState, seed: int):
+    """The AB and AC conditional-entropy objectives on one seeded stack of bases on A."""
+    g = np.random.default_rng(seed)
+    d = abc.dims[0]
+    bases = np.array([np.eye(d)] + [haar_unitary(g, d) for _ in range(8)], dtype=complex)
+    values = []
+    for pair in ((0, 1), (0, 2)):
+        objective, _d = _measurement_objective(partial_trace(abc, pair), 0, dephasing=False)
+        values.append(objective(bases)[0])
+    return values
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["haar_2x2x2", "purified_2x3_rank3", "haar_3x2x3"]), seed=SEEDS)
+def test_ab_and_ac_objectives_agree_basis_by_basis_on_a_pure_abc(kind, seed):
+    # A rank-1 measurement on A leaves a pure BC state for each outcome, so
+    # S(rho_B^k) = S(rho_C^k): monogamy's J_A(AC) may read the D_A(AB) search.
+    ab, ac = _ab_and_ac_objectives(_pure_abc(kind, seed), seed)
+    np.testing.assert_allclose(ab, ac, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ab_and_ac_objectives_differ_on_a_mixed_abc(seed):
+    # The control: without purity the two objectives are different functions.
+    ab, ac = _ab_and_ac_objectives(random_mixed((2, 2, 2), 8, seed), seed)
+    assert np.max(np.abs(ab - ac)) > 1e-6

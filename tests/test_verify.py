@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -207,6 +208,41 @@ def test_thm3_requires_tripartite():
     assert row.skipped is not None
 
 
+def test_thm3_certified_route_skips_the_chain(monkeypatch):
+    # On a pure ABC the joint BC step is certified optimal over all bases,
+    # product bases included, so no search runs and the chain is skipped.
+    import discordkit.correlations as correlations
+    from discordkit.cli import _json_text
+    from discordkit.correlations import re_discord_detailed
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a measurement search ran")
+
+    monkeypatch.setattr(correlations, "minimize_over_measurements", no_search)
+    for i in range(3):
+        state = haar_random_pure((2, 2, 2), 90 + i).to_density()
+        detail = re_discord_detailed(state, (1, 2), FAST)
+        assert math.isnan(detail.chain_value)
+        assert detail.value == detail.joint_value
+        assert detail.joint_value == pytest.approx(von_neumann_entropy(partial_trace(state, (1, 2))), abs=1e-12)
+        assert detail.stop_reasons == (correlations.CERTIFIED,)
+
+        row = check_thm3(state, FAST)
+        assert row.holds and row.skipped is None
+        assert row.provenance["joint_route"] == "certified"
+        assert math.isnan(row.provenance["chain_value"])
+        text = _json_text(asdict(row))
+        prov = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-strict JSON: {c}"))["provenance"]
+        assert prov["chain_value"] is None and prov["chain_residual"] is None
+        assert prov["joint_route"] == "certified"
+
+    # a mixed input searches the chain and carries no route tag
+    monkeypatch.undo()
+    row = check_thm3(random_mixed((2, 2, 2), 8, 7400), FAST)
+    assert "joint_route" not in row.provenance
+    assert row.provenance["chain_residual"] <= 1e-9
+
+
 def test_kw_pointwise_identity():
     bell_abc = purify(bell_state()).to_density()  # trivial environment
     row = check_kw_pointwise(
@@ -351,11 +387,10 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
         monkeypatch.setattr(module, "min_conditional_entropy", counting_min_conditional_entropy)
     # E_F(BC) and E_F(AC) of the 2x2x3 purification take the convex roof
     # thm3 skips a bipartite input; on a pure ABC, D_B, D_C and the joint
-    # D_BC are certified without a search, and only the chain's step on the
-    # dephased state searches
-    for spec, roofs, dephasing_searches in (
-        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 2, 0),
-        (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0, 1),
+    # D_BC are certified without a search, so the chain is skipped
+    for spec, roofs in (
+        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 2),
+        (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0),
     ):
         roof_inputs.clear()
         opt_inputs.clear()
@@ -363,9 +398,10 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
         report = run_suite(spec, tuple(RELATIONS), 1, FAST)
         assert len(report.rows) == 12
         assert len(roof_inputs) == len(set(roof_inputs)) == roofs
-        # D_A on AB (the input itself when it is bipartite) and J_A on AC
-        assert len(opt_inputs) == len(set(opt_inputs)) == 2
-        assert len(searches) - len(opt_inputs) == dephasing_searches
+        # D_A on AB (the input itself when it is bipartite); J_A on AC reads
+        # the same minimum, and no dephasing search runs
+        assert len(opt_inputs) == len(set(opt_inputs)) == 1
+        assert len(searches) == len(opt_inputs)
 
         # monogamy reads the D_A(AB) run that thm1, eq8 and lindblad read as D_A(state)
         opt_inputs.clear()
@@ -376,7 +412,7 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
         if spec.family == "random_mixed":
             assert analysis.j_and_d("ab", 0) == analysis.j_and_d("state", 0)
             assert rows["thm1"].lhs == d_ab
-        assert len(opt_inputs) == 2
+        assert len(opt_inputs) == 1
 
 
 def test_run_suite_counts_skips_separately():
