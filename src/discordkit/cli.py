@@ -61,7 +61,7 @@ known families: {', '.join(FAMILIES)}
 def _add_optimizer_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p.add_argument("--restarts", type=int, default=None, help="local-search restarts")
-    p.add_argument("--tol", type=float, default=None, help="objective tolerance")
+    p.add_argument("--tol", type=float, default=None, help="restart-spread bound of converged (spread <= 10 * tol)")
     p.add_argument("--max-iter", type=int, default=None, help="local-search iteration cap")
 
 

@@ -381,11 +381,21 @@ def check_eq12(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 
 
 def _thm2_unmet(a: _StateAnalysis) -> str | None:
-    """Why Theorem 2 and Corollary 2 are skipped, or None."""
+    """Why Theorem 2 and Corollary 2 are skipped, or None.
+
+    The hypothesis is a conjunction, so the first term that does not vanish
+    settles it.  E_F(BC) is read first (``thm1``, ``cor1`` and ``lindblad``
+    have already computed it), and E_F(AC) is computed only when E_F(BC)
+    vanishes: a skip on E_F(BC) names that term alone, one on E_F(AC)
+    names both.
+    """
     if a.state.n_subsystems != 2:
         return "needs a bipartite state"
-    ef_ac, ef_bc = a.eof("ac")[0], a.eof("bc")[0]
-    if ef_ac > EF_ZERO_TOL or ef_bc > EF_ZERO_TOL:
+    ef_bc = a.eof("bc")[0]
+    if ef_bc > EF_ZERO_TOL:
+        return f"hypothesis not met: E_F(BC) = {ef_bc:.3g}"
+    ef_ac = a.eof("ac")[0]
+    if ef_ac > EF_ZERO_TOL:
         return f"hypothesis not met: E_F(AC) = {ef_ac:.3g}, E_F(BC) = {ef_bc:.3g}"
     return None
 
@@ -394,7 +404,9 @@ def check_thm2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """|D_A - D_B| <= S(AB) when both E_F(AC) and E_F(BC) vanish.
 
     Under the hypothesis the difference also equals S(A) - S(B); both the
-    bound and that identity must hold for the check to pass.
+    bound and that identity must hold for the check to pass.  The
+    hypothesis is tested by ``_thm2_unmet``: E_F(BC) first, E_F(AC) only
+    when E_F(BC) vanishes, so a skip on E_F(BC) runs no second convex roof.
     """
     a = _analysis(state, cfg)
     reason = _thm2_unmet(a)
@@ -417,7 +429,9 @@ def check_thm2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 def check_cor2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """D_B - D_A <= S(AB) under the same vanishing-entanglement hypothesis.
 
-    The saturation flag records whether E_F(BC) vanishes and D_B = J_B.
+    The hypothesis is read as in ``check_thm2`` (E_F(BC) first, E_F(AC)
+    only when E_F(BC) vanishes).  The saturation flag records whether
+    E_F(BC) vanishes and D_B = J_B.
     """
     a = _analysis(state, cfg)
     reason = _thm2_unmet(a)
@@ -670,6 +684,8 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown relations {unknown}; known: {sorted(RELATIONS)}")
     cfg = cfg or DEFAULT_CONFIG
+    # Serialized once per suite; each row gets its own shallow copy.
+    family, optimizer = spec.to_json(), cfg.to_json()
     rows = []
     for i in range(int(samples)):
         analysis = _StateAnalysis(spec.sample(i), cfg)
@@ -679,10 +695,10 @@ def run_suite(
                 row,
                 provenance={
                     **row.provenance,
-                    "family": spec.to_json(),
+                    "family": dict(family),
                     "sample": i,
                     "seed": spec.seed,
-                    "optimizer": cfg.to_json(),
+                    "optimizer": dict(optimizer),
                 },
             )
             rows.append(row)

@@ -30,6 +30,7 @@ from discordkit.states import (
 )
 from discordkit.verify import (
     _MEASUREMENT_SALT,
+    EF_ZERO_TOL,
     RELATIONS,
     _random_start,
     _StateAnalysis,
@@ -185,6 +186,70 @@ def test_thm2_and_cor2():
 
     c2_pure = check_cor2(pure, CFG)
     assert c2_pure.holds and c2_pure.equality is True
+
+
+def _record_eof_pairs(monkeypatch, analysis):
+    """Patch ``_certified_eof`` and ``eof_upper`` to log the pair of ``analysis`` each call is for."""
+    import discordkit.verify as verify
+
+    pairs, roofs = [], []
+    certified_eof, eof_upper = verify._certified_eof, verify.eof_upper
+
+    def pair_of(state):
+        return next(p for p in ("ac", "bc") if analysis._memo.get(p) is state)
+
+    def recording_certified_eof(state, cfg):
+        pairs.append(pair_of(state))
+        return certified_eof(state, cfg)
+
+    def recording_eof_upper(state, *args, **kwargs):
+        roofs.append(pair_of(state))
+        return eof_upper(state, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_certified_eof", recording_certified_eof)
+    monkeypatch.setattr(verify, "eof_upper", recording_eof_upper)
+    return pairs, roofs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_thm2_hypothesis_stops_at_a_nonvanishing_ef_bc(monkeypatch, seed):
+    # the 2x2x3 purification's BC and AC reductions both need the convex
+    # roof; E_F(BC) does not vanish, so E_F(AC) is never computed
+    analysis = _StateAnalysis(random_mixed((2, 2), 3, seed), FAST)
+    pairs, roofs = _record_eof_pairs(monkeypatch, analysis)
+    rows = [check_thm2(analysis, FAST), check_cor2(analysis, FAST)]
+    assert pairs == roofs == ["bc"]
+    ef_bc = analysis.eof("bc")[0]
+    assert ef_bc > EF_ZERO_TOL
+    for row in rows:
+        assert row.skipped == f"hypothesis not met: E_F(BC) = {ef_bc:.3g}"
+        assert "E_F(AC)" not in row.skipped
+
+
+def test_thm2_hypothesis_computes_ef_ac_when_ef_bc_vanishes(monkeypatch):
+    # non-orthogonal rank-1 components: B is unentangled with the
+    # environment (Wootters E_F(BC) = 0), but A is entangled with it
+    spec = StateFamilySpec("classical_quantum", {"k": 2, "dims": (2,), "rank": 1}, 7)
+    analysis = _StateAnalysis(spec.sample(0), FAST)
+    pairs, roofs = _record_eof_pairs(monkeypatch, analysis)
+    rows = [check_thm2(analysis, FAST), check_cor2(analysis, FAST)]
+    assert pairs == ["bc", "ac"] and roofs == []
+    (ef_bc, _, route_bc), (ef_ac, _, route_ac) = analysis.eof("bc"), analysis.eof("ac")
+    assert route_bc == route_ac == "wootters"
+    assert ef_bc <= EF_ZERO_TOL and ef_ac == pytest.approx(0.237, abs=1e-3)
+    for row in rows:
+        assert row.skipped == f"hypothesis not met: E_F(AC) = {ef_ac:.3g}, E_F(BC) = {ef_bc:.3g}"
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_thm2_hypothesis_met_records_both_routes(monkeypatch, index):
+    spec = StateFamilySpec("classical_quantum", {"k": 2, "dims": (2,), "orthogonal": True}, 6)
+    analysis = _StateAnalysis(spec.sample(index), FAST)
+    pairs, roofs = _record_eof_pairs(monkeypatch, analysis)
+    for row in (check_thm2(analysis, FAST), check_cor2(analysis, FAST)):
+        assert row.skipped is None and row.holds
+        assert row.provenance["route_ac"] == row.provenance["route_bc"] == "wootters"
+    assert pairs == ["bc", "ac"] and roofs == []
 
 
 def test_thm3_random_and_classical():
@@ -385,11 +450,12 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
     monkeypatch.setattr(correlations, "minimize_over_measurements", counting_search)
     for module in (verify, correlations):
         monkeypatch.setattr(module, "min_conditional_entropy", counting_min_conditional_entropy)
-    # E_F(BC) and E_F(AC) of the 2x2x3 purification take the convex roof
+    # E_F(BC) of the 2x2x3 purification takes the convex roof; it does not
+    # vanish, so Theorem 2's hypothesis never computes E_F(AC).
     # thm3 skips a bipartite input; on a pure ABC, D_B, D_C and the joint
     # D_BC are certified without a search, so the chain is skipped
     for spec, roofs in (
-        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 2),
+        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 1),
         (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0),
     ):
         roof_inputs.clear()
