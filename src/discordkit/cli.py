@@ -272,6 +272,8 @@ def _cmd_verify(args, cfg: OptimizerConfig) -> int:
             _emit(_json_text(report.to_json()), args.out)
         else:
             _emit(_csv_text(suite_csv_rows(report)), args.out)
+    else:
+        print("note: no JSON report written; --out FILE writes it", file=sys.stderr)
     # The summary goes to stderr when the report itself is on stdout.
     summary_stream = sys.stdout if args.out or args.format != "csv" else sys.stderr
     for name, counts in report.relation_summary().items():

@@ -27,7 +27,14 @@ import numpy as np
 
 from ._descent import descend, random_starts, summary
 from .config import OptimizerConfig
-from .measurement import ProjectiveMeasurement, _measurement_objective, dephase
+from .entanglement import _eof_of_concurrence, _wootters_rows
+from .measurement import (
+    ProjectiveMeasurement,
+    _factor_objective,
+    _measurement_factor,
+    _measurement_objective,
+    dephase,
+)
 from .qstate import (
     QState,
     _entropy_bits,
@@ -66,8 +73,8 @@ ESTIMATOR_BIAS_NOTE = (
 # code defect, not physics.
 CONJECTURE_I_SLACK = 1e-4
 
-# A dephasing value within this of its proved lower bound is optimal to
-# rounding (``_re_discord_single``), and CERTIFIED is its stop reason.
+# A value within this of its proved lower bound is optimal to rounding
+# (``_certify``), and CERTIFIED is its stop reason.
 CERTIFY_TOL = 1e-12
 CERTIFIED = "certified"
 
@@ -92,9 +99,11 @@ class OptimizedValue:
     ``iterations`` the accepted descent steps, ``evaluations`` the objective
     calls the restart was live for, and ``stop_reasons`` why it stopped:
     ``gradient`` (Riemannian gradient norm), ``no_decrease`` (the next step
-    could not measurably lower the value), ``cap`` (``max_iter``) or, for
-    the dephasing discord only, ``certified`` (one candidate basis met the
-    proved lower bound, so no search ran; see ``_re_discord_single``).
+    could not measurably lower the value), ``cap`` (``max_iter``) or
+    ``certified`` (one candidate basis met a proved lower bound, so no
+    search ran; see ``_certify``).  Certificates exist for the dephasing
+    discord (``_certificate``) and for the conditional-entropy minimum of
+    a rank-2 two-qubit state (``_kw_certificate``).
     """
 
     value: float
@@ -170,10 +179,15 @@ def min_conditional_entropy(
 
     This is the shared inner optimization behind classical correlation and
     discord; both derive from the same run, so they add up to the mutual
-    information to rounding.
+    information to rounding.  On a two-qubit state of rank 2 the
+    Koashi-Winter certificate (``_kw_certificate``) scores Wootters' optimal
+    basis first; when it meets the proved lower bound E_F of the
+    purifier pair, it comes back with stop reason ``"certified"`` and no
+    search runs.  Otherwise the search runs on the same objective, so the
+    value is always one that the objective reached.
     """
-    objective, dm = _measurement_objective(state, measured, dephasing=False)
-    return minimize_over_measurements(objective, dm, cfg, subsystem=measured)
+    objective, dm, certified = _kw_certificate(state, measured)
+    return certified or minimize_over_measurements(objective, dm, cfg, subsystem=measured)
 
 
 def _j_and_d(
@@ -240,12 +254,64 @@ def discord(
 
 
 def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float:
-    """|D_A - D_B| from two optimizer runs on a bipartite state."""
+    """|D_A - D_B| from two conditional-entropy minimizations on a bipartite state.
+
+    Each side is certified without a search on a rank-2 two-qubit state
+    (``min_conditional_entropy``) and searched otherwise.
+    """
     if state.n_subsystems != 2:
         raise ValueError("discord_distance needs a state with exactly two subsystems")
     d_a = discord(state, 0, cfg).value
     d_b = discord(state, 1, cfg).value
     return abs(d_a - d_b)
+
+
+def _certify(objective: Callable, basis: np.ndarray, bound: float, measured: int) -> OptimizedValue | None:
+    """``basis`` scored by ``objective``, or None when it misses the lower ``bound``.
+
+    A value within ``CERTIFY_TOL`` of a proved lower bound is optimal to
+    rounding and comes back with stop reason ``"certified"``, one
+    evaluation, no iterations and spread 0.
+    """
+    values, _grad = objective(basis[None])
+    value = float(values[0])
+    if not value <= bound + CERTIFY_TOL:  # a NaN value is not certified
+        return None
+    return OptimizedValue(
+        value=value,
+        argbasis=ProjectiveMeasurement(measured, basis),
+        spread=0.0,
+        converged=True,
+        restart_values=(value,),
+        iterations=(0,),
+        evaluations=(1,),
+        stop_reasons=(CERTIFIED,),
+    )
+
+
+def _kw_certificate(state: QState, measured: int):
+    """The conditional-entropy objective on A, its dimension, and a certified result or None.
+
+    A is the measured subsystem, B the rest and C the purifier.  By the
+    Koashi-Winter relation (PRA 69, 022309, 2004) the least
+    sum_k p_k S(rho_B^k) over all POVMs on A is E_F(BC), so E_F(BC)
+    bounds every projective basis from below.  When A and B are qubits
+    and rho has rank 2, C is a qubit, and Wootters gives both E_F(BC) =
+    E(C) from the concurrence C and a two-member optimal decomposition of
+    rho_BC (``entanglement._wootters_rows``).  Under the HJW
+    correspondence the decomposition W phi of the purifier rows phi_x
+    (``_measurement_factor``) is the measurement of A in the basis W^H,
+    which ``_certify`` scores against the bound.  Other inputs get no
+    candidate and the result is None; the objective is returned for the
+    search to reuse.
+    """
+    factor, r, lam = _measurement_factor(state, measured)
+    objective = _factor_objective(factor, r, lam, dephasing=False)
+    certified = None
+    if factor.shape == (2, 4) and r == 2:
+        w, c = _wootters_rows(factor)
+        certified = _certify(objective, w.conj().T, _eof_of_concurrence(c), measured)
+    return objective, factor.shape[0], certified
 
 
 def _certificate(state: QState, measured: int):
@@ -254,30 +320,16 @@ def _certificate(state: QState, measured: int):
     Every basis scores at least L = max(0, S(rho_X) - S(rho)): dephasing
     never lowers entropy, and S(Pi_X rho) = H(p) + sum_k p_k S(rho_k) >= H(p)
     >= S(rho_X), because the outcome distribution p is majorized by rho_X's
-    spectrum.  The eigenbasis of rho_X is scored; when its value is within
-    ``CERTIFY_TOL`` of L it is optimal to rounding and comes back with stop
-    reason ``"certified"``, one evaluation, no iterations and spread 0.
-    This happens on every pure state, where the value is S(rho_X), and on
-    states classical on X in that eigenbasis, where it is 0.  Otherwise the
-    result is None, and the objective is returned for the search to reuse.
+    spectrum.  The eigenbasis of rho_X is scored against L (``_certify``).
+    It is certified on every pure state, where the value is S(rho_X), and
+    on states classical on X in that eigenbasis, where it is 0.  Otherwise
+    the result is None, and the objective is returned for the search to
+    reuse.
     """
     objective, dm = _measurement_objective(state, measured, dephasing=True)
     lam, vec = np.linalg.eigh(partial_trace(state, (measured,)).matrix)
-    values, _grad = objective(vec[None])
-    value = float(values[0])
     bound = max(0.0, float(_entropy_bits(lam)) - von_neumann_entropy(state))
-    if not value <= bound + CERTIFY_TOL:  # a NaN value is not certified
-        return objective, dm, None
-    return objective, dm, OptimizedValue(
-        value=value,
-        argbasis=ProjectiveMeasurement(measured, vec),
-        spread=0.0,
-        converged=True,
-        restart_values=(value,),
-        iterations=(0,),
-        evaluations=(1,),
-        stop_reasons=(CERTIFIED,),
-    )
+    return objective, dm, _certify(objective, vec, bound, measured)
 
 
 def _re_discord_single(state: QState, measured: int, cfg: OptimizerConfig | None) -> OptimizedValue:

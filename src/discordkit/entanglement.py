@@ -163,12 +163,52 @@ def concurrence_2qubit(state: QState) -> float:
     return float(combo)
 
 
+def _eof_of_concurrence(c: float) -> float:
+    """Wootters' E = h((1 + sqrt(1 - C^2)) / 2), C capped at 1."""
+    c = min(c, 1.0)
+    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+
+
 def eof_2qubit(state: QState) -> EofResult:
     """Exact two-qubit entanglement of formation via the concurrence."""
     _require_two_qubits(state, "eof_2qubit")
-    c = min(concurrence_2qubit(state), 1.0)
-    value = binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
-    return EofResult(value, EXACT_WOOTTERS)
+    return EofResult(_eof_of_concurrence(concurrence_2qubit(state)), EXACT_WOOTTERS)
+
+
+def _wootters_rows(phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """A unitary W whose two members (W phi)_k have one concurrence C, and C.
+
+    ``phi`` holds two unnormalized two-qubit vectors as rows (a 2 x 4
+    matrix), so sigma = sum_x phi_x phi_x^H has rank at most 2.  Wootters'
+    construction (PRL 80, 2245, 1998) on tau = phi (s_y x s_y) phi^T, a
+    complex symmetric matrix: its Takagi factorization tau = U diag(s1, s2)
+    U^T gives C = s1 - s2, the concurrence of sigma.  U comes from the real
+    symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]], whose top
+    eigenvector (a, b) makes u1 = a + i b with tau conj(u1) = s1 u1; u2 is
+    the unit vector orthogonal to u1, phased so that u2^H tau conj(u2) = s2
+    >= 0.  (The embedding's second eigenvector would do as well unless
+    tau is zero to rounding, where its eigenvectors need not give a
+    unitary U.)  The members y = diag(1, i) U^H phi have
+    y (s_y x s_y) y^T = diag(s1, -s2), and the real rotation O(theta) that
+    zeroes the diagonal of the trace-free form diag(s1, -s2) - C Re(y y^H)
+    leaves member k with y_k^T (s_y x s_y) y_k = C |y_k|^2, so each has
+    concurrence C, for any s1 >= s2, including s1 = s2.  W = O(theta)
+    diag(1, i) U^H.
+    """
+    tau = phi @ _SYSY @ phi.T
+    w, v = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    u1 = v[:2, -1] + 1j * v[2:, -1]
+    u2 = np.array([-u1[1].conj(), u1[0].conj()])
+    z = u2.conj() @ tau @ u2.conj()
+    u2 = u2 * np.exp(0.5j * np.angle(z))
+    s1, s2 = float(w[-1]), float(abs(z))
+    c = s1 - s2
+    uh = np.stack([u1.conj(), 1j * u2.conj()])
+    y = uh @ phi
+    form = np.diag([s1, -s2]) - c * (y @ y.conj().T).real
+    theta = 0.5 * math.atan2(-(form[0, 0] - form[1, 1]) / 2.0, form[0, 1])
+    cos, sin = math.cos(theta), math.sin(theta)
+    return np.array([[cos, sin], [-sin, cos]]) @ uh, c
 
 
 def _roof_objective(e0: np.ndarray, dims, part_a, part_b) -> Callable:

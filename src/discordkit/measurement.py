@@ -213,6 +213,32 @@ def _povm_blocks(t: np.ndarray, elements) -> np.ndarray:
     return np.einsum("kab,bras->krs", e, t, optimize=True)
 
 
+def _measurement_factor(state: QState, measured: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """A factor rho = L L^H with the measured index first, the rest dimension R, and rho's spectrum.
+
+    L keeps the s eigenvalues of rho above ``_RANK_FLOOR`` and comes back as
+    a (d_m, R s) matrix: row x, reshaped to (R, s), is the amplitude block
+    phi_x of the purification sum_x |x> (x) phi_x over (rest, purifier).
+    """
+    t, dm, _rest = _measured_view(state, measured)
+    r = t.shape[1]
+    lam, vec = np.linalg.eigh(t.reshape(dm * r, dm * r))
+    keep = lam > _RANK_FLOOR
+    return (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * int(keep.sum())), r, lam
+
+
+def _factor_objective(factor: np.ndarray, r: int, lam: np.ndarray, dephasing: bool) -> Callable:
+    """``_measurement_objective`` on the output of ``_measurement_factor``."""
+    ensemble = _ensemble_objective(factor, r, factor.shape[1] // r, dephasing)
+    base_entropy = _entropy_bits(lam) if dephasing else 0.0
+
+    def objective(u: np.ndarray):
+        values, grad = ensemble(np.swapaxes(u.conj(), -1, -2))
+        return values - base_entropy, np.swapaxes(grad.conj(), -1, -2)
+
+    return objective
+
+
 def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tuple[Callable, int]:
     """Batched objective over bases on ``measured``, with its Euclidean gradient.
 
@@ -223,20 +249,8 @@ def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tup
     N_k N_k^H for the rows N_k = (u_k^H (x) I) L of V L, V = U^H, so this is
     ``_ensemble_objective`` at V with G_U = G_V^H.
     """
-    t, dm, _rest = _measured_view(state, measured)
-    r = t.shape[1]
-    lam, vec = np.linalg.eigh(t.reshape(dm * r, dm * r))
-    keep = lam > _RANK_FLOOR
-    s = int(keep.sum())
-    factor = (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * s)
-    ensemble = _ensemble_objective(factor, r, s, dephasing)
-    base_entropy = _entropy_bits(lam) if dephasing else 0.0
-
-    def objective(u: np.ndarray):
-        values, grad = ensemble(np.swapaxes(u.conj(), -1, -2))
-        return values - base_entropy, np.swapaxes(grad.conj(), -1, -2)
-
-    return objective, dm
+    factor, r, lam = _measurement_factor(state, measured)
+    return _factor_objective(factor, r, lam, dephasing), factor.shape[0]
 
 
 def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:

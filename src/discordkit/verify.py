@@ -25,6 +25,7 @@ from .config import OptimizerConfig
 from .correlations import (
     CERTIFIED,
     DEFAULT_CONFIG,
+    OptimizedValue,
     _j_and_d,
     min_conditional_entropy,
     re_discord,
@@ -175,8 +176,11 @@ class _StateAnalysis:
     (``minimum``): ``"abc"`` is always pure, so a rank-1 measurement on A
     leaves a pure BC state for each outcome k, S(rho_B^k) = S(rho_C^k), and
     the two conditional-entropy objectives are one function of the basis
-    (the step behind the Koashi-Winter relation).  Values are computed on
-    first use and kept in this object only.
+    (the step behind the Koashi-Winter relation).  On a rank-2 two-qubit
+    source that minimum is certified without a search
+    (``min_conditional_entropy``), and the rows that read it say so
+    (``_measurement_route``).  Values are computed on first use and kept in
+    this object only.
     """
 
     def __init__(self, state, cfg: OptimizerConfig | None):
@@ -213,18 +217,18 @@ class _StateAnalysis:
         """``_certified_eof`` of the reduction ``pair`` of ABC."""
         return self._memoized(("eof", pair), lambda: _certified_eof(self.source(pair), self.cfg))
 
-    def minimum(self, name: str, measured: int) -> float:
-        """The conditional-entropy minimum of ``source(name)`` measured on ``measured``.
+    def minimum(self, name: str, measured: int) -> OptimizedValue:
+        """The conditional-entropy minimization of ``source(name)`` measured on ``measured``.
 
-        One search per distinct state; ``("ac", 0)`` reads ``("ab", 0)``'s
-        search, since the two objectives agree on the pure ABC.
+        One run per distinct state; ``("ac", 0)`` reads ``("ab", 0)``'s
+        run, since the two objectives agree on the pure ABC.
         """
         name = self._alias.get(name, name)
         if (name, measured) == ("ac", 0):
             return self.minimum("ab", 0)
         return self._memoized(
             ("minimum", name, measured),
-            lambda: min_conditional_entropy(self.source(name), measured, self.cfg).value,
+            lambda: min_conditional_entropy(self.source(name), measured, self.cfg),
         )
 
     def j_and_d(self, name: str, measured: int) -> tuple[float, float]:
@@ -234,7 +238,7 @@ class _StateAnalysis:
         def compute():
             others = tuple(i for i in range(self.source(name).n_subsystems) if i != measured)
             return _j_and_d(
-                self.minimum(name, measured),
+                self.minimum(name, measured).value,
                 self.entropy(name, (measured,)),
                 self.entropy(name, others),
                 self.entropy(name),
@@ -246,6 +250,18 @@ class _StateAnalysis:
 
 def _analysis(state, cfg) -> _StateAnalysis:
     return state if isinstance(state, _StateAnalysis) else _StateAnalysis(state, cfg)
+
+
+def _measurement_route(a: _StateAnalysis, *minima: tuple[str, int]) -> dict:
+    """``{"measurement_route": "certified"}`` when every minimum a row reads was certified, else {}.
+
+    ``minima`` holds the (name, measured) pairs of ``_StateAnalysis.minimum``
+    that the row reads.  A certified minimum comes from the Koashi-Winter
+    certificate, not from the search, so such a row tests the certificate.
+    """
+    if all(a.minimum(name, measured).stop_reasons == (CERTIFIED,) for name, measured in minima):
+        return {"measurement_route": CERTIFIED}
+    return {}
 
 
 def _saturated(a: _StateAnalysis) -> bool:
@@ -275,7 +291,13 @@ def _kw_unmet(a: _StateAnalysis) -> str | None:
 
 
 def check_koashi_winter(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
-    """Tradeoff E_F(BC) + J_A(AB) = S(B) on states with a qubit environment."""
+    """Tradeoff E_F(BC) + J_A(AB) = S(B) on states with a qubit environment.
+
+    On a rank-2 two-qubit input J_A comes from the Koashi-Winter
+    certificate, which scores Wootters' basis against this very relation,
+    so the row tests the certificate, not the optimizer; its provenance
+    then carries ``"measurement_route": "certified"``.
+    """
     a = _analysis(state, cfg)
     reason = _kw_unmet(a)
     if reason:
@@ -284,12 +306,17 @@ def check_koashi_winter(state: QState, cfg: OptimizerConfig | None = None) -> Bo
     j_a, _d_a = a.j_and_d("state", 0)
     return _identity(
         "koashi_winter", ef + j_a, a.entropy("state", (1,)), TOL_OPT,
-        provenance={"entanglement_route": route},
+        provenance={"entanglement_route": route, **_measurement_route(a, ("state", 0))},
     )
 
 
 def check_eq8(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
-    """Tradeoff D_A(AB) - E_F(BC) = -S(B|A) on states with a qubit environment."""
+    """Tradeoff D_A(AB) - E_F(BC) = -S(B|A) on states with a qubit environment.
+
+    As in ``check_koashi_winter``, a rank-2 two-qubit input takes D_A from
+    the certificate, so the row tests the certificate, not the optimizer,
+    and records ``"measurement_route": "certified"``.
+    """
     a = _analysis(state, cfg)
     reason = _kw_unmet(a)
     if reason:
@@ -298,7 +325,8 @@ def check_eq8(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     _j_a, d_a = a.j_and_d("state", 0)
     rhs = -(a.entropy("state") - a.entropy("state", (0,)))
     return _identity(
-        "eq8", d_a - ef, rhs, TOL_OPT, provenance={"entanglement_route": route}
+        "eq8", d_a - ef, rhs, TOL_OPT,
+        provenance={"entanglement_route": route, **_measurement_route(a, ("state", 0))},
     )
 
 
@@ -309,12 +337,17 @@ def check_monogamy(state: QState, cfg: OptimizerConfig | None = None) -> BoundCh
     so lhs = (m - S(AB) + S(A)) + (S(C) - m): the row checks S(AB) = S(C) on
     the pure ABC, up to the weight ``purify`` clips from a bipartite input,
     and does not test the optimizer.  That the AC objective equals the AB
-    one basis by basis is a property test of its own.
+    one basis by basis is a property test of its own.  When AB is a rank-2
+    two-qubit state (every pure (2, 2, 2) input) m is certified, and the
+    provenance carries ``"measurement_route": "certified"``.
     """
     a = _analysis(state, cfg)
     _j_ab, d_ab = a.j_and_d("ab", 0)
     j_ac, _d_ac = a.j_and_d("ac", 0)
-    return _identity("monogamy", d_ab + j_ac, a.entropy("abc", (0,)), TOL_OPT2)
+    return _identity(
+        "monogamy", d_ab + j_ac, a.entropy("abc", (0,)), TOL_OPT2,
+        provenance=_measurement_route(a, ("ab", 0)),
+    )
 
 
 def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
@@ -323,6 +356,9 @@ def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     With only the convex-roof route available the right side is
     overestimated, which keeps the inequality a valid sanity bound; the
     saturation flag S(A) - S(B) = S(C) is reported on exact routes only.
+    On a rank-2 two-qubit input D_A is certified, so the row tests the
+    certificate, not the optimizer, and records ``"measurement_route":
+    "certified"``.
     """
     a = _analysis(state, cfg)
     if a.state.n_subsystems != 2:
@@ -332,12 +368,15 @@ def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     return _inequality(
         "thm1", d_a, a.entropy("abc", (1,)) + ef, TOL_OPT,
         equality=_saturated(a) if exact else None,
-        provenance={"entanglement_route": route},
+        provenance={"entanglement_route": route, **_measurement_route(a, ("state", 0))},
     )
 
 
 def check_cor1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
-    """D_A <= S(B) whenever E_F(BC) vanishes."""
+    """D_A <= S(B) whenever E_F(BC) vanishes.
+
+    A certified D_A (rank-2 two-qubit input) is recorded as in ``check_thm1``.
+    """
     a = _analysis(state, cfg)
     if a.state.n_subsystems != 2:
         return _skipped("cor1", "inequality", "needs a bipartite state")
@@ -347,7 +386,7 @@ def check_cor1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     _j_a, d_a = a.j_and_d("state", 0)
     return _inequality(
         "cor1", d_a, a.entropy("abc", (1,)), TOL_OPT, equality=_saturated(a),
-        provenance={"entanglement_route": route},
+        provenance={"entanglement_route": route, **_measurement_route(a, ("state", 0))},
     )
 
 
@@ -356,7 +395,8 @@ def check_lindblad_lemma3(state: QState, cfg: OptimizerConfig | None = None) -> 
 
     When the hypothesis cannot be certified the relation is still evaluated
     and recorded (a violation there is expected physics, not a failure), so
-    the row comes back skip-classed with the outcome preserved.
+    the row comes back skip-classed with the outcome preserved.  A certified
+    D_A and J_A (rank-2 two-qubit input) are recorded as in ``check_thm1``.
     """
     a = _analysis(state, cfg)
     if a.state.n_subsystems != 2:
@@ -368,7 +408,7 @@ def check_lindblad_lemma3(state: QState, cfg: OptimizerConfig | None = None) -> 
         skipped = f"survey: hypothesis not met (E_F(BC) = {ef:.3g})"
     return _inequality(
         "lindblad", d_a, j_a, TOL_OPT2, skipped=skipped,
-        provenance={"entanglement_route": route, "ef_bc": ef},
+        provenance={"entanglement_route": route, "ef_bc": ef, **_measurement_route(a, ("state", 0))},
     )
 
 
@@ -407,6 +447,8 @@ def check_thm2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     bound and that identity must hold for the check to pass.  The
     hypothesis is tested by ``_thm2_unmet``: E_F(BC) first, E_F(AC) only
     when E_F(BC) vanishes, so a skip on E_F(BC) runs no second convex roof.
+    When both D_A and D_B were certified (rank-2 two-qubit input), the
+    provenance carries ``"measurement_route": "certified"``.
     """
     a = _analysis(state, cfg)
     reason = _thm2_unmet(a)
@@ -419,6 +461,7 @@ def check_thm2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
         provenance={
             "route_ac": a.eof("ac")[2], "route_bc": a.eof("bc")[2],
             "identity_residual": identity_residual,
+            **_measurement_route(a, ("state", 0), ("state", 1)),
         },
     )
     if identity_residual > TOL_OPT2:
@@ -431,7 +474,8 @@ def check_cor2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 
     The hypothesis is read as in ``check_thm2`` (E_F(BC) first, E_F(AC)
     only when E_F(BC) vanishes).  The saturation flag records whether
-    E_F(BC) vanishes and D_B = J_B.
+    E_F(BC) vanishes and D_B = J_B.  Certified minima are recorded as in
+    ``check_thm2``.
     """
     a = _analysis(state, cfg)
     reason = _thm2_unmet(a)
@@ -442,7 +486,10 @@ def check_cor2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     equality = a.eof("bc")[0] <= EF_ZERO_TOL and abs(d_b - j_b) <= TOL_OPT2
     return _inequality(
         "cor2", d_b - d_a, a.entropy("state"), TOL_OPT2, equality=equality,
-        provenance={"route_ac": a.eof("ac")[2], "route_bc": a.eof("bc")[2]},
+        provenance={
+            "route_ac": a.eof("ac")[2], "route_bc": a.eof("bc")[2],
+            **_measurement_route(a, ("state", 0), ("state", 1)),
+        },
     )
 
 

@@ -124,6 +124,20 @@ def test_verify_csv_on_stdout_is_only_csv(capsys):
     assert captured.err == "eq5: 2 pass, 0 fail, 0 skip\n"
 
 
+def test_verify_json_without_out_warns_on_stderr(tmp_path, capsys):
+    # Without --out the JSON report is not written: stdout keeps the summary
+    # lines, byte for byte as with --out, and stderr says how to get it.
+    args = ["verify", "--suite", "eq5,eq12", "--family", "random_mixed", "--dims", "2x2",
+            "--rank", "2", "--samples", "2", "--format", "json"]
+    assert main(args) == 0
+    bare = capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "suite.json")]) == 0
+    written = capsys.readouterr()
+    assert bare.out == written.out == "eq5: 2 pass, 0 fail, 0 skip\neq12: 2 pass, 0 fail, 0 skip\n"
+    assert written.err == ""
+    assert bare.err == "note: no JSON report written; --out FILE writes it\n"
+
+
 def test_example_subcommands(tmp_path, capsys):
     rc = main(["example", "example4", "--restarts", "6"])
     assert rc == 0

@@ -411,14 +411,17 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
 def test_min_conditional_entropy_meets_koashi_winter_oracle(restarts):
     # Rank-2 (2,2) states have a qubit purifier C, so Koashi-Winter makes the
     # minimum over measurements on A exactly E_F(BC), which Wootters gives.
-    # At one restart the search runs from the identity alone.
+    # min_conditional_entropy certifies these inputs without a search, so
+    # the search itself runs here on their objective.  At one restart it
+    # runs from the identity alone.
     cfg = OptimizerConfig(restarts=restarts)
     for i in range(20):
         state = random_mixed((2, 2), 2, 7000 + i)
         oracle = eof_2qubit(partial_trace(purify(state).to_density(), (1, 2))).value
-        value = min_conditional_entropy(state, 0, cfg).value
-        assert abs(value - oracle) <= 1e-9
-        assert value >= oracle - 1e-12
+        opt = minimize_over_measurements(*_measurement_objective(state, 0, False), cfg, 0)
+        assert correlations.CERTIFIED not in opt.stop_reasons
+        assert abs(opt.value - oracle) <= 1e-9
+        assert opt.value >= oracle - 1e-12
 
 
 # Unitary starts of the measurement search (d x d) and Stiefel starts of the
@@ -549,6 +552,76 @@ def _assert_certified(opt, value):
     assert opt.restart_values == (opt.value,)
     assert opt.spread == 0.0 and opt.converged
     assert opt.value == pytest.approx(value, abs=1e-12)
+
+
+def _rank2_two_qubit(kind: str, seed: int) -> QState:
+    """A seeded rank-2 two-qubit state of the named kind."""
+    if kind == "random_mixed":
+        return random_mixed((2, 2), 2, seed)
+    if kind == "haar_ab":
+        return partial_trace(haar_random_pure((2, 2, 2), seed).to_density(), (0, 1))
+    if kind == "classical_quantum":
+        # E_F(BC) = 0 and s1 = s2: the Takagi values are degenerate.
+        p = np.random.default_rng(seed).uniform(0.1, 0.9)
+        return classical_quantum([p, 1.0 - p], [haar_random_pure((2,), seed, k).to_density() for k in (0, 1)])
+    # pure A (x) rank-2 B: measured on B, the unmeasured A is pure and tau = 0
+    return tensor(haar_random_pure((2,), seed).to_density(), random_mixed((2,), 2, seed))
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize("kind", ["random_mixed", "haar_ab", "classical_quantum", "pure_a"])
+def test_kw_certificate_meets_wootters_on_rank2_two_qubit_states(kind, rotate, monkeypatch):
+    # Koashi-Winter: the minimum over measurements on one qubit is E_F of the
+    # other qubit and the purifier, which Wootters gives; the certificate
+    # scores against exactly that bound and reaches it, on either side.
+    bounds = []
+    certify = correlations._certify
+
+    def recording(objective, basis, bound, measured):
+        bounds.append(bound)
+        return certify(objective, basis, bound, measured)
+
+    monkeypatch.setattr(correlations, "_certify", recording)
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    for i in range(5):
+        state = _rank2_two_qubit(kind, 300 + i)
+        if rotate:
+            g = np.random.default_rng(300 + i)
+            u = np.kron(haar_unitary(g, 2), haar_unitary(g, 2))
+            state = QState((2, 2), u @ state.matrix @ u.conj().T)
+        abc = purify(state).to_density()
+        for m, pair in ((0, (1, 2)), (1, (0, 2))):
+            oracle = eof_2qubit(partial_trace(abc, pair)).value
+            bounds.clear()
+            opt = min_conditional_entropy(state, m, cfg)
+            _assert_certified(opt, oracle)
+            assert opt.argbasis.subsystem == m
+            assert bounds == [pytest.approx(oracle, abs=1e-12)]
+            forced = minimize_over_measurements(*_measurement_objective(state, m, False), cfg, m)
+            assert opt.value <= forced.value + 1e-12
+
+
+def _no_certificate(*args, **kwargs):
+    raise AssertionError("a candidate basis was scored")
+
+
+@pytest.mark.parametrize(
+    "dims, rank", [((2, 2), 1), ((2, 2), 3), ((2, 2), 4), ((2, 3), 2), ((2, 3), 3)],
+    ids=["2x2r1", "2x2r3", "2x2r4", "2x3r2", "2x3r3"],
+)
+def test_kw_certificate_never_fires_off_rank2_two_qubit_states(dims, rank, monkeypatch):
+    # No candidate is scored, and the result is exactly the search's.
+    monkeypatch.setattr(correlations, "_certify", _no_certificate)
+    cfg = OptimizerConfig(restarts=2, seed=5)
+    for i in range(2):
+        state = random_mixed(dims, rank, 400 + i)
+        for m in (0, 1):
+            opt = min_conditional_entropy(state, m, cfg)
+            forced = minimize_over_measurements(*_measurement_objective(state, m, False), cfg, m)
+            assert correlations.CERTIFIED not in opt.stop_reasons
+            assert opt.value == forced.value
+            assert opt.restart_values == forced.restart_values
+            assert opt.argbasis.basis.tobytes() == forced.argbasis.basis.tobytes()
 
 
 def test_re_discord_zero_for_classical_states(monkeypatch):

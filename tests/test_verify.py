@@ -249,7 +249,31 @@ def test_thm2_hypothesis_met_records_both_routes(monkeypatch, index):
     for row in (check_thm2(analysis, FAST), check_cor2(analysis, FAST)):
         assert row.skipped is None and row.holds
         assert row.provenance["route_ac"] == row.provenance["route_bc"] == "wootters"
+        # a rank-2 two-qubit input: D_A and D_B are both certified
+        assert row.provenance["measurement_route"] == "certified"
     assert pairs == ["bc", "ac"] and roofs == []
+
+
+@pytest.mark.parametrize(
+    "spec, marked",
+    [
+        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 2}, 3),
+         {"koashi_winter", "eq8", "thm1", "lindblad", "monogamy"}),
+        (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 3), {"monogamy"}),
+        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 3), set()),
+        (StateFamilySpec("random_mixed", {"dims": (2, 3), "rank": 2}, 3), set()),
+    ],
+    ids=["2x2r2", "pure_2x2x2", "2x2r3", "2x3r2"],
+)
+def test_rows_reading_a_certified_minimum_record_the_route(spec, marked):
+    # cor1, thm2 and cor2 skip these samples (E_F(BC) > 0), and the other
+    # rows read no conditional-entropy minimum
+    report = run_suite(spec, tuple(RELATIONS), 2, FAST)
+    for row in report.rows:
+        if row.name in marked:
+            assert row.provenance["measurement_route"] == "certified"
+        else:
+            assert "measurement_route" not in row.provenance
 
 
 def test_thm3_random_and_classical():
@@ -453,10 +477,12 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
     # E_F(BC) of the 2x2x3 purification takes the convex roof; it does not
     # vanish, so Theorem 2's hypothesis never computes E_F(AC).
     # thm3 skips a bipartite input; on a pure ABC, D_B, D_C and the joint
-    # D_BC are certified without a search, so the chain is skipped
-    for spec, roofs in (
-        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 1),
-        (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0),
+    # D_BC are certified without a search, so the chain is skipped.  The AB
+    # reduction of a pure (2,2,2) state is a rank-2 two-qubit state, whose
+    # D_A minimum the Koashi-Winter certificate settles without a search.
+    for spec, roofs, n_searches in (
+        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 1, 1),
+        (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0, 0),
     ):
         roof_inputs.clear()
         opt_inputs.clear()
@@ -467,7 +493,7 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
         # D_A on AB (the input itself when it is bipartite); J_A on AC reads
         # the same minimum, and no dephasing search runs
         assert len(opt_inputs) == len(set(opt_inputs)) == 1
-        assert len(searches) == len(opt_inputs)
+        assert len(searches) == n_searches
 
         # monogamy reads the D_A(AB) run that thm1, eq8 and lindblad read as D_A(state)
         opt_inputs.clear()
