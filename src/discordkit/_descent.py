@@ -57,6 +57,11 @@ MEMORY = 4
 SLOTS = MEMORY + 1
 
 GRADIENT, NO_DECREASE, CAP = "gradient", "no_decrease", "cap"
+# A candidate within CERTIFY_TOL of a proved lower bound is optimal to
+# rounding and stops both searches before they start, with stop reason
+# CERTIFIED.
+CERTIFY_TOL = 1e-12
+CERTIFIED = "certified"
 _REASONS = ("", GRADIENT, NO_DECREASE, CAP)
 
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import descend, random_starts, summary
+from ._descent import CERTIFIED, CERTIFY_TOL, descend, random_starts, summary
 from .config import OptimizerConfig
 from .entanglement import _eof_of_concurrence, _wootters_rows
 from .measurement import (
@@ -72,11 +72,6 @@ ESTIMATOR_BIAS_NOTE = (
 # subsystem's entropy by more than this slack indicates an optimizer or
 # code defect, not physics.
 CONJECTURE_I_SLACK = 1e-4
-
-# A value within this of its proved lower bound is optimal to rounding
-# (``_certify``), and CERTIFIED is its stop reason.
-CERTIFY_TOL = 1e-12
-CERTIFIED = "certified"
 
 class DiscordBoundError(RuntimeError):
     """A discord estimate exceeded the measured subsystem's entropy bound."""

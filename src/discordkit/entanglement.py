@@ -1,7 +1,10 @@
 """Entanglement of formation.
 
 Exact for pure states (marginal entropy) and for two-qubit mixed states
-(Wootters concurrence); a convex-roof upper bound everywhere else.  The roof
+(Wootters concurrence).  ``eof_upper`` gives a convex-roof upper bound with
+a decomposition witness.  On two qubits it scores Wootters' optimal
+decomposition once (``_wootters_rows``) and returns it, certified, when it
+meets the exact value.  Otherwise, and on every other input, the roof
 searches pure-state ensembles of size rank^2 generated from the canonical
 purification by an isometry, which is known to be a sufficient ensemble
 size, by Riemannian L-BFGS on the Stiefel manifold: the same
@@ -22,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import descend, random_starts, summary
+from ._descent import CERTIFIED, CERTIFY_TOL, descend, random_starts, summary
 from .config import OptimizerConfig
 from .qstate import (
     InvalidStateError,
@@ -86,7 +89,10 @@ class EofResult:
     tol``, and the per-restart tuples hold the
     accepted descent steps (``iterations``), the objective calls the
     restart was live for (``evaluations``) and why it stopped
-    (``stop_reasons``: ``gradient``, ``no_decrease`` or ``cap``).
+    (``stop_reasons``: ``gradient``, ``no_decrease``, ``cap``, or
+    ``certified`` when Wootters' decomposition of a two-qubit state met the
+    exact value and no search ran; its tuples then hold that one candidate,
+    with spread 0 and ``converged`` true).
     """
 
     value: float
@@ -175,40 +181,101 @@ def eof_2qubit(state: QState) -> EofResult:
     return EofResult(_eof_of_concurrence(concurrence_2qubit(state)), EXACT_WOOTTERS)
 
 
-def _wootters_rows(phi: np.ndarray) -> tuple[np.ndarray, float]:
-    """A unitary W whose two members (W phi)_k have one concurrence C, and C.
+def _takagi(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A unitary U and s >= 0 with U^H tau conj(U) = diag(s) to rounding, for a complex symmetric tau.
 
-    ``phi`` holds two unnormalized two-qubit vectors as rows (a 2 x 4
-    matrix), so sigma = sum_x phi_x phi_x^H has rank at most 2.  Wootters'
-    construction (PRL 80, 2245, 1998) on tau = phi (s_y x s_y) phi^T, a
-    complex symmetric matrix: its Takagi factorization tau = U diag(s1, s2)
-    U^T gives C = s1 - s2, the concurrence of sigma.  U comes from the real
-    symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]], whose top
-    eigenvector (a, b) makes u1 = a + i b with tau conj(u1) = s1 u1; u2 is
-    the unit vector orthogonal to u1, phased so that u2^H tau conj(u2) = s2
-    >= 0.  (The embedding's second eigenvector would do as well unless
-    tau is zero to rounding, where its eigenvectors need not give a
-    unitary U.)  The members y = diag(1, i) U^H phi have
-    y (s_y x s_y) y^T = diag(s1, -s2), and the real rotation O(theta) that
-    zeroes the diagonal of the trace-free form diag(s1, -s2) - C Re(y y^H)
-    leaves member k with y_k^T (s_y x s_y) y_k = C |y_k|^2, so each has
-    concurrence C, for any s1 >= s2, including s1 = s2.  W = O(theta)
-    diag(1, i) U^H.
+    The real symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]] has
+    the eigenvalues +-s_i; an eigenvector (a, b) of +s_i gives a column u =
+    a + i b with tau conj(u) = s_i u, and those of s_i > 0 are orthonormal.
+    The top r eigenvectors, in descending order, are orthonormalized in
+    that order by a QR factorization (Gram-Schmidt, done by Householder
+    reflections), so that U is exactly unitary: among zero values (tau
+    singular to rounding) an eigenvector may be a complex multiple of an
+    earlier one, and Q then completes the columns with unit vectors
+    orthogonal to the s_i > 0 columns, which span the null space of
+    tau conj(.).  Each column is then phased so that u_i^H tau conj(u_i) =
+    s_i >= 0, and the columns are sorted by descending s_i, so that
+    s1 >= s2 holds exactly even where rounding swaps two equal values.
     """
-    tau = phi @ _SYSY @ phi.T
-    w, v = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
-    u1 = v[:2, -1] + 1j * v[2:, -1]
-    u2 = np.array([-u1[1].conj(), u1[0].conj()])
-    z = u2.conj() @ tau @ u2.conj()
-    u2 = u2 * np.exp(0.5j * np.angle(z))
-    s1, s2 = float(w[-1]), float(abs(z))
-    c = s1 - s2
-    uh = np.stack([u1.conj(), 1j * u2.conj()])
+    r = tau.shape[0]
+    embedding = np.empty((2 * r, 2 * r))
+    embedding[:r, :r], embedding[:r, r:] = tau.real, tau.imag
+    embedding[r:, :r], embedding[r:, r:] = tau.imag, -tau.real
+    _w, v = np.linalg.eigh(embedding)
+    top = v[:, ::-1][:, :r]
+    cols = np.linalg.qr(top[:r] + 1j * top[r:])[0]
+    z = np.einsum("ji,jk,ki->i", cols.conj(), tau, cols.conj())
+    order = np.argsort(-np.abs(z), kind="stable")
+    return (cols * np.exp(0.5j * np.angle(z)))[:, order], np.abs(z)[order]
+
+
+# The 4 x 4 Hadamard matrix over 2: real orthogonal, with entries that all
+# square to 1/4.
+_HADAMARD = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
+
+
+def _wootters_rows(phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """An isometry W (k x r) whose members (W phi)_k all have concurrence C, and C.
+
+    ``phi`` holds r <= 4 unnormalized two-qubit vectors of total norm 1 as
+    rows (an r x 4 matrix), so sigma = sum_x phi_x phi_x^H is a state of
+    rank at most r.  Wootters' construction (PRL 80, 2245, 1998) on tau =
+    phi (s_y x s_y) phi^T, a complex symmetric matrix: its Takagi
+    factorization tau = U diag(s) U^T (``_takagi``, s descending) gives the
+    concurrence C = max(0, s1 - s2 - ... - sr) of sigma, and the rows x = U^H
+    phi have x (s_y x s_y) x^T = diag(s).  A member z_k with z_k (s_y x s_y)
+    z_k^T = c |z_k|^2, c real, has concurrence |c|.
+
+    Entangled branch, s1 >= s2 + ... + sr (k = r): y = diag(1, i, ..., i) x
+    has y (s_y x s_y) y^T = diag(s1, -s2, ...), and the real form F =
+    diag(s1, -s2, ...) - C Re(y y^H) has trace C - C |phi|^2 = 0.  At most
+    r - 1 Givens rotations, each zeroing the largest diagonal entry of F
+    against the smallest, zero its diagonal, and a real rotation O of the
+    rows carries F to O F O^T, so every member of O y has concurrence C.
+    W = O diag(1, i, ..., i) U^H.  Every r = 2 input takes this branch.
+
+    Separable branch, s1 < s2 + ... + sr (r >= 3, C = 0): x is padded with
+    zero rows to 4, and row j is phased by exp(i t_j / 2) with s1 + s2
+    exp(i t2) + (s3 + s4) exp(i t3) = 0, a triangle that closes because no
+    side exceeds the sum of the other two (t4 = t3).  The Hadamard rows then
+    give members with z_k (s_y x s_y) z_k^T = sum_j s_j exp(i t_j) / 4 = 0:
+    product states.  W = H diag(exp(i t / 2)) [U^H; 0], k = 4.
+    """
+    u, s = _takagi(phi @ _SYSY @ phi.T)
+    r = len(s)
+    c = float(s[0] - s[1:].sum())
+    if c < 0.0:
+        s1, s2, side = s[0], s[1], s[2:].sum()
+        t2 = math.acos(min(max((side * side - s1 * s1 - s2 * s2) / (2.0 * s1 * s2), -1.0), 1.0))
+        t3 = np.angle(-(s1 + s2 * np.exp(1j * t2)) / side)
+        uh = np.zeros((4, r), dtype=complex)
+        uh[:r] = u.conj().T
+        return _HADAMARD @ (np.exp(0.5j * np.array([0.0, t2, t3, t3]))[:, None] * uh), 0.0
+    phases = np.full(r, 1j)
+    phases[0] = 1.0
+    uh = phases[:, None] * u.conj().T
     y = uh @ phi
-    form = np.diag([s1, -s2]) - c * (y @ y.conj().T).real
-    theta = 0.5 * math.atan2(-(form[0, 0] - form[1, 1]) / 2.0, form[0, 1])
-    cos, sin = math.cos(theta), math.sin(theta)
-    return np.array([[cos, sin], [-sin, cos]]) @ uh, c
+    # The rotations run on Python floats: the matrices are at most 4 x 4,
+    # where a NumPy call costs more than the arithmetic.
+    form = (np.diag((phases * phases).real * s) - c * (y @ y.conj().T).real).tolist()
+    rot = np.eye(r).tolist()
+    for _ in range(r - 1):
+        diag = [form[k][k] for k in range(r)]
+        a, b = max(diag), min(diag)
+        if not a > 0.0 > b:
+            break
+        i, j = diag.index(a), diag.index(b)
+        # Row i becomes cos row_i + sin row_j: its diagonal entry is
+        # (a + b) / 2 + R cos(2 theta - phase), zero at this theta.
+        half, f = (a - b) / 2.0, form[i][j]
+        theta = 0.5 * (math.atan2(f, half) + math.acos(min(max(-(a + b) / (2.0 * math.hypot(half, f)), -1.0), 1.0)))
+        cos, sin = math.cos(theta), math.sin(theta)
+        for m in (form, rot):
+            m[i], m[j] = ([cos * p + sin * q for p, q in zip(m[i], m[j])],
+                          [cos * q - sin * p for p, q in zip(m[i], m[j])])
+        for row in form:
+            row[i], row[j] = cos * row[i] + sin * row[j], cos * row[j] - sin * row[i]
+    return np.array(rot) @ uh, c
 
 
 def _roof_objective(e0: np.ndarray, dims, part_a, part_b) -> Callable:
@@ -234,10 +301,84 @@ def _dft_isometry(m: int, r: int) -> np.ndarray:
     return np.exp(-2j * np.pi * jk / m) / math.sqrt(m)
 
 
+def _canonical_roof(state: QState, partition) -> tuple[np.ndarray, Callable, tuple[int, ...]]:
+    """The canonical ensemble rows e0 (r x D) of ``state``, its ``_roof_objective`` and side A."""
+    part_a, part_b = normalize_partition(state.n_subsystems, partition)
+    sp = spectrum(state)
+    e0 = (sp.eigenvectors[:, : sp.rank] * np.sqrt(sp.eigenvalues[: sp.rank])).T
+    return e0, _roof_objective(e0, state.dims, part_a, part_b), part_a
+
+
+def _upper_bound(value: float, iso: np.ndarray, e0: np.ndarray, oracle: float | None, **diagnostics) -> EofResult:
+    """An ``upper_bound`` result with the ensemble iso @ e0 as its witness.
+
+    Members of weight at most 1e-12 are dropped from the witness, and the
+    gap to ``oracle`` (the Wootters value, None off dims (2, 2)) is its
+    ``crosscheck_gap``.
+    """
+    psi = iso @ e0
+    weights = np.real(np.einsum("id,id->i", psi, psi.conj()))
+    keep = weights > 1e-12
+    vectors = psi[keep] / np.sqrt(weights[keep])[:, None]
+    return EofResult(
+        value=value,
+        tag=UPPER_BOUND,
+        decomposition=EnsembleDecomposition(weights[keep], vectors, iso),
+        crosscheck_gap=None if oracle is None else value - oracle,
+        **diagnostics,
+    )
+
+
+def _wootters_certificate(state: QState, partition) -> EofResult | None:
+    """Wootters' optimal decomposition of a two-qubit state, scored once, or None.
+
+    The isometry [W; 0] (``_wootters_rows`` on e0, padded to m = r^2 rows)
+    is scored by the roof objective.  Within ``CERTIFY_TOL`` of
+    ``eof_2qubit``, the exact value, it is optimal to rounding and comes
+    back with stop reason ``"certified"``, one evaluation, no iterations and
+    spread 0.  Otherwise (or for a NaN value) the result is None.
+    """
+    e0, objective, part_a = _canonical_roof(state, partition)
+    r = e0.shape[0]
+    w, _c = _wootters_rows(e0)
+    iso = np.zeros((r * r, r), dtype=complex)
+    iso[: w.shape[0]] = w
+    value = float(objective(iso[None])[0][0])
+    oracle = eof_2qubit(state).value
+    if not value <= oracle + CERTIFY_TOL:
+        return None
+    return _upper_bound(
+        value, iso, e0, oracle if part_a == (0,) else None,
+        converged=True, restart_spread=0.0, iterations=(0,), evaluations=(1,), stop_reasons=(CERTIFIED,),
+    )
+
+
+def _roof_search(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
+    """The convex-roof search of ``eof_upper``, without its Wootters certificate."""
+    cfg = cfg or EOF_DEFAULT_CONFIG
+    e0, objective, part_a = _canonical_roof(state, partition)
+    r = e0.shape[0]
+    m = r * r
+    starts = np.concatenate([_dft_isometry(m, r)[None], random_starts(m, r, cfg.seed, cfg.restarts)])
+    run = descend(objective, starts, *objective(starts), cfg.max_iter)
+    b, spread, converged = summary(run, cfg.tol)
+    oracle = eof_2qubit(state).value if state.dims == (2, 2) and part_a == (0,) else None
+    return _upper_bound(
+        float(run.values[b]), run.x[b], e0, oracle,
+        converged=converged, restart_spread=spread,
+        iterations=run.iterations, evaluations=run.evaluations, stop_reasons=run.reasons,
+    )
+
+
 def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
     """Convex-roof upper bound on the entanglement of formation.
 
-    Minimizes sum_i p_i S_A(psi_i) over ensembles psi = V e0 of size rank^2,
+    On dims (2, 2), either partition, Wootters' optimal decomposition is
+    scored first (``_wootters_certificate``); when it meets the exact
+    ``eof_2qubit`` value within ``CERTIFY_TOL`` it comes back with stop
+    reason ``"certified"`` and no search runs.  Otherwise, and on every
+    other input, the search runs (``_roof_search``): it
+    minimizes sum_i p_i S_A(psi_i) over ensembles psi = V e0 of size rank^2,
     generated from the canonical purification e0 by an isometry V: a point
     of the Stiefel manifold (Rothlisberger, Rehacek & Loss, PRA 80, 042301,
     2009).  Restart 0 starts from the eigen-ensemble rotated by the unitary
@@ -250,40 +391,14 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     Riemannian L-BFGS of ``_descent`` (the measurement search's optimizer),
     each for at most ``cfg.max_iter`` iterations, on ``_roof_objective``.
     Every isometry gives a valid ensemble, so the value is an upper bound by
-    construction; ties go to the lowest restart.
+    construction, certified or searched; ties go to the lowest restart.
     ``restart_spread`` and ``converged`` follow the measurement search's
     rule, and ``iterations``, ``evaluations`` and ``stop_reasons`` report
-    each restart.  On dims (2, 2) the result carries its gap to the exact
-    Wootters value.
+    each restart.  On dims (2, 2) with side A = (0,) the result carries its
+    gap to the exact Wootters value.
     """
-    cfg = cfg or EOF_DEFAULT_CONFIG
-    part_a, part_b = normalize_partition(state.n_subsystems, partition)
-    sp = spectrum(state)
-    r = sp.rank
-    m = r * r
-    e0 = (sp.eigenvectors[:, :r] * np.sqrt(sp.eigenvalues[:r])).T  # r x D rows
-    objective = _roof_objective(e0, state.dims, part_a, part_b)
-    starts = np.concatenate([_dft_isometry(m, r)[None], random_starts(m, r, cfg.seed, cfg.restarts)])
-    run = descend(objective, starts, *objective(starts), cfg.max_iter)
-    b, spread, converged = summary(run, cfg.tol)
-    iso = run.x[b]
-    psi = iso @ e0
-    weights = np.real(np.einsum("id,id->i", psi, psi.conj()))
-    keep = weights > 1e-12
-    vectors = psi[keep] / np.sqrt(weights[keep])[:, None]
-    value = float(run.values[b])
-
-    gap = None
-    if state.dims == (2, 2) and part_a == (0,):
-        gap = value - eof_2qubit(state).value
-    return EofResult(
-        value=value,
-        tag=UPPER_BOUND,
-        decomposition=EnsembleDecomposition(weights[keep], vectors, iso),
-        crosscheck_gap=gap,
-        converged=converged,
-        restart_spread=spread,
-        iterations=run.iterations,
-        evaluations=run.evaluations,
-        stop_reasons=run.reasons,
-    )
+    if state.dims == (2, 2):
+        certified = _wootters_certificate(state, partition)
+        if certified is not None:
+            return certified
+    return _roof_search(state, partition, cfg)

@@ -20,7 +20,7 @@ from discordkit import (
     von_neumann_entropy,
 )
 from discordkit import entanglement
-from discordkit._descent import CAP, Descent, descend, random_isometry, summary
+from discordkit._descent import CAP, CERTIFIED, Descent, descend, random_isometry, summary
 from discordkit.entanglement import (
     EOF_DEFAULT_CONFIG,
     EXACT_PURE,
@@ -28,13 +28,17 @@ from discordkit.entanglement import (
     UPPER_BOUND,
     _dft_isometry,
     _roof_objective,
+    _roof_search,
     binary_entropy,
 )
 from discordkit.states import (
+    classical_quantum,
     example3_state,
     haar_random_pure,
     random_mixed,
     stream,
+    werner_2qubit_example4,
+    werner_qudit,
 )
 
 from conftest import bell_state, bell_vector, haar_unitary
@@ -139,9 +143,11 @@ def test_eof_upper_example3_environment_pair():
 
 
 def test_eof_upper_never_undercuts_wootters():
+    # The search alone: eof_upper certifies these states without one.
     for i in range(30):
         state = random_mixed((2, 2), 1 + i % 4, 5000 + i)
-        roof = eof_upper(state)
+        roof = _roof_search(state)
+        assert CERTIFIED not in roof.stop_reasons
         assert roof.crosscheck_gap is not None
         assert roof.crosscheck_gap >= -1e-6
         assert roof.crosscheck_gap <= 5e-3
@@ -154,8 +160,11 @@ def test_eof_upper_meets_wootters_to_rounding(rank, seed):
     # On these states member eigenvalues cross EIG_CLIP on the way to the
     # optimum, so a jump in the eigenvalue floor there would fail the line
     # searches' Armijo tests and stop the roof above Wootters (by up to
-    # 8.5e-10 at rank 3, seed 7).
-    assert eof_upper(random_mixed((2, 2), rank, seed)).crosscheck_gap <= 1e-12
+    # 8.5e-10 at rank 3, seed 7).  The search alone: eof_upper certifies
+    # these states without one.
+    roof = _roof_search(random_mixed((2, 2), rank, seed))
+    assert CERTIFIED not in roof.stop_reasons
+    assert roof.crosscheck_gap <= 1e-12
 
 
 def test_eof_upper_witness_reconstructs_state():
@@ -272,10 +281,12 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, seed, index, max
     # Most rank-6 restarts run to the default 2,000-iteration cap, so a lower
     # cap keeps that case short; at 150 every restart reaches it.  At 3
     # iterations the rank-3 restarts reach the cap in rounds where others
-    # backtrack or take a step.
+    # backtrack or take a step.  The search alone: eof_upper certifies the
+    # 2x2 state without one.
     state = random_mixed(dims, rank, seed, index)
     cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter)
-    roof = eof_upper(state, cfg=cfg)
+    roof = _roof_search(state, cfg=cfg)
+    assert CERTIFIED not in roof.stop_reasons
 
     objective = _roof_objective(_canonical_rows(state), dims, (0,), (1,))
     m = rank * rank
@@ -326,16 +337,152 @@ def test_eof_upper_restart_zero_is_never_the_lone_outlier(monkeypatch):
 
 
 def test_eof_upper_convergence_diagnostics():
+    # The search alone: eof_upper certifies this state without one.
     state = random_mixed((2, 2), 4, 8001)
-    roof = eof_upper(state)
+    roof = _roof_search(state)
+    assert CERTIFIED not in roof.stop_reasons
     assert roof.converged is True
     assert roof.restart_spread <= 10.0 * EOF_DEFAULT_CONFIG.tol
     assert len(roof.iterations) == len(roof.evaluations) == len(roof.stop_reasons) == 3
     assert CAP not in roof.stop_reasons
     assert all(1 <= n < e for n, e in zip(roof.iterations, roof.evaluations))
-    capped = eof_upper(state, cfg=OptimizerConfig(restarts=3, max_iter=1))
+    capped = _roof_search(state, cfg=OptimizerConfig(restarts=3, max_iter=1))
     assert capped.stop_reasons == (CAP, CAP, CAP)
     assert capped.iterations == (1, 1, 1)
     assert capped.converged is False
     assert capped.restart_spread == math.inf
     assert capped.value >= roof.value
+
+
+def test_takagi_factor_is_unitary_on_singular_inputs():
+    # Random complex symmetric tau of every rank from 0 to r: on a singular
+    # tau the embedding's eigenvectors among the zero values need not give
+    # independent columns, and U must still be unitary and diagonalize tau.
+    for seed in range(60):
+        g = stream(780, seed)
+        r = 2 + seed % 3
+        a = g.normal(size=(r, seed % (r + 1))) + 1j * g.normal(size=(r, seed % (r + 1)))
+        tau = a @ a.T
+        u, s = entanglement._takagi(tau)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(r), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u.conj().T @ tau @ u.conj(), np.diag(s), rtol=0, atol=1e-12 * max(1.0, s[0]))
+        assert np.all(np.diff(s) <= 0.0)
+
+
+def _random_separable(seed: int) -> QState:
+    g = stream(seed)
+    m = np.zeros((4, 4), dtype=complex)
+    for w in g.dirichlet(np.ones(4)):
+        za = g.normal(size=2) + 1j * g.normal(size=2)
+        zb = g.normal(size=2) + 1j * g.normal(size=2)
+        v = np.kron(za / np.linalg.norm(za), zb / np.linalg.norm(zb))
+        m += w * np.outer(v, v.conj())
+    return QState((2, 2), m)
+
+
+def _bell_diagonal(weights) -> QState:
+    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
+    return QState((2, 2), (bells.T * np.asarray(weights)) @ bells)
+
+
+def _certificate_cases(kind: str) -> list:
+    if kind.startswith("rank"):
+        return [random_mixed((2, 2), int(kind[4:]), 700 + i) for i in range(3)]
+    if kind == "separable":
+        # Rank 4 with C = 0: Wootters' separable branch.
+        return [_random_separable(710 + i) for i in range(3)]
+    if kind == "maximally_mixed":
+        return [QState((2, 2), np.eye(4) / 4.0)]
+    if kind == "bell_diagonal":
+        return [_werner_mix(p) for p in (1 / 3, 0.6, 1.0)] + [
+            werner_2qubit_example4(),
+            werner_qudit(2, -0.2),
+            _bell_diagonal([0.4, 0.3, 0.2, 0.1]),
+            _bell_diagonal([0.4, 0.35, 0.25, 0.0]),  # rank 3 with C = 0: padded to 4 members
+            _bell_diagonal([0.7, 0.3, 0.0, 0.0]),
+        ]
+    if kind == "classical_quantum":
+        return [
+            classical_quantum([0.3, 0.7], [haar_random_pure((2,), 720 + k).to_density() for k in (0, 1)]),
+            classical_quantum([0.6, 0.4], [random_mixed((2,), 2, 730 + k) for k in (0, 1)]),
+        ]
+    # Products, including pure (x) mixed on either side.
+    pure, mixed = haar_random_pure((2,), 740).to_density(), random_mixed((2,), 2, 741)
+    return [tensor(mixed, random_mixed((2,), 2, 742)), tensor(pure, mixed), tensor(mixed, pure),
+            tensor(pure, haar_random_pure((2,), 743).to_density())]
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize("partition", [None, ((1,), (0,))], ids=["A0", "A1"])
+@pytest.mark.parametrize(
+    "kind",
+    ["rank1", "rank2", "rank3", "rank4", "separable", "maximally_mixed", "bell_diagonal", "classical_quantum",
+     "product"],
+)
+def test_wootters_certificate_meets_wootters_on_two_qubit_states(kind, partition, rotate):
+    # Every two-qubit state certifies: Wootters' decomposition meets the
+    # exact value, on either side, and reproduces the state; no search does
+    # better.
+    g = stream(750)
+    for state in _certificate_cases(kind):
+        if rotate:
+            u = np.kron(haar_unitary(g, 2), haar_unitary(g, 2))
+            state = QState((2, 2), u @ state.matrix @ u.conj().T)
+        oracle = eof_2qubit(state).value
+        if kind == "separable":
+            assert oracle == 0.0
+        roof = eof_upper(state, partition)
+        assert roof.stop_reasons == (CERTIFIED,)
+        assert (roof.iterations, roof.evaluations, roof.restart_spread, roof.converged) == ((0,), (1,), 0.0, True)
+        assert roof.tag == UPPER_BOUND
+        assert abs(roof.value - oracle) <= 1e-12
+        assert roof.crosscheck_gap == (None if partition else roof.value - oracle)
+        witness = roof.decomposition
+        np.testing.assert_allclose(witness.reconstruct(), state.matrix, rtol=0, atol=1e-12)
+        assert abs(witness.weights.sum() - 1.0) <= 1e-12
+        assert roof.value <= _roof_search(state, partition).value + 1e-12
+
+
+def _fields(roof):
+    witness = roof.decomposition
+    return (roof.value, roof.crosscheck_gap, roof.converged, roof.restart_spread, roof.iterations,
+            roof.evaluations, roof.stop_reasons, witness.weights.tobytes(), witness.vectors.tobytes(),
+            witness.isometry.tobytes())
+
+
+@pytest.mark.parametrize("dims, rank", [((3, 2), 3), ((2, 3), 2), ((2, 3), 4)], ids=["3x2r3", "2x3r2", "2x3r4"])
+def test_wootters_certificate_never_fires_off_two_qubit_states(dims, rank, monkeypatch):
+    # No candidate is built, and the result is exactly the search's.
+    def no_candidate(*args):
+        raise AssertionError("a Wootters candidate was built")
+
+    monkeypatch.setattr(entanglement, "_wootters_rows", no_candidate)
+    cfg = OptimizerConfig(restarts=2, seed=5, max_iter=200)
+    for i in range(2):
+        state = random_mixed(dims, rank, 760 + i)
+        for partition in (None, ((1,), (0,))):
+            roof = eof_upper(state, partition, cfg)
+            assert CERTIFIED not in roof.stop_reasons
+            assert _fields(roof) == _fields(_roof_search(state, partition, cfg))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_wootters_certificate_rejects_a_candidate_above_wootters(rank, monkeypatch):
+    # Wootters' rows with their first two members rotated by 0.05 rad score
+    # above the exact value (and below E of the largest Takagi value), so the
+    # candidate must fail the bound and the search must run unchanged.
+    rows = entanglement._wootters_rows
+
+    def rotated(phi):
+        w, c = rows(phi)
+        turn = np.eye(w.shape[0])
+        turn[:2, :2] = [[math.cos(0.05), math.sin(0.05)], [-math.sin(0.05), math.cos(0.05)]]
+        return turn @ w, c
+
+    monkeypatch.setattr(entanglement, "_wootters_rows", rotated)
+    cfg = OptimizerConfig(restarts=2, seed=5)
+    for i in range(3):
+        state = random_mixed((2, 2), rank, 770 + i)
+        roof = eof_upper(state, cfg=cfg)
+        assert CERTIFIED not in roof.stop_reasons
+        assert _fields(roof) == _fields(_roof_search(state, cfg=cfg))

@@ -20,7 +20,9 @@ from discordkit import (
     purify,
     von_neumann_entropy,
 )
+from discordkit._descent import CERTIFIED
 from discordkit.correlations import CONJECTURE_I_SLACK
+from discordkit.entanglement import _roof_search
 from discordkit.measurement import ProjectiveMeasurement, _measurement_objective, apply_measurement
 from discordkit.states import haar_random_pure, random_mixed
 
@@ -78,7 +80,26 @@ def test_eof_upper_under_local_unitaries_meets_wootters(rank, seed):
     g = np.random.default_rng(seed)
     u = np.kron(haar_unitary(g, 2), haar_unitary(g, 2))
     rotated = QState((2, 2), u @ state.matrix @ u.conj().T)
-    assert eof_upper(rotated).value == pytest.approx(eof_2qubit(state).value, abs=1e-6)
+    # The search alone: eof_upper certifies these states without one.
+    roof = _roof_search(rotated)
+    assert CERTIFIED not in roof.stop_reasons
+    assert roof.value == pytest.approx(eof_2qubit(state).value, abs=1e-6)
+
+
+@PROPERTY
+@given(rank=st.integers(1, 4), seed=SEEDS, side=st.integers(0, 1))
+def test_eof_upper_certifies_every_two_qubit_state(rank, seed, side):
+    # Wootters' decomposition of any two-qubit state, under any local
+    # unitary and on either side, meets the exact value and reproduces it.
+    state = random_mixed((2, 2), rank, seed)
+    g = np.random.default_rng(seed)
+    u = np.kron(haar_unitary(g, 2), haar_unitary(g, 2))
+    rotated = QState((2, 2), u @ state.matrix @ u.conj().T)
+    roof = eof_upper(rotated, ((side,), (1 - side,)))
+    assert roof.stop_reasons == (CERTIFIED,)
+    assert abs(roof.value - eof_2qubit(rotated).value) <= 1e-12
+    np.testing.assert_allclose(roof.decomposition.reconstruct(), rotated.matrix, rtol=0, atol=1e-12)
+    assert abs(roof.decomposition.weights.sum() - 1.0) <= 1e-12
 
 
 @PROPERTY
