@@ -1,29 +1,38 @@
-"""Riemannian limited-memory BFGS descent on stacks of isometries.
+"""Riemannian quasi-Newton (BFGS) descent on stacks of isometries.
 
 A stack holds R independent restarts, each an n x p isometry (X^H X = I): a
 point of the Stiefel manifold, with the unitary group U(n) as the square
 case.  The metric is the embedded one, <A, B> = Re tr(A^H B), so the
 Riemannian gradient is the tangent projection of the Euclidean one.  Each
-restart takes L-BFGS steps: the two-loop recursion over its last ``MEMORY``
-(s, y) pairs, kept in ambient coordinates and scaled by s.y / y.y of the
-newest, with the result projected onto the tangent space (Huang, Gallivan &
-Absil, SIAM J. Optim. 25(3), 2015; Nocedal & Wright, Numerical Optimization,
-2006, ch. 7).  It searches each line by Armijo backtracking from a unit
-step and moves by the QR retraction, computed as Cholesky QR (Edelman, Arias
-& Smith, SIAM J. Matrix Anal. Appl. 20(2), 1998).
+restart takes quasi-Newton steps from its (s, y) pairs, kept in the ambient
+coordinates (the D = 2 n p reals of X), with the direction projected onto
+the tangent space (Huang, Gallivan & Absil, SIAM J. Optim. 25(3), 2015;
+Nocedal & Wright, Numerical Optimization, 2006, ch. 6-7).  Its curvature
+model depends on D alone, so it is chosen once per stack:
+
+- up to ``DENSE_MAX``, a dense D x D inverse Hessian per restart, which
+  starts as (s.y / y.y) I at its first pair and takes the BFGS update at
+  every pair after that (``_Dense``);
+- above it, limited-memory BFGS, the two-loop recursion over the last
+  ``MEMORY`` pairs scaled by s.y / y.y of the newest (``_LimitedMemory``),
+  where D x D matrices cost more per step than they save in steps.
+
+It searches each line by Armijo backtracking from a unit step and moves by
+the QR retraction, computed as Cholesky QR (Edelman, Arias & Smith, SIAM J.
+Matrix Anal. Appl. 20(2), 1998).
 
 All restarts advance in lockstep: a round makes one objective call that
 scores the pending point of every live restart, whether that is the first
 trial of a new iteration or a backtracking trial.  Each restart keeps its own
 step, direction, pairs and exit, so it follows the path it takes alone.  A
 round makes one retraction, one objective call and, when some trial is
-accepted, one tangent projection of the new gradients, one product of the new
-gradient and y against every ring slot, one product that builds the
-directions from the ring, and one tangent projection of them.  Only these
-stacks are arrays: with a few live restarts a NumPy call costs more than the
-scalar arithmetic it would batch, so each restart's value, slope, step,
-counts, inner-product tables and two-loop recursion are Python floats and
-ints, on which it does the same binary64 operations in a stack as alone.
+accepted, one tangent projection of the new gradients, the curvature model's
+stacked products that build the directions, and one tangent projection of
+them.  Only these stacks are arrays: with a few live restarts a NumPy call
+costs more than the scalar arithmetic it would batch, so each restart's
+value, slope, step, counts and, in the limited-memory model, inner-product
+tables and two-loop recursion are Python floats and ints, on which it does
+the same binary64 operations in a stack as alone.
 """
 
 from __future__ import annotations
@@ -51,6 +60,17 @@ GROW = 4.0
 MAX_STEP = 2.0
 # Norm of a restart's first step: a rotation by about this angle.
 FIRST_ANGLE = 0.5
+# The largest D = 2 n p that keeps a dense inverse Hessian.  Its update
+# costs O(D^2) a step, against O(MEMORY D), and pays only where it saves
+# rounds.  Measured as dense / L-BFGS time per search, one BLAS thread: the
+# convex roof at its default budget (3 restarts) takes 0.63 of the time at
+# rank 3 (D = 54), 0.62 at rank 4 (D = 128), 1.45 at rank 5 (D = 250) and
+# 4.0 at rank 6 (D = 432).  The 16-restart measurement search takes 0.74 to
+# 1.32 (run-to-run noise) at d = 2 to 5 (D = 8 to 50), but 1.48 at d = 6
+# (D = 72) and 2.74 at d = 8 (D = 128), where its slowest restart takes
+# more rounds on the dense model.  So the dense model stops below d = 6,
+# and the rank-4 roof, at the D of d = 8, stays on L-BFGS.
+DENSE_MAX = 64
 # L-BFGS memory: the (s, y) pairs each restart keeps, in a ring with one
 # more slot, where the newest pair is written before its s.y is known.
 MEMORY = 4
@@ -138,105 +158,97 @@ def _stall(step: float, slope: float, f: float) -> int:
     return 0 if -step * slope > DECREASE_TOL * max(abs(f), 1.0) else 2
 
 
-def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
-    """Minimize ``objective`` from every isometry of the stack ``x``.
+class _Dense:
+    """Dense BFGS: one D x D inverse Hessian H per live restart, as a stack.
 
-    ``objective`` maps an (R', n, p) stack to its R' values and Euclidean
-    gradients (df = Re tr(G^H dX)); ``values`` and ``egrad`` are its output
-    at ``x``.  The first line is steepest descent with a step of norm
-    ``FIRST_ANGLE``.  A trial that fails the Armijo test shrinks its step by
-    a safeguarded quadratic fit.  A trial that passes becomes the next
-    iterate and stores the pair s = step eta, y = g_new - g_old, unless
-    s.y <= 0 (a pair that would make the inverse Hessian indefinite), in
-    place of the oldest once ``MEMORY`` are stored.  The next direction is
-    the L-BFGS two-loop recursion over the stored pairs, with the initial
-    inverse Hessian s.y / y.y of the newest, projected onto the tangent
-    space; its first trial step is 1.  With no stored pair, or when that
-    direction does not descend, it is steepest descent with a first step of
-    ``GROW`` times the last one.  Every first step is capped at norm
-    ``MAX_STEP``.  A restart stops when its Riemannian gradient norm reaches
-    ``GRAD_TOL``, when its next trial predicts a decrease below
-    ``DECREASE_TOL`` (relative to max(1, |f|)), or after ``max_iter``
-    iterates.
+    H is zero until the restart's first stored pair, so its direction -H g
+    does not descend and ``descend`` takes steepest descent; that pair sets
+    H = (s.y / y.y) I and then updates it.  Every stored pair takes the BFGS
+    update H+ = (I - rho s y^T) H (I - rho y s^T) + rho s s^T, rho = 1 / s.y,
+    as one rank-2 product batched over the restarts that store a pair.
     """
-    out_x = np.array(x, dtype=complex)
-    n_restarts = out_x.shape[0]
-    out_f, out_iterations, out_evaluations, reasons = ([v] * n_restarts for v in (0.0, 0, 0, ""))
 
-    # Per live restart (``ids`` maps them to the stack), in arrays: the
-    # iterate x, the direction eta and, in ``mem``, the pair ring as real
-    # views of the flattened complex arrays, so that <A, B> is a real dot
-    # product: the gradient g (slot 0), the steps s (slots 1 .. SLOTS) and
-    # the gradient changes y (slots SLOTS + 1 .. 2 SLOTS).  In lists: its
-    # value f, the slope along eta, the next trial step, the iterations, the
-    # index of the stop reason in _REASONS (0 while it runs), the ring slots
-    # of the stored pairs (oldest first), the free slot the next pair is
-    # written to, and the tables sy[i][j] = <s_i, y_j> (i stored before j,
-    # or i = j) and yy[i][j] = <y_i, y_j>.
-    ids = list(range(n_restarts))
-    x = out_x.copy()
-    grad = tangent(x, np.asarray(egrad))
-    gnorm2 = np.einsum("rij,rij->r", grad.conj(), grad).real
-    eta = -grad
-    mem = np.zeros((n_restarts, 1 + 2 * SLOTS, 2 * grad[0].size))
-    mem[:, 0] = grad.reshape(n_restarts, -1).view(float)
-    f = np.array(values, dtype=float).tolist()
-    slope = (-gnorm2).tolist()
-    step = (FIRST_ANGLE / np.sqrt(np.where(gnorm2 > 0.0, gnorm2, 1.0))).tolist()
-    iterations, evaluations = [0] * n_restarts, 1  # the calls each live restart has made
-    done = [1 if g2 <= GRAD_TOL**2 else _stall(s, sl, fk)
-            for g2, s, sl, fk in zip(gnorm2.tolist(), step, slope, f)]
-    pairs, free = [[] for _ in ids], [0] * n_restarts
-    sy = [[[0.0] * SLOTS for _ in range(SLOTS)] for _ in ids]
-    yy = [[[0.0] * SLOTS for _ in range(SLOTS)] for _ in ids]
+    def __init__(self, grad: np.ndarray):
+        self.g = grad.copy()
+        self.h = np.zeros(grad.shape + grad.shape[1:])
+        self.started = [False] * len(grad)
 
-    while True:
-        if any(done):
-            for k, i in enumerate(ids):
-                if done[k]:
-                    out_x[i], out_f[i], reasons[i] = x[k], f[k], _REASONS[done[k]]
-                    out_iterations[i], out_evaluations[i] = iterations[k], evaluations
-            keep = [k for k in range(len(ids)) if not done[k]]
-            if not keep:
-                break
-            x, eta, mem, done = x[keep], eta[keep], mem[keep], [0] * len(keep)
-            ids, f, slope, step, iterations, pairs, free, sy, yy = (
-                [v[k] for k in keep] for v in (ids, f, slope, step, iterations, pairs, free, sy, yy))
-        moves = np.array(step)[:, None, None] * eta
-        trial = retract(x, moves)
-        f_trial, g_trial = objective(trial)
-        f_trial, evaluations = f_trial.tolist(), evaluations + 1
-        accepted = []
-        for k in range(len(ids)):
-            s, sl = step[k], slope[k]
-            if f_trial[k] <= f[k] + ARMIJO * s * sl:
-                accepted.append(k)
-                continue
-            # Rejected: a safeguarded quadratic fit along the line.
-            curv = f_trial[k] - f[k] - s * sl
-            fit = -sl * (s * s) / (2.0 * (curv if curv > 0.0 else math.inf))
-            step[k] = min(max(fit, SHRINK[0] * s), SHRINK[1] * s)
-            done[k] = _stall(step[k], sl, f[k])
-        if not accepted:
-            continue
+    def keep(self, keep: list) -> None:
+        self.g, self.h = self.g[keep], self.h[keep]
+        self.started = [self.started[k] for k in keep]
 
-        # Accepted: the new gradient g and pair (s, y) written to the ring,
-        # and the inner products of g and y with every slot in one product.
-        n_acc = len(accepted)
-        every = n_acc == len(ids)
-        at = trial if every else trial[accepted]
-        g = tangent(at, g_trial if every else g_trial[accepted]).reshape(n_acc, -1).view(float)
-        ring = mem if every else mem[accepted]
-        s_new = moves.reshape(len(ids), -1).view(float)
+    def directions(self, accepted: list, g: np.ndarray, s: np.ndarray):
+        """-H g after storing each accepted restart's pair, its slopes <g, d> and |g|^2."""
+        every = len(accepted) == len(self.g)
+        y = g - (self.g if every else self.g[accepted])
+        gg, sy, yy = (np.einsum("ri,ri->r", a, b).tolist() for a, b in ((g, g), (s, y), (y, y)))
+        store = [i for i, (a, b) in enumerate(zip(sy, yy)) if a > 0.0 and b > 0.0]
+        h = self.h if every else self.h[accepted]
+        if store:
+            whole = len(store) == len(accepted)
+            hs, ss, ys = (h, s, y) if whole else (h[store], s[store], y[store])
+            for j, i in enumerate(store):
+                if not self.started[accepted[i]]:
+                    self.started[accepted[i]] = True
+                    hs[j] = sy[i] / yy[i] * np.eye(g.shape[1])
+            # H+ = H + s w^T + w s^T, w = (rho + rho^2 y.Hy) s / 2 - rho Hy.
+            hy = (hs @ ys[:, :, None])[:, :, 0]
+            rho = 1.0 / np.array([sy[i] for i in store])
+            half = 0.5 * rho * (1.0 + rho * np.einsum("ri,ri->r", ys, hy))
+            sw = np.stack([ss, half[:, None] * ss - rho[:, None] * hy], axis=2)
+            hs += sw @ np.swapaxes(sw[:, :, ::-1], 1, 2)
+            if not whole:
+                h[store] = hs
+        d = -(h @ g[:, :, None])[:, :, 0]
+        if every:
+            self.g = g
+        else:
+            self.g[accepted], self.h[accepted] = g, h
+        return d, np.einsum("ri,ri->r", g, d).tolist(), gg
+
+
+class _LimitedMemory:
+    """L-BFGS: the last ``MEMORY`` pairs of each live restart, and their two-loop recursion.
+
+    Per live restart, in ``mem``: a ring of real vectors, the gradient g
+    (slot 0), the steps s (slots 1 .. SLOTS) and the gradient changes y
+    (slots SLOTS + 1 .. 2 SLOTS).  In lists: the ring slots of the stored
+    pairs (oldest first), the free slot the next pair is written to, and the
+    tables sy[i][j] = <s_i, y_j> (i stored before j, or i = j) and
+    yy[i][j] = <y_i, y_j>.
+    """
+
+    def __init__(self, grad: np.ndarray):
+        n_restarts = len(grad)
+        self.mem = np.zeros((n_restarts, 1 + 2 * SLOTS, grad.shape[1]))
+        self.mem[:, 0] = grad
+        self.pairs, self.free = [[] for _ in range(n_restarts)], [0] * n_restarts
+        self.sy = [[[0.0] * SLOTS for _ in range(SLOTS)] for _ in range(n_restarts)]
+        self.yy = [[[0.0] * SLOTS for _ in range(SLOTS)] for _ in range(n_restarts)]
+
+    def keep(self, keep: list) -> None:
+        self.mem = self.mem[keep]
+        self.pairs, self.free, self.sy, self.yy = (
+            [v[k] for k in keep] for v in (self.pairs, self.free, self.sy, self.yy))
+
+    def directions(self, accepted: list, g: np.ndarray, s: np.ndarray):
+        """The two-loop direction after storing each accepted restart's pair, its slopes and |g|^2.
+
+        The pair (s, y) goes to the ring, and the inner products of g and y
+        with every slot come from one product.  A restart with no stored
+        pair gets a NaN slope.
+        """
+        every = len(accepted) == len(self.mem)
+        ring = self.mem if every else self.mem[accepted]
         y_new = g - ring[:, 0]
-        rows, slot = np.arange(n_acc), [free[k] for k in accepted]
+        rows, slot = np.arange(len(accepted)), [self.free[k] for k in accepted]
         ring[:, 0] = g
-        ring[rows, [1 + t for t in slot]] = s_new if every else s_new[accepted]
+        ring[rows, [1 + t for t in slot]] = s
         ring[rows, [1 + SLOTS + t for t in slot]] = y_new
         products = (np.stack([g, y_new], axis=1) @ np.swapaxes(ring, 1, 2)).tolist()
-        coefs, slopes_new, steps_new = [], [], []
+        coefs, slopes = [], []
         for (gp, yp), k, t in zip(products, accepted, slot):
-            stored, s_y, y_y = pairs[k], sy[k], yy[k]
+            stored, s_y, y_y = self.pairs[k], self.sy[k], self.yy[k]
             y_t = y_y[t]
             for i in stored:
                 s_y[i][t] = yp[1 + i]
@@ -244,7 +256,7 @@ def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
             s_y[t][t], y_t[t] = yp[1 + t], yp[1 + SLOTS + t]
             if s_y[t][t] > 0.0 and y_t[t] > 0.0:
                 stored.append(t)
-                free[k] = stored.pop(0) if len(stored) > MEMORY else len(stored)
+                self.free[k] = stored.pop(0) if len(stored) > MEMORY else len(stored)
             coef = [0.0] * (1 + 2 * SLOTS)
             slope_new = math.nan
             if stored:
@@ -271,29 +283,116 @@ def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
                     coef[1 + SLOTS + i] = c_y = gamma * alpha[i]
                     slope_new += c_s * gp[1 + i] + c_y * gp[1 + SLOTS + i]
                     seen.append(i)
-            if slope_new < 0.0:
+            coefs.append(coef)
+            slopes.append(slope_new)
+        if not every:
+            self.mem[accepted] = ring
+        return (np.array(coefs)[:, None, :] @ ring)[:, 0], slopes, [gp[0] for gp, _ in products]
+
+
+def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
+    """Minimize ``objective`` from every isometry of the stack ``x``.
+
+    ``objective`` maps an (R', n, p) stack to its R' values and Euclidean
+    gradients (df = Re tr(G^H dX)); ``values`` and ``egrad`` are its output
+    at ``x``.  The first line is steepest descent with a step of norm
+    ``FIRST_ANGLE``.  A trial that fails the Armijo test shrinks its step by
+    a safeguarded quadratic fit.  A trial that passes becomes the next
+    iterate and stores the pair s = step eta, y = g_new - g_old, unless
+    s.y <= 0 (a pair that would make the inverse Hessian indefinite).  The
+    next direction is -H g for the restart's inverse Hessian model H, dense
+    BFGS when D = 2 n p <= ``DENSE_MAX`` and L-BFGS over the last
+    ``MEMORY`` pairs above it, projected onto the tangent space; its first
+    trial step is 1.  With no stored pair, or when that direction does not
+    descend, it is steepest descent with a first step of ``GROW`` times the
+    last one.  Every first step is capped at norm ``MAX_STEP``.  A restart
+    stops when its Riemannian gradient norm reaches ``GRAD_TOL``, when its
+    next trial predicts a decrease below ``DECREASE_TOL`` (relative to
+    max(1, |f|)), or after ``max_iter`` iterates.
+    """
+    out_x = np.array(x, dtype=complex)
+    n_restarts = out_x.shape[0]
+    out_f, out_iterations, out_evaluations, reasons = ([v] * n_restarts for v in (0.0, 0, 0, ""))
+
+    # Per live restart (``ids`` maps them to the stack), in arrays: the
+    # iterate x, the direction eta and, in ``model``, the curvature pairs as
+    # real views of the flattened complex arrays, so that <A, B> is a real
+    # dot product.  In lists: its value f, the slope along eta, the next
+    # trial step, the iterations, and the index of the stop reason in
+    # _REASONS (0 while it runs).
+    ids = list(range(n_restarts))
+    x = out_x.copy()
+    grad = tangent(x, np.asarray(egrad))
+    gnorm2 = np.einsum("rij,rij->r", grad.conj(), grad).real
+    eta = -grad
+    flat = grad.reshape(n_restarts, -1).view(float)
+    model = (_Dense if flat.shape[1] <= DENSE_MAX else _LimitedMemory)(flat)
+    f = np.array(values, dtype=float).tolist()
+    slope = (-gnorm2).tolist()
+    step = (FIRST_ANGLE / np.sqrt(np.where(gnorm2 > 0.0, gnorm2, 1.0))).tolist()
+    iterations, evaluations = [0] * n_restarts, 1  # the calls each live restart has made
+    done = [1 if g2 <= GRAD_TOL**2 else _stall(s, sl, fk)
+            for g2, s, sl, fk in zip(gnorm2.tolist(), step, slope, f)]
+
+    while True:
+        if any(done):
+            for k, i in enumerate(ids):
+                if done[k]:
+                    out_x[i], out_f[i], reasons[i] = x[k], f[k], _REASONS[done[k]]
+                    out_iterations[i], out_evaluations[i] = iterations[k], evaluations
+            keep = [k for k in range(len(ids)) if not done[k]]
+            if not keep:
+                break
+            x, eta, done = x[keep], eta[keep], [0] * len(keep)
+            model.keep(keep)
+            ids, f, slope, step, iterations = ([v[k] for k in keep] for v in (ids, f, slope, step, iterations))
+        moves = np.array(step)[:, None, None] * eta
+        trial = retract(x, moves)
+        f_trial, g_trial = objective(trial)
+        f_trial, evaluations = f_trial.tolist(), evaluations + 1
+        accepted = []
+        for k in range(len(ids)):
+            s, sl = step[k], slope[k]
+            if f_trial[k] <= f[k] + ARMIJO * s * sl:
+                accepted.append(k)
+                continue
+            # Rejected: a safeguarded quadratic fit along the line.
+            curv = f_trial[k] - f[k] - s * sl
+            fit = -sl * (s * s) / (2.0 * (curv if curv > 0.0 else math.inf))
+            step[k] = min(max(fit, SHRINK[0] * s), SHRINK[1] * s)
+            done[k] = _stall(step[k], sl, f[k])
+        if not accepted:
+            continue
+
+        # Accepted: the new gradient g and step s, the model's next
+        # directions, and steepest descent where a direction does not descend.
+        every = len(accepted) == len(ids)
+        at = trial if every else trial[accepted]
+        g = tangent(at, g_trial if every else g_trial[accepted]).reshape(len(accepted), -1).view(float)
+        s_new = moves.reshape(len(ids), -1).view(float)
+        d, slopes_new, gg = model.directions(accepted, g, s_new if every else s_new[accepted])
+        steps_new = []
+        for row, k in enumerate(accepted):
+            if slopes_new[row] < 0.0:
                 steps_new.append(1.0)
             else:
-                # No stored pair (a NaN slope) or no descent: steepest descent.
-                coef = [-1.0] + [0.0] * (2 * SLOTS)
-                slope_new = -gp[0]
+                # No stored pair (a NaN or zero slope) or no descent: steepest descent.
+                d[row], slopes_new[row] = -g[row], -gg[row]
                 steps_new.append(GROW * step[k])
-            coefs.append(coef)
-            slopes_new.append(slope_new)
-        eta_new = tangent(at, (np.array(coefs)[:, None, :] @ ring).view(complex).reshape(at.shape))
-        flat = eta_new.reshape(n_acc, -1).view(float)
+        eta_new = tangent(at, d.view(complex).reshape(at.shape))
+        flat = eta_new.reshape(len(accepted), -1).view(float)
         norms2 = np.einsum("ri,ri->r", flat, flat).tolist()
-        for (gp, _), k, slope_new, s, d2 in zip(products, accepted, slopes_new, steps_new, norms2):
+        for k, g2, slope_new, s, d2 in zip(accepted, gg, slopes_new, steps_new, norms2):
             if s * s * d2 > MAX_STEP**2:
                 s = MAX_STEP / math.sqrt(d2)
             f[k], slope[k], step[k] = f_trial[k], slope_new, s
             iterations[k] += 1
-            done[k] = (1 if gp[0] <= GRAD_TOL**2 else 3 if iterations[k] >= max_iter
+            done[k] = (1 if g2 <= GRAD_TOL**2 else 3 if iterations[k] >= max_iter
                        else _stall(s, slope_new, f[k]))
         if every:
             x, eta = trial, eta_new
         else:
-            x[accepted], eta[accepted], mem[accepted] = at, eta_new, ring
+            x[accepted], eta[accepted] = at, eta_new
 
     return Descent(
         x=out_x,

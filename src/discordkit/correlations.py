@@ -13,9 +13,10 @@ estimates are lower bounds.
 and the others from seeded random unitaries (``_descent.random_starts``,
 cached per shape, seed and restart count and shared with the convex roof,
 since no state enters them), then runs them all in lockstep by Riemannian
-L-BFGS descent on U(d) (``_descent``).  Both
-objectives come with an analytic gradient, so each round of the descent is
-one objective call for all live restarts.
+BFGS descent on U(d) (``_descent``: a dense inverse Hessian for
+2 d^2 <= ``DENSE_MAX`` reals, L-BFGS above).  Both objectives come with an
+analytic gradient, so each round of the descent is one objective call for
+all live restarts.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def minimize_over_measurements(
     random unitaries, which depend on d, ``cfg.seed`` and ``cfg.restarts``
     alone, so they come from the start cache the convex roof shares
     (``_descent.random_starts``).  All restarts descend in lockstep by
-    Riemannian L-BFGS on U(d), one objective call per round.  Deterministic
+    Riemannian BFGS on U(d) (dense or limited-memory by the size of d, see
+    ``_descent``), one objective call per round.  Deterministic
     given ``cfg.seed``; restart ties break toward the lowest restart index.
     Non-convergence is flagged, never raised.
     """

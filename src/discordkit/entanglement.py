@@ -7,9 +7,10 @@ decomposition once (``_wootters_rows``) and returns it, certified, when it
 meets the exact value.  Otherwise, and on every other input, the roof
 searches pure-state ensembles of size rank^2 generated from the canonical
 purification by an isometry, which is known to be a sufficient ensemble
-size, by Riemannian L-BFGS on the Stiefel manifold: the same
-``_descent`` optimizer as the measurement search, on one batched objective
-with an analytic gradient that also gives the pure-state value:
+size, by Riemannian BFGS on the Stiefel manifold (a dense inverse Hessian
+on small problems, L-BFGS on large ones): the same ``_descent`` optimizer
+as the measurement search, on one batched objective with an analytic
+gradient that also gives the pure-state value:
 ``qstate._ensemble_objective``, the kernel the measurement objective uses
 too, which gets the member Grams of every restart from one product with a
 kernel built once per state.  Restart 0 starts from the eigen-ensemble
@@ -301,12 +302,12 @@ def _dft_isometry(m: int, r: int) -> np.ndarray:
     return np.exp(-2j * np.pi * jk / m) / math.sqrt(m)
 
 
-def _canonical_roof(state: QState, partition) -> tuple[np.ndarray, Callable, tuple[int, ...]]:
-    """The canonical ensemble rows e0 (r x D) of ``state``, its ``_roof_objective`` and side A."""
+def _canonical_roof(state: QState, partition) -> tuple[np.ndarray, Callable]:
+    """The canonical ensemble rows e0 (r x D) of ``state`` and its ``_roof_objective``."""
     part_a, part_b = normalize_partition(state.n_subsystems, partition)
     sp = spectrum(state)
     e0 = (sp.eigenvectors[:, : sp.rank] * np.sqrt(sp.eigenvalues[: sp.rank])).T
-    return e0, _roof_objective(e0, state.dims, part_a, part_b), part_a
+    return e0, _roof_objective(e0, state.dims, part_a, part_b)
 
 
 def _upper_bound(value: float, iso: np.ndarray, e0: np.ndarray, oracle: float | None, **diagnostics) -> EofResult:
@@ -314,7 +315,8 @@ def _upper_bound(value: float, iso: np.ndarray, e0: np.ndarray, oracle: float | 
 
     Members of weight at most 1e-12 are dropped from the witness, and the
     gap to ``oracle`` (the Wootters value, None off dims (2, 2)) is its
-    ``crosscheck_gap``.
+    ``crosscheck_gap`` on either partition, since E_F does not depend on
+    the side.
     """
     psi = iso @ e0
     weights = np.real(np.einsum("id,id->i", psi, psi.conj()))
@@ -338,7 +340,7 @@ def _wootters_certificate(state: QState, partition) -> EofResult | None:
     back with stop reason ``"certified"``, one evaluation, no iterations and
     spread 0.  Otherwise (or for a NaN value) the result is None.
     """
-    e0, objective, part_a = _canonical_roof(state, partition)
+    e0, objective = _canonical_roof(state, partition)
     r = e0.shape[0]
     w, _c = _wootters_rows(e0)
     iso = np.zeros((r * r, r), dtype=complex)
@@ -348,7 +350,7 @@ def _wootters_certificate(state: QState, partition) -> EofResult | None:
     if not value <= oracle + CERTIFY_TOL:
         return None
     return _upper_bound(
-        value, iso, e0, oracle if part_a == (0,) else None,
+        value, iso, e0, oracle,
         converged=True, restart_spread=0.0, iterations=(0,), evaluations=(1,), stop_reasons=(CERTIFIED,),
     )
 
@@ -356,13 +358,13 @@ def _wootters_certificate(state: QState, partition) -> EofResult | None:
 def _roof_search(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
     """The convex-roof search of ``eof_upper``, without its Wootters certificate."""
     cfg = cfg or EOF_DEFAULT_CONFIG
-    e0, objective, part_a = _canonical_roof(state, partition)
+    e0, objective = _canonical_roof(state, partition)
     r = e0.shape[0]
     m = r * r
     starts = np.concatenate([_dft_isometry(m, r)[None], random_starts(m, r, cfg.seed, cfg.restarts)])
     run = descend(objective, starts, *objective(starts), cfg.max_iter)
     b, spread, converged = summary(run, cfg.tol)
-    oracle = eof_2qubit(state).value if state.dims == (2, 2) and part_a == (0,) else None
+    oracle = eof_2qubit(state).value if state.dims == (2, 2) else None
     return _upper_bound(
         float(run.values[b]), run.x[b], e0, oracle,
         converged=converged, restart_spread=spread,
@@ -388,13 +390,14 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     members.  The rest start from seeded random isometries, cached per
     (m, r, seed, restarts) and shared with the measurement search
     (``_descent.random_starts``); all descend in lockstep by the
-    Riemannian L-BFGS of ``_descent`` (the measurement search's optimizer),
+    Riemannian BFGS of ``_descent`` (the measurement search's optimizer:
+    a dense inverse Hessian for 2 m r <= ``DENSE_MAX`` reals, L-BFGS above),
     each for at most ``cfg.max_iter`` iterations, on ``_roof_objective``.
     Every isometry gives a valid ensemble, so the value is an upper bound by
     construction, certified or searched; ties go to the lowest restart.
     ``restart_spread`` and ``converged`` follow the measurement search's
     rule, and ``iterations``, ``evaluations`` and ``stop_reasons`` report
-    each restart.  On dims (2, 2) with side A = (0,) the result carries its
+    each restart.  On dims (2, 2), either partition, the result carries its
     gap to the exact Wootters value.
     """
     if state.dims == (2, 2):

@@ -30,10 +30,11 @@ from discordkit import (
     tensor,
     von_neumann_entropy,
 )
-from discordkit import correlations
+from discordkit import _descent, correlations
 from discordkit._descent import (
     ARMIJO,
     CAP,
+    DENSE_MAX,
     FIRST_ANGLE,
     GRADIENT,
     GROW,
@@ -202,13 +203,29 @@ def test_descend_stops_on_an_exact_zero_gradient_without_warnings():
     assert run.iterations == (1,) and run.values[0] == 0.0
 
 
+def _use_model(monkeypatch, model):
+    # Every stack takes the dense model ("dense") or the L-BFGS one ("lbfgs").
+    monkeypatch.setattr(_descent, "DENSE_MAX", math.inf if model == "dense" else 0)
+
+
+def _on_both_models(cases, ids):
+    # Each case on the dense model under its own id and on L-BFGS under
+    # id-lbfgs; ``model`` is the last argument.
+    return [pytest.param(*case, model, id=case_id if model == "dense" else f"{case_id}-lbfgs")
+            for case, case_id in zip(cases, ids) for model in ("dense", "lbfgs")]
+
+
 @pytest.mark.parametrize(
-    "kind, level, pinned",
-    [("value", 0.5, (CAP, 50, 364)), ("value", 0.0, (NO_DECREASE, 0, 1)),
-     ("gradient", 0.5, (NO_DECREASE, 2, 3)), ("gradient", 0.0, (NO_DECREASE, 0, 1))],
-    ids=["nan-value-later", "nan-value-at-start", "nan-gradient-later", "nan-gradient-at-start"],
+    "kind, level, pinned, model",
+    _on_both_models(
+        [("value", 0.5, {"dense": (CAP, 50, 414), "lbfgs": (CAP, 50, 364)}),
+         ("value", 0.0, {"dense": (NO_DECREASE, 0, 1), "lbfgs": (NO_DECREASE, 0, 1)}),
+         ("gradient", 0.5, {"dense": (NO_DECREASE, 2, 3), "lbfgs": (NO_DECREASE, 2, 3)}),
+         ("gradient", 0.0, {"dense": (NO_DECREASE, 0, 1), "lbfgs": (NO_DECREASE, 0, 1)})],
+        ["nan-value-later", "nan-value-at-start", "nan-gradient-later", "nan-gradient-at-start"],
+    ),
 )
-def test_descend_confines_a_nan_to_its_restart(kind, level, pinned):
+def test_descend_confines_a_nan_to_its_restart(kind, level, pinned, model, monkeypatch):
     # The Rayleigh quotient of diag(1, 2, 0) on unit vectors of C^3, NaN
     # (in the value or the gradient) where |x_2|^2 > level.  Restart 1 heads
     # for e_2 and meets the NaN region after a few calls, or starts in it;
@@ -225,6 +242,7 @@ def test_descend_confines_a_nan_to_its_restart(kind, level, pinned):
             grads[bad] = np.nan
         return values, grads
 
+    _use_model(monkeypatch, model)
     starts = np.array([[0.3, 1.0, 0.0], [0.2, 1.0, 0.3j], [0.6, 1.0j, 0.0]], dtype=complex)[:, :, None]
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     with warnings.catch_warnings():
@@ -232,7 +250,7 @@ def test_descend_confines_a_nan_to_its_restart(kind, level, pinned):
         run = descend(objective, starts, *objective(starts), 50)
         alone = [descend(objective, starts[k : k + 1], *(v[k : k + 1] for v in objective(starts)), 50)
                  for k in range(3)]
-    assert (run.reasons[1], run.iterations[1], run.evaluations[1]) == pinned
+    assert (run.reasons[1], run.iterations[1], run.evaluations[1]) == pinned[model]
     for k in (0, 2):
         assert (run.reasons[k], run.iterations[k], run.evaluations[k]) == (
             alone[k].reasons[0], alone[k].iterations[0], alone[k].evaluations[0])
@@ -300,6 +318,44 @@ def _plain_lbfgs(objective, x, n_calls):
     return trials, skips, values
 
 
+def _plain_bfgs(objective, x, n_calls):
+    # One restart of ``descend`` on the dense model, written on the vectors
+    # themselves: H = (s.y / y.y) I at the first stored pair, then the BFGS
+    # update in product form, skipping a pair with s.y <= 0.  Returns its
+    # trial points, whether H had started at each skip, and the value at
+    # each accepted step.
+    f, e = objective(x)
+    g = tangent(x, e)
+    d, step, h, trials, skips, values = -g, FIRST_ANGLE / np.linalg.norm(g), None, [], [], [f[0]]
+    for _ in range(n_calls):
+        slope = np.vdot(g, d).real
+        trial = retract(x, step * d)
+        trials.append(trial)
+        f_t, e_t = objective(trial)
+        if not f_t[0] <= f[0] + ARMIJO * step * slope:
+            curv = f_t[0] - f[0] - step * slope
+            fit = -slope * step**2 / (2.0 * curv) if curv > 0.0 else 0.0
+            step = min(max(fit, SHRINK[0] * step), SHRINK[1] * step)
+            continue
+        g_t = tangent(trial, e_t)
+        s, y = (step * d).ravel().view(float), (g_t - g).ravel().view(float)
+        if s @ y > 0.0:
+            if h is None:
+                h = s @ y / (y @ y) * np.eye(len(s))
+            a = np.eye(len(s)) - np.outer(s, y) / (s @ y)
+            h = a @ h @ a.T + np.outer(s, s) / (s @ y)
+        else:
+            skips.append(h is not None)
+        x, f, g = trial, f_t, g_t
+        values.append(f[0])
+        if h is not None:
+            d, step = tangent(x, -(h @ g.ravel().view(float)).view(complex).reshape(g.shape)), 1.0
+        if h is None or not np.vdot(g, d).real < 0.0:
+            d, step = -g, GROW * step
+        step = min(step, MAX_STEP / np.linalg.norm(d))
+    return trials, skips, values
+
+
 def _quartic(x):
     # -sum_j |x_j|^4 + x^H A x on unit vectors: non-convex, with saddles.
     a = np.diag(0.3 * np.arange(x.shape[1]))
@@ -307,15 +363,13 @@ def _quartic(x):
     return value, -4.0 * np.abs(x) ** 2 * x + 2.0 * a @ x
 
 
-@pytest.mark.parametrize("seed", [7, 21, 31])
-def test_descend_skips_pairs_of_negative_curvature(seed):
-    # On these paths some accepted step has s.y <= 0 while other pairs are
-    # stored.  Storing it would change the next direction, so the trial points
-    # of ``descend`` must be those of the plain recursion, which skips it;
-    # every accepted step still lowers the value.
+def _quartic_start(seed, n):
     g = np.random.default_rng(seed)
-    x0 = g.normal(size=(1, 5, 1)) + 1j * g.normal(size=(1, 5, 1))
-    x0 /= np.linalg.norm(x0)
+    x0 = g.normal(size=(1, n, 1)) + 1j * g.normal(size=(1, n, 1))
+    return x0 / np.linalg.norm(x0)
+
+
+def _recorded_descent(x0, max_iter):
     calls = []
 
     def recording(x):
@@ -324,13 +378,40 @@ def test_descend_skips_pairs_of_negative_curvature(seed):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        run = descend(recording, x0, *_quartic(x0), 200)
-        trials, skips, values = _plain_lbfgs(_quartic, x0, len(calls))
+        run = descend(recording, x0, *_quartic(x0), max_iter)
+    return run, np.array(calls)
+
+
+@pytest.mark.parametrize("seed, model", _on_both_models([(7,), (21,), (31,)], ["7", "21", "31"]))
+def test_descend_skips_pairs_of_negative_curvature(seed, model, monkeypatch):
+    # On these paths some accepted step has s.y <= 0 after a pair is stored.
+    # Storing it would change the next direction, so the trial points of
+    # ``descend`` must be those of the plain recursion of its model, which
+    # skips it; every accepted step still lowers the value.
+    _use_model(monkeypatch, model)
+    x0 = _quartic_start(seed, 5)
+    run, calls = _recorded_descent(x0, 200)
+    plain = _plain_bfgs if model == "dense" else _plain_lbfgs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trials, skips, values = plain(_quartic, x0, len(calls))
     assert run.reasons != (CAP,) and any(stored > 0 for stored in skips)
-    np.testing.assert_allclose(np.array(calls), np.array(trials), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(calls, np.array(trials), rtol=0, atol=1e-12)
     assert len(values) == run.iterations[0] + 1
     assert values[-1] == pytest.approx(run.values[0], abs=1e-12)
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_descend_keeps_a_dense_inverse_hessian_up_to_dense_max():
+    # A (1, n, 1) stack has D = 2 n reals: n = DENSE_MAX / 2 follows the
+    # plain dense BFGS, and the next size, D = DENSE_MAX + 2, plain L-BFGS.
+    # The two part within a few steps, so each run matches one of them only.
+    for n, plain, other in ((DENSE_MAX // 2, _plain_bfgs, _plain_lbfgs),
+                            (DENSE_MAX // 2 + 1, _plain_lbfgs, _plain_bfgs)):
+        x0 = _quartic_start(n, n)
+        run, calls = _recorded_descent(x0, 30)
+        np.testing.assert_allclose(calls, np.array(plain(_quartic, x0, len(calls))[0]), rtol=0, atol=1e-12)
+        assert np.abs(calls - np.array(other(_quartic, x0, len(calls))[0])).max() > 1e-6
 
 
 @pytest.mark.parametrize("shape", [(3, 16, 4), (3, 9, 3), (16, 2, 2), (16, 4, 4), (4, 6, 6)])
@@ -370,15 +451,18 @@ def test_summary_converges_only_when_most_restarts_stopped():
 
 
 @pytest.mark.parametrize(
-    "dims, rank, measured, dephasing, max_iter",
-    [((2, 2), 4, 0, False, 2000), ((2, 3), 6, 1, False, 2000), ((4, 2), 8, 0, True, 2000),
-     ((2, 2), 4, 0, False, 7)],
-    ids=["2x2-rank4", "2x3-rank6-B", "4x2-rank8-dephasing", "2x2-rank4-capped"],
+    "dims, rank, measured, dephasing, max_iter, model",
+    _on_both_models(
+        [((2, 2), 4, 0, False, 2000), ((2, 3), 6, 1, False, 2000), ((4, 2), 8, 0, True, 2000),
+         ((2, 2), 4, 0, False, 7)],
+        ["2x2-rank4", "2x3-rank6-B", "4x2-rank8-dephasing", "2x2-rank4-capped"],
+    ),
 )
-def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephasing, max_iter):
-    # At 7 iterations 12 of the 16 restarts stop at the cap and four stop
-    # before it; one round holds restarts that reach the cap, two that
-    # backtrack and ten that take a step.
+def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephasing, max_iter, model, monkeypatch):
+    # At 7 iterations 9 (dense) or 12 (L-BFGS) of the 16 restarts stop at
+    # the cap and the rest stop before it, so some rounds hold restarts that
+    # reach the cap beside others that backtrack or take a step.
+    _use_model(monkeypatch, model)
     objective, d = _measurement_objective(random_mixed(dims, rank, 11), measured, dephasing)
     cfg = OptimizerConfig(seed=2, max_iter=max_iter)
     calls = []
@@ -399,7 +483,7 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     assert opt.iterations == tuple(run.iterations[0] for run in alone)
     assert opt.evaluations == tuple(run.evaluations[0] for run in alone)
     assert opt.stop_reasons == tuple(run.reasons[0] for run in alone)
-    assert opt.stop_reasons.count(CAP) == (0 if max_iter == 2000 else 12)
+    assert opt.stop_reasons.count(CAP) == (0 if max_iter == 2000 else 9 if model == "dense" else 12)
     assert len(set(opt.iterations)) > 1
     np.testing.assert_allclose(opt.restart_values, [run.values[0] for run in alone], rtol=0, atol=1e-12)
     best = int(np.argmin([run.values[0] for run in alone]))

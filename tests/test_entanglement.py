@@ -19,8 +19,8 @@ from discordkit import (
     tensor,
     von_neumann_entropy,
 )
-from discordkit import entanglement
-from discordkit._descent import CAP, CERTIFIED, Descent, descend, random_isometry, summary
+from discordkit import _descent, entanglement
+from discordkit._descent import CAP, CERTIFIED, DENSE_MAX, Descent, descend, random_isometry, summary
 from discordkit.entanglement import (
     EOF_DEFAULT_CONFIG,
     EXACT_PURE,
@@ -153,6 +153,28 @@ def test_eof_upper_never_undercuts_wootters():
         assert roof.crosscheck_gap <= 5e-3
 
 
+def _use_model(monkeypatch, model):
+    # "dense" or "lbfgs" forces that curvature model on every stack; None
+    # leaves the choice to D = 2 m r and ``DENSE_MAX``.
+    if model is not None:
+        monkeypatch.setattr(_descent, "DENSE_MAX", math.inf if model == "dense" else 0)
+
+
+@pytest.mark.parametrize("model", ["dense", "lbfgs"])
+def test_roof_search_meets_wootters_on_either_curvature_model(model, monkeypatch):
+    # Criterion 8's band on the search, on each side, with the curvature
+    # model forced: by ``DENSE_MAX`` the rank-2 and rank-3 roofs (D = 16, 54)
+    # take the dense one and rank 4 (D = 128) L-BFGS.
+    _use_model(monkeypatch, model)
+    for rank in (2, 3, 4):
+        for i in range(3):
+            state = random_mixed((2, 2), rank, 8100 + 10 * rank + i)
+            for partition in (None, ((1,), (0,))):
+                roof = _roof_search(state, partition)
+                assert CERTIFIED not in roof.stop_reasons
+                assert -1e-6 <= roof.crosscheck_gap <= 5e-3
+
+
 @pytest.mark.parametrize(
     "rank, seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 7), (3, 8), (3, 10), (4, 0), (4, 13), (4, 21), (4, 23)]
 )
@@ -273,16 +295,24 @@ def test_roof_gradient_matches_central_differences(dims, rank):
 
 @pytest.mark.parametrize("restarts", [3, 16])
 @pytest.mark.parametrize(
-    "dims, rank, seed, index, max_iter",
-    [((2, 2), 4, 1, 4, 2000), ((3, 2), 3, 2, 0, 2000), ((2, 3), 6, 3, 0, 150), ((3, 2), 3, 2, 0, 3)],
-    ids=["2x2-rank4", "3x2-rank3", "2x3-rank6", "3x2-rank3-capped"],
+    "dims, rank, seed, index, max_iter, model",
+    [((2, 2), 4, 1, 4, 2000, None), ((3, 2), 3, 2, 0, 2000, None), ((2, 3), 6, 3, 0, 150, None),
+     ((3, 2), 3, 2, 0, 3, None), ((2, 2), 4, 1, 4, 2000, "dense"), ((3, 2), 3, 2, 0, 2000, "lbfgs"),
+     ((3, 2), 3, 2, 0, 3, "lbfgs")],
+    ids=["2x2-rank4", "3x2-rank3", "2x3-rank6", "3x2-rank3-capped", "2x2-rank4-dense", "3x2-rank3-lbfgs",
+         "3x2-rank3-capped-lbfgs"],
 )
-def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, seed, index, max_iter, restarts):
+def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, seed, index, max_iter, model, restarts, monkeypatch):
     # Most rank-6 restarts run to the default 2,000-iteration cap, so a lower
     # cap keeps that case short; at 150 every restart reaches it.  At 3
     # iterations the rank-3 restarts reach the cap in rounds where others
     # backtrack or take a step.  The search alone: eof_upper certifies the
-    # 2x2 state without one.
+    # 2x2 state without one.  D = 2 r^3 is 128 at rank 4, 54 at rank 3 and
+    # 432 at rank 6, so the plain cases cover both curvature models by
+    # ``DENSE_MAX``, and the others force the model that D does not pick (a
+    # dense rank-6 stack would hold 16 matrices of 432 x 432).
+    assert 54 <= DENSE_MAX < 128
+    _use_model(monkeypatch, model)
     state = random_mixed(dims, rank, seed, index)
     cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter)
     roof = _roof_search(state, cfg=cfg)
@@ -436,7 +466,7 @@ def test_wootters_certificate_meets_wootters_on_two_qubit_states(kind, partition
         assert (roof.iterations, roof.evaluations, roof.restart_spread, roof.converged) == ((0,), (1,), 0.0, True)
         assert roof.tag == UPPER_BOUND
         assert abs(roof.value - oracle) <= 1e-12
-        assert roof.crosscheck_gap == (None if partition else roof.value - oracle)
+        assert roof.crosscheck_gap == roof.value - oracle
         witness = roof.decomposition
         np.testing.assert_allclose(witness.reconstruct(), state.matrix, rtol=0, atol=1e-12)
         assert abs(witness.weights.sum() - 1.0) <= 1e-12
