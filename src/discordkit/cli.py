@@ -8,9 +8,15 @@ Subcommands:
   hunt      sweep Werner states and report the non-certifying upper estimate
             of the purified discord against the environment entropy
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-Outputs are deterministic for a fixed seed (no timestamps), so repeated runs
-produce byte-identical report files.
+Every subcommand writes through one writer, ``_write``: JSON, CSV or a
+human-readable table, to ``--out`` or stdout.  The ``compute`` and ``verify``
+CSV column orders are listed in ``--help``; ``hunt``'s human table heads the
+environment entropy S(AB) ``S(env)``.
+
+Exit codes: 0 success, 1 verification failure, 2 usage or input error, an
+``--out`` path that cannot be written included.  Outputs are deterministic
+for a fixed seed (no timestamps), so repeated runs produce byte-identical
+report files.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import functools
 import io
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -28,7 +35,6 @@ import numpy as np
 from .config import OptimizerConfig
 from .correlations import (
     DiscordBoundError,
-    REPORT_CSV_COLUMNS,
     classical_correlation,
     correlation_report,
     discord,
@@ -43,16 +49,50 @@ from .qstate import (
     state_from_json,
     von_neumann_entropy,
 )
-from .states import FAMILIES, StateFamilySpec, haar_random_pure
-from .verify import RELATIONS, SUITE_CSV_COLUMNS, run_suite, suite_csv_rows
+from .states import (
+    FAMILIES,
+    StateFamilySpec,
+    example3_state,
+    haar_random_pure,
+    werner_2qubit_example4,
+    werner_qudit,
+)
+from .verify import RELATIONS, run_suite
 
 HUNT_LABEL = "non-certifying upper estimate of D_A"
 
+# Each CSV layout maps a column name to the function that reads its cell from
+# one record, so the header and the rows come from one definition.
+_REPORT_CSV = {
+    **{name: operator.attrgetter(name) for name in (
+        "s_a", "s_b", "s_ab", "mutual_information", "j_a", "j_b", "d_a", "d_b", "discord_distance")},
+    "j_a_spread": lambda report: report.diagnostics["measured_a"]["spread"],
+    "j_b_spread": lambda report: report.diagnostics["measured_b"]["spread"],
+    "a_converged": lambda report: report.diagnostics["measured_a"]["converged"],
+    "b_converged": lambda report: report.diagnostics["measured_b"]["converged"],
+}
+_SUITE_CSV = {
+    "suite": lambda report, row: report.suite_id,
+    "sample": lambda report, row: row.provenance["sample"],
+    "relation": lambda report, row: row.name,
+    "lhs": lambda report, row: row.lhs,
+    "rhs": lambda report, row: row.rhs,
+    "slack": lambda report, row: row.slack,
+    "tolerance": lambda report, row: row.tolerance,
+    "holds": lambda report, row: "" if row.holds is None else row.holds,
+    "skipped": lambda report, row: row.skipped or "",
+    "seed": lambda report, row: row.provenance["seed"],
+}
+_HUNT_CSV = {
+    **{name: operator.itemgetter(name) for name in ("x", "s_measured", "s_env", "j_classical", "d_upper", "gap")},
+    "label": lambda row: HUNT_LABEL,
+}
+
 _EPILOG = f"""\
 compute CSV column order:
-  {', '.join(REPORT_CSV_COLUMNS)}
+  {', '.join(_REPORT_CSV)}
 verify CSV column order:
-  {', '.join(SUITE_CSV_COLUMNS)}
+  {', '.join(_SUITE_CSV)}
 known suites: {', '.join(sorted(RELATIONS))}
 known families: {', '.join(FAMILIES)}
 """
@@ -188,18 +228,15 @@ def _load_state(args) -> QState:
     return sample.to_density() if hasattr(sample, "to_density") else sample
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_text(obj) -> str:
     """Strict JSON: NaN and infinities are written as null."""
     plain = json.loads(json.dumps(obj), parse_constant=lambda _constant: None)
     return json.dumps(plain, indent=2, allow_nan=False) + "\n"
+
+
+def _csv_rows(layout: dict, records) -> list:
+    """The header of a CSV layout, then one row per record (a tuple of getter arguments)."""
+    return [list(layout)] + [[cell(*record) for cell in layout.values()] for record in records]
 
 
 def _csv_text(rows) -> str:
@@ -215,7 +252,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _human_table(rows, header) -> str:
+def _human_table(header, rows) -> str:
     cells = [tuple(_fmt(c) for c in row) for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(header)]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
@@ -225,6 +262,33 @@ def _human_table(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(args, payload, csv_rows, human) -> int:
+    """Write one result in ``args.format`` to ``--out`` or stdout.
+
+    ``payload`` is the JSON object, ``csv_rows`` the CSV rows (header first)
+    and ``human`` a ``(header, rows, footer)`` table; a subcommand passes None
+    for a format it does not offer.  Returns 0, or 2 after an ``error:`` line
+    when ``--out`` cannot be written.
+    """
+    if args.format == "json":
+        text = _json_text(payload)
+    elif args.format == "csv":
+        text = _csv_text(csv_rows)
+    else:
+        header, rows, footer = human
+        text = _human_table(header, rows) + footer
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _cmd_compute(args, cfg: OptimizerConfig) -> int:
     try:
         state = _load_state(args)
@@ -232,27 +296,20 @@ def _cmd_compute(args, cfg: OptimizerConfig) -> int:
     except (InvalidStateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        _emit(_json_text(report.to_json()), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text([list(REPORT_CSV_COLUMNS), report.to_csv_row()]), args.out)
-    else:
-        rows = [
-            ("S(A)", report.s_a),
-            ("S(B)", report.s_b),
-            ("S(AB)", report.s_ab),
-            ("I(A:B)", report.mutual_information),
-            ("J_A", report.j_a),
-            ("J_B", report.j_b),
-            ("D_A", report.d_a),
-            ("D_B", report.d_b),
-            ("discord distance", report.discord_distance),
-        ]
-        text = _human_table(rows, ("quantity", "value"))
-        text += f"measurement class: {report.measurement_class}\n"
-        text += f"note: {report.estimator_bias}\n"
-        _emit(text, args.out)
-    return 0
+    rows = [
+        ("S(A)", report.s_a),
+        ("S(B)", report.s_b),
+        ("S(AB)", report.s_ab),
+        ("I(A:B)", report.mutual_information),
+        ("J_A", report.j_a),
+        ("J_B", report.j_b),
+        ("D_A", report.d_a),
+        ("D_B", report.d_b),
+        ("discord distance", report.discord_distance),
+    ]
+    footer = f"measurement class: {report.measurement_class}\nnote: {report.estimator_bias}\n"
+    human = (("quantity", "value"), rows, footer)
+    return _write(args, report.to_json(), _csv_rows(_REPORT_CSV, [(report,)]), human)
 
 
 def _cmd_verify(args, cfg: OptimizerConfig) -> int:
@@ -268,10 +325,9 @@ def _cmd_verify(args, cfg: OptimizerConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out or args.format == "csv":
-        if args.format == "json":
-            _emit(_json_text(report.to_json()), args.out)
-        else:
-            _emit(_csv_text(suite_csv_rows(report)), args.out)
+        csv_rows = _csv_rows(_SUITE_CSV, [(report, row) for row in report.rows])
+        if _write(args, report.to_json(), csv_rows, None):
+            return 2
     else:
         print("note: no JSON report written; --out FILE writes it", file=sys.stderr)
     # The summary goes to stderr when the report itself is on stdout.
@@ -285,38 +341,34 @@ def _cmd_verify(args, cfg: OptimizerConfig) -> int:
 
 
 def _example_rows(name: str, cfg: OptimizerConfig):
+    """One worked example: its (quantity, reference, computed) rows and its diagnostics."""
     if name == "example3":
-        from .states import example3_state
-
         state = example3_state()
-        abc = purify(state).to_density()
-        rho_bc = partial_trace(abc, (1, 2))
-        ef_bc = eof_2qubit(rho_bc).value
+        s_a = von_neumann_entropy(partial_trace(state, (0,)))
+        s_b = von_neumann_entropy(partial_trace(state, (1,)))
+        s_ab = von_neumann_entropy(state)
+        ef_bc = eof_2qubit(partial_trace(purify(state).to_density(), (1, 2))).value
         d_a = discord(state, 0, cfg)
         return [
-            ("S(A)", 2.0, von_neumann_entropy(partial_trace(state, (0,)))),
-            ("S(B)", 1.0, von_neumann_entropy(partial_trace(state, (1,)))),
-            ("S(AB)", 1.0, von_neumann_entropy(state)),
+            ("S(A)", 2.0, s_a),
+            ("S(B)", 1.0, s_b),
+            ("S(AB)", 1.0, s_ab),
             ("purity", 0.5, purity(state)),
             ("E_F(BC)", 0.0, ef_bc),
             ("D_A", 1.0, d_a.value),
-            ("S(A)-S(AB)-S(B)", 0.0, 2.0 - 1.0 - 1.0),
+            ("S(A)-S(AB)-S(B)", 0.0, s_a - s_ab - s_b),
         ], {"d_a": d_a.diagnostics()}
     if name == "example4":
-        from .states import werner_2qubit_example4
-
-        state = werner_2qubit_example4()
-        report = correlation_report(state, cfg)
+        report = correlation_report(werner_2qubit_example4(), cfg)
+        s_ab = 0.5 * math.log2(6.0) + 0.5
         return [
-            ("S(AB)", 0.5 * math.log2(6.0) + 0.5, report.s_ab),
-            ("I(A:B)", 2.0 - (0.5 * math.log2(6.0) + 0.5), report.mutual_information),
+            ("S(AB)", s_ab, report.s_ab),
+            ("I(A:B)", 2.0 - s_ab, report.mutual_information),
             ("D_A", 0.126, report.d_a),
             ("J_A", 0.082, report.j_a),
         ], {"diagnostics": report.diagnostics}
     # example2: a seeded random pure state; D_A = D_B = S(B) for pure states.
-    vec = haar_random_pure((2, 2), cfg.seed)
-    state = vec.to_density()
-    report = correlation_report(state, cfg)
+    report = correlation_report(haar_random_pure((2, 2), cfg.seed).to_density(), cfg)
     return [
         ("S(B)", report.s_b, report.s_b),
         ("D_A", report.s_b, report.d_a),
@@ -327,20 +379,10 @@ def _example_rows(name: str, cfg: OptimizerConfig):
 
 def _cmd_example(args, cfg: OptimizerConfig) -> int:
     rows, extras = _example_rows(args.name, cfg)
+    header = ("quantity", "reference", "computed", "delta")
     table = [(q, ref, got, abs(got - ref)) for q, ref, got in rows]
-    if args.format == "json":
-        payload = {
-            "example": args.name,
-            "rows": [
-                {"quantity": q, "reference": ref, "computed": got, "delta": delta}
-                for q, ref, got, delta in table
-            ],
-            **extras,
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_human_table(table, ("quantity", "reference", "computed", "delta")), args.out)
-    return 0
+    payload = {"example": args.name, "rows": [dict(zip(header, row)) for row in table], **extras}
+    return _write(args, payload, None, (header, table, ""))
 
 
 def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
@@ -348,13 +390,11 @@ def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
         grid = _parse_range(args.x)
         if args.d < 2:
             raise ValueError("hunt requires d >= 2")
-        if np.any(grid <= -1.0) or np.any(grid >= 1.0):
+        if not np.all((grid > -1.0) & (grid < 1.0)):
             raise ValueError("hunt requires x values inside (-1, 1)")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .states import werner_qudit
-
     rows = []
     for x in grid:
         print(f"hunt: d={args.d} x={x:.6g} ...", file=sys.stderr, flush=True)
@@ -380,23 +420,9 @@ def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
             }
         )
     payload = {"mode": "hunt", "d": args.d, "label": HUNT_LABEL, "rows": rows}
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        table = [["x", "s_measured", "s_env", "j_classical", "d_upper", "gap", "label"]]
-        for r in rows:
-            table.append(
-                [r["x"], r["s_measured"], r["s_env"], r["j_classical"], r["d_upper"], r["gap"], HUNT_LABEL]
-            )
-        _emit(_csv_text(table), args.out)
-    else:
-        table = [
-            (r["x"], r["s_env"], r["d_upper"], r["gap"]) for r in rows
-        ]
-        text = _human_table(table, ("x", "S(B)", "D_A upper", "gap"))
-        text += f"label: {HUNT_LABEL}\n"
-        _emit(text, args.out)
-    return 0
+    table = [(r["x"], r["s_env"], r["d_upper"], r["gap"]) for r in rows]
+    human = (("x", "S(env)", "D_A upper", "gap"), table, f"label: {HUNT_LABEL}\n")
+    return _write(args, payload, _csv_rows(_HUNT_CSV, [(r,) for r in rows]), human)
 
 
 def main(argv=None) -> int:

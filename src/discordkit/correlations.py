@@ -477,23 +477,6 @@ def re_discord(
     )
 
 
-REPORT_CSV_COLUMNS = (
-    "s_a",
-    "s_b",
-    "s_ab",
-    "mutual_information",
-    "j_a",
-    "j_b",
-    "d_a",
-    "d_b",
-    "discord_distance",
-    "j_a_spread",
-    "j_b_spread",
-    "a_converged",
-    "b_converged",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
     """All scalar correlation measures of one bipartite state.
@@ -518,24 +501,6 @@ class CorrelationReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    def to_csv_row(self) -> list:
-        diag = self.diagnostics
-        return [
-            self.s_a,
-            self.s_b,
-            self.s_ab,
-            self.mutual_information,
-            self.j_a,
-            self.j_b,
-            self.d_a,
-            self.d_b,
-            self.discord_distance,
-            diag.get("measured_a", {}).get("spread"),
-            diag.get("measured_b", {}).get("spread"),
-            diag.get("measured_a", {}).get("converged"),
-            diag.get("measured_b", {}).get("converged"),
-        ]
 
 
 def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> CorrelationReport:

@@ -71,8 +71,6 @@ __all__ = [
     "check_thm2",
     "check_thm3",
     "run_suite",
-    "suite_csv_rows",
-    "SUITE_CSV_COLUMNS",
 ]
 
 TOL_EXACT = 1e-9
@@ -618,19 +616,6 @@ RELATIONS: dict[str, Callable] = {
     "kw_pointwise": check_kw_pointwise,
 }
 
-SUITE_CSV_COLUMNS = (
-    "suite",
-    "sample",
-    "relation",
-    "lhs",
-    "rhs",
-    "slack",
-    "tolerance",
-    "holds",
-    "skipped",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -687,27 +672,6 @@ class SuiteReport:
             "summary": self.relation_summary(),
             "rows": [asdict(r) for r in self.rows],
         }
-
-
-def suite_csv_rows(report: SuiteReport) -> list:
-    rows = [list(SUITE_CSV_COLUMNS)]
-    for r in report.rows:
-        prov = r.provenance
-        rows.append(
-            [
-                report.suite_id,
-                prov.get("sample", ""),
-                r.name,
-                r.lhs,
-                r.rhs,
-                r.slack,
-                r.tolerance,
-                "" if r.holds is None else r.holds,
-                r.skipped or "",
-                prov.get("seed", ""),
-            ]
-        )
-    return rows
 
 
 def run_suite(

@@ -10,7 +10,6 @@ import pytest
 from discordkit import OptimizerConfig, PureStateVector, state_to_json
 from discordkit import cli
 from discordkit.cli import main
-from discordkit.correlations import REPORT_CSV_COLUMNS
 
 from conftest import bell_state
 
@@ -53,7 +52,7 @@ def test_compute_csv_column_order(bell_file, tmp_path):
                "--out", str(out)])
     assert rc == 0
     header = out.read_text().splitlines()[0]
-    assert header == ",".join(REPORT_CSV_COLUMNS)
+    assert header == ",".join(cli._REPORT_CSV)
 
 
 def test_compute_error_paths(tmp_path, capsys):
@@ -176,18 +175,18 @@ def test_hunt_bad_range():
     assert main(["hunt", "--d", "2", "--x", "0.1:0.2"]) == 2
     assert main(["hunt", "--d", "1", "--x=-0.5:-0.5:1"]) == 2
     assert main(["hunt", "--d", "2", "--x=-1.5:-0.5:2"]) == 2
+    assert main(["hunt", "--d", "2", "--x=nan:0.5:2"]) == 2
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["compute", "--family", "example3"],
-        ["verify", "--suite", "eq5", "--family", "example3"],
-        ["example", "example4"],
-        ["hunt", "--d", "2", "--x=-0.5:-0.5:1"],
-    ],
-    ids=["compute", "verify", "example", "hunt"],
-)
+_ONE_OF_EACH = [
+    ["compute", "--family", "example3"],
+    ["verify", "--suite", "eq5", "--family", "example3"],
+    ["example", "example4"],
+    ["hunt", "--d", "2", "--x=-0.5:-0.5:1"],
+]
+
+
+@pytest.mark.parametrize("command", _ONE_OF_EACH, ids=["compute", "verify", "example", "hunt"])
 @pytest.mark.parametrize(
     "bad",
     [["--restarts", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "0"]],
@@ -197,6 +196,42 @@ def test_bad_optimizer_config_is_a_usage_error(command, bad, capsys):
     assert main(command + bad) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("command", _ONE_OF_EACH, ids=["compute", "verify", "example", "hunt"])
+@pytest.mark.parametrize("out", ["missing-dir/x.out", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_is_a_usage_error(command, out, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if command[0] == "verify":
+        command = command + ["--samples", "1", "--format", "csv"]
+    assert main(command + ["--restarts", "2", "--out", out]) == 2
+    captured = capsys.readouterr()
+    # hunt reports its progress on stderr before the result is written.
+    err = "".join(line for line in captured.err.splitlines(True) if not line.startswith("hunt: "))
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+_WRITER_CASES = [
+    ["compute", "--family", "example3", "--format", "human"],
+    ["compute", "--family", "example3", "--format", "json"],
+    ["compute", "--family", "example3", "--format", "csv"],
+    ["verify", "--suite", "eq5,eq12", "--family", "random_mixed", "--dims", "2x2", "--rank", "2",
+     "--samples", "2", "--format", "csv"],
+    *(["example", name, "--format", fmt] for name in ("example2", "example3", "example4")
+      for fmt in ("human", "json")),
+    *(["hunt", "--d", "3", "--x=-0.5:-0.5:1", "--format", fmt] for fmt in ("json", "csv", "human")),
+]
+
+
+@pytest.mark.parametrize("command", _WRITER_CASES, ids=lambda c: "-".join(c[i] for i in (0, 1, -1)))
+def test_out_file_holds_exactly_what_stdout_gets(command, tmp_path, capsys):
+    command = command + ["--restarts", "2", "--seed", "5"]
+    assert main(command) == 0
+    on_stdout = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "report"
+    assert main(command + ["--out", str(out)]) == 0
+    assert out.read_bytes() == on_stdout and on_stdout
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

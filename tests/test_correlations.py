@@ -30,7 +30,7 @@ from discordkit import (
     tensor,
     von_neumann_entropy,
 )
-from discordkit import _descent, correlations
+from discordkit import _descent, cli, correlations
 from discordkit._descent import (
     ARMIJO,
     CAP,
@@ -925,6 +925,6 @@ def test_correlation_report_csv_and_json_shape():
     payload = report.to_json()
     assert payload["measurement_class"] == MEASUREMENT_CLASS_LABEL
     assert "upper bounds" in payload["estimator_bias"]
-    row = report.to_csv_row()
-    assert len(row) == 13
+    header, row = cli._csv_rows(cli._REPORT_CSV, [(report,)])
+    assert len(row) == 13 and header[6] == "d_a"
     assert row[6] == pytest.approx(1.0, abs=1e-6)  # d_a column

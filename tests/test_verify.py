@@ -19,6 +19,7 @@ from discordkit import (
     tensor,
     von_neumann_entropy,
 )
+from discordkit import cli
 from discordkit.measurement import OUTCOME_FLOOR, n_measurement_params
 from discordkit.states import (
     StateFamilySpec,
@@ -47,7 +48,6 @@ from discordkit.verify import (
     check_thm2,
     check_thm3,
     run_suite,
-    suite_csv_rows,
 )
 
 from conftest import bell_state, ghz_vector
@@ -533,7 +533,7 @@ def test_run_suite_rejects_empty_runs(samples):
 def test_suite_csv_shape():
     spec = StateFamilySpec("haar_pure", {"dims": (2, 2)}, 3)
     report = run_suite(spec, ("eq5",), 3, CFG)
-    rows = suite_csv_rows(report)
+    rows = cli._csv_rows(cli._SUITE_CSV, [(report, row) for row in report.rows])
     assert rows[0] == [
         "suite", "sample", "relation", "lhs", "rhs",
         "slack", "tolerance", "holds", "skipped", "seed",
