@@ -79,7 +79,7 @@ SLOTS = MEMORY + 1
 GRADIENT, NO_DECREASE, CAP = "gradient", "no_decrease", "cap"
 # A candidate within CERTIFY_TOL of a proved lower bound is optimal to
 # rounding and stops both searches before they start, with stop reason
-# CERTIFIED.
+# CERTIFIED (``certify``).
 CERTIFY_TOL = 1e-12
 CERTIFIED = "certified"
 _REASONS = ("", GRADIENT, NO_DECREASE, CAP)
@@ -94,7 +94,8 @@ class Descent:
     always decreases it.  ``iterations`` counts accepted steps,
     ``evaluations`` the objective calls the restart was live for (its
     starting point included), and ``reasons`` says why each restart stopped:
-    ``GRADIENT``, ``NO_DECREASE`` or ``CAP``.
+    ``GRADIENT``, ``NO_DECREASE`` or ``CAP``, or ``CERTIFIED`` for the one
+    restart of a ``certify`` run.
     """
 
     x: np.ndarray
@@ -401,6 +402,22 @@ def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
         evaluations=tuple(out_evaluations),
         reasons=tuple(reasons),
     )
+
+
+def certify(objective: Callable, x: np.ndarray, bound: float) -> Descent | None:
+    """A finished one-restart run at ``x``, or None when ``x`` misses the lower ``bound``.
+
+    ``objective`` scores ``x`` once.  A value within ``CERTIFY_TOL`` of a
+    proved lower bound is optimal to rounding, so no search needs to run:
+    the run has one evaluation, no iterations and the reason ``CERTIFIED``,
+    and ``summary`` gives it spread 0 and ``converged``.  A value above
+    that, or NaN, gives None.
+    """
+    values, _grad = objective(x[None])
+    if not values[0] <= bound + CERTIFY_TOL:  # a NaN value is not certified
+        return None
+    return Descent(x=x[None], values=np.asarray(values, dtype=float), iterations=(0,), evaluations=(1,),
+                   reasons=(CERTIFIED,))
 
 
 def summary(run: Descent, tol: float) -> tuple[int, float, bool]:

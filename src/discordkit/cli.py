@@ -14,9 +14,10 @@ CSV column orders are listed in ``--help``; ``hunt``'s human table heads the
 environment entropy S(AB) ``S(env)``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error, an
-``--out`` path that cannot be written included.  Outputs are deterministic
-for a fixed seed (no timestamps), so repeated runs produce byte-identical
-report files.
+``--out`` path that cannot be written included; one that names a directory
+or a file in a missing directory is refused before any computation runs.
+Outputs are deterministic for a fixed seed (no timestamps), so repeated
+runs produce byte-identical report files.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import io
 import json
 import math
 import operator
+import os
 import sys
 
 import numpy as np
@@ -166,6 +168,14 @@ def _config_from_args(args) -> OptimizerConfig:
     return OptimizerConfig(**kwargs)
 
 
+def _check_out(path) -> None:
+    """Raise ``ValueError`` when ``--out`` names a directory or a file in a missing directory."""
+    if path and os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"--out {path!r} is in a missing directory")
+
+
 def _parse_dims(text: str) -> tuple:
     try:
         dims = tuple(int(part) for part in text.lower().split("x"))
@@ -268,7 +278,9 @@ def _write(args, payload, csv_rows, human) -> int:
     ``payload`` is the JSON object, ``csv_rows`` the CSV rows (header first)
     and ``human`` a ``(header, rows, footer)`` table; a subcommand passes None
     for a format it does not offer.  Returns 0, or 2 after an ``error:`` line
-    when ``--out`` cannot be written.
+    when ``--out`` cannot be written (``main`` refuses a directory or a
+    missing directory first, so this catches what only a write shows, such
+    as a full device).
     """
     if args.format == "json":
         text = _json_text(payload)
@@ -434,6 +446,7 @@ def main(argv=None) -> int:
     commands = {"compute": _cmd_compute, "verify": _cmd_verify, "example": _cmd_example, "hunt": _cmd_hunt}
     try:
         cfg = _config_from_args(args)
+        _check_out(args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,23 +17,28 @@ BFGS descent on U(d) (``_descent``: a dense inverse Hessian for
 2 d^2 <= ``DENSE_MAX`` reals, L-BFGS above).  Both objectives come with an
 analytic gradient, so each round of the descent is one objective call for
 all live restarts.
+
+Where a proved lower bound has a candidate basis, ``_measured_minimum``
+scores it first (``_descent.certify``); a certified result is a one-restart
+run, so ``_optimized`` builds it and a search's result alike.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from ._descent import CERTIFIED, CERTIFY_TOL, descend, random_starts, summary
+from ._descent import CERTIFIED, Descent, certify, descend, random_starts, summary
 from .config import OptimizerConfig
 from .entanglement import _eof_of_concurrence, _wootters_rows
 from .measurement import (
     ProjectiveMeasurement,
     _factor_objective,
     _measurement_factor,
-    _measurement_objective,
     dephase,
 )
 from .qstate import (
@@ -97,9 +102,9 @@ class OptimizedValue:
     ``gradient`` (Riemannian gradient norm), ``no_decrease`` (the next step
     could not measurably lower the value), ``cap`` (``max_iter``) or
     ``certified`` (one candidate basis met a proved lower bound, so no
-    search ran; see ``_certify``).  Certificates exist for the dephasing
-    discord (``_certificate``) and for the conditional-entropy minimum of
-    a rank-2 two-qubit state (``_kw_certificate``).
+    search ran: the result of a one-restart ``_descent.certify`` run).
+    ``_measured_minimum`` has candidates for the dephasing discord and for
+    the conditional-entropy minimum of a rank-2 two-qubit state.
     """
 
     value: float
@@ -143,9 +148,12 @@ def minimize_over_measurements(
 
     starts = np.concatenate([np.eye(d, dtype=complex)[None], random_starts(d, d, cfg.seed, cfg.restarts)])
     values, grads = objective(starts)
-    run = descend(objective, starts, values, grads, cfg.max_iter)
+    return _optimized(descend(objective, starts, values, grads, cfg.max_iter), cfg.tol, subsystem)
 
-    b, spread, converged = summary(run, cfg.tol)
+
+def _optimized(run: Descent, tol: float, subsystem: int) -> OptimizedValue:
+    """The ``OptimizedValue`` of a searched or certified run: its best restart and ``summary``."""
+    b, spread, converged = summary(run, tol)
     return OptimizedValue(
         value=float(run.values[b]),
         argbasis=ProjectiveMeasurement(subsystem, run.x[b]),
@@ -156,6 +164,46 @@ def minimize_over_measurements(
         evaluations=run.evaluations,
         stop_reasons=run.reasons,
     )
+
+
+def _measured_minimum(
+    state: QState, measured: int, cfg: OptimizerConfig | None, dephasing: bool
+) -> OptimizedValue:
+    """The least ``_measurement_objective`` value on ``measured`` X, certified when possible, else searched.
+
+    The objective is built once, and a candidate basis is scored against a
+    proved lower bound (``_descent.certify``):
+
+    - with ``dephasing``, the eigenbasis of rho_X against L = max(0,
+      S(rho_X) - S(rho)).  Every basis scores at least L: dephasing never
+      lowers entropy, and S(Pi_X rho) = H(p) + sum_k p_k S(rho_k) >= H(p) >=
+      S(rho_X), as the outcome distribution p is majorized by rho_X's
+      spectrum.  Every pure state, and every state classical on X in that
+      eigenbasis, is certified;
+    - without, when X and the rest B are qubits and rho has rank 2 (so the
+      purifier C is a qubit), Wootters' basis against E_F(BC), the least
+      sum_k p_k S(rho_B^k) over all POVMs on X by the Koashi-Winter relation
+      (PRA 69, 022309, 2004).  Wootters gives E_F(BC) from the concurrence
+      and an optimal decomposition W phi of the purifier rows phi_x
+      (``entanglement._wootters_rows``): by HJW, the measurement of X in
+      the basis W^H.
+
+    Otherwise the search (``minimize_over_measurements``) runs on the same
+    objective, so the value is always one that the objective reached.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    factor, r, lam = _measurement_factor(state, measured)
+    objective = _factor_objective(factor, r, lam, dephasing)
+    run = None
+    if dephasing:
+        lam_x, vec = np.linalg.eigh(partial_trace(state, (measured,)).matrix)
+        run = certify(objective, vec, max(0.0, float(_entropy_bits(lam_x)) - von_neumann_entropy(state)))
+    elif factor.shape == (2, 4) and r == 2:
+        w, c = _wootters_rows(factor)
+        run = certify(objective, w.conj().T, _eof_of_concurrence(c))
+    if run is None:
+        return minimize_over_measurements(objective, factor.shape[0], cfg, subsystem=measured)
+    return _optimized(run, cfg.tol, measured)
 
 
 def mutual_information(state: QState, partition=None) -> float:
@@ -176,15 +224,14 @@ def min_conditional_entropy(
 
     This is the shared inner optimization behind classical correlation and
     discord; both derive from the same run, so they add up to the mutual
-    information to rounding.  On a two-qubit state of rank 2 the
-    Koashi-Winter certificate (``_kw_certificate``) scores Wootters' optimal
-    basis first; when it meets the proved lower bound E_F of the
-    purifier pair, it comes back with stop reason ``"certified"`` and no
-    search runs.  Otherwise the search runs on the same objective, so the
-    value is always one that the objective reached.
+    information to rounding.  On a two-qubit state of rank 2 Wootters'
+    optimal basis is scored first (``_measured_minimum``); when it meets
+    the proved Koashi-Winter lower bound E_F of the purifier pair, it comes
+    back with stop reason ``"certified"`` and no search runs.  Otherwise
+    the search runs on the same objective, so the value is always one that
+    the objective reached.
     """
-    objective, dm, certified = _kw_certificate(state, measured)
-    return certified or minimize_over_measurements(objective, dm, cfg, subsystem=measured)
+    return _measured_minimum(state, measured, cfg, dephasing=False)
 
 
 def _j_and_d(
@@ -263,113 +310,26 @@ def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float
     return abs(d_a - d_b)
 
 
-def _certify(objective: Callable, basis: np.ndarray, bound: float, measured: int) -> OptimizedValue | None:
-    """``basis`` scored by ``objective``, or None when it misses the lower ``bound``.
-
-    A value within ``CERTIFY_TOL`` of a proved lower bound is optimal to
-    rounding and comes back with stop reason ``"certified"``, one
-    evaluation, no iterations and spread 0.
-    """
-    values, _grad = objective(basis[None])
-    value = float(values[0])
-    if not value <= bound + CERTIFY_TOL:  # a NaN value is not certified
-        return None
-    return OptimizedValue(
-        value=value,
-        argbasis=ProjectiveMeasurement(measured, basis),
-        spread=0.0,
-        converged=True,
-        restart_values=(value,),
-        iterations=(0,),
-        evaluations=(1,),
-        stop_reasons=(CERTIFIED,),
-    )
-
-
-def _kw_certificate(state: QState, measured: int):
-    """The conditional-entropy objective on A, its dimension, and a certified result or None.
-
-    A is the measured subsystem, B the rest and C the purifier.  By the
-    Koashi-Winter relation (PRA 69, 022309, 2004) the least
-    sum_k p_k S(rho_B^k) over all POVMs on A is E_F(BC), so E_F(BC)
-    bounds every projective basis from below.  When A and B are qubits
-    and rho has rank 2, C is a qubit, and Wootters gives both E_F(BC) =
-    E(C) from the concurrence C and a two-member optimal decomposition of
-    rho_BC (``entanglement._wootters_rows``).  Under the HJW
-    correspondence the decomposition W phi of the purifier rows phi_x
-    (``_measurement_factor``) is the measurement of A in the basis W^H,
-    which ``_certify`` scores against the bound.  Other inputs get no
-    candidate and the result is None; the objective is returned for the
-    search to reuse.
-    """
-    factor, r, lam = _measurement_factor(state, measured)
-    objective = _factor_objective(factor, r, lam, dephasing=False)
-    certified = None
-    if factor.shape == (2, 4) and r == 2:
-        w, c = _wootters_rows(factor)
-        certified = _certify(objective, w.conj().T, _eof_of_concurrence(c), measured)
-    return objective, factor.shape[0], certified
-
-
-def _certificate(state: QState, measured: int):
-    """The dephasing objective on X, its dimension, and a certified result or None.
-
-    Every basis scores at least L = max(0, S(rho_X) - S(rho)): dephasing
-    never lowers entropy, and S(Pi_X rho) = H(p) + sum_k p_k S(rho_k) >= H(p)
-    >= S(rho_X), because the outcome distribution p is majorized by rho_X's
-    spectrum.  The eigenbasis of rho_X is scored against L (``_certify``).
-    It is certified on every pure state, where the value is S(rho_X), and
-    on states classical on X in that eigenbasis, where it is 0.  Otherwise
-    the result is None, and the objective is returned for the search to
-    reuse.
-    """
-    objective, dm = _measurement_objective(state, measured, dephasing=True)
-    lam, vec = np.linalg.eigh(partial_trace(state, (measured,)).matrix)
-    bound = max(0.0, float(_entropy_bits(lam)) - von_neumann_entropy(state))
-    return objective, dm, _certify(objective, vec, bound, measured)
-
-
-def _re_discord_single(state: QState, measured: int, cfg: OptimizerConfig | None) -> OptimizedValue:
-    """Dephasing discord on one subsystem X: certified when possible, else searched.
-
-    The certificate (``_certificate``) scores the eigenbasis of rho_X against
-    the proved lower bound; when it fails, the search runs on the same
-    objective.  Either way the value is one that the objective reached, so
-    it stays an upper bound.
-    """
-    objective, dm, certified = _certificate(state, measured)
-    return certified or minimize_over_measurements(objective, dm, cfg, subsystem=measured)
-
-
-@dataclass(frozen=True, eq=False)
-class ReDiscordDetail:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ReDiscordDetail(OptimizedValue):
     """Dephasing discord over several measured subsystems, by two routes.
 
     ``chain_value`` comes from optimizing each measured factor in turn on the
     running dephased state (a product basis), ``joint_value`` from one
-    search over full bases of the merged factor; ``value`` and ``argbasis``
-    belong to the lower of the two, so ``value`` never exceeds either.
-    ``spread`` and the per-restart tuples (``restart_values``,
-    ``iterations``, ``evaluations``, ``stop_reasons``, as in
-    ``OptimizedValue``) are the joint step's, and ``converged`` holds when
+    minimization over full bases of the merged factor
+    (``_measured_minimum``); ``value`` and ``argbasis`` belong to the lower
+    of the two, so ``value`` never exceeds either.  ``spread`` and the
+    per-restart tuples are the joint step's, and ``converged`` holds when
     every search converged.  When the joint step is certified by the bound
-    max(0, S(rho_X) - S(rho)) (``_certificate``), its value is the minimum
-    over all bases of the merged factor, product bases included, so the
-    chain is skipped: ``chain_value`` is NaN, ``value`` is the joint value,
-    and the tuples hold the one certified candidate.  Every pure state takes
-    this route.
+    max(0, S(rho_X) - S(rho)) (``_descent.certify``), its value is the
+    minimum over all bases of the merged factor, product bases included, so
+    the chain is skipped: ``chain_value`` is NaN, ``value`` is the joint
+    value, and the tuples hold the one certified candidate.  Every pure
+    state takes this route.
     """
 
-    value: float
-    argbasis: ProjectiveMeasurement
     chain_value: float
     joint_value: float
-    spread: float
-    converged: bool
-    restart_values: tuple
-    iterations: tuple
-    evaluations: tuple
-    stop_reasons: tuple
 
 
 def re_discord_detailed(
@@ -382,61 +342,39 @@ def re_discord_detailed(
 
     ``measured`` is a sorted tuple of subsystem indices.  Works on the state
     permuted so the measured subsystems sit in front; the reported basis
-    refers to their merged factor.  The joint step's certificate is scored
-    first; when it holds, the chain is skipped and ``chain_value`` is NaN
-    (see ``ReDiscordDetail``).  Otherwise the chain runs, its first step
-    being ``re_discord(state, measured[0], cfg)`` on the unpermuted state
-    (``first``, when given, is that result already computed), and then the
-    joint search on the objective the certificate built.
+    refers to their merged factor.  The joint step runs first
+    (``_measured_minimum``); when it is certified, the chain is skipped and
+    ``chain_value`` is NaN (see ``ReDiscordDetail``).  Otherwise the chain
+    runs, its first step being ``re_discord(state, measured[0], cfg)`` on
+    the unpermuted state (``first``, when given, is that result already
+    computed).
     """
     if first is not None and first.argbasis.subsystem != measured[0]:
         raise ValueError(f"first must measure subsystem {measured[0]}, not {first.argbasis.subsystem}")
     rest = tuple(i for i in range(state.n_subsystems) if i not in measured)
     sigma = permute_subsystems(state, measured + rest)
-    measured_dims = tuple(state.dims[i] for i in measured)
-    d_joint = int(np.prod(measured_dims))
+    d_joint = int(np.prod([state.dims[i] for i in measured]))
     rest_dims = tuple(state.dims[i] for i in rest)
-    objective, _dm, joint = _certificate(QState((d_joint,) + rest_dims, sigma.matrix), 0)
+    joint = _measured_minimum(QState((d_joint,) + rest_dims, sigma.matrix), 0, cfg, dephasing=True)
+    detail = ReDiscordDetail(**vars(joint), chain_value=math.nan, joint_value=joint.value)
+    if joint.stop_reasons == (CERTIFIED,):
+        return detail
 
-    if joint is not None:
-        chain_value = float("nan")
-        chain_converged = True
-    else:
-        # Chain route: optimize each measured factor on the running dephased state.
-        if first is None:
-            first = _re_discord_single(state, measured[0], cfg)
-        tau = sigma
-        chain_bases = []
-        chain_converged = True
-        for pos in range(len(measured)):
-            step = first if pos == 0 else _re_discord_single(tau, pos, cfg)
-            chain_bases.append(step.argbasis.basis)
-            chain_converged = chain_converged and step.converged
-            tau = dephase(tau, ProjectiveMeasurement(pos, step.argbasis.basis))
-        chain_value = von_neumann_entropy(tau) - von_neumann_entropy(sigma)
-        product_basis = chain_bases[0]
-        for b in chain_bases[1:]:
-            product_basis = np.kron(product_basis, b)
-        joint = minimize_over_measurements(objective, d_joint, cfg, subsystem=0)
-
+    # Chain route: optimize each measured factor on the running dephased state.
+    if first is None:
+        first = _measured_minimum(state, measured[0], cfg, dephasing=True)
+    tau, bases, converged = sigma, [], joint.converged
+    for pos in range(len(measured)):
+        step = first if pos == 0 else _measured_minimum(tau, pos, cfg, dephasing=True)
+        bases.append(step.argbasis.basis)
+        converged = converged and step.converged
+        tau = dephase(tau, ProjectiveMeasurement(pos, step.argbasis.basis))
+    chain_value = von_neumann_entropy(tau) - von_neumann_entropy(sigma)
+    detail = replace(detail, chain_value=chain_value, converged=converged)
     if chain_value < joint.value:
-        value = chain_value
-        argbasis = ProjectiveMeasurement(0, product_basis)
-    else:
-        value = joint.value
-        argbasis = joint.argbasis
-    return ReDiscordDetail(
-        value=value,
-        argbasis=argbasis,
-        chain_value=chain_value,
-        joint_value=joint.value,
-        spread=joint.spread,
-        converged=joint.converged and chain_converged,
-        restart_values=joint.restart_values,
-        iterations=joint.iterations,
-        evaluations=joint.evaluations,
-        stop_reasons=joint.stop_reasons,
-    )
+        product_basis = functools.reduce(np.kron, bases)
+        detail = replace(detail, value=chain_value, argbasis=ProjectiveMeasurement(0, product_basis))
+    return detail
 
 
 def re_discord(
@@ -446,12 +384,13 @@ def re_discord(
 
     ``measured`` is one subsystem index or a set of them.  For several
     measured subsystems the search covers full joint bases on the merged
-    factor as well as chained per-subsystem product bases
-    (``re_discord_detailed``); the reported basis then refers to the merged
-    measured block of the state permuted measured-subsystems-first.
-    When the eigenbasis of the measured factor's marginal rho_X meets the
-    lower bound max(0, S(rho_X) - S(rho)), it is returned with stop reason
-    ``"certified"`` and no search runs; every pure state is such a case.
+    factor as well as chained per-subsystem product bases, and the result
+    is ``re_discord_detailed``'s ``ReDiscordDetail``; the reported basis then
+    refers to the merged measured block of the state permuted
+    measured-subsystems-first.  When the eigenbasis of the measured factor's
+    marginal rho_X meets the lower bound max(0, S(rho_X) - S(rho)), it is
+    returned with stop reason ``"certified"`` and no search runs
+    (``_measured_minimum``); every pure state is such a case.
     """
     if isinstance(measured, (int, np.integer)):
         measured_t = (int(measured),)
@@ -463,18 +402,8 @@ def re_discord(
     if measured_t[0] < 0 or measured_t[-1] >= n:
         raise ValueError(f"measured indices {measured_t} out of range for {n} subsystems")
     if len(measured_t) == 1:
-        return _re_discord_single(state, measured_t[0], cfg)
-    detail = re_discord_detailed(state, measured_t, cfg)
-    return OptimizedValue(
-        value=detail.value,
-        argbasis=detail.argbasis,
-        spread=detail.spread,
-        converged=detail.converged,
-        restart_values=detail.restart_values,
-        iterations=detail.iterations,
-        evaluations=detail.evaluations,
-        stop_reasons=detail.stop_reasons,
-    )
+        return _measured_minimum(state, measured_t[0], cfg, dephasing=True)
+    return re_discord_detailed(state, measured_t, cfg)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,19 +3,21 @@
 Exact for pure states (marginal entropy) and for two-qubit mixed states
 (Wootters concurrence).  ``eof_upper`` gives a convex-roof upper bound with
 a decomposition witness.  On two qubits it scores Wootters' optimal
-decomposition once (``_wootters_rows``) and returns it, certified, when it
-meets the exact value.  Otherwise, and on every other input, the roof
-searches pure-state ensembles of size rank^2 generated from the canonical
-purification by an isometry, which is known to be a sufficient ensemble
-size, by Riemannian BFGS on the Stiefel manifold (a dense inverse Hessian
-on small problems, L-BFGS on large ones): the same ``_descent`` optimizer
-as the measurement search, on one batched objective with an analytic
-gradient that also gives the pure-state value:
-``qstate._ensemble_objective``, the kernel the measurement objective uses
-too, which gets the member Grams of every restart from one product with a
-kernel built once per state.  Restart 0 starts from the eigen-ensemble
-rotated by the m-point DFT, so that no member is zero.  Results carry an
-exactness tag and upper bounds are never reported as exact.
+decomposition once (``_wootters_rows``, through ``_descent.certify``) and
+returns that one-restart run, certified, when it meets the exact
+value.  Otherwise, and on every other input, the roof searches pure-state
+ensembles of size rank^2 generated from the canonical purification by an
+isometry, which is known to be a sufficient ensemble size, by Riemannian
+BFGS on the Stiefel manifold (a dense inverse Hessian on small problems,
+L-BFGS on large ones): the same ``_descent`` optimizer as the measurement
+search, on one batched objective with an analytic gradient that also gives
+the pure-state value: ``qstate._ensemble_objective``, the kernel the
+measurement objective uses too, which gets the member Grams of every
+restart from one product with a kernel built once per state.  Restart 0
+starts from the eigen-ensemble rotated by the m-point DFT, so that no
+member is zero.  Every upper bound, searched or certified, is built from its
+run by ``_upper_bound``.  Results carry an exactness tag and upper bounds
+are never reported as exact.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import CERTIFIED, CERTIFY_TOL, descend, random_starts, summary
+from ._descent import Descent, certify, descend, random_starts, summary
 from .config import OptimizerConfig
 from .qstate import (
     InvalidStateError,
@@ -92,8 +94,9 @@ class EofResult:
     restart was live for (``evaluations``) and why it stopped
     (``stop_reasons``: ``gradient``, ``no_decrease``, ``cap``, or
     ``certified`` when Wootters' decomposition of a two-qubit state met the
-    exact value and no search ran; its tuples then hold that one candidate,
-    with spread 0 and ``converged`` true).
+    exact value and no search ran).  A certified result is the one-restart
+    run of ``_descent.certify``: its tuples hold that one candidate, with
+    spread 0 and ``converged`` true.
     """
 
     value: float
@@ -310,14 +313,17 @@ def _canonical_roof(state: QState, partition) -> tuple[np.ndarray, Callable]:
     return e0, _roof_objective(e0, state.dims, part_a, part_b)
 
 
-def _upper_bound(value: float, iso: np.ndarray, e0: np.ndarray, oracle: float | None, **diagnostics) -> EofResult:
-    """An ``upper_bound`` result with the ensemble iso @ e0 as its witness.
+def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float) -> EofResult:
+    """The ``upper_bound`` result of a searched or certified run, with its best restart's ensemble as witness.
 
-    Members of weight at most 1e-12 are dropped from the witness, and the
-    gap to ``oracle`` (the Wootters value, None off dims (2, 2)) is its
-    ``crosscheck_gap`` on either partition, since E_F does not depend on
-    the side.
+    The witness is the ensemble iso @ e0 of the best restart's isometry
+    (``summary``, which also gives the spread and ``converged``).  Members
+    of weight at most 1e-12 are dropped from it, and the gap to ``oracle``
+    (the Wootters value, None off dims (2, 2)) is its ``crosscheck_gap`` on
+    either partition, since E_F does not depend on the side.
     """
+    b, spread, converged = summary(run, tol)
+    value, iso = float(run.values[b]), run.x[b]
     psi = iso @ e0
     weights = np.real(np.einsum("id,id->i", psi, psi.conj()))
     keep = weights > 1e-12
@@ -327,31 +333,11 @@ def _upper_bound(value: float, iso: np.ndarray, e0: np.ndarray, oracle: float | 
         tag=UPPER_BOUND,
         decomposition=EnsembleDecomposition(weights[keep], vectors, iso),
         crosscheck_gap=None if oracle is None else value - oracle,
-        **diagnostics,
-    )
-
-
-def _wootters_certificate(state: QState, partition) -> EofResult | None:
-    """Wootters' optimal decomposition of a two-qubit state, scored once, or None.
-
-    The isometry [W; 0] (``_wootters_rows`` on e0, padded to m = r^2 rows)
-    is scored by the roof objective.  Within ``CERTIFY_TOL`` of
-    ``eof_2qubit``, the exact value, it is optimal to rounding and comes
-    back with stop reason ``"certified"``, one evaluation, no iterations and
-    spread 0.  Otherwise (or for a NaN value) the result is None.
-    """
-    e0, objective = _canonical_roof(state, partition)
-    r = e0.shape[0]
-    w, _c = _wootters_rows(e0)
-    iso = np.zeros((r * r, r), dtype=complex)
-    iso[: w.shape[0]] = w
-    value = float(objective(iso[None])[0][0])
-    oracle = eof_2qubit(state).value
-    if not value <= oracle + CERTIFY_TOL:
-        return None
-    return _upper_bound(
-        value, iso, e0, oracle,
-        converged=True, restart_spread=0.0, iterations=(0,), evaluations=(1,), stop_reasons=(CERTIFIED,),
+        converged=converged,
+        restart_spread=spread,
+        iterations=run.iterations,
+        evaluations=run.evaluations,
+        stop_reasons=run.reasons,
     )
 
 
@@ -363,20 +349,16 @@ def _roof_search(state: QState, partition=None, cfg: OptimizerConfig | None = No
     m = r * r
     starts = np.concatenate([_dft_isometry(m, r)[None], random_starts(m, r, cfg.seed, cfg.restarts)])
     run = descend(objective, starts, *objective(starts), cfg.max_iter)
-    b, spread, converged = summary(run, cfg.tol)
     oracle = eof_2qubit(state).value if state.dims == (2, 2) else None
-    return _upper_bound(
-        float(run.values[b]), run.x[b], e0, oracle,
-        converged=converged, restart_spread=spread,
-        iterations=run.iterations, evaluations=run.evaluations, stop_reasons=run.reasons,
-    )
+    return _upper_bound(run, e0, oracle, cfg.tol)
 
 
 def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
     """Convex-roof upper bound on the entanglement of formation.
 
-    On dims (2, 2), either partition, Wootters' optimal decomposition is
-    scored first (``_wootters_certificate``); when it meets the exact
+    On dims (2, 2), either partition, Wootters' optimal decomposition, the
+    isometry [W; 0] (``_wootters_rows`` on e0, padded to m = r^2 rows), is
+    scored first (``_descent.certify``); when it meets the exact
     ``eof_2qubit`` value within ``CERTIFY_TOL`` it comes back with stop
     reason ``"certified"`` and no search runs.  Otherwise, and on every
     other input, the search runs (``_roof_search``): it
@@ -401,7 +383,13 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     gap to the exact Wootters value.
     """
     if state.dims == (2, 2):
-        certified = _wootters_certificate(state, partition)
-        if certified is not None:
-            return certified
+        e0, objective = _canonical_roof(state, partition)
+        r = e0.shape[0]
+        w, _c = _wootters_rows(e0)
+        iso = np.zeros((r * r, r), dtype=complex)
+        iso[: w.shape[0]] = w
+        oracle = eof_2qubit(state).value
+        run = certify(objective, iso, oracle)
+        if run is not None:
+            return _upper_bound(run, e0, oracle, (cfg or EOF_DEFAULT_CONFIG).tol)
     return _roof_search(state, partition, cfg)

@@ -180,10 +180,11 @@ class StateFamilySpec:
         if self.family in ("haar_pure", "random_mixed", "classical_quantum"):
             if not p.get("dims"):
                 raise ValueError(f"{self.family} requires a 'dims' parameter")
-        if self.family == "random_mixed":
+        if self.family in ("random_mixed", "classical_quantum"):
             total = int(np.prod(tuple(p["dims"])))
-            if not 1 <= int(p.get("rank", 0)) <= total:
-                raise ValueError(f"random_mixed rank must be in [1, {total}]")
+            rank = int(p.get("rank", 1 if self.family == "classical_quantum" else 0))
+            if not 1 <= rank <= total:
+                raise ValueError(f"{self.family} rank must be in [1, {total}]")
 
     def sample(self, index: int = 0):
         """Generate sample ``index``; returns a QState or PureStateVector."""

@@ -178,6 +178,13 @@ def test_hunt_bad_range():
     assert main(["hunt", "--d", "2", "--x=nan:0.5:2"]) == 2
 
 
+@pytest.mark.parametrize("rank", ["0", "9", "-1"])
+def test_classical_quantum_rank_out_of_range_is_a_usage_error(rank, capsys):
+    assert main(["compute", "--family", "classical_quantum", "--dims", "2x2", "--rank", rank]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: classical_quantum rank must be in [1, 2]\n" and captured.out == ""
+
+
 _ONE_OF_EACH = [
     ["compute", "--family", "example3"],
     ["verify", "--suite", "eq5", "--family", "example3"],
@@ -206,10 +213,10 @@ def test_unwritable_out_is_a_usage_error(command, out, tmp_path, monkeypatch, ca
         command = command + ["--samples", "1", "--format", "csv"]
     assert main(command + ["--restarts", "2", "--out", out]) == 2
     captured = capsys.readouterr()
-    # hunt reports its progress on stderr before the result is written.
-    err = "".join(line for line in captured.err.splitlines(True) if not line.startswith("hunt: "))
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in captured.err and captured.out == ""
+    # The path is refused before any computation: no hunt progress line.
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 _WRITER_CASES = [

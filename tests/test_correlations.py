@@ -34,6 +34,8 @@ from discordkit import _descent, cli, correlations
 from discordkit._descent import (
     ARMIJO,
     CAP,
+    CERTIFIED,
+    CERTIFY_TOL,
     DENSE_MAX,
     FIRST_ANGLE,
     GRADIENT,
@@ -43,6 +45,7 @@ from discordkit._descent import (
     NO_DECREASE,
     SHRINK,
     Descent,
+    certify,
     descend,
     random_isometry,
     random_starts,
@@ -450,6 +453,28 @@ def test_summary_converges_only_when_most_restarts_stopped():
     assert summary(_run([0.2, 0.3, 0.2], [GRADIENT] * 3), tol)[2] is False
 
 
+def test_certify_is_a_one_restart_run_only_at_the_bound():
+    # One evaluation of the candidate: within CERTIFY_TOL of the bound it is
+    # a finished run that summary scores as converged with spread 0; just
+    # above the bound, or NaN, it is no run at all.
+    x = np.eye(2, dtype=complex)
+    calls = []
+
+    def scoring(value):
+        def objective(stack):
+            calls.append(stack.shape)
+            return np.full(len(stack), value), np.zeros_like(stack)
+        return objective
+
+    run = certify(scoring(0.25 + 0.5 * CERTIFY_TOL), x, 0.25)
+    assert calls == [(1, 2, 2)]
+    assert run.reasons == (CERTIFIED,) and run.iterations == (0,) and run.evaluations == (1,)
+    assert run.x.shape == (1, 2, 2) and run.values.tolist() == [0.25 + 0.5 * CERTIFY_TOL]
+    assert summary(run, 1e-9) == (0, 0.0, True)
+    assert certify(scoring(0.25 + 2.0 * CERTIFY_TOL), x, 0.25) is None
+    assert certify(scoring(math.nan), x, 0.25) is None
+
+
 @pytest.mark.parametrize(
     "dims, rank, measured, dephasing, max_iter, model",
     _on_both_models(
@@ -659,13 +684,12 @@ def test_kw_certificate_meets_wootters_on_rank2_two_qubit_states(kind, rotate, m
     # other qubit and the purifier, which Wootters gives; the certificate
     # scores against exactly that bound and reaches it, on either side.
     bounds = []
-    certify = correlations._certify
 
-    def recording(objective, basis, bound, measured):
+    def recording(objective, basis, bound):
         bounds.append(bound)
-        return certify(objective, basis, bound, measured)
+        return certify(objective, basis, bound)
 
-    monkeypatch.setattr(correlations, "_certify", recording)
+    monkeypatch.setattr(correlations, "certify", recording)
     cfg = OptimizerConfig(restarts=4, seed=3)
     for i in range(5):
         state = _rank2_two_qubit(kind, 300 + i)
@@ -695,7 +719,7 @@ def _no_certificate(*args, **kwargs):
 )
 def test_kw_certificate_never_fires_off_rank2_two_qubit_states(dims, rank, monkeypatch):
     # No candidate is scored, and the result is exactly the search's.
-    monkeypatch.setattr(correlations, "_certify", _no_certificate)
+    monkeypatch.setattr(correlations, "certify", _no_certificate)
     cfg = OptimizerConfig(restarts=2, seed=5)
     for i in range(2):
         state = random_mixed(dims, rank, 400 + i)
@@ -743,7 +767,7 @@ def test_re_discord_certifies_pure_inputs(dims, monkeypatch):
         if len(dims) == 3:
             cases.append((_merged_factor(state, (1, 2)), 0))
         for rho, m in cases:
-            opt = correlations._re_discord_single(rho, m, cfg)
+            opt = re_discord(rho, m, cfg)
             _assert_certified(opt, von_neumann_entropy(partial_trace(rho, (m,))))
             assert opt.argbasis.subsystem == m
             # the imported name is the search itself, unpatched
@@ -762,7 +786,7 @@ def test_re_discord_certificate_never_fires_on_mixed_inputs():
         state = random_mixed((2, 2, 2), 8, 200 + i)
         for rho, m in [(state, 0), (state, 1), (state, 2), (_merged_factor(state, (1, 2)), 0)]:
             assert von_neumann_entropy(rho) > von_neumann_entropy(partial_trace(rho, (m,)))
-            opt = correlations._re_discord_single(rho, m, cfg)
+            opt = re_discord(rho, m, cfg)
             assert correlations.CERTIFIED not in opt.stop_reasons
             forced = minimize_over_measurements(
                 *_measurement_objective(rho, m, dephasing=True), cfg, subsystem=m
@@ -824,6 +848,11 @@ def test_re_discord_joint_includes_chain_candidate():
     assert detail.value <= detail.chain_value + 1e-12
     assert detail.value <= detail.joint_value + 1e-12
     assert detail.value >= -1e-9
+    # re_discord on several subsystems is that same result.
+    opt = re_discord(state, (1, 2), cfg)
+    assert isinstance(opt, correlations.ReDiscordDetail)
+    assert (opt.value, opt.restart_values, opt.stop_reasons) == (
+        detail.value, detail.restart_values, detail.stop_reasons)
 
 
 def test_re_discord_chain_reuses_first_factor(monkeypatch):
@@ -838,9 +867,9 @@ def test_re_discord_chain_reuses_first_factor(monkeypatch):
         correlations, "minimize_over_measurements", lambda *a, **k: searches.append(a[1]) or search(*a, **k)
     )
     fresh = re_discord_detailed(state, (1, 2), cfg)
-    assert searches == [2, 2, 4]
+    assert searches == [4, 2, 2]
     reused = re_discord_detailed(state, (1, 2), cfg, first=first)
-    assert searches == [2, 2, 4, 2, 4]
+    assert searches == [4, 2, 2, 4, 2]
     # The two first-factor searches see the blocks in another order, so
     # their bases agree only to the optimizer's resolution.
     assert reused.chain_value == pytest.approx(fresh.chain_value, abs=1e-9)

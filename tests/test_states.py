@@ -219,6 +219,10 @@ def test_family_spec_validates_parameters():
         StateFamilySpec("werner_qudit", {"d": 2, "x": 3.0}, 0)
     with pytest.raises(ValueError):
         StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 9}, 0)
+    for rank in (0, 3, -1):
+        with pytest.raises(ValueError, match=r"classical_quantum rank must be in \[1, 2\]"):
+            StateFamilySpec("classical_quantum", {"k": 2, "dims": (2,), "rank": rank}, 0)
+    assert StateFamilySpec("classical_quantum", {"k": 2, "dims": (2,)}, 0).sample(0).dims == (2, 2)
 
 
 def test_orthogonal_classical_quantum_family():
