@@ -44,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import OptimizerConfig
 from .states import stream
 
 # Stops: the Riemannian gradient norm, and the decrease a trial step
@@ -140,7 +141,7 @@ def random_isometry(g: np.random.Generator, n: int, p: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def random_starts(n: int, p: int, seed: int, restarts: int) -> np.ndarray:
-    """Read-only (restarts - 1, n, p) starts of restarts 1, 2, ... of both searches.
+    """Read-only (restarts - 1, n, p) starts of restarts 1, 2, ... of ``search``.
 
     Restart k starts from ``random_isometry`` on Philox stream k of ``seed``,
     so every search of one shape and configuration shares them; the cache is
@@ -402,6 +403,21 @@ def descend(objective: Callable, x, values, egrad, max_iter: int) -> Descent:
         evaluations=tuple(out_evaluations),
         reasons=tuple(reasons),
     )
+
+
+def search(objective: Callable, first: np.ndarray, cfg: OptimizerConfig) -> Descent:
+    """The ``cfg.restarts``-restart ``descend`` run of both searches: restart 0 from ``first``.
+
+    ``first`` is an n x p isometry the caller picks (the measurement search
+    takes the canonical basis, the convex roof the DFT-rotated
+    eigen-ensemble).  Restarts 1, 2, ... start from ``random_starts``, which
+    depend on n, p, ``cfg.seed`` and ``cfg.restarts`` alone, so searches of
+    one shape share them.  Each restart takes at most ``cfg.max_iter``
+    iterations.
+    """
+    n, p = first.shape
+    starts = np.concatenate([first[None], random_starts(n, p, cfg.seed, cfg.restarts)])
+    return descend(objective, starts, *objective(starts), cfg.max_iter)
 
 
 def certify(objective: Callable, x: np.ndarray, bound: float) -> Descent | None:

@@ -186,7 +186,7 @@ def _parse_dims(text: str) -> tuple:
     return dims
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"bad range {text!r}; expected start:end:count")
@@ -194,7 +194,7 @@ def _parse_range(text: str) -> np.ndarray:
     count = int(parts[2])
     if count < 1:
         raise ValueError("range count must be >= 1")
-    return np.linspace(start, end, count)
+    return start, end, count
 
 
 def _family_spec_from_args(args) -> StateFamilySpec:
@@ -399,14 +399,17 @@ def _cmd_example(args, cfg: OptimizerConfig) -> int:
 
 def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
     try:
-        grid = _parse_range(args.x)
+        start, end, count = _parse_range(args.x)
         if args.d < 2:
             raise ValueError("hunt requires d >= 2")
-        if not np.all((grid > -1.0) & (grid < 1.0)):
+        # Both endpoints inside (-1, 1), so that the grid is too; a NaN or an
+        # infinity fails here, before np.linspace can warn on it.
+        if not (-1.0 < start < 1.0 and -1.0 < end < 1.0):
             raise ValueError("hunt requires x values inside (-1, 1)")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    grid = np.linspace(start, end, count)
     rows = []
     for x in grid:
         print(f"hunt: d={args.d} x={x:.6g} ...", file=sys.stderr, flush=True)

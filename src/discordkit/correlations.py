@@ -9,14 +9,10 @@ definition explicit.  The estimator bias is one sided: discord estimates are
 upper bounds (the minimization is truncated) and classical-correlation
 estimates are lower bounds.
 
-``minimize_over_measurements`` starts one restart from the canonical basis
-and the others from seeded random unitaries (``_descent.random_starts``,
-cached per shape, seed and restart count and shared with the convex roof,
-since no state enters them), then runs them all in lockstep by Riemannian
-BFGS descent on U(d) (``_descent``: a dense inverse Hessian for
-2 d^2 <= ``DENSE_MAX`` reals, L-BFGS above).  Both objectives come with an
-analytic gradient, so each round of the descent is one objective call for
-all live restarts.
+``minimize_over_measurements`` runs ``_descent.search`` on U(d) from the
+canonical basis: the restart rule and Riemannian BFGS descent the convex
+roof uses too.  Both objectives come with an analytic gradient, so each
+round of the descent is one objective call for all live restarts.
 
 Where a proved lower bound has a candidate basis, ``_measured_minimum``
 scores it first (``_descent.certify``); a certified result is a one-restart
@@ -32,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import CERTIFIED, Descent, certify, descend, random_starts, summary
+from ._descent import CERTIFIED, Descent, certify, search, summary
 from .config import OptimizerConfig
 from .entanglement import _eof_of_concurrence, _wootters_rows
 from .measurement import (
@@ -134,21 +130,12 @@ def minimize_over_measurements(
 
     ``objective`` is batched: it maps an (R, d, d) stack of bases (columns
     are the measurement vectors) to R values and R Euclidean gradients.
-    Restart 0 starts from the canonical basis; the others start from seeded
-    random unitaries, which depend on d, ``cfg.seed`` and ``cfg.restarts``
-    alone, so they come from the start cache the convex roof shares
-    (``_descent.random_starts``).  All restarts descend in lockstep by
-    Riemannian BFGS on U(d) (dense or limited-memory by the size of d, see
-    ``_descent``), one objective call per round.  Deterministic
-    given ``cfg.seed``; restart ties break toward the lowest restart index.
-    Non-convergence is flagged, never raised.
+    The run is ``_descent.search`` with the canonical basis as restart 0.
+    Deterministic given ``cfg.seed``; restart ties break toward the lowest
+    restart index.  Non-convergence is flagged, never raised.
     """
     cfg = cfg or DEFAULT_CONFIG
-    d = int(d)
-
-    starts = np.concatenate([np.eye(d, dtype=complex)[None], random_starts(d, d, cfg.seed, cfg.restarts)])
-    values, grads = objective(starts)
-    return _optimized(descend(objective, starts, values, grads, cfg.max_iter), cfg.tol, subsystem)
+    return _optimized(search(objective, np.eye(int(d), dtype=complex), cfg), cfg.tol, subsystem)
 
 
 def _optimized(run: Descent, tol: float, subsystem: int) -> OptimizedValue:
@@ -300,14 +287,13 @@ def discord(
 def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float:
     """|D_A - D_B| from two conditional-entropy minimizations on a bipartite state.
 
-    Each side is certified without a search on a rank-2 two-qubit state
+    The ``discord_distance`` of ``correlation_report``.  Each side is
+    certified without a search on a rank-2 two-qubit state
     (``min_conditional_entropy``) and searched otherwise.
     """
     if state.n_subsystems != 2:
         raise ValueError("discord_distance needs a state with exactly two subsystems")
-    d_a = discord(state, 0, cfg).value
-    d_b = discord(state, 1, cfg).value
-    return abs(d_a - d_b)
+    return correlation_report(state, cfg).discord_distance
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)

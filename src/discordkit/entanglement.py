@@ -2,22 +2,21 @@
 
 Exact for pure states (marginal entropy) and for two-qubit mixed states
 (Wootters concurrence).  ``eof_upper`` gives a convex-roof upper bound with
-a decomposition witness.  On two qubits it scores Wootters' optimal
-decomposition once (``_wootters_rows``, through ``_descent.certify``) and
-returns that one-restart run, certified, when it meets the exact
-value.  Otherwise, and on every other input, the roof searches pure-state
-ensembles of size rank^2 generated from the canonical purification by an
-isometry, which is known to be a sufficient ensemble size, by Riemannian
-BFGS on the Stiefel manifold (a dense inverse Hessian on small problems,
-L-BFGS on large ones): the same ``_descent`` optimizer as the measurement
-search, on one batched objective with an analytic gradient that also gives
-the pure-state value: ``qstate._ensemble_objective``, the kernel the
-measurement objective uses too, which gets the member Grams of every
-restart from one product with a kernel built once per state.  Restart 0
-starts from the eigen-ensemble rotated by the m-point DFT, so that no
-member is zero.  Every upper bound, searched or certified, is built from its
-run by ``_upper_bound``.  Results carry an exactness tag and upper bounds
-are never reported as exact.
+a decomposition witness.  Each call builds its roof once (``_roof``):
+the canonical purification's amplitudes, the objective, the Wootters value
+on two qubits, and restart 0, the eigen-ensemble rotated by the m-point
+DFT, whose shape fixes the ensemble size m = rank^2 (a sufficient size).
+On two qubits it scores Wootters' optimal decomposition once
+(``_wootters_rows``, through ``_descent.certify``) and returns that
+one-restart run, certified, when it meets the exact value.  Otherwise, and
+on every other input, the roof searches pure-state ensembles generated from
+the purification by an isometry (``_descent.search``, the measurement
+search's restart rule and Riemannian BFGS), on one batched objective with
+an analytic gradient that also gives the pure-state value:
+``qstate._ensemble_objective``, the kernel the measurement objective uses
+too.  Every upper bound, searched or certified, is built from its run by
+``_upper_bound``.  Results carry an exactness tag and upper bounds are
+never reported as exact.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import Descent, certify, descend, random_starts, summary
+from ._descent import Descent, certify, search, summary
 from .config import OptimizerConfig
 from .qstate import (
     InvalidStateError,
@@ -37,6 +36,7 @@ from .qstate import (
     _ensemble_objective,
     is_pure,
     normalize_partition,
+    purify,
     spectrum,
 )
 
@@ -305,12 +305,21 @@ def _dft_isometry(m: int, r: int) -> np.ndarray:
     return np.exp(-2j * np.pi * jk / m) / math.sqrt(m)
 
 
-def _canonical_roof(state: QState, partition) -> tuple[np.ndarray, Callable]:
-    """The canonical ensemble rows e0 (r x D) of ``state`` and its ``_roof_objective``."""
+def _roof(state: QState, partition) -> tuple[np.ndarray, Callable, float | None, np.ndarray]:
+    """The convex roof of ``state``, built once: (e0, objective, oracle, first).
+
+    e0 holds the r amplitude rows of the canonical purification
+    (``qstate.purify``), ``objective`` is their ``_roof_objective``,
+    ``oracle`` the exact ``eof_2qubit`` value on dims (2, 2) (None
+    elsewhere), and ``first`` restart 0, the m x r ``_dft_isometry`` with
+    m = r^2, whose shape every isometry of the roof takes.
+    """
     part_a, part_b = normalize_partition(state.n_subsystems, partition)
-    sp = spectrum(state)
-    e0 = (sp.eigenvectors[:, : sp.rank] * np.sqrt(sp.eigenvalues[: sp.rank])).T
-    return e0, _roof_objective(e0, state.dims, part_a, part_b)
+    pure = purify(state)
+    r = pure.dims[-1]
+    e0 = pure.amplitudes.reshape(-1, r).T
+    oracle = eof_2qubit(state).value if state.dims == (2, 2) else None
+    return e0, _roof_objective(e0, state.dims, part_a, part_b), oracle, _dft_isometry(r * r, r)
 
 
 def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float) -> EofResult:
@@ -344,52 +353,42 @@ def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float)
 def _roof_search(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
     """The convex-roof search of ``eof_upper``, without its Wootters certificate."""
     cfg = cfg or EOF_DEFAULT_CONFIG
-    e0, objective = _canonical_roof(state, partition)
-    r = e0.shape[0]
-    m = r * r
-    starts = np.concatenate([_dft_isometry(m, r)[None], random_starts(m, r, cfg.seed, cfg.restarts)])
-    run = descend(objective, starts, *objective(starts), cfg.max_iter)
-    oracle = eof_2qubit(state).value if state.dims == (2, 2) else None
-    return _upper_bound(run, e0, oracle, cfg.tol)
+    e0, objective, oracle, first = _roof(state, partition)
+    return _upper_bound(search(objective, first, cfg), e0, oracle, cfg.tol)
 
 
 def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
     """Convex-roof upper bound on the entanglement of formation.
 
-    On dims (2, 2), either partition, Wootters' optimal decomposition, the
-    isometry [W; 0] (``_wootters_rows`` on e0, padded to m = r^2 rows), is
-    scored first (``_descent.certify``); when it meets the exact
-    ``eof_2qubit`` value within ``CERTIFY_TOL`` it comes back with stop
-    reason ``"certified"`` and no search runs.  Otherwise, and on every
-    other input, the search runs (``_roof_search``): it
-    minimizes sum_i p_i S_A(psi_i) over ensembles psi = V e0 of size rank^2,
-    generated from the canonical purification e0 by an isometry V: a point
-    of the Stiefel manifold (Rothlisberger, Rehacek & Loss, PRA 80, 042301,
-    2009).  Restart 0 starts from the eigen-ensemble rotated by the unitary
-    m-point DFT, V = F_m[:, :r] (``_dft_isometry``), whose m members all
-    have weight 1/m: the unrotated start [I_r; 0] has m - r zero members,
-    where the gradient vanishes, so it would only search ensembles of r
-    members.  The rest start from seeded random isometries, cached per
-    (m, r, seed, restarts) and shared with the measurement search
-    (``_descent.random_starts``); all descend in lockstep by the
-    Riemannian BFGS of ``_descent`` (the measurement search's optimizer:
-    a dense inverse Hessian for 2 m r <= ``DENSE_MAX`` reals, L-BFGS above),
-    each for at most ``cfg.max_iter`` iterations, on ``_roof_objective``.
-    Every isometry gives a valid ensemble, so the value is an upper bound by
+    The roof is built once (``_roof``).  On dims (2, 2), either partition,
+    Wootters' optimal decomposition, the isometry [W; 0] (``_wootters_rows``
+    on e0, padded to the m x r shape of restart 0), is scored first
+    (``_descent.certify``); when it meets the exact ``eof_2qubit`` value
+    within ``CERTIFY_TOL`` it comes back with stop reason ``"certified"``
+    and no search runs.  Otherwise, and on every other input, the same
+    build is searched: ``_descent.search`` minimizes sum_i p_i S_A(psi_i)
+    over ensembles psi = V e0 of size m = rank^2, generated from the
+    canonical purification e0 by an isometry V: a point of the Stiefel
+    manifold (Rothlisberger, Rehacek & Loss, PRA 80, 042301, 2009).
+    Restart 0 is the eigen-ensemble rotated by the unitary m-point DFT, V =
+    F_m[:, :r] (``_dft_isometry``), whose m members all have weight 1/m:
+    the unrotated start [I_r; 0] has m - r zero members, where the gradient
+    vanishes, so it would only search ensembles of r members.  Every
+    isometry gives a valid ensemble, so the value is an upper bound by
     construction, certified or searched; ties go to the lowest restart.
     ``restart_spread`` and ``converged`` follow the measurement search's
     rule, and ``iterations``, ``evaluations`` and ``stop_reasons`` report
     each restart.  On dims (2, 2), either partition, the result carries its
     gap to the exact Wootters value.
     """
-    if state.dims == (2, 2):
-        e0, objective = _canonical_roof(state, partition)
-        r = e0.shape[0]
+    cfg = cfg or EOF_DEFAULT_CONFIG
+    e0, objective, oracle, first = _roof(state, partition)
+    run = None
+    if oracle is not None:
         w, _c = _wootters_rows(e0)
-        iso = np.zeros((r * r, r), dtype=complex)
+        iso = np.zeros_like(first)
         iso[: w.shape[0]] = w
-        oracle = eof_2qubit(state).value
         run = certify(objective, iso, oracle)
-        if run is not None:
-            return _upper_bound(run, e0, oracle, (cfg or EOF_DEFAULT_CONFIG).tol)
-    return _roof_search(state, partition, cfg)
+    if run is None:
+        run = search(objective, first, cfg)
+    return _upper_bound(run, e0, oracle, cfg.tol)

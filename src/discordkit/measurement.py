@@ -208,6 +208,22 @@ def _conditional_blocks(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("...krbs,...bk->...krs", u.reshape(u.shape[:-1] + (r, dm, r)), basis)
 
 
+def _outcomes(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kept outcomes' probabilities, the (..., K) kept mask, and their conditional states.
+
+    ``blocks`` is a (..., K, R, R) stack of unnormalized conditional blocks.
+    Outcomes with probability below ``OUTCOME_FLOOR`` are dropped, and a
+    NaN one is kept, so that validating its state flags it.  The states are
+    the kept blocks over their probabilities, made Hermitian, as one
+    (kept, R, R) stack.
+    """
+    probs = np.einsum("...krr->...k", blocks).real
+    kept = ~(probs < OUTCOME_FLOOR)
+    p = probs[kept]
+    c = blocks[kept] / p[:, None, None]
+    return p, kept, (c + np.swapaxes(c.conj(), -1, -2)) / 2.0
+
+
 def _povm_blocks(t: np.ndarray, elements) -> np.ndarray:
     e = np.stack([np.asarray(el) for el in elements])
     return np.einsum("kab,bras->krs", e, t, optimize=True)
@@ -271,17 +287,9 @@ def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:
         blocks = _povm_blocks(t, m.elements)
     else:
         raise TypeError(f"unsupported measurement type {type(m).__name__}")
-    probs = np.einsum("krr->k", blocks).real
+    p, _kept, states = _outcomes(blocks)
     rest_dims = rest if rest else (1,)
-    kept_p = []
-    kept_states = []
-    for k in range(probs.size):
-        if probs[k] < OUTCOME_FLOOR:
-            continue
-        c = blocks[k] / probs[k]
-        kept_p.append(probs[k])
-        kept_states.append(QState(rest_dims, (c + c.conj().T) / 2.0))
-    return OutcomeEnsemble(np.array(kept_p), tuple(kept_states))
+    return OutcomeEnsemble(p, tuple(QState(rest_dims, c) for c in states))
 
 
 def avg_conditional_entropy(ensemble: OutcomeEnsemble) -> float:

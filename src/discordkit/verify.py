@@ -21,6 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from ._descent import random_isometry
 from .config import OptimizerConfig
 from .correlations import (
     CERTIFIED,
@@ -32,14 +33,7 @@ from .correlations import (
     re_discord_detailed,
 )
 from .entanglement import eof_2qubit, eof_pure, eof_upper
-from .measurement import (
-    OUTCOME_FLOOR,
-    ProjectiveMeasurement,
-    _conditional_blocks,
-    _measured_view,
-    n_measurement_params,
-    unitary_from_params,
-)
+from .measurement import ProjectiveMeasurement, _conditional_blocks, _measured_view, _outcomes
 from .qstate import (
     InvalidStateError,
     PureStateVector,
@@ -106,11 +100,11 @@ class BoundCheck:
     provenance: dict = field(default_factory=dict)
 
 
-def _identity(name, lhs, rhs, tol, equality=None, provenance=None) -> BoundCheck:
+def _identity(name, lhs, rhs, tol, provenance=None) -> BoundCheck:
     slack = abs(lhs - rhs)
     return BoundCheck(
         name, "identity", float(lhs), float(rhs), float(slack), tol,
-        slack <= tol, equality, None, provenance or {},
+        slack <= tol, None, None, provenance or {},
     )
 
 
@@ -522,23 +516,14 @@ def check_thm3(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     return check
 
 
-def _random_start(g: np.random.Generator, n_params: int) -> np.ndarray:
-    """Givens angles in [0, pi/2) then phases in [0, 2 pi): a regenerable random measurement."""
-    half = n_params // 2
-    thetas = g.uniform(0.0, np.pi / 2.0, size=half)
-    phis = g.uniform(0.0, 2.0 * np.pi, size=half)
-    return np.concatenate([thetas, phis])
-
-
 @functools.lru_cache(maxsize=64)
 def _seeded_bases(d: int, seed: int, n: int) -> np.ndarray:
-    """Read-only (n, d, d) bases of ``check_kw_pointwise``'s seeded measurements.
+    """Read-only (n, d, d) random bases of ``check_kw_pointwise``'s seeded measurements.
 
-    Basis j comes from ``_random_start`` on stream ``_MEASUREMENT_SALT + j``
-    of ``seed``; the cache is bounded, so a loop over seeds stays small.
+    Basis j is ``random_isometry`` on stream ``_MEASUREMENT_SALT + j`` of
+    ``seed``; the cache is bounded, so a loop over seeds stays small.
     """
-    params = [_random_start(stream(seed, _MEASUREMENT_SALT + j), n_measurement_params(d)) for j in range(n)]
-    bases = unitary_from_params(d, np.reshape(params, (n, n_measurement_params(d))))
+    bases = np.array([random_isometry(stream(seed, _MEASUREMENT_SALT + j), d, d) for j in range(n)])
     bases.setflags(write=False)
     return bases
 
@@ -554,9 +539,10 @@ def check_kw_pointwise(
     For a pure tripartite state and any projective measurement on A,
     [S(B|{E}) - S(B|A)] + [S(C) - S(C|{E})] = S(A) exactly; no optimizer is
     involved.  Evaluates the worst residual over ``n_measurements`` seeded
-    random measurements (or a single supplied one, which must measure A, or
-    ``ValueError`` is raised), all in one pass: outcomes below
-    ``OUTCOME_FLOOR`` are dropped as in ``apply_measurement``, and the kept
+    random unitary bases (``_seeded_bases``), or over a single supplied
+    measurement, which must measure A, or ``ValueError`` is raised, all in
+    one pass: the outcomes and conditional states are
+    ``apply_measurement``'s (``measurement._outcomes``), and the kept
     conditional states and their B and C reductions must pass ``QState``'s
     checks (``validate``), or ``InvalidStateError`` is raised.  Without a
     supplied measurement, ``n_measurements < 1`` raises ``ValueError``: a
@@ -576,19 +562,14 @@ def check_kw_pointwise(
     else:
         bases = measurement.basis[None]
     rest = abc.dims[1:]
-    blocks = _conditional_blocks(_measured_view(abc, 0)[0], bases)
-    probs = np.einsum("...krr->...k", blocks).real
-    kept = ~(probs < OUTCOME_FLOOR)  # a NaN outcome is kept, so validation flags it
-    p = probs[kept]
-    c = blocks[kept] / p[:, None, None]
-    cond = (c + np.swapaxes(c.conj(), -1, -2)) / 2.0
+    p, kept, cond = _outcomes(_conditional_blocks(_measured_view(abc, 0)[0], bases))
     _require_valid(validate(cond, rest))
     per_outcome = cond.reshape((-1,) + rest + rest)
     s_meas = []
     for subscripts, dims in (("kbcdc->kbd", rest[:1]), ("kbcbd->kcd", rest[1:])):
         reduced = np.einsum(subscripts, per_outcome)
         _require_valid(validate(reduced, dims))
-        terms = np.zeros(probs.shape)
+        terms = np.zeros(kept.shape)
         terms[kept] = p * _entropy_bits(np.linalg.eigvalsh(reduced))
         s_meas.append(np.array([math.fsum(row) for row in terms.tolist()]))
     s_a = a.entropy("abc", (0,))

@@ -171,11 +171,17 @@ def test_hunt_small_sweep(tmp_path, capsys):
         assert row["gap"] < 0.0  # no violation expected at d = 2
 
 
-def test_hunt_bad_range():
+def test_hunt_bad_range(capsys):
     assert main(["hunt", "--d", "2", "--x", "0.1:0.2"]) == 2
     assert main(["hunt", "--d", "1", "--x=-0.5:-0.5:1"]) == 2
     assert main(["hunt", "--d", "2", "--x=-1.5:-0.5:2"]) == 2
     assert main(["hunt", "--d", "2", "--x=nan:0.5:2"]) == 2
+    # Infinite or huge endpoints are refused before the grid is built, so
+    # np.linspace never warns on them.
+    for sweep in ("0.1:inf:2", "-inf:0.5:2", "1e308:-1e308:3"):
+        capsys.readouterr()
+        assert main(["hunt", "--d", "2", f"--x={sweep}"]) == 2
+        assert capsys.readouterr() == ("", "error: hunt requires x values inside (-1, 1)\n")
 
 
 @pytest.mark.parametrize("rank", ["0", "9", "-1"])

@@ -19,7 +19,7 @@ from discordkit import (
     tensor,
     von_neumann_entropy,
 )
-from discordkit import _descent, entanglement
+from discordkit import _descent, entanglement, qstate
 from discordkit._descent import CAP, CERTIFIED, DENSE_MAX, Descent, descend, random_isometry, summary
 from discordkit.entanglement import (
     EOF_DEFAULT_CONFIG,
@@ -353,7 +353,7 @@ def test_eof_upper_restart_zero_is_never_the_lone_outlier(monkeypatch):
         runs.append(descend(*args))
         return runs[-1]
 
-    monkeypatch.setattr(entanglement, "descend", recording)
+    monkeypatch.setattr(_descent, "descend", recording)
     lone = []
     for seed in range(8000, 8040):
         roof = eof_upper(random_mixed((3, 2), 3, seed))
@@ -496,11 +496,10 @@ def test_wootters_certificate_never_fires_off_two_qubit_states(dims, rank, monke
             assert _fields(roof) == _fields(_roof_search(state, partition, cfg))
 
 
-@pytest.mark.parametrize("rank", [2, 3, 4])
-def test_wootters_certificate_rejects_a_candidate_above_wootters(rank, monkeypatch):
+def _rotate_wootters_rows(monkeypatch):
     # Wootters' rows with their first two members rotated by 0.05 rad score
     # above the exact value (and below E of the largest Takagi value), so the
-    # candidate must fail the bound and the search must run unchanged.
+    # candidate fails the bound.
     rows = entanglement._wootters_rows
 
     def rotated(phi):
@@ -510,9 +509,33 @@ def test_wootters_certificate_rejects_a_candidate_above_wootters(rank, monkeypat
         return turn @ w, c
 
     monkeypatch.setattr(entanglement, "_wootters_rows", rotated)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_wootters_certificate_rejects_a_candidate_above_wootters(rank, monkeypatch):
+    # The rotated candidate must fail the bound and the search must run unchanged.
+    _rotate_wootters_rows(monkeypatch)
     cfg = OptimizerConfig(restarts=2, seed=5)
     for i in range(3):
         state = random_mixed((2, 2), rank, 770 + i)
         roof = eof_upper(state, cfg=cfg)
         assert CERTIFIED not in roof.stop_reasons
         assert _fields(roof) == _fields(_roof_search(state, cfg=cfg))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_eof_upper_builds_its_roof_once(rank, monkeypatch):
+    # When the rotated candidate misses, the search runs on the build the
+    # certificate scored: one spectrum (the purification's) and one exact
+    # Wootters value per call.
+    _rotate_wootters_rows(monkeypatch)
+    calls = []
+    for module, name in ((qstate, "spectrum"), (entanglement, "spectrum"), (entanglement, "eof_2qubit")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    cfg = OptimizerConfig(restarts=2, seed=5)
+    for i in range(3):
+        calls.clear()
+        roof = eof_upper(random_mixed((2, 2), rank, 770 + i), cfg=cfg)
+        assert CERTIFIED not in roof.stop_reasons
+        assert sorted(calls) == ["eof_2qubit", "spectrum"]

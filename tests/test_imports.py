@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses, or scipy.
+"""No module of the package imports a name it never uses, or scipy; one module starts searches.
 
 ``__init__.py`` re-exports its imports and ``__future__`` imports are
 directives, so both are exempt from the unused-import check.  The package
-depends on numpy alone.
+depends on numpy alone.  Only ``_descent`` calls ``descend`` and
+``random_starts``: every search starts through ``_descent.search``.
 """
 
 import ast
@@ -62,3 +63,33 @@ def test_unused_import_detection():
         "def f(x: Callable):\n    return np.zeros(x)\n"
     )
     assert unused_imports(source) == ["Iterable", "json"]
+
+
+def called_names(source: str) -> set:
+    """Names of the functions called in ``source``, as ``f(...)`` or ``module.f(...)``."""
+    calls = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return calls
+
+
+def test_only_descent_starts_a_search():
+    callers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if called_names(path.read_text(encoding="utf-8")) & {"descend", "random_starts"}
+    }
+    assert callers == {"_descent.py"}
+
+
+def test_verify_imports_no_givens_name():
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"unitary_from_params", "n_measurement_params", "projective_from_params"}
+
+
+def test_called_name_detection():
+    source = "from . import _descent\nx = descend(f, x0)\ny = _descent.random_starts(2, 2, 0, 3)\nz = g()(1)\n"
+    assert called_names(source) == {"descend", "random_starts", "g", None}

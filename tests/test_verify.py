@@ -20,7 +20,8 @@ from discordkit import (
     von_neumann_entropy,
 )
 from discordkit import cli
-from discordkit.measurement import OUTCOME_FLOOR, n_measurement_params
+from discordkit._descent import random_isometry
+from discordkit.measurement import OUTCOME_FLOOR
 from discordkit.states import (
     StateFamilySpec,
     example3_state,
@@ -33,7 +34,6 @@ from discordkit.verify import (
     _MEASUREMENT_SALT,
     EF_ZERO_TOL,
     RELATIONS,
-    _random_start,
     _StateAnalysis,
     check_cor1,
     check_cor2,
@@ -363,10 +363,7 @@ def _kw_reference(abc: QState, measurements) -> float:
 
 
 def _seeded_measurements(d: int, seed: int, n: int) -> list:
-    return [
-        projective_from_params(d, _random_start(stream(seed, _MEASUREMENT_SALT + j), n_measurement_params(d)))
-        for j in range(n)
-    ]
+    return [ProjectiveMeasurement(0, random_isometry(stream(seed, _MEASUREMENT_SALT + j), d, d)) for j in range(n)]
 
 
 @pytest.mark.parametrize(
