@@ -37,9 +37,10 @@ import numpy as np
 from .config import OptimizerConfig
 from .correlations import (
     DiscordBoundError,
-    classical_correlation,
+    _j_and_d,
     correlation_report,
     discord,
+    min_conditional_entropy,
 )
 from .entanglement import eof_2qubit
 from .qstate import (
@@ -417,16 +418,17 @@ def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
         s_a = von_neumann_entropy(partial_trace(state, (0,)))
         s_other = von_neumann_entropy(partial_trace(state, (1,)))
         s_env = von_neumann_entropy(state)
-        opt = classical_correlation(state, 0, cfg)
+        opt = min_conditional_entropy(state, 0, cfg)
+        j_classical, _d = _j_and_d(opt.value, s_a, s_other, s_env, 0)
         running = np.minimum.accumulate(np.array(opt.restart_values))
         trajectory = [float(s_a - s_other + v) for v in running]
-        d_upper = s_a - opt.value
+        d_upper = s_a - j_classical
         rows.append(
             {
                 "x": float(x),
                 "s_measured": s_a,
                 "s_env": s_env,
-                "j_classical": opt.value,
+                "j_classical": j_classical,
                 "d_upper": d_upper,
                 "gap": d_upper - s_env,
                 "trajectory": trajectory,

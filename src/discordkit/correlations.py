@@ -12,9 +12,11 @@ estimates are lower bounds.
 ``minimize_over_measurements`` runs ``_descent.search`` on U(d) from the
 canonical basis: the restart rule and Riemannian BFGS descent the convex
 roof uses too.  Both objectives come with an analytic gradient, so each
-round of the descent is one objective call for all live restarts.
+round of the descent is one objective call for all live restarts.  The
+two sides of ``correlation_report`` on a d x d state share those rounds:
+their searches run stacked, one problem each.
 
-Where a proved lower bound has a candidate basis, ``_measured_minimum``
+Where a proved lower bound has a candidate basis, ``_measured_minima``
 scores it first (``_descent.certify``); a certified result is a one-restart
 run, so ``_optimized`` builds it and a search's result alike.
 """
@@ -99,7 +101,7 @@ class OptimizedValue:
     could not measurably lower the value), ``cap`` (``max_iter``) or
     ``certified`` (one candidate basis met a proved lower bound, so no
     search ran: the result of a one-restart ``_descent.certify`` run).
-    ``_measured_minimum`` has candidates for the dephasing discord and for
+    ``_measured_minima`` has candidates for the dephasing discord and for
     the conditional-entropy minimum of a rank-2 two-qubit state.
     """
 
@@ -124,18 +126,26 @@ class OptimizedValue:
 
 
 def minimize_over_measurements(
-    objective: Callable, d: int, cfg: OptimizerConfig | None = None, subsystem: int = 0
+    objective: Callable, d: int, cfg: OptimizerConfig | None = None, subsystem=0
 ) -> OptimizedValue:
     """Minimize ``objective`` over projective bases on a d-level subsystem.
 
     ``objective`` is batched: it maps an (R, d, d) stack of bases (columns
-    are the measurement vectors) to R values and R Euclidean gradients.
+    are the measurement vectors) and the sizes of its blocks, one per
+    problem (``_descent.descend``), to R values and R Euclidean gradients.
     The run is ``_descent.search`` with the canonical basis as restart 0.
-    Deterministic given ``cfg.seed``; restart ties break toward the lowest
-    restart index.  Non-convergence is flagged, never raised.
+    ``subsystem`` is the measured subsystem, or a tuple of them for an
+    objective of one problem per entry: then all the searches run stacked
+    in one ``search`` and a tuple of results comes back, each equal to its
+    search alone.  Deterministic given ``cfg.seed``; restart ties break
+    toward the lowest restart index.  Non-convergence is flagged, never
+    raised.
     """
     cfg = cfg or DEFAULT_CONFIG
-    return _optimized(search(objective, np.eye(int(d), dtype=complex), cfg), cfg.tol, subsystem)
+    subsystems = subsystem if isinstance(subsystem, tuple) else (subsystem,)
+    firsts = np.broadcast_to(np.eye(int(d), dtype=complex), (len(subsystems), int(d), int(d)))
+    opts = tuple(_optimized(run, cfg.tol, k) for run, k in zip(search(objective, firsts, cfg), subsystems))
+    return opts if isinstance(subsystem, tuple) else opts[0]
 
 
 def _optimized(run: Descent, tol: float, subsystem: int) -> OptimizedValue:
@@ -153,13 +163,13 @@ def _optimized(run: Descent, tol: float, subsystem: int) -> OptimizedValue:
     )
 
 
-def _measured_minimum(
-    state: QState, measured: int, cfg: OptimizerConfig | None, dephasing: bool
-) -> OptimizedValue:
-    """The least ``_measurement_objective`` value on ``measured`` X, certified when possible, else searched.
+def _measured_minima(
+    state: QState, measured: tuple[int, ...], cfg: OptimizerConfig | None, dephasing: bool
+) -> list[OptimizedValue]:
+    """The least ``_measurement_objective`` value on each ``measured`` X, certified when possible, else searched.
 
-    The objective is built once, and a candidate basis is scored against a
-    proved lower bound (``_descent.certify``):
+    Each factor, and each objective, is built once.  A candidate basis is
+    scored against a proved lower bound (``_descent.certify``):
 
     - with ``dephasing``, the eigenbasis of rho_X against L = max(0,
       S(rho_X) - S(rho)).  Every basis scores at least L: dephasing never
@@ -175,22 +185,38 @@ def _measured_minimum(
       (``entanglement._wootters_rows``): by HJW, the measurement of X in
       the basis W^H.
 
-    Otherwise the search (``minimize_over_measurements``) runs on the same
-    objective, so the value is always one that the objective reached.
+    The subsystems left are searched (``minimize_over_measurements``) on the
+    same objectives, so every value is one that an objective reached.  When
+    several are left and their factors share one shape, as both sides of a
+    d x d state do, their searches run stacked in one ``search``, on the
+    objective of all their factors; each result equals its search alone.
     """
     cfg = cfg or DEFAULT_CONFIG
-    factor, r, lam = _measurement_factor(state, measured)
-    objective = _factor_objective(factor, r, lam, dephasing)
-    run = None
-    if dephasing:
-        lam_x, vec = np.linalg.eigh(partial_trace(state, (measured,)).matrix)
-        run = certify(objective, vec, max(0.0, float(_entropy_bits(lam_x)) - von_neumann_entropy(state)))
-    elif factor.shape == (2, 4) and r == 2:
-        w, c = _wootters_rows(factor)
-        run = certify(objective, w.conj().T, _eof_of_concurrence(c))
-    if run is None:
-        return minimize_over_measurements(objective, factor.shape[0], cfg, subsystem=measured)
-    return _optimized(run, cfg.tol, measured)
+    sides, results = [], []
+    for k in measured:
+        factor, r, lam = _measurement_factor(state, k)
+        candidate = objective = run = None
+        if dephasing:
+            lam_x, vec = np.linalg.eigh(partial_trace(state, (k,)).matrix)
+            candidate = vec, max(0.0, float(_entropy_bits(lam_x)) - von_neumann_entropy(state))
+        elif factor.shape == (2, 4) and r == 2:
+            w, c = _wootters_rows(factor)
+            candidate = w.conj().T, _eof_of_concurrence(c)
+        if candidate is not None:
+            objective = _factor_objective(factor[None], r, lam, dephasing)
+            run = certify(objective, *candidate)
+        sides.append((factor, r, lam, objective))
+        results.append(None if run is None else _optimized(run, cfg.tol, k))
+    pending = [i for i, opt in enumerate(results) if opt is None]
+    one_shape = len({(sides[i][0].shape, sides[i][1]) for i in pending}) == 1
+    for group in [pending] if one_shape else [[i] for i in pending]:
+        factor, r, lam, objective = sides[group[0]]
+        if len(group) > 1 or objective is None:
+            objective = _factor_objective(np.stack([sides[i][0] for i in group]), r, lam, dephasing)
+        opts = minimize_over_measurements(objective, factor.shape[0], cfg, tuple(measured[i] for i in group))
+        for i, opt in zip(group, opts):
+            results[i] = opt
+    return results
 
 
 def mutual_information(state: QState, partition=None) -> float:
@@ -212,13 +238,13 @@ def min_conditional_entropy(
     This is the shared inner optimization behind classical correlation and
     discord; both derive from the same run, so they add up to the mutual
     information to rounding.  On a two-qubit state of rank 2 Wootters'
-    optimal basis is scored first (``_measured_minimum``); when it meets
+    optimal basis is scored first (``_measured_minima``); when it meets
     the proved Koashi-Winter lower bound E_F of the purifier pair, it comes
     back with stop reason ``"certified"`` and no search runs.  Otherwise
     the search runs on the same objective, so the value is always one that
     the objective reached.
     """
-    return _measured_minimum(state, measured, cfg, dephasing=False)
+    return _measured_minima(state, (measured,), cfg, dephasing=False)[0]
 
 
 def _j_and_d(
@@ -303,7 +329,7 @@ class ReDiscordDetail(OptimizedValue):
     ``chain_value`` comes from optimizing each measured factor in turn on the
     running dephased state (a product basis), ``joint_value`` from one
     minimization over full bases of the merged factor
-    (``_measured_minimum``); ``value`` and ``argbasis`` belong to the lower
+    (``_measured_minima``); ``value`` and ``argbasis`` belong to the lower
     of the two, so ``value`` never exceeds either.  ``spread`` and the
     per-restart tuples are the joint step's, and ``converged`` holds when
     every search converged.  When the joint step is certified by the bound
@@ -329,7 +355,7 @@ def re_discord_detailed(
     ``measured`` is a sorted tuple of subsystem indices.  Works on the state
     permuted so the measured subsystems sit in front; the reported basis
     refers to their merged factor.  The joint step runs first
-    (``_measured_minimum``); when it is certified, the chain is skipped and
+    (``_measured_minima``); when it is certified, the chain is skipped and
     ``chain_value`` is NaN (see ``ReDiscordDetail``).  Otherwise the chain
     runs, its first step being ``re_discord(state, measured[0], cfg)`` on
     the unpermuted state (``first``, when given, is that result already
@@ -341,17 +367,17 @@ def re_discord_detailed(
     sigma = permute_subsystems(state, measured + rest)
     d_joint = int(np.prod([state.dims[i] for i in measured]))
     rest_dims = tuple(state.dims[i] for i in rest)
-    joint = _measured_minimum(QState((d_joint,) + rest_dims, sigma.matrix), 0, cfg, dephasing=True)
+    [joint] = _measured_minima(QState((d_joint,) + rest_dims, sigma.matrix), (0,), cfg, dephasing=True)
     detail = ReDiscordDetail(**vars(joint), chain_value=math.nan, joint_value=joint.value)
     if joint.stop_reasons == (CERTIFIED,):
         return detail
 
     # Chain route: optimize each measured factor on the running dephased state.
     if first is None:
-        first = _measured_minimum(state, measured[0], cfg, dephasing=True)
+        [first] = _measured_minima(state, measured[:1], cfg, dephasing=True)
     tau, bases, converged = sigma, [], joint.converged
     for pos in range(len(measured)):
-        step = first if pos == 0 else _measured_minimum(tau, pos, cfg, dephasing=True)
+        step = first if pos == 0 else _measured_minima(tau, (pos,), cfg, dephasing=True)[0]
         bases.append(step.argbasis.basis)
         converged = converged and step.converged
         tau = dephase(tau, ProjectiveMeasurement(pos, step.argbasis.basis))
@@ -376,7 +402,7 @@ def re_discord(
     measured-subsystems-first.  When the eigenbasis of the measured factor's
     marginal rho_X meets the lower bound max(0, S(rho_X) - S(rho)), it is
     returned with stop reason ``"certified"`` and no search runs
-    (``_measured_minimum``); every pure state is such a case.
+    (``_measured_minima``); every pure state is such a case.
     """
     if isinstance(measured, (int, np.integer)):
         measured_t = (int(measured),)
@@ -388,7 +414,7 @@ def re_discord(
     if measured_t[0] < 0 or measured_t[-1] >= n:
         raise ValueError(f"measured indices {measured_t} out of range for {n} subsystems")
     if len(measured_t) == 1:
-        return _measured_minimum(state, measured_t[0], cfg, dephasing=True)
+        return _measured_minima(state, measured_t, cfg, dephasing=True)[0]
     return re_discord_detailed(state, measured_t, cfg)
 
 
@@ -421,8 +447,14 @@ class CorrelationReport:
 def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> CorrelationReport:
     """Full correlation report for a two-subsystem state.
 
-    Runs one conditional-entropy minimization per side and derives J and D
-    from it, so I = J + D holds to rounding on both sides.
+    Minimizes the conditional entropy on each side, as
+    ``min_conditional_entropy`` does, and derives J and D from it, so I = J
+    + D holds to rounding on both sides.  Each side's Koashi-Winter
+    certificate is scored first; when both sides still need a search and
+    their factors share one shape (every uncertified d x d state, two
+    qubits included), the two searches run stacked in one
+    ``_descent.search`` (``_measured_minima``), which costs little more than
+    one of them, and each side's result equals its search alone.
     """
     if state.n_subsystems != 2:
         raise ValueError("correlation_report needs a state with exactly two subsystems")
@@ -431,8 +463,7 @@ def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> Cor
     s_ab = von_neumann_entropy(state)
     info = s_a + s_b - s_ab
 
-    opt_a = min_conditional_entropy(state, 0, cfg)
-    opt_b = min_conditional_entropy(state, 1, cfg)
+    opt_a, opt_b = _measured_minima(state, (0, 1), cfg, dephasing=False)
     j_a, d_a = _j_and_d(opt_a.value, s_a, s_b, s_ab, 0)
     j_b, d_b = _j_and_d(opt_b.value, s_b, s_a, s_ab, 1)
     return CorrelationReport(

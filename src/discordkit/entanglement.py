@@ -143,7 +143,7 @@ def eof_pure(state, partition=None) -> EofResult:
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     part_a, part_b = normalize_partition(len(dims), partition)
-    values, _ = _roof_objective(amps[None, :], dims, part_a, part_b)(np.ones((1, 1, 1)))
+    values, _ = _roof_objective(amps[None, :], dims, part_a, part_b)(np.ones((1, 1, 1)), (1,))
     value = values[0] / np.vdot(amps, amps).real
     return EofResult(float(value), EXACT_PURE)
 
@@ -288,15 +288,16 @@ def _roof_objective(e0: np.ndarray, dims, part_a, part_b) -> Callable:
     ``e0`` holds the r unnormalized amplitude rows of the canonical
     ensemble.  Its rows are permuted to the (A, B) order, so that member
     psi_i = (V e0)_i reshapes to its d_A x d_B amplitude block and
-    ``qstate._ensemble_objective`` maps an (R, m, r) stack of isometries V
-    to the R values sum_i p_i S(rho_i / p_i), rho_i the member's reduced
-    state on A, and the R Euclidean gradients G_V (df = Re tr(G^H dV)).
+    ``qstate._ensemble_objective``, on this one problem, maps an (R, m, r)
+    stack of isometries V and its sizes (R,) to the R values sum_i p_i
+    S(rho_i / p_i), rho_i the member's reduced state on A, and the R
+    Euclidean gradients G_V (df = Re tr(G^H dV)).
     """
     r = e0.shape[0]
     da = int(np.prod([dims[i] for i in part_a]))
     order = (0,) + tuple(1 + i for i in part_a) + tuple(1 + i for i in part_b)
     basis = e0.reshape((r,) + tuple(dims)).transpose(order).reshape(r, -1)
-    return _ensemble_objective(basis, da, basis.shape[1] // da)
+    return _ensemble_objective(basis[None], da, basis.shape[1] // da)
 
 
 def _dft_isometry(m: int, r: int) -> np.ndarray:
@@ -354,7 +355,7 @@ def _roof_search(state: QState, partition=None, cfg: OptimizerConfig | None = No
     """The convex-roof search of ``eof_upper``, without its Wootters certificate."""
     cfg = cfg or EOF_DEFAULT_CONFIG
     e0, objective, oracle, first = _roof(state, partition)
-    return _upper_bound(search(objective, first, cfg), e0, oracle, cfg.tol)
+    return _upper_bound(search(objective, first[None], cfg)[0], e0, oracle, cfg.tol)
 
 
 def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
@@ -390,5 +391,5 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
         iso[: w.shape[0]] = w
         run = certify(objective, iso, oracle)
     if run is None:
-        run = search(objective, first, cfg)
+        run = search(objective, first[None], cfg)[0]
     return _upper_bound(run, e0, oracle, cfg.tol)

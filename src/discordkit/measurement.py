@@ -1,7 +1,7 @@
 """Complete projective measurements and POVMs on a chosen subsystem.
 
 The measurement optimizer in ``correlations`` searches bases on U(d)
-itself, from random unitaries drawn by ``_descent.random_isometry``.
+itself, from random unitaries drawn by ``_descent.random_isometries``.
 Givens products only parametrize bases for ``projective_from_params``:
 ``unitary_from_params`` multiplies two-level rotations over the d(d-1)/2
 index pairs in lexicographic order, each with a mixing angle and a relative
@@ -243,13 +243,17 @@ def _measurement_factor(state: QState, measured: int) -> tuple[np.ndarray, int, 
     return (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * int(keep.sum())), r, lam
 
 
-def _factor_objective(factor: np.ndarray, r: int, lam: np.ndarray, dephasing: bool) -> Callable:
-    """``_measurement_objective`` on the output of ``_measurement_factor``."""
-    ensemble = _ensemble_objective(factor, r, factor.shape[1] // r, dephasing)
+def _factor_objective(factors: np.ndarray, r: int, lam: np.ndarray, dephasing: bool) -> Callable:
+    """``_measurement_objective`` on a (P, d, R s) stack of ``_measurement_factor`` outputs of one state.
+
+    One problem per factor, all of one shape, scored in blocks as
+    ``_ensemble_objective`` scores them; ``lam`` is the state's spectrum.
+    """
+    ensemble = _ensemble_objective(factors, r, factors.shape[-1] // r, dephasing)
     base_entropy = _entropy_bits(lam) if dephasing else 0.0
 
-    def objective(u: np.ndarray):
-        values, grad = ensemble(np.swapaxes(u.conj(), -1, -2))
+    def objective(u: np.ndarray, sizes):
+        values, grad = ensemble(np.swapaxes(u.conj(), -1, -2), sizes)
         return values - base_entropy, np.swapaxes(grad.conj(), -1, -2)
 
     return objective
@@ -258,7 +262,8 @@ def _factor_objective(factor: np.ndarray, r: int, lam: np.ndarray, dephasing: bo
 def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tuple[Callable, int]:
     """Batched objective over bases on ``measured``, with its Euclidean gradient.
 
-    Maps an (R, d, d) stack of bases U to R values and R gradients G_U (df =
+    Maps an (R, d, d) stack of bases U and its block sizes, here (R,) for
+    the one problem, to R values and R gradients G_U (df =
     Re tr(G^H dU)): sum_k p_k S(B_k / p_k) over the conditional blocks B_k =
     <u_k|rho|u_k>, or with ``dephasing`` S(dephased) - S(rho), the dephased
     spectrum being the union of the block spectra.  With rho = L L^H, B_k =
@@ -266,7 +271,7 @@ def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tup
     ``_ensemble_objective`` at V with G_U = G_V^H.
     """
     factor, r, lam = _measurement_factor(state, measured)
-    return _factor_objective(factor, r, lam, dephasing), factor.shape[0]
+    return _factor_objective(factor[None], r, lam, dephasing), factor.shape[0]
 
 
 def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:

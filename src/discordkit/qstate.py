@@ -283,19 +283,25 @@ def _gram_spectrum(blocks: np.ndarray) -> tuple[np.ndarray, Callable]:
 
 
 def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = False) -> Callable:
-    """Batched entropy of the ensembles V rows, with its Euclidean gradient.
+    """Batched entropy of the ensembles V rows, with its Euclidean gradient, for P problems.
 
-    Maps an (R, m, n) stack V to R values and R gradients G_V (df = Re
-    tr(G^H dV)).  Member i is the row (V rows)_i cut into a da x db block
-    M_i = sum_k V_ik B_k, B_k the block of row k of ``rows``, with state
-    rho_i = M_i M_i^H of weight p_i = tr rho_i.  The value is sum_i p_i
-    S(rho_i / p_i), or with ``dephasing`` the entropy S of the union of all
-    member spectra, normalized to unit sum.  Spectra come from the s x s
+    ``rows`` is a (P, n, da db) stack, one set of rows per problem.  The
+    objective maps an (R, m, n) stack V and ``sizes``, the number of its
+    restarts that belong to each problem in stack order (P blocks, some
+    perhaps empty), to R values and R gradients G_V (df = Re tr(G^H dV)).
+    Each block is scored exactly as a stack of its problem alone: it takes
+    the same products with that problem's kernels, on a slice, and every
+    other step acts on each restart alone.  Member i is the row (V rows)_i
+    of its problem's rows, cut into a da x db block M_i = sum_k V_ik B_k,
+    B_k the block of row k, with state rho_i = M_i M_i^H of weight p_i =
+    tr rho_i.  The value is sum_i p_i S(rho_i / p_i), or with ``dephasing``
+    the entropy S of the union of all member spectra, normalized to unit
+    sum.  Spectra come from the s x s
     Gram G_i of the smaller side, s = min(da, db), by ``_gram_spectrum``.
     With C_k = B_k, or B_k^T when da > db (then G_i is the transpose of
     M_i^H M_i, which has the same spectrum), one code path serves both
     sides: the kernel K[(k, l), (a, c)] = sum_b C_k[a, b] conj(C_l[c, b]),
-    an (n^2, s^2) array built once per ``rows``, gives every Gram of the
+    an (n^2, s^2) array built once per problem, gives every Gram of the
     stack in one product, G_i = (V_i (x) conj V_i) K.  Its left factor holds
     R m n^2 entries, where the member blocks hold R m da db: more on
     high-rank roofs (n = r, m = r^2), 81^2 against 81 x 9 per restart on a
@@ -310,17 +316,19 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
     (W_i read as a row of s^2 entries): a second product.
     """
     s = min(da, db)
-    n = rows.shape[0]
-    c = rows.reshape(n, da, db)
-    if da > db:
-        c = np.swapaxes(c, -1, -2)
-    kernel = np.einsum("kab,lcb->klac", c, c.conj()).reshape(n * n, s * s)
-    kernel_h = np.ascontiguousarray(kernel.conj().T)
+    n = rows.shape[1]
+    kernels, kernels_h = [], []
+    for c in rows.reshape(len(rows), n, da, db):
+        if da > db:
+            c = np.swapaxes(c, -1, -2)
+        kernel = np.einsum("kab,lcb->klac", c, c.conj()).reshape(n * n, s * s)
+        kernels.append(kernel)
+        kernels_h.append(np.ascontiguousarray(kernel.conj().T))
     axes = (-2, -1) if dephasing else -1
 
-    def objective(v: np.ndarray):
+    def objective(v: np.ndarray, sizes):
         outer = (v[..., :, None] * v.conj()[..., None, :]).reshape(-1, n * n)
-        grams = (outer @ kernel).reshape(v.shape[:-1] + (s, s))
+        grams = _blockwise(outer, sizes, kernels).reshape(v.shape[:-1] + (s, s))
         w, apply = _gram_spectrum(grams)
         w = np.maximum(w, 0.0)
         p = w.sum(axis=axes, keepdims=True)
@@ -329,10 +337,27 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
         values = -((mu if dephasing else w) * logs).sum(axis=(-2, -1))
         if dephasing:
             logs = (logs + values[..., None, None]) / p
-        t = (apply(logs).reshape(-1, s * s) @ kernel_h).reshape(v.shape + (n,))  # -T
+        t = _blockwise(apply(logs).reshape(-1, s * s), sizes, kernels_h).reshape(v.shape + (n,))  # -T
         return values, -2.0 * (t @ v[..., None])[..., 0]
 
     return objective
+
+
+def _blockwise(a: np.ndarray, sizes: tuple, mats) -> np.ndarray:
+    """The row blocks of ``a``, one per problem, each times that problem's ``mats[q]``.
+
+    Block q holds the rows of ``sizes[q]`` restarts, in order, each restart
+    the same number of rows.  Each block takes the product it takes alone.
+    """
+    if len(mats) == 1:  # one problem: one product on the whole stack, no copy
+        return a @ mats[0]
+    out = np.empty((len(a), mats[0].shape[1]), dtype=np.result_type(a, mats[0]))
+    per, start = len(a) // sum(sizes), 0
+    for size, mat in zip(sizes, mats):
+        stop = start + size * per
+        np.matmul(a[start:stop], mat, out=out[start:stop])
+        start = stop
+    return out
 
 
 def von_neumann_entropy(state: QState) -> float:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._descent import random_isometry
+from ._descent import random_isometries
 from .config import OptimizerConfig
 from .correlations import (
     CERTIFIED,
@@ -520,10 +520,11 @@ def check_thm3(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 def _seeded_bases(d: int, seed: int, n: int) -> np.ndarray:
     """Read-only (n, d, d) random bases of ``check_kw_pointwise``'s seeded measurements.
 
-    Basis j is ``random_isometry`` on stream ``_MEASUREMENT_SALT + j`` of
-    ``seed``; the cache is bounded, so a loop over seeds stays small.
+    Basis j is ``random_isometries`` on stream ``_MEASUREMENT_SALT + j`` of
+    ``seed``, all n from one stacked QR; the cache is bounded, so a loop
+    over seeds stays small.
     """
-    bases = np.array([random_isometry(stream(seed, _MEASUREMENT_SALT + j), d, d) for j in range(n)])
+    bases = random_isometries([stream(seed, _MEASUREMENT_SALT + j) for j in range(n)], d, d)
     bases.setflags(write=False)
     return bases
 

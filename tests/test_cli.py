@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from discordkit import OptimizerConfig, PureStateVector, state_to_json
-from discordkit import cli
+from discordkit import cli, correlations
 from discordkit.cli import main
 
 from conftest import bell_state
@@ -182,6 +182,21 @@ def test_hunt_bad_range(capsys):
         capsys.readouterr()
         assert main(["hunt", "--d", "2", f"--x={sweep}"]) == 2
         assert capsys.readouterr() == ("", "error: hunt requires x values inside (-1, 1)\n")
+
+
+def test_hunt_takes_each_entropy_once(monkeypatch, capsys):
+    # hunt computes S(A), S(B) and S(AB) itself and derives J from one
+    # conditional-entropy minimum, so the correlations layer computes no
+    # entropy; a discord above its proved bound still exits 1.
+    def refuse(state):
+        raise AssertionError("an entropy was computed twice")
+
+    monkeypatch.setattr(correlations, "von_neumann_entropy", refuse)
+    assert main(["hunt", "--d", "2", "--x=-0.5:0.5:3", "--restarts", "2"]) == 0
+    monkeypatch.setattr(correlations, "CONJECTURE_I_SLACK", -2.0)
+    capsys.readouterr()
+    assert main(["hunt", "--d", "2", "--x=0.5:0.5:1", "--restarts", "2"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: discord estimate")
 
 
 @pytest.mark.parametrize("rank", ["0", "9", "-1"])

@@ -47,15 +47,18 @@ from discordkit._descent import (
     Descent,
     certify,
     descend,
-    random_isometry,
+    random_isometries,
     random_starts,
     retract,
+    search,
     summary,
     tangent,
 )
 from discordkit.correlations import MEASUREMENT_CLASS_LABEL
 from discordkit.measurement import (
+    _factor_objective,
     _measured_view,
+    _measurement_factor,
     _measurement_objective,
     n_measurement_params,
     unitary_from_params,
@@ -116,7 +119,7 @@ def test_minimize_quadratic_objective():
     # ||U - V||^2 + 0.25 over U(2): minimum 0.25 at U = V, gradient 2 (U - V).
     target = unitary_from_params(2, [0.4, 1.3])
 
-    def objective(u):
+    def objective(u, _sizes):
         return np.sum(np.abs(u - target) ** 2, axis=(-2, -1)) + 0.25, 2.0 * (u - target)
 
     opt = minimize_over_measurements(objective, 2, OptimizerConfig(restarts=4, seed=2))
@@ -126,7 +129,7 @@ def test_minimize_quadratic_objective():
 
 def test_minimize_constant_objective_has_zero_spread():
     opt = minimize_over_measurements(
-        lambda u: (np.full(len(u), 1.5), np.zeros_like(u)), 2, OptimizerConfig(restarts=4, seed=2)
+        lambda u, _sizes: (np.full(len(u), 1.5), np.zeros_like(u)), 2, OptimizerConfig(restarts=4, seed=2)
     )
     assert opt.value == 1.5
     assert opt.spread == 0.0
@@ -155,8 +158,8 @@ def test_batched_objectives_match_per_point_references(dims, rank):
     ref_deph = [von_neumann_entropy(dephase(state, projective_from_params(d, p))) - s_state
                 for p in params]
     bases = unitary_from_params(d, params)
-    np.testing.assert_allclose(cond(bases)[0], ref_cond, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(deph(bases)[0], ref_deph, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(cond(bases, (len(bases),))[0], ref_cond, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(deph(bases, (len(bases),))[0], ref_deph, rtol=0.0, atol=1e-12)
 
 
 def _gradient_case(dims, rank, seed):
@@ -178,12 +181,13 @@ def test_objective_gradient_matches_central_differences(dims, rank, measured, de
     objective, d = _measurement_objective(state, measured, dephasing)
     g = stream(23, d)
     bases = unitary_from_params(d, np.stack([_random_start(g, n_measurement_params(d)) for _ in range(3)]))
-    _values, grads = objective(bases)
+    sizes = (len(bases),)
+    _values, grads = objective(bases, sizes)
     h = 1e-5
     for _ in range(4):
         e = g.normal(size=bases.shape) + 1j * g.normal(size=bases.shape)
         e /= np.linalg.norm(e, axis=(-2, -1), keepdims=True)
-        central = (objective(bases + h * e)[0] - objective(bases - h * e)[0]) / (2.0 * h)
+        central = (objective(bases + h * e, sizes)[0] - objective(bases - h * e, sizes)[0]) / (2.0 * h)
         analytic = np.einsum("rij,rij->r", grads.conj(), e).real
         np.testing.assert_allclose(analytic, central, rtol=0.0, atol=1e-7)
 
@@ -194,7 +198,7 @@ def test_werner_objective_is_certified_flat(dephasing):
     # Riemannian gradient vanishes at every basis: a certificate of flatness.
     objective, d = _measurement_objective(werner_qudit(3, 0.3), 0, dephasing)
     u = np.eye(3, dtype=complex)[None]
-    _value, grad = objective(u)
+    _value, grad = objective(u, (1,))
     assert np.linalg.norm(tangent(u, grad)) < 1e-10
 
 
@@ -202,7 +206,7 @@ def test_descend_stops_on_an_exact_zero_gradient_without_warnings():
     # The first trial lands where the value and the gradient are exactly zero,
     # as on an exactly separable roof ensemble: the next direction there is
     # zero, and neither its slope nor the step cap may divide by its norm.
-    def objective(x):
+    def objective(x, _sizes):
         return np.zeros(len(x)), np.zeros_like(x)
 
     start = np.eye(2, dtype=complex)[None]
@@ -242,7 +246,7 @@ def test_descend_confines_a_nan_to_its_restart(kind, level, pinned, model, monke
     # restarts 0 and 2 stay in span(e_0, e_1), where x_2 is exactly 0.
     diag = np.array([1.0, 2.0, 0.0])
 
-    def objective(x):
+    def objective(x, _sizes=None):
         values = np.einsum("rip,i,rip->r", x.conj(), diag, x).real
         grads = 2.0 * diag[:, None] * x
         bad = np.abs(x[:, 2, 0]) ** 2 > level
@@ -275,7 +279,7 @@ def test_descend_reaches_the_rayleigh_minimum_on_the_stiefel_manifold(n, p):
     h = g.normal(size=(n, n)) + 1j * g.normal(size=(n, n))
     a = (h + h.conj().T) / 2.0
 
-    def objective(x):
+    def objective(x, _sizes=None):
         return np.einsum("rip,ij,rjp->r", x.conj(), a, x).real, 2.0 * a @ x
 
     starts, _ = np.linalg.qr(g.normal(size=(4, n, p)) + 1j * g.normal(size=(4, n, p)))
@@ -366,7 +370,7 @@ def _plain_bfgs(objective, x, n_calls):
     return trials, skips, values
 
 
-def _quartic(x):
+def _quartic(x, _sizes=None):
     # -sum_j |x_j|^4 + x^H A x on unit vectors: non-convex, with saddles.
     a = np.diag(0.3 * np.arange(x.shape[1]))
     value = -np.sum(np.abs(x) ** 4, axis=(1, 2)) + np.einsum("rip,ij,rjp->r", x.conj(), a, x).real
@@ -382,9 +386,9 @@ def _quartic_start(seed, n):
 def _recorded_descent(x0, max_iter):
     calls = []
 
-    def recording(x):
+    def recording(x, sizes):
         calls.append(x.copy())
-        return _quartic(x)
+        return _quartic(x, sizes)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -468,13 +472,13 @@ def test_certify_is_a_one_restart_run_only_at_the_bound():
     calls = []
 
     def scoring(value):
-        def objective(stack):
-            calls.append(stack.shape)
+        def objective(stack, sizes):
+            calls.append((stack.shape, sizes))
             return np.full(len(stack), value), np.zeros_like(stack)
         return objective
 
     run = certify(scoring(0.25 + 0.5 * CERTIFY_TOL), x, 0.25)
-    assert calls == [(1, 2, 2)]
+    assert calls == [((1, 2, 2), (1,))]
     assert run.reasons == (CERTIFIED,) and run.iterations == (0,) and run.evaluations == (1,)
     assert run.x.shape == (1, 2, 2) and run.values.tolist() == [0.25 + 0.5 * CERTIFY_TOL]
     assert summary(run, 1e-9) == (0, 0.0, True)
@@ -499,9 +503,9 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     cfg = OptimizerConfig(seed=2, max_iter=max_iter)
     calls = []
 
-    def recording(u):
+    def recording(u, sizes):
         calls.append(u.copy())
-        return objective(u)
+        return objective(u, sizes)
 
     opt = minimize_over_measurements(recording, d, cfg, measured)
     # The first call scores the starts, and every later call is one
@@ -509,7 +513,7 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     starts = calls[0]
     assert len(starts) == cfg.restarts
     assert len(calls) == max(opt.evaluations)
-    values, grads = objective(starts)
+    values, grads = objective(starts, (len(starts),))
     alone = [descend(objective, starts[k : k + 1], values[k : k + 1], grads[k : k + 1], cfg.max_iter)
              for k in range(cfg.restarts)]
     assert opt.iterations == tuple(run.iterations[0] for run in alone)
@@ -521,6 +525,73 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     best = int(np.argmin([run.values[0] for run in alone]))
     assert opt.value == pytest.approx(alone[best].values[0], abs=1e-12)
     np.testing.assert_allclose(opt.argbasis.basis, alone[best].x[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dims, rank, restarts, model",
+    [((2, 2), 4, 16, "dense"), ((6, 2), 5, 4, "lbfgs")],
+    ids=["d2-dense", "d6-lbfgs"],
+)
+def test_stacked_searches_equal_searches_run_alone(dims, rank, restarts, model):
+    # Two problems of one shape, each with its own restart 0, in one
+    # descend: every restart follows the path it takes alone, bit for bit.
+    # The problems stop in different rounds, so one block runs on after the
+    # other has emptied.
+    d = dims[0]
+    assert (2 * d * d <= DENSE_MAX) == (model == "dense")
+    factors = [_measurement_factor(random_mixed(dims, rank, seed), 0) for seed in (3, 4)]
+    (_, r, lam), cfg = factors[0], OptimizerConfig(seed=2, restarts=restarts)
+    firsts = np.stack([np.eye(d, dtype=complex), random_isometries([stream(9, 0)], d, d)[0]])
+    objective, sizes = _factor_objective(np.stack([f for f, _, _ in factors]), r, lam, False), []
+
+    def recording(u, live):
+        sizes.append(live)
+        return objective(u, live)
+
+    stacked = search(recording, firsts, cfg)
+    assert sizes[0] == (restarts, restarts)
+    assert any(0 in live and sum(live) > 0 for live in sizes)
+    assert max(stacked[0].evaluations) != max(stacked[1].evaluations)
+    for run, (factor, _, _), first in zip(stacked, factors, firsts):
+        [alone] = search(_factor_objective(factor[None], r, lam, False), first[None], cfg)
+        assert run.x.tobytes() == alone.x.tobytes()
+        assert run.values.tobytes() == alone.values.tobytes()
+        assert (run.iterations, run.evaluations, run.reasons) == (alone.iterations, alone.evaluations, alone.reasons)
+
+
+def _two_search_report(state, cfg):
+    # correlation_report built from two min_conditional_entropy runs, one a side.
+    s_a, s_b = (von_neumann_entropy(partial_trace(state, (k,))) for k in (0, 1))
+    s_ab = von_neumann_entropy(state)
+    opt_a, opt_b = (min_conditional_entropy(state, k, cfg) for k in (0, 1))
+    j_a, d_a = correlations._j_and_d(opt_a.value, s_a, s_b, s_ab, 0)
+    j_b, d_b = correlations._j_and_d(opt_b.value, s_b, s_a, s_ab, 1)
+    diagnostics = {"measured_a": opt_a.diagnostics(), "measured_b": opt_b.diagnostics()}
+    return correlations.CorrelationReport(s_a, s_b, s_ab, s_a + s_b - s_ab, j_a, j_b, d_a, d_b, abs(d_a - d_b),
+                                          diagnostics)
+
+
+@pytest.mark.parametrize(
+    "dims, rank, stacked",
+    [((2, 2), 3, True), ((2, 2), 4, True), ((2, 3), 4, False)],
+    ids=["2x2-rank3", "2x2-rank4", "2x3-rank4-apart"],
+)
+def test_correlation_report_stacks_both_sides_of_a_square_state(dims, rank, stacked, monkeypatch):
+    # Neither side of these states has a certificate.  On (2, 2) both
+    # factors have one shape and the sides run as one stacked search; on
+    # (2, 3) they run one search each.  Either way the report equals the one
+    # built from two separate runs.
+    searches = []
+    search_alone = correlations.minimize_over_measurements
+    monkeypatch.setattr(correlations, "minimize_over_measurements",
+                        lambda *a, **k: searches.append(a[3]) or search_alone(*a, **k))
+    for i in range(4):
+        state, cfg = random_mixed(dims, rank, 1, i), OptimizerConfig(seed=i)
+        searches.clear()
+        report = correlation_report(state, cfg).to_json()
+        assert searches == ([(0, 1)] if stacked else [(0,), (1,)])
+        assert CERTIFIED not in report["diagnostics"]["measured_a"]["stop_reasons"]
+        assert report == _two_search_report(state, cfg).to_json()
 
 
 @pytest.mark.parametrize("restarts", [1, 2, OptimizerConfig().restarts])
@@ -543,10 +614,17 @@ def test_min_conditional_entropy_meets_koashi_winter_oracle(restarts):
 # Unitary starts of the measurement search (d x d) and Stiefel starts of the
 # convex roof (m x r, m = r^2).
 @pytest.mark.parametrize(
-    "n, p", [(2, 2), (3, 3), (4, 4), (6, 6), (16, 4), (9, 3)], ids=["2", "3", "4", "6", "16x4", "9x3"]
+    "n, p",
+    [(2, 2), (3, 3), (4, 4), (6, 6), (4, 2), (16, 4), (9, 3), (36, 6)],
+    ids=["2", "3", "4", "6", "4x2", "16x4", "9x3", "36x6"],
 )
 def test_cached_restart_bases_equal_a_fresh_build(n, p):
-    fresh = np.stack([random_isometry(stream(5, k), n, p) for k in range(1, 16)])
+    # The starts come from one stacked QR; each equals the Q factor of its
+    # own Gaussian matrix, factored alone.
+    def gaussian(g):
+        return g.normal(size=(n, p)) + 1j * g.normal(size=(n, p))
+
+    fresh = np.stack([np.linalg.qr(gaussian(stream(5, k)))[0] for k in range(1, 16)])
     for _ in range(2):  # a first call and a repeat
         cached = random_starts(n, p, 5, 16)
         assert cached.shape == (15, n, p)

@@ -20,7 +20,7 @@ from discordkit import (
     von_neumann_entropy,
 )
 from discordkit import _descent, entanglement, qstate
-from discordkit._descent import CAP, CERTIFIED, DENSE_MAX, Descent, descend, random_isometry, summary
+from discordkit._descent import CAP, CERTIFIED, DENSE_MAX, Descent, descend, random_isometries, summary
 from discordkit.entanglement import (
     EOF_DEFAULT_CONFIG,
     EXACT_PURE,
@@ -254,7 +254,7 @@ def test_batch_contributions_smaller_gram_side(dims):
     g = stream(77, 10 * dims[0] + dims[1])
     d = dims[0] * dims[1]
     vectors = (g.normal(size=(40, d)) + 1j * g.normal(size=(40, d))) * g.uniform(0.05, 1.0, (40, 1))
-    got, _ = _roof_objective(vectors, dims, (0,), (1,))(np.eye(40, dtype=complex)[:, None, :])
+    got, _ = _roof_objective(vectors, dims, (0,), (1,))(np.eye(40, dtype=complex)[:, None, :], (40,))
     np.testing.assert_allclose(got, _reference_contributions(vectors, *dims), rtol=0, atol=1e-12)
 
 
@@ -273,7 +273,7 @@ def test_roof_gradient_matches_central_differences(dims, rank):
     g = stream(24, 10 * dims[0] + dims[1])
     m = rank * rank
     eye = np.eye(m, dtype=complex)[:, :rank]
-    isos = np.stack([random_isometry(g, m, rank) for _ in range(2)] + [eye])
+    isos = np.concatenate([random_isometries([g, g], m, rank), eye[None]])
     off = isos + 0.3 * (g.normal(size=isos.shape) + 1j * g.normal(size=isos.shape))
     product = np.stack(
         [np.kron(g.normal(size=dims[0]) + 1j * g.normal(size=dims[0]), g.normal(size=dims[1])) for _ in range(rank)]
@@ -284,11 +284,11 @@ def test_roof_gradient_matches_central_differences(dims, rank):
     ]
     h = 1e-5
     for objective, v in cases:
-        _values, grads = objective(v)
+        _values, grads = objective(v, (len(v),))
         for _ in range(4):
             e = g.normal(size=v.shape) + 1j * g.normal(size=v.shape)
             e /= np.linalg.norm(e, axis=(-2, -1), keepdims=True)
-            central = (objective(v + h * e)[0] - objective(v - h * e)[0]) / (2.0 * h)
+            central = (objective(v + h * e, (len(v),))[0] - objective(v - h * e, (len(v),))[0]) / (2.0 * h)
             analytic = np.einsum("rij,rij->r", grads.conj(), e).real
             np.testing.assert_allclose(analytic, central, rtol=0.0, atol=1e-7)
 
@@ -322,8 +322,8 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, seed, index, max
     m = rank * rank
     alone = []
     for k in range(restarts):
-        start = _dft_isometry(m, rank) if k == 0 else random_isometry(stream(0, k), m, rank)
-        alone.append(descend(objective, start[None], *objective(start[None]), max_iter))
+        start = _dft_isometry(m, rank) if k == 0 else random_isometries([stream(0, k)], m, rank)[0]
+        alone.append(descend(objective, start[None], *objective(start[None], (1,)), max_iter))
     assert roof.iterations == tuple(run.iterations[0] for run in alone)
     assert roof.evaluations == tuple(run.evaluations[0] for run in alone)
     assert roof.stop_reasons == tuple(run.reasons[0] for run in alone)

@@ -118,8 +118,8 @@ def test_dephasing_objective_is_conditional_plus_outcome_entropy(case, measured,
     for u in bases:
         p = apply_measurement(state, ProjectiveMeasurement(measured, u)).probabilities
         outcome_entropy.append(-np.sum(p * np.log2(p)))
-    expected = conditional(bases)[0] + np.array(outcome_entropy) - von_neumann_entropy(state)
-    np.testing.assert_allclose(dephasing(bases)[0], expected, rtol=0, atol=1e-12)
+    expected = conditional(bases, (3,))[0] + np.array(outcome_entropy) - von_neumann_entropy(state)
+    np.testing.assert_allclose(dephasing(bases, (3,))[0], expected, rtol=0, atol=1e-12)
 
 
 @PROPERTY
@@ -148,7 +148,7 @@ def _ab_and_ac_objectives(abc: QState, seed: int):
     values = []
     for pair in ((0, 1), (0, 2)):
         objective, _d = _measurement_objective(partial_trace(abc, pair), 0, dephasing=False)
-        values.append(objective(bases)[0])
+        values.append(objective(bases, (len(bases),))[0])
     return values
 
 

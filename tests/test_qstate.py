@@ -398,9 +398,9 @@ def test_ensemble_objective_matches_member_blocks(da, db, n, m, dephasing):
     z = g.normal(size=(16, m, n)) + 1j * g.normal(size=(16, m, n))
     isometries = np.linalg.qr(z)[0]
     isometries[:4] = np.eye(m, n)
-    objective = _ensemble_objective(rows, da, db, dephasing)
+    objective = _ensemble_objective(rows[None], da, db, dephasing)
     for v in (isometries, z / np.sqrt(m * n)):
-        values, grads = objective(v)
+        values, grads = objective(v, (len(v),))
         ref_values, ref_grads = _member_block_objective(rows, da, db, dephasing, v)
         np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-12)

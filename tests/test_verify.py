@@ -20,7 +20,7 @@ from discordkit import (
     von_neumann_entropy,
 )
 from discordkit import cli
-from discordkit._descent import random_isometry
+from discordkit._descent import random_isometries
 from discordkit.measurement import OUTCOME_FLOOR
 from discordkit.states import (
     StateFamilySpec,
@@ -363,7 +363,9 @@ def _kw_reference(abc: QState, measurements) -> float:
 
 
 def _seeded_measurements(d: int, seed: int, n: int) -> list:
-    return [ProjectiveMeasurement(0, random_isometry(stream(seed, _MEASUREMENT_SALT + j), d, d)) for j in range(n)]
+    # One basis per stream, each factored alone.
+    return [ProjectiveMeasurement(0, random_isometries([stream(seed, _MEASUREMENT_SALT + j)], d, d)[0])
+            for j in range(n)]
 
 
 @pytest.mark.parametrize(
