@@ -34,7 +34,8 @@ value, slope, step, counts and, in the limited-memory model, inner-product
 tables and two-loop recursion are Python floats and ints, on which it does
 the same binary64 operations in a stack as alone.  So a stack may hold the
 restarts of several problems of one shape, each problem a block scored with
-its own objective, and each follows its search alone (``search``).
+its own objective, and each follows its search alone (``search``); a
+problem may use only the first rows of the shape, the rest zero.
 """
 
 from __future__ import annotations
@@ -422,26 +423,41 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     )
 
 
-def search(objective: Callable, firsts: np.ndarray, cfg: OptimizerConfig) -> list[Descent]:
-    """The ``cfg.restarts``-restart searches of a (P, n, p) stack of starts ``firsts``, in one ``descend``.
+def search(objective: Callable, firsts, cfg: OptimizerConfig, adjoint: tuple = ()) -> list[Descent]:
+    """The ``cfg.restarts``-restart searches of P problems, one restart 0 each in ``firsts``, in one ``descend``.
 
-    Each of the P problems has its own restart 0, an n x p isometry the
-    caller picks (the measurement search takes the canonical basis, the
-    convex roof the DFT-rotated eigen-ensemble).  Restarts 1, 2, ... of
-    every problem start from ``random_starts``, which depend on n, p,
-    ``cfg.seed`` and ``cfg.restarts`` alone, so searches of one shape share
-    them.  Each restart takes at most ``cfg.max_iter`` iterations.
-    ``objective`` scores the problems' restarts in blocks, as ``descend``
-    passes them.  A restart follows the path it takes alone, so each
-    problem's ``Descent``, in the returned list, is its search's alone; but
-    the problems share every round, whose cost grows little with the
-    number of live restarts.
+    Problem q's restart 0 ``firsts[q]`` is an n_q x p isometry the caller
+    picks (the measurement search takes the canonical basis, the convex
+    roof the DFT-rotated eigen-ensemble).  The stack holds n x p
+    isometries, n the largest n_q, and problem q uses only its first n_q
+    rows: the rest are zero in each of its starts, and they stay zero where
+    the objective gives a zero row a zero gradient, as
+    ``qstate._ensemble_objective`` does (a member of zero weight), since
+    every step is a combination of gradients.  Restarts 1, 2, ... of
+    problem q start from ``random_starts(n_q, p, ...)``, which depend on the
+    shape, ``cfg.seed`` and ``cfg.restarts`` alone, so searches of one
+    shape share them; a square problem listed in ``adjoint`` searches V =
+    U^H of a search over U, and its random starts are the conjugate
+    transposes of that search's.  So a padded problem starts where its
+    search alone starts.  Each restart takes at most ``cfg.max_iter``
+    iterations.  ``objective`` scores the problems' restarts in blocks, as
+    ``descend`` passes them.  A restart follows the path it takes alone, so
+    each problem's ``Descent``, in the returned list, is its search's alone
+    at height n; but the problems share every round, whose cost grows
+    little with the number of live restarts.  ``correlation_report``
+    stacks the two sides of a d x d state, and
+    ``correlations._minimum_with_roof`` the D_A search of a state AB with
+    the convex roof of BC (their ensembles correspond by HJW).
     """
-    n_problems, n, p = firsts.shape
-    x = np.empty((n_problems, cfg.restarts, n, p), dtype=complex)
-    x[:, 0], x[:, 1:] = firsts, random_starts(n, p, cfg.seed, cfg.restarts)
-    x = x.reshape(n_problems * cfg.restarts, n, p)
-    sizes = (cfg.restarts,) * n_problems
+    p = firsts[0].shape[-1]
+    n = max(len(first) for first in firsts)
+    x = np.zeros((len(firsts), cfg.restarts, n, p), dtype=complex)
+    for q, first in enumerate(firsts):
+        starts = random_starts(len(first), p, cfg.seed, cfg.restarts)
+        x[q, 0, : len(first)] = first
+        x[q, 1:, : len(first)] = np.swapaxes(starts.conj(), -1, -2) if q in adjoint else starts
+    x = x.reshape(len(firsts) * cfg.restarts, n, p)
+    sizes = (cfg.restarts,) * len(firsts)
     run = descend(objective, x, *objective(x, sizes), cfg.max_iter, sizes)
     fields = (run.x, run.values, run.iterations, run.evaluations, run.reasons)
     return [Descent(*(v[k : k + cfg.restarts] for v in fields)) for k in range(0, len(x), cfg.restarts)]
@@ -466,12 +482,18 @@ def certify(objective: Callable, x: np.ndarray, bound: float) -> Descent | None:
 def summary(run: Descent, tol: float) -> tuple[int, float, bool]:
     """The best restart of ``run``, its restart spread, and whether it converged.
 
-    Ties go to the lowest restart index.  The spread is max - min of the
-    values of the restarts that stopped before the cap (infinite when none
-    did).  The run converged when more than half of its restarts stopped
-    before the cap and their spread is at most ``10 * tol``.
+    The best restart has the lowest value that is not NaN, ties going to the
+    lowest restart index; restart 0 when every value is NaN.  The spread is
+    max - min of the values of the restarts that stopped before the cap
+    (infinite when none did, NaN when one of them is NaN).  The run
+    converged when more than half of its restarts stopped before the cap
+    and their spread is at most ``10 * tol``, which a NaN spread is not.
     """
-    stopped = [v for v, why in zip(run.values, run.reasons) if why != CAP]
-    spread = float(max(stopped) - min(stopped)) if stopped else math.inf
-    converged = 2 * len(stopped) > len(run.values) and spread <= 10.0 * tol
-    return int(np.argmin(run.values)), spread, converged
+    values = run.values.tolist()
+    best = min((k for k, v in enumerate(values) if v == v), key=values.__getitem__, default=0)
+    stopped = [v for v, why in zip(values, run.reasons) if why != CAP]
+    spread = max(stopped) - min(stopped) if stopped else math.inf
+    if any(v != v for v in stopped):  # max and min would depend on where the NaN sits
+        spread = math.nan
+    converged = 2 * len(stopped) > len(values) and spread <= 10.0 * tol
+    return best, spread, converged

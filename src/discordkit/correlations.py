@@ -14,7 +14,9 @@ canonical basis: the restart rule and Riemannian BFGS descent the convex
 roof uses too.  Both objectives come with an analytic gradient, so each
 round of the descent is one objective call for all live restarts.  The
 two sides of ``correlation_report`` on a d x d state share those rounds:
-their searches run stacked, one problem each.
+their searches run stacked, one problem each.  So do the D_A search of a
+state AB and the convex roof of BC (``_minimum_with_roof``), which by HJW
+score rows of one shape when rank(rho_BC) = d_A.
 
 Where a proved lower bound has a candidate basis, ``_measured_minima``
 scores it first (``_descent.certify``); a certified result is a one-restart
@@ -30,9 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import CERTIFIED, Descent, certify, search, summary
+from ._descent import CERTIFIED, DENSE_MAX, Descent, certify, search, summary
 from .config import OptimizerConfig
-from .entanglement import _eof_of_concurrence, _wootters_rows
+from .entanglement import EofResult, _eof_of_concurrence, _roof, _upper_bound, _wootters_rows
 from .measurement import (
     ProjectiveMeasurement,
     _factor_objective,
@@ -41,6 +43,7 @@ from .measurement import (
 )
 from .qstate import (
     QState,
+    _ensemble_objective,
     _entropy_bits,
     normalize_partition,
     partial_trace,
@@ -195,13 +198,7 @@ def _measured_minima(
     sides, results = [], []
     for k in measured:
         factor, r, lam = _measurement_factor(state, k)
-        candidate = objective = run = None
-        if dephasing:
-            lam_x, vec = np.linalg.eigh(partial_trace(state, (k,)).matrix)
-            candidate = vec, max(0.0, float(_entropy_bits(lam_x)) - von_neumann_entropy(state))
-        elif factor.shape == (2, 4) and r == 2:
-            w, c = _wootters_rows(factor)
-            candidate = w.conj().T, _eof_of_concurrence(c)
+        candidate, objective, run = _candidate(state, k, factor, r, dephasing), None, None
         if candidate is not None:
             objective = _factor_objective(factor[None], r, lam, dephasing)
             run = certify(objective, *candidate)
@@ -217,6 +214,56 @@ def _measured_minima(
         for i, opt in zip(group, opts):
             results[i] = opt
     return results
+
+
+def _candidate(state: QState, k: int, factor: np.ndarray, r: int, dephasing: bool):
+    """The candidate basis of ``_measured_minima`` on subsystem k and its lower bound, or None."""
+    if dephasing:
+        lam_x, vec = np.linalg.eigh(partial_trace(state, (k,)).matrix)
+        return vec, max(0.0, float(_entropy_bits(lam_x)) - von_neumann_entropy(state))
+    if factor.shape == (2, 4) and r == 2:
+        w, c = _wootters_rows(factor)
+        return w.conj().T, _eof_of_concurrence(c)
+    return None
+
+
+def _minimum_with_roof(
+    ab: QState, bc: QState, cfg: OptimizerConfig | None
+) -> tuple[OptimizedValue, EofResult] | None:
+    """``min_conditional_entropy(ab, 0, cfg)`` and ``eof_upper(bc, cfg=cfg)`` from one search, or None.
+
+    ``bc`` is the BC reduction of a purification ABC of ``ab``.  By HJW a
+    rank-1 measurement on A of the pure ABC is a d_A-member ensemble of
+    rho_BC (the step behind the Koashi-Winter relation), so the D_A search
+    and the convex roof of BC score the same kind of rows: d_A of them, each
+    a d_B x rank(rho_AB) block (``qstate._ensemble_objective``).  When
+    rank(rho_BC) = d_A the two row sets have one shape, and the two
+    problems run as two blocks of one ``_descent.search``: the roof on its
+    m x d_A isometries, m = d_A^2, and the measurement on V = U^H, a d_A x
+    d_A unitary padded with zero rows to that height, which stays an exact
+    projective measurement (a member of zero weight has zero gradient).
+    The roof's result is ``eof_upper``'s bit for bit, and the minimum is
+    ``min_conditional_entropy``'s to rounding: its search starts where that
+    one does, but retracts in V, not U.
+
+    None, so that each is computed alone, when the D_A certificate of
+    ``_measured_minima`` applies, when the row sets differ in shape, when
+    the stack's D = 2 m d_A exceeds ``DENSE_MAX`` (d_A > 3), where the
+    measurement search alone would use the dense model and the stack would
+    not, or when ``cfg`` is None (the two searches' defaults differ).  The
+    caller checks that ``eof_upper`` is the route of E_F(BC).
+    """
+    factor, r, _lam = _measurement_factor(ab, 0)
+    if cfg is None or _candidate(ab, 0, factor, r, False) is not None:
+        return None
+    e0, rows, da, oracle, first = _roof(bc, None)
+    if rows.shape != factor.shape or da != r or 2 * first.size > DENSE_MAX:
+        return None
+    objective = _ensemble_objective(np.stack([factor, rows]), r, factor.shape[1] // r)
+    d = factor.shape[0]
+    minimum, roof = search(objective, [np.eye(d, dtype=complex), first], cfg, adjoint=(0,))
+    bases = np.swapaxes(minimum.x[:, :d].conj(), -1, -2)
+    return _optimized(replace(minimum, x=bases), cfg.tol, 0), _upper_bound(roof, e0, oracle, cfg.tol)
 
 
 def mutual_information(state: QState, partition=None) -> float:

@@ -282,22 +282,29 @@ def _wootters_rows(phi: np.ndarray) -> tuple[np.ndarray, float]:
     return np.array(rot) @ uh, c
 
 
-def _roof_objective(e0: np.ndarray, dims, part_a, part_b) -> Callable:
-    """Batched convex-roof objective over the ensembles psi = V e0, with its gradient.
+def _roof_rows(e0: np.ndarray, dims, part_a, part_b) -> tuple[np.ndarray, int]:
+    """The rows of e0 permuted to the (A, B) order, and d_A.
 
     ``e0`` holds the r unnormalized amplitude rows of the canonical
-    ensemble.  Its rows are permuted to the (A, B) order, so that member
-    psi_i = (V e0)_i reshapes to its d_A x d_B amplitude block and
-    ``qstate._ensemble_objective``, on this one problem, maps an (R, m, r)
-    stack of isometries V and its sizes (R,) to the R values sum_i p_i
-    S(rho_i / p_i), rho_i the member's reduced state on A, and the R
-    Euclidean gradients G_V (df = Re tr(G^H dV)).
+    ensemble.  In the (A, B) order member psi_i = (V rows)_i reshapes to its
+    d_A x d_B amplitude block, as ``qstate._ensemble_objective`` reads it.
     """
     r = e0.shape[0]
     da = int(np.prod([dims[i] for i in part_a]))
     order = (0,) + tuple(1 + i for i in part_a) + tuple(1 + i for i in part_b)
-    basis = e0.reshape((r,) + tuple(dims)).transpose(order).reshape(r, -1)
-    return _ensemble_objective(basis[None], da, basis.shape[1] // da)
+    return e0.reshape((r,) + tuple(dims)).transpose(order).reshape(r, -1), da
+
+
+def _roof_objective(e0: np.ndarray, dims, part_a, part_b) -> Callable:
+    """Batched convex-roof objective over the ensembles psi = V e0, with its gradient.
+
+    ``qstate._ensemble_objective`` on the one problem of ``_roof_rows``:
+    it maps an (R, m, r) stack of isometries V and its sizes (R,) to the R
+    values sum_i p_i S(rho_i / p_i), rho_i the member's reduced state on A,
+    and the R Euclidean gradients G_V (df = Re tr(G^H dV)).
+    """
+    rows, da = _roof_rows(e0, dims, part_a, part_b)
+    return _ensemble_objective(rows[None], da, rows.shape[1] // da)
 
 
 def _dft_isometry(m: int, r: int) -> np.ndarray:
@@ -306,11 +313,11 @@ def _dft_isometry(m: int, r: int) -> np.ndarray:
     return np.exp(-2j * np.pi * jk / m) / math.sqrt(m)
 
 
-def _roof(state: QState, partition) -> tuple[np.ndarray, Callable, float | None, np.ndarray]:
-    """The convex roof of ``state``, built once: (e0, objective, oracle, first).
+def _roof(state: QState, partition) -> tuple[np.ndarray, np.ndarray, int, float | None, np.ndarray]:
+    """The convex roof of ``state``, built once: (e0, rows, d_A, oracle, first).
 
     e0 holds the r amplitude rows of the canonical purification
-    (``qstate.purify``), ``objective`` is their ``_roof_objective``,
+    (``qstate.purify``), ``rows`` and d_A are their ``_roof_rows``,
     ``oracle`` the exact ``eof_2qubit`` value on dims (2, 2) (None
     elsewhere), and ``first`` restart 0, the m x r ``_dft_isometry`` with
     m = r^2, whose shape every isometry of the roof takes.
@@ -320,7 +327,7 @@ def _roof(state: QState, partition) -> tuple[np.ndarray, Callable, float | None,
     r = pure.dims[-1]
     e0 = pure.amplitudes.reshape(-1, r).T
     oracle = eof_2qubit(state).value if state.dims == (2, 2) else None
-    return e0, _roof_objective(e0, state.dims, part_a, part_b), oracle, _dft_isometry(r * r, r)
+    return e0, *_roof_rows(e0, state.dims, part_a, part_b), oracle, _dft_isometry(r * r, r)
 
 
 def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float) -> EofResult:
@@ -354,7 +361,8 @@ def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float)
 def _roof_search(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
     """The convex-roof search of ``eof_upper``, without its Wootters certificate."""
     cfg = cfg or EOF_DEFAULT_CONFIG
-    e0, objective, oracle, first = _roof(state, partition)
+    e0, rows, da, oracle, first = _roof(state, partition)
+    objective = _ensemble_objective(rows[None], da, rows.shape[1] // da)
     return _upper_bound(search(objective, first[None], cfg)[0], e0, oracle, cfg.tol)
 
 
@@ -383,7 +391,8 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     gap to the exact Wootters value.
     """
     cfg = cfg or EOF_DEFAULT_CONFIG
-    e0, objective, oracle, first = _roof(state, partition)
+    e0, rows, da, oracle, first = _roof(state, partition)
+    objective = _ensemble_objective(rows[None], da, rows.shape[1] // da)
     run = None
     if oracle is not None:
         w, _c = _wootters_rows(e0)

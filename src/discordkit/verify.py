@@ -5,7 +5,13 @@ the slack, the tolerance, and (where a saturation condition exists) an
 equality flag.  Checks whose hypotheses are unmet come back skipped with a
 reason instead of failing, and a batch runner aggregates checks over seeded
 state families into reproducible ``SuiteReport`` objects, computing each
-quantity of a sample (optimizer run, convex roof, entropy) once.
+quantity of a sample (optimizer run, convex roof, entropy) once
+(``_StateAnalysis``).  When a suite reads both the D_A minimum of a
+bipartite input AB and the convex roof of BC, the two share one lockstep
+search: by HJW a measurement on A of the pure ABC is an ensemble of rho_BC,
+so the two are problems of one shape (``correlations._minimum_with_roof``).
+A suite that reads only one of them, or an input where the shapes differ,
+computes each alone.
 
 Exact entropy identities use a 1e-9 tolerance; optimizer-dependent checks
 use 1e-3 to 2e-3, sized around the one-sided estimator bias (discord
@@ -28,6 +34,7 @@ from .correlations import (
     DEFAULT_CONFIG,
     OptimizedValue,
     _j_and_d,
+    _minimum_with_roof,
     min_conditional_entropy,
     re_discord,
     re_discord_detailed,
@@ -132,24 +139,36 @@ def _as_tripartite(state: QState) -> QState:
     raise ValueError(f"expected 2 or 3 subsystems, got {state.n_subsystems}")
 
 
+def _eof_route(state: QState) -> str:
+    """The route of ``_certified_eof`` on ``state``."""
+    if 1 in state.dims:
+        return "trivial"
+    if is_pure(state):
+        return "pure"
+    return "wootters" if state.dims == (2, 2) else "upper"
+
+
 def _certified_eof(state: QState, cfg: OptimizerConfig | None):
     """(value, certified_exact, route) for a bipartite entanglement of formation.
 
-    Routes: trivial one-dimensional side, pure state, two-qubit Wootters,
-    otherwise the convex-roof upper bound (not exact, but an upper bound at
-    or below ``EF_ZERO_TOL`` still certifies a vanishing value).
+    Routes (``_eof_route``): trivial one-dimensional side, pure state,
+    two-qubit Wootters, otherwise the convex-roof upper bound (not exact,
+    but an upper bound at or below ``EF_ZERO_TOL`` still certifies a
+    vanishing value).
     """
-    if 1 in state.dims:
-        return 0.0, True, "trivial"
-    if is_pure(state):
-        return eof_pure(state).value, True, "pure"
-    if state.dims == (2, 2):
-        return eof_2qubit(state).value, True, "wootters"
-    return eof_upper(state, cfg=cfg).value, False, "upper"
+    route = _eof_route(state)
+    if route == "upper":
+        return eof_upper(state, cfg=cfg).value, False, route
+    return 0.0 if route == "trivial" else (eof_pure if route == "pure" else eof_2qubit)(state).value, True, route
 
 
 # Two-subsystem reductions of the pure tripartite form ABC.
 _PAIRS = {"ab": (0, 1), "ac": (0, 2), "bc": (1, 2)}
+
+# The relations that read E_F(BC), and those that read the D_A minimum of
+# the input, on every bipartite input.
+_READ_EF_BC = frozenset({"thm1", "cor1", "lindblad", "thm2", "cor2"})
+_READ_D_A = frozenset({"thm1", "lindblad", "monogamy"})
 
 
 class _StateAnalysis:
@@ -173,9 +192,22 @@ class _StateAnalysis:
     (``min_conditional_entropy``), and the rows that read it say so
     (``_measurement_route``).  Values are computed on first use and kept in
     this object only.
+
+    The analysis knows the ``relations`` that will read it.  When they read
+    both the D_A minimum and E_F(BC) of a bipartite input on every input
+    (``_READ_D_A`` and ``_READ_EF_BC``: ``thm1`` or ``lindblad``, or
+    ``monogamy`` with any reader of E_F(BC)) and E_F(BC) takes the convex
+    roof, the first read of either runs the two as one search
+    (``correlations._minimum_with_roof``): by HJW the measurements on A of
+    the pure ABC are ensembles of rho_BC, so the D_A search and the roof of
+    BC are problems of one shape, and one search costs little more than
+    either.  The roof's value is ``eof_upper``'s bit for bit, the minimum
+    ``min_conditional_entropy``'s to rounding.  Any other suite, or a state
+    where the two shapes differ, computes each alone, so a suite that reads
+    only one of them never runs the other.
     """
 
-    def __init__(self, state, cfg: OptimizerConfig | None):
+    def __init__(self, state, cfg: OptimizerConfig | None, relations: tuple = ()):
         if isinstance(state, PureStateVector):
             state = state.to_density()
         self.state = state
@@ -183,6 +215,7 @@ class _StateAnalysis:
         self._memo: dict = {"state": state}
         n = state.n_subsystems
         self._alias = {"ab": "state"} if n == 2 else {"abc": "state"} if n == 3 and is_pure(state) else {}
+        self._paired = n == 2 and not _READ_D_A.isdisjoint(relations) and not _READ_EF_BC.isdisjoint(relations)
 
     def _memoized(self, key, compute: Callable):
         if key not in self._memo:
@@ -205,8 +238,22 @@ class _StateAnalysis:
 
         return self._memoized(("entropy", name, keep), compute)
 
+    def _pair(self) -> None:
+        """Run the D_A minimum and E_F(BC) as one search, once, where they pair."""
+        self._paired = False
+        bc = self.source("bc")
+        if _eof_route(bc) != "upper":
+            return
+        paired = _minimum_with_roof(self.state, bc, self.cfg)
+        if paired is not None:
+            opt, roof = paired
+            self._memo[("minimum", "state", 0)] = opt
+            self._memo[("eof", "bc")] = roof.value, False, "upper"
+
     def eof(self, pair: str):
         """``_certified_eof`` of the reduction ``pair`` of ABC."""
+        if pair == "bc" and self._paired:
+            self._pair()
         return self._memoized(("eof", pair), lambda: _certified_eof(self.source(pair), self.cfg))
 
     def minimum(self, name: str, measured: int) -> OptimizedValue:
@@ -218,6 +265,8 @@ class _StateAnalysis:
         name = self._alias.get(name, name)
         if (name, measured) == ("ac", 0):
             return self.minimum("ab", 0)
+        if (name, measured) == ("state", 0) and self._paired:
+            self._pair()
         return self._memoized(
             ("minimum", name, measured),
             lambda: min_conditional_entropy(self.source(name), measured, self.cfg),
@@ -240,8 +289,9 @@ class _StateAnalysis:
         return self._memoized(("j_and_d", name, measured), compute)
 
 
-def _analysis(state, cfg) -> _StateAnalysis:
-    return state if isinstance(state, _StateAnalysis) else _StateAnalysis(state, cfg)
+def _analysis(state, cfg, relation: str) -> _StateAnalysis:
+    """``state`` itself when it is an analysis, else a new one read by ``relation`` alone."""
+    return state if isinstance(state, _StateAnalysis) else _StateAnalysis(state, cfg, (relation,))
 
 
 def _measurement_route(a: _StateAnalysis, *minima: tuple[str, int]) -> dict:
@@ -264,7 +314,7 @@ def _saturated(a: _StateAnalysis) -> bool:
 
 def check_eq5(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """Mutual-information bound I <= 2 min(S(A), S(B)); entropy exact."""
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "eq5")
     s_a = a.entropy("state", (0,))
     s_b = a.entropy("state", tuple(range(1, a.state.n_subsystems)))
     return _inequality("eq5", s_a + s_b - a.entropy("state"), 2.0 * min(s_a, s_b), TOL_EXACT)
@@ -290,7 +340,7 @@ def check_koashi_winter(state: QState, cfg: OptimizerConfig | None = None) -> Bo
     so the row tests the certificate, not the optimizer; its provenance
     then carries ``"measurement_route": "certified"``.
     """
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "koashi_winter")
     reason = _kw_unmet(a)
     if reason:
         return _skipped("koashi_winter", "identity", reason)
@@ -309,7 +359,7 @@ def check_eq8(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     the certificate, so the row tests the certificate, not the optimizer,
     and records ``"measurement_route": "certified"``.
     """
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "eq8")
     reason = _kw_unmet(a)
     if reason:
         return _skipped("eq8", "identity", reason)
@@ -333,7 +383,7 @@ def check_monogamy(state: QState, cfg: OptimizerConfig | None = None) -> BoundCh
     two-qubit state (every pure (2, 2, 2) input) m is certified, and the
     provenance carries ``"measurement_route": "certified"``.
     """
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "monogamy")
     _j_ab, d_ab = a.j_and_d("ab", 0)
     j_ac, _d_ac = a.j_and_d("ac", 0)
     return _identity(
@@ -352,7 +402,7 @@ def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     certificate, not the optimizer, and records ``"measurement_route":
     "certified"``.
     """
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "thm1")
     if a.state.n_subsystems != 2:
         return _skipped("thm1", "inequality", "needs a bipartite state")
     ef, exact, route = a.eof("bc")
@@ -369,7 +419,7 @@ def check_cor1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 
     A certified D_A (rank-2 two-qubit input) is recorded as in ``check_thm1``.
     """
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "cor1")
     if a.state.n_subsystems != 2:
         return _skipped("cor1", "inequality", "needs a bipartite state")
     ef, _exact, route = a.eof("bc")
@@ -390,7 +440,7 @@ def check_lindblad_lemma3(state: QState, cfg: OptimizerConfig | None = None) -> 
     the row comes back skip-classed with the outcome preserved.  A certified
     D_A and J_A (rank-2 two-qubit input) are recorded as in ``check_thm1``.
     """
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "lindblad")
     if a.state.n_subsystems != 2:
         return _skipped("lindblad", "inequality", "needs a bipartite state")
     ef, _exact, route = a.eof("bc")
@@ -406,7 +456,7 @@ def check_lindblad_lemma3(state: QState, cfg: OptimizerConfig | None = None) -> 
 
 def check_eq12(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """Strong-subadditivity saturation S(B|A) + S(B|C) = 0 on pure states."""
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "eq12")
     s_b_given_a = a.entropy("abc", (0, 1)) - a.entropy("abc", (0,))
     s_b_given_c = a.entropy("abc", (1, 2)) - a.entropy("abc", (2,))
     return _identity("eq12", s_b_given_a + s_b_given_c, 0.0, TOL_EXACT)
@@ -442,7 +492,7 @@ def check_thm2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     When both D_A and D_B were certified (rank-2 two-qubit input), the
     provenance carries ``"measurement_route": "certified"``.
     """
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "thm2")
     reason = _thm2_unmet(a)
     if reason:
         return _skipped("thm2", "inequality", reason)
@@ -469,7 +519,7 @@ def check_cor2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     E_F(BC) vanishes and D_B = J_B.  Certified minima are recorded as in
     ``check_thm2``.
     """
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "cor2")
     reason = _thm2_unmet(a)
     if reason:
         return _skipped("cor2", "inequality", reason)
@@ -496,7 +546,7 @@ def check_thm3(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     provenance carries ``"joint_route": "certified"``, and ``chain_value``
     and ``chain_residual`` are NaN (``null`` in the CLI's JSON).
     """
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "thm3")
     if a.state.n_subsystems != 3:
         return _skipped("thm3", "inequality", "needs a tripartite state")
     re_b = re_discord(a.state, 1, a.cfg)
@@ -551,7 +601,7 @@ def check_kw_pointwise(
     """
     if measurement is None and n_measurements < 1:
         raise ValueError(f"n_measurements must be >= 1, got {n_measurements}")
-    a = _analysis(state, cfg)
+    a = _analysis(state, cfg, "kw_pointwise")
     abc = a.source("abc")
     d_a = abc.dims[0]
     if measurement is None:
@@ -681,7 +731,7 @@ def run_suite(
     family, optimizer = spec.to_json(), cfg.to_json()
     rows = []
     for i in range(int(samples)):
-        analysis = _StateAnalysis(spec.sample(i), cfg)
+        analysis = _StateAnalysis(spec.sample(i), cfg, relations)
         for name in relations:
             row = RELATIONS[name](analysis, cfg)
             row = replace(

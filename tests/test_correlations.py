@@ -54,7 +54,8 @@ from discordkit._descent import (
     summary,
     tangent,
 )
-from discordkit.correlations import MEASUREMENT_CLASS_LABEL
+from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _minimum_with_roof
+from discordkit.entanglement import _roof
 from discordkit.measurement import (
     _factor_objective,
     _measured_view,
@@ -63,6 +64,7 @@ from discordkit.measurement import (
     n_measurement_params,
     unitary_from_params,
 )
+from discordkit.qstate import _ensemble_objective
 from discordkit.states import (
     classical_quantum,
     example3_state,
@@ -464,6 +466,20 @@ def test_summary_converges_only_when_most_restarts_stopped():
     assert summary(_run([0.2, 0.3, 0.2], [GRADIENT] * 3), tol)[2] is False
 
 
+def test_summary_passes_over_nan_values():
+    # A NaN restart is never the best, and wherever it sits a NaN stopped
+    # value makes the spread NaN and the run unconverged; with every value
+    # NaN, restart 0 stays the best.
+    tol = 1e-9
+    for values in ([0.7, math.nan, 0.5], [math.nan, 0.7, 0.5], [0.7, 0.5, math.nan]):
+        best, spread, converged = summary(_run(values, [GRADIENT] * 3), tol)
+        assert values[best] == 0.5 and math.isnan(spread) and converged is False
+    assert summary(_run([0.5, math.nan, 0.5], [GRADIENT, CAP, GRADIENT]), tol) == (0, 0.0, True)
+    best, spread, converged = summary(_run([math.nan] * 3, [NO_DECREASE] * 3), tol)
+    assert best == 0 and math.isnan(spread) and converged is False
+    assert summary(_run([math.nan, 0.2], [CAP, CAP]), tol) == (1, math.inf, False)
+
+
 def test_certify_is_a_one_restart_run_only_at_the_bound():
     # One evaluation of the candidate: within CERTIFY_TOL of the bound it is
     # a finished run that summary scores as converged with spread 0; just
@@ -557,6 +573,93 @@ def test_stacked_searches_equal_searches_run_alone(dims, rank, restarts, model):
         assert run.x.tobytes() == alone.x.tobytes()
         assert run.values.tobytes() == alone.values.tobytes()
         assert (run.iterations, run.evaluations, run.reasons) == (alone.iterations, alone.evaluations, alone.reasons)
+
+
+def _bc_of(state):
+    # The BC reduction of the canonical purification ABC of a bipartite state.
+    return partial_trace(purify(state).to_density(), (1, 2))
+
+
+def _padded_search_alone(objective, d, height, cfg):
+    # The D_A search alone on V = U^H, padded with zero rows to ``height``:
+    # restart 0 is the canonical basis and restarts 1, 2, ... are the
+    # conjugate transposes of min_conditional_entropy's random bases.
+    x = np.zeros((cfg.restarts, height, d), dtype=complex)
+    x[0, :d] = np.eye(d)
+    x[1:, :d] = np.swapaxes(random_starts(d, d, cfg.seed, cfg.restarts).conj(), -1, -2)
+    return descend(objective, x, *objective(x, (cfg.restarts,)), cfg.max_iter, (cfg.restarts,))
+
+
+@pytest.mark.parametrize("dims, rank", [((2, 2), 3), ((2, 3), 4), ((3, 2), 4)], ids=["2x2r3", "2x3r4", "3x2r4"])
+def test_paired_problems_equal_their_padded_searches_run_alone(dims, rank):
+    # The D_A search of AB, on V = U^H padded with zero rows, and the convex
+    # roof of BC run as two blocks of one descend.  Each equals its search
+    # alone at the roof's height, bit for bit, and the padded rows of every
+    # D_A restart are exactly zero.  Some pairs stop in different rounds, so
+    # one block runs on after the other has emptied.
+    cfg, rounds_differ = OptimizerConfig(seed=1), False
+    for i in range(4):
+        ab = random_mixed(dims, rank, 1, i)
+        factor, r, _lam = _measurement_factor(ab, 0)
+        _e0, rows, da, _oracle, first = _roof(_bc_of(ab), None)
+        assert rows.shape == factor.shape and da == r
+        d, db = factor.shape[0], factor.shape[1] // r
+        paired = search(_ensemble_objective(np.stack([factor, rows]), r, db),
+                        [np.eye(d, dtype=complex), first], cfg, adjoint=(0,))
+        alone = (_padded_search_alone(_ensemble_objective(factor[None], r, db), d, len(first), cfg),
+                 search(_ensemble_objective(rows[None], r, db), first[None], cfg)[0])
+        for run, solo in zip(paired, alone):
+            assert run.x.tobytes() == solo.x.tobytes()
+            assert run.values.tobytes() == solo.values.tobytes()
+            assert (run.iterations, run.evaluations, run.reasons) == (solo.iterations, solo.evaluations, solo.reasons)
+        assert paired[0].x.shape[1:] == first.shape and not paired[0].x[:, d:].any()
+        rounds_differ |= max(paired[0].evaluations) != max(paired[1].evaluations)
+    assert rounds_differ
+
+
+def _roof_fields(roof):
+    witness = roof.decomposition
+    return (roof.value, roof.tag, roof.crosscheck_gap, roof.converged, roof.restart_spread, roof.iterations,
+            roof.evaluations, roof.stop_reasons, witness.weights.tobytes(), witness.vectors.tobytes(),
+            witness.isometry.tobytes())
+
+
+@pytest.mark.parametrize(
+    "dims, rank", [((2, 2), 3), ((2, 2), 4), ((2, 3), 3), ((3, 2), 4)], ids=["2x2r3", "2x2r4", "2x3r3", "3x2r4"]
+)
+def test_minimum_with_roof_equals_each_computed_alone(dims, rank):
+    # One search gives eof_upper's roof of BC bit for bit, witness and
+    # diagnostics included, and min_conditional_entropy's D_A minimum of AB
+    # to rounding, with a basis on A whose value is that minimum.
+    for i in range(3):
+        ab, cfg = random_mixed(dims, rank, 1, i), OptimizerConfig(seed=i)
+        bc = _bc_of(ab)
+        opt, roof = _minimum_with_roof(ab, bc, cfg)
+        assert _roof_fields(roof) == _roof_fields(eof_upper(bc, cfg=cfg))
+        alone = min_conditional_entropy(ab, 0, cfg)
+        assert abs(opt.value - alone.value) <= 1e-12
+        assert opt.argbasis.subsystem == 0 and CERTIFIED not in opt.stop_reasons
+        assert len(opt.restart_values) == cfg.restarts
+        objective, _d = _measurement_objective(ab, 0, False)
+        assert objective(opt.argbasis.basis[None], (1,))[0][0] == pytest.approx(opt.value, abs=1e-14)
+
+
+def test_minimum_with_roof_declines_where_the_problems_do_not_pair():
+    # None, so that each quantity is computed alone: without a config (the
+    # two defaults differ), where the Koashi-Winter certificate applies,
+    # where rank(BC) differs from d_A, and where the stack's D exceeds
+    # DENSE_MAX (d_A = 4).
+    cfg = OptimizerConfig(seed=1)
+    unentangled_a = QState((2, 3), np.kron(np.diag([1.0, 0.0]), np.eye(3) / 3.0))
+    for state, config in (
+        (random_mixed((2, 2), 3, 1, 0), None),
+        (random_mixed((2, 2), 2, 1, 0), cfg),
+        (unentangled_a, cfg),
+        (random_mixed((4, 2), 3, 1, 0), cfg),
+    ):
+        assert _minimum_with_roof(state, _bc_of(state), config) is None
+    four = random_mixed((4, 2), 3, 1, 0)
+    assert _roof(_bc_of(four), None)[1].shape == _measurement_factor(four, 0)[0].shape
 
 
 def _two_search_report(state, cfg):

@@ -13,6 +13,7 @@ from discordkit import (
     eof_2qubit,
     eof_pure,
     eof_upper,
+    min_conditional_entropy,
     partial_trace,
     purify,
     spectrum,
@@ -539,3 +540,16 @@ def test_eof_upper_builds_its_roof_once(rank, monkeypatch):
         roof = eof_upper(random_mixed((2, 2), rank, 770 + i), cfg=cfg)
         assert CERTIFIED not in roof.stop_reasons
         assert sorted(calls) == ["eof_2qubit", "spectrum"]
+
+
+@pytest.mark.parametrize("dims, rank", [((2, 2), 3), ((2, 3), 3), ((2, 3), 4)], ids=["2x2r3", "2x3r3", "2x3r4"])
+def test_hjw_sandwich_roof_of_bc_below_the_measured_minimum_of_ab(dims, rank):
+    # On the pure ABC a measurement on A is, by HJW, an ensemble of rho_BC,
+    # and Koashi-Winter makes E_F(BC) the least sum_k p_k S(rho_B^k) over
+    # all POVMs on A: the projective minimum of AB lies on or above the
+    # roof.  On (2, 2) inputs the two agree to rounding; on (2, 3) a POVM
+    # can beat every projective measurement, and the roof lies below.
+    for i in range(6):
+        ab, cfg = random_mixed(dims, rank, 1, i), OptimizerConfig(seed=1)
+        bc = partial_trace(purify(ab).to_density(), (1, 2))
+        assert eof_upper(bc, cfg=cfg).value <= min_conditional_entropy(ab, 0, cfg).value + 1e-12

@@ -226,6 +226,68 @@ def test_thm2_hypothesis_stops_at_a_nonvanishing_ef_bc(monkeypatch, seed):
         assert "E_F(AC)" not in row.skipped
 
 
+def _record_minimum_with_roof(monkeypatch):
+    """Patch ``verify._minimum_with_roof`` to log each call's outcome: True when it paired."""
+    import discordkit.verify as verify
+
+    calls, minimum_with_roof = [], verify._minimum_with_roof
+
+    def recording(ab, bc, cfg):
+        out = minimum_with_roof(ab, bc, cfg)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(verify, "_minimum_with_roof", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "relations, paired",
+    [(("thm1",), True), (("lindblad",), True), (("monogamy", "thm2"), True), (("monogamy", "cor1"), True),
+     (("eq8", "thm2", "cor2"), False), (("cor1",), False), (("thm2",), False), (("monogamy",), False)],
+)
+def test_suite_pairs_d_a_with_the_roof_only_when_it_reads_both(monkeypatch, relations, paired):
+    # D_A and E_F(BC) share one search only when the suite's relations read
+    # both on every bipartite input; the roof is then never run alone, and
+    # a suite that reads only one of them never runs the other.
+    state = StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11).sample(0)
+    unpaired = _StateAnalysis(state, FAST)
+    refs = [RELATIONS[name](unpaired, FAST) for name in relations]
+    calls = _record_minimum_with_roof(monkeypatch)
+    analysis = _StateAnalysis(state, FAST, relations)
+    pairs, roofs = _record_eof_pairs(monkeypatch, analysis)
+    rows = [RELATIONS[name](analysis, FAST) for name in relations]
+    assert calls == ([True] if paired else [])
+    assert roofs == ([] if paired or not {"thm1", "cor1", "lindblad", "thm2", "cor2"} & set(relations) else ["bc"])
+    if relations == ("monogamy",):
+        assert pairs == [] and ("eof", "bc") not in analysis._memo
+    for row, ref in zip(rows, refs):
+        assert (row.skipped, row.holds, row.provenance) == (ref.skipped, ref.holds, ref.provenance)
+        for got, want in ((row.lhs, ref.lhs), (row.rhs, ref.rhs)):
+            assert got == pytest.approx(want, abs=1e-12, nan_ok=True)
+
+
+def test_lone_check_pairs_as_its_own_suite(monkeypatch):
+    # A lone check_* call is a suite of its own relation: thm1 reads both
+    # quantities and pairs, thm2 reads E_F(BC) alone and does not.
+    state = random_mixed((2, 2), 3, 11)
+    calls = _record_minimum_with_roof(monkeypatch)
+    row = check_thm1(state, FAST)
+    assert calls == [True] and row.skipped is None and row.holds
+    assert check_thm2(state, FAST).skipped.startswith("hypothesis not met: E_F(BC)")
+    assert calls == [True]
+
+
+def test_monogamy_only_suite_runs_no_roof(monkeypatch):
+    import discordkit.verify as verify
+
+    roofs = []
+    monkeypatch.setattr(verify, "eof_upper", lambda *a, **k: roofs.append(a) or pytest.fail("a roof ran"))
+    calls = _record_minimum_with_roof(monkeypatch)
+    report = run_suite(StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), ("monogamy",), 3, FAST)
+    assert report.all_pass and roofs == [] and calls == []
+
+
 def test_thm2_hypothesis_computes_ef_ac_when_ef_bc_vanishes(monkeypatch):
     # non-orthogonal rank-1 components: B is unentangled with the
     # environment (Wootters E_F(BC) = 0), but A is entangled with it
@@ -469,12 +531,28 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
         searches.append(args[1])
         return search(*args, **kwargs)
 
+    paired = []
+    minimum_with_roof = verify._minimum_with_roof
+
+    def counting_minimum_with_roof(ab, bc, cfg):
+        # One search that is both the convex roof of BC and the D_A search
+        # of AB: one roof input, one minimum input and one search.
+        out = minimum_with_roof(ab, bc, cfg)
+        if out is not None:
+            paired.append(ab.dims)
+            roof_inputs.append(bc.matrix.tobytes())
+            opt_inputs.append((ab.dims, ab.matrix.tobytes(), 0))
+            searches.append(ab.dims[0])
+        return out
+
     monkeypatch.setattr(verify, "eof_upper", counting_eof_upper)
+    monkeypatch.setattr(verify, "_minimum_with_roof", counting_minimum_with_roof)
     monkeypatch.setattr(correlations, "minimize_over_measurements", counting_search)
     for module in (verify, correlations):
         monkeypatch.setattr(module, "min_conditional_entropy", counting_min_conditional_entropy)
     # E_F(BC) of the 2x2x3 purification takes the convex roof; it does not
-    # vanish, so Theorem 2's hypothesis never computes E_F(AC).
+    # vanish, so Theorem 2's hypothesis never computes E_F(AC).  The roof
+    # and the D_A search run as one search (rank(BC) = d_A = 2).
     # thm3 skips a bipartite input; on a pure ABC, D_B, D_C and the joint
     # D_BC are certified without a search, so the chain is skipped.  The AB
     # reduction of a pure (2,2,2) state is a rank-2 two-qubit state, whose
@@ -486,8 +564,10 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
         roof_inputs.clear()
         opt_inputs.clear()
         searches.clear()
+        paired.clear()
         report = run_suite(spec, tuple(RELATIONS), 1, FAST)
         assert len(report.rows) == 12
+        assert len(paired) == roofs
         assert len(roof_inputs) == len(set(roof_inputs)) == roofs
         # D_A on AB (the input itself when it is bipartite); J_A on AC reads
         # the same minimum, and no dephasing search runs
