@@ -48,6 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .config import OptimizerConfig
+from .qstate import _ensemble_objective
 from .states import stream
 
 # Stops: the Riemannian gradient norm, and the decrease a trial step
@@ -156,9 +157,13 @@ def random_starts(n: int, p: int, seed: int, restarts: int) -> np.ndarray:
     Restart k starts from ``random_isometries`` on Philox stream k of
     ``seed``, so every search of one shape and configuration shares them;
     the cache is bounded, so a loop over seeds does not grow it without
-    limit.
+    limit.  A square start is the conjugate transpose of its draw Q: a
+    measurement search runs on V = U^H, so its restart k measures in the
+    basis U = Q.
     """
     starts = random_isometries([stream(seed, k) for k in range(1, restarts)], n, p)
+    if n == p:
+        starts = np.ascontiguousarray(_herm(starts))
     starts.setflags(write=False)
     return starts
 
@@ -423,44 +428,103 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     )
 
 
-def search(objective: Callable, firsts, cfg: OptimizerConfig, adjoint: tuple = ()) -> list[Descent]:
+def search(objective: Callable, firsts, cfg: OptimizerConfig) -> list[Descent]:
     """The ``cfg.restarts``-restart searches of P problems, one restart 0 each in ``firsts``, in one ``descend``.
 
-    Problem q's restart 0 ``firsts[q]`` is an n_q x p isometry the caller
-    picks (the measurement search takes the canonical basis, the convex
-    roof the DFT-rotated eigen-ensemble).  The stack holds n x p
-    isometries, n the largest n_q, and problem q uses only its first n_q
-    rows: the rest are zero in each of its starts, and they stay zero where
-    the objective gives a zero row a zero gradient, as
+    Problem q's restart 0 ``firsts[q]`` is an n_q x p isometry, and
+    restarts 1, 2, ... start from ``random_starts(n_q, p, ...)``, which
+    depend on the shape, ``cfg.seed`` and ``cfg.restarts`` alone.  The
+    stack holds n x p isometries, n the largest n_q, and problem q uses
+    only its first n_q rows: the rest are zero in each of its starts, and
+    they stay zero where the objective gives a zero row a zero gradient, as
     ``qstate._ensemble_objective`` does (a member of zero weight), since
-    every step is a combination of gradients.  Restarts 1, 2, ... of
-    problem q start from ``random_starts(n_q, p, ...)``, which depend on the
-    shape, ``cfg.seed`` and ``cfg.restarts`` alone, so searches of one
-    shape share them; a square problem listed in ``adjoint`` searches V =
-    U^H of a search over U, and its random starts are the conjugate
-    transposes of that search's.  So a padded problem starts where its
-    search alone starts.  Each restart takes at most ``cfg.max_iter``
-    iterations.  ``objective`` scores the problems' restarts in blocks, as
-    ``descend`` passes them.  A restart follows the path it takes alone, so
-    each problem's ``Descent``, in the returned list, is its search's alone
-    at height n; but the problems share every round, whose cost grows
-    little with the number of live restarts.  ``correlation_report``
-    stacks the two sides of a d x d state, and
-    ``correlations._minimum_with_roof`` the D_A search of a state AB with
-    the convex roof of BC (their ensembles correspond by HJW).
+    every step is a combination of gradients.  Each restart takes at most
+    ``cfg.max_iter`` iterations.  ``objective`` scores the problems'
+    restarts in blocks, as ``descend`` passes them.  A restart follows the
+    path it takes alone, so each problem's ``Descent``, cut to its n_q
+    rows, is its search's alone at height n; but the problems share every
+    round, whose cost grows little with the number of live restarts.
     """
     p = firsts[0].shape[-1]
     n = max(len(first) for first in firsts)
     x = np.zeros((len(firsts), cfg.restarts, n, p), dtype=complex)
     for q, first in enumerate(firsts):
-        starts = random_starts(len(first), p, cfg.seed, cfg.restarts)
         x[q, 0, : len(first)] = first
-        x[q, 1:, : len(first)] = np.swapaxes(starts.conj(), -1, -2) if q in adjoint else starts
+        x[q, 1:, : len(first)] = random_starts(len(first), p, cfg.seed, cfg.restarts)
     x = x.reshape(len(firsts) * cfg.restarts, n, p)
     sizes = (cfg.restarts,) * len(firsts)
     run = descend(objective, x, *objective(x, sizes), cfg.max_iter, sizes)
-    fields = (run.x, run.values, run.iterations, run.evaluations, run.reasons)
-    return [Descent(*(v[k : k + cfg.restarts] for v in fields)) for k in range(0, len(x), cfg.restarts)]
+    fields = (run.values, run.iterations, run.evaluations, run.reasons)
+    return [Descent(run.x[k : k + cfg.restarts, : len(first)], *(v[k : k + cfg.restarts] for v in fields))
+            for k, first in zip(range(0, len(x), cfg.restarts), firsts)]
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One minimization of ``qstate._ensemble_objective`` over m x n isometries V.
+
+    ``rows`` (n x d_A d_B) and ``da`` = d_A define the ensembles V rows.
+    ``first`` is restart 0, an m x n isometry, and ``cfg`` the search's
+    budget.  ``candidate``, when given, is an isometry of ``first``'s shape
+    scored against ``bound``, a proved lower bound (``certify``).  With
+    ``dephasing`` the value is the entropy of the union of the member
+    spectra, less ``offset``.  A measurement is the problem of V = U^H, U
+    the basis (``correlations._measurement_problem``), and the convex roof
+    that of its isometries (``entanglement._roof``).
+    """
+
+    rows: np.ndarray
+    da: int
+    first: np.ndarray
+    cfg: OptimizerConfig
+    candidate: np.ndarray | None = None
+    bound: float = 0.0
+    dephasing: bool = False
+    offset: float = 0.0
+
+
+def objective_of(problems) -> Callable:
+    """The stacked objective of ``problems``, which share rows shape, d_A, dephasing and offset.
+
+    ``qstate._ensemble_objective`` of their rows, one block per problem,
+    with ``offset`` subtracted from every value.
+    """
+    head = problems[0]
+    rows = np.stack([problem.rows for problem in problems])
+    ensemble = _ensemble_objective(rows, head.da, rows.shape[-1] // head.da, head.dephasing)
+
+    def objective(v: np.ndarray, sizes):
+        values, grad = ensemble(v, sizes)
+        return values - head.offset, grad
+
+    return objective
+
+
+def solve(problems) -> list[Descent]:
+    """Each problem's run: certified where its candidate meets its bound, else searched.
+
+    Every certificate of the package passes here, and every search but
+    that of a caller's own objective (``minimize_over_measurements``).  A
+    problem with a ``candidate`` is scored first (``certify``).  The others
+    run in one ``search`` per group of one key: rows shape, d_A, dephasing
+    and offset, ``cfg``, and whether the problem's D = 2 m n is at most
+    ``DENSE_MAX``, so each problem keeps the curvature model of its search
+    alone.  A group holds the two sides of a d x d state, or, by HJW, the
+    D_A search of a state AB and the convex roof of BC when rank(rho_BC) =
+    d_A; each run equals its search alone.
+    """
+    runs = [None if p.candidate is None else certify(objective_of([p]), p.candidate, p.bound) for p in problems]
+    groups: dict = {}
+    for i, problem in enumerate(problems):
+        if runs[i] is None:
+            key = (problem.rows.shape, problem.da, problem.dephasing, problem.offset, problem.cfg,
+                   2 * problem.first.size <= DENSE_MAX)
+            groups.setdefault(key, []).append(i)
+    for group in groups.values():
+        stack = [problems[i] for i in group]
+        for i, run in zip(group, search(objective_of(stack), [problem.first for problem in stack], stack[0].cfg)):
+            runs[i] = run
+    return runs
 
 
 def certify(objective: Callable, x: np.ndarray, bound: float) -> Descent | None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 __all__ = ["OptimizerConfig"]
@@ -25,6 +26,11 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iter", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0.0):

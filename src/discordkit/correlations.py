@@ -9,18 +9,16 @@ definition explicit.  The estimator bias is one sided: discord estimates are
 upper bounds (the minimization is truncated) and classical-correlation
 estimates are lower bounds.
 
-``minimize_over_measurements`` runs ``_descent.search`` on U(d) from the
-canonical basis: the restart rule and Riemannian BFGS descent the convex
-roof uses too.  Both objectives come with an analytic gradient, so each
-round of the descent is one objective call for all live restarts.  The
-two sides of ``correlation_report`` on a d x d state share those rounds:
-their searches run stacked, one problem each.  So do the D_A search of a
-state AB and the convex roof of BC (``_minimum_with_roof``), which by HJW
-score rows of one shape when rank(rho_BC) = d_A.
-
-Where a proved lower bound has a candidate basis, ``_measured_minima``
-scores it first (``_descent.certify``); a certified result is a one-restart
-run, so ``_optimized`` builds it and a search's result alike.
+Each measured side is a ``_descent.Problem`` (``_measurement_problem``) on
+V = U^H, U the basis, from the canonical basis, with a candidate basis
+where a proved lower bound has one; the convex roof is a problem of the
+same kind.  ``_descent.solve`` certifies or searches every problem, with
+the restart rule and Riemannian BFGS descent the roof uses too, and runs
+the problems that share one key in one lockstep search: both sides of a
+d x d state in ``correlation_report``, and by HJW the D_A search of a
+state AB and the convex roof of BC when rank(rho_BC) = d_A
+(``_minimum_with_roof``).  A certified result is a one-restart run, so
+``_optimized`` builds it and a search's result alike.
 """
 
 from __future__ import annotations
@@ -32,18 +30,12 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import CERTIFIED, DENSE_MAX, Descent, certify, search, summary
+from ._descent import CERTIFIED, Descent, Problem, search, solve, summary
 from .config import OptimizerConfig
 from .entanglement import EofResult, _eof_of_concurrence, _roof, _upper_bound, _wootters_rows
-from .measurement import (
-    ProjectiveMeasurement,
-    _factor_objective,
-    _measurement_factor,
-    dephase,
-)
+from .measurement import ProjectiveMeasurement, _measurement_factor, dephase
 from .qstate import (
     QState,
-    _ensemble_objective,
     _entropy_bits,
     normalize_partition,
     partial_trace,
@@ -104,8 +96,8 @@ class OptimizedValue:
     could not measurably lower the value), ``cap`` (``max_iter``) or
     ``certified`` (one candidate basis met a proved lower bound, so no
     search ran: the result of a one-restart ``_descent.certify`` run).
-    ``_measured_minima`` has candidates for the dephasing discord and for
-    the conditional-entropy minimum of a rank-2 two-qubit state.
+    ``_measurement_problem`` has candidates for the dephasing discord and
+    for the conditional-entropy minimum of a rank-2 two-qubit state.
     """
 
     value: float
@@ -129,34 +121,36 @@ class OptimizedValue:
 
 
 def minimize_over_measurements(
-    objective: Callable, d: int, cfg: OptimizerConfig | None = None, subsystem=0
+    objective: Callable, d: int, cfg: OptimizerConfig | None = None, subsystem: int = 0
 ) -> OptimizedValue:
     """Minimize ``objective`` over projective bases on a d-level subsystem.
 
-    ``objective`` is batched: it maps an (R, d, d) stack of bases (columns
-    are the measurement vectors) and the sizes of its blocks, one per
-    problem (``_descent.descend``), to R values and R Euclidean gradients.
-    The run is ``_descent.search`` with the canonical basis as restart 0.
-    ``subsystem`` is the measured subsystem, or a tuple of them for an
-    objective of one problem per entry: then all the searches run stacked
-    in one ``search`` and a tuple of results comes back, each equal to its
-    search alone.  Deterministic given ``cfg.seed``; restart ties break
-    toward the lowest restart index.  Non-convergence is flagged, never
-    raised.
+    ``objective`` is batched: it maps an (R, d, d) stack of bases U (columns
+    are the measurement vectors) and the sizes of its blocks, here (R,) for
+    the one problem (``_descent.descend``), to R values and R Euclidean
+    gradients G_U (df = Re tr(G^H dU)).  The run is ``_descent.search`` on V
+    = U^H, as every measurement search runs (``_descent.solve``), with the
+    canonical basis as restart 0; the objective of V is ``objective`` at
+    V^H, with gradient G_U^H.  ``subsystem`` labels the reported basis.
+    Deterministic given ``cfg.seed``; restart ties break toward the lowest
+    restart index.  Non-convergence is flagged, never raised.
     """
     cfg = cfg or DEFAULT_CONFIG
-    subsystems = subsystem if isinstance(subsystem, tuple) else (subsystem,)
-    firsts = np.broadcast_to(np.eye(int(d), dtype=complex), (len(subsystems), int(d), int(d)))
-    opts = tuple(_optimized(run, cfg.tol, k) for run, k in zip(search(objective, firsts, cfg), subsystems))
-    return opts if isinstance(subsystem, tuple) else opts[0]
+
+    def in_v(v: np.ndarray, sizes):
+        values, grad = objective(np.swapaxes(v.conj(), -1, -2), sizes)
+        return values, np.swapaxes(grad.conj(), -1, -2)
+
+    [run] = search(in_v, np.eye(int(d), dtype=complex)[None], cfg)
+    return _optimized(run, cfg.tol, subsystem)
 
 
 def _optimized(run: Descent, tol: float, subsystem: int) -> OptimizedValue:
-    """The ``OptimizedValue`` of a searched or certified run: its best restart and ``summary``."""
+    """The ``OptimizedValue`` of a searched or certified run on V: its best restart's V^H and ``summary``."""
     b, spread, converged = summary(run, tol)
     return OptimizedValue(
         value=float(run.values[b]),
-        argbasis=ProjectiveMeasurement(subsystem, run.x[b]),
+        argbasis=ProjectiveMeasurement(subsystem, run.x[b].conj().T),
         spread=spread,
         converged=converged,
         restart_values=tuple(float(v) for v in run.values),
@@ -166,13 +160,14 @@ def _optimized(run: Descent, tol: float, subsystem: int) -> OptimizedValue:
     )
 
 
-def _measured_minima(
-    state: QState, measured: tuple[int, ...], cfg: OptimizerConfig | None, dephasing: bool
-) -> list[OptimizedValue]:
-    """The least ``_measurement_objective`` value on each ``measured`` X, certified when possible, else searched.
+def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing: bool) -> Problem:
+    """The ``_descent.Problem`` of the least measurement objective on subsystem k, with its certificate.
 
-    Each factor, and each objective, is built once.  A candidate basis is
-    scored against a proved lower bound (``_descent.certify``):
+    The rows are a factor rho = L L^H (``_measurement_factor``), searched on
+    V = U^H from V = I: outcome k's conditional block is N_k N_k^H, N_k row
+    k of V L, and the value is sum_k p_k S(rho_k), or with ``dephasing``
+    S(dephased) - S(rho), S(rho) being the offset.  A candidate basis U is
+    scored, as V = U^H, against a proved lower bound:
 
     - with ``dephasing``, the eigenbasis of rho_X against L = max(0,
       S(rho_X) - S(rho)).  Every basis scores at least L: dephasing never
@@ -186,84 +181,57 @@ def _measured_minima(
       (PRA 69, 022309, 2004).  Wootters gives E_F(BC) from the concurrence
       and an optimal decomposition W phi of the purifier rows phi_x
       (``entanglement._wootters_rows``): by HJW, the measurement of X in
-      the basis W^H.
-
-    The subsystems left are searched (``minimize_over_measurements``) on the
-    same objectives, so every value is one that an objective reached.  When
-    several are left and their factors share one shape, as both sides of a
-    d x d state do, their searches run stacked in one ``search``, on the
-    objective of all their factors; each result equals its search alone.
+      the basis W^H, which is V = W.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    sides, results = [], []
-    for k in measured:
-        factor, r, lam = _measurement_factor(state, k)
-        candidate, objective, run = _candidate(state, k, factor, r, dephasing), None, None
-        if candidate is not None:
-            objective = _factor_objective(factor[None], r, lam, dephasing)
-            run = certify(objective, *candidate)
-        sides.append((factor, r, lam, objective))
-        results.append(None if run is None else _optimized(run, cfg.tol, k))
-    pending = [i for i, opt in enumerate(results) if opt is None]
-    one_shape = len({(sides[i][0].shape, sides[i][1]) for i in pending}) == 1
-    for group in [pending] if one_shape else [[i] for i in pending]:
-        factor, r, lam, objective = sides[group[0]]
-        if len(group) > 1 or objective is None:
-            objective = _factor_objective(np.stack([sides[i][0] for i in group]), r, lam, dephasing)
-        opts = minimize_over_measurements(objective, factor.shape[0], cfg, tuple(measured[i] for i in group))
-        for i, opt in zip(group, opts):
-            results[i] = opt
-    return results
-
-
-def _candidate(state: QState, k: int, factor: np.ndarray, r: int, dephasing: bool):
-    """The candidate basis of ``_measured_minima`` on subsystem k and its lower bound, or None."""
+    factor, r, lam = _measurement_factor(state, k)
+    candidate, bound = None, 0.0
     if dephasing:
         lam_x, vec = np.linalg.eigh(partial_trace(state, (k,)).matrix)
-        return vec, max(0.0, float(_entropy_bits(lam_x)) - von_neumann_entropy(state))
-    if factor.shape == (2, 4) and r == 2:
-        w, c = _wootters_rows(factor)
-        return w.conj().T, _eof_of_concurrence(c)
-    return None
+        candidate, bound = vec.conj().T, max(0.0, float(_entropy_bits(lam_x)) - von_neumann_entropy(state))
+    elif factor.shape == (2, 4) and r == 2:
+        candidate, c = _wootters_rows(factor)
+        bound = _eof_of_concurrence(c)
+    return Problem(factor, r, np.eye(factor.shape[0], dtype=complex), cfg, candidate, bound, dephasing,
+                   _entropy_bits(lam) if dephasing else 0.0)
 
 
-def _minimum_with_roof(
-    ab: QState, bc: QState, cfg: OptimizerConfig | None
-) -> tuple[OptimizedValue, EofResult] | None:
-    """``min_conditional_entropy(ab, 0, cfg)`` and ``eof_upper(bc, cfg=cfg)`` from one search, or None.
+def _measured_minima(
+    state: QState, measured: tuple[int, ...], cfg: OptimizerConfig | None, dephasing: bool
+) -> list[OptimizedValue]:
+    """The least measurement objective on each ``measured`` X, certified when possible, else searched.
+
+    One ``_measurement_problem`` per subsystem, all solved at once
+    (``_descent.solve``): a side whose candidate meets its bound is
+    certified, and the sides left that share one key, as both sides of a
+    d x d state do, run stacked in one search; each result equals its
+    search alone.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    runs = solve([_measurement_problem(state, k, cfg, dephasing) for k in measured])
+    return [_optimized(run, cfg.tol, k) for run, k in zip(runs, measured)]
+
+
+def _minimum_with_roof(ab: QState, bc: QState, cfg: OptimizerConfig | None) -> tuple[OptimizedValue, EofResult]:
+    """``min_conditional_entropy(ab, 0, cfg)`` and ``eof_upper(bc, cfg=cfg)``, as two problems of one ``solve``.
 
     ``bc`` is the BC reduction of a purification ABC of ``ab``.  By HJW a
     rank-1 measurement on A of the pure ABC is a d_A-member ensemble of
     rho_BC (the step behind the Koashi-Winter relation), so the D_A search
     and the convex roof of BC score the same kind of rows: d_A of them, each
-    a d_B x rank(rho_AB) block (``qstate._ensemble_objective``).  When
-    rank(rho_BC) = d_A the two row sets have one shape, and the two
-    problems run as two blocks of one ``_descent.search``: the roof on its
-    m x d_A isometries, m = d_A^2, and the measurement on V = U^H, a d_A x
-    d_A unitary padded with zero rows to that height, which stays an exact
-    projective measurement (a member of zero weight has zero gradient).
-    The roof's result is ``eof_upper``'s bit for bit, and the minimum is
-    ``min_conditional_entropy``'s to rounding: its search starts where that
-    one does, but retracts in V, not U.
-
-    None, so that each is computed alone, when the D_A certificate of
-    ``_measured_minima`` applies, when the row sets differ in shape, when
-    the stack's D = 2 m d_A exceeds ``DENSE_MAX`` (d_A > 3), where the
-    measurement search alone would use the dense model and the stack would
-    not, or when ``cfg`` is None (the two searches' defaults differ).  The
-    caller checks that ``eof_upper`` is the route of E_F(BC).
+    a d_B x rank(rho_AB) block (``qstate._ensemble_objective``).  Where the
+    two problems share a key (rank(rho_BC) = d_A, one ``cfg``, and d_A <= 3,
+    where both keep the dense curvature model) and neither is certified,
+    they run as two blocks of one search: the roof on its m x d_A
+    isometries, m = d_A^2, and the measurement on V = U^H padded with zero
+    rows to that height, which stays an exact projective measurement (a
+    member of zero weight has zero gradient).  The roof is then
+    ``eof_upper``'s bit for bit, and the minimum
+    ``min_conditional_entropy``'s to rounding; elsewhere each run is the
+    one alone.
     """
-    factor, r, _lam = _measurement_factor(ab, 0)
-    if cfg is None or _candidate(ab, 0, factor, r, False) is not None:
-        return None
-    e0, rows, da, oracle, first = _roof(bc, None)
-    if rows.shape != factor.shape or da != r or 2 * first.size > DENSE_MAX:
-        return None
-    objective = _ensemble_objective(np.stack([factor, rows]), r, factor.shape[1] // r)
-    d = factor.shape[0]
-    minimum, roof = search(objective, [np.eye(d, dtype=complex), first], cfg, adjoint=(0,))
-    bases = np.swapaxes(minimum.x[:, :d].conj(), -1, -2)
-    return _optimized(replace(minimum, x=bases), cfg.tol, 0), _upper_bound(roof, e0, oracle, cfg.tol)
+    roof, e0, oracle = _roof(bc, None, cfg)
+    minimum, run = solve([_measurement_problem(ab, 0, cfg or DEFAULT_CONFIG, False), roof])
+    return _optimized(minimum, (cfg or DEFAULT_CONFIG).tol, 0), _upper_bound(run, e0, oracle, roof.cfg.tol)
 
 
 def mutual_information(state: QState, partition=None) -> float:

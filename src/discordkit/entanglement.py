@@ -2,21 +2,20 @@
 
 Exact for pure states (marginal entropy) and for two-qubit mixed states
 (Wootters concurrence).  ``eof_upper`` gives a convex-roof upper bound with
-a decomposition witness.  Each call builds its roof once (``_roof``):
-the canonical purification's amplitudes, the objective, the Wootters value
-on two qubits, and restart 0, the eigen-ensemble rotated by the m-point
-DFT, whose shape fixes the ensemble size m = rank^2 (a sufficient size).
-On two qubits it scores Wootters' optimal decomposition once
-(``_wootters_rows``, through ``_descent.certify``) and returns that
-one-restart run, certified, when it meets the exact value.  Otherwise, and
-on every other input, the roof searches pure-state ensembles generated from
-the purification by an isometry (``_descent.search``, the measurement
-search's restart rule and Riemannian BFGS), on one batched objective with
-an analytic gradient that also gives the pure-state value:
-``qstate._ensemble_objective``, the kernel the measurement objective uses
-too.  Every upper bound, searched or certified, is built from its run by
-``_upper_bound``.  Results carry an exactness tag and upper bounds are
-never reported as exact.
+a decomposition witness.  Each call builds its roof once (``_roof``), as a
+``_descent.Problem``: the canonical purification's amplitudes, the Wootters
+value on two qubits, and restart 0, the eigen-ensemble rotated by the
+m-point DFT, whose shape fixes the ensemble size m = rank^2 (a sufficient
+size).  On two qubits the problem's candidate is Wootters' optimal
+decomposition (``_wootters_rows``), with the exact value as its bound.
+``_descent.solve`` certifies that candidate, or otherwise, and on every
+other input, searches pure-state ensembles generated from the purification
+by an isometry, with the measurement search's restart rule and Riemannian
+BFGS, on one batched objective with an analytic gradient that also gives
+the pure-state value: ``qstate._ensemble_objective``, the kernel the
+measurement search uses too.  Every upper bound, searched or certified, is
+built from its run by ``_upper_bound``.  Results carry an exactness tag and
+upper bounds are never reported as exact.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import Descent, certify, search, summary
+from ._descent import Descent, Problem, solve, summary
 from .config import OptimizerConfig
 from .qstate import (
     InvalidStateError,
@@ -313,21 +312,32 @@ def _dft_isometry(m: int, r: int) -> np.ndarray:
     return np.exp(-2j * np.pi * jk / m) / math.sqrt(m)
 
 
-def _roof(state: QState, partition) -> tuple[np.ndarray, np.ndarray, int, float | None, np.ndarray]:
-    """The convex roof of ``state``, built once: (e0, rows, d_A, oracle, first).
+def _roof(state: QState, partition, cfg: OptimizerConfig | None) -> tuple[Problem, np.ndarray, float | None]:
+    """The convex roof of ``state``, built once: its ``_descent.Problem``, e0 and the oracle.
 
     e0 holds the r amplitude rows of the canonical purification
-    (``qstate.purify``), ``rows`` and d_A are their ``_roof_rows``,
-    ``oracle`` the exact ``eof_2qubit`` value on dims (2, 2) (None
-    elsewhere), and ``first`` restart 0, the m x r ``_dft_isometry`` with
-    m = r^2, whose shape every isometry of the roof takes.
+    (``qstate.purify``), and the problem's rows and d_A are their
+    ``_roof_rows``.  Restart 0 is the m x r ``_dft_isometry`` with m = r^2,
+    whose shape every isometry of the roof takes, and the budget is ``cfg``
+    (``EOF_DEFAULT_CONFIG`` when None).  On dims (2, 2), either partition,
+    the oracle is the exact ``eof_2qubit`` value (None elsewhere), and the
+    problem's candidate is Wootters' optimal decomposition, the isometry [W;
+    0] (``_wootters_rows`` on e0, padded to the shape of restart 0), with
+    the oracle as its bound.
     """
     part_a, part_b = normalize_partition(state.n_subsystems, partition)
     pure = purify(state)
     r = pure.dims[-1]
     e0 = pure.amplitudes.reshape(-1, r).T
-    oracle = eof_2qubit(state).value if state.dims == (2, 2) else None
-    return e0, *_roof_rows(e0, state.dims, part_a, part_b), oracle, _dft_isometry(r * r, r)
+    rows, da = _roof_rows(e0, state.dims, part_a, part_b)
+    first, cfg = _dft_isometry(r * r, r), cfg or EOF_DEFAULT_CONFIG
+    if state.dims != (2, 2):
+        return Problem(rows, da, first, cfg), e0, None
+    oracle = eof_2qubit(state).value
+    w, _c = _wootters_rows(e0)
+    candidate = np.zeros_like(first)
+    candidate[: w.shape[0]] = w
+    return Problem(rows, da, first, cfg, candidate, oracle), e0, oracle
 
 
 def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float) -> EofResult:
@@ -358,27 +368,18 @@ def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float)
     )
 
 
-def _roof_search(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
-    """The convex-roof search of ``eof_upper``, without its Wootters certificate."""
-    cfg = cfg or EOF_DEFAULT_CONFIG
-    e0, rows, da, oracle, first = _roof(state, partition)
-    objective = _ensemble_objective(rows[None], da, rows.shape[1] // da)
-    return _upper_bound(search(objective, first[None], cfg)[0], e0, oracle, cfg.tol)
-
-
 def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
     """Convex-roof upper bound on the entanglement of formation.
 
-    The roof is built once (``_roof``).  On dims (2, 2), either partition,
-    Wootters' optimal decomposition, the isometry [W; 0] (``_wootters_rows``
-    on e0, padded to the m x r shape of restart 0), is scored first
-    (``_descent.certify``); when it meets the exact ``eof_2qubit`` value
-    within ``CERTIFY_TOL`` it comes back with stop reason ``"certified"``
-    and no search runs.  Otherwise, and on every other input, the same
-    build is searched: ``_descent.search`` minimizes sum_i p_i S_A(psi_i)
-    over ensembles psi = V e0 of size m = rank^2, generated from the
-    canonical purification e0 by an isometry V: a point of the Stiefel
-    manifold (Rothlisberger, Rehacek & Loss, PRA 80, 042301, 2009).
+    The roof is built once (``_roof``) and solved (``_descent.solve``).  On
+    dims (2, 2), either partition, its Wootters candidate is scored first;
+    when it meets the exact ``eof_2qubit`` value within ``CERTIFY_TOL`` it
+    comes back with stop reason ``"certified"`` and no search runs.
+    Otherwise, and on every other input, the same build is searched,
+    minimizing sum_i p_i S_A(psi_i) over ensembles psi = V e0 of size m =
+    rank^2, generated from the canonical purification e0 by an isometry V:
+    a point of the Stiefel manifold (Rothlisberger, Rehacek & Loss, PRA 80,
+    042301, 2009).
     Restart 0 is the eigen-ensemble rotated by the unitary m-point DFT, V =
     F_m[:, :r] (``_dft_isometry``), whose m members all have weight 1/m:
     the unrotated start [I_r; 0] has m - r zero members, where the gradient
@@ -390,15 +391,5 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     each restart.  On dims (2, 2), either partition, the result carries its
     gap to the exact Wootters value.
     """
-    cfg = cfg or EOF_DEFAULT_CONFIG
-    e0, rows, da, oracle, first = _roof(state, partition)
-    objective = _ensemble_objective(rows[None], da, rows.shape[1] // da)
-    run = None
-    if oracle is not None:
-        w, _c = _wootters_rows(e0)
-        iso = np.zeros_like(first)
-        iso[: w.shape[0]] = w
-        run = certify(objective, iso, oracle)
-    if run is None:
-        run = search(objective, first[None], cfg)[0]
-    return _upper_bound(run, e0, oracle, cfg.tol)
+    problem, e0, oracle = _roof(state, partition, cfg)
+    return _upper_bound(solve([problem])[0], e0, oracle, problem.cfg.tol)

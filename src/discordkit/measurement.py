@@ -1,18 +1,19 @@
 """Complete projective measurements and POVMs on a chosen subsystem.
 
-The measurement optimizer in ``correlations`` searches bases on U(d)
-itself, from random unitaries drawn by ``_descent.random_isometries``.
-Givens products only parametrize bases for ``projective_from_params``:
-``unitary_from_params`` multiplies two-level rotations over the d(d-1)/2
-index pairs in lexicographic order, each with a mixing angle and a relative
-phase (d^2 - d parameters, angles first), which reach every basis up to
-outcome relabeling and per-vector phase.
+The measurement optimizer in ``correlations`` searches bases U on U(d)
+itself, in the coordinate V = U^H, from random unitaries drawn by
+``_descent.random_isometries``.  Givens products only parametrize bases for
+``projective_from_params``: ``unitary_from_params`` multiplies two-level
+rotations over the d(d-1)/2 index pairs in lexicographic order, each with a
+mixing angle and a relative phase (d^2 - d parameters, angles first), which
+reach every basis up to outcome relabeling and per-vector phase.
 
-``_measurement_objective`` scores stacks of bases with analytic gradients:
-measuring with basis U is the ensemble whose member k is row k of U^H L,
-for a factor rho = L L^H, scored by ``qstate._ensemble_objective`` (the
-convex roof's kernel too), which gets every member Gram of a stack from
-one product with a kernel built once per state.
+``_measurement_factor`` gives the rows the search scores: measuring with
+basis U is the ensemble whose member k is row k of V L, V = U^H, for a
+factor rho = L L^H, so the measurement is a ``_descent.Problem`` scored by
+``qstate._ensemble_objective`` (the convex roof's kernel too), which gets
+every member Gram of a stack from one product with a kernel built once per
+state.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .qstate import QState, _ensemble_objective, _entropy_bits, von_neumann_entropy
+from .qstate import QState, von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -241,37 +242,6 @@ def _measurement_factor(state: QState, measured: int) -> tuple[np.ndarray, int, 
     lam, vec = np.linalg.eigh(t.reshape(dm * r, dm * r))
     keep = lam > _RANK_FLOOR
     return (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * int(keep.sum())), r, lam
-
-
-def _factor_objective(factors: np.ndarray, r: int, lam: np.ndarray, dephasing: bool) -> Callable:
-    """``_measurement_objective`` on a (P, d, R s) stack of ``_measurement_factor`` outputs of one state.
-
-    One problem per factor, all of one shape, scored in blocks as
-    ``_ensemble_objective`` scores them; ``lam`` is the state's spectrum.
-    """
-    ensemble = _ensemble_objective(factors, r, factors.shape[-1] // r, dephasing)
-    base_entropy = _entropy_bits(lam) if dephasing else 0.0
-
-    def objective(u: np.ndarray, sizes):
-        values, grad = ensemble(np.swapaxes(u.conj(), -1, -2), sizes)
-        return values - base_entropy, np.swapaxes(grad.conj(), -1, -2)
-
-    return objective
-
-
-def _measurement_objective(state: QState, measured: int, dephasing: bool) -> tuple[Callable, int]:
-    """Batched objective over bases on ``measured``, with its Euclidean gradient.
-
-    Maps an (R, d, d) stack of bases U and its block sizes, here (R,) for
-    the one problem, to R values and R gradients G_U (df =
-    Re tr(G^H dU)): sum_k p_k S(B_k / p_k) over the conditional blocks B_k =
-    <u_k|rho|u_k>, or with ``dephasing`` S(dephased) - S(rho), the dephased
-    spectrum being the union of the block spectra.  With rho = L L^H, B_k =
-    N_k N_k^H for the rows N_k = (u_k^H (x) I) L of V L, V = U^H, so this is
-    ``_ensemble_objective`` at V with G_U = G_V^H.
-    """
-    factor, r, lam = _measurement_factor(state, measured)
-    return _factor_objective(factor[None], r, lam, dephasing), factor.shape[0]
 
 
 def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:

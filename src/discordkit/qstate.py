@@ -315,11 +315,12 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
     for the union, so G_V_i = 2 T_i V_i, with the n x n matrix T_i = W_i K^H
     (W_i read as a row of s^2 entries): a second product.  A zero row of V
     is a member of zero weight, with a zero gradient row, so a problem
-    padded with zero rows keeps them zero.  The measurement objective is
-    this at V = U^H, and the convex roof at the isometries V; by HJW the
-    measurements on A of a pure ABC are ensembles of rho_BC, so the D_A
-    search of AB and the roof of BC, when rank(rho_BC) = d_A, are two
-    problems of one stack (``correlations._minimum_with_roof``).
+    padded with zero rows keeps them zero.  Every search minimizes this
+    over a ``_descent.Problem``: a measurement at V = U^H, U the basis, and
+    the convex roof at its isometries V.  By HJW the measurements on A of a
+    pure ABC are ensembles of rho_BC, so the D_A search of AB and the roof
+    of BC, when rank(rho_BC) = d_A, can share one stack
+    (``_descent.solve``).
     """
     s = min(da, db)
     n = rows.shape[1]

@@ -244,11 +244,9 @@ class _StateAnalysis:
         bc = self.source("bc")
         if _eof_route(bc) != "upper":
             return
-        paired = _minimum_with_roof(self.state, bc, self.cfg)
-        if paired is not None:
-            opt, roof = paired
-            self._memo[("minimum", "state", 0)] = opt
-            self._memo[("eof", "bc")] = roof.value, False, "upper"
+        opt, roof = _minimum_with_roof(self.state, bc, self.cfg)
+        self._memo[("minimum", "state", 0)] = opt
+        self._memo[("eof", "bc")] = roof.value, False, "upper"
 
     def eof(self, pair: str):
         """``_certified_eof`` of the reduction ``pair`` of ABC."""

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from discordkit import PureStateVector, QState
+from discordkit import OptimizerConfig, PureStateVector, QState
+from discordkit._descent import objective_of, solve
+from discordkit.correlations import DEFAULT_CONFIG, _measurement_problem, _optimized
+from discordkit.entanglement import _roof, _upper_bound
 from discordkit.states import stream
 
 
@@ -32,3 +37,21 @@ def haar_unitary(g: np.random.Generator, n: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return stream(20260810)
+
+
+def measurement_objective(state: QState, measured: int, dephasing: bool):
+    """The measurement search's objective of V = U^H on ``measured``, and d."""
+    problem = _measurement_problem(state, measured, DEFAULT_CONFIG, dephasing)
+    return objective_of([problem]), problem.first.shape[0]
+
+
+def measurement_search(state: QState, measured: int, cfg: OptimizerConfig, dephasing: bool):
+    """The measurement search alone: the side's problem with its certificate candidate removed."""
+    problem = replace(_measurement_problem(state, measured, cfg, dephasing), candidate=None)
+    return _optimized(solve([problem])[0], cfg.tol, measured)
+
+
+def roof_search(state: QState, partition=None, cfg: OptimizerConfig | None = None):
+    """The convex-roof search of ``eof_upper``: its problem with the Wootters candidate removed."""
+    problem, e0, oracle = _roof(state, partition, cfg)
+    return _upper_bound(solve([replace(problem, candidate=None)])[0], e0, oracle, problem.cfg.tol)

@@ -28,7 +28,6 @@ from discordkit import (
 )
 from discordkit._descent import CERTIFIED
 from discordkit.cli import main
-from discordkit.entanglement import _roof_search
 from discordkit.states import (
     StateFamilySpec,
     example3_state,
@@ -44,6 +43,8 @@ from discordkit.verify import (
     check_kw_pointwise,
     check_thm3,
 )
+
+from conftest import roof_search
 
 
 def _report(criterion: str, detail: str):
@@ -245,7 +246,7 @@ def test_criterion_8_wootters_cross_validation():
         state = random_mixed((2, 2), 4, 8000 + i)
         # The search alone, at the default budget: eof_upper certifies these
         # states without one.
-        roof = _roof_search(state)
+        roof = roof_search(state)
         assert CERTIFIED not in roof.stop_reasons
         gap = roof.crosscheck_gap
         assert gap is not None

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,24 +48,17 @@ from discordkit._descent import (
     Descent,
     certify,
     descend,
+    objective_of,
     random_isometries,
     random_starts,
     retract,
-    search,
+    solve,
     summary,
     tangent,
 )
-from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _minimum_with_roof
+from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _measurement_problem, _minimum_with_roof
 from discordkit.entanglement import _roof
-from discordkit.measurement import (
-    _factor_objective,
-    _measured_view,
-    _measurement_factor,
-    _measurement_objective,
-    n_measurement_params,
-    unitary_from_params,
-)
-from discordkit.qstate import _ensemble_objective
+from discordkit.measurement import _measured_view, n_measurement_params, unitary_from_params
 from discordkit.states import (
     classical_quantum,
     example3_state,
@@ -75,7 +69,7 @@ from discordkit.states import (
     werner_qudit,
 )
 
-from conftest import bell_state, haar_unitary
+from conftest import bell_state, haar_unitary, measurement_objective, measurement_search
 
 CFG = OptimizerConfig(restarts=8, seed=1)
 
@@ -96,9 +90,22 @@ def _random_start(g: np.random.Generator, n_params: int) -> np.ndarray:
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(max_iter=0)
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             OptimizerConfig(tol=tol)
+
+
+@pytest.mark.parametrize("field", ["restarts", "max_iter", "seed"])
+def test_optimizer_config_rejects_non_integral_counts(field):
+    # A float count is refused at construction, not deep in a search; an
+    # integral numpy scalar is taken as the int it holds.
+    for value in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+    cfg = OptimizerConfig(**{field: np.int64(3)})
+    assert getattr(cfg, field) == 3 and type(getattr(cfg, field)) is int
 
 
 def test_mutual_information_values():
@@ -152,16 +159,16 @@ def test_batched_objectives_match_per_point_references(dims, rank):
     d = dims[0]
     g = stream(31, d)
     params = np.stack([_random_start(g, n_measurement_params(d)) for _ in range(20)])
-    cond, _ = _measurement_objective(state, 0, dephasing=False)
-    deph, _ = _measurement_objective(state, 0, dephasing=True)
+    cond, _ = measurement_objective(state, 0, dephasing=False)
+    deph, _ = measurement_objective(state, 0, dephasing=True)
     s_state = von_neumann_entropy(state)
     ref_cond = [avg_conditional_entropy(apply_measurement(state, projective_from_params(d, p)))
                 for p in params]
     ref_deph = [von_neumann_entropy(dephase(state, projective_from_params(d, p))) - s_state
                 for p in params]
-    bases = unitary_from_params(d, params)
-    np.testing.assert_allclose(cond(bases, (len(bases),))[0], ref_cond, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(deph(bases, (len(bases),))[0], ref_deph, rtol=0.0, atol=1e-12)
+    v = np.swapaxes(unitary_from_params(d, params).conj(), -1, -2)  # the search's coordinate V = U^H
+    np.testing.assert_allclose(cond(v, (len(v),))[0], ref_cond, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(deph(v, (len(v),))[0], ref_deph, rtol=0.0, atol=1e-12)
 
 
 def _gradient_case(dims, rank, seed):
@@ -178,9 +185,9 @@ def _gradient_case(dims, rank, seed):
     ids=["d2", "d2-pure", "d3", "d3-pure", "d4", "d6", "d6-pure"],
 )
 def test_objective_gradient_matches_central_differences(dims, rank, measured, dephasing):
-    # Off the manifold too: df = Re tr(G^H dU) for any direction dU.
+    # Off the manifold too: df = Re tr(G^H dV) for any direction dV.
     state = _gradient_case(dims, rank, 23)
-    objective, d = _measurement_objective(state, measured, dephasing)
+    objective, d = measurement_objective(state, measured, dephasing)
     g = stream(23, d)
     bases = unitary_from_params(d, np.stack([_random_start(g, n_measurement_params(d)) for _ in range(3)]))
     sizes = (len(bases),)
@@ -198,7 +205,7 @@ def test_objective_gradient_matches_central_differences(dims, rank, measured, de
 def test_werner_objective_is_certified_flat(dephasing):
     # A U (x) U-invariant state has a basis-independent objective, so its
     # Riemannian gradient vanishes at every basis: a certificate of flatness.
-    objective, d = _measurement_objective(werner_qudit(3, 0.3), 0, dephasing)
+    objective, d = measurement_objective(werner_qudit(3, 0.3), 0, dephasing)
     u = np.eye(3, dtype=complex)[None]
     _value, grad = objective(u, (1,))
     assert np.linalg.norm(tangent(u, grad)) < 1e-10
@@ -511,23 +518,27 @@ def test_certify_is_a_one_restart_run_only_at_the_bound():
     ),
 )
 def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephasing, max_iter, model, monkeypatch):
+    # Each restart of the measurement search, replayed alone in V = U^H
+    # from the start the search scored, follows the same path bit for bit.
     # At 7 iterations 9 (dense) or 12 (L-BFGS) of the 16 restarts stop at
     # the cap and the rest stop before it, so some rounds hold restarts that
     # reach the cap beside others that backtrack or take a step.
     _use_model(monkeypatch, model)
-    objective, d = _measurement_objective(random_mixed(dims, rank, 11), measured, dephasing)
+    state = random_mixed(dims, rank, 11)
+    objective, d = measurement_objective(state, measured, dephasing)
     cfg = OptimizerConfig(seed=2, max_iter=max_iter)
     calls = []
 
-    def recording(u, sizes):
-        calls.append(u.copy())
-        return objective(u, sizes)
+    def recording(v, sizes):
+        calls.append(v.copy())
+        return objective(v, sizes)
 
-    opt = minimize_over_measurements(recording, d, cfg, measured)
+    monkeypatch.setattr(_descent, "objective_of", lambda problems: recording)
+    opt = measurement_search(state, measured, cfg, dephasing)
     # The first call scores the starts, and every later call is one
     # lockstep round.
     starts = calls[0]
-    assert len(starts) == cfg.restarts
+    assert starts.shape == (cfg.restarts, d, d) and starts[0].tobytes() == np.eye(d, dtype=complex).tobytes()
     assert len(calls) == max(opt.evaluations)
     values, grads = objective(starts, (len(starts),))
     alone = [descend(objective, starts[k : k + 1], values[k : k + 1], grads[k : k + 1], cfg.max_iter)
@@ -537,10 +548,22 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     assert opt.stop_reasons == tuple(run.reasons[0] for run in alone)
     assert opt.stop_reasons.count(CAP) == (0 if max_iter == 2000 else 9 if model == "dense" else 12)
     assert len(set(opt.iterations)) > 1
-    np.testing.assert_allclose(opt.restart_values, [run.values[0] for run in alone], rtol=0, atol=1e-12)
+    assert opt.restart_values == tuple(float(run.values[0]) for run in alone)
     best = int(np.argmin([run.values[0] for run in alone]))
-    assert opt.value == pytest.approx(alone[best].values[0], abs=1e-12)
-    np.testing.assert_allclose(opt.argbasis.basis, alone[best].x[0], rtol=0, atol=1e-12)
+    assert opt.value == alone[best].values[0]
+    assert opt.argbasis.basis.tobytes() == alone[best].x[0].conj().T.tobytes()
+
+
+def _record_descends(monkeypatch):
+    # The block sizes of every descend call, one tuple per call.
+    calls, descend_alone = [], _descent.descend
+
+    def recording(objective, x, values, egrad, max_iter, sizes=None):
+        calls.append(sizes)
+        return descend_alone(objective, x, values, egrad, max_iter, sizes)
+
+    monkeypatch.setattr(_descent, "descend", recording)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -548,28 +571,30 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     [((2, 2), 4, 16, "dense"), ((6, 2), 5, 4, "lbfgs")],
     ids=["d2-dense", "d6-lbfgs"],
 )
-def test_stacked_searches_equal_searches_run_alone(dims, rank, restarts, model):
-    # Two problems of one shape, each with its own restart 0, in one
-    # descend: every restart follows the path it takes alone, bit for bit.
-    # The problems stop in different rounds, so one block runs on after the
+def test_stacked_searches_equal_searches_run_alone(dims, rank, restarts, model, monkeypatch):
+    # Two problems of one key, each with its own restart 0, in one descend:
+    # every restart follows the path it takes alone, bit for bit.  The
+    # problems stop in different rounds, so one block runs on after the
     # other has emptied.
     d = dims[0]
     assert (2 * d * d <= DENSE_MAX) == (model == "dense")
-    factors = [_measurement_factor(random_mixed(dims, rank, seed), 0) for seed in (3, 4)]
-    (_, r, lam), cfg = factors[0], OptimizerConfig(seed=2, restarts=restarts)
-    firsts = np.stack([np.eye(d, dtype=complex), random_isometries([stream(9, 0)], d, d)[0]])
-    objective, sizes = _factor_objective(np.stack([f for f, _, _ in factors]), r, lam, False), []
+    cfg = OptimizerConfig(seed=2, restarts=restarts)
+    firsts = (np.eye(d, dtype=complex), random_isometries([stream(9, 0)], d, d)[0])
+    problems = [replace(_measurement_problem(random_mixed(dims, rank, seed), 0, cfg, False), first=first)
+                for seed, first in zip((3, 4), firsts)]
+    sizes, objective_of = [], _descent.objective_of
 
-    def recording(u, live):
-        sizes.append(live)
-        return objective(u, live)
+    def recording(stack):
+        objective = objective_of(stack)
+        return lambda v, live: sizes.append(live) or objective(v, live)
 
-    stacked = search(recording, firsts, cfg)
+    monkeypatch.setattr(_descent, "objective_of", recording)
+    stacked = solve(problems)
     assert sizes[0] == (restarts, restarts)
     assert any(0 in live and sum(live) > 0 for live in sizes)
     assert max(stacked[0].evaluations) != max(stacked[1].evaluations)
-    for run, (factor, _, _), first in zip(stacked, factors, firsts):
-        [alone] = search(_factor_objective(factor[None], r, lam, False), first[None], cfg)
+    for run, problem in zip(stacked, problems):
+        [alone] = solve([problem])
         assert run.x.tobytes() == alone.x.tobytes()
         assert run.values.tobytes() == alone.values.tobytes()
         assert (run.iterations, run.evaluations, run.reasons) == (alone.iterations, alone.evaluations, alone.reasons)
@@ -580,39 +605,37 @@ def _bc_of(state):
     return partial_trace(purify(state).to_density(), (1, 2))
 
 
-def _padded_search_alone(objective, d, height, cfg):
-    # The D_A search alone on V = U^H, padded with zero rows to ``height``:
-    # restart 0 is the canonical basis and restarts 1, 2, ... are the
-    # conjugate transposes of min_conditional_entropy's random bases.
-    x = np.zeros((cfg.restarts, height, d), dtype=complex)
-    x[0, :d] = np.eye(d)
-    x[1:, :d] = np.swapaxes(random_starts(d, d, cfg.seed, cfg.restarts).conj(), -1, -2)
-    return descend(objective, x, *objective(x, (cfg.restarts,)), cfg.max_iter, (cfg.restarts,))
-
-
 @pytest.mark.parametrize("dims, rank", [((2, 2), 3), ((2, 3), 4), ((3, 2), 4)], ids=["2x2r3", "2x3r4", "3x2r4"])
-def test_paired_problems_equal_their_padded_searches_run_alone(dims, rank):
-    # The D_A search of AB, on V = U^H padded with zero rows, and the convex
-    # roof of BC run as two blocks of one descend.  Each equals its search
-    # alone at the roof's height, bit for bit, and the padded rows of every
-    # D_A restart are exactly zero.  Some pairs stop in different rounds, so
-    # one block runs on after the other has emptied.
+def test_paired_problems_equal_their_padded_searches_run_alone(dims, rank, monkeypatch):
+    # The D_A problem of AB, on V = U^H, and the convex roof of BC share one
+    # key, so they run as two blocks of one descend, the D_A problem padded
+    # with zero rows to the roof's height.  Each equals its search alone at
+    # that height, bit for bit, and the padded rows of every D_A restart
+    # stay exactly zero.  Some pairs stop in different rounds, so one block
+    # runs on after the other has emptied.
     cfg, rounds_differ = OptimizerConfig(seed=1), False
+    descends = _record_descends(monkeypatch)
     for i in range(4):
         ab = random_mixed(dims, rank, 1, i)
-        factor, r, _lam = _measurement_factor(ab, 0)
-        _e0, rows, da, _oracle, first = _roof(_bc_of(ab), None)
-        assert rows.shape == factor.shape and da == r
-        d, db = factor.shape[0], factor.shape[1] // r
-        paired = search(_ensemble_objective(np.stack([factor, rows]), r, db),
-                        [np.eye(d, dtype=complex), first], cfg, adjoint=(0,))
-        alone = (_padded_search_alone(_ensemble_objective(factor[None], r, db), d, len(first), cfg),
-                 search(_ensemble_objective(rows[None], r, db), first[None], cfg)[0])
-        for run, solo in zip(paired, alone):
+        minimum, roof = _measurement_problem(ab, 0, cfg, False), _roof(_bc_of(ab), None, cfg)[0]
+        assert minimum.candidate is None and roof.candidate is None
+        assert minimum.rows.shape == roof.rows.shape and minimum.da == roof.da
+        descends.clear()
+        paired = solve([minimum, roof])
+        assert descends == [(cfg.restarts, cfg.restarts)]
+        # The D_A search alone on V, padded: restart 0 is the canonical basis
+        # and restarts 1, 2, ... are its random unitaries.
+        d, height = len(minimum.first), len(roof.first)
+        x = np.zeros((cfg.restarts, height, d), dtype=complex)
+        x[0, :d] = minimum.first
+        x[1:, :d] = random_starts(d, d, cfg.seed, cfg.restarts)
+        objective = objective_of([minimum])
+        padded = descend(objective, x, *objective(x, (cfg.restarts,)), cfg.max_iter)
+        assert not padded.x[:, d:].any()
+        for run, solo in zip(paired, (replace(padded, x=padded.x[:, :d]), solve([roof])[0])):
             assert run.x.tobytes() == solo.x.tobytes()
             assert run.values.tobytes() == solo.values.tobytes()
             assert (run.iterations, run.evaluations, run.reasons) == (solo.iterations, solo.evaluations, solo.reasons)
-        assert paired[0].x.shape[1:] == first.shape and not paired[0].x[:, d:].any()
         rounds_differ |= max(paired[0].evaluations) != max(paired[1].evaluations)
     assert rounds_differ
 
@@ -622,6 +645,10 @@ def _roof_fields(roof):
     return (roof.value, roof.tag, roof.crosscheck_gap, roof.converged, roof.restart_spread, roof.iterations,
             roof.evaluations, roof.stop_reasons, witness.weights.tobytes(), witness.vectors.tobytes(),
             witness.isometry.tobytes())
+
+
+def _opt_fields(opt):
+    return (opt.value, opt.argbasis.subsystem, opt.argbasis.basis.tobytes(), opt.diagnostics())
 
 
 @pytest.mark.parametrize(
@@ -640,26 +667,32 @@ def test_minimum_with_roof_equals_each_computed_alone(dims, rank):
         assert abs(opt.value - alone.value) <= 1e-12
         assert opt.argbasis.subsystem == 0 and CERTIFIED not in opt.stop_reasons
         assert len(opt.restart_values) == cfg.restarts
-        objective, _d = _measurement_objective(ab, 0, False)
-        assert objective(opt.argbasis.basis[None], (1,))[0][0] == pytest.approx(opt.value, abs=1e-14)
+        objective, _d = measurement_objective(ab, 0, False)
+        assert objective(opt.argbasis.basis.conj().T[None], (1,))[0][0] == pytest.approx(opt.value, abs=1e-14)
 
 
-def test_minimum_with_roof_declines_where_the_problems_do_not_pair():
-    # None, so that each quantity is computed alone: without a config (the
-    # two defaults differ), where the Koashi-Winter certificate applies,
-    # where rank(BC) differs from d_A, and where the stack's D exceeds
-    # DENSE_MAX (d_A = 4).
+def test_minimum_with_roof_runs_apart_where_the_problems_do_not_share_a_key(monkeypatch):
+    # No descend holds both problems, and each result equals its computation
+    # alone exactly: without a config (the two defaults differ), where the
+    # Koashi-Winter certificate applies, where rank(BC) differs from d_A,
+    # and where the rows match but the roof's D exceeds DENSE_MAX and the
+    # measurement's does not (d_A = 4).
     cfg = OptimizerConfig(seed=1)
     unentangled_a = QState((2, 3), np.kron(np.diag([1.0, 0.0]), np.eye(3) / 3.0))
+    four = random_mixed((4, 2), 3, 1, 0)
+    assert _roof(_bc_of(four), None, cfg)[0].rows.shape == _measurement_problem(four, 0, cfg, False).rows.shape
+    descends = _record_descends(monkeypatch)
     for state, config in (
         (random_mixed((2, 2), 3, 1, 0), None),
         (random_mixed((2, 2), 2, 1, 0), cfg),
         (unentangled_a, cfg),
-        (random_mixed((4, 2), 3, 1, 0), cfg),
+        (four, cfg),
     ):
-        assert _minimum_with_roof(state, _bc_of(state), config) is None
-    four = random_mixed((4, 2), 3, 1, 0)
-    assert _roof(_bc_of(four), None)[1].shape == _measurement_factor(four, 0)[0].shape
+        descends.clear()
+        opt, roof = _minimum_with_roof(state, _bc_of(state), config)
+        assert all(len(sizes) == 1 for sizes in descends)
+        assert _opt_fields(opt) == _opt_fields(min_conditional_entropy(state, 0, config))
+        assert _roof_fields(roof) == _roof_fields(eof_upper(_bc_of(state), cfg=config))
 
 
 def _two_search_report(state, cfg):
@@ -684,17 +717,31 @@ def test_correlation_report_stacks_both_sides_of_a_square_state(dims, rank, stac
     # factors have one shape and the sides run as one stacked search; on
     # (2, 3) they run one search each.  Either way the report equals the one
     # built from two separate runs.
-    searches = []
-    search_alone = correlations.minimize_over_measurements
-    monkeypatch.setattr(correlations, "minimize_over_measurements",
-                        lambda *a, **k: searches.append(a[3]) or search_alone(*a, **k))
+    descends = _record_descends(monkeypatch)
     for i in range(4):
         state, cfg = random_mixed(dims, rank, 1, i), OptimizerConfig(seed=i)
-        searches.clear()
+        descends.clear()
         report = correlation_report(state, cfg).to_json()
-        assert searches == ([(0, 1)] if stacked else [(0,), (1,)])
+        assert descends == ([(cfg.restarts,) * 2] if stacked else [(cfg.restarts,)] * 2)
         assert CERTIFIED not in report["diagnostics"]["measured_a"]["stop_reasons"]
         assert report == _two_search_report(state, cfg).to_json()
+
+
+@pytest.mark.parametrize("dephasing", [False, True], ids=["conditional", "dephasing"])
+@pytest.mark.parametrize("dims, rank, measured", [((2, 2), 4, 0), ((2, 3), 5, 1), ((3, 2), 4, 0)])
+def test_minimize_over_measurements_on_bases_is_the_measurement_search(dims, rank, measured, dephasing):
+    # The public search takes an objective of the basis U and searches V =
+    # U^H: on the measurement objective read as a function of U it returns
+    # the measurement search's result bit for bit.
+    state, cfg = random_mixed(dims, rank, 5), OptimizerConfig(restarts=4, seed=3)
+    objective, d = measurement_objective(state, measured, dephasing)
+
+    def of_basis(u, sizes):
+        values, grad = objective(np.swapaxes(u.conj(), -1, -2), sizes)
+        return values, np.swapaxes(grad.conj(), -1, -2)
+
+    opt = minimize_over_measurements(of_basis, d, cfg, measured)
+    assert _opt_fields(opt) == _opt_fields(measurement_search(state, measured, cfg, dephasing))
 
 
 @pytest.mark.parametrize("restarts", [1, 2, OptimizerConfig().restarts])
@@ -708,7 +755,7 @@ def test_min_conditional_entropy_meets_koashi_winter_oracle(restarts):
     for i in range(20):
         state = random_mixed((2, 2), 2, 7000 + i)
         oracle = eof_2qubit(partial_trace(purify(state).to_density(), (1, 2))).value
-        opt = minimize_over_measurements(*_measurement_objective(state, 0, False), cfg, 0)
+        opt = measurement_search(state, 0, cfg, False)
         assert correlations.CERTIFIED not in opt.stop_reasons
         assert abs(opt.value - oracle) <= 1e-9
         assert opt.value >= oracle - 1e-12
@@ -723,11 +770,14 @@ def test_min_conditional_entropy_meets_koashi_winter_oracle(restarts):
 )
 def test_cached_restart_bases_equal_a_fresh_build(n, p):
     # The starts come from one stacked QR; each equals the Q factor of its
-    # own Gaussian matrix, factored alone.
+    # own Gaussian matrix, factored alone, or at n = p its conjugate
+    # transpose: the measurement search on V = U^H measures in the basis Q.
     def gaussian(g):
         return g.normal(size=(n, p)) + 1j * g.normal(size=(n, p))
 
     fresh = np.stack([np.linalg.qr(gaussian(stream(5, k)))[0] for k in range(1, 16)])
+    if n == p:
+        fresh = np.ascontiguousarray(np.swapaxes(fresh.conj(), -1, -2))
     for _ in range(2):  # a first call and a repeat
         cached = random_starts(n, p, 5, 16)
         assert cached.shape == (15, n, p)
@@ -839,8 +889,17 @@ def test_local_unitary_covariance(rng):
         assert abs(d1 - d2) <= 2 * cfg.tol
 
 
-def _no_search(*args, **kwargs):
-    raise AssertionError("the dephasing search ran")
+def _no_search(monkeypatch):
+    # Patch the solve step of correlations so that any search fails the
+    # test: every problem must come back certified.
+    solve_alone = correlations.solve
+
+    def certified_only(problems):
+        runs = solve_alone(problems)
+        assert all(run.reasons == (CERTIFIED,) for run in runs), "a measurement search ran"
+        return runs
+
+    monkeypatch.setattr(correlations, "solve", certified_only)
 
 
 def _assert_certified(opt, value):
@@ -871,13 +930,13 @@ def test_kw_certificate_meets_wootters_on_rank2_two_qubit_states(kind, rotate, m
     # Koashi-Winter: the minimum over measurements on one qubit is E_F of the
     # other qubit and the purifier, which Wootters gives; the certificate
     # scores against exactly that bound and reaches it, on either side.
-    bounds = []
+    bounds, solve_alone = [], correlations.solve
 
-    def recording(objective, basis, bound):
-        bounds.append(bound)
-        return certify(objective, basis, bound)
+    def recording(problems):
+        bounds.extend(problem.bound for problem in problems if problem.candidate is not None)
+        return solve_alone(problems)
 
-    monkeypatch.setattr(correlations, "certify", recording)
+    monkeypatch.setattr(correlations, "solve", recording)
     cfg = OptimizerConfig(restarts=4, seed=3)
     for i in range(5):
         state = _rank2_two_qubit(kind, 300 + i)
@@ -893,12 +952,20 @@ def test_kw_certificate_meets_wootters_on_rank2_two_qubit_states(kind, rotate, m
             _assert_certified(opt, oracle)
             assert opt.argbasis.subsystem == m
             assert bounds == [pytest.approx(oracle, abs=1e-12)]
-            forced = minimize_over_measurements(*_measurement_objective(state, m, False), cfg, m)
+            forced = measurement_search(state, m, cfg, False)
             assert opt.value <= forced.value + 1e-12
 
 
-def _no_certificate(*args, **kwargs):
-    raise AssertionError("a candidate basis was scored")
+def _no_certificate(monkeypatch):
+    # Patch the solve step of correlations so that a candidate basis to
+    # score fails the test.
+    solve_alone = correlations.solve
+
+    def uncertified(problems):
+        assert all(problem.candidate is None for problem in problems), "a candidate basis was scored"
+        return solve_alone(problems)
+
+    monkeypatch.setattr(correlations, "solve", uncertified)
 
 
 @pytest.mark.parametrize(
@@ -907,13 +974,13 @@ def _no_certificate(*args, **kwargs):
 )
 def test_kw_certificate_never_fires_off_rank2_two_qubit_states(dims, rank, monkeypatch):
     # No candidate is scored, and the result is exactly the search's.
-    monkeypatch.setattr(correlations, "certify", _no_certificate)
+    _no_certificate(monkeypatch)
     cfg = OptimizerConfig(restarts=2, seed=5)
     for i in range(2):
         state = random_mixed(dims, rank, 400 + i)
         for m in (0, 1):
             opt = min_conditional_entropy(state, m, cfg)
-            forced = minimize_over_measurements(*_measurement_objective(state, m, False), cfg, m)
+            forced = measurement_search(state, m, cfg, False)
             assert correlations.CERTIFIED not in opt.stop_reasons
             assert opt.value == forced.value
             assert opt.restart_values == forced.restart_values
@@ -930,7 +997,7 @@ def test_re_discord_zero_for_classical_states(monkeypatch):
     cq_pure = classical_quantum([0.4, 0.6], [zero, one])
     cq_mixed = classical_quantum([0.3, 0.7], [zero, mixed])
     assert von_neumann_entropy(cq_mixed) > von_neumann_entropy(partial_trace(cq_mixed, (0,))) + 0.5
-    monkeypatch.setattr(correlations, "minimize_over_measurements", _no_search)
+    _no_search(monkeypatch)
     for cq in (cq_pure, cq_mixed):
         _assert_certified(re_discord(cq, 0, CFG), 0.0)
 
@@ -948,7 +1015,7 @@ def test_re_discord_certifies_pure_inputs(dims, monkeypatch):
     # On a pure state the eigenbasis of the measured marginal attains the
     # lower bound S(rho_X), so the value is certified without a search.
     cfg = OptimizerConfig(restarts=4, seed=3)
-    monkeypatch.setattr(correlations, "minimize_over_measurements", _no_search)
+    _no_search(monkeypatch)
     for i in range(3):
         state = haar_random_pure(dims, 40 + i).to_density()
         cases = [(state, m) for m in range(len(dims))]
@@ -958,10 +1025,7 @@ def test_re_discord_certifies_pure_inputs(dims, monkeypatch):
             opt = re_discord(rho, m, cfg)
             _assert_certified(opt, von_neumann_entropy(partial_trace(rho, (m,))))
             assert opt.argbasis.subsystem == m
-            # the imported name is the search itself, unpatched
-            forced = minimize_over_measurements(
-                *_measurement_objective(rho, m, dephasing=True), cfg, subsystem=m
-            )
+            forced = measurement_search(rho, m, cfg, True)
             assert opt.value <= forced.value + 1e-12
 
 
@@ -976,9 +1040,7 @@ def test_re_discord_certificate_never_fires_on_mixed_inputs():
             assert von_neumann_entropy(rho) > von_neumann_entropy(partial_trace(rho, (m,)))
             opt = re_discord(rho, m, cfg)
             assert correlations.CERTIFIED not in opt.stop_reasons
-            forced = minimize_over_measurements(
-                *_measurement_objective(rho, m, dephasing=True), cfg, subsystem=m
-            )
+            forced = measurement_search(rho, m, cfg, True)
             assert opt.value == forced.value
             assert opt.restart_values == forced.restart_values
 
@@ -1049,11 +1111,14 @@ def test_re_discord_chain_reuses_first_factor(monkeypatch):
     state = random_mixed((2, 2, 2), 8, 78)
     cfg = OptimizerConfig(restarts=2, max_iter=300, seed=5)
     first = re_discord(state, 1, cfg)
-    searches = []
-    search = correlations.minimize_over_measurements
-    monkeypatch.setattr(
-        correlations, "minimize_over_measurements", lambda *a, **k: searches.append(a[1]) or search(*a, **k)
-    )
+    searches, solve_alone = [], correlations.solve
+
+    def counting(problems):
+        runs = solve_alone(problems)
+        searches.extend(len(p.first) for p, run in zip(problems, runs) if run.reasons != (CERTIFIED,))
+        return runs
+
+    monkeypatch.setattr(correlations, "solve", counting)
     fresh = re_discord_detailed(state, (1, 2), cfg)
     assert searches == [4, 2, 2]
     reused = re_discord_detailed(state, (1, 2), cfg, first=first)
@@ -1070,7 +1135,7 @@ def test_re_discord_on_several_subsystems_keeps_restart_diagnostics(monkeypatch)
     cfg = OptimizerConfig(restarts=3, max_iter=300, seed=5)
     pure = haar_random_pure((2, 2, 2), 3).to_density()
     with monkeypatch.context() as m:
-        m.setattr(correlations, "minimize_over_measurements", _no_search)
+        _no_search(m)
         _assert_certified(re_discord(pure, (1, 2), cfg), von_neumann_entropy(partial_trace(pure, (1, 2))))
     mixed = re_discord(random_mixed((2, 2, 2), 8, 3), (1, 2), cfg).diagnostics()
     for key in ("restart_values", "iterations", "evaluations", "stop_reasons"):

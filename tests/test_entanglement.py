@@ -29,7 +29,6 @@ from discordkit.entanglement import (
     UPPER_BOUND,
     _dft_isometry,
     _roof_objective,
-    _roof_search,
     binary_entropy,
 )
 from discordkit.states import (
@@ -42,7 +41,7 @@ from discordkit.states import (
     werner_qudit,
 )
 
-from conftest import bell_state, bell_vector, haar_unitary
+from conftest import bell_state, bell_vector, haar_unitary, roof_search
 
 
 def _werner_mix(p: float) -> QState:
@@ -147,7 +146,7 @@ def test_eof_upper_never_undercuts_wootters():
     # The search alone: eof_upper certifies these states without one.
     for i in range(30):
         state = random_mixed((2, 2), 1 + i % 4, 5000 + i)
-        roof = _roof_search(state)
+        roof = roof_search(state)
         assert CERTIFIED not in roof.stop_reasons
         assert roof.crosscheck_gap is not None
         assert roof.crosscheck_gap >= -1e-6
@@ -171,7 +170,7 @@ def test_roof_search_meets_wootters_on_either_curvature_model(model, monkeypatch
         for i in range(3):
             state = random_mixed((2, 2), rank, 8100 + 10 * rank + i)
             for partition in (None, ((1,), (0,))):
-                roof = _roof_search(state, partition)
+                roof = roof_search(state, partition)
                 assert CERTIFIED not in roof.stop_reasons
                 assert -1e-6 <= roof.crosscheck_gap <= 5e-3
 
@@ -185,7 +184,7 @@ def test_eof_upper_meets_wootters_to_rounding(rank, seed):
     # searches' Armijo tests and stop the roof above Wootters (by up to
     # 8.5e-10 at rank 3, seed 7).  The search alone: eof_upper certifies
     # these states without one.
-    roof = _roof_search(random_mixed((2, 2), rank, seed))
+    roof = roof_search(random_mixed((2, 2), rank, seed))
     assert CERTIFIED not in roof.stop_reasons
     assert roof.crosscheck_gap <= 1e-12
 
@@ -316,7 +315,7 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, seed, index, max
     _use_model(monkeypatch, model)
     state = random_mixed(dims, rank, seed, index)
     cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter)
-    roof = _roof_search(state, cfg=cfg)
+    roof = roof_search(state, cfg=cfg)
     assert CERTIFIED not in roof.stop_reasons
 
     objective = _roof_objective(_canonical_rows(state), dims, (0,), (1,))
@@ -370,14 +369,14 @@ def test_eof_upper_restart_zero_is_never_the_lone_outlier(monkeypatch):
 def test_eof_upper_convergence_diagnostics():
     # The search alone: eof_upper certifies this state without one.
     state = random_mixed((2, 2), 4, 8001)
-    roof = _roof_search(state)
+    roof = roof_search(state)
     assert CERTIFIED not in roof.stop_reasons
     assert roof.converged is True
     assert roof.restart_spread <= 10.0 * EOF_DEFAULT_CONFIG.tol
     assert len(roof.iterations) == len(roof.evaluations) == len(roof.stop_reasons) == 3
     assert CAP not in roof.stop_reasons
     assert all(1 <= n < e for n, e in zip(roof.iterations, roof.evaluations))
-    capped = _roof_search(state, cfg=OptimizerConfig(restarts=3, max_iter=1))
+    capped = roof_search(state, cfg=OptimizerConfig(restarts=3, max_iter=1))
     assert capped.stop_reasons == (CAP, CAP, CAP)
     assert capped.iterations == (1, 1, 1)
     assert capped.converged is False
@@ -471,7 +470,7 @@ def test_wootters_certificate_meets_wootters_on_two_qubit_states(kind, partition
         witness = roof.decomposition
         np.testing.assert_allclose(witness.reconstruct(), state.matrix, rtol=0, atol=1e-12)
         assert abs(witness.weights.sum() - 1.0) <= 1e-12
-        assert roof.value <= _roof_search(state, partition).value + 1e-12
+        assert roof.value <= roof_search(state, partition).value + 1e-12
 
 
 def _fields(roof):
@@ -494,7 +493,7 @@ def test_wootters_certificate_never_fires_off_two_qubit_states(dims, rank, monke
         for partition in (None, ((1,), (0,))):
             roof = eof_upper(state, partition, cfg)
             assert CERTIFIED not in roof.stop_reasons
-            assert _fields(roof) == _fields(_roof_search(state, partition, cfg))
+            assert _fields(roof) == _fields(roof_search(state, partition, cfg))
 
 
 def _rotate_wootters_rows(monkeypatch):
@@ -521,7 +520,7 @@ def test_wootters_certificate_rejects_a_candidate_above_wootters(rank, monkeypat
         state = random_mixed((2, 2), rank, 770 + i)
         roof = eof_upper(state, cfg=cfg)
         assert CERTIFIED not in roof.stop_reasons
-        assert _fields(roof) == _fields(_roof_search(state, cfg=cfg))
+        assert _fields(roof) == _fields(roof_search(state, cfg=cfg))
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

@@ -3,7 +3,10 @@
 ``__init__.py`` re-exports its imports and ``__future__`` imports are
 directives, so both are exempt from the unused-import check.  The package
 depends on numpy alone.  Only ``_descent`` calls ``descend`` and
-``random_starts``: every search starts through ``_descent.search``.
+``random_starts``: every search starts through ``_descent.search``, which
+only ``_descent.solve`` and the public ``minimize_over_measurements`` call,
+and every certificate through ``_descent.certify``, which only ``solve``
+calls.
 """
 
 import ast
@@ -82,6 +85,21 @@ def test_only_descent_starts_a_search():
         if called_names(path.read_text(encoding="utf-8")) & {"descend", "random_starts"}
     }
     assert callers == {"_descent.py"}
+
+
+def callers_of(names: set) -> set:
+    """The package's functions, as ``module.function``, whose bodies call one of ``names``."""
+    return {
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and called_names(ast.unparse(node)) & names
+    }
+
+
+def test_only_solve_runs_searches_and_certificates():
+    assert callers_of({"search"}) == {"_descent.solve", "correlations.minimize_over_measurements"}
+    assert callers_of({"certify"}) == {"_descent.solve"}
 
 
 def test_verify_imports_no_givens_name():

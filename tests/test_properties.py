@@ -22,11 +22,10 @@ from discordkit import (
 )
 from discordkit._descent import CERTIFIED
 from discordkit.correlations import CONJECTURE_I_SLACK
-from discordkit.entanglement import _roof_search
-from discordkit.measurement import ProjectiveMeasurement, _measurement_objective, apply_measurement
+from discordkit.measurement import ProjectiveMeasurement, apply_measurement
 from discordkit.states import haar_random_pure, random_mixed
 
-from conftest import haar_unitary
+from conftest import haar_unitary, measurement_objective, roof_search
 
 CFG = OptimizerConfig(restarts=4, seed=0)
 CASES = st.sampled_from([((2, 2), 2), ((2, 2), 4), ((2, 3), 3), ((3, 2), 6)])
@@ -81,7 +80,7 @@ def test_eof_upper_under_local_unitaries_meets_wootters(rank, seed):
     u = np.kron(haar_unitary(g, 2), haar_unitary(g, 2))
     rotated = QState((2, 2), u @ state.matrix @ u.conj().T)
     # The search alone: eof_upper certifies these states without one.
-    roof = _roof_search(rotated)
+    roof = roof_search(rotated)
     assert CERTIFIED not in roof.stop_reasons
     assert roof.value == pytest.approx(eof_2qubit(state).value, abs=1e-6)
 
@@ -112,14 +111,15 @@ def test_dephasing_objective_is_conditional_plus_outcome_entropy(case, measured,
     g = np.random.default_rng(seed)
     d = dims[measured]
     bases = np.stack([haar_unitary(g, d) for _ in range(3)])
-    conditional, _ = _measurement_objective(state, measured, dephasing=False)
-    dephasing, _ = _measurement_objective(state, measured, dephasing=True)
+    conditional, _ = measurement_objective(state, measured, dephasing=False)
+    dephasing, _ = measurement_objective(state, measured, dephasing=True)
+    v = np.swapaxes(bases.conj(), -1, -2)
     outcome_entropy = []
     for u in bases:
         p = apply_measurement(state, ProjectiveMeasurement(measured, u)).probabilities
         outcome_entropy.append(-np.sum(p * np.log2(p)))
-    expected = conditional(bases, (3,))[0] + np.array(outcome_entropy) - von_neumann_entropy(state)
-    np.testing.assert_allclose(dephasing(bases, (3,))[0], expected, rtol=0, atol=1e-12)
+    expected = conditional(v, (3,))[0] + np.array(outcome_entropy) - von_neumann_entropy(state)
+    np.testing.assert_allclose(dephasing(v, (3,))[0], expected, rtol=0, atol=1e-12)
 
 
 @PROPERTY
@@ -147,8 +147,8 @@ def _ab_and_ac_objectives(abc: QState, seed: int):
     bases = np.array([np.eye(d)] + [haar_unitary(g, d) for _ in range(8)], dtype=complex)
     values = []
     for pair in ((0, 1), (0, 2)):
-        objective, _d = _measurement_objective(partial_trace(abc, pair), 0, dephasing=False)
-        values.append(objective(bases, (len(bases),))[0])
+        objective, _d = measurement_objective(partial_trace(abc, pair), 0, dephasing=False)
+        values.append(objective(np.swapaxes(bases.conj(), -1, -2), (len(bases),))[0])
     return values
 
 

@@ -227,15 +227,14 @@ def test_thm2_hypothesis_stops_at_a_nonvanishing_ef_bc(monkeypatch, seed):
 
 
 def _record_minimum_with_roof(monkeypatch):
-    """Patch ``verify._minimum_with_roof`` to log each call's outcome: True when it paired."""
+    """Patch ``verify._minimum_with_roof`` to log each call."""
     import discordkit.verify as verify
 
     calls, minimum_with_roof = [], verify._minimum_with_roof
 
     def recording(ab, bc, cfg):
-        out = minimum_with_roof(ab, bc, cfg)
-        calls.append(out is not None)
-        return out
+        calls.append(True)
+        return minimum_with_roof(ab, bc, cfg)
 
     monkeypatch.setattr(verify, "_minimum_with_roof", recording)
     return calls
@@ -366,10 +365,14 @@ def test_thm3_certified_route_skips_the_chain(monkeypatch):
     from discordkit.cli import _json_text
     from discordkit.correlations import re_discord_detailed
 
-    def no_search(*args, **kwargs):
-        raise AssertionError("a measurement search ran")
+    solve = correlations.solve
 
-    monkeypatch.setattr(correlations, "minimize_over_measurements", no_search)
+    def no_search(problems):
+        runs = solve(problems)
+        assert all(run.reasons == (correlations.CERTIFIED,) for run in runs), "a measurement search ran"
+        return runs
+
+    monkeypatch.setattr(correlations, "solve", no_search)
     for i in range(3):
         state = haar_random_pure((2, 2, 2), 90 + i).to_density()
         detail = re_discord_detailed(state, (1, 2), FAST)
@@ -525,40 +528,40 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
         return min_conditional_entropy(state, measured, cfg)
 
     searches = []
-    search = correlations.minimize_over_measurements
+    solve = correlations.solve
 
-    def counting_search(*args, **kwargs):
-        searches.append(args[1])
-        return search(*args, **kwargs)
+    def counting_search(problems):
+        # Every problem of correlations that searches; a certified one does not.
+        runs = solve(problems)
+        searches.extend(p.rows.shape for p, run in zip(problems, runs) if run.reasons != (correlations.CERTIFIED,))
+        return runs
 
     paired = []
     minimum_with_roof = verify._minimum_with_roof
 
     def counting_minimum_with_roof(ab, bc, cfg):
-        # One search that is both the convex roof of BC and the D_A search
-        # of AB: one roof input, one minimum input and one search.
-        out = minimum_with_roof(ab, bc, cfg)
-        if out is not None:
-            paired.append(ab.dims)
-            roof_inputs.append(bc.matrix.tobytes())
-            opt_inputs.append((ab.dims, ab.matrix.tobytes(), 0))
-            searches.append(ab.dims[0])
-        return out
+        # The convex roof of BC and the D_A minimum of AB, solved together:
+        # one roof input and one minimum input.
+        paired.append(ab.dims)
+        roof_inputs.append(bc.matrix.tobytes())
+        opt_inputs.append((ab.dims, ab.matrix.tobytes(), 0))
+        return minimum_with_roof(ab, bc, cfg)
 
     monkeypatch.setattr(verify, "eof_upper", counting_eof_upper)
     monkeypatch.setattr(verify, "_minimum_with_roof", counting_minimum_with_roof)
-    monkeypatch.setattr(correlations, "minimize_over_measurements", counting_search)
+    monkeypatch.setattr(correlations, "solve", counting_search)
     for module in (verify, correlations):
         monkeypatch.setattr(module, "min_conditional_entropy", counting_min_conditional_entropy)
     # E_F(BC) of the 2x2x3 purification takes the convex roof; it does not
     # vanish, so Theorem 2's hypothesis never computes E_F(AC).  The roof
-    # and the D_A search run as one search (rank(BC) = d_A = 2).
+    # and the D_A search are the two problems that search, in one search
+    # (rank(BC) = d_A = 2).
     # thm3 skips a bipartite input; on a pure ABC, D_B, D_C and the joint
     # D_BC are certified without a search, so the chain is skipped.  The AB
     # reduction of a pure (2,2,2) state is a rank-2 two-qubit state, whose
     # D_A minimum the Koashi-Winter certificate settles without a search.
     for spec, roofs, n_searches in (
-        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 1, 1),
+        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 1, 2),
         (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0, 0),
     ):
         roof_inputs.clear()
