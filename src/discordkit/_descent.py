@@ -152,20 +152,26 @@ def random_isometries(gens, n: int, p: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def random_starts(n: int, p: int, seed: int, restarts: int) -> np.ndarray:
-    """Read-only (restarts - 1, n, p) starts of restarts 1, 2, ... of ``search``.
+    """Read-only (restarts - 1, n, p) starts of restarts 1, 2, ... (``restart_stack``).
 
     Restart k starts from ``random_isometries`` on Philox stream k of
     ``seed``, so every search of one shape and configuration shares them;
     the cache is bounded, so a loop over seeds does not grow it without
-    limit.  A square start is the conjugate transpose of its draw Q: a
-    measurement search runs on V = U^H, so its restart k measures in the
-    basis U = Q.
+    limit.
     """
     starts = random_isometries([stream(seed, k) for k in range(1, restarts)], n, p)
-    if n == p:
-        starts = np.ascontiguousarray(_herm(starts))
     starts.setflags(write=False)
     return starts
+
+
+def restart_stack(first: np.ndarray, cfg: OptimizerConfig, basis: bool = False) -> np.ndarray:
+    """A search's starts: restart 0 ``first``, an m x n isometry, then ``random_starts(m, n, ...)``.
+
+    A ``basis`` search runs on V = U^H, so its random starts are the
+    conjugate transposes of the draws Q: restart k measures in the basis Q.
+    """
+    later = random_starts(*first.shape, cfg.seed, cfg.restarts)
+    return np.concatenate([first[None], _herm(later) if basis else later])
 
 
 def _stall(step: float, slope: float, f: float) -> int:
@@ -428,35 +434,31 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     )
 
 
-def search(objective: Callable, firsts, cfg: OptimizerConfig) -> list[Descent]:
-    """The ``cfg.restarts``-restart searches of P problems, one restart 0 each in ``firsts``, in one ``descend``.
+def search(objective: Callable, starts, cfg: OptimizerConfig) -> list[Descent]:
+    """The searches of P problems in one ``descend``, problem q from its ``restart_stack`` ``starts[q]``.
 
-    Problem q's restart 0 ``firsts[q]`` is an n_q x p isometry, and
-    restarts 1, 2, ... start from ``random_starts(n_q, p, ...)``, which
-    depend on the shape, ``cfg.seed`` and ``cfg.restarts`` alone.  The
-    stack holds n x p isometries, n the largest n_q, and problem q uses
-    only its first n_q rows: the rest are zero in each of its starts, and
-    they stay zero where the objective gives a zero row a zero gradient, as
-    ``qstate._ensemble_objective`` does (a member of zero weight), since
-    every step is a combination of gradients.  Each restart takes at most
-    ``cfg.max_iter`` iterations.  ``objective`` scores the problems'
-    restarts in blocks, as ``descend`` passes them.  A restart follows the
-    path it takes alone, so each problem's ``Descent``, cut to its n_q
-    rows, is its search's alone at height n; but the problems share every
-    round, whose cost grows little with the number of live restarts.
+    Problem q's starts are n_q x p isometries.  The stack holds n x p ones,
+    n the largest n_q, and problem q uses only its first n_q rows: the rest
+    are zero in each of its starts, and they stay zero where the objective
+    gives a zero row a zero gradient, as ``qstate._ensemble_objective``
+    does (a member of zero weight), since every step is a combination of
+    gradients.  Each restart takes at most ``cfg.max_iter`` iterations.
+    ``objective`` scores the problems' restarts in blocks, as ``descend``
+    passes them.  A restart follows the path it takes alone, so each
+    problem's ``Descent``, cut to its n_q rows, is its search's alone; but
+    the problems share every round, whose cost grows little with the
+    number of live restarts.
     """
-    p = firsts[0].shape[-1]
-    n = max(len(first) for first in firsts)
-    x = np.zeros((len(firsts), cfg.restarts, n, p), dtype=complex)
-    for q, first in enumerate(firsts):
-        x[q, 0, : len(first)] = first
-        x[q, 1:, : len(first)] = random_starts(len(first), p, cfg.seed, cfg.restarts)
-    x = x.reshape(len(firsts) * cfg.restarts, n, p)
-    sizes = (cfg.restarts,) * len(firsts)
+    n = max(stack.shape[1] for stack in starts)
+    x = np.zeros((len(starts), cfg.restarts, n, starts[0].shape[-1]), dtype=complex)
+    for q, stack in enumerate(starts):
+        x[q, :, : stack.shape[1]] = stack
+    x = x.reshape(-1, *x.shape[2:])
+    sizes = (cfg.restarts,) * len(starts)
     run = descend(objective, x, *objective(x, sizes), cfg.max_iter, sizes)
     fields = (run.values, run.iterations, run.evaluations, run.reasons)
-    return [Descent(run.x[k : k + cfg.restarts, : len(first)], *(v[k : k + cfg.restarts] for v in fields))
-            for k, first in zip(range(0, len(x), cfg.restarts), firsts)]
+    return [Descent(run.x[k : k + cfg.restarts, : stack.shape[1]], *(v[k : k + cfg.restarts] for v in fields))
+            for k, stack in zip(range(0, len(x), cfg.restarts), starts)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,9 +470,9 @@ class Problem:
     budget.  ``candidate``, when given, is an isometry of ``first``'s shape
     scored against ``bound``, a proved lower bound (``certify``).  With
     ``dephasing`` the value is the entropy of the union of the member
-    spectra, less ``offset``.  A measurement is the problem of V = U^H, U
-    the basis (``correlations._measurement_problem``), and the convex roof
-    that of its isometries (``entanglement._roof``).
+    spectra, less ``offset``.  A measurement is the ``basis`` problem of V =
+    U^H, U the basis (``correlations._measurement_problem``), and the convex
+    roof that of its isometries (``entanglement._roof``).
     """
 
     rows: np.ndarray
@@ -481,17 +483,16 @@ class Problem:
     bound: float = 0.0
     dephasing: bool = False
     offset: float = 0.0
+    basis: bool = False
 
 
 def objective_of(problems) -> Callable:
-    """The stacked objective of ``problems``, which share rows shape, d_A, dephasing and offset.
-
-    ``qstate._ensemble_objective`` of their rows, one block per problem,
-    with ``offset`` subtracted from every value.
-    """
+    """``qstate._ensemble_objective`` of the ``problems``' rows, one block each, less their common ``offset``."""
     head = problems[0]
-    rows = np.stack([problem.rows for problem in problems])
+    rows = head.rows[None] if len(problems) == 1 else np.stack([problem.rows for problem in problems])
     ensemble = _ensemble_objective(rows, head.da, rows.shape[-1] // head.da, head.dephasing)
+    if not head.offset:
+        return ensemble
 
     def objective(v: np.ndarray, sizes):
         values, grad = ensemble(v, sizes)
@@ -503,26 +504,28 @@ def objective_of(problems) -> Callable:
 def solve(problems) -> list[Descent]:
     """Each problem's run: certified where its candidate meets its bound, else searched.
 
-    Every certificate of the package passes here, and every search but
-    that of a caller's own objective (``minimize_over_measurements``).  A
-    problem with a ``candidate`` is scored first (``certify``).  The others
-    run in one ``search`` per group of one key: rows shape, d_A, dephasing
-    and offset, ``cfg``, and whether the problem's D = 2 m n is at most
-    ``DENSE_MAX``, so each problem keeps the curvature model of its search
-    alone.  A group holds the two sides of a d x d state, or, by HJW, the
-    D_A search of a state AB and the convex roof of BC when rank(rho_BC) =
-    d_A; each run equals its search alone.
+    Every certificate passes here, and every search but that of a caller's
+    own objective (``minimize_over_measurements``).  A ``candidate`` is
+    scored first (``certify``); a problem then searched alone reuses that
+    objective.  The others run in one ``search`` per key: rows shape, d_A,
+    dephasing and offset, ``cfg``, and whether the problem's D = 2 m n is at
+    most ``DENSE_MAX``, so each keeps the curvature model of its search
+    alone; above it only one shape groups, so no limited-memory search is
+    padded.  A group holds the two sides of a d x d state, or, by HJW, the
+    D_A search of AB and the roof of BC when rank(rho_BC) = d_A <= 3.
     """
-    runs = [None if p.candidate is None else certify(objective_of([p]), p.candidate, p.bound) for p in problems]
+    built = {i: objective_of([p]) for i, p in enumerate(problems) if p.candidate is not None}
+    runs = [certify(built[i], p.candidate, p.bound) if i in built else None for i, p in enumerate(problems)]
     groups: dict = {}
-    for i, problem in enumerate(problems):
+    for i, p in enumerate(problems):
         if runs[i] is None:
-            key = (problem.rows.shape, problem.da, problem.dephasing, problem.offset, problem.cfg,
-                   2 * problem.first.size <= DENSE_MAX)
+            key = (p.rows.shape, p.da, p.dephasing, p.offset, p.cfg, 2 * p.first.size <= DENSE_MAX or p.first.shape)
             groups.setdefault(key, []).append(i)
     for group in groups.values():
         stack = [problems[i] for i in group]
-        for i, run in zip(group, search(objective_of(stack), [problem.first for problem in stack], stack[0].cfg)):
+        objective = built[group[0]] if len(group) == 1 and group[0] in built else objective_of(stack)
+        starts = [restart_stack(p.first, p.cfg, p.basis) for p in stack]
+        for i, run in zip(group, search(objective, starts, stack[0].cfg)):
             runs[i] = run
     return runs
 

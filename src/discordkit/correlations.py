@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import CERTIFIED, Descent, Problem, search, solve, summary
+from ._descent import CERTIFIED, Descent, Problem, restart_stack, search, solve, summary
 from .config import OptimizerConfig
 from .entanglement import EofResult, _eof_of_concurrence, _roof, _upper_bound, _wootters_rows
 from .measurement import ProjectiveMeasurement, _measurement_factor, dephase
@@ -129,7 +129,8 @@ def minimize_over_measurements(
     are the measurement vectors) and the sizes of its blocks, here (R,) for
     the one problem (``_descent.descend``), to R values and R Euclidean
     gradients G_U (df = Re tr(G^H dU)).  The run is ``_descent.search`` on V
-    = U^H, as every measurement search runs (``_descent.solve``), with the
+    = U^H, as every measurement search runs (``_descent.solve``), from the
+    starts of a measurement problem (``_descent.restart_stack``), the
     canonical basis as restart 0; the objective of V is ``objective`` at
     V^H, with gradient G_U^H.  ``subsystem`` labels the reported basis.
     Deterministic given ``cfg.seed``; restart ties break toward the lowest
@@ -141,7 +142,7 @@ def minimize_over_measurements(
         values, grad = objective(np.swapaxes(v.conj(), -1, -2), sizes)
         return values, np.swapaxes(grad.conj(), -1, -2)
 
-    [run] = search(in_v, np.eye(int(d), dtype=complex)[None], cfg)
+    [run] = search(in_v, [restart_stack(np.eye(int(d), dtype=complex), cfg, basis=True)], cfg)
     return _optimized(run, cfg.tol, subsystem)
 
 
@@ -164,9 +165,9 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
     """The ``_descent.Problem`` of the least measurement objective on subsystem k, with its certificate.
 
     The rows are a factor rho = L L^H (``_measurement_factor``), searched on
-    V = U^H from V = I: outcome k's conditional block is N_k N_k^H, N_k row
-    k of V L, and the value is sum_k p_k S(rho_k), or with ``dephasing``
-    S(dephased) - S(rho), S(rho) being the offset.  A candidate basis U is
+    V = U^H, a ``basis`` problem, from V = I: outcome k's conditional block
+    is N_k N_k^H, N_k row k of V L, and the value is sum_k p_k S(rho_k), or
+    with ``dephasing`` S(dephased) - S(rho), S(rho) being the offset.  A candidate basis U is
     scored, as V = U^H, against a proved lower bound:
 
     - with ``dephasing``, the eigenbasis of rho_X against L = max(0,
@@ -192,7 +193,7 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
         candidate, c = _wootters_rows(factor)
         bound = _eof_of_concurrence(c)
     return Problem(factor, r, np.eye(factor.shape[0], dtype=complex), cfg, candidate, bound, dephasing,
-                   _entropy_bits(lam) if dephasing else 0.0)
+                   _entropy_bits(lam) if dephasing else 0.0, basis=True)
 
 
 def _measured_minima(
@@ -216,16 +217,12 @@ def _minimum_with_roof(ab: QState, bc: QState, cfg: OptimizerConfig | None) -> t
 
     ``bc`` is the BC reduction of a purification ABC of ``ab``.  By HJW a
     rank-1 measurement on A of the pure ABC is a d_A-member ensemble of
-    rho_BC (the step behind the Koashi-Winter relation), so the D_A search
-    and the convex roof of BC score the same kind of rows: d_A of them, each
-    a d_B x rank(rho_AB) block (``qstate._ensemble_objective``).  Where the
-    two problems share a key (rank(rho_BC) = d_A, one ``cfg``, and d_A <= 3,
-    where both keep the dense curvature model) and neither is certified,
-    they run as two blocks of one search: the roof on its m x d_A
-    isometries, m = d_A^2, and the measurement on V = U^H padded with zero
-    rows to that height, which stays an exact projective measurement (a
-    member of zero weight has zero gradient).  The roof is then
-    ``eof_upper``'s bit for bit, and the minimum
+    rho_BC (the step behind the Koashi-Winter relation), so both problems
+    score d_A rows of d_B x rank(rho_AB) blocks (``qstate._ensemble_objective``).
+    Where they share a key (rank(rho_BC) = d_A <= 3 and one ``cfg``) and
+    neither is certified, they run as two blocks of one search, the
+    measurement's V = U^H padded with zero rows to the roof's d_A^2 x d_A
+    shape.  The roof is then ``eof_upper``'s bit for bit and the minimum
     ``min_conditional_entropy``'s to rounding; elsewhere each run is the
     one alone.
     """

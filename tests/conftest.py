@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from discordkit import OptimizerConfig, PureStateVector, QState
+from discordkit import OptimizerConfig, PureStateVector, QState, _descent
 from discordkit._descent import objective_of, solve
 from discordkit.correlations import DEFAULT_CONFIG, _measurement_problem, _optimized
 from discordkit.entanglement import _roof, _upper_bound
@@ -55,3 +55,15 @@ def roof_search(state: QState, partition=None, cfg: OptimizerConfig | None = Non
     """The convex-roof search of ``eof_upper``: its problem with the Wootters candidate removed."""
     problem, e0, oracle = _roof(state, partition, cfg)
     return _upper_bound(solve([replace(problem, candidate=None)])[0], e0, oracle, problem.cfg.tol)
+
+
+def record_descends(monkeypatch):
+    """Patch ``_descent.descend`` to log the block sizes of every call, one tuple per call."""
+    calls, descend_alone = [], _descent.descend
+
+    def recording(objective, x, values, egrad, max_iter, sizes=None):
+        calls.append(sizes)
+        return descend_alone(objective, x, values, egrad, max_iter, sizes)
+
+    monkeypatch.setattr(_descent, "descend", recording)
+    return calls

@@ -51,6 +51,7 @@ from discordkit._descent import (
     objective_of,
     random_isometries,
     random_starts,
+    restart_stack,
     retract,
     solve,
     summary,
@@ -69,7 +70,7 @@ from discordkit.states import (
     werner_qudit,
 )
 
-from conftest import bell_state, haar_unitary, measurement_objective, measurement_search
+from conftest import bell_state, haar_unitary, measurement_objective, measurement_search, record_descends
 
 CFG = OptimizerConfig(restarts=8, seed=1)
 
@@ -554,18 +555,6 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     assert opt.argbasis.basis.tobytes() == alone[best].x[0].conj().T.tobytes()
 
 
-def _record_descends(monkeypatch):
-    # The block sizes of every descend call, one tuple per call.
-    calls, descend_alone = [], _descent.descend
-
-    def recording(objective, x, values, egrad, max_iter, sizes=None):
-        calls.append(sizes)
-        return descend_alone(objective, x, values, egrad, max_iter, sizes)
-
-    monkeypatch.setattr(_descent, "descend", recording)
-    return calls
-
-
 @pytest.mark.parametrize(
     "dims, rank, restarts, model",
     [((2, 2), 4, 16, "dense"), ((6, 2), 5, 4, "lbfgs")],
@@ -614,7 +603,7 @@ def test_paired_problems_equal_their_padded_searches_run_alone(dims, rank, monke
     # stay exactly zero.  Some pairs stop in different rounds, so one block
     # runs on after the other has emptied.
     cfg, rounds_differ = OptimizerConfig(seed=1), False
-    descends = _record_descends(monkeypatch)
+    descends = record_descends(monkeypatch)
     for i in range(4):
         ab = random_mixed(dims, rank, 1, i)
         minimum, roof = _measurement_problem(ab, 0, cfg, False), _roof(_bc_of(ab), None, cfg)[0]
@@ -627,8 +616,7 @@ def test_paired_problems_equal_their_padded_searches_run_alone(dims, rank, monke
         # and restarts 1, 2, ... are its random unitaries.
         d, height = len(minimum.first), len(roof.first)
         x = np.zeros((cfg.restarts, height, d), dtype=complex)
-        x[0, :d] = minimum.first
-        x[1:, :d] = random_starts(d, d, cfg.seed, cfg.restarts)
+        x[:, :d] = restart_stack(minimum.first, cfg, basis=True)
         objective = objective_of([minimum])
         padded = descend(objective, x, *objective(x, (cfg.restarts,)), cfg.max_iter)
         assert not padded.x[:, d:].any()
@@ -654,14 +642,18 @@ def _opt_fields(opt):
 @pytest.mark.parametrize(
     "dims, rank", [((2, 2), 3), ((2, 2), 4), ((2, 3), 3), ((3, 2), 4)], ids=["2x2r3", "2x2r4", "2x3r3", "3x2r4"]
 )
-def test_minimum_with_roof_equals_each_computed_alone(dims, rank):
-    # One search gives eof_upper's roof of BC bit for bit, witness and
-    # diagnostics included, and min_conditional_entropy's D_A minimum of AB
-    # to rounding, with a basis on A whose value is that minimum.
+def test_minimum_with_roof_equals_each_computed_alone(dims, rank, monkeypatch):
+    # One search, a descend of two blocks, gives eof_upper's roof of BC bit
+    # for bit, witness and diagnostics included, and
+    # min_conditional_entropy's D_A minimum of AB to rounding, with a basis
+    # on A whose value is that minimum.
+    descends = record_descends(monkeypatch)
     for i in range(3):
         ab, cfg = random_mixed(dims, rank, 1, i), OptimizerConfig(seed=i)
         bc = _bc_of(ab)
+        descends.clear()
         opt, roof = _minimum_with_roof(ab, bc, cfg)
+        assert descends == [(cfg.restarts, cfg.restarts)]
         assert _roof_fields(roof) == _roof_fields(eof_upper(bc, cfg=cfg))
         alone = min_conditional_entropy(ab, 0, cfg)
         assert abs(opt.value - alone.value) <= 1e-12
@@ -675,18 +667,23 @@ def test_minimum_with_roof_runs_apart_where_the_problems_do_not_share_a_key(monk
     # No descend holds both problems, and each result equals its computation
     # alone exactly: without a config (the two defaults differ), where the
     # Koashi-Winter certificate applies, where rank(BC) differs from d_A,
-    # and where the rows match but the roof's D exceeds DENSE_MAX and the
-    # measurement's does not (d_A = 4).
-    cfg = OptimizerConfig(seed=1)
+    # where the rows match but the roof's D exceeds DENSE_MAX and the
+    # measurement's does not (d_A = 4), and where both exceed it (d_A = 6),
+    # so that the measurement would be padded in a limited-memory search.
+    cfg, short = OptimizerConfig(seed=1), OptimizerConfig(seed=1, restarts=2, max_iter=30)
     unentangled_a = QState((2, 3), np.kron(np.diag([1.0, 0.0]), np.eye(3) / 3.0))
-    four = random_mixed((4, 2), 3, 1, 0)
-    assert _roof(_bc_of(four), None, cfg)[0].rows.shape == _measurement_problem(four, 0, cfg, False).rows.shape
-    descends = _record_descends(monkeypatch)
+    four, six = random_mixed((4, 2), 3, 1, 0), random_mixed((6, 2), 4, 1, 0)
+    for state, dense in ((four, (True, False)), (six, (False, False))):
+        minimum, roof = _measurement_problem(state, 0, cfg, False), _roof(_bc_of(state), None, cfg)[0]
+        assert (roof.rows.shape, roof.da) == (minimum.rows.shape, minimum.da)
+        assert tuple(2 * p.first.size <= DENSE_MAX for p in (minimum, roof)) == dense
+    descends = record_descends(monkeypatch)
     for state, config in (
         (random_mixed((2, 2), 3, 1, 0), None),
         (random_mixed((2, 2), 2, 1, 0), cfg),
         (unentangled_a, cfg),
         (four, cfg),
+        (six, short),
     ):
         descends.clear()
         opt, roof = _minimum_with_roof(state, _bc_of(state), config)
@@ -717,7 +714,7 @@ def test_correlation_report_stacks_both_sides_of_a_square_state(dims, rank, stac
     # factors have one shape and the sides run as one stacked search; on
     # (2, 3) they run one search each.  Either way the report equals the one
     # built from two separate runs.
-    descends = _record_descends(monkeypatch)
+    descends = record_descends(monkeypatch)
     for i in range(4):
         state, cfg = random_mixed(dims, rank, 1, i), OptimizerConfig(seed=i)
         descends.clear()
@@ -770,14 +767,19 @@ def test_min_conditional_entropy_meets_koashi_winter_oracle(restarts):
 )
 def test_cached_restart_bases_equal_a_fresh_build(n, p):
     # The starts come from one stacked QR; each equals the Q factor of its
-    # own Gaussian matrix, factored alone, or at n = p its conjugate
-    # transpose: the measurement search on V = U^H measures in the basis Q.
+    # own Gaussian matrix, factored alone.  A search stacks them behind its
+    # restart 0, and a basis search (on V = U^H) their conjugate
+    # transposes, so that it measures in the bases Q.
     def gaussian(g):
         return g.normal(size=(n, p)) + 1j * g.normal(size=(n, p))
 
     fresh = np.stack([np.linalg.qr(gaussian(stream(5, k)))[0] for k in range(1, 16)])
+    first, cfg = np.eye(n, p, dtype=complex), OptimizerConfig(seed=5, restarts=16)
+    assert restart_stack(first, cfg).tobytes() == np.concatenate([first[None], fresh]).tobytes()
     if n == p:
-        fresh = np.ascontiguousarray(np.swapaxes(fresh.conj(), -1, -2))
+        bases = restart_stack(first, cfg, basis=True)
+        assert bases[0].tobytes() == first.tobytes()
+        assert np.array_equal(np.swapaxes(bases[1:].conj(), -1, -2), fresh)
     for _ in range(2):  # a first call and a repeat
         cached = random_starts(n, p, 5, 16)
         assert cached.shape == (15, n, p)

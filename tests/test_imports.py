@@ -3,10 +3,10 @@
 ``__init__.py`` re-exports its imports and ``__future__`` imports are
 directives, so both are exempt from the unused-import check.  The package
 depends on numpy alone.  Only ``_descent`` calls ``descend`` and
-``random_starts``: every search starts through ``_descent.search``, which
-only ``_descent.solve`` and the public ``minimize_over_measurements`` call,
-and every certificate through ``_descent.certify``, which only ``solve``
-calls.
+``random_starts``, the latter only in ``_descent.restart_stack``: every
+search starts through ``_descent.search``, which only ``_descent.solve``
+and the public ``minimize_over_measurements`` call, and every certificate
+through ``_descent.certify``, which only ``solve`` calls.
 """
 
 import ast
@@ -85,6 +85,7 @@ def test_only_descent_starts_a_search():
         if called_names(path.read_text(encoding="utf-8")) & {"descend", "random_starts"}
     }
     assert callers == {"_descent.py"}
+    assert callers_of({"random_starts"}) == {"_descent.restart_stack"}
 
 
 def callers_of(names: set) -> set:

@@ -50,10 +50,12 @@ from discordkit.verify import (
     run_suite,
 )
 
-from conftest import bell_state, ghz_vector
+from conftest import bell_state, ghz_vector, record_descends
 
 CFG = OptimizerConfig(restarts=6, seed=2)
 FAST = OptimizerConfig(restarts=2, max_iter=400, seed=2)
+# The descends of one search that holds the D_A problem and the roof of BC.
+PAIRED = [(FAST.restarts, FAST.restarts)]
 
 
 def test_eq5_saturation_and_product_slack():
@@ -227,14 +229,20 @@ def test_thm2_hypothesis_stops_at_a_nonvanishing_ef_bc(monkeypatch, seed):
 
 
 def _record_minimum_with_roof(monkeypatch):
-    """Patch ``verify._minimum_with_roof`` to log each call."""
+    """Patch ``verify._minimum_with_roof`` to log, per call, the block sizes of the descends it ran.
+
+    ``PAIRED`` when the D_A problem and the roof ran as one search.
+    """
     import discordkit.verify as verify
 
     calls, minimum_with_roof = [], verify._minimum_with_roof
+    descends = record_descends(monkeypatch)
 
     def recording(ab, bc, cfg):
-        calls.append(True)
-        return minimum_with_roof(ab, bc, cfg)
+        descends.clear()
+        out = minimum_with_roof(ab, bc, cfg)
+        calls.append(list(descends))
+        return out
 
     monkeypatch.setattr(verify, "_minimum_with_roof", recording)
     return calls
@@ -256,7 +264,7 @@ def test_suite_pairs_d_a_with_the_roof_only_when_it_reads_both(monkeypatch, rela
     analysis = _StateAnalysis(state, FAST, relations)
     pairs, roofs = _record_eof_pairs(monkeypatch, analysis)
     rows = [RELATIONS[name](analysis, FAST) for name in relations]
-    assert calls == ([True] if paired else [])
+    assert calls == ([PAIRED] if paired else [])
     assert roofs == ([] if paired or not {"thm1", "cor1", "lindblad", "thm2", "cor2"} & set(relations) else ["bc"])
     if relations == ("monogamy",):
         assert pairs == [] and ("eof", "bc") not in analysis._memo
@@ -272,9 +280,9 @@ def test_lone_check_pairs_as_its_own_suite(monkeypatch):
     state = random_mixed((2, 2), 3, 11)
     calls = _record_minimum_with_roof(monkeypatch)
     row = check_thm1(state, FAST)
-    assert calls == [True] and row.skipped is None and row.holds
+    assert calls == [PAIRED] and row.skipped is None and row.holds
     assert check_thm2(state, FAST).skipped.startswith("hypothesis not met: E_F(BC)")
-    assert calls == [True]
+    assert calls == [PAIRED]
 
 
 def test_monogamy_only_suite_runs_no_roof(monkeypatch):
@@ -550,24 +558,26 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
     monkeypatch.setattr(verify, "eof_upper", counting_eof_upper)
     monkeypatch.setattr(verify, "_minimum_with_roof", counting_minimum_with_roof)
     monkeypatch.setattr(correlations, "solve", counting_search)
+    descends = record_descends(monkeypatch)
     for module in (verify, correlations):
         monkeypatch.setattr(module, "min_conditional_entropy", counting_min_conditional_entropy)
     # E_F(BC) of the 2x2x3 purification takes the convex roof; it does not
     # vanish, so Theorem 2's hypothesis never computes E_F(AC).  The roof
-    # and the D_A search are the two problems that search, in one search
-    # (rank(BC) = d_A = 2).
+    # and the D_A search are the two problems that search, and they run as
+    # one search (rank(BC) = d_A = 2): one descend of two blocks.
     # thm3 skips a bipartite input; on a pure ABC, D_B, D_C and the joint
     # D_BC are certified without a search, so the chain is skipped.  The AB
     # reduction of a pure (2,2,2) state is a rank-2 two-qubit state, whose
     # D_A minimum the Koashi-Winter certificate settles without a search.
-    for spec, roofs, n_searches in (
-        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 1, 2),
-        (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0, 0),
+    for spec, roofs, n_searches, descend_sizes in (
+        (StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 3}, 11), 1, 2, PAIRED),
+        (StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 11), 0, 0, []),
     ):
         roof_inputs.clear()
         opt_inputs.clear()
         searches.clear()
         paired.clear()
+        descends.clear()
         report = run_suite(spec, tuple(RELATIONS), 1, FAST)
         assert len(report.rows) == 12
         assert len(paired) == roofs
@@ -576,6 +586,7 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
         # the same minimum, and no dephasing search runs
         assert len(opt_inputs) == len(set(opt_inputs)) == 1
         assert len(searches) == n_searches
+        assert descends == descend_sizes
 
         # monogamy reads the D_A(AB) run that thm1, eq8 and lindblad read as D_A(state)
         opt_inputs.clear()
