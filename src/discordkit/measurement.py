@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .qstate import QState, von_neumann_entropy
+from .qstate import QState, _derived_state, von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -128,13 +128,14 @@ class POVM:
         for e in elems:
             if e.shape != (d, d):
                 raise ValueError("POVM elements must be square and share one dimension")
-            if float(np.max(np.abs(e - e.conj().T))) > ELEMENT_PSD_TOL:
+            # Each test is negated, so that a NaN residual fails it too.
+            if not float(np.max(np.abs(e - e.conj().T))) <= ELEMENT_PSD_TOL:
                 raise ValueError("POVM element is not Hermitian")
-            if float(np.linalg.eigvalsh(e)[0]) < -ELEMENT_PSD_TOL:
+            if not float(np.linalg.eigvalsh(e)[0]) >= -ELEMENT_PSD_TOL:
                 raise ValueError("POVM element is not positive semidefinite")
             e.setflags(write=False)
             total += e
-        if float(np.max(np.abs(total - np.eye(d)))) > COMPLETENESS_TOL:
+        if not float(np.max(np.abs(total - np.eye(d)))) <= COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "subsystem", int(self.subsystem))
         object.__setattr__(self, "elements", elems)
@@ -213,13 +214,12 @@ def _outcomes(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kept outcomes' probabilities, the (..., K) kept mask, and their conditional states.
 
     ``blocks`` is a (..., K, R, R) stack of unnormalized conditional blocks.
-    Outcomes with probability below ``OUTCOME_FLOOR`` are dropped, and a
-    NaN one is kept, so that validating its state flags it.  The states are
-    the kept blocks over their probabilities, made Hermitian, as one
-    (kept, R, R) stack.
+    Outcomes with probability below ``OUTCOME_FLOOR`` are dropped.  The
+    states are the kept blocks over their probabilities, made Hermitian, as
+    one (kept, R, R) stack.
     """
     probs = np.einsum("...krr->...k", blocks).real
-    kept = ~(probs < OUTCOME_FLOOR)
+    kept = probs >= OUTCOME_FLOOR
     p = probs[kept]
     c = blocks[kept] / p[:, None, None]
     return p, kept, (c + np.swapaxes(c.conj(), -1, -2)) / 2.0
@@ -249,7 +249,9 @@ def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:
 
     p_k = Tr(E_k rho) and rho_k = Tr_measured(E_k rho) / p_k; the unmeasured
     subsystems keep their original order.  Outcomes with p_k below
-    ``OUTCOME_FLOOR`` are dropped.
+    ``OUTCOME_FLOOR`` are dropped.  The state and the measurement were
+    validated when they were built, so the conditional states are derived
+    states (``qstate._derived_state``) and are not validated again.
     """
     t, dm, rest = _measured_view(state, m.subsystem)
     if isinstance(m, ProjectiveMeasurement):
@@ -264,7 +266,7 @@ def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:
         raise TypeError(f"unsupported measurement type {type(m).__name__}")
     p, _kept, states = _outcomes(blocks)
     rest_dims = rest if rest else (1,)
-    return OutcomeEnsemble(p, tuple(QState(rest_dims, c) for c in states))
+    return OutcomeEnsemble(p, tuple(_derived_state(rest_dims, c) for c in states))
 
 
 def avg_conditional_entropy(ensemble: OutcomeEnsemble) -> float:
@@ -283,7 +285,9 @@ def dephase(state: QState, m: ProjectiveMeasurement) -> QState:
     """Nonselective projective measurement: sum_k (P_k (x) I) rho (P_k (x) I).
 
     Idempotent and trace preserving; entropy never decreases.  POVM input is
-    rejected because dephasing requires orthogonal projectors.
+    rejected because dephasing requires orthogonal projectors.  The result
+    is made Hermitian and, as a derived state of a valid one, not validated
+    again (``qstate._derived_state``).
     """
     if not isinstance(m, ProjectiveMeasurement):
         raise TypeError("dephasing requires a complete projective measurement")
@@ -299,5 +303,5 @@ def dephase(state: QState, m: ProjectiveMeasurement) -> QState:
     deph = deph.transpose(np.argsort(axes))
     side = state.dim
     out = deph.reshape(side, side)
-    return QState(state.dims, (out + out.conj().T) / 2.0)
+    return _derived_state(state.dims, (out + out.conj().T) / 2.0)
 

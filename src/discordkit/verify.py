@@ -46,11 +46,9 @@ from .qstate import (
     PureStateVector,
     QState,
     _entropy_bits,
-    _require_valid,
     is_pure,
     partial_trace,
     purify,
-    validate,
     von_neumann_entropy,
 )
 from .states import StateFamilySpec, stream
@@ -591,11 +589,14 @@ def check_kw_pointwise(
     random unitary bases (``_seeded_bases``), or over a single supplied
     measurement, which must measure A, or ``ValueError`` is raised, all in
     one pass: the outcomes and conditional states are
-    ``apply_measurement``'s (``measurement._outcomes``), and the kept
-    conditional states and their B and C reductions must pass ``QState``'s
-    checks (``validate``), or ``InvalidStateError`` is raised.  Without a
-    supplied measurement, ``n_measurements < 1`` raises ``ValueError``: a
-    row that checked nothing must not pass.
+    ``apply_measurement``'s (``measurement._outcomes``).  Like those, the
+    conditional states and their B and C reductions are derived from the
+    validated ABC and are not validated again: dividing a block by a small
+    outcome probability scales rounding up with it, so an eigensolver check
+    there would reject valid inputs.  A mixed tripartite input raises
+    ``InvalidStateError`` (``_as_tripartite``).  Without a supplied
+    measurement, ``n_measurements < 1`` raises ``ValueError``: a row that
+    checked nothing must not pass.
     """
     if measurement is None and n_measurements < 1:
         raise ValueError(f"n_measurements must be >= 1, got {n_measurements}")
@@ -612,12 +613,10 @@ def check_kw_pointwise(
         bases = measurement.basis[None]
     rest = abc.dims[1:]
     p, kept, cond = _outcomes(_conditional_blocks(_measured_view(abc, 0)[0], bases))
-    _require_valid(validate(cond, rest))
     per_outcome = cond.reshape((-1,) + rest + rest)
     s_meas = []
-    for subscripts, dims in (("kbcdc->kbd", rest[:1]), ("kbcbd->kcd", rest[1:])):
+    for subscripts in ("kbcdc->kbd", "kbcbd->kcd"):
         reduced = np.einsum(subscripts, per_outcome)
-        _require_valid(validate(reduced, dims))
         terms = np.zeros(kept.shape)
         terms[kept] = p * _entropy_bits(np.linalg.eigvalsh(reduced))
         s_meas.append(np.array([math.fsum(row) for row in terms.tolist()]))

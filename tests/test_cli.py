@@ -315,6 +315,22 @@ def test_json_output_is_strict(tmp_path):
     assert row["converged"] is True and row["spread"] <= 10 * OptimizerConfig().tol
 
 
+def test_compute_accepts_a_valid_edge_input(tmp_path, capsys):
+    # The loader accepts a minimum eigenvalue of -0.9e-10; the A marginal's
+    # -1.8e-10 is a derived state and is not validated again.
+    path = tmp_path / "edge.json"
+    diagonal = [-0.9e-10, -0.9e-10, 1.0 + 1.8e-10, 0.0]
+    matrix = [[[diagonal[i] if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
+    out = tmp_path / "edge-report.json"
+    assert main(["compute", "--state", str(path), "--format", "json", "--out", str(out)]) == 0
+    report = _strict_json(out)
+    assert report["d_a"] == pytest.approx(0.0, abs=1e-9) and report["s_ab"] == pytest.approx(0.0, abs=1e-9)
+    assert main(["compute", "--state", str(path), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out) == report
+
+
 def test_hunt_flat_werner_objective_converges(tmp_path):
     out = tmp_path / "hunt.json"
     rc = main(["hunt", "--d", "3", "--x=-0.5:0.5:2", "--restarts", "4", "--seed", "3",

@@ -6,7 +6,9 @@ depends on numpy alone.  Only ``_descent`` calls ``descend`` and
 ``random_starts``, the latter only in ``_descent.restart_stack``: every
 search starts through ``_descent.search``, which only ``_descent.solve``
 and the public ``minimize_over_measurements`` call, and every certificate
-through ``_descent.certify``, which only ``solve`` calls.
+through ``_descent.certify``, which only ``solve`` calls.  Only the maps that
+derive a state from a valid one skip validation (``qstate._derived_state``);
+every state built from outside data goes through ``QState(...)``.
 """
 
 import ast
@@ -101,6 +103,21 @@ def callers_of(names: set) -> set:
 def test_only_solve_runs_searches_and_certificates():
     assert callers_of({"search"}) == {"_descent.solve", "correlations.minimize_over_measurements"}
     assert callers_of({"certify"}) == {"_descent.solve"}
+
+
+def test_only_the_derived_state_maps_skip_validation():
+    assert callers_of({"_derived_state"}) == {
+        "qstate.partial_trace",
+        "qstate.permute_subsystems",
+        "qstate.to_density",
+        "measurement.apply_measurement",
+        "measurement.dephase",
+    }
+    for name in ("states.py", "cli.py"):
+        assert "_derived_state" not in called_names((PACKAGE / name).read_text(encoding="utf-8"))
+    assert "QState" in called_names((PACKAGE / "states.py").read_text(encoding="utf-8"))
+    assert {"qstate.state_from_json", "qstate.tensor"} <= callers_of({"QState"})
+    assert "cli._load_state" in callers_of({"state_from_json"})
 
 
 def test_verify_imports_no_givens_name():

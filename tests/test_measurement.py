@@ -100,6 +100,15 @@ def test_povm_validation():
         POVM(0, (np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))  # not PSD
 
 
+def test_povm_rejects_nan_elements():
+    # NaN residuals compare false with any bound; the conditional states are
+    # not validated again, so the POVM itself must refuse them.
+    nan = np.full((2, 2), np.nan)
+    for elements in ((nan, np.eye(2) - nan), (np.diag([np.nan, 0.0]), np.diag([0.0, 1.0]))):
+        with pytest.raises(ValueError, match="Hermitian"):
+            POVM(0, elements)
+
+
 def test_apply_measurement_product_state():
     sigma = random_mixed((2,), 2, 21)
     prod = tensor(QState((2,), np.eye(2) / 2.0), sigma)

@@ -86,6 +86,8 @@ def test_qstate_matrix_is_immutable():
 def test_pure_vector_norm_check():
     with pytest.raises(InvalidStateError):
         PureStateVector((2,), np.array([1.0, 1.0]))
+    with pytest.raises(InvalidStateError):
+        PureStateVector((2, 2), np.array([np.nan, 0.0, 0.0, 1.0]))
     vec = bell_vector()
     assert purity(vec.to_density()) == pytest.approx(1.0, abs=1e-9)
 
