@@ -36,6 +36,7 @@ import numpy as np
 
 from .config import OptimizerConfig
 from .correlations import (
+    CERTIFIED,
     DiscordBoundError,
     _j_and_d,
     correlation_report,
@@ -434,6 +435,7 @@ def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
                 "trajectory": trajectory,
                 "converged": opt.converged,
                 "spread": opt.spread,
+                "route": CERTIFIED if opt.stop_reasons == (CERTIFIED,) else "searched",
             }
         )
     payload = {"mode": "hunt", "d": args.d, "label": HUNT_LABEL, "rows": rows}

@@ -36,12 +36,14 @@ from .entanglement import EofResult, _eof_of_concurrence, _roof, _upper_bound, _
 from .measurement import ProjectiveMeasurement, _measurement_factor, dephase
 from .qstate import (
     QState,
+    _derived_state,
     _entropy_bits,
     normalize_partition,
     partial_trace,
     permute_subsystems,
     von_neumann_entropy,
 )
+from .states import flip_operator
 
 __all__ = [
     "CONJECTURE_I_SLACK",
@@ -72,6 +74,10 @@ ESTIMATOR_BIAS_NOTE = (
 # code defect, not physics.
 CONJECTURE_I_SLACK = 1e-4
 
+# A d x d state is a Werner state when its residual R = rho - (a I + b F)
+# has d |R|_F at most this (``_werner_coefficients``).
+WERNER_TOL = 2e-14
+
 class DiscordBoundError(RuntimeError):
     """A discord estimate exceeded the measured subsystem's entropy bound."""
 
@@ -96,8 +102,9 @@ class OptimizedValue:
     could not measurably lower the value), ``cap`` (``max_iter``) or
     ``certified`` (one candidate basis met a proved lower bound, so no
     search ran: the result of a one-restart ``_descent.certify`` run).
-    ``_measurement_problem`` has candidates for the dephasing discord and
-    for the conditional-entropy minimum of a rank-2 two-qubit state.
+    ``_measurement_problem`` has candidates for the dephasing discord, and
+    for the conditional-entropy minimum of a rank-2 two-qubit state and of
+    a Werner state.
     """
 
     value: float
@@ -182,9 +189,16 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
       (PRA 69, 022309, 2004).  Wootters gives E_F(BC) from the concurrence
       and an optimal decomposition W phi of the purifier rows phi_x
       (``entanglement._wootters_rows``): by HJW, the measurement of X in
-      the basis W^H, which is V = W.
+      the basis W^H, which is V = W;
+    - without, on a Werner state rho = a I + b F of two d-level systems (F
+      the swap, ``_werner_coefficients``), the canonical basis V = I
+      against the value every basis attains: rho commutes with every U (x)
+      U, so each outcome k of a basis leaves the conditional state (a I + b
+      |k><k|) / p of weight p = a d + b, and the value is d p H((a + b) /
+      p, a / p, ..., a / p), d p = tr rho (Chitambar, PRA 86, 032110, 2012).
     """
     factor, r, lam = _measurement_factor(state, k)
+    first = np.eye(factor.shape[0], dtype=complex)
     candidate, bound = None, 0.0
     if dephasing:
         lam_x, vec = np.linalg.eigh(partial_trace(state, (k,)).matrix)
@@ -192,8 +206,41 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
     elif factor.shape == (2, 4) and r == 2:
         candidate, c = _wootters_rows(factor)
         bound = _eof_of_concurrence(c)
-    return Problem(factor, r, np.eye(factor.shape[0], dtype=complex), cfg, candidate, bound, dephasing,
+    elif (werner := _werner_coefficients(state)) is not None:
+        a, b = werner
+        d = len(first)
+        candidate, bound = first, (a * d + b) * d * float(_entropy_bits(np.array([a + b] + [a] * (d - 1))))
+    return Problem(factor, r, first, cfg, candidate, bound, dephasing,
                    _entropy_bits(lam) if dephasing else 0.0, basis=True)
+
+
+def _werner_coefficients(state: QState) -> tuple[float, float] | None:
+    """(a, b) with rho = a I + b F to rounding, F the swap of two d-level systems, or None.
+
+    a and b solve tr rho = a d^2 + b d and tr(rho F) = a d + b d^2.  The
+    state passes when its residual R = rho - (a I + b F) has d |R|_F <=
+    ``WERNER_TOL``.  Then a I + b F is within trace distance eps = |R|_1 / 2
+    <= d |R|_F / 2 <= 1e-14 of rho, and a measurement is a channel, so by
+    the Alicki-Fannes-Winter bound the conditional entropy of every basis
+    moves by at most eps log2 d + (1 + eps) h(eps / (1 + eps)) < 5e-13 +
+    1e-14 log2 d: inside ``CERTIFY_TOL``.  ``states.werner_qudit`` leaves d
+    |R|_F below 2e-15 up to d = 8.  Two entries that vanish on the family,
+    (00, 01) and (00, 00) - (01, 01) - (01, 10), reject a generic state
+    before any array work: on a state that passes, each is at most sqrt(3)
+    |R|_F < ``WERNER_TOL``.
+    """
+    d = state.dims[0]
+    if d < 2 or state.dims != (d, d):
+        return None
+    m = state.matrix
+    if not (abs(m[0, 1]) <= WERNER_TOL and abs(m[0, 0] - m[1, 1] - m[1, d]) <= WERNER_TOL):
+        return None
+    f = flip_operator(d)
+    trace, swap = m.trace().real, np.vdot(f, m).real
+    a, b = (d * trace - swap) / (d**3 - d), (d * swap - trace) / (d**3 - d)
+    residual = m - b * f
+    residual.flat[:: d * d + 1] -= a
+    return (a, b) if d * np.linalg.norm(residual) <= WERNER_TOL else None
 
 
 def _measured_minima(
@@ -249,12 +296,14 @@ def min_conditional_entropy(
 
     This is the shared inner optimization behind classical correlation and
     discord; both derive from the same run, so they add up to the mutual
-    information to rounding.  On a two-qubit state of rank 2 Wootters'
-    optimal basis is scored first (``_measured_minima``); when it meets
-    the proved Koashi-Winter lower bound E_F of the purifier pair, it comes
-    back with stop reason ``"certified"`` and no search runs.  Otherwise
-    the search runs on the same objective, so the value is always one that
-    the objective reached.
+    information to rounding.  A candidate basis is scored first
+    (``_measurement_problem``): Wootters' optimal basis on a two-qubit state
+    of rank 2, against the proved Koashi-Winter lower bound E_F of the
+    purifier pair, and the canonical basis on a Werner state a I + b F,
+    against the value every basis attains.  A candidate that meets its
+    bound comes back with stop reason ``"certified"`` and no search runs.
+    Otherwise the search runs on the same objective, so the value is always
+    one that the objective reached.
     """
     return _measured_minima(state, (measured,), cfg, dephasing=False)[0]
 
@@ -326,8 +375,8 @@ def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float
     """|D_A - D_B| from two conditional-entropy minimizations on a bipartite state.
 
     The ``discord_distance`` of ``correlation_report``.  Each side is
-    certified without a search on a rank-2 two-qubit state
-    (``min_conditional_entropy``) and searched otherwise.
+    certified without a search on a rank-2 two-qubit state and on a Werner
+    state (``min_conditional_entropy``), and searched otherwise.
     """
     if state.n_subsystems != 2:
         raise ValueError("discord_distance needs a state with exactly two subsystems")
@@ -379,7 +428,7 @@ def re_discord_detailed(
     sigma = permute_subsystems(state, measured + rest)
     d_joint = int(np.prod([state.dims[i] for i in measured]))
     rest_dims = tuple(state.dims[i] for i in rest)
-    [joint] = _measured_minima(QState((d_joint,) + rest_dims, sigma.matrix), (0,), cfg, dephasing=True)
+    [joint] = _measured_minima(_derived_state((d_joint,) + rest_dims, sigma.matrix), (0,), cfg, dephasing=True)
     detail = ReDiscordDetail(**vars(joint), chain_value=math.nan, joint_value=joint.value)
     if joint.stop_reasons == (CERTIFIED,):
         return detail
@@ -461,8 +510,8 @@ def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> Cor
 
     Minimizes the conditional entropy on each side, as
     ``min_conditional_entropy`` does, and derives J and D from it, so I = J
-    + D holds to rounding on both sides.  Each side's Koashi-Winter
-    certificate is scored first; when both sides still need a search and
+    + D holds to rounding on both sides.  Each side's certificate is scored
+    first (``min_conditional_entropy``); when both sides still need a search and
     their factors share one shape (every uncertified d x d state, two
     qubits included), the two searches run stacked in one
     ``_descent.search`` (``_measured_minima``), which costs little more than

@@ -21,7 +21,9 @@ Validation happens at the boundary.  Every state built from outside data
 families) passes ``validate``'s eigensolver check.  The states that this
 package's maps compute from a valid state (``partial_trace``,
 ``permute_subsystems``, ``measurement.apply_measurement``'s conditional
-states, ``measurement.dephase``) are built by ``_derived_state`` and not
+states, ``measurement.dephase``, and the measured subsystems of
+``correlations.re_discord_detailed`` regrouped into one factor) are built
+by ``_derived_state`` and not
 checked again: each map keeps Hermiticity, unit trace and positivity up to
 rounding, so they assume only that their source was valid.  A check there
 could only reject valid inputs: the -0.9e-10 diagonal entries that pass

@@ -38,11 +38,7 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 def flip_operator(d: int) -> np.ndarray:
     """The swap operator F = sum_ij |ij><ji| on a d x d bipartite space."""
-    f = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
-    return f
+    return np.eye(d * d)[np.arange(d * d).reshape(d, d).T.ravel()]
 
 
 def werner_qudit(d: int, x: float) -> QState:

@@ -186,8 +186,8 @@ class _StateAnalysis:
     leaves a pure BC state for each outcome k, S(rho_B^k) = S(rho_C^k), and
     the two conditional-entropy objectives are one function of the basis
     (the step behind the Koashi-Winter relation).  On a rank-2 two-qubit
-    source that minimum is certified without a search
-    (``min_conditional_entropy``), and the rows that read it say so
+    source and on a Werner source that minimum is certified without a
+    search (``min_conditional_entropy``), and the rows that read it say so
     (``_measurement_route``).  Values are computed on first use and kept in
     this object only.
 
@@ -294,8 +294,9 @@ def _measurement_route(a: _StateAnalysis, *minima: tuple[str, int]) -> dict:
     """``{"measurement_route": "certified"}`` when every minimum a row reads was certified, else {}.
 
     ``minima`` holds the (name, measured) pairs of ``_StateAnalysis.minimum``
-    that the row reads.  A certified minimum comes from the Koashi-Winter
-    certificate, not from the search, so such a row tests the certificate.
+    that the row reads.  A certified minimum comes from a certificate
+    (Koashi-Winter, or Werner symmetry), not from the search, so such a row
+    tests the certificate.
     """
     if all(a.minimum(name, measured).stop_reasons == (CERTIFIED,) for name, measured in minima):
         return {"measurement_route": CERTIFIED}
@@ -376,8 +377,9 @@ def check_monogamy(state: QState, cfg: OptimizerConfig | None = None) -> BoundCh
     the pure ABC, up to the weight ``purify`` clips from a bipartite input,
     and does not test the optimizer.  That the AC objective equals the AB
     one basis by basis is a property test of its own.  When AB is a rank-2
-    two-qubit state (every pure (2, 2, 2) input) m is certified, and the
-    provenance carries ``"measurement_route": "certified"``.
+    two-qubit state (every pure (2, 2, 2) input) or a Werner state, m is
+    certified, and the provenance carries ``"measurement_route":
+    "certified"``.
     """
     a = _analysis(state, cfg, "monogamy")
     _j_ab, d_ab = a.j_and_d("ab", 0)
@@ -394,9 +396,9 @@ def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     With only the convex-roof route available the right side is
     overestimated, which keeps the inequality a valid sanity bound; the
     saturation flag S(A) - S(B) = S(C) is reported on exact routes only.
-    On a rank-2 two-qubit input D_A is certified, so the row tests the
-    certificate, not the optimizer, and records ``"measurement_route":
-    "certified"``.
+    On a rank-2 two-qubit input and on a Werner input D_A is certified, so
+    the row tests the certificate, not the optimizer, and records
+    ``"measurement_route": "certified"``.
     """
     a = _analysis(state, cfg, "thm1")
     if a.state.n_subsystems != 2:
@@ -413,7 +415,7 @@ def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 def check_cor1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """D_A <= S(B) whenever E_F(BC) vanishes.
 
-    A certified D_A (rank-2 two-qubit input) is recorded as in ``check_thm1``.
+    A certified D_A (rank-2 two-qubit or Werner input) is recorded as in ``check_thm1``.
     """
     a = _analysis(state, cfg, "cor1")
     if a.state.n_subsystems != 2:
@@ -434,7 +436,8 @@ def check_lindblad_lemma3(state: QState, cfg: OptimizerConfig | None = None) -> 
     When the hypothesis cannot be certified the relation is still evaluated
     and recorded (a violation there is expected physics, not a failure), so
     the row comes back skip-classed with the outcome preserved.  A certified
-    D_A and J_A (rank-2 two-qubit input) are recorded as in ``check_thm1``.
+    D_A and J_A (rank-2 two-qubit or Werner input) are recorded as in
+    ``check_thm1``.
     """
     a = _analysis(state, cfg, "lindblad")
     if a.state.n_subsystems != 2:
@@ -485,7 +488,7 @@ def check_thm2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     bound and that identity must hold for the check to pass.  The
     hypothesis is tested by ``_thm2_unmet``: E_F(BC) first, E_F(AC) only
     when E_F(BC) vanishes, so a skip on E_F(BC) runs no second convex roof.
-    When both D_A and D_B were certified (rank-2 two-qubit input), the
+    When both D_A and D_B were certified (rank-2 two-qubit or Werner input), the
     provenance carries ``"measurement_route": "certified"``.
     """
     a = _analysis(state, cfg, "thm2")

@@ -305,8 +305,8 @@ def test_json_output_is_strict(tmp_path):
     row = _strict_json(out)["rows"][0]
     assert row["skipped"] and row["lhs"] is None and row["slack"] is None
 
-    # The Werner objective is flat, so the restart stops well before its
-    # five-iteration cap and counts toward a finite spread.
+    # A Werner row is certified: a one-restart run with no iterations, so it
+    # counts toward a finite spread under any iteration cap.
     out = tmp_path / "hunt.json"
     rc = main(["hunt", "--d", "2", "--x=0.3:0.3:1", "--restarts", "1", "--max-iter", "5",
                "--format", "json", "--out", str(out)])
@@ -339,6 +339,28 @@ def test_hunt_flat_werner_objective_converges(tmp_path):
     for row in _strict_json(out)["rows"]:
         assert row["converged"] is True
         assert row["spread"] <= 10 * OptimizerConfig().tol
+
+
+def test_hunt_rows_say_their_route(tmp_path, monkeypatch, capsys):
+    # A Werner row is certified by symmetry: one restart, spread 0.  With
+    # the symmetry test failing every state, the same row searches.  The
+    # route is a JSON field only: the CSV columns stay as they were.
+    out = tmp_path / "hunt.json"
+    argv = ["hunt", "--d", "3", "--x=-0.5:0.5:3", "--restarts", "4", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    certified = _strict_json(out)["rows"]
+    for row in certified:
+        assert row["route"] == "certified" and len(row["trajectory"]) == 1 and row["spread"] == 0.0
+    monkeypatch.setattr(correlations, "WERNER_TOL", -1.0)
+    assert main(argv) == 0
+    searched = _strict_json(out)["rows"]
+    for row, ref in zip(searched, certified):
+        assert row["route"] == "searched" and len(row["trajectory"]) == 4
+        assert row["d_upper"] == pytest.approx(ref["d_upper"], abs=1e-9)
+    capsys.readouterr()
+    assert main(argv[:-4] + ["--format", "csv"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == "x,s_measured,s_env,j_classical,d_upper,gap,label"
 
 
 def test_cached_parser_writes_what_a_fresh_parser_writes(tmp_path, capsys):

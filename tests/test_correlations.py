@@ -57,7 +57,12 @@ from discordkit._descent import (
     summary,
     tangent,
 )
-from discordkit.correlations import MEASUREMENT_CLASS_LABEL, _measurement_problem, _minimum_with_roof
+from discordkit.correlations import (
+    MEASUREMENT_CLASS_LABEL,
+    _measurement_problem,
+    _minimum_with_roof,
+    _werner_coefficients,
+)
 from discordkit.entanglement import _roof
 from discordkit.measurement import _measured_view, n_measurement_params, unitary_from_params
 from discordkit.states import (
@@ -987,6 +992,95 @@ def test_kw_certificate_never_fires_off_rank2_two_qubit_states(dims, rank, monke
             assert opt.value == forced.value
             assert opt.restart_values == forced.restart_values
             assert opt.argbasis.basis.tobytes() == forced.argbasis.basis.tobytes()
+
+
+def _werner_minimum(d: int, x: float) -> float:
+    # Chitambar's closed form: every outcome of every basis on one side of
+    # werner_qudit(d, x) leaves the conditional spectrum d (a + b), d a, ...
+    a, b = (d - x) / (d**3 - d), (d * x - 1.0) / (d**3 - d)
+    mu = d * np.array([a + b] + [a] * (d - 1))
+    mu = mu[mu > 0.0]
+    return float(-(mu * np.log2(mu)).sum())
+
+
+WERNER_XS = (-1.0, -0.7, -0.2, 0.0, 0.3, 0.8, 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_werner_certificate_meets_the_closed_form(d, monkeypatch):
+    # A U (x) U-invariant state scores the same in every basis, so the
+    # canonical basis is scored against the closed form and no search runs,
+    # on either side.
+    bounds, solve_alone = [], correlations.solve
+
+    def recording(problems):
+        bounds.extend(problem.bound for problem in problems if problem.candidate is not None)
+        runs = solve_alone(problems)
+        assert all(run.reasons == (CERTIFIED,) for run in runs), "a measurement search ran"
+        return runs
+
+    monkeypatch.setattr(correlations, "solve", recording)
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    for x in WERNER_XS:
+        oracle = _werner_minimum(d, x)
+        for m in (0, 1):
+            bounds.clear()
+            opt = min_conditional_entropy(werner_qudit(d, x), m, cfg)
+            _assert_certified(opt, oracle)
+            assert opt.argbasis.subsystem == m
+            assert np.array_equal(opt.argbasis.basis, np.eye(d))
+            assert bounds == [pytest.approx(oracle, abs=1e-12)]
+    report = correlation_report(werner_2qubit_example4(), cfg)
+    assert [report.diagnostics[k]["stop_reasons"] for k in ("measured_a", "measured_b")] == [[CERTIFIED]] * 2
+    assert report.d_a == pytest.approx(EX4_D, abs=1e-12) and report.d_b == pytest.approx(EX4_D, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_werner_search_meets_the_closed_form(d):
+    # The certificate replaces the search on this family, so the search
+    # itself runs here, from the identity and three random bases.
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    for x in WERNER_XS:
+        opt = measurement_search(werner_qudit(d, x), 0, cfg, False)
+        assert CERTIFIED not in opt.stop_reasons and len(opt.restart_values) == 4
+        assert abs(opt.value - _werner_minimum(d, x)) <= 1e-9
+
+
+def test_werner_coefficients_accept_the_family_to_rounding_only():
+    for d in range(2, 9):
+        for x in np.linspace(-1.0, 1.0, 21):
+            a, b = _werner_coefficients(werner_qudit(d, float(x)))
+            assert a == pytest.approx((d - x) / (d**3 - d), abs=1e-15)
+            assert b == pytest.approx((d * x - 1.0) / (d**3 - d), abs=1e-15)
+    assert _werner_coefficients(werner_2qubit_example4()) == pytest.approx((1 / 3, -1 / 6), abs=1e-15)
+    # Entries the screen does not read: the residual test alone rejects this.
+    m = werner_qudit(2, 0.3).matrix.copy()
+    m[2, 2] -= 1e-9
+    m[3, 3] += 1e-9
+    assert _werner_coefficients(QState((2, 2), m)) is None
+    # Only two subsystems of one dimension: I / 8 is U (x) U (x) U-invariant.
+    for dims in ((2, 2, 2), (2, 4), (4, 2)):
+        assert _werner_coefficients(QState(dims, np.eye(8) / 8.0)) is None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_werner_certificate_never_fires_off_the_family(d, monkeypatch):
+    # A Werner state mixed with 1e-9 of a random state, and random states of
+    # ranks that no other certificate takes: no candidate is scored, and the
+    # result is exactly the search's.
+    _no_certificate(monkeypatch)
+    cfg = OptimizerConfig(restarts=2, seed=5)
+    noise = random_mixed((d, d), d * d, 500).matrix
+    states = [QState((d, d), (1.0 - 1e-9) * werner_qudit(d, x).matrix + 1e-9 * noise) for x in (-0.5, 0.4)]
+    states += [random_mixed((d, d), rank, 400 + i) for rank in ((3, 4) if d == 2 else (2, 5, 9)) for i in range(2)]
+    for state in states:
+        assert _werner_coefficients(state) is None
+        for m in (0, 1):
+            opt = min_conditional_entropy(state, m, cfg)
+            forced = measurement_search(state, m, cfg, False)
+            assert CERTIFIED not in opt.stop_reasons
+            assert opt.value == forced.value
+            assert opt.restart_values == forced.restart_values
 
 
 def test_re_discord_zero_for_classical_states(monkeypatch):

@@ -2,7 +2,8 @@
 
 A state built from outside data passes ``qstate.validate``; the maps that
 compute a new state from it (``partial_trace``, ``permute_subsystems``,
-``apply_measurement``'s conditional states, ``dephase``) build it by
+``apply_measurement``'s conditional states, ``dephase``, and
+``re_discord_detailed``'s regrouping of the measured subsystems) build it by
 ``qstate._derived_state`` without the eigensolver check, and
 ``PureStateVector.to_density`` checks the trace alone.  These tests check
 that the trust is earned on seeded inputs, that a valid input at the edge of
@@ -146,3 +147,11 @@ def test_run_suite_validates_a_sample_at_most_twice(spec, validate_calls):
     assert len(validate_calls) <= 2
     QState((2,), np.eye(2) / 2.0)  # the count sees the constructor's check
     assert validate_calls[-1] == (2,)
+
+
+def test_run_suite_never_validates_a_pure_sample(validate_calls):
+    # A pure sample is a vector: to_density checks its trace, and every state
+    # the suite builds from it, thm3's regrouped one included, is derived.
+    report = run_suite(StateFamilySpec("haar_pure", {"dims": (2, 2, 2)}, 1), tuple(RELATIONS), 1)
+    assert report.n_fail == 0
+    assert validate_calls == []

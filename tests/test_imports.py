@@ -112,6 +112,7 @@ def test_only_the_derived_state_maps_skip_validation():
         "qstate.to_density",
         "measurement.apply_measurement",
         "measurement.dephase",
+        "correlations.re_discord_detailed",
     }
     for name in ("states.py", "cli.py"):
         assert "_derived_state" not in called_names((PACKAGE / name).read_text(encoding="utf-8"))

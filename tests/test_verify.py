@@ -13,6 +13,7 @@ from discordkit import (
     ProjectiveMeasurement,
     QState,
     apply_measurement,
+    eof_upper,
     partial_trace,
     projective_from_params,
     purify,
@@ -343,6 +344,23 @@ def test_rows_reading_a_certified_minimum_record_the_route(spec, marked):
             assert row.provenance["measurement_route"] == "certified"
         else:
             assert "measurement_route" not in row.provenance
+
+
+def test_werner_rows_read_a_certified_d_a_and_a_lone_roof():
+    # A two-qubit Werner input certifies D_A by symmetry, so the rows that
+    # read it say so, and the roof of BC, left without a search to share,
+    # is eof_upper's alone.
+    spec = StateFamilySpec("werner_2qubit", {}, 1)
+    report = run_suite(spec, tuple(RELATIONS), 1, FAST)
+    marked = {row.name for row in report.rows if row.provenance.get("measurement_route") == "certified"}
+    assert marked == {"monogamy", "thm1", "lindblad"}
+    state = spec.sample(0)
+    roof = eof_upper(partial_trace(purify(state).to_density(), (1, 2)), cfg=FAST).value
+    [lindblad] = [row for row in report.rows if row.name == "lindblad"]
+    assert lindblad.provenance["ef_bc"] == roof
+    analysis = _StateAnalysis(state, FAST, tuple(RELATIONS))
+    assert analysis.eof("bc") == (roof, False, "upper")
+    assert analysis.minimum("state", 0).stop_reasons == ("certified",)
 
 
 def test_thm3_random_and_classical():
