@@ -22,6 +22,12 @@ def bell_state() -> QState:
     return bell_vector().to_density()
 
 
+def bell_diagonal(weights) -> QState:
+    """The mixture of the four Bell states with ``weights`` (Phi+, Phi-, Psi+, Psi-)."""
+    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
+    return QState((2, 2), (bells.T * np.asarray(weights)) @ bells)
+
+
 def ghz_vector() -> PureStateVector:
     amps = np.zeros(8)
     amps[0] = amps[7] = 1.0 / np.sqrt(2.0)

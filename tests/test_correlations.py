@@ -66,6 +66,7 @@ from discordkit.correlations import (
 from discordkit.entanglement import _roof
 from discordkit.measurement import _measured_view, n_measurement_params, unitary_from_params
 from discordkit.states import (
+    StateFamilySpec,
     classical_quantum,
     example3_state,
     haar_random_pure,
@@ -75,7 +76,14 @@ from discordkit.states import (
     werner_qudit,
 )
 
-from conftest import bell_state, haar_unitary, measurement_objective, measurement_search, record_descends
+from conftest import (
+    bell_diagonal,
+    bell_state,
+    haar_unitary,
+    measurement_objective,
+    measurement_search,
+    record_descends,
+)
 
 CFG = OptimizerConfig(restarts=8, seed=1)
 
@@ -963,6 +971,18 @@ def test_kw_certificate_meets_wootters_on_rank2_two_qubit_states(kind, rotate, m
             assert opt.value <= forced.value + 1e-12
 
 
+def _record_candidates(monkeypatch):
+    """Patch the solve step of correlations to log (candidate, bound) of every problem that has a candidate."""
+    scored, solve_alone = [], correlations.solve
+
+    def recording(problems):
+        scored.extend((problem.candidate, problem.bound) for problem in problems if problem.candidate is not None)
+        return solve_alone(problems)
+
+    monkeypatch.setattr(correlations, "solve", recording)
+    return scored
+
+
 def _no_certificate(monkeypatch):
     # Patch the solve step of correlations so that a candidate basis to
     # score fails the test.
@@ -980,13 +1000,23 @@ def _no_certificate(monkeypatch):
     ids=["2x2r1", "2x2r3", "2x2r4", "2x3r2", "2x3r3"],
 )
 def test_kw_certificate_never_fires_off_rank2_two_qubit_states(dims, rank, monkeypatch):
-    # No candidate is scored, and the result is exactly the search's.
-    _no_certificate(monkeypatch)
+    # No Koashi-Winter candidate is scored.  A pure state scores only the
+    # zero-discord candidate, the eigenbasis of rho_X against 0; every other
+    # state scores none, and its result is exactly the search's.
+    scored = _record_candidates(monkeypatch)
     cfg = OptimizerConfig(restarts=2, seed=5)
     for i in range(2):
         state = random_mixed(dims, rank, 400 + i)
         for m in (0, 1):
+            scored.clear()
             opt = min_conditional_entropy(state, m, cfg)
+            if rank == 1:
+                [(candidate, bound)] = scored
+                eigenbasis = np.linalg.eigh(partial_trace(state, (m,)).matrix)[1]
+                assert bound == 0.0 and np.array_equal(candidate, eigenbasis.conj().T)
+                _assert_certified(opt, 0.0)
+                continue
+            assert scored == []
             forced = measurement_search(state, m, cfg, False)
             assert correlations.CERTIFIED not in opt.stop_reasons
             assert opt.value == forced.value
@@ -1081,6 +1111,135 @@ def test_werner_certificate_never_fires_off_the_family(d, monkeypatch):
             assert CERTIFIED not in opt.stop_reasons
             assert opt.value == forced.value
             assert opt.restart_values == forced.restart_values
+
+
+def _run_bits(opt) -> tuple:
+    """Every field of a minimum's run, the basis as bytes: equal tuples are the same run bit for bit."""
+    return (opt.value, opt.restart_values, opt.iterations, opt.evaluations, opt.stop_reasons,
+            opt.argbasis.basis.tobytes())
+
+
+ZERO_DISCORD_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("dims", ZERO_DISCORD_DIMS, ids=["2x2", "2x3", "3x2", "3x3"])
+def test_zero_discord_certificate_on_pure_states(dims, monkeypatch):
+    # Every basis leaves pure conditional states, so the eigenbasis of
+    # rho_X meets the bound max(0, S(rho) - S(rho_X)) = 0 on either side
+    # and no search runs: D_A = S(B) and D_B = S(A).
+    scored = _record_candidates(monkeypatch)
+    calls = record_descends(monkeypatch)
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    for i in range(3):
+        state = haar_random_pure(dims, 60 + i).to_density()
+        for m in (0, 1):
+            scored.clear()
+            opt = min_conditional_entropy(state, m, cfg)
+            [(candidate, bound)] = scored
+            assert bound == 0.0 and candidate.shape == (dims[m], dims[m])
+            _assert_certified(opt, bound)
+            assert opt.argbasis.subsystem == m
+        report = correlation_report(state, cfg)
+        assert [report.diagnostics[k]["stop_reasons"] for k in ("measured_a", "measured_b")] == [[CERTIFIED]] * 2
+        assert report.d_a == pytest.approx(report.s_b, abs=1e-12)
+        assert report.d_b == pytest.approx(report.s_a, abs=1e-12)
+    assert calls == []
+
+
+@pytest.mark.parametrize("dims", ZERO_DISCORD_DIMS, ids=["2x2", "2x3", "3x2", "3x3"])
+def test_zero_discord_search_meets_zero_on_pure_states(dims):
+    # The certificate replaces the search on pure states, so the search
+    # itself runs here, from the identity and three random bases.
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    for i in range(3):
+        state = haar_random_pure(dims, 60 + i).to_density()
+        for m in (0, 1):
+            opt = measurement_search(state, m, cfg, False)
+            assert CERTIFIED not in opt.stop_reasons and len(opt.restart_values) == 4
+            assert abs(opt.value) <= 1e-9
+
+
+@pytest.mark.parametrize("qdims", [(2,), (3,)], ids=["qubit", "qutrit"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_zero_discord_certificate_on_classical_quantum_states(qdims, rank, monkeypatch):
+    # Classical on a 3-level register, in its computational basis, in a
+    # Haar-rotated one, and as drawn by the classical_quantum family: rho
+    # commutes with rho_X (x) I, rho_X's eigenbasis leaves the components
+    # sigma_k as conditional states, and the value sum_k p_k S(sigma_k) meets
+    # the bound S(rho) - S(rho_X).  No search runs on the register.
+    scored = _record_candidates(monkeypatch)
+    calls = record_descends(monkeypatch)
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    eye = np.eye(math.prod(qdims))
+    for i in range(3):
+        g = stream(80, i)
+        probs = g.dirichlet(np.ones(3))
+        sigmas = [random_mixed(qdims, rank, 80 + i, k) for k in range(3)]
+        oracle = sum(p * von_neumann_entropy(sigma) for p, sigma in zip(probs, sigmas))
+        cq = classical_quantum(probs, sigmas)
+        u = np.kron(haar_unitary(g, 3), eye)
+        drawn = StateFamilySpec("classical_quantum", {"k": 3, "dims": qdims, "rank": rank}, 80).sample(i)
+        for state, value in ((cq, oracle), (QState(cq.dims, u @ cq.matrix @ u.conj().T), oracle), (drawn, None)):
+            scored.clear()
+            opt = min_conditional_entropy(state, 0, cfg)
+            [(_candidate, bound)] = scored
+            _assert_certified(opt, bound)
+            assert calls == []
+            if value is not None:
+                assert bound == pytest.approx(value, abs=1e-12)
+            # the side B of the report still searches
+            assert correlation_report(state, cfg).diagnostics["measured_a"]["stop_reasons"] == [CERTIFIED]
+            calls.clear()
+
+
+@pytest.mark.parametrize("dims, ranks", [((2, 3), (2, 3, 6)), ((3, 3), (2, 5, 9))], ids=["2x3", "3x3"])
+def test_zero_discord_candidate_never_scored_on_random_mixed_states(dims, ranks, monkeypatch):
+    # A generic state of rank 2 or more commutes with neither marginal, so
+    # no candidate is scored, and each result is exactly the search's.
+    _no_certificate(monkeypatch)
+    cfg = OptimizerConfig(restarts=2, seed=5)
+    for rank in ranks:
+        for i in range(2):
+            state = random_mixed(dims, rank, 410 + i)
+            for m in (0, 1):
+                opt = min_conditional_entropy(state, m, cfg)
+                assert CERTIFIED not in opt.stop_reasons
+                assert _run_bits(opt) == _run_bits(measurement_search(state, m, cfg, False))
+            report = correlation_report(state, cfg)
+            assert CERTIFIED not in report.diagnostics["measured_a"]["stop_reasons"]
+
+
+def test_zero_discord_candidate_on_degenerate_marginals(monkeypatch):
+    # rho_X = I / d_X commutes with every state, so the screen passes and
+    # the candidate is one eigenbasis of a degenerate rho_X.  Where it meets
+    # the bound the value is certified; where it misses, the result, alone
+    # and in correlation_report, is exactly the search's.
+    scored = _record_candidates(monkeypatch)
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    states = [bell_diagonal(w) for w in ([0.4, 0.3, 0.2, 0.1], [0.4, 0.35, 0.25, 0.0], [0.3, 0.3, 0.2, 0.2])]
+    states.append(example3_state())
+    certified, reports = [], []
+    for state in states:
+        for m in (0, 1):
+            scored.clear()
+            opt = min_conditional_entropy(state, m, cfg)
+            [(_candidate, bound)] = scored
+            forced = measurement_search(state, m, cfg, False)
+            if opt.stop_reasons == (CERTIFIED,):
+                assert opt.value == pytest.approx(bound, abs=1e-12)
+                assert opt.value <= forced.value + 1e-9
+            else:
+                assert _run_bits(opt) == _run_bits(forced)
+            certified.append(opt.stop_reasons == (CERTIFIED,))
+        reports.append(correlation_report(state, cfg).diagnostics)
+    # the two mixed Bell-diagonal states miss on both sides; the classical
+    # one and example3's 4-level side (conditional states pure) are met
+    assert certified == [False] * 4 + [True, True, True, False]
+    monkeypatch.setattr(correlations, "COMMUTE_TOL", -1.0)
+    for state, report, hits in zip(states, reports, np.reshape(certified, (-1, 2))):
+        searched = correlation_report(state, cfg).diagnostics
+        for side, hit in zip(("measured_a", "measured_b"), hits):
+            assert hit or report[side] == searched[side]
 
 
 def test_re_discord_zero_for_classical_states(monkeypatch):

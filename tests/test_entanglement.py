@@ -41,7 +41,7 @@ from discordkit.states import (
     werner_qudit,
 )
 
-from conftest import bell_state, bell_vector, haar_unitary, roof_search
+from conftest import bell_diagonal, bell_state, bell_vector, haar_unitary, roof_search
 
 
 def _werner_mix(p: float) -> QState:
@@ -410,11 +410,6 @@ def _random_separable(seed: int) -> QState:
     return QState((2, 2), m)
 
 
-def _bell_diagonal(weights) -> QState:
-    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
-    return QState((2, 2), (bells.T * np.asarray(weights)) @ bells)
-
-
 def _certificate_cases(kind: str) -> list:
     if kind.startswith("rank"):
         return [random_mixed((2, 2), int(kind[4:]), 700 + i) for i in range(3)]
@@ -427,9 +422,9 @@ def _certificate_cases(kind: str) -> list:
         return [_werner_mix(p) for p in (1 / 3, 0.6, 1.0)] + [
             werner_2qubit_example4(),
             werner_qudit(2, -0.2),
-            _bell_diagonal([0.4, 0.3, 0.2, 0.1]),
-            _bell_diagonal([0.4, 0.35, 0.25, 0.0]),  # rank 3 with C = 0: padded to 4 members
-            _bell_diagonal([0.7, 0.3, 0.0, 0.0]),
+            bell_diagonal([0.4, 0.3, 0.2, 0.1]),
+            bell_diagonal([0.4, 0.35, 0.25, 0.0]),  # rank 3 with C = 0: padded to 4 members
+            bell_diagonal([0.7, 0.3, 0.0, 0.0]),
         ]
     if kind == "classical_quantum":
         return [
