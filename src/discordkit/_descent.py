@@ -210,12 +210,10 @@ class _Dense:
         if store:
             whole = len(store) == len(accepted)
             hs, ss, ys = (h, s, y) if whole else (h[store], s[store], y[store])
-            fresh = [j for j, i in enumerate(store) if not self.started[accepted[i]]]
-            if fresh:
-                for j in fresh:
-                    self.started[accepted[store[j]]] = True
-                scale = np.array([sy[store[j]] / yy[store[j]] for j in fresh])
-                hs[fresh] = scale[:, None, None] * np.eye(g.shape[1])
+            for j, i in enumerate(store):
+                if not self.started[accepted[i]]:
+                    self.started[accepted[i]] = True
+                    hs[j] = sy[i] / yy[i] * np.eye(g.shape[1])
             # H+ = H + s w^T + w s^T, w = (rho + rho^2 y.Hy) s / 2 - rho Hy.
             hy = (hs @ ys[:, :, None])[:, :, 0]
             rho = 1.0 / np.array([sy[i] for i in store])

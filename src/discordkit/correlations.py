@@ -78,10 +78,6 @@ CONJECTURE_I_SLACK = 1e-4
 # has d |R|_F at most this (``_werner_coefficients``).
 WERNER_TOL = 2e-14
 
-# The zero-discord candidate is scored when |rho (rho_X (x) I) - (rho_X (x)
-# I) rho|_F is at most this (``_commutes_with_marginal``).
-COMMUTE_TOL = 1e-12
-
 class DiscordBoundError(RuntimeError):
     """A discord estimate exceeded the measured subsystem's entropy bound."""
 
@@ -108,8 +104,7 @@ class OptimizedValue:
     search ran: the result of a one-restart ``_descent.certify`` run).
     ``_measurement_problem`` has candidates for the dephasing discord, and
     for the conditional-entropy minimum of a rank-2 two-qubit state, of a
-    Werner state and of a zero-discord side (a pure state, or one classical
-    on the measured subsystem).
+    Werner state and of a pure state.
     """
 
     value: float
@@ -180,70 +175,50 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
     V = U^H, a ``basis`` problem, from V = I: outcome k's conditional block
     is N_k N_k^H, N_k row k of V L, and the value is sum_k p_k S(rho_k), or
     with ``dephasing`` S(dephased) - S(rho), S(rho) being the offset.  A
-    candidate basis U is scored, as V = U^H, against a proved lower bound;
-    the first that applies is taken:
+    candidate basis U is scored, as V = U^H, against a proved lower bound:
 
-    - without ``dephasing``, when X and the rest B are qubits and rho has
-      rank 2 (so the purifier C is a qubit), Wootters' basis against
-      E_F(BC), the least sum_k p_k S(rho_B^k) over all POVMs on X by the
-      Koashi-Winter relation (PRA 69, 022309, 2004).  Wootters gives E_F(BC)
-      from the concurrence and an optimal decomposition W phi of the
-      purifier rows phi_x (``entanglement._wootters_rows``): by HJW, the
-      measurement of X in the basis W^H, which is V = W;
+    - with ``dephasing``, the eigenbasis of rho_X against L = max(0,
+      S(rho_X) - S(rho)), S(rho) read from the factor's spectrum.  Every
+      basis scores at least L: dephasing never lowers entropy, and S(Pi_X
+      rho) = H(p) + sum_k p_k S(rho_k) >= H(p) >= S(rho_X), as the outcome
+      distribution p is majorized by rho_X's spectrum.  Every pure state,
+      and every state classical on X in that eigenbasis, is certified;
+    - without, when X and the rest B are qubits and rho has rank 2 (so the
+      purifier C is a qubit), Wootters' basis against E_F(BC), the least
+      sum_k p_k S(rho_B^k) over all POVMs on X by the Koashi-Winter relation
+      (PRA 69, 022309, 2004).  Wootters gives E_F(BC) from the concurrence
+      and an optimal decomposition W phi of the purifier rows phi_x
+      (``entanglement._wootters_rows``): by HJW, the measurement of X in
+      the basis W^H, which is V = W;
     - without, on a Werner state rho = a I + b F of two d-level systems (F
       the swap, ``_werner_coefficients``), the canonical basis V = I
       against the value every basis attains: rho commutes with every U (x)
       U, so each outcome k of a basis leaves the conditional state (a I + b
       |k><k|) / p of weight p = a d + b, and the value is d p H((a + b) /
       p, a / p, ..., a / p), d p = tr rho (Chitambar, PRA 86, 032110, 2012);
-    - the eigenbasis of rho_X, with ``dephasing`` against max(0, S(rho_X) -
-      S(rho)): dephasing never lowers entropy, and S(Pi_X rho) = H(p) +
-      sum_k p_k S(rho_k) >= H(p) >= S(rho_X), as the outcome distribution p
-      is majorized by rho_X's spectrum; without, against max(0, S(rho) -
-      S(rho_X)), as the value less S(rho) - S(rho_X) is the discord, which
-      is never negative (Ollivier & Zurek, PRL 88, 017901, 2001).  Both are
-      met on every pure state and every state classical on X in that
-      eigenbasis.  Without ``dephasing`` the basis is scored only on a state
-      of rank 1 or one that commutes with rho_X (x) I
-      (``_commutes_with_marginal``), as every state classical on X does.
-      S(rho) comes from the factor's spectrum.
+    - without, on a state of rank 1, the eigenbasis of rho_X against 0:
+      every basis leaves pure conditional states, so every basis meets the
+      bound max(0, S(rho) - S(rho_X)), which holds as discord is never
+      negative (Ollivier & Zurek, PRL 88, 017901, 2001).  The factor's rank
+      decides it, with no objective call.
     """
     factor, r, lam = _measurement_factor(state, k)
     first = np.eye(factor.shape[0], dtype=complex)
     candidate, bound = None, 0.0
-    if not dephasing and factor.shape == (2, 4) and r == 2:
+    if dephasing:
+        lam_x, vec = np.linalg.eigh(partial_trace(state, (k,)).matrix)
+        candidate, bound = vec.conj().T, max(0.0, float(_entropy_bits(lam_x)) - float(_entropy_bits(lam)))
+    elif factor.shape == (2, 4) and r == 2:
         candidate, c = _wootters_rows(factor)
         bound = _eof_of_concurrence(c)
-    elif not dephasing and (werner := _werner_coefficients(state)) is not None:
+    elif (werner := _werner_coefficients(state)) is not None:
         a, b = werner
         d = len(first)
         candidate, bound = first, (a * d + b) * d * float(_entropy_bits(np.array([a + b] + [a] * (d - 1))))
-    elif dephasing or factor.shape[1] == r or _commutes_with_marginal(factor, r):
-        lam_x, vec = np.linalg.eigh(partial_trace(state, (k,)).matrix)
-        candidate = vec.conj().T
-        if dephasing or factor.shape[1] > r:  # else rank 1: S(rho) = 0 and the bound is 0
-            excess = float(_entropy_bits(lam_x)) - float(_entropy_bits(lam))
-            bound = max(0.0, excess if dephasing else -excess)
+    elif factor.shape[1] == r:  # rank 1
+        candidate = np.linalg.eigh(partial_trace(state, (k,)).matrix)[1].conj().T
     return Problem(factor, r, first, cfg, candidate, bound, dephasing,
                    _entropy_bits(lam) if dephasing else 0.0, basis=True)
-
-
-def _commutes_with_marginal(factor: np.ndarray, r: int) -> bool:
-    """Whether rho = L L^H commutes with rho_X (x) I to within ``COMMUTE_TOL``, from its factor alone.
-
-    ``factor`` and ``r`` are ``_measurement_factor``'s: its rows are the
-    blocks phi_x of L, so rho_X = factor factor^H, and rho commutes with P =
-    rho_X (x) I exactly when P rho = P L L^H is Hermitian.  Every state
-    classical on X, sum_x p_x |x><x| (x) rho_x, commutes, and when rho_X has
-    a simple spectrum a state that commutes is of that form in rho_X's
-    eigenbasis.  This only screens the zero-discord candidate
-    (``_measurement_problem``) and makes no objective call: ``_descent.certify``
-    decides against the proved bound, so the tolerance decides whether one
-    objective call is spent, never whether a value is accepted.
-    """
-    rows = factor.reshape(-1, factor.shape[1] // r)
-    p_rho = (factor @ factor.conj().T @ factor).reshape(rows.shape) @ rows.conj().T
-    return bool(np.linalg.norm(p_rho - p_rho.conj().T) <= COMMUTE_TOL)
 
 
 def _werner_coefficients(state: QState) -> tuple[float, float] | None:
@@ -333,10 +308,9 @@ def min_conditional_entropy(
     of rank 2, against the proved Koashi-Winter lower bound E_F of the
     purifier pair; the canonical basis on a Werner state a I + b F,
     against the value every basis attains; and the eigenbasis of the
-    measured marginal on a pure state or one that commutes with it, against
-    max(0, S(rho) - S(rho_X)), which zero-discord sides meet.  A candidate
-    that meets its bound comes back with stop reason ``"certified"`` and no
-    search runs.
+    measured marginal on a pure state, against 0, which every basis meets
+    there.  A candidate that meets its bound comes back with stop reason
+    ``"certified"`` and no search runs.
     Otherwise the search runs on the same objective, so the value is always
     one that the objective reached.
     """
@@ -411,8 +385,8 @@ def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float
 
     The ``discord_distance`` of ``correlation_report``.  Each side is
     certified without a search on a rank-2 two-qubit state, on a Werner
-    state and where its discord is zero (``min_conditional_entropy``), and
-    searched otherwise.
+    state and on a pure state (``min_conditional_entropy``), and searched
+    otherwise.
     """
     if state.n_subsystems != 2:
         raise ValueError("discord_distance needs a state with exactly two subsystems")

@@ -186,11 +186,10 @@ class _StateAnalysis:
     leaves a pure BC state for each outcome k, S(rho_B^k) = S(rho_C^k), and
     the two conditional-entropy objectives are one function of the basis
     (the step behind the Koashi-Winter relation).  On a rank-2 two-qubit
-    source, a Werner source and a zero-discord side (pure, or classical on
-    the measured subsystem) that minimum is certified without a search
-    (``min_conditional_entropy``), and the rows that read it say so
-    (``_measurement_route``).  Values are computed on first use and kept in
-    this object only.
+    source, a Werner source and a pure source that minimum is certified
+    without a search (``min_conditional_entropy``), and the rows that read
+    it say so (``_measurement_route``).  Values are computed on first use
+    and kept in this object only.
 
     The analysis knows the ``relations`` that will read it.  When they read
     both the D_A minimum and E_F(BC) of a bipartite input on every input
@@ -296,8 +295,8 @@ def _measurement_route(a: _StateAnalysis, *minima: tuple[str, int]) -> dict:
 
     ``minima`` holds the (name, measured) pairs of ``_StateAnalysis.minimum``
     that the row reads.  A certified minimum comes from a certificate
-    (Koashi-Winter, Werner symmetry or zero discord), not from the search,
-    so such a row tests the certificate.
+    (Koashi-Winter, Werner symmetry or purity), not from the search, so
+    such a row tests the certificate.
     """
     if all(a.minimum(name, measured).stop_reasons == (CERTIFIED,) for name, measured in minima):
         return {"measurement_route": CERTIFIED}
@@ -378,8 +377,8 @@ def check_monogamy(state: QState, cfg: OptimizerConfig | None = None) -> BoundCh
     the pure ABC, up to the weight ``purify`` clips from a bipartite input,
     and does not test the optimizer.  That the AC objective equals the AB
     one basis by basis is a property test of its own.  When AB is a rank-2
-    two-qubit state (every pure (2, 2, 2) input), a Werner state or a
-    zero-discord side, m is certified, and the provenance carries
+    two-qubit state (every pure (2, 2, 2) input), a Werner state or a pure
+    state, m is certified, and the provenance carries
     ``"measurement_route": "certified"``.
     """
     a = _analysis(state, cfg, "monogamy")
@@ -397,10 +396,9 @@ def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     With only the convex-roof route available the right side is
     overestimated, which keeps the inequality a valid sanity bound; the
     saturation flag S(A) - S(B) = S(C) is reported on exact routes only.
-    On a rank-2 two-qubit input, a Werner input and a zero-discord A side
-    (a pure input, or one classical on A) D_A is certified, so the row
-    tests the certificate, not the optimizer, and records
-    ``"measurement_route": "certified"``.
+    On a rank-2 two-qubit input, a Werner input and a pure input D_A is
+    certified, so the row tests the certificate, not the optimizer, and
+    records ``"measurement_route": "certified"``.
     """
     a = _analysis(state, cfg, "thm1")
     if a.state.n_subsystems != 2:

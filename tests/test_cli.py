@@ -363,10 +363,9 @@ def test_hunt_rows_say_their_route(tmp_path, monkeypatch, capsys):
     assert header == "x,s_measured,s_env,j_classical,d_upper,gap,label"
 
 
-def test_compute_certifies_zero_discord_sides(tmp_path):
-    # Both sides of a pure state, and the register of a classical-quantum
-    # state, are certified by the eigenbasis of the marginal: one restart,
-    # spread 0, in strict JSON.  The quantum side of the latter searches.
+def test_compute_certifies_pure_sides(tmp_path):
+    # Both sides of a pure state are certified by the eigenbasis of the
+    # marginal: one restart, spread 0, in strict JSON.
     out = tmp_path / "compute.json"
     assert main(["compute", "--family", "haar_pure", "--dims", "2x3", "--format", "json", "--out", str(out)]) == 0
     report = _strict_json(out)
@@ -374,10 +373,6 @@ def test_compute_certifies_zero_discord_sides(tmp_path):
         assert report["diagnostics"][side]["stop_reasons"] == ["certified"]
         assert report["diagnostics"][side]["spread"] == 0.0
     assert report["d_a"] == pytest.approx(report["s_b"], abs=1e-12)
-    assert main(["compute", "--family", "classical_quantum", "--dims", "3x2", "--format", "json", "--out", str(out)]) == 0
-    diagnostics = _strict_json(out)["diagnostics"]
-    assert diagnostics["measured_a"]["stop_reasons"] == ["certified"]
-    assert "certified" not in diagnostics["measured_b"]["stop_reasons"]
 
 
 def test_cached_parser_writes_what_a_fresh_parser_writes(tmp_path, capsys):

@@ -66,7 +66,6 @@ from discordkit.correlations import (
 from discordkit.entanglement import _roof
 from discordkit.measurement import _measured_view, n_measurement_params, unitary_from_params
 from discordkit.states import (
-    StateFamilySpec,
     classical_quantum,
     example3_state,
     haar_random_pure,
@@ -1160,42 +1159,29 @@ def test_zero_discord_search_meets_zero_on_pure_states(dims):
 
 
 @pytest.mark.parametrize("qdims", [(2,), (3,)], ids=["qubit", "qutrit"])
-@pytest.mark.parametrize("rank", [1, 2])
-def test_zero_discord_certificate_on_classical_quantum_states(qdims, rank, monkeypatch):
-    # Classical on a 3-level register, in its computational basis, in a
-    # Haar-rotated one, and as drawn by the classical_quantum family: rho
-    # commutes with rho_X (x) I, rho_X's eigenbasis leaves the components
-    # sigma_k as conditional states, and the value sum_k p_k S(sigma_k) meets
-    # the bound S(rho) - S(rho_X).  No search runs on the register.
-    scored = _record_candidates(monkeypatch)
-    calls = record_descends(monkeypatch)
+def test_classical_quantum_registers_meet_their_oracle(qdims):
+    # Classical on a 3-level register, in its computational basis and in a
+    # Haar-rotated one: the register's eigenbasis leaves the components
+    # sigma_k as conditional states, and the least value is sum_k p_k
+    # S(sigma_k) (discord zero on the register), whatever route reaches it.
     cfg = OptimizerConfig(restarts=4, seed=3)
     eye = np.eye(math.prod(qdims))
-    for i in range(3):
+    for i in range(2):
         g = stream(80, i)
         probs = g.dirichlet(np.ones(3))
-        sigmas = [random_mixed(qdims, rank, 80 + i, k) for k in range(3)]
+        sigmas = [random_mixed(qdims, 2, 80 + i, k) for k in range(3)]
         oracle = sum(p * von_neumann_entropy(sigma) for p, sigma in zip(probs, sigmas))
         cq = classical_quantum(probs, sigmas)
         u = np.kron(haar_unitary(g, 3), eye)
-        drawn = StateFamilySpec("classical_quantum", {"k": 3, "dims": qdims, "rank": rank}, 80).sample(i)
-        for state, value in ((cq, oracle), (QState(cq.dims, u @ cq.matrix @ u.conj().T), oracle), (drawn, None)):
-            scored.clear()
-            opt = min_conditional_entropy(state, 0, cfg)
-            [(_candidate, bound)] = scored
-            _assert_certified(opt, bound)
-            assert calls == []
-            if value is not None:
-                assert bound == pytest.approx(value, abs=1e-12)
-            # the side B of the report still searches
-            assert correlation_report(state, cfg).diagnostics["measured_a"]["stop_reasons"] == [CERTIFIED]
-            calls.clear()
+        for state in (cq, QState(cq.dims, u @ cq.matrix @ u.conj().T)):
+            assert min_conditional_entropy(state, 0, cfg).value == pytest.approx(oracle, abs=1e-9)
 
 
 @pytest.mark.parametrize("dims, ranks", [((2, 3), (2, 3, 6)), ((3, 3), (2, 5, 9))], ids=["2x3", "3x3"])
 def test_zero_discord_candidate_never_scored_on_random_mixed_states(dims, ranks, monkeypatch):
-    # A generic state of rank 2 or more commutes with neither marginal, so
-    # no candidate is scored, and each result is exactly the search's.
+    # A state of rank 2 or more that is neither a rank-2 two-qubit state nor
+    # a Werner state scores no candidate, and each result is exactly the
+    # search's.
     _no_certificate(monkeypatch)
     cfg = OptimizerConfig(restarts=2, seed=5)
     for rank in ranks:
@@ -1210,36 +1196,26 @@ def test_zero_discord_candidate_never_scored_on_random_mixed_states(dims, ranks,
 
 
 def test_zero_discord_candidate_on_degenerate_marginals(monkeypatch):
-    # rho_X = I / d_X commutes with every state, so the screen passes and
-    # the candidate is one eigenbasis of a degenerate rho_X.  Where it meets
-    # the bound the value is certified; where it misses, the result, alone
-    # and in correlation_report, is exactly the search's.
+    # rho_X = I / d_X: a pure state is certified at 0 in whichever
+    # eigenbasis eigh returns; a mixed one (Bell-diagonal, example3's rank
+    # 2) scores no candidate, and its result, alone and in
+    # correlation_report, is exactly the search's.
     scored = _record_candidates(monkeypatch)
     cfg = OptimizerConfig(restarts=4, seed=3)
-    states = [bell_diagonal(w) for w in ([0.4, 0.3, 0.2, 0.1], [0.4, 0.35, 0.25, 0.0], [0.3, 0.3, 0.2, 0.2])]
-    states.append(example3_state())
-    certified, reports = [], []
-    for state in states:
+    maximal = QState((3, 3), np.outer(np.eye(3).ravel(), np.eye(3).ravel()) / 3)
+    for state in (bell_state(), maximal):
         for m in (0, 1):
             scored.clear()
             opt = min_conditional_entropy(state, m, cfg)
-            [(_candidate, bound)] = scored
-            forced = measurement_search(state, m, cfg, False)
-            if opt.stop_reasons == (CERTIFIED,):
-                assert opt.value == pytest.approx(bound, abs=1e-12)
-                assert opt.value <= forced.value + 1e-9
-            else:
-                assert _run_bits(opt) == _run_bits(forced)
-            certified.append(opt.stop_reasons == (CERTIFIED,))
-        reports.append(correlation_report(state, cfg).diagnostics)
-    # the two mixed Bell-diagonal states miss on both sides; the classical
-    # one and example3's 4-level side (conditional states pure) are met
-    assert certified == [False] * 4 + [True, True, True, False]
-    monkeypatch.setattr(correlations, "COMMUTE_TOL", -1.0)
-    for state, report, hits in zip(states, reports, np.reshape(certified, (-1, 2))):
-        searched = correlation_report(state, cfg).diagnostics
-        for side, hit in zip(("measured_a", "measured_b"), hits):
-            assert hit or report[side] == searched[side]
+            assert [bound for _candidate, bound in scored] == [0.0]
+            _assert_certified(opt, 0.0)
+    for state in (bell_diagonal([0.4, 0.3, 0.2, 0.1]), bell_diagonal([0.4, 0.35, 0.25, 0.0]), example3_state()):
+        scored.clear()
+        for m in (0, 1):
+            assert _run_bits(min_conditional_entropy(state, m, cfg)) == _run_bits(measurement_search(state, m, cfg, False))
+        report = correlation_report(state, cfg).diagnostics
+        assert scored == []
+        assert all(CERTIFIED not in report[side]["stop_reasons"] for side in ("measured_a", "measured_b"))
 
 
 def test_re_discord_zero_for_classical_states(monkeypatch):

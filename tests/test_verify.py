@@ -363,21 +363,12 @@ def test_werner_rows_read_a_certified_d_a_and_a_lone_roof():
     assert analysis.minimum("state", 0).stop_reasons == ("certified",)
 
 
-@pytest.mark.parametrize(
-    "spec, marked",
-    [
-        (StateFamilySpec("haar_pure", {"dims": (2, 2)}, 3),
-         {"koashi_winter", "monogamy", "eq8", "thm1", "cor1", "lindblad", "thm2", "cor2"}),
-        (StateFamilySpec("classical_quantum", {"k": 3, "dims": (2,), "rank": 2}, 3), {"monogamy", "thm1", "lindblad"}),
-    ],
-    ids=["pure_2x2", "cq_3x2"],
-)
-def test_zero_discord_rows_read_a_certified_d_a(spec, marked):
-    # D_A of a pure input, and of a classical-quantum input measured on its
-    # register, is certified by the zero-discord candidate, so every row
-    # that reads it says so (thm2 and cor2 read D_B too, certified only on
-    # the pure input), and the roof of BC, left without a search to share,
-    # is eof_upper's alone.
+def test_pure_rows_read_a_certified_d_a():
+    # D_A of a pure input is certified, so every row that reads it says so
+    # (thm2 and cor2 read D_B too, also certified), and the roof of BC,
+    # left without a search to share, is eof_upper's alone.
+    spec = StateFamilySpec("haar_pure", {"dims": (2, 2)}, 3)
+    marked = {"koashi_winter", "monogamy", "eq8", "thm1", "cor1", "lindblad", "thm2", "cor2"}
     report = run_suite(spec, tuple(RELATIONS), 2, FAST)
     for row in report.rows:
         assert (row.provenance.get("measurement_route") == "certified") == (row.name in marked), row.name
