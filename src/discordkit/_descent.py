@@ -1,41 +1,24 @@
 """Riemannian quasi-Newton (BFGS) descent on stacks of isometries.
 
-A stack holds R independent restarts, each an n x p isometry (X^H X = I): a
-point of the Stiefel manifold, with the unitary group U(n) as the square
-case.  The metric is the embedded one, <A, B> = Re tr(A^H B), so the
-Riemannian gradient is the tangent projection of the Euclidean one.  Each
-restart takes quasi-Newton steps from its (s, y) pairs, kept in the ambient
-coordinates (the D = 2 n p reals of X), with the direction projected onto
-the tangent space (Huang, Gallivan & Absil, SIAM J. Optim. 25(3), 2015;
-Nocedal & Wright, Numerical Optimization, 2006, ch. 6-7).  Its curvature
-model depends on D alone, so it is chosen once per stack:
+A stack holds R independent restarts, each an n x p isometry (X^H X = I):
+a point of the Stiefel manifold, with U(n) as the square case.  Under the
+embedded metric <A, B> = Re tr(A^H B) the Riemannian gradient is the
+tangent projection of the Euclidean one.  Each restart takes quasi-Newton
+steps from its (s, y) pairs in the ambient coordinates (the D = 2 n p
+reals of X), on a curvature model chosen once per stack from D
+(``DENSE_MAX``), with the direction projected onto the tangent space
+(Huang, Gallivan & Absil, SIAM J. Optim. 25(3), 2015; Nocedal & Wright,
+Numerical Optimization, 2006, ch. 6-7), Armijo backtracking and the QR
+retraction (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20(2),
+1998).
 
-- up to ``DENSE_MAX``, a dense D x D inverse Hessian per restart, which
-  starts as (s.y / y.y) I at its first pair and takes the BFGS update at
-  every pair after that (``_Dense``);
-- above it, limited-memory BFGS, the two-loop recursion over the last
-  ``MEMORY`` pairs scaled by s.y / y.y of the newest (``_LimitedMemory``),
-  where D x D matrices cost more per step than they save in steps.
-
-It searches each line by Armijo backtracking from a unit step and moves by
-the QR retraction, computed as Cholesky QR (Edelman, Arias & Smith, SIAM J.
-Matrix Anal. Appl. 20(2), 1998).
-
-All restarts advance in lockstep: a round makes one objective call that
-scores the pending point of every live restart, whether that is the first
-trial of a new iteration or a backtracking trial.  Each restart keeps its own
-step, direction, pairs and exit, so it follows the path it takes alone.  A
-round makes one retraction, one objective call and, when some trial is
-accepted, one tangent projection of the new gradients, the curvature model's
-stacked products that build the directions, and one tangent projection of
-them.  Only these stacks are arrays: with a few live restarts a NumPy call
-costs more than the scalar arithmetic it would batch, so each restart's
-value, slope, step, counts and, in the limited-memory model, inner-product
-tables and two-loop recursion are Python floats and ints, on which it does
-the same binary64 operations in a stack as alone.  So a stack may hold the
-restarts of several problems of one shape, each problem a block scored with
-its own objective, and each follows its search alone (``search``); a
-problem may use only the first rows of the shape, the rest zero.
+All restarts advance in lockstep, one objective call a round for every
+live restart's pending trial.  Only the stacks are arrays: with a few live
+restarts a NumPy call costs more than the scalar arithmetic it would
+batch, so each restart's value, slope, step, counts and L-BFGS tables are
+Python floats and ints, on which it does the same binary64 operations in a
+stack as alone.  So a restart follows the path it takes alone, and a stack
+may hold the restarts of several problems of one shape (``search``).
 """
 
 from __future__ import annotations
@@ -65,16 +48,13 @@ GROW = 4.0
 MAX_STEP = 2.0
 # Norm of a restart's first step: a rotation by about this angle.
 FIRST_ANGLE = 0.5
-# The largest D = 2 n p that keeps a dense inverse Hessian.  Its update
-# costs O(D^2) a step, against O(MEMORY D), and pays only where it saves
-# rounds.  Measured as dense / L-BFGS time per search, one BLAS thread: the
-# convex roof at its default budget (3 restarts) takes 0.63 of the time at
-# rank 3 (D = 54), 0.62 at rank 4 (D = 128), 1.45 at rank 5 (D = 250) and
-# 4.0 at rank 6 (D = 432).  The 16-restart measurement search takes 0.74 to
-# 1.32 (run-to-run noise) at d = 2 to 5 (D = 8 to 50), but 1.48 at d = 6
-# (D = 72) and 2.74 at d = 8 (D = 128), where its slowest restart takes
-# more rounds on the dense model.  So the dense model stops below d = 6,
-# and the rank-4 roof, at the D of d = 8, stays on L-BFGS.
+# The curvature model, by D = 2 n p: up to DENSE_MAX a dense D x D inverse
+# Hessian per restart (``_Dense``), above it L-BFGS over the last MEMORY
+# pairs (``_LimitedMemory``).  The dense update costs O(D^2) a step against
+# O(MEMORY D), and pays only where it saves rounds: it does on the convex
+# roof up to rank 4 (D = 128), but on U(d) from d = 6 (D = 72) the slowest
+# restart of a measurement search takes more rounds on it, so the dense
+# model stops below d = 6 and the rank-4 roof stays on L-BFGS.
 DENSE_MAX = 64
 # L-BFGS memory: the (s, y) pairs each restart keeps, in a ring with one
 # more slot, where the newest pair is written before its s.y is known.
@@ -94,13 +74,12 @@ _REASONS = ("", GRADIENT, NO_DECREASE, CAP)
 class Descent:
     """Final state of every restart of a stack.
 
-    ``x`` holds the last iterates, and ``values`` the objective there, which
-    is the lowest value of the restart's iterates since an accepted step
-    always decreases it.  ``iterations`` counts accepted steps,
-    ``evaluations`` the objective calls the restart was live for (its
-    starting point included), and ``reasons`` says why each restart stopped:
-    ``GRADIENT``, ``NO_DECREASE`` or ``CAP``, or ``CERTIFIED`` for the one
-    restart of a ``certify`` run.
+    ``x`` holds the last iterates and ``values`` the objective there, the
+    lowest of the restart's iterates since an accepted step always decreases
+    it.  ``iterations`` counts accepted steps, ``evaluations`` the objective
+    calls the restart was live for (its start included), and ``reasons`` why
+    it stopped: ``GRADIENT``, ``NO_DECREASE``, ``CAP``, or ``CERTIFIED`` for
+    the one restart of a ``certify`` run.
     """
 
     x: np.ndarray
@@ -123,11 +102,11 @@ def tangent(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 def retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """QR retraction: the Q factor of A = X + V, with a positive diagonal in R.
 
-    Computed as Cholesky QR, Q = A R^-1 with R^H R = A^H A.  The QR factor
-    with a positive diagonal is unique, so this is the Householder Q to
-    rounding.  For a tangent V, A^H A = I + V^H V has condition number at
-    most 1 + |V|_2^2: Q stays orthonormal to rounding for steps of norm up
-    to 10, and ``descend`` caps its trial steps at norm ``MAX_STEP``.
+    Computed as Cholesky QR, Q = A R^-1 with R^H R = A^H A, which is the
+    unique Householder Q to rounding.  For a tangent V, A^H A = I + V^H V has
+    condition number at most 1 + |V|_2^2: Q stays orthonormal to rounding
+    for steps of norm up to 10, and ``descend`` caps its trial steps at
+    ``MAX_STEP``.
     """
     a = x + v
     chol = np.linalg.cholesky(_herm(a) @ a)
@@ -137,40 +116,37 @@ def retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def random_isometries(gens, n: int, p: int) -> np.ndarray:
     """One random n x p isometry (n >= p) per generator in ``gens``, as a (len(gens), n, p) stack.
 
-    Each is numpy's Q factor of a complex Gaussian matrix drawn from its own
-    generator; all matrices are drawn first and factored by one stacked
-    ``np.linalg.qr``, which gives each the Q of its own factorization.  At
-    n = p each is a unitary, but not a Haar-random one: the phases of R's
-    diagonal are not fixed (Mezzadri, Notices AMS 54, 592, 2007), so over
-    20,000 draws at n = p = 2 the mean trace is -0.84 and the mean |tr|^2
-    1.34, where Haar gives 0 and 1.  The starts and bases drawn here need
-    only be spread over the manifold, not Haar-distributed.
+    Each is the Q factor of its own complex Gaussian matrix, all from one
+    stacked ``np.linalg.qr``.  At n = p it is unitary but not Haar-random, as
+    R's diagonal phases are not fixed (Mezzadri, Notices AMS 54, 592, 2007):
+    starts and bases need only be spread over the manifold.
     """
     z = np.array([g.normal(size=(n, p)) + 1j * g.normal(size=(n, p)) for g in gens], dtype=complex)
     return np.linalg.qr(z.reshape(len(gens), n, p))[0]
 
 
 @functools.lru_cache(maxsize=64)
-def random_starts(n: int, p: int, seed: int, restarts: int) -> np.ndarray:
-    """Read-only (restarts - 1, n, p) starts of restarts 1, 2, ... (``restart_stack``).
+def seeded_isometries(n: int, p: int, seed: int, first: int, count: int) -> np.ndarray:
+    """Read-only (count, n, p) ``random_isometries`` on Philox streams first .. first + count - 1 of ``seed``.
 
-    Restart k starts from ``random_isometries`` on Philox stream k of
-    ``seed``, so every search of one shape and configuration shares them;
-    the cache is bounded, so a loop over seeds does not grow it without
-    limit.
+    The one cache of seeded draws: the random starts of every search
+    (``restart_stack``) and ``verify.check_kw_pointwise``'s bases.  It is
+    bounded, so a loop over seeds does not grow it without limit.
     """
-    starts = random_isometries([stream(seed, k) for k in range(1, restarts)], n, p)
-    starts.setflags(write=False)
-    return starts
+    draws = random_isometries([stream(seed, k) for k in range(first, first + count)], n, p)
+    draws.setflags(write=False)
+    return draws
 
 
 def restart_stack(first: np.ndarray, cfg: OptimizerConfig, basis: bool = False) -> np.ndarray:
-    """A search's starts: restart 0 ``first``, an m x n isometry, then ``random_starts(m, n, ...)``.
+    """A search's starts: restart 0 ``first``, an m x n isometry, then restart k from stream k of ``cfg.seed``.
 
-    A ``basis`` search runs on V = U^H, so its random starts are the
-    conjugate transposes of the draws Q: restart k measures in the basis Q.
+    Every search of one shape and configuration shares its random starts
+    (``seeded_isometries``).  A ``basis`` search runs on V = U^H, so its
+    random starts are the conjugate transposes of the draws Q: restart k
+    measures in the basis Q.
     """
-    later = random_starts(*first.shape, cfg.seed, cfg.restarts)
+    later = seeded_isometries(*first.shape, cfg.seed, 1, cfg.restarts - 1)
     return np.concatenate([first[None], _herm(later) if basis else later])
 
 
@@ -184,11 +160,11 @@ def _stall(step: float, slope: float, f: float) -> int:
 class _Dense:
     """Dense BFGS: one D x D inverse Hessian H per live restart, as a stack.
 
-    H is zero until the restart's first stored pair, so its direction -H g
-    does not descend and ``descend`` takes steepest descent; that pair sets
-    H = (s.y / y.y) I and then updates it.  Every stored pair takes the BFGS
-    update H+ = (I - rho s y^T) H (I - rho y s^T) + rho s s^T, rho = 1 / s.y,
-    as one rank-2 product batched over the restarts that store a pair.
+    H is zero until the restart's first stored pair, so ``descend`` takes
+    steepest descent; that pair sets H = (s.y / y.y) I, and every stored pair
+    takes the BFGS update H+ = (I - rho s y^T) H (I - rho y s^T) + rho s s^T,
+    rho = 1 / s.y, as one rank-2 product batched over the restarts that store
+    a pair.
     """
 
     def __init__(self, grad: np.ndarray):
@@ -255,12 +231,7 @@ class _LimitedMemory:
             [v[k] for k in keep] for v in (self.pairs, self.free, self.sy, self.yy))
 
     def directions(self, accepted: list, g: np.ndarray, s: np.ndarray):
-        """The two-loop direction after storing each accepted restart's pair, its slopes and |g|^2.
-
-        The pair (s, y) goes to the ring, and the inner products of g and y
-        with every slot come from one product.  A restart with no stored
-        pair gets a NaN slope.
-        """
+        """The two-loop direction after storing each accepted pair, its slopes (NaN with no pair) and |g|^2."""
         every = len(accepted) == len(self.mem)
         ring = self.mem if every else self.mem[accepted]
         y_new = g - ring[:, 0]
@@ -316,27 +287,22 @@ class _LimitedMemory:
 def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) -> Descent:
     """Minimize ``objective`` from every isometry of the stack ``x``.
 
-    The stack holds the restarts of one or more problems of one shape, in
-    blocks: ``sizes[q]`` restarts of problem q, in stack order (one problem
-    when ``sizes`` is None).  ``objective(x', live)`` maps an (R', n, p)
-    stack of live restarts to their R' values and Euclidean gradients (df =
-    Re tr(G^H dX)), where ``live[q]`` of them belong to problem q; they keep
-    the stack order, so each problem's restarts stay one contiguous block.
-    ``values`` and ``egrad`` are its output at ``x``.  The first line is
-    steepest descent with a step of norm ``FIRST_ANGLE``.  A trial that
-    fails the Armijo test shrinks its step by a safeguarded quadratic fit.
-    A trial that passes becomes the next iterate and stores the pair s =
-    step eta, y = g_new - g_old, unless s.y <= 0 (a pair that would make
-    the inverse Hessian indefinite).  The
-    next direction is -H g for the restart's inverse Hessian model H, dense
-    BFGS when D = 2 n p <= ``DENSE_MAX`` and L-BFGS over the last
-    ``MEMORY`` pairs above it, projected onto the tangent space; its first
-    trial step is 1.  With no stored pair, or when that direction does not
-    descend, it is steepest descent with a first step of ``GROW`` times the
-    last one.  Every first step is capped at norm ``MAX_STEP``.  A restart
+    The stack holds ``sizes[q]`` restarts of problem q, in blocks in stack
+    order (one problem when ``sizes`` is None).  ``objective(x', live)`` maps
+    an (R', n, p) stack of live restarts, ``live[q]`` of them problem q's and
+    still in stack order, to their values and Euclidean gradients (df = Re
+    tr(G^H dX)); ``values`` and ``egrad`` are its output at ``x``.  The first
+    line is steepest descent with a step of norm ``FIRST_ANGLE``.  A trial
+    that fails the Armijo test shrinks its step by a safeguarded quadratic
+    fit.  One that passes becomes the next iterate and stores the pair s =
+    step eta, y = g_new - g_old, unless s.y <= 0 (a pair that would make the
+    inverse Hessian indefinite).  The next direction is the model's -H g,
+    projected, with a first trial step of 1; with no stored pair, or when it
+    does not descend, steepest descent with a first step of ``GROW`` times
+    the last.  Every first step is capped at norm ``MAX_STEP``.  A restart
     stops when its Riemannian gradient norm reaches ``GRAD_TOL``, when its
-    next trial predicts a decrease below ``DECREASE_TOL`` (relative to
-    max(1, |f|)), or after ``max_iter`` iterates.
+    next trial predicts a decrease below ``DECREASE_TOL`` (relative to max(1,
+    |f|)), or after ``max_iter`` iterates.
     """
     out_x = np.array(x, dtype=complex)
     n_restarts = out_x.shape[0]
@@ -437,17 +403,13 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
 def search(objective: Callable, starts, cfg: OptimizerConfig) -> list[Descent]:
     """The searches of P problems in one ``descend``, problem q from its ``restart_stack`` ``starts[q]``.
 
-    Problem q's starts are n_q x p isometries.  The stack holds n x p ones,
-    n the largest n_q, and problem q uses only its first n_q rows: the rest
-    are zero in each of its starts, and they stay zero where the objective
-    gives a zero row a zero gradient, as ``qstate._ensemble_objective``
-    does (a member of zero weight), since every step is a combination of
-    gradients.  Each restart takes at most ``cfg.max_iter`` iterations.
-    ``objective`` scores the problems' restarts in blocks, as ``descend``
-    passes them.  A restart follows the path it takes alone, so each
-    problem's ``Descent``, cut to its n_q rows, is its search's alone; but
-    the problems share every round, whose cost grows little with the
-    number of live restarts.
+    Problem q's starts are n_q x p isometries.  The stack holds n x p ones, n
+    the largest n_q, and problem q uses only its first n_q rows: the rest are
+    zero, and stay zero where the objective gives a zero row a zero gradient,
+    as ``qstate._ensemble_objective`` does.  Each problem's ``Descent``, cut
+    to its n_q rows, is its search's alone, of at most ``cfg.max_iter``
+    iterations a restart, but the problems share every round, whose cost
+    grows little with the number of live restarts.
     """
     n = max(stack.shape[1] for stack in starts)
     x = np.zeros((len(starts), cfg.restarts, n, starts[0].shape[-1]), dtype=complex)
@@ -465,14 +427,14 @@ def search(objective: Callable, starts, cfg: OptimizerConfig) -> list[Descent]:
 class Problem:
     """One minimization of ``qstate._ensemble_objective`` over m x n isometries V.
 
-    ``rows`` (n x d_A d_B) and ``da`` = d_A define the ensembles V rows.
-    ``first`` is restart 0, an m x n isometry, and ``cfg`` the search's
-    budget.  ``candidate``, when given, is an isometry of ``first``'s shape
-    scored against ``bound``, a proved lower bound (``certify``).  With
-    ``dephasing`` the value is the entropy of the union of the member
-    spectra, less ``offset``.  A measurement is the ``basis`` problem of V =
-    U^H, U the basis (``correlations._measurement_problem``), and the convex
-    roof that of its isometries (``entanglement._roof``).
+    ``rows`` (n x d_A d_B) and ``da`` = d_A define the ensembles V rows;
+    ``first`` is restart 0, an m x n isometry, and ``cfg`` the budget.
+    ``candidate``, when given, is an isometry of ``first``'s shape scored
+    against ``bound``, a proved lower bound (``certify``).  With ``dephasing``
+    the value is the entropy of the union of the member spectra, less
+    ``offset``.  A ``basis`` problem is a measurement on V = U^H, U the basis
+    (``correlations._measurement_problem``); the convex roof is a problem of
+    its isometries (``entanglement._roof``).
     """
 
     rows: np.ndarray
@@ -505,17 +467,13 @@ def solve(problems) -> list[Descent]:
     """Each problem's run: certified where its candidate meets its bound, else searched.
 
     Every certificate passes here, and every search but that of a caller's
-    own objective (``minimize_over_measurements``).  A ``candidate`` is
-    scored first (``certify``); a problem then searched alone reuses that
-    objective.  The others run in one ``search`` per key: rows shape, d_A,
-    dephasing and offset, ``cfg``, and whether the problem's D = 2 m n is at
-    most ``DENSE_MAX``, so each keeps the curvature model of its search
-    alone; above it only one shape groups, so no limited-memory search is
-    padded.  A group holds the two sides of a d x d state, or, by HJW, the
-    D_A search of AB and the roof of BC when rank(rho_BC) = d_A <= 3.
+    own objective (``minimize_over_measurements``).  The problems left run in
+    one ``search`` per key: rows shape, d_A, dephasing and offset, ``cfg``,
+    and whether D = 2 m n is at most ``DENSE_MAX``, so each keeps the
+    curvature model of its search alone; above it only one shape groups, so
+    no limited-memory search is padded.
     """
-    built = {i: objective_of([p]) for i, p in enumerate(problems) if p.candidate is not None}
-    runs = [certify(built[i], p.candidate, p.bound) if i in built else None for i, p in enumerate(problems)]
+    runs = [None if p.candidate is None else certify(objective_of([p]), p.candidate, p.bound) for p in problems]
     groups: dict = {}
     for i, p in enumerate(problems):
         if runs[i] is None:
@@ -523,9 +481,8 @@ def solve(problems) -> list[Descent]:
             groups.setdefault(key, []).append(i)
     for group in groups.values():
         stack = [problems[i] for i in group]
-        objective = built[group[0]] if len(group) == 1 and group[0] in built else objective_of(stack)
         starts = [restart_stack(p.first, p.cfg, p.basis) for p in stack]
-        for i, run in zip(group, search(objective, starts, stack[0].cfg)):
+        for i, run in zip(group, search(objective_of(stack), starts, stack[0].cfg)):
             runs[i] = run
     return runs
 
@@ -534,10 +491,9 @@ def certify(objective: Callable, x: np.ndarray, bound: float) -> Descent | None:
     """A finished one-restart run at ``x``, or None when ``x`` misses the lower ``bound``.
 
     ``objective`` scores ``x`` once.  A value within ``CERTIFY_TOL`` of a
-    proved lower bound is optimal to rounding, so no search needs to run:
-    the run has one evaluation, no iterations and the reason ``CERTIFIED``,
-    and ``summary`` gives it spread 0 and ``converged``.  A value above
-    that, or NaN, gives None.
+    proved lower bound is optimal to rounding, so no search needs to run: the
+    run has one evaluation, no iterations and the reason ``CERTIFIED``.  A
+    value above that, or NaN, gives None.
     """
     values, _grad = objective(x[None], (1,))
     if not values[0] <= bound + CERTIFY_TOL:  # a NaN value is not certified
@@ -550,11 +506,11 @@ def summary(run: Descent, tol: float) -> tuple[int, float, bool]:
     """The best restart of ``run``, its restart spread, and whether it converged.
 
     The best restart has the lowest value that is not NaN, ties going to the
-    lowest restart index; restart 0 when every value is NaN.  The spread is
-    max - min of the values of the restarts that stopped before the cap
-    (infinite when none did, NaN when one of them is NaN).  The run
-    converged when more than half of its restarts stopped before the cap
-    and their spread is at most ``10 * tol``, which a NaN spread is not.
+    lowest index; restart 0 when every value is NaN.  The spread is max - min
+    of the values of the restarts that stopped before the cap (infinite when
+    none did, NaN when one of them is NaN).  The run converged when more than
+    half of its restarts stopped before the cap and their spread is at most
+    ``10 * tol``, which a NaN spread is not.
     """
     values = run.values.tolist()
     best = min((k for k, v in enumerate(values) if v == v), key=values.__getitem__, default=0)

@@ -13,11 +13,9 @@ __all__ = ["OptimizerConfig"]
 class OptimizerConfig:
     """Budget and seeding for measurement optimization and the convex roof.
 
-    Both searches run ``restarts`` restarts of Riemannian descent, seeded
-    from ``seed``.  ``max_iter`` caps the descent iterations (accepted
-    steps) of each restart, in the measurement search and in
-    ``eof_upper`` alike, and ``tol`` bounds the restart spread of a
-    converged result (10x ``tol``).
+    Both searches run ``restarts`` restarts of Riemannian descent, seeded from
+    ``seed``, each of at most ``max_iter`` accepted steps; ``tol`` bounds the
+    restart spread of a converged result (``_descent.summary``).
     """
 
     restarts: int = 16

@@ -2,23 +2,13 @@
 
 Quantum mutual information, classical correlation, quantum discord, discord
 distance, and the relative-entropy (projective, global-dephasing) discord.
-
-The optimization domain is rank-1 complete projective measurements; every
-report is labeled "projective-optimal" to keep the gap to the POVM
+The optimization domain is rank-1 complete projective measurements, and
+every report is labeled "projective-optimal" to keep the gap to the POVM
 definition explicit.  The estimator bias is one sided: discord estimates are
 upper bounds (the minimization is truncated) and classical-correlation
-estimates are lower bounds.
-
-Each measured side is a ``_descent.Problem`` (``_measurement_problem``) on
-V = U^H, U the basis, from the canonical basis, with a candidate basis
-where a proved lower bound has one; the convex roof is a problem of the
-same kind.  ``_descent.solve`` certifies or searches every problem, with
-the restart rule and Riemannian BFGS descent the roof uses too, and runs
-the problems that share one key in one lockstep search: both sides of a
-d x d state in ``correlation_report``, and by HJW the D_A search of a
-state AB and the convex roof of BC when rank(rho_BC) = d_A
-(``_minimum_with_roof``).  A certified result is a one-restart run, so
-``_optimized`` builds it and a search's result alike.
+estimates are lower bounds.  Each measured side is a ``_descent.Problem``
+(``_measurement_problem``, which lists the certificates), solved by
+``_descent.solve``.
 """
 
 from __future__ import annotations
@@ -88,23 +78,16 @@ DEFAULT_CONFIG = OptimizerConfig()
 class OptimizedValue:
     """Result of a measurement optimization.
 
-    ``value`` equals the optimized quantity at ``argbasis``.  A restart
-    counts toward ``spread`` when it stopped before the ``max_iter`` cap;
-    ``spread`` is max - min over those restarts (infinite when none did),
-    and ``converged`` means that more than half of the restarts did and
-    ``spread <= 10 * tol``.  A flat objective thus
-    converges with a spread near zero.  The per-restart tuples run in
+    ``value`` equals the optimized quantity at ``argbasis``; ``spread`` and
+    ``converged`` are ``_descent.summary``'s.  The per-restart tuples run in
     restart order: ``restart_values`` holds the minima of the underlying
     objective (the running minimum is the convergence trajectory),
     ``iterations`` the accepted descent steps, ``evaluations`` the objective
     calls the restart was live for, and ``stop_reasons`` why it stopped:
     ``gradient`` (Riemannian gradient norm), ``no_decrease`` (the next step
     could not measurably lower the value), ``cap`` (``max_iter``) or
-    ``certified`` (one candidate basis met a proved lower bound, so no
-    search ran: the result of a one-restart ``_descent.certify`` run).
-    ``_measurement_problem`` has candidates for the dephasing discord, and
-    for the conditional-entropy minimum of a rank-2 two-qubit state, of a
-    Werner state and of a pure state.
+    ``certified`` (a candidate basis met a proved lower bound and no search
+    ran: one restart, ``_descent.certify``).
     """
 
     value: float
@@ -133,15 +116,13 @@ def minimize_over_measurements(
     """Minimize ``objective`` over projective bases on a d-level subsystem.
 
     ``objective`` is batched: it maps an (R, d, d) stack of bases U (columns
-    are the measurement vectors) and the sizes of its blocks, here (R,) for
-    the one problem (``_descent.descend``), to R values and R Euclidean
-    gradients G_U (df = Re tr(G^H dU)).  The run is ``_descent.search`` on V
-    = U^H, as every measurement search runs (``_descent.solve``), from the
-    starts of a measurement problem (``_descent.restart_stack``), the
-    canonical basis as restart 0; the objective of V is ``objective`` at
-    V^H, with gradient G_U^H.  ``subsystem`` labels the reported basis.
-    Deterministic given ``cfg.seed``; restart ties break toward the lowest
-    restart index.  Non-convergence is flagged, never raised.
+    are the measurement vectors) and the sizes of its blocks, here (R,), to R
+    values and R Euclidean gradients G_U (df = Re tr(G^H dU)).  The search
+    runs on V = U^H, as every measurement search does, from the canonical
+    basis and the random starts of ``_descent.restart_stack``; ``subsystem``
+    labels the reported basis.  Deterministic given ``cfg.seed``; restart ties
+    break toward the lowest restart index.  Non-convergence is flagged, never
+    raised.
     """
     cfg = cfg or DEFAULT_CONFIG
 
@@ -174,8 +155,10 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
     The rows are a factor rho = L L^H (``_measurement_factor``), searched on
     V = U^H, a ``basis`` problem, from V = I: outcome k's conditional block
     is N_k N_k^H, N_k row k of V L, and the value is sum_k p_k S(rho_k), or
-    with ``dephasing`` S(dephased) - S(rho), S(rho) being the offset.  A
-    candidate basis U is scored, as V = U^H, against a proved lower bound:
+    with ``dephasing`` S(dephased) - S(rho), S(rho) being the offset.  This is
+    the one list of the certificates: the first case that applies gives a
+    candidate basis U, scored as V = U^H against a proved lower bound; a side
+    whose candidate misses, or that has none, is searched.
 
     - with ``dephasing``, the eigenbasis of rho_X against L = max(0,
       S(rho_X) - S(rho)), S(rho) read from the factor's spectrum.  Every
@@ -196,11 +179,11 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
       U, so each outcome k of a basis leaves the conditional state (a I + b
       |k><k|) / p of weight p = a d + b, and the value is d p H((a + b) /
       p, a / p, ..., a / p), d p = tr rho (Chitambar, PRA 86, 032110, 2012);
-    - without, on a state of rank 1, the eigenbasis of rho_X against 0:
-      every basis leaves pure conditional states, so every basis meets the
-      bound max(0, S(rho) - S(rho_X)), which holds as discord is never
-      negative (Ollivier & Zurek, PRL 88, 017901, 2001).  The factor's rank
-      decides it, with no objective call.
+    - without, on a factor of rank 1, the canonical basis V = I against 0,
+      the bound max(0, S(rho) - S(rho_X)), which holds as discord is never
+      negative (Ollivier & Zurek, PRL 88, 017901, 2001): every basis leaves
+      pure conditional states, whose Gram side is 1, so the value is exactly
+      0 in every basis.
     """
     factor, r, lam = _measurement_factor(state, k)
     first = np.eye(factor.shape[0], dtype=complex)
@@ -216,7 +199,7 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
         d = len(first)
         candidate, bound = first, (a * d + b) * d * float(_entropy_bits(np.array([a + b] + [a] * (d - 1))))
     elif factor.shape[1] == r:  # rank 1
-        candidate = np.linalg.eigh(partial_trace(state, (k,)).matrix)[1].conj().T
+        candidate = first
     return Problem(factor, r, first, cfg, candidate, bound, dephasing,
                    _entropy_bits(lam) if dephasing else 0.0, basis=True)
 
@@ -253,14 +236,7 @@ def _werner_coefficients(state: QState) -> tuple[float, float] | None:
 def _measured_minima(
     state: QState, measured: tuple[int, ...], cfg: OptimizerConfig | None, dephasing: bool
 ) -> list[OptimizedValue]:
-    """The least measurement objective on each ``measured`` X, certified when possible, else searched.
-
-    One ``_measurement_problem`` per subsystem, all solved at once
-    (``_descent.solve``): a side whose candidate meets its bound is
-    certified, and the sides left that share one key, as both sides of a
-    d x d state do, run stacked in one search; each result equals its
-    search alone.
-    """
+    """Each ``measured`` side's ``_measurement_problem``, solved at once: sides of one key search stacked."""
     cfg = cfg or DEFAULT_CONFIG
     runs = solve([_measurement_problem(state, k, cfg, dephasing) for k in measured])
     return [_optimized(run, cfg.tol, k) for run, k in zip(runs, measured)]
@@ -269,16 +245,16 @@ def _measured_minima(
 def _minimum_with_roof(ab: QState, bc: QState, cfg: OptimizerConfig | None) -> tuple[OptimizedValue, EofResult]:
     """``min_conditional_entropy(ab, 0, cfg)`` and ``eof_upper(bc, cfg=cfg)``, as two problems of one ``solve``.
 
-    ``bc`` is the BC reduction of a purification ABC of ``ab``.  By HJW a
-    rank-1 measurement on A of the pure ABC is a d_A-member ensemble of
-    rho_BC (the step behind the Koashi-Winter relation), so both problems
-    score d_A rows of d_B x rank(rho_AB) blocks (``qstate._ensemble_objective``).
-    Where they share a key (rank(rho_BC) = d_A <= 3 and one ``cfg``) and
-    neither is certified, they run as two blocks of one search, the
-    measurement's V = U^H padded with zero rows to the roof's d_A^2 x d_A
-    shape.  The roof is then ``eof_upper``'s bit for bit and the minimum
-    ``min_conditional_entropy``'s to rounding; elsewhere each run is the
-    one alone.
+    ``bc`` is the BC reduction of a purification ABC of ``ab``.  This is the
+    one statement of the HJW pairing: a rank-1 measurement on A of the pure
+    ABC is a d_A-member ensemble of rho_BC (the step behind the Koashi-Winter
+    relation), so both problems score d_A rows of d_B x rank(rho_AB) blocks.
+    Where they share a ``_descent.solve`` key (rank(rho_BC) = d_A <= 3 and
+    one ``cfg``) and neither is certified, they run as two blocks of one
+    search, which costs little more than either, the measurement's V = U^H
+    padded with zero rows to the roof's d_A^2 x d_A shape.  The roof is then
+    ``eof_upper``'s bit for bit and the minimum ``min_conditional_entropy``'s
+    to rounding; elsewhere each run is the one alone.
     """
     roof, e0, oracle = _roof(bc, None, cfg)
     minimum, run = solve([_measurement_problem(ab, 0, cfg or DEFAULT_CONFIG, False), roof])
@@ -286,10 +262,7 @@ def _minimum_with_roof(ab: QState, bc: QState, cfg: OptimizerConfig | None) -> t
 
 
 def mutual_information(state: QState, partition=None) -> float:
-    """Quantum mutual information S(A) + S(B) - S(AB) across ``partition``.
-
-    ``partition`` defaults to subsystem 0 versus the rest.
-    """
+    """Quantum mutual information S(A) + S(B) - S(AB) across ``partition`` (default: 0 versus the rest)."""
     part_a, part_b = normalize_partition(state.n_subsystems, partition)
     s_a = von_neumann_entropy(partial_trace(state, part_a))
     s_b = von_neumann_entropy(partial_trace(state, part_b))
@@ -299,20 +272,11 @@ def mutual_information(state: QState, partition=None) -> float:
 def min_conditional_entropy(
     state: QState, measured: int, cfg: OptimizerConfig | None = None
 ) -> OptimizedValue:
-    """Minimize sum_k p_k S(rho_k) over projective bases on ``measured``.
+    """Minimize sum_k p_k S(rho_k) over projective bases on ``measured``: certified, or searched.
 
-    This is the shared inner optimization behind classical correlation and
-    discord; both derive from the same run, so they add up to the mutual
-    information to rounding.  A candidate basis is scored first
-    (``_measurement_problem``): Wootters' optimal basis on a two-qubit state
-    of rank 2, against the proved Koashi-Winter lower bound E_F of the
-    purifier pair; the canonical basis on a Werner state a I + b F,
-    against the value every basis attains; and the eigenbasis of the
-    measured marginal on a pure state, against 0, which every basis meets
-    there.  A candidate that meets its bound comes back with stop reason
-    ``"certified"`` and no search runs.
-    Otherwise the search runs on the same objective, so the value is always
-    one that the objective reached.
+    The shared inner optimization behind classical correlation and discord;
+    both derive from the same run, so they add up to the mutual information
+    to rounding.  The value is always one that the objective reached.
     """
     return _measured_minima(state, (measured,), cfg, dephasing=False)[0]
 
@@ -322,11 +286,10 @@ def _j_and_d(
 ) -> tuple[float, float]:
     """(J, D) from the conditional-entropy minimum ``m`` and three entropies.
 
-    The entropies are those of the measured subsystem, of the unmeasured
-    rest and of the whole state: J = S(unmeasured) - m and
-    D = m - S(unmeasured | measured).  A D above S(measured) +
-    ``CONJECTURE_I_SLACK`` breaks a proved bound and raises
-    ``DiscordBoundError``, since that indicates a defect.
+    The entropies are of the measured subsystem, the unmeasured rest and the
+    whole state: J = S(unmeasured) - m and D = m - S(unmeasured | measured).
+    A D above S(measured) + ``CONJECTURE_I_SLACK`` breaks a proved bound, so
+    it raises ``DiscordBoundError``: it indicates a defect.
     """
     j = s_unmeasured - m
     d = m - (s_total - s_measured)
@@ -358,9 +321,9 @@ def classical_correlation(
 ) -> OptimizedValue:
     """Classical correlation J = S(unmeasured) - min_k sum p_k S(rho_k).
 
-    The returned estimate is a lower bound on the projective-measurement
-    optimum (the inner minimization is truncated).  Raises
-    ``DiscordBoundError`` when the discord of the same run breaks its bound.
+    A lower bound on the projective-measurement optimum (the inner
+    minimization is truncated).  Raises ``DiscordBoundError`` when the
+    discord of the same run breaks its bound.
     """
     opt, j, _d = _measured_run(state, measured, cfg)
     return replace(opt, value=j)
@@ -372,22 +335,15 @@ def discord(
     """Quantum discord D = min_k sum p_k S(rho_k) - S(rest | measured).
 
     Shares its optimizer run with ``classical_correlation``, so I = J + D
-    holds to rounding.  The estimate upper-bounds the true discord; above
-    S(measured marginal) + ``CONJECTURE_I_SLACK`` (a proved bound) a
-    ``DiscordBoundError`` is raised, since that indicates a defect.
+    holds to rounding.  The estimate upper-bounds the true discord, and
+    raises ``DiscordBoundError`` above its proved bound (``_j_and_d``).
     """
     opt, _j, d = _measured_run(state, measured, cfg)
     return replace(opt, value=d)
 
 
 def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float:
-    """|D_A - D_B| from two conditional-entropy minimizations on a bipartite state.
-
-    The ``discord_distance`` of ``correlation_report``.  Each side is
-    certified without a search on a rank-2 two-qubit state, on a Werner
-    state and on a pure state (``min_conditional_entropy``), and searched
-    otherwise.
-    """
+    """|D_A - D_B| of a bipartite state: the ``discord_distance`` of ``correlation_report``."""
     if state.n_subsystems != 2:
         raise ValueError("discord_distance needs a state with exactly two subsystems")
     return correlation_report(state, cfg).discord_distance
@@ -399,16 +355,12 @@ class ReDiscordDetail(OptimizedValue):
 
     ``chain_value`` comes from optimizing each measured factor in turn on the
     running dephased state (a product basis), ``joint_value`` from one
-    minimization over full bases of the merged factor
-    (``_measured_minima``); ``value`` and ``argbasis`` belong to the lower
-    of the two, so ``value`` never exceeds either.  ``spread`` and the
+    minimization over full bases of the merged factor; ``value`` and
+    ``argbasis`` belong to the lower of the two.  ``spread`` and the
     per-restart tuples are the joint step's, and ``converged`` holds when
-    every search converged.  When the joint step is certified by the bound
-    max(0, S(rho_X) - S(rho)) (``_descent.certify``), its value is the
-    minimum over all bases of the merged factor, product bases included, so
-    the chain is skipped: ``chain_value`` is NaN, ``value`` is the joint
-    value, and the tuples hold the one certified candidate.  Every pure
-    state takes this route.
+    every search converged.  A certified joint value is the minimum over all
+    bases of the merged factor, product bases included, so the chain is then
+    skipped: ``chain_value`` is NaN and ``value`` is the joint value.
     """
 
     chain_value: float
@@ -421,16 +373,13 @@ def re_discord_detailed(
     cfg: OptimizerConfig | None = None,
     first: OptimizedValue | None = None,
 ) -> ReDiscordDetail:
-    """Joint-basis and chained product-basis dephasing minimization.
+    """Joint-basis and chained product-basis dephasing minimization (``ReDiscordDetail``).
 
     ``measured`` is a sorted tuple of subsystem indices.  Works on the state
     permuted so the measured subsystems sit in front; the reported basis
-    refers to their merged factor.  The joint step runs first
-    (``_measured_minima``); when it is certified, the chain is skipped and
-    ``chain_value`` is NaN (see ``ReDiscordDetail``).  Otherwise the chain
-    runs, its first step being ``re_discord(state, measured[0], cfg)`` on
-    the unpermuted state (``first``, when given, is that result already
-    computed).
+    refers to their merged factor.  The chain's first step is
+    ``re_discord(state, measured[0], cfg)`` on the unpermuted state
+    (``first``, when given, is that result already computed).
     """
     if first is not None and first.argbasis.subsystem != measured[0]:
         raise ValueError(f"first must measure subsystem {measured[0]}, not {first.argbasis.subsystem}")
@@ -465,15 +414,9 @@ def re_discord(
 ) -> OptimizedValue:
     """Relative-entropy (projective) discord: min over bases of S(Pi(rho)) - S(rho).
 
-    ``measured`` is one subsystem index or a set of them.  For several
-    measured subsystems the search covers full joint bases on the merged
-    factor as well as chained per-subsystem product bases, and the result
-    is ``re_discord_detailed``'s ``ReDiscordDetail``; the reported basis then
-    refers to the merged measured block of the state permuted
-    measured-subsystems-first.  When the eigenbasis of the measured factor's
-    marginal rho_X meets the lower bound max(0, S(rho_X) - S(rho)), it is
-    returned with stop reason ``"certified"`` and no search runs
-    (``_measured_minima``); every pure state is such a case.
+    ``measured`` is one subsystem index or a set of them.  Several measured
+    subsystems give ``re_discord_detailed``'s result, whose basis refers to
+    the merged measured block of the state permuted measured-subsystems-first.
     """
     if isinstance(measured, (int, np.integer)):
         measured_t = (int(measured),)
@@ -493,8 +436,8 @@ def re_discord(
 class CorrelationReport:
     """All scalar correlation measures of one bipartite state.
 
-    ``I = J + D`` holds to rounding on each side because both derive from
-    one optimizer run.  ``measurement_class`` records that the optimization ran
+    ``I = J + D`` holds to rounding on each side because both derive from one
+    optimizer run.  ``measurement_class`` records that the optimization ran
     over rank-1 projective measurements only.
     """
 
@@ -516,17 +459,7 @@ class CorrelationReport:
 
 
 def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> CorrelationReport:
-    """Full correlation report for a two-subsystem state.
-
-    Minimizes the conditional entropy on each side, as
-    ``min_conditional_entropy`` does, and derives J and D from it, so I = J
-    + D holds to rounding on both sides.  Each side's certificate is scored
-    first (``min_conditional_entropy``); when both sides still need a search and
-    their factors share one shape (every uncertified d x d state, two
-    qubits included), the two searches run stacked in one
-    ``_descent.search`` (``_measured_minima``), which costs little more than
-    one of them, and each side's result equals its search alone.
-    """
+    """Full correlation report of a two-subsystem state, its two conditional-entropy minima solved at once."""
     if state.n_subsystems != 2:
         raise ValueError("correlation_report needs a state with exactly two subsystems")
     s_a = von_neumann_entropy(partial_trace(state, (0,)))

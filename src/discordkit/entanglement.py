@@ -2,20 +2,9 @@
 
 Exact for pure states (marginal entropy) and for two-qubit mixed states
 (Wootters concurrence).  ``eof_upper`` gives a convex-roof upper bound with
-a decomposition witness.  Each call builds its roof once (``_roof``), as a
-``_descent.Problem``: the canonical purification's amplitudes, the Wootters
-value on two qubits, and restart 0, the eigen-ensemble rotated by the
-m-point DFT, whose shape fixes the ensemble size m = rank^2 (a sufficient
-size).  On two qubits the problem's candidate is Wootters' optimal
-decomposition (``_wootters_rows``), with the exact value as its bound.
-``_descent.solve`` certifies that candidate, or otherwise, and on every
-other input, searches pure-state ensembles generated from the purification
-by an isometry, with the measurement search's restart rule and Riemannian
-BFGS, on one batched objective with an analytic gradient that also gives
-the pure-state value: ``qstate._ensemble_objective``, the kernel the
-measurement search uses too.  Every upper bound, searched or certified, is
-built from its run by ``_upper_bound``.  Results carry an exactness tag and
-upper bounds are never reported as exact.
+a decomposition witness, from one ``_descent.Problem`` (``_roof``) on the
+measurement search's objective, ``qstate._ensemble_objective``.  Results
+carry an exactness tag and upper bounds are never reported as exact.
 """
 
 from __future__ import annotations
@@ -64,11 +53,7 @@ EOF_DEFAULT_CONFIG = OptimizerConfig(restarts=3)
 
 @dataclass(frozen=True, eq=False)
 class EnsembleDecomposition:
-    """Pure-state ensemble reproducing a target state.
-
-    ``vectors`` rows are normalized; ``isometry`` is the frame that generated
-    the ensemble from the canonical spectral amplitudes.
-    """
+    """Pure-state ensemble of a target state: normalized ``vectors``, ``isometry`` applied to the canonical rows."""
 
     weights: np.ndarray
     vectors: np.ndarray
@@ -84,18 +69,10 @@ class EofResult:
 
     ``tag`` is one of ``exact_pure``, ``exact_wootters``, ``upper_bound``;
     only ``upper_bound`` results carry a decomposition witness and the
-    convex-roof diagnostics.  Those follow ``OptimizedValue``:
-    ``restart_spread`` is max - min over the restarts that stopped before
-    the ``max_iter`` cap (infinite when none did), ``converged`` means
-    that more than half of the restarts did and ``restart_spread <= 10 *
-    tol``, and the per-restart tuples hold the
-    accepted descent steps (``iterations``), the objective calls the
-    restart was live for (``evaluations``) and why it stopped
-    (``stop_reasons``: ``gradient``, ``no_decrease``, ``cap``, or
-    ``certified`` when Wootters' decomposition of a two-qubit state met the
-    exact value and no search ran).  A certified result is the one-restart
-    run of ``_descent.certify``: its tuples hold that one candidate, with
-    spread 0 and ``converged`` true.
+    convex-roof diagnostics, which follow ``correlations.OptimizedValue``
+    (``restart_spread`` is its ``spread``): ``certified`` means that
+    Wootters' decomposition of a two-qubit state met the exact value and no
+    search ran.
     """
 
     value: float
@@ -125,11 +102,7 @@ def binary_entropy(x: float) -> float:
 
 
 def eof_pure(state, partition=None) -> EofResult:
-    """Entanglement of a pure state: the entropy of either reduced side.
-
-    Accepts a ``PureStateVector`` or a pure ``QState`` (purity within 1e-9
-    of 1; mixed density matrices are rejected).
-    """
+    """Entanglement of a pure ``PureStateVector`` or ``QState`` (purity within 1e-9 of 1): either side's entropy."""
     if isinstance(state, PureStateVector):
         dims = state.dims
         amps = state.amplitudes
@@ -155,10 +128,10 @@ def _require_two_qubits(state: QState, name: str):
 def concurrence_2qubit(state: QState) -> float:
     """Wootters concurrence of a two-qubit state, in [0, 1].
 
-    Uses the singular values of L^T (sigma_y x sigma_y) L with rho = L L^dag,
-    which are the descending square-rooted eigenvalues of
-    rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y) without the square-root
-    noise amplification of the direct route.
+    From the singular values of L^T (sigma_y x sigma_y) L, rho = L L^dag: the
+    descending square-rooted eigenvalues of rho (sigma_y x sigma_y) rho*
+    (sigma_y x sigma_y), without the direct route's square-root noise
+    amplification.
     """
     _require_two_qubits(state, "concurrence_2qubit")
     w, v = np.linalg.eigh(state.matrix)
@@ -190,15 +163,14 @@ def _takagi(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The real symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]] has
     the eigenvalues +-s_i; an eigenvector (a, b) of +s_i gives a column u =
     a + i b with tau conj(u) = s_i u, and those of s_i > 0 are orthonormal.
-    The top r eigenvectors, in descending order, are orthonormalized in
-    that order by a QR factorization (Gram-Schmidt, done by Householder
-    reflections), so that U is exactly unitary: among zero values (tau
-    singular to rounding) an eigenvector may be a complex multiple of an
-    earlier one, and Q then completes the columns with unit vectors
-    orthogonal to the s_i > 0 columns, which span the null space of
-    tau conj(.).  Each column is then phased so that u_i^H tau conj(u_i) =
-    s_i >= 0, and the columns are sorted by descending s_i, so that
-    s1 >= s2 holds exactly even where rounding swaps two equal values.
+    The top r eigenvectors, in descending order, are orthonormalized in that
+    order by a QR factorization, so that U is exactly unitary: among zero
+    values (tau singular to rounding) an eigenvector may be a complex multiple
+    of an earlier one, and Q then completes the columns with unit vectors
+    orthogonal to the s_i > 0 columns, which span the null space of tau
+    conj(.).  Each column is phased so that u_i^H tau conj(u_i) = s_i >= 0,
+    and the columns are sorted by descending s_i, so that s1 >= s2 holds
+    exactly even where rounding swaps two equal values.
     """
     r = tau.shape[0]
     embedding = np.empty((2 * r, 2 * r))
@@ -282,12 +254,7 @@ def _wootters_rows(phi: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _roof_rows(e0: np.ndarray, dims, part_a, part_b) -> tuple[np.ndarray, int]:
-    """The rows of e0 permuted to the (A, B) order, and d_A.
-
-    ``e0`` holds the r unnormalized amplitude rows of the canonical
-    ensemble.  In the (A, B) order member psi_i = (V rows)_i reshapes to its
-    d_A x d_B amplitude block, as ``qstate._ensemble_objective`` reads it.
-    """
+    """e0's r amplitude rows permuted to the (A, B) order of the member blocks (d_A x d_B), and d_A."""
     r = e0.shape[0]
     da = int(np.prod([dims[i] for i in part_a]))
     order = (0,) + tuple(1 + i for i in part_a) + tuple(1 + i for i in part_b)
@@ -295,13 +262,7 @@ def _roof_rows(e0: np.ndarray, dims, part_a, part_b) -> tuple[np.ndarray, int]:
 
 
 def _roof_objective(e0: np.ndarray, dims, part_a, part_b) -> Callable:
-    """Batched convex-roof objective over the ensembles psi = V e0, with its gradient.
-
-    ``qstate._ensemble_objective`` on the one problem of ``_roof_rows``:
-    it maps an (R, m, r) stack of isometries V and its sizes (R,) to the R
-    values sum_i p_i S(rho_i / p_i), rho_i the member's reduced state on A,
-    and the R Euclidean gradients G_V (df = Re tr(G^H dV)).
-    """
+    """The convex-roof objective of ensembles psi = V e0: ``_ensemble_objective`` on ``_roof_rows``."""
     rows, da = _roof_rows(e0, dims, part_a, part_b)
     return _ensemble_objective(rows[None], da, rows.shape[1] // da)
 
@@ -317,13 +278,15 @@ def _roof(state: QState, partition, cfg: OptimizerConfig | None) -> tuple[Proble
 
     e0 holds the r amplitude rows of the canonical purification
     (``qstate.purify``), and the problem's rows and d_A are their
-    ``_roof_rows``.  Restart 0 is the m x r ``_dft_isometry`` with m = r^2,
-    whose shape every isometry of the roof takes, and the budget is ``cfg``
-    (``EOF_DEFAULT_CONFIG`` when None).  On dims (2, 2), either partition,
-    the oracle is the exact ``eof_2qubit`` value (None elsewhere), and the
-    problem's candidate is Wootters' optimal decomposition, the isometry [W;
-    0] (``_wootters_rows`` on e0, padded to the shape of restart 0), with
-    the oracle as its bound.
+    ``_roof_rows``.  Restart 0 is the m x r ``_dft_isometry``, m = r^2 (a
+    sufficient ensemble size), whose shape every isometry of the roof takes:
+    the eigen-ensemble rotated so that all m members have weight 1/m, since
+    the unrotated start [I_r; 0] has m - r zero members, where the gradient
+    vanishes, and would only search ensembles of r members.  The budget is
+    ``cfg`` (``EOF_DEFAULT_CONFIG`` when None).  On dims (2, 2), either
+    partition, the oracle is the exact ``eof_2qubit`` value (None elsewhere),
+    and the candidate is Wootters' optimal decomposition [W; 0]
+    (``_wootters_rows`` on e0), with the oracle as its bound.
     """
     part_a, part_b = normalize_partition(state.n_subsystems, partition)
     pure = purify(state)
@@ -344,10 +307,10 @@ def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float)
     """The ``upper_bound`` result of a searched or certified run, with its best restart's ensemble as witness.
 
     The witness is the ensemble iso @ e0 of the best restart's isometry
-    (``summary``, which also gives the spread and ``converged``).  Members
-    of weight at most 1e-12 are dropped from it, and the gap to ``oracle``
-    (the Wootters value, None off dims (2, 2)) is its ``crosscheck_gap`` on
-    either partition, since E_F does not depend on the side.
+    (``_descent.summary``), less its members of weight at most 1e-12.  The
+    gap to ``oracle`` (the Wootters value, None off dims (2, 2)) is its
+    ``crosscheck_gap`` on either partition, since E_F does not depend on the
+    side.
     """
     b, spread, converged = summary(run, tol)
     value, iso = float(run.values[b]), run.x[b]
@@ -371,25 +334,14 @@ def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float)
 def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:
     """Convex-roof upper bound on the entanglement of formation.
 
-    The roof is built once (``_roof``) and solved (``_descent.solve``).  On
-    dims (2, 2), either partition, its Wootters candidate is scored first;
-    when it meets the exact ``eof_2qubit`` value within ``CERTIFY_TOL`` it
-    comes back with stop reason ``"certified"`` and no search runs.
-    Otherwise, and on every other input, the same build is searched,
-    minimizing sum_i p_i S_A(psi_i) over ensembles psi = V e0 of size m =
-    rank^2, generated from the canonical purification e0 by an isometry V:
-    a point of the Stiefel manifold (Rothlisberger, Rehacek & Loss, PRA 80,
-    042301, 2009).
-    Restart 0 is the eigen-ensemble rotated by the unitary m-point DFT, V =
-    F_m[:, :r] (``_dft_isometry``), whose m members all have weight 1/m:
-    the unrotated start [I_r; 0] has m - r zero members, where the gradient
-    vanishes, so it would only search ensembles of r members.  Every
+    The roof is built once (``_roof``) and solved (``_descent.solve``): on
+    dims (2, 2), either partition, its Wootters candidate is scored first and
+    certified within ``CERTIFY_TOL`` of the exact value.  Otherwise the search
+    minimizes sum_i p_i S_A(psi_i) over ensembles psi = V e0 generated from
+    the canonical purification e0 by an isometry V: a point of the Stiefel
+    manifold (Rothlisberger, Rehacek & Loss, PRA 80, 042301, 2009).  Every
     isometry gives a valid ensemble, so the value is an upper bound by
-    construction, certified or searched; ties go to the lowest restart.
-    ``restart_spread`` and ``converged`` follow the measurement search's
-    rule, and ``iterations``, ``evaluations`` and ``stop_reasons`` report
-    each restart.  On dims (2, 2), either partition, the result carries its
-    gap to the exact Wootters value.
+    construction; ties go to the lowest restart.
     """
     problem, e0, oracle = _roof(state, partition, cfg)
     return _upper_bound(solve([problem])[0], e0, oracle, problem.cfg.tol)

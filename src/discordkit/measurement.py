@@ -1,19 +1,12 @@
 """Complete projective measurements and POVMs on a chosen subsystem.
 
 The measurement optimizer in ``correlations`` searches bases U on U(d)
-itself, in the coordinate V = U^H, from random unitaries drawn by
-``_descent.random_isometries``.  Givens products only parametrize bases for
-``projective_from_params``: ``unitary_from_params`` multiplies two-level
-rotations over the d(d-1)/2 index pairs in lexicographic order, each with a
-mixing angle and a relative phase (d^2 - d parameters, angles first), which
-reach every basis up to outcome relabeling and per-vector phase.
-
-``_measurement_factor`` gives the rows the search scores: measuring with
-basis U is the ensemble whose member k is row k of V L, V = U^H, for a
-factor rho = L L^H, so the measurement is a ``_descent.Problem`` scored by
-``qstate._ensemble_objective`` (the convex roof's kernel too), which gets
-every member Gram of a stack from one product with a kernel built once per
-state.
+itself, on the rows of ``_measurement_factor``.  Givens products only
+parametrize bases for ``projective_from_params``: ``unitary_from_params``
+multiplies two-level rotations over the d(d-1)/2 index pairs in
+lexicographic order, each with a mixing angle and a relative phase (d^2 - d
+parameters, angles first), which reach every basis up to outcome relabeling
+and per-vector phase.
 """
 
 from __future__ import annotations
@@ -88,10 +81,7 @@ def unitary_from_params(d: int, params) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
-    """Complete rank-1 projective measurement on one subsystem.
-
-    ``basis`` columns are the measurement vectors.
-    """
+    """Complete rank-1 projective measurement on one subsystem; ``basis`` columns are the measurement vectors."""
 
     subsystem: int
     basis: np.ndarray
@@ -150,11 +140,7 @@ Measurement = Union[ProjectiveMeasurement, POVM]
 
 @dataclass(frozen=True, eq=False)
 class OutcomeEnsemble:
-    """Measurement outcomes: probabilities with conditional states.
-
-    Outcomes below ``OUTCOME_FLOOR`` have already been dropped; probabilities
-    of the survivors sum to 1 within 1e-9.
-    """
+    """Outcomes above ``OUTCOME_FLOOR``: probabilities summing to 1 within 1e-9, and conditional states."""
 
     probabilities: np.ndarray
     states: tuple
@@ -187,11 +173,7 @@ def _measured_axes(n: int, subsystem: int) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def _measured_view(state: QState, subsystem: int):
-    """Reshape ``state`` to (d_m, R, d_m, R) with the measured factor first.
-
-    Returns the tensor, the measured dimension, and the remaining dims in
-    their original order.
-    """
+    """``state`` as a (d_m, R, d_m, R) tensor, measured factor first; also d_m and the other dims in order."""
     n = state.n_subsystems
     if not 0 <= subsystem < n:
         raise ValueError(f"subsystem {subsystem} out of range for {n} subsystems")
@@ -233,9 +215,10 @@ def _povm_blocks(t: np.ndarray, elements) -> np.ndarray:
 def _measurement_factor(state: QState, measured: int) -> tuple[np.ndarray, int, np.ndarray]:
     """A factor rho = L L^H with the measured index first, the rest dimension R, and rho's spectrum.
 
-    L keeps the s eigenvalues of rho above ``_RANK_FLOOR`` and comes back as
-    a (d_m, R s) matrix: row x, reshaped to (R, s), is the amplitude block
-    phi_x of the purification sum_x |x> (x) phi_x over (rest, purifier).
+    L keeps the s eigenvalues of rho above ``_RANK_FLOOR`` as a (d_m, R s)
+    matrix: row x, reshaped to (R, s), is the amplitude block phi_x of the
+    purification sum_x |x> (x) phi_x over (rest, purifier), so measuring in a
+    basis U is the ensemble of the rows of V L, V = U^H.
     """
     t, dm, _rest = _measured_view(state, measured)
     r = t.shape[1]
@@ -247,11 +230,9 @@ def _measurement_factor(state: QState, measured: int) -> tuple[np.ndarray, int, 
 def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:
     """Measure one subsystem: outcome probabilities and conditional states.
 
-    p_k = Tr(E_k rho) and rho_k = Tr_measured(E_k rho) / p_k; the unmeasured
-    subsystems keep their original order.  Outcomes with p_k below
-    ``OUTCOME_FLOOR`` are dropped.  The state and the measurement were
-    validated when they were built, so the conditional states are derived
-    states (``qstate._derived_state``) and are not validated again.
+    p_k = Tr(E_k rho) and rho_k = Tr_measured(E_k rho) / p_k, a derived state
+    (``qstate``); the unmeasured subsystems keep their original order.
+    Outcomes with p_k below ``OUTCOME_FLOOR`` are dropped.
     """
     t, dm, rest = _measured_view(state, m.subsystem)
     if isinstance(m, ProjectiveMeasurement):
@@ -270,11 +251,7 @@ def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:
 
 
 def avg_conditional_entropy(ensemble: OutcomeEnsemble) -> float:
-    """Average conditional entropy sum_k p_k S(rho_k), in bits.
-
-    Uses exactly rounded summation so the result is invariant under outcome
-    relabeling.
-    """
+    """Average conditional entropy sum_k p_k S(rho_k) in bits, summed exactly, so relabeling keeps it."""
     return math.fsum(
         p * von_neumann_entropy(s)
         for p, s in zip(ensemble.probabilities, ensemble.states)
@@ -282,12 +259,11 @@ def avg_conditional_entropy(ensemble: OutcomeEnsemble) -> float:
 
 
 def dephase(state: QState, m: ProjectiveMeasurement) -> QState:
-    """Nonselective projective measurement: sum_k (P_k (x) I) rho (P_k (x) I).
+    """Nonselective projective measurement: sum_k (P_k (x) I) rho (P_k (x) I), a derived state (``qstate``).
 
     Idempotent and trace preserving; entropy never decreases.  POVM input is
-    rejected because dephasing requires orthogonal projectors.  The result
-    is made Hermitian and, as a derived state of a valid one, not validated
-    again (``qstate._derived_state``).
+    rejected because dephasing requires orthogonal projectors.  The result is
+    made Hermitian.
     """
     if not isinstance(m, ProjectiveMeasurement):
         raise TypeError("dephasing requires a complete projective measurement")

@@ -2,18 +2,12 @@
 
 Construction and validation of density matrices, tensor products, partial
 traces, spectral decompositions, von Neumann entropies, and canonical
-purification.  Everything operates on small dense matrices (total dimension
-up to ~64).  All entropies are in bits (base-2 logarithms).
-
-Eigenvalues below ``EIG_CLIP`` are treated as exact zeros and the remaining
-spectrum is renormalized; this keeps ``0 * log 0`` and positivity checks
-stable under floating-point eigensolvers, and it fixes the rank used for
-purification.  The optimizers' batched entropy (``_ensemble_objective``)
-scores ensembles whose member i is row i of V rows, for a fixed ``rows``;
-it gets the member Grams of a whole stack of V from one product with a
-kernel built once per ``rows``.  It floors the logarithm instead, -mu log2
-max(mu, EIG_CLIP), which is continuous in mu and low by at most EIG_CLIP /
-(e ln 2) ~ 5.3e-11 bits per floored eigenvalue.  Values are immutable after
+purification, on small dense matrices (total dimension up to ~64), with
+entropies in bits.  Eigenvalues below ``EIG_CLIP`` are treated as exact
+zeros and the rest renormalized, which keeps ``0 * log 0`` and positivity
+checks stable under floating-point eigensolvers and fixes the rank used
+for purification; the searches' batched entropy floors the logarithm
+instead (``_ensemble_objective``).  Values are immutable after
 construction and safe to share across concurrent workers.
 
 Validation happens at the boundary.  Every state built from outside data
@@ -23,13 +17,14 @@ package's maps compute from a valid state (``partial_trace``,
 ``permute_subsystems``, ``measurement.apply_measurement``'s conditional
 states, ``measurement.dephase``, and the measured subsystems of
 ``correlations.re_discord_detailed`` regrouped into one factor) are built
-by ``_derived_state`` and not
-checked again: each map keeps Hermiticity, unit trace and positivity up to
-rounding, so they assume only that their source was valid.  A check there
+by ``_derived_state`` and not checked again, nor are the conditional
+states of ``verify.check_kw_pointwise``, which stay arrays: each map keeps
+Hermiticity, unit trace and positivity up to rounding.  A check there
 could only reject valid inputs: the -0.9e-10 diagonal entries that pass
-for one state sum to -3.6e-10 in its marginal.  ``PureStateVector.to_density``
-checks the trace alone, since an outer product is Hermitian and positive
-semidefinite.
+for one state sum to -3.6e-10 in its marginal, and dividing a block by a
+small outcome probability scales rounding up with it.
+``PureStateVector.to_density`` checks the trace alone, since an outer
+product is Hermitian and positive semidefinite.
 """
 
 from __future__ import annotations
@@ -120,15 +115,10 @@ class StateDiagnostics:
 def validate(matrix, dims) -> StateDiagnostics:
     """Report Hermiticity, trace, and positivity residuals of ``matrix``.
 
-    Parameters
-    ----------
-    matrix:
-        Any square complex matrix, or a stack of them of shape (..., D, D);
-        a stack reports the worst residual of each kind over its members.
-    dims:
-        Ordered subsystem dimensions; their product must equal the matrix
-        side (a mismatch raises ``ValueError``, every other defect is
-        reported in the diagnostics rather than raised).
+    ``matrix`` is any square complex matrix, or a (..., D, D) stack, which
+    reports the worst residual of each kind over its members.  The product of
+    ``dims`` must equal the side: a mismatch raises ``ValueError``, and every
+    other defect is reported in the diagnostics rather than raised.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -153,9 +143,8 @@ class QState:
     ``matrix`` is row-major over the tensor-product basis with subsystem 0
     slowest (``numpy.kron`` convention).  Construction validates Hermiticity
     (max-norm residual <= 1e-10), unit trace (<= 1e-10), and positive
-    semidefiniteness (min eigenvalue >= -1e-10); the stored array is a
-    read-only copy.  States derived from a valid one by this package's own
-    maps skip the check (``_derived_state``): they are exact to rounding.
+    semidefiniteness (min eigenvalue >= -1e-10), except on derived states
+    (module docstring); the stored array is a read-only copy.
     """
 
     dims: tuple[int, ...]
@@ -184,11 +173,11 @@ class QState:
 
 
 def _derived_state(dims: tuple[int, ...], matrix: np.ndarray) -> QState:
-    """A ``QState`` that trusted code computed from a valid state, not validated again.
+    """A ``QState`` computed from a valid state by a map of the module docstring, not validated again.
 
     ``dims`` must already be a tuple of positive ints.  The matrix is stored
     as a read-only complex copy, bit for bit: no Hermitization, no
-    eigensolver.  Only the maps named in the module docstring may call this.
+    eigensolver.
     """
     m = np.array(matrix, dtype=np.complex128)
     m.setflags(write=False)
@@ -228,13 +217,11 @@ class PureStateVector:
         return len(self.dims)
 
     def to_density(self) -> QState:
-        """Return the rank-1 density matrix of this vector.
+        """The rank-1 density matrix of this vector, its trace checked alone (module docstring).
 
-        An outer product is Hermitian and positive semidefinite by
-        construction, so only its trace is checked, with ``validate``'s
-        residual and bound: a norm within ``NORM_TOL`` of 1 may still give a
-        trace off by more than ``TRACE_TOL``, which raises
-        ``InvalidStateError``.
+        The check takes ``validate``'s residual and bound: a norm within
+        ``NORM_TOL`` of 1 may still give a trace off by more than ``TRACE_TOL``,
+        which raises ``InvalidStateError``.
         """
         m = np.outer(self.amplitudes, self.amplitudes.conj())
         trace_error = float(abs(m.trace() - 1.0))
@@ -250,8 +237,8 @@ class PureStateVector:
 class Spectrum:
     """Clipped, renormalized spectral decomposition, eigenvalues descending.
 
-    Eigenvector columns carry a canonical phase: the first component with
-    magnitude above 1e-8 is made real and positive, which keeps purification
+    Each eigenvector column is phased so that its first component of
+    magnitude above 1e-8 is real and positive, which keeps purification
     outputs reproducible under degenerate spectra.
     """
 
@@ -294,14 +281,14 @@ def _entropy_bits(weights: np.ndarray) -> np.ndarray:
 
 
 def _gram_spectrum(blocks: np.ndarray) -> tuple[np.ndarray, Callable]:
-    """Ascending eigenvalues of a stack of Hermitian blocks, and h -> sum_j h_j P_j.
+    """Ascending eigenvalues of a (..., k, k) stack of Hermitian blocks, and h -> sum_j h_j P_j.
 
-    ``blocks`` has shape (..., k, k).  The returned function maps values h of
-    shape (..., k), h_j belonging to the j-th eigenvalue, to the stack of
-    sum_j h_j P_j over the spectral projectors.  Sides 1 and 2 take the
-    closed form: lambda_+- = mean +- hypot((a - d)/2, |c|), and
-    h_- I + (h_+ - h_-)(G - lambda_- I)/(lambda_+ - lambda_-), which is h_- I
-    at a double eigenvalue.  Larger sides take one batched LAPACK ``eigh``.
+    The function maps values h of shape (..., k), h_j belonging to the j-th
+    eigenvalue, to the stack of sum_j h_j P_j over the spectral projectors.
+    Sides 1 and 2 take the closed form: lambda_+- = mean +- hypot((a - d)/2,
+    |c|), and h_- I + (h_+ - h_-)(G - lambda_- I)/(lambda_+ - lambda_-),
+    which is h_- I at a double eigenvalue.  Larger sides take one batched
+    LAPACK ``eigh``.
     """
     side = blocks.shape[-1]
     if side == 1:
@@ -324,41 +311,32 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
     """Batched entropy of the ensembles V rows, with its Euclidean gradient, for P problems.
 
     ``rows`` is a (P, n, da db) stack, one set of rows per problem.  The
-    objective maps an (R, m, n) stack V and ``sizes``, the number of its
-    restarts that belong to each problem in stack order (P blocks, some
-    perhaps empty), to R values and R gradients G_V (df = Re tr(G^H dV)).
-    Each block is scored exactly as a stack of its problem alone: it takes
-    the same products with that problem's kernels, on a slice, and every
-    other step acts on each restart alone.  Member i is the row (V rows)_i
-    of its problem's rows, cut into a da x db block M_i = sum_k V_ik B_k,
-    B_k the block of row k, with state rho_i = M_i M_i^H of weight p_i =
-    tr rho_i.  The value is sum_i p_i S(rho_i / p_i), or with ``dephasing``
-    the entropy S of the union of all member spectra, normalized to unit
-    sum.  Spectra come from the s x s
-    Gram G_i of the smaller side, s = min(da, db), by ``_gram_spectrum``.
-    With C_k = B_k, or B_k^T when da > db (then G_i is the transpose of
-    M_i^H M_i, which has the same spectrum), one code path serves both
-    sides: the kernel K[(k, l), (a, c)] = sum_b C_k[a, b] conj(C_l[c, b]),
-    an (n^2, s^2) array built once per problem, gives every Gram of the
-    stack in one product, G_i = (V_i (x) conj V_i) K.  Its left factor holds
-    R m n^2 entries, where the member blocks hold R m da db: more on
-    high-rank roofs (n = r, m = r^2), 81^2 against 81 x 9 per restart on a
-    full-rank (3, 3) state.  Each normalized eigenvalue mu enters as -mu
-    log2 max(mu, EIG_CLIP): a floor that is continuous in mu, so that no
-    line search meets a jump.  The value is never high, and it is low by at
-    most EIG_CLIP / (e ln 2) ~ 5.3e-11 bits per floored eigenvalue, so by at
-    most (s - 1) 5.3e-11 (for the union, s - 1 becomes the count of all
-    member eigenvalues less one).  The derivative is sum_i tr[W_i dG_i] with
-    W_i = -log2 max(mu, EIG_CLIP), or -(log2 max(mu, EIG_CLIP) + S) / sum
-    for the union, so G_V_i = 2 T_i V_i, with the n x n matrix T_i = W_i K^H
-    (W_i read as a row of s^2 entries): a second product.  A zero row of V
-    is a member of zero weight, with a zero gradient row, so a problem
-    padded with zero rows keeps them zero.  Every search minimizes this
-    over a ``_descent.Problem``: a measurement at V = U^H, U the basis, and
-    the convex roof at its isometries V.  By HJW the measurements on A of a
-    pure ABC are ensembles of rho_BC, so the D_A search of AB and the roof
-    of BC, when rank(rho_BC) = d_A, can share one stack
-    (``_descent.solve``).
+    objective maps an (R, m, n) stack V and ``sizes``, the restarts of each
+    problem in stack order (P blocks, some perhaps empty), to R values and R
+    gradients G_V (df = Re tr(G^H dV)); each block takes the products it
+    takes alone, on a slice, so it scores as its problem alone.  Member i is
+    the row (V rows)_i cut into a da x db block M_i = sum_k V_ik B_k, with
+    state rho_i = M_i M_i^H of weight p_i = tr rho_i.  The value is sum_i p_i
+    S(rho_i / p_i), or with ``dephasing`` the entropy S of the union of all
+    member spectra, normalized to unit sum.  A zero row of V is a member of
+    zero weight with a zero gradient row, so padding rows stay zero.
+
+    Spectra come from the s x s Gram G_i of the smaller side, s = min(da, db)
+    (``_gram_spectrum``).  With C_k = B_k, or B_k^T when da > db (G_i is
+    then the transpose of M_i^H M_i, of the same spectrum), the kernel
+    K[(k, l), (a, c)] = sum_b C_k[a, b] conj(C_l[c, b]), built once per
+    problem, gives every Gram of the stack in one product, G_i = (V_i (x)
+    conj V_i) K.
+
+    This is the one eigenvalue floor of the searches: each normalized
+    eigenvalue mu enters as -mu log2 max(mu, EIG_CLIP), continuous in mu, so
+    that no line search meets a jump.  The value is never high, and it is low
+    by at most EIG_CLIP / (e ln 2) ~ 5.3e-11 bits per floored eigenvalue: by
+    at most (s - 1) 5.3e-11, or for the union the count of all member
+    eigenvalues less one times that.  The derivative is sum_i tr[W_i dG_i]
+    with W_i = -log2 max(mu, EIG_CLIP), or -(log2 max(mu, EIG_CLIP) + S) /
+    sum for the union, so G_V_i = 2 T_i V_i with T_i = W_i K^H (W_i read as a
+    row of s^2 entries): a second product.
     """
     s = min(da, db)
     n = rows.shape[1]
@@ -389,11 +367,7 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
 
 
 def _blockwise(a: np.ndarray, sizes: tuple, mats) -> np.ndarray:
-    """The row blocks of ``a``, one per problem, each times that problem's ``mats[q]``.
-
-    Block q holds the rows of ``sizes[q]`` restarts, in order, each restart
-    the same number of rows.  Each block takes the product it takes alone.
-    """
+    """The row blocks of ``a``, one per problem of ``sizes[q]`` restarts of equal rows, each times ``mats[q]``."""
     if len(mats) == 1:  # one problem: one product on the whole stack, no copy
         return a @ mats[0]
     out = np.empty((len(a), mats[0].shape[1]), dtype=np.result_type(a, mats[0]))
@@ -416,11 +390,7 @@ def tensor(a: QState, b: QState) -> QState:
 
 
 def partial_trace(state: QState, keep: Iterable[int]) -> QState:
-    """Trace out every subsystem not listed in ``keep``.
-
-    The kept subsystems stay in their original order.  Raises ``ValueError``
-    for an empty or out-of-range selection.
-    """
+    """Trace out the subsystems not in ``keep`` (nonempty, in range, else ``ValueError``); the rest keep order."""
     kept = sorted({int(k) for k in keep})
     n = state.n_subsystems
     if not kept:
@@ -468,7 +438,7 @@ def normalize_partition(n: int, partition) -> tuple[tuple[int, ...], tuple[int, 
 def conditional_entropy(state: QState, target: int, condition: int) -> float:
     """S(target | condition) = S(joint) - S(condition marginal), in bits.
 
-    Both indices name single subsystems of ``state``; the joint is the
+    Both indices name single subsystems of ``state``, and the joint is the
     reduction onto the pair.  May be negative for entangled states.
     """
     target, condition = int(target), int(condition)
@@ -494,12 +464,11 @@ def is_pure(state: QState, tol: float = 1e-9) -> bool:
 
 
 def purify(state: QState) -> PureStateVector:
-    """Canonical purification over an environment of dimension rank(state).
+    """Canonical purification sum_i sqrt(l_i) |e_i> |i> over an environment of dimension rank(state).
 
-    Returns ``sum_i sqrt(l_i) |e_i> |i>`` built from the descending, clipped,
-    phase-fixed spectral decomposition, so the output is reproducible.  The
-    environment is appended as the last subsystem; tracing it out recovers
-    ``state``.
+    Built from ``spectrum``'s descending, clipped, phase-fixed decomposition,
+    so the output is reproducible.  The environment is the last subsystem;
+    tracing it out recovers ``state``.
     """
     sp = spectrum(state)
     r = sp.rank

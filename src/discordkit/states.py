@@ -59,10 +59,7 @@ def werner_qudit(d: int, x: float) -> QState:
 
 
 def werner_2qubit_example4() -> QState:
-    """Two-qubit Werner state I/6 + (1/3)|psi-><psi-|.
-
-    Eigenvalues are {1/6, 1/6, 1/6, 1/2}; both marginals are maximally mixed.
-    """
+    """Two-qubit Werner state I/6 + (1/3)|psi-><psi-|: spectrum {1/6, 1/6, 1/6, 1/2}, marginals I/2."""
     psi_minus = np.zeros(4, dtype=complex)
     psi_minus[1] = 1.0 / np.sqrt(2.0)
     psi_minus[2] = -1.0 / np.sqrt(2.0)
@@ -115,10 +112,7 @@ def _haar_vector(g: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def haar_random_pure(dims, seed: int, index: int = 0) -> PureStateVector:
-    """Haar-random pure state: a normalized standard-complex-Gaussian vector.
-
-    Deterministic per ``(seed, index)``.
-    """
+    """Haar-random pure state (a normalized complex Gaussian vector), deterministic per ``(seed, index)``."""
     dims = tuple(int(d) for d in dims)
     g = stream(seed, index)
     return PureStateVector(dims, _haar_vector(g, int(np.prod(dims))))

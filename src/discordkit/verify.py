@@ -3,40 +3,32 @@
 Each check returns a ``BoundCheck`` carrying both sides of the relation,
 the slack, the tolerance, and (where a saturation condition exists) an
 equality flag.  Checks whose hypotheses are unmet come back skipped with a
-reason instead of failing, and a batch runner aggregates checks over seeded
+reason instead of failing.  ``run_suite`` aggregates checks over seeded
 state families into reproducible ``SuiteReport`` objects, computing each
-quantity of a sample (optimizer run, convex roof, entropy) once
-(``_StateAnalysis``).  When a suite reads both the D_A minimum of a
-bipartite input AB and the convex roof of BC, the two share one lockstep
-search: by HJW a measurement on A of the pure ABC is an ensemble of rho_BC,
-so the two are problems of one shape (``correlations._minimum_with_roof``).
-A suite that reads only one of them, or an input where the shapes differ,
-computes each alone.
-
-Exact entropy identities use a 1e-9 tolerance; optimizer-dependent checks
-use 1e-3 to 2e-3, sized around the one-sided estimator bias (discord
-estimates high, classical correlation low).
+quantity of a sample once (``_StateAnalysis``).  Exact entropy identities
+use a 1e-9 tolerance; optimizer-dependent checks use 1e-3 to 2e-3, sized
+around the one-sided estimator bias (discord estimates high, classical
+correlation low).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable
 
 import numpy as np
 
-from ._descent import random_isometries
+from ._descent import seeded_isometries
 from .config import OptimizerConfig
 from .correlations import (
     CERTIFIED,
     DEFAULT_CONFIG,
     OptimizedValue,
     _j_and_d,
+    _measured_minima,
     _minimum_with_roof,
     min_conditional_entropy,
-    re_discord,
     re_discord_detailed,
 )
 from .entanglement import eof_2qubit, eof_pure, eof_upper
@@ -51,7 +43,7 @@ from .qstate import (
     purify,
     von_neumann_entropy,
 )
-from .states import StateFamilySpec, stream
+from .states import StateFamilySpec
 
 __all__ = [
     "BoundCheck",
@@ -147,12 +139,10 @@ def _eof_route(state: QState) -> str:
 
 
 def _certified_eof(state: QState, cfg: OptimizerConfig | None):
-    """(value, certified_exact, route) for a bipartite entanglement of formation.
+    """(value, certified_exact, route) for a bipartite entanglement of formation, by ``_eof_route``.
 
-    Routes (``_eof_route``): trivial one-dimensional side, pure state,
-    two-qubit Wootters, otherwise the convex-roof upper bound (not exact,
-    but an upper bound at or below ``EF_ZERO_TOL`` still certifies a
-    vanishing value).
+    The convex-roof route is an upper bound, not exact, but one at or below
+    ``EF_ZERO_TOL`` still certifies a vanishing value.
     """
     route = _eof_route(state)
     if route == "upper":
@@ -170,7 +160,7 @@ _READ_D_A = frozenset({"thm1", "lindblad", "monogamy"})
 
 
 class _StateAnalysis:
-    """The quantities the relations read on one state, each computed once.
+    """The quantities the relations read on one state, each computed on first use and kept here only.
 
     A source is the input state (``"state"``), its pure tripartite form
     (``"abc"``, the purification of a bipartite input) or a reduction of
@@ -179,30 +169,12 @@ class _StateAnalysis:
     tripartite one, so each search runs once per distinct state.  (``purify``
     drops eigenvalues below ``EIG_CLIP``, so the AB reduction of the
     purification may differ from the input by that weight, far inside
-    monogamy's 2e-3; the paper states its relations for the input.)
-
-    The AB and AC reductions measured on A also share one search
-    (``minimum``): ``"abc"`` is always pure, so a rank-1 measurement on A
-    leaves a pure BC state for each outcome k, S(rho_B^k) = S(rho_C^k), and
-    the two conditional-entropy objectives are one function of the basis
-    (the step behind the Koashi-Winter relation).  On a rank-2 two-qubit
-    source, a Werner source and a pure source that minimum is certified
-    without a search (``min_conditional_entropy``), and the rows that read
-    it say so (``_measurement_route``).  Values are computed on first use
-    and kept in this object only.
-
-    The analysis knows the ``relations`` that will read it.  When they read
-    both the D_A minimum and E_F(BC) of a bipartite input on every input
-    (``_READ_D_A`` and ``_READ_EF_BC``: ``thm1`` or ``lindblad``, or
-    ``monogamy`` with any reader of E_F(BC)) and E_F(BC) takes the convex
-    roof, the first read of either runs the two as one search
-    (``correlations._minimum_with_roof``): by HJW the measurements on A of
-    the pure ABC are ensembles of rho_BC, so the D_A search and the roof of
-    BC are problems of one shape, and one search costs little more than
-    either.  The roof's value is ``eof_upper``'s bit for bit, the minimum
-    ``min_conditional_entropy``'s to rounding.  Any other suite, or a state
-    where the two shapes differ, computes each alone, so a suite that reads
-    only one of them never runs the other.
+    monogamy's 2e-3; the paper states its relations for the input.)  When
+    the ``relations`` that will read the analysis read both the D_A minimum
+    and E_F(BC) of a bipartite input (``_READ_D_A``, ``_READ_EF_BC``) and
+    E_F(BC) takes the convex roof, the first read of either solves the two
+    together (``correlations._minimum_with_roof``); otherwise a suite that
+    reads one of them never runs the other.
     """
 
     def __init__(self, state, cfg: OptimizerConfig | None, relations: tuple = ()):
@@ -255,8 +227,10 @@ class _StateAnalysis:
     def minimum(self, name: str, measured: int) -> OptimizedValue:
         """The conditional-entropy minimization of ``source(name)`` measured on ``measured``.
 
-        One run per distinct state; ``("ac", 0)`` reads ``("ab", 0)``'s
-        run, since the two objectives agree on the pure ABC.
+        One run per distinct state, and ``("ac", 0)`` reads ``("ab", 0)``'s:
+        ``"abc"`` is pure, so a rank-1 measurement on A leaves a pure BC
+        state for each outcome k, S(rho_B^k) = S(rho_C^k), and the two
+        objectives are one function of the basis.
         """
         name = self._alias.get(name, name)
         if (name, measured) == ("ac", 0):
@@ -294,9 +268,8 @@ def _measurement_route(a: _StateAnalysis, *minima: tuple[str, int]) -> dict:
     """``{"measurement_route": "certified"}`` when every minimum a row reads was certified, else {}.
 
     ``minima`` holds the (name, measured) pairs of ``_StateAnalysis.minimum``
-    that the row reads.  A certified minimum comes from a certificate
-    (Koashi-Winter, Werner symmetry or purity), not from the search, so
-    such a row tests the certificate.
+    that the row reads.  Such a row tests a certificate of
+    ``correlations._measurement_problem``, not the search.
     """
     if all(a.minimum(name, measured).stop_reasons == (CERTIFIED,) for name, measured in minima):
         return {"measurement_route": CERTIFIED}
@@ -332,10 +305,9 @@ def _kw_unmet(a: _StateAnalysis) -> str | None:
 def check_koashi_winter(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """Tradeoff E_F(BC) + J_A(AB) = S(B) on states with a qubit environment.
 
-    On a rank-2 two-qubit input J_A comes from the Koashi-Winter
-    certificate, which scores Wootters' basis against this very relation,
-    so the row tests the certificate, not the optimizer; its provenance
-    then carries ``"measurement_route": "certified"``.
+    On a rank-2 two-qubit input J_A comes from the Koashi-Winter certificate,
+    which scores Wootters' basis against this very relation, so the row tests
+    the certificate, not the optimizer (``_measurement_route``).
     """
     a = _analysis(state, cfg, "koashi_winter")
     reason = _kw_unmet(a)
@@ -352,9 +324,8 @@ def check_koashi_winter(state: QState, cfg: OptimizerConfig | None = None) -> Bo
 def check_eq8(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """Tradeoff D_A(AB) - E_F(BC) = -S(B|A) on states with a qubit environment.
 
-    As in ``check_koashi_winter``, a rank-2 two-qubit input takes D_A from
-    the certificate, so the row tests the certificate, not the optimizer,
-    and records ``"measurement_route": "certified"``.
+    As in ``check_koashi_winter``, a rank-2 two-qubit input takes D_A from the
+    certificate, so the row tests the certificate, not the optimizer.
     """
     a = _analysis(state, cfg, "eq8")
     reason = _kw_unmet(a)
@@ -375,11 +346,8 @@ def check_monogamy(state: QState, cfg: OptimizerConfig | None = None) -> BoundCh
     Both terms read one conditional-entropy minimum m (``_StateAnalysis.minimum``),
     so lhs = (m - S(AB) + S(A)) + (S(C) - m): the row checks S(AB) = S(C) on
     the pure ABC, up to the weight ``purify`` clips from a bipartite input,
-    and does not test the optimizer.  That the AC objective equals the AB
-    one basis by basis is a property test of its own.  When AB is a rank-2
-    two-qubit state (every pure (2, 2, 2) input), a Werner state or a pure
-    state, m is certified, and the provenance carries
-    ``"measurement_route": "certified"``.
+    and does not test the optimizer.  That the AC objective equals the AB one
+    basis by basis is a property test of its own.
     """
     a = _analysis(state, cfg, "monogamy")
     _j_ab, d_ab = a.j_and_d("ab", 0)
@@ -396,9 +364,6 @@ def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     With only the convex-roof route available the right side is
     overestimated, which keeps the inequality a valid sanity bound; the
     saturation flag S(A) - S(B) = S(C) is reported on exact routes only.
-    On a rank-2 two-qubit input, a Werner input and a pure input D_A is
-    certified, so the row tests the certificate, not the optimizer, and
-    records ``"measurement_route": "certified"``.
     """
     a = _analysis(state, cfg, "thm1")
     if a.state.n_subsystems != 2:
@@ -413,10 +378,7 @@ def check_thm1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 
 
 def check_cor1(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
-    """D_A <= S(B) whenever E_F(BC) vanishes.
-
-    A certified D_A (as in ``check_thm1``) is recorded as there.
-    """
+    """D_A <= S(B) whenever E_F(BC) vanishes."""
     a = _analysis(state, cfg, "cor1")
     if a.state.n_subsystems != 2:
         return _skipped("cor1", "inequality", "needs a bipartite state")
@@ -435,9 +397,7 @@ def check_lindblad_lemma3(state: QState, cfg: OptimizerConfig | None = None) -> 
 
     When the hypothesis cannot be certified the relation is still evaluated
     and recorded (a violation there is expected physics, not a failure), so
-    the row comes back skip-classed with the outcome preserved.  A certified
-    D_A and J_A (rank-2 two-qubit or Werner input) are recorded as in
-    ``check_thm1``.
+    the row comes back skip-classed with the outcome preserved.
     """
     a = _analysis(state, cfg, "lindblad")
     if a.state.n_subsystems != 2:
@@ -465,10 +425,10 @@ def _thm2_unmet(a: _StateAnalysis) -> str | None:
     """Why Theorem 2 and Corollary 2 are skipped, or None.
 
     The hypothesis is a conjunction, so the first term that does not vanish
-    settles it.  E_F(BC) is read first (``thm1``, ``cor1`` and ``lindblad``
-    have already computed it), and E_F(AC) is computed only when E_F(BC)
-    vanishes: a skip on E_F(BC) names that term alone, one on E_F(AC)
-    names both.
+    settles it: E_F(BC) first (``thm1``, ``cor1`` and ``lindblad`` have
+    already computed it), and E_F(AC) only when E_F(BC) vanishes, so a skip
+    on E_F(BC) runs no second convex roof and names that term alone; one on
+    E_F(AC) names both.
     """
     if a.state.n_subsystems != 2:
         return "needs a bipartite state"
@@ -482,14 +442,10 @@ def _thm2_unmet(a: _StateAnalysis) -> str | None:
 
 
 def check_thm2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
-    """|D_A - D_B| <= S(AB) when both E_F(AC) and E_F(BC) vanish.
+    """|D_A - D_B| <= S(AB) when both E_F(AC) and E_F(BC) vanish (``_thm2_unmet``).
 
     Under the hypothesis the difference also equals S(A) - S(B); both the
-    bound and that identity must hold for the check to pass.  The
-    hypothesis is tested by ``_thm2_unmet``: E_F(BC) first, E_F(AC) only
-    when E_F(BC) vanishes, so a skip on E_F(BC) runs no second convex roof.
-    When both D_A and D_B were certified (rank-2 two-qubit or Werner input), the
-    provenance carries ``"measurement_route": "certified"``.
+    bound and that identity must hold for the check to pass.
     """
     a = _analysis(state, cfg, "thm2")
     reason = _thm2_unmet(a)
@@ -511,13 +467,7 @@ def check_thm2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 
 
 def check_cor2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
-    """D_B - D_A <= S(AB) under the same vanishing-entanglement hypothesis.
-
-    The hypothesis is read as in ``check_thm2`` (E_F(BC) first, E_F(AC)
-    only when E_F(BC) vanishes).  The saturation flag records whether
-    E_F(BC) vanishes and D_B = J_B.  Certified minima are recorded as in
-    ``check_thm2``.
-    """
+    """D_B - D_A <= S(AB) under Theorem 2's hypothesis; ``equality`` when E_F(BC) vanishes and D_B = J_B."""
     a = _analysis(state, cfg, "cor2")
     reason = _thm2_unmet(a)
     if reason:
@@ -539,17 +489,17 @@ def check_thm3(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 
     Two assertions: (a) the joint estimate never exceeds the chained
     product-measurement value (exact by construction, 1e-9), and (b) the
-    aggregate bound against the two single-subsystem estimates at 2e-3.
-    When the joint step is certified optimal (every pure input), the chain
-    is skipped: (a) then holds by proof and is not evaluated, the
-    provenance carries ``"joint_route": "certified"``, and ``chain_value``
-    and ``chain_residual`` are NaN (``null`` in the CLI's JSON).
+    aggregate bound against D_B and D_C, solved together, at 2e-3.  When the
+    joint step is certified, the chain is skipped
+    (``correlations.ReDiscordDetail``): (a) then holds by proof and is not
+    evaluated, the provenance carries ``"joint_route": "certified"``, and
+    ``chain_value`` and ``chain_residual`` are NaN (``null`` in the CLI's
+    JSON).
     """
     a = _analysis(state, cfg, "thm3")
     if a.state.n_subsystems != 3:
         return _skipped("thm3", "inequality", "needs a tripartite state")
-    re_b = re_discord(a.state, 1, a.cfg)
-    re_c = re_discord(a.state, 2, a.cfg)
+    re_b, re_c = _measured_minima(a.state, (1, 2), a.cfg, dephasing=True)
     detail = re_discord_detailed(a.state, (1, 2), a.cfg, first=re_b)
     chain_residual = detail.value - detail.chain_value
     provenance = {
@@ -565,19 +515,6 @@ def check_thm3(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     return check
 
 
-@functools.lru_cache(maxsize=64)
-def _seeded_bases(d: int, seed: int, n: int) -> np.ndarray:
-    """Read-only (n, d, d) random bases of ``check_kw_pointwise``'s seeded measurements.
-
-    Basis j is ``random_isometries`` on stream ``_MEASUREMENT_SALT + j`` of
-    ``seed``, all n from one stacked QR; the cache is bounded, so a loop
-    over seeds stays small.
-    """
-    bases = random_isometries([stream(seed, _MEASUREMENT_SALT + j) for j in range(n)], d, d)
-    bases.setflags(write=False)
-    return bases
-
-
 def check_kw_pointwise(
     state: QState,
     cfg: OptimizerConfig | None = None,
@@ -588,18 +525,14 @@ def check_kw_pointwise(
 
     For a pure tripartite state and any projective measurement on A,
     [S(B|{E}) - S(B|A)] + [S(C) - S(C|{E})] = S(A) exactly; no optimizer is
-    involved.  Evaluates the worst residual over ``n_measurements`` seeded
-    random unitary bases (``_seeded_bases``), or over a single supplied
-    measurement, which must measure A, or ``ValueError`` is raised, all in
-    one pass: the outcomes and conditional states are
-    ``apply_measurement``'s (``measurement._outcomes``).  Like those, the
-    conditional states and their B and C reductions are derived from the
-    validated ABC and are not validated again: dividing a block by a small
-    outcome probability scales rounding up with it, so an eigensolver check
-    there would reject valid inputs.  A mixed tripartite input raises
-    ``InvalidStateError`` (``_as_tripartite``).  Without a supplied
-    measurement, ``n_measurements < 1`` raises ``ValueError``: a row that
-    checked nothing must not pass.
+    involved.  Evaluates the worst residual, in one pass, over
+    ``n_measurements`` seeded random unitary bases (streams
+    ``_MEASUREMENT_SALT + j`` of the seed), or over a single supplied
+    measurement, which must measure A or ``ValueError`` is raised.  The
+    outcomes and conditional states are ``apply_measurement``'s
+    (``measurement._outcomes``).  A mixed tripartite input raises
+    ``InvalidStateError``.  Without a supplied measurement, ``n_measurements
+    < 1`` raises ``ValueError``: a row that checked nothing must not pass.
     """
     if measurement is None and n_measurements < 1:
         raise ValueError(f"n_measurements must be >= 1, got {n_measurements}")
@@ -607,7 +540,7 @@ def check_kw_pointwise(
     abc = a.source("abc")
     d_a = abc.dims[0]
     if measurement is None:
-        bases = _seeded_bases(d_a, (a.cfg or DEFAULT_CONFIG).seed, int(n_measurements))
+        bases = seeded_isometries(d_a, d_a, (a.cfg or DEFAULT_CONFIG).seed, _MEASUREMENT_SALT, int(n_measurements))
     elif measurement.subsystem != 0:
         raise ValueError(f"the measurement must be on subsystem 0 (A), not {measurement.subsystem}")
     elif measurement.d != d_a:

@@ -31,7 +31,7 @@ from discordkit import (
     tensor,
     von_neumann_entropy,
 )
-from discordkit import _descent, cli, correlations
+from discordkit import _descent, cli, correlations, verify
 from discordkit._descent import (
     ARMIJO,
     CAP,
@@ -50,9 +50,9 @@ from discordkit._descent import (
     descend,
     objective_of,
     random_isometries,
-    random_starts,
     restart_stack,
     retract,
+    seeded_isometries,
     solve,
     summary,
     tangent,
@@ -781,25 +781,31 @@ def test_cached_restart_bases_equal_a_fresh_build(n, p):
     # The starts come from one stacked QR; each equals the Q factor of its
     # own Gaussian matrix, factored alone.  A search stacks them behind its
     # restart 0, and a basis search (on V = U^H) their conjugate
-    # transposes, so that it measures in the bases Q.
+    # transposes, so that it measures in the bases Q.  The same cache draws
+    # check_kw_pointwise's bases, on streams _MEASUREMENT_SALT + j.
     def gaussian(g):
         return g.normal(size=(n, p)) + 1j * g.normal(size=(n, p))
 
-    fresh = np.stack([np.linalg.qr(gaussian(stream(5, k)))[0] for k in range(1, 16)])
+    def fresh_build(streams):
+        return np.stack([np.linalg.qr(gaussian(stream(5, k)))[0] for k in streams])
+
+    fresh = fresh_build(range(1, 16))
     first, cfg = np.eye(n, p, dtype=complex), OptimizerConfig(seed=5, restarts=16)
     assert restart_stack(first, cfg).tobytes() == np.concatenate([first[None], fresh]).tobytes()
     if n == p:
         bases = restart_stack(first, cfg, basis=True)
         assert bases[0].tobytes() == first.tobytes()
         assert np.array_equal(np.swapaxes(bases[1:].conj(), -1, -2), fresh)
-    for _ in range(2):  # a first call and a repeat
-        cached = random_starts(n, p, 5, 16)
-        assert cached.shape == (15, n, p)
-        assert cached.tobytes() == fresh.tobytes()
-    with pytest.raises(ValueError):
-        cached[0, 0, 0] = 0.0
-    assert random_starts(n, p, 5, 16).tobytes() == fresh.tobytes()
-    assert not np.array_equal(random_starts(n, p, 6, 16), cached)
+    for start, count in ((1, 15), (verify._MEASUREMENT_SALT, 10)):
+        expected = fresh_build(range(start, start + count))
+        for _ in range(2):  # a first call and a repeat
+            cached = seeded_isometries(n, p, 5, start, count)
+            assert cached.shape == (count, n, p)
+            assert cached.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 0.0
+        assert seeded_isometries(n, p, 5, start, count).tobytes() == expected.tobytes()
+        assert not np.array_equal(seeded_isometries(n, p, 6, start, count), cached)
 
 
 def test_repeated_searches_are_identical_with_cached_starts():
@@ -1000,7 +1006,7 @@ def _no_certificate(monkeypatch):
 )
 def test_kw_certificate_never_fires_off_rank2_two_qubit_states(dims, rank, monkeypatch):
     # No Koashi-Winter candidate is scored.  A pure state scores only the
-    # zero-discord candidate, the eigenbasis of rho_X against 0; every other
+    # zero-discord candidate, the canonical basis against 0; every other
     # state scores none, and its result is exactly the search's.
     scored = _record_candidates(monkeypatch)
     cfg = OptimizerConfig(restarts=2, seed=5)
@@ -1011,8 +1017,7 @@ def test_kw_certificate_never_fires_off_rank2_two_qubit_states(dims, rank, monke
             opt = min_conditional_entropy(state, m, cfg)
             if rank == 1:
                 [(candidate, bound)] = scored
-                eigenbasis = np.linalg.eigh(partial_trace(state, (m,)).matrix)[1]
-                assert bound == 0.0 and np.array_equal(candidate, eigenbasis.conj().T)
+                assert bound == 0.0 and np.array_equal(candidate, np.eye(dims[m]))
                 _assert_certified(opt, 0.0)
                 continue
             assert scored == []
@@ -1123,22 +1128,36 @@ ZERO_DISCORD_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 @pytest.mark.parametrize("dims", ZERO_DISCORD_DIMS, ids=["2x2", "2x3", "3x2", "3x3"])
 def test_zero_discord_certificate_on_pure_states(dims, monkeypatch):
-    # Every basis leaves pure conditional states, so the eigenbasis of
-    # rho_X meets the bound max(0, S(rho) - S(rho_X)) = 0 on either side
-    # and no search runs: D_A = S(B) and D_B = S(A).
+    # Every basis leaves pure conditional states, so the canonical basis
+    # meets the bound max(0, S(rho) - S(rho_X)) = 0 on either side, exactly
+    # (a Gram side of 1), and no search runs: D_A = S(B) and D_B = S(A).
+    # The side's one eigensolve is its factor's; none is of a marginal.
     scored = _record_candidates(monkeypatch)
     calls = record_descends(monkeypatch)
+    eigh_alone, eigh_shapes = np.linalg.eigh, []
+
+    def counted_eigh(a, *args, **kwargs):
+        eigh_shapes.append(np.shape(a))
+        return eigh_alone(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     cfg = OptimizerConfig(restarts=4, seed=3)
+    whole = (math.prod(dims),) * 2
     for i in range(3):
         state = haar_random_pure(dims, 60 + i).to_density()
         for m in (0, 1):
             scored.clear()
+            eigh_shapes.clear()
             opt = min_conditional_entropy(state, m, cfg)
             [(candidate, bound)] = scored
-            assert bound == 0.0 and candidate.shape == (dims[m], dims[m])
+            assert bound == 0.0 and np.array_equal(candidate, np.eye(dims[m]))
             _assert_certified(opt, bound)
+            assert opt.value == 0.0
             assert opt.argbasis.subsystem == m
+            assert eigh_shapes == [whole]
+        eigh_shapes.clear()
         report = correlation_report(state, cfg)
+        assert eigh_shapes == [whole, whole]
         assert [report.diagnostics[k]["stop_reasons"] for k in ("measured_a", "measured_b")] == [[CERTIFIED]] * 2
         assert report.d_a == pytest.approx(report.s_b, abs=1e-12)
         assert report.d_b == pytest.approx(report.s_a, abs=1e-12)

@@ -2,11 +2,12 @@
 
 ``__init__.py`` re-exports its imports and ``__future__`` imports are
 directives, so both are exempt from the unused-import check.  The package
-depends on numpy alone.  Only ``_descent`` calls ``descend`` and
-``random_starts``, the latter only in ``_descent.restart_stack``: every
-search starts through ``_descent.search``, which only ``_descent.solve``
-and the public ``minimize_over_measurements`` call, and every certificate
-through ``_descent.certify``, which only ``solve`` calls.  Only the maps that
+depends on numpy alone.  Only ``_descent`` calls ``descend``, and only
+``_descent.restart_stack`` and ``verify.check_kw_pointwise`` read the one
+cache of seeded draws, ``seeded_isometries``: every search starts through
+``_descent.search``, which only ``_descent.solve`` and the public
+``minimize_over_measurements`` call, and every certificate through
+``_descent.certify``, which only ``solve`` calls.  Only the maps that
 derive a state from a valid one skip validation (``qstate._derived_state``);
 every state built from outside data goes through ``QState(...)``.
 """
@@ -84,10 +85,10 @@ def test_only_descent_starts_a_search():
     callers = {
         path.name
         for path in PACKAGE.glob("*.py")
-        if called_names(path.read_text(encoding="utf-8")) & {"descend", "random_starts"}
+        if "descend" in called_names(path.read_text(encoding="utf-8"))
     }
     assert callers == {"_descent.py"}
-    assert callers_of({"random_starts"}) == {"_descent.restart_stack"}
+    assert callers_of({"seeded_isometries"}) == {"_descent.restart_stack", "verify.check_kw_pointwise"}
 
 
 def callers_of(names: set) -> set:

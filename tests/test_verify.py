@@ -400,6 +400,30 @@ def test_thm3_requires_tripartite():
     assert row.skipped is not None
 
 
+def test_thm3_reads_both_sides_in_one_solve():
+    # D_B and D_C come from one solve, which may stack the two searches;
+    # each side is its re_discord alone, so the row is the one built from
+    # re_discord bit for bit.
+    from discordkit.correlations import _measured_minima, re_discord, re_discord_detailed
+
+    def bits(opt):
+        return opt.value, opt.argbasis.basis.tobytes(), opt.diagnostics()
+
+    cfg = OptimizerConfig(restarts=2, max_iter=400, seed=7)
+    for i in range(8):
+        state = random_mixed((2, 2, 2), 8, 5000 + i)
+        re_b, re_c = re_discord(state, 1, cfg), re_discord(state, 2, cfg)
+        pair = _measured_minima(state, (1, 2), cfg, dephasing=True)
+        assert [bits(opt) for opt in pair] == [bits(re_b), bits(re_c)]
+        detail = re_discord_detailed(state, (1, 2), cfg, first=re_b)
+        row = check_thm3(state, cfg)
+        assert (row.lhs, row.rhs, row.slack) == (detail.value, re_b.value + re_c.value,
+                                                 (re_b.value + re_c.value) - detail.value)
+        assert row.provenance == {"chain_value": detail.chain_value, "joint_value": detail.joint_value,
+                                  "chain_residual": detail.value - detail.chain_value}
+        assert row.holds
+
+
 def test_thm3_certified_route_skips_the_chain(monkeypatch):
     # On a pure ABC the joint BC step is certified optimal over all bases,
     # product bases included, so no search runs and the chain is skipped.
