@@ -330,7 +330,8 @@ def _cmd_verify(args, cfg: OptimizerConfig) -> int:
     relations = tuple(name.strip() for name in args.suite.split(",") if name.strip())
     unknown = [r for r in relations if r not in RELATIONS]
     if not relations or unknown:
-        print(f"error: unknown suite names {unknown or relations}", file=sys.stderr)
+        reason = f"unknown suite names {unknown}" if unknown else "--suite names no relation"
+        print(f"error: {reason}", file=sys.stderr)
         return 2
     try:
         spec = _family_spec_from_args(args)

@@ -9,6 +9,17 @@ from dataclasses import asdict, dataclass
 __all__ = ["OptimizerConfig"]
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``operator.index(value)``; a non-integer, or one below ``least``, raises ``ValueError`` naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Budget and seeding for measurement optimization and the convex roof.
@@ -25,10 +36,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_iter", "seed"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0.0):

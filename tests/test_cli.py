@@ -88,6 +88,16 @@ def test_verify_exit_codes(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "suite, message", [("thm1,thm1", "repeated relations ['thm1']"), (",", "--suite names no relation")]
+)
+def test_verify_rejects_a_suite_without_distinct_names(suite, message, capsys):
+    rc = main(["verify", "--suite", suite, "--family", "example3", "--samples", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_verify_survey_mode_exit_zero(capsys):
     rc = main(
         ["verify", "--suite", "lindblad", "--family", "werner_2qubit", "--samples", "1",

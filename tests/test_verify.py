@@ -92,6 +92,18 @@ def test_koashi_winter_skips_when_inapplicable():
     assert row.skipped is not None and "rank" in row.skipped
 
 
+@pytest.mark.parametrize(
+    "check", [check_koashi_winter, check_eq8, check_thm1, check_cor1, check_lindblad_lemma3, check_thm2, check_cor2]
+)
+def test_bipartite_relations_skip_a_tripartite_input(check):
+    # The first link of the chained hypothesis; the survey row is not
+    # evaluated on a failed structural hypothesis either.
+    row = check(haar_random_pure((2, 2, 2), 5), FAST)
+    kind = "identity" if check in (check_koashi_winter, check_eq8) else "inequality"
+    assert row.kind == kind and row.skipped == "needs a bipartite state" and row.holds is None
+    assert all(math.isnan(v) for v in (row.lhs, row.rhs, row.slack))
+
+
 def test_eq8_pure_and_random():
     rho = haar_random_pure((2, 2), 4).to_density()
     row = check_eq8(rho, CFG)
@@ -189,6 +201,18 @@ def test_thm2_and_cor2():
 
     c2_pure = check_cor2(pure, CFG)
     assert c2_pure.holds and c2_pure.equality is True
+
+
+def test_thm2_fails_when_its_identity_residual_exceeds_the_tolerance():
+    # Shift D_B by 1e-2: the bound |D_A - D_B| <= S(AB) still holds, but the
+    # identity D_A - D_B = S(A) - S(B) no longer does, so the row must fail.
+    spec = StateFamilySpec("classical_quantum", {"k": 2, "dims": (2,), "orthogonal": True}, 6)
+    analysis = _StateAnalysis(spec.sample(0), FAST)
+    j_b, d_b = analysis.j_and_d("state", 1)
+    analysis._memo[("j_and_d", "state", 1)] = (j_b, d_b + 1e-2)
+    row = check_thm2(analysis, FAST)
+    assert row.skipped is None and row.slack >= -row.tolerance
+    assert row.provenance["identity_residual"] > row.tolerance and row.holds is False
 
 
 def _record_eof_pairs(monkeypatch, analysis):
@@ -545,7 +569,7 @@ def test_kw_pointwise_rejects_a_measurement_off_a():
         check_kw_pointwise(mixed_abc, CFG)
 
 
-@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("n", [0, -3, 2.5, 1.5])
 def test_kw_pointwise_rejects_an_empty_check(n):
     # No measurement scored must not read as a pass.
     abc = purify(random_mixed((2, 2), 2, 1)).to_density()
@@ -672,9 +696,24 @@ def test_run_suite_unknown_relation():
         run_suite(spec, ("eq5", "nope"), 1, CFG)
     with pytest.raises(ValueError):
         run_suite(spec, (), 1, CFG)
+    with pytest.raises(ValueError, match="repeated"):
+        run_suite(spec, ("thm1", "eq5", "thm1"), 1, CFG)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+def test_relations_table_keeps_its_public_surface():
+    # bench/tracing.py rebinds the relations by identity, so each value must
+    # stay the module's own check function (functions compare by identity),
+    # in this order.
+    expected = [
+        ("eq5", check_eq5), ("koashi_winter", check_koashi_winter), ("monogamy", check_monogamy),
+        ("eq8", check_eq8), ("thm1", check_thm1), ("cor1", check_cor1), ("lindblad", check_lindblad_lemma3),
+        ("eq12", check_eq12), ("thm2", check_thm2), ("cor2", check_cor2), ("thm3", check_thm3),
+        ("kw_pointwise", check_kw_pointwise),
+    ]
+    assert list(RELATIONS.items()) == expected
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, 1.5])
 def test_run_suite_rejects_empty_runs(samples):
     spec = StateFamilySpec("example3", {}, 0)
     with pytest.raises(ValueError, match="samples"):
