@@ -13,9 +13,11 @@ human-readable table, to ``--out`` or stdout.  The ``compute`` and ``verify``
 CSV column orders are listed in ``--help``; ``hunt``'s human table heads the
 environment entropy S(AB) ``S(env)``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error, an
-``--out`` path that cannot be written included; one that names a directory
-or a file in a missing directory is refused before any computation runs.
+Exit codes: 0 success; 1 verification failure, or a discord estimate above
+its proved bound (``DiscordBoundError``); 2 usage or input error, an
+``--out`` path that cannot be written included.  A path that names a
+directory or a file in a missing directory is refused before any
+computation runs; a write that fails after it (a full device) exits 2 too.
 Outputs are deterministic for a fixed seed (no timestamps), so repeated
 runs produce byte-identical report files.
 """
@@ -65,11 +67,15 @@ from .verify import RELATIONS, run_suite
 
 HUNT_LABEL = "non-certifying upper estimate of D_A"
 
+# The compute report's quantities: CSV column name -> human table label.
+_REPORT_QUANTITIES = {
+    "s_a": "S(A)", "s_b": "S(B)", "s_ab": "S(AB)", "mutual_information": "I(A:B)",
+    "j_a": "J_A", "j_b": "J_B", "d_a": "D_A", "d_b": "D_B", "discord_distance": "discord distance",
+}
 # Each CSV layout maps a column name to the function that reads its cell from
 # one record, so the header and the rows come from one definition.
 _REPORT_CSV = {
-    **{name: operator.attrgetter(name) for name in (
-        "s_a", "s_b", "s_ab", "mutual_information", "j_a", "j_b", "d_a", "d_b", "discord_distance")},
+    **{name: operator.attrgetter(name) for name in _REPORT_QUANTITIES},
     "j_a_spread": lambda report: report.diagnostics["measured_a"]["spread"],
     "j_b_spread": lambda report: report.diagnostics["measured_b"]["spread"],
     "a_converged": lambda report: report.diagnostics["measured_a"]["converged"],
@@ -103,10 +109,14 @@ known families: {', '.join(FAMILIES)}
 
 
 def _add_optimizer_args(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    p.add_argument("--restarts", type=int, default=None, help="local-search restarts")
-    p.add_argument("--tol", type=float, default=None, help="restart-spread bound of converged (spread <= 10 * tol)")
-    p.add_argument("--max-iter", type=int, default=None, help="local-search iteration cap")
+    """The ``OptimizerConfig`` fields as options, with the dataclass's defaults."""
+    p.add_argument("--seed", type=int, default=OptimizerConfig.seed, help="64-bit RNG seed")
+    p.add_argument("--restarts", type=int, default=OptimizerConfig.restarts, help="local-search restarts")
+    p.add_argument(
+        "--tol", type=float, default=OptimizerConfig.tol,
+        help="restart-spread bound of converged (spread <= 10 * tol)",
+    )
+    p.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iter, help="local-search iteration cap")
 
 
 def _add_output_args(p: argparse.ArgumentParser, formats=("json", "csv", "human")):
@@ -159,17 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> OptimizerConfig:
-    kwargs = {"seed": args.seed}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.max_iter is not None:
-        kwargs["max_iter"] = args.max_iter
-    return OptimizerConfig(**kwargs)
-
-
 def _check_out(path) -> None:
     """Raise ``ValueError`` when ``--out`` names a directory or a file in a missing directory."""
     if path and os.path.isdir(path):
@@ -189,41 +188,43 @@ def _parse_dims(text: str) -> tuple:
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"bad range {text!r}; expected start:end:count")
-    start, end = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    try:
+        start, end, count = text.split(":")
+        start, end, count = float(start), float(end), int(count)
+    except ValueError:
+        raise ValueError(f"bad range {text!r}; expected start:end:count") from None
     if count < 1:
         raise ValueError("range count must be >= 1")
     return start, end, count
+
+
+def _parse_x(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"bad --x value {text!r}") from None
 
 
 def _family_spec_from_args(args) -> StateFamilySpec:
     family = args.family
     if family is None:
         raise ValueError("either --state or --family is required")
-    params: dict = {}
     if family == "werner_qudit":
         if args.d is None or args.x is None:
             raise ValueError("werner_qudit requires --d and --x")
-        params = {"d": args.d, "x": float(args.x)}
-    elif family in ("haar_pure", "random_mixed", "classical_quantum"):
-        if args.dims is None:
-            raise ValueError(f"{family} requires --dims")
-        dims = _parse_dims(args.dims)
-        if family == "haar_pure":
-            params = {"dims": dims}
-        elif family == "random_mixed":
-            rank = args.rank if args.rank is not None else int(np.prod(dims))
-            params = {"dims": dims, "rank": rank}
-        else:
-            params = {
-                "k": dims[0],
-                "dims": dims[1:] if len(dims) > 1 else (2,),
-                "rank": args.rank if args.rank is not None else 1,
-            }
-    return StateFamilySpec(family, params, args.seed)
+        return StateFamilySpec(family, {"d": args.d, "x": _parse_x(args.x)}, args.seed)
+    if family not in ("haar_pure", "random_mixed", "classical_quantum"):
+        return StateFamilySpec(family, {}, args.seed)
+    if args.dims is None:
+        raise ValueError(f"{family} requires --dims")
+    dims = _parse_dims(args.dims)
+    if family == "haar_pure":
+        return StateFamilySpec(family, {"dims": dims}, args.seed)
+    if family == "random_mixed":
+        rank = args.rank if args.rank is not None else int(np.prod(dims))
+        return StateFamilySpec(family, {"dims": dims, "rank": rank}, args.seed)
+    rank = args.rank if args.rank is not None else 1
+    return StateFamilySpec(family, {"k": dims[0], "dims": dims[1:] or (2,), "rank": rank}, args.seed)
 
 
 def _load_state(args) -> QState:
@@ -274,15 +275,13 @@ def _human_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(args, payload, csv_rows, human) -> int:
+def _write(args, payload, csv_rows, human) -> None:
     """Write one result in ``args.format`` to ``--out`` or stdout.
 
     ``payload`` is the JSON object, ``csv_rows`` the CSV rows (header first)
     and ``human`` a ``(header, rows, footer)`` table; a subcommand passes None
-    for a format it does not offer.  Returns 0, or 2 after an ``error:`` line
-    when ``--out`` cannot be written (``main`` refuses a directory or a
-    missing directory first, so this catches what only a write shows, such
-    as a full device).
+    for a format it does not offer.  A failed write raises ``OSError``, which
+    ``main`` reports.
     """
     if args.format == "json":
         text = _json_text(payload)
@@ -293,56 +292,28 @@ def _write(args, payload, csv_rows, human) -> int:
         text = _human_table(header, rows) + footer
     if not args.out:
         sys.stdout.write(text)
-        return 0
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        return
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _cmd_compute(args, cfg: OptimizerConfig) -> int:
-    try:
-        state = _load_state(args)
-        report = correlation_report(state, cfg)
-    except (InvalidStateError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = [
-        ("S(A)", report.s_a),
-        ("S(B)", report.s_b),
-        ("S(AB)", report.s_ab),
-        ("I(A:B)", report.mutual_information),
-        ("J_A", report.j_a),
-        ("J_B", report.j_b),
-        ("D_A", report.d_a),
-        ("D_B", report.d_b),
-        ("discord distance", report.discord_distance),
-    ]
+    report = correlation_report(_load_state(args), cfg)
+    rows = [(label, getattr(report, name)) for name, label in _REPORT_QUANTITIES.items()]
     footer = f"measurement class: {report.measurement_class}\nnote: {report.estimator_bias}\n"
     human = (("quantity", "value"), rows, footer)
-    return _write(args, report.to_json(), _csv_rows(_REPORT_CSV, [(report,)]), human)
+    _write(args, report.to_json(), _csv_rows(_REPORT_CSV, [(report,)]), human)
+    return 0
 
 
 def _cmd_verify(args, cfg: OptimizerConfig) -> int:
     relations = tuple(name.strip() for name in args.suite.split(",") if name.strip())
     unknown = [r for r in relations if r not in RELATIONS]
     if not relations or unknown:
-        reason = f"unknown suite names {unknown}" if unknown else "--suite names no relation"
-        print(f"error: {reason}", file=sys.stderr)
-        return 2
-    try:
-        spec = _family_spec_from_args(args)
-        report = run_suite(spec, relations, args.samples, cfg)
-    except (InvalidStateError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown suite names {unknown}" if unknown else "--suite names no relation")
+    report = run_suite(_family_spec_from_args(args), relations, args.samples, cfg)
     if args.out or args.format == "csv":
-        csv_rows = _csv_rows(_SUITE_CSV, [(report, row) for row in report.rows])
-        if _write(args, report.to_json(), csv_rows, None):
-            return 2
+        _write(args, report.to_json(), _csv_rows(_SUITE_CSV, [(report, row) for row in report.rows]), None)
     else:
         print("note: no JSON report written; --out FILE writes it", file=sys.stderr)
     # The summary goes to stderr when the report itself is on stdout.
@@ -397,21 +368,18 @@ def _cmd_example(args, cfg: OptimizerConfig) -> int:
     header = ("quantity", "reference", "computed", "delta")
     table = [(q, ref, got, abs(got - ref)) for q, ref, got in rows]
     payload = {"example": args.name, "rows": [dict(zip(header, row)) for row in table], **extras}
-    return _write(args, payload, None, (header, table, ""))
+    _write(args, payload, None, (header, table, ""))
+    return 0
 
 
 def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
-    try:
-        start, end, count = _parse_range(args.x)
-        if args.d < 2:
-            raise ValueError("hunt requires d >= 2")
-        # Both endpoints inside (-1, 1), so that the grid is too; a NaN or an
-        # infinity fails here, before np.linspace can warn on it.
-        if not (-1.0 < start < 1.0 and -1.0 < end < 1.0):
-            raise ValueError("hunt requires x values inside (-1, 1)")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    start, end, count = _parse_range(args.x)
+    if args.d < 2:
+        raise ValueError("hunt requires d >= 2")
+    # Both endpoints inside (-1, 1), so that the grid is too; a NaN or an
+    # infinity fails here, before np.linspace can warn on it.
+    if not (-1.0 < start < 1.0 and -1.0 < end < 1.0):
+        raise ValueError("hunt requires x values inside (-1, 1)")
     grid = np.linspace(start, end, count)
     rows = []
     for x in grid:
@@ -442,10 +410,16 @@ def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
     payload = {"mode": "hunt", "d": args.d, "label": HUNT_LABEL, "rows": rows}
     table = [(r["x"], r["s_env"], r["d_upper"], r["gap"]) for r in rows]
     human = (("x", "S(env)", "D_A upper", "gap"), table, f"label: {HUNT_LABEL}\n")
-    return _write(args, payload, _csv_rows(_HUNT_CSV, [(r,) for r in rows]), human)
+    _write(args, payload, _csv_rows(_HUNT_CSV, [(r,) for r in rows]), human)
+    return 0
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every error it raises is reported here, as one ``error:`` line.
+
+    ``DiscordBoundError`` exits 1; ``ValueError`` (``InvalidStateError``
+    included) and ``OSError`` are usage or input errors and exit 2.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -453,16 +427,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     commands = {"compute": _cmd_compute, "verify": _cmd_verify, "example": _cmd_example, "hunt": _cmd_hunt}
     try:
-        cfg = _config_from_args(args)
+        cfg = OptimizerConfig(restarts=args.restarts, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
         _check_out(args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return commands[args.command](args, cfg)
-    except DiscordBoundError as exc:
+    except (DiscordBoundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, DiscordBoundError) else 2
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ from .correlations import (
 from .entanglement import eof_2qubit, eof_pure, eof_upper
 from .measurement import ProjectiveMeasurement, _conditional_blocks, _measured_view, _outcomes
 from .qstate import (
-    InvalidStateError,
     PureStateVector,
     QState,
     _entropy_bits,
@@ -115,17 +114,6 @@ def _skipped(name, kind, reason) -> BoundCheck:
     return BoundCheck(name, kind, nan, nan, nan, nan, None, None, reason)
 
 
-def _as_tripartite(state: QState) -> QState:
-    """Return a pure three-subsystem state, purifying a bipartite input."""
-    if state.n_subsystems == 2:
-        return purify(state).to_density()
-    if state.n_subsystems == 3:
-        if not is_pure(state):
-            raise InvalidStateError("mixed tripartite input rejected; supply a pure state")
-        return state
-    raise ValueError(f"expected 2 or 3 subsystems, got {state.n_subsystems}")
-
-
 def _eof_route(state: QState) -> str:
     """The route of ``_certified_eof`` on ``state``."""
     if 1 in state.dims:
@@ -163,9 +151,10 @@ class _StateAnalysis:
     (``"abc"``, the purification of a bipartite input) or a reduction of
     ``"abc"`` named in ``_PAIRS``, and one state has one name: ``"ab"`` is
     ``"state"`` for a bipartite input, and so is ``"abc"`` for a pure
-    tripartite one, so each search runs once per distinct state.  (``purify``
-    drops eigenvalues below ``EIG_CLIP``, so the AB reduction of the
-    purification may differ from the input by that weight, far inside
+    tripartite one, so each search runs once per distinct state.  Any other
+    input has no ``"abc"``, and the rows that read it skip (``_pure_abc``).
+    (``purify`` drops eigenvalues below ``EIG_CLIP``, so the AB reduction of
+    the purification may differ from the input by that weight, far inside
     monogamy's 2e-3; the paper states its relations for the input.)  When
     the ``relations`` that will read the analysis read both the D_A minimum
     and E_F(BC) of a bipartite input (``_READ_D_A``, ``_READ_EF_BC``) and
@@ -184,26 +173,27 @@ class _StateAnalysis:
         self._alias = {"ab": "state"} if n == 2 else {"abc": "state"} if n == 3 and is_pure(state) else {}
         self._paired = n == 2 and not _READ_D_A.isdisjoint(relations) and not _READ_EF_BC.isdisjoint(relations)
 
-    def _memoized(self, key, compute: Callable):
+    def _memoized(self, key, compute: Callable, *args):
+        """``compute(*args)``, run on the first call with ``key`` only."""
         if key not in self._memo:
-            self._memo[key] = compute()
+            self._memo[key] = compute(*args)
         return self._memo[key]
 
     def source(self, name: str) -> QState:
+        """The state ``name``; ``"abc"`` and its reductions exist where ``_pure_abc`` holds."""
         name = self._alias.get(name, name)
         if name == "abc":
-            return self._memoized(name, lambda: _as_tripartite(self.state))
+            return self._memoized(name, lambda: purify(self.state).to_density())
         return self._memoized(name, lambda: partial_trace(self.source("abc"), _PAIRS[name]))
 
     def entropy(self, name: str, keep: tuple | None = None) -> float:
         """S of ``source(name)``, or of its reduction to the subsystems ``keep``."""
         name = self._alias.get(name, name)
+        return self._memoized(("entropy", name, keep), self._entropy, name, keep)
 
-        def compute():
-            rho = self.source(name)
-            return von_neumann_entropy(rho if keep is None else partial_trace(rho, keep))
-
-        return self._memoized(("entropy", name, keep), compute)
+    def _entropy(self, name: str, keep: tuple | None) -> float:
+        rho = self.source(name)
+        return von_neumann_entropy(rho if keep is None else partial_trace(rho, keep))
 
     def _pair(self) -> None:
         """Run the D_A minimum and E_F(BC) as one search, once, where they pair."""
@@ -242,18 +232,17 @@ class _StateAnalysis:
     def j_and_d(self, name: str, measured: int) -> tuple[float, float]:
         """(J, D) of ``source(name)`` measured on ``measured``, from ``minimum``."""
         name = self._alias.get(name, name)
+        return self._memoized(("j_and_d", name, measured), self._j_and_d, name, measured)
 
-        def compute():
-            others = tuple(i for i in range(self.source(name).n_subsystems) if i != measured)
-            return _j_and_d(
-                self.minimum(name, measured).value,
-                self.entropy(name, (measured,)),
-                self.entropy(name, others),
-                self.entropy(name),
-                measured,
-            )
-
-        return self._memoized(("j_and_d", name, measured), compute)
+    def _j_and_d(self, name: str, measured: int) -> tuple[float, float]:
+        others = tuple(i for i in range(self.source(name).n_subsystems) if i != measured)
+        return _j_and_d(
+            self.minimum(name, measured).value,
+            self.entropy(name, (measured,)),
+            self.entropy(name, others),
+            self.entropy(name),
+            measured,
+        )
 
 
 def _analysis(state, cfg, relation: str) -> _StateAnalysis:
@@ -292,6 +281,12 @@ def _saturated(a: _StateAnalysis) -> bool:
 
 def _bipartite(a: _StateAnalysis) -> str | None:
     return None if a.state.n_subsystems == 2 else "needs a bipartite state"
+
+
+def _pure_abc(a: _StateAnalysis) -> str | None:
+    """The hypothesis of the rows that read ``"abc"``, which only a bipartite or a pure tripartite input has."""
+    has_abc = a.state.n_subsystems == 2 or "abc" in a._alias
+    return None if has_abc else "needs a bipartite or a pure tripartite state"
 
 
 def _kw_unmet(a: _StateAnalysis) -> str | None:
@@ -351,7 +346,7 @@ _ROWS = {
     ),
     "monogamy": _Relation(
         "identity", TOL_OPT2, lambda a: (a.j_and_d("ab", 0)[1] + a.j_and_d("ac", 0)[0], a.entropy("abc", (0,))),
-        provenance=lambda a: _measurement_route(a, ("ab", 0)),
+        _pure_abc, provenance=lambda a: _measurement_route(a, ("ab", 0)),
     ),
     "thm1": _Relation(
         "inequality", TOL_OPT, lambda a: (_d(a, 0), a.entropy("abc", (1,)) + a.eof("bc")[0]), _bipartite,
@@ -365,7 +360,9 @@ _ROWS = {
         "inequality", TOL_OPT2, lambda a: (_d(a, 0), a.j_and_d("state", 0)[0]), _bipartite, ("bc",), survey=True,
         provenance=lambda a: _bc_routes(a, ef_bc=a.eof("bc")[0]),
     ),
-    "eq12": _Relation("identity", TOL_EXACT, lambda a: (_s_cond(a, (0, 1), (0,)) + _s_cond(a, (1, 2), (2,)), 0.0)),
+    "eq12": _Relation(
+        "identity", TOL_EXACT, lambda a: (_s_cond(a, (0, 1), (0,)) + _s_cond(a, (1, 2), (2,)), 0.0), _pure_abc,
+    ),
     "thm2": _Relation(
         "inequality", TOL_OPT2, lambda a: (abs(_d(a, 0) - _d(a, 1)), a.entropy("state")), _bipartite, ("bc", "ac"),
         provenance=lambda a: _pair_routes(a, identity_residual=_thm2_residual(a)), residual="identity_residual",
@@ -518,12 +515,14 @@ def check_kw_pointwise(
     ``_MEASUREMENT_SALT + j`` of the seed), or over a single supplied
     measurement, which must measure A or ``ValueError`` is raised.  The
     outcomes and conditional states are ``apply_measurement``'s
-    (``measurement._outcomes``).  A mixed tripartite input raises
-    ``InvalidStateError``.  Without a supplied measurement, a non-integral
+    (``measurement._outcomes``).  An input without a pure tripartite form
+    (``_pure_abc``) skips the row, supplied measurement or not.  Without a supplied measurement, a non-integral
     ``n_measurements`` or one below 1 raises ``ValueError``: a row that
     checked nothing must not pass.
     """
     a = _analysis(state, cfg, "kw_pointwise")
+    if _pure_abc(a):
+        return _skipped("kw_pointwise", "identity", _pure_abc(a))
     abc = a.source("abc")
     d_a = abc.dims[0]
     if measurement is None:

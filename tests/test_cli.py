@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from discordkit import OptimizerConfig, PureStateVector, state_to_json
 from discordkit import cli, correlations
 from discordkit.cli import main
+from discordkit.verify import RELATIONS
 
 from conftest import bell_state
 
@@ -192,6 +195,13 @@ def test_hunt_bad_range(capsys):
         capsys.readouterr()
         assert main(["hunt", "--d", "2", f"--x={sweep}"]) == 2
         assert capsys.readouterr() == ("", "error: hunt requires x values inside (-1, 1)\n")
+    # A bad number names the argument it came from, as a bad --dims does.
+    for sweep in ("0.1:0.2:x", "a:0.2:3", "0.1:0.2:1.5", "0.1:0.2"):
+        capsys.readouterr()
+        assert main(["hunt", "--d", "2", f"--x={sweep}"]) == 2
+        assert capsys.readouterr() == ("", f"error: bad range '{sweep}'; expected start:end:count\n")
+    assert main(["compute", "--family", "werner_qudit", "--d", "3", "--x", "abc"]) == 2
+    assert capsys.readouterr() == ("", "error: bad --x value 'abc'\n")
 
 
 def test_hunt_takes_each_entropy_once(monkeypatch, capsys):
@@ -248,6 +258,27 @@ def test_unwritable_out_is_a_usage_error(command, out, tmp_path, monkeypatch, ca
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", _ONE_OF_EACH, ids=["compute", "verify", "example", "hunt"])
+def test_a_write_that_fails_after_computing_is_a_usage_error(command, capsys):
+    # /dev/full passes the --out checks made before the computation; only
+    # the write shows that the device is full.
+    if command[0] == "verify":
+        command = command + ["--samples", "1", "--format", "csv"]
+    assert main(command + ["--restarts", "2", "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n")
+    assert captured.out == ""
+
+
+def test_optimizer_options_default_to_the_config_defaults():
+    for command in _ONE_OF_EACH:
+        args = cli._build_parser().parse_args(command)
+        given = (args.restarts, args.tol, args.max_iter, args.seed)
+        assert given == astuple(OptimizerConfig())
 
 
 _WRITER_CASES = [
@@ -323,6 +354,22 @@ def test_json_output_is_strict(tmp_path):
     assert rc == 0
     row = _strict_json(out)["rows"][0]
     assert row["converged"] is True and row["spread"] <= 10 * OptimizerConfig().tol
+
+
+def test_full_suite_on_a_mixed_tripartite_family_writes_strict_json(tmp_path, capsys):
+    # thm3 is written for mixed ABC and is evaluated; the rows that need a
+    # pure ABC skip with a reason instead of aborting the suite.
+    out = tmp_path / "verify.json"
+    suite = ",".join(RELATIONS)
+    rc = main(["verify", "--suite", suite, "--family", "random_mixed", "--dims", "2x2x2", "--rank", "8",
+               "--samples", "2", "--restarts", "2", "--max-iter", "400", "--out", str(out)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    report = _strict_json(out)
+    evaluated = {name for name, counts in report["summary"].items() if counts["pass"] == 2}
+    assert list(report["summary"]) == list(RELATIONS) and evaluated == {"eq5", "thm3"}
+    skipped = {row["name"]: row["skipped"] for row in report["rows"]}
+    for name in ("monogamy", "eq12", "kw_pointwise"):
+        assert skipped[name] == "needs a bipartite or a pure tripartite state"
 
 
 def test_compute_accepts_a_valid_edge_input(tmp_path, capsys):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from discordkit import (
-    InvalidStateError,
     OptimizerConfig,
     ProjectiveMeasurement,
     QState,
@@ -104,6 +103,22 @@ def test_bipartite_relations_skip_a_tripartite_input(check):
     assert all(math.isnan(v) for v in (row.lhs, row.rhs, row.slack))
 
 
+@pytest.mark.parametrize("check", [check_monogamy, check_eq12, check_kw_pointwise])
+@pytest.mark.parametrize(
+    "state",
+    [random_mixed((2, 2, 2), 8, 3), haar_random_pure((2, 2, 2, 2), 4).to_density(), random_mixed((2, 2, 2, 2), 2, 4)],
+    ids=["mixed-abc", "pure-abcd", "mixed-abcd"],
+)
+def test_pure_abc_relations_skip_an_input_without_one(check, state):
+    # These rows read the pure tripartite form ABC, which only a bipartite or
+    # a pure tripartite input has; any other input skips, and none is read.
+    a = _StateAnalysis(state, FAST)
+    row = check(a, FAST)
+    assert row.kind == "identity" and row.skipped == "needs a bipartite or a pure tripartite state"
+    assert row.holds is None and all(math.isnan(v) for v in (row.lhs, row.rhs, row.slack))
+    assert list(a._memo) == ["state"]
+
+
 def test_eq8_pure_and_random():
     rho = haar_random_pure((2, 2), 4).to_density()
     row = check_eq8(rho, CFG)
@@ -126,8 +141,10 @@ def test_monogamy():
     assert check_monogamy(ghz_vector().to_density(), CFG).holds
     assert check_monogamy(werner_2qubit_example4(), CFG).holds  # purified internally
 
-    with pytest.raises(InvalidStateError):
-        check_monogamy(random_mixed((2, 2, 2), 2, 3), CFG)
+    # A mixed tripartite input has no pure ABC form: the row is skipped.
+    row = check_monogamy(random_mixed((2, 2, 2), 2, 3), CFG)
+    assert row.kind == "identity" and row.skipped == "needs a bipartite or a pure tripartite state"
+    assert row.holds is None and all(math.isnan(v) for v in (row.lhs, row.rhs, row.slack))
 
 
 def test_thm1_example3_equality_and_random_inequality():
@@ -564,9 +581,11 @@ def test_kw_pointwise_rejects_a_measurement_off_a():
             check_kw_pointwise(abc, CFG, measurement=ProjectiveMeasurement(subsystem, np.eye(d)))
     with pytest.raises(ValueError, match="dimension"):
         check_kw_pointwise(abc, CFG, measurement=ProjectiveMeasurement(0, np.eye(3)))
+    # A mixed tripartite input has no pure ABC form: the row is skipped.
     mixed_abc = tensor(random_mixed((2, 2), 2, 1), QState((2,), np.eye(2) / 2.0))
-    with pytest.raises(InvalidStateError):
-        check_kw_pointwise(mixed_abc, CFG)
+    row = check_kw_pointwise(mixed_abc, CFG)
+    assert row.kind == "identity" and row.skipped == "needs a bipartite or a pure tripartite state"
+    assert row.holds is None and all(math.isnan(v) for v in (row.lhs, row.rhs, row.slack))
 
 
 @pytest.mark.parametrize("n", [0, -3, 2.5, 1.5])
