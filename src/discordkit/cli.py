@@ -40,10 +40,8 @@ from .config import OptimizerConfig
 from .correlations import (
     CERTIFIED,
     DiscordBoundError,
-    _j_and_d,
+    _measured_run,
     correlation_report,
-    discord,
-    min_conditional_entropy,
 )
 from .entanglement import eof_2qubit
 from .qstate import (
@@ -53,7 +51,6 @@ from .qstate import (
     purify,
     purity,
     state_from_json,
-    von_neumann_entropy,
 )
 from .states import (
     FAMILIES,
@@ -330,20 +327,17 @@ def _example_rows(name: str, cfg: OptimizerConfig):
     """One worked example: its (quantity, reference, computed) rows and its diagnostics."""
     if name == "example3":
         state = example3_state()
-        s_a = von_neumann_entropy(partial_trace(state, (0,)))
-        s_b = von_neumann_entropy(partial_trace(state, (1,)))
-        s_ab = von_neumann_entropy(state)
+        opt, (_j, d_a, s_a, s_b, s_ab) = _measured_run(state, 0, cfg)
         ef_bc = eof_2qubit(partial_trace(purify(state).to_density(), (1, 2))).value
-        d_a = discord(state, 0, cfg)
         return [
             ("S(A)", 2.0, s_a),
             ("S(B)", 1.0, s_b),
             ("S(AB)", 1.0, s_ab),
             ("purity", 0.5, purity(state)),
             ("E_F(BC)", 0.0, ef_bc),
-            ("D_A", 1.0, d_a.value),
+            ("D_A", 1.0, d_a),
             ("S(A)-S(AB)-S(B)", 0.0, s_a - s_ab - s_b),
-        ], {"d_a": d_a.diagnostics()}
+        ], {"d_a": opt.diagnostics()}
     if name == "example4":
         report = correlation_report(werner_2qubit_example4(), cfg)
         s_ab = 0.5 * math.log2(6.0) + 0.5
@@ -385,11 +379,7 @@ def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
     for x in grid:
         print(f"hunt: d={args.d} x={x:.6g} ...", file=sys.stderr, flush=True)
         state = werner_qudit(args.d, float(x))
-        s_a = von_neumann_entropy(partial_trace(state, (0,)))
-        s_other = von_neumann_entropy(partial_trace(state, (1,)))
-        s_env = von_neumann_entropy(state)
-        opt = min_conditional_entropy(state, 0, cfg)
-        j_classical, _d = _j_and_d(opt.value, s_a, s_other, s_env, 0)
+        opt, (j_classical, _d, s_a, s_other, s_env) = _measured_run(state, 0, cfg)
         running = np.minimum.accumulate(np.array(opt.restart_values))
         trajectory = [float(s_a - s_other + v) for v in running]
         d_upper = s_a - j_classical

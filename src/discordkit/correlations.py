@@ -281,17 +281,29 @@ def min_conditional_entropy(
     return _measured_minima(state, (measured,), cfg, dephasing=False)[0]
 
 
-def _j_and_d(
-    m: float, s_measured: float, s_unmeasured: float, s_total: float, measured: int
-) -> tuple[float, float]:
-    """(J, D) from the conditional-entropy minimum ``m`` and three entropies.
+def _entropies(state: QState) -> Callable:
+    """``keep -> S`` of ``state``'s reduction to ``keep`` (None: the whole state), each computed on first read."""
 
-    The entropies are of the measured subsystem, the unmeasured rest and the
-    whole state: J = S(unmeasured) - m and D = m - S(unmeasured | measured).
-    A D above S(measured) + ``CONJECTURE_I_SLACK`` breaks a proved bound, so
-    it raises ``DiscordBoundError``: it indicates a defect.
+    @functools.cache
+    def entropy(keep: tuple | None = None) -> float:
+        return von_neumann_entropy(state if keep is None else partial_trace(state, keep))
+
+    return entropy
+
+
+def _j_and_d(state: QState, measured: int, m: float, entropy: Callable) -> tuple:
+    """(J, D, S(measured), S(rest), S(state)) from the conditional-entropy minimum ``m`` of ``state``.
+
+    The one place that turns a minimum into J and D and picks the entropies
+    they need, read through ``entropy``, an ``_entropies`` reader of
+    ``state`` that callers may share between sides: J = S(rest) - m and D =
+    m - S(rest | measured), the rest being every other subsystem.  A D above
+    S(measured) + ``CONJECTURE_I_SLACK`` breaks a proved bound, so it raises
+    ``DiscordBoundError``: it indicates a defect.
     """
-    j = s_unmeasured - m
+    rest = tuple(i for i in range(state.n_subsystems) if i != measured)
+    s_measured, s_rest, s_total = entropy((measured,)), entropy(rest), entropy()
+    j = s_rest - m
     d = m - (s_total - s_measured)
     if d > s_measured + CONJECTURE_I_SLACK:
         raise DiscordBoundError(
@@ -299,21 +311,13 @@ def _j_and_d(
             f"{s_measured:.6g} + {CONJECTURE_I_SLACK:g}; this bound is proved, so the "
             "optimizer or state construction is defective"
         )
-    return j, d
+    return j, d, s_measured, s_rest, s_total
 
 
 def _measured_run(state: QState, measured: int, cfg: OptimizerConfig | None):
-    """One conditional-entropy minimization and the (J, D) derived from it."""
+    """One conditional-entropy minimization and its ``_j_and_d`` tuple: (minimum, (J, D, S(measured), ...))."""
     opt = min_conditional_entropy(state, measured, cfg)
-    others = tuple(i for i in range(state.n_subsystems) if i != measured)
-    j, d = _j_and_d(
-        opt.value,
-        von_neumann_entropy(partial_trace(state, (measured,))),
-        von_neumann_entropy(partial_trace(state, others)),
-        von_neumann_entropy(state),
-        measured,
-    )
-    return opt, j, d
+    return opt, _j_and_d(state, measured, opt.value, _entropies(state))
 
 
 def classical_correlation(
@@ -325,7 +329,7 @@ def classical_correlation(
     minimization is truncated).  Raises ``DiscordBoundError`` when the
     discord of the same run breaks its bound.
     """
-    opt, j, _d = _measured_run(state, measured, cfg)
+    opt, (j, *_) = _measured_run(state, measured, cfg)
     return replace(opt, value=j)
 
 
@@ -338,7 +342,7 @@ def discord(
     holds to rounding.  The estimate upper-bounds the true discord, and
     raises ``DiscordBoundError`` above its proved bound (``_j_and_d``).
     """
-    opt, _j, d = _measured_run(state, measured, cfg)
+    opt, (_j, d, *_) = _measured_run(state, measured, cfg)
     return replace(opt, value=d)
 
 
@@ -459,22 +463,18 @@ class CorrelationReport:
 
 
 def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> CorrelationReport:
-    """Full correlation report of a two-subsystem state, its two conditional-entropy minima solved at once."""
+    """Full report of a two-subsystem state: both minima solved at once, both sides' entropies read once."""
     if state.n_subsystems != 2:
         raise ValueError("correlation_report needs a state with exactly two subsystems")
-    s_a = von_neumann_entropy(partial_trace(state, (0,)))
-    s_b = von_neumann_entropy(partial_trace(state, (1,)))
-    s_ab = von_neumann_entropy(state)
-    info = s_a + s_b - s_ab
-
     opt_a, opt_b = _measured_minima(state, (0, 1), cfg, dephasing=False)
-    j_a, d_a = _j_and_d(opt_a.value, s_a, s_b, s_ab, 0)
-    j_b, d_b = _j_and_d(opt_b.value, s_b, s_a, s_ab, 1)
+    entropy = _entropies(state)
+    j_a, d_a, s_a, s_b, s_ab = _j_and_d(state, 0, opt_a.value, entropy)
+    j_b, d_b, *_ = _j_and_d(state, 1, opt_b.value, entropy)
     return CorrelationReport(
         s_a=s_a,
         s_b=s_b,
         s_ab=s_ab,
-        mutual_information=info,
+        mutual_information=s_a + s_b - s_ab,
         j_a=j_a,
         j_b=j_b,
         d_a=d_a,

@@ -29,6 +29,7 @@ from .correlations import (
     CERTIFIED,
     DEFAULT_CONFIG,
     OptimizedValue,
+    _entropies,
     _j_and_d,
     _measured_minima,
     _minimum_with_roof,
@@ -44,7 +45,6 @@ from .qstate import (
     is_pure,
     partial_trace,
     purify,
-    von_neumann_entropy,
 )
 from .states import StateFamilySpec
 
@@ -149,18 +149,20 @@ class _StateAnalysis:
 
     A source is the input state (``"state"``), its pure tripartite form
     (``"abc"``, the purification of a bipartite input) or a reduction of
-    ``"abc"`` named in ``_PAIRS``, and one state has one name: ``"ab"`` is
-    ``"state"`` for a bipartite input, and so is ``"abc"`` for a pure
-    tripartite one, so each search runs once per distinct state.  Any other
-    input has no ``"abc"``, and the rows that read it skip (``_pure_abc``).
-    (``purify`` drops eigenvalues below ``EIG_CLIP``, so the AB reduction of
-    the purification may differ from the input by that weight, far inside
-    monogamy's 2e-3; the paper states its relations for the input.)  When
-    the ``relations`` that will read the analysis read both the D_A minimum
-    and E_F(BC) of a bipartite input (``_READ_D_A``, ``_READ_EF_BC``) and
-    E_F(BC) takes the convex roof, the first read of either solves the two
-    together (``correlations._minimum_with_roof``); otherwise a suite that
-    reads one of them never runs the other.
+    ``"abc"`` named in ``_PAIRS``.  The memo holds each source under its
+    names and every quantity under its source's object, not a name:
+    ``__init__`` puts the input under ``"ab"`` too when it is bipartite, and
+    under ``"abc"`` when it is pure tripartite, so each entropy and search
+    runs once per distinct state.  Any other input has no ``"abc"``, and the
+    rows that read it skip (``_pure_abc``).  (``purify`` drops eigenvalues
+    below ``EIG_CLIP``, so the AB reduction of the purification may differ
+    from the input by that weight, far inside monogamy's 2e-3; the paper
+    states its relations for the input.)  When the ``relations`` that will
+    read the analysis read both the D_A minimum and E_F(BC) of a bipartite
+    input (``_READ_D_A``, ``_READ_EF_BC``) and E_F(BC) takes the convex
+    roof, the first read of either solves the two together
+    (``correlations._minimum_with_roof``); otherwise a suite that reads one
+    of them never runs the other.
     """
 
     def __init__(self, state, cfg: OptimizerConfig | None, relations: tuple = ()):
@@ -168,32 +170,31 @@ class _StateAnalysis:
             state = state.to_density()
         self.state = state
         self.cfg = cfg
-        self._memo: dict = {"state": state}
         n = state.n_subsystems
-        self._alias = {"ab": "state"} if n == 2 else {"abc": "state"} if n == 3 and is_pure(state) else {}
+        names = ("state", "ab") if n == 2 else ("state", "abc") if n == 3 and is_pure(state) else ("state",)
+        self._memo: dict = dict.fromkeys(names, state)
         self._paired = n == 2 and not _READ_D_A.isdisjoint(relations) and not _READ_EF_BC.isdisjoint(relations)
 
     def _memoized(self, key, compute: Callable, *args):
-        """``compute(*args)``, run on the first call with ``key`` only."""
+        """``compute(*args)``, run on the first call with ``key`` only; a paired key's first read runs ``_pair``."""
+        if self._paired and key in (("minimum", self.state, 0), ("eof", "bc")):
+            self._pair()
         if key not in self._memo:
             self._memo[key] = compute(*args)
         return self._memo[key]
 
     def source(self, name: str) -> QState:
         """The state ``name``; ``"abc"`` and its reductions exist where ``_pure_abc`` holds."""
-        name = self._alias.get(name, name)
         if name == "abc":
             return self._memoized(name, lambda: purify(self.state).to_density())
         return self._memoized(name, lambda: partial_trace(self.source("abc"), _PAIRS[name]))
 
     def entropy(self, name: str, keep: tuple | None = None) -> float:
-        """S of ``source(name)``, or of its reduction to the subsystems ``keep``."""
-        name = self._alias.get(name, name)
-        return self._memoized(("entropy", name, keep), self._entropy, name, keep)
+        """S of ``source(name)``, or of its reduction to ``keep``, from the source's one ``_entropies`` reader."""
+        return self._entropies(self.source(name))(keep)
 
-    def _entropy(self, name: str, keep: tuple | None) -> float:
-        rho = self.source(name)
-        return von_neumann_entropy(rho if keep is None else partial_trace(rho, keep))
+    def _entropies(self, rho: QState) -> Callable:
+        return self._memoized(("entropies", rho), _entropies, rho)
 
     def _pair(self) -> None:
         """Run the D_A minimum and E_F(BC) as one search, once, where they pair."""
@@ -202,13 +203,11 @@ class _StateAnalysis:
         if _eof_route(bc) != "upper":
             return
         opt, roof = _minimum_with_roof(self.state, bc, self.cfg)
-        self._memo[("minimum", "state", 0)] = opt
+        self._memo[("minimum", self.state, 0)] = opt
         self._memo[("eof", "bc")] = roof.value, False, "upper"
 
     def eof(self, pair: str):
         """``_certified_eof`` of the reduction ``pair`` of ABC."""
-        if pair == "bc" and self._paired:
-            self._pair()
         return self._memoized(("eof", pair), lambda: _certified_eof(self.source(pair), self.cfg))
 
     def minimum(self, name: str, measured: int) -> OptimizedValue:
@@ -219,30 +218,18 @@ class _StateAnalysis:
         state for each outcome k, S(rho_B^k) = S(rho_C^k), and the two
         objectives are one function of the basis.
         """
-        name = self._alias.get(name, name)
         if (name, measured) == ("ac", 0):
             return self.minimum("ab", 0)
-        if (name, measured) == ("state", 0) and self._paired:
-            self._pair()
-        return self._memoized(
-            ("minimum", name, measured),
-            lambda: min_conditional_entropy(self.source(name), measured, self.cfg),
-        )
+        rho = self.source(name)
+        return self._memoized(("minimum", rho, measured), min_conditional_entropy, rho, measured, self.cfg)
 
     def j_and_d(self, name: str, measured: int) -> tuple[float, float]:
-        """(J, D) of ``source(name)`` measured on ``measured``, from ``minimum``."""
-        name = self._alias.get(name, name)
-        return self._memoized(("j_and_d", name, measured), self._j_and_d, name, measured)
-
-    def _j_and_d(self, name: str, measured: int) -> tuple[float, float]:
-        others = tuple(i for i in range(self.source(name).n_subsystems) if i != measured)
-        return _j_and_d(
-            self.minimum(name, measured).value,
-            self.entropy(name, (measured,)),
-            self.entropy(name, others),
-            self.entropy(name),
-            measured,
-        )
+        """(J, D) of ``source(name)`` measured on ``measured``: ``_j_and_d`` of ``minimum`` and ``entropy``."""
+        rho = self.source(name)
+        key = ("j_and_d", rho, measured)
+        if key not in self._memo:
+            self._memo[key] = _j_and_d(rho, measured, self.minimum(name, measured).value, self._entropies(rho))[:2]
+        return self._memo[key]
 
 
 def _analysis(state, cfg, relation: str) -> _StateAnalysis:
@@ -279,13 +266,18 @@ def _saturated(a: _StateAnalysis) -> bool:
     return abs(s_a - s_b - s_c) <= EQUALITY_TOL
 
 
+def _multipartite(a: _StateAnalysis) -> str | None:
+    """The hypothesis of eq5, which splits the input into its first subsystem and the rest."""
+    return None if a.state.n_subsystems > 1 else "needs at least two subsystems"
+
+
 def _bipartite(a: _StateAnalysis) -> str | None:
     return None if a.state.n_subsystems == 2 else "needs a bipartite state"
 
 
 def _pure_abc(a: _StateAnalysis) -> str | None:
     """The hypothesis of the rows that read ``"abc"``, which only a bipartite or a pure tripartite input has."""
-    has_abc = a.state.n_subsystems == 2 or "abc" in a._alias
+    has_abc = a.state.n_subsystems == 2 or a._memo.get("abc") is a.state
     return None if has_abc else "needs a bipartite or a pure tripartite state"
 
 
@@ -325,7 +317,7 @@ class _Relation:
     kind: str
     tol: float
     sides: Callable[[_StateAnalysis], tuple[float, float]]
-    hypothesis: Callable[[_StateAnalysis], str | None] = lambda a: None
+    hypothesis: Callable[[_StateAnalysis], str | None]
     vanishing: tuple[str, ...] = ()
     survey: bool = False
     provenance: Callable[[_StateAnalysis], dict] = lambda a: {}
@@ -334,7 +326,7 @@ class _Relation:
 
 
 _ROWS = {
-    "eq5": _Relation("inequality", TOL_EXACT, _eq5_sides),
+    "eq5": _Relation("inequality", TOL_EXACT, _eq5_sides, _multipartite),
     "koashi_winter": _Relation(
         "identity", TOL_OPT, lambda a: (a.eof("bc")[0] + a.j_and_d("state", 0)[0], a.entropy("state", (1,))),
         _kw_unmet, provenance=_bc_routes,
@@ -470,23 +462,24 @@ def check_cor2(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
 def check_thm3(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
     """Subadditivity of the dephasing discord: D_BC <= D_B + D_C.
 
-    Two assertions: (a) the joint estimate never exceeds the chained
-    product-measurement value (exact by construction, 1e-9), and (b) the
-    aggregate bound against D_B and D_C, solved together, at 2e-3.  When the
-    joint step is certified, the chain is skipped
+    Two assertions: (a) ``chain_residual`` = ``joint_value`` - ``chain_value``
+    is at most 1e-9, as the joint search over all bases should reach what
+    the chained product basis reaches, and (b) the aggregate bound on
+    ``value``, the lower of the two, against D_B and D_C, solved together,
+    at 2e-3.  When the joint step is certified, the chain is skipped
     (``correlations.ReDiscordDetail``): (a) then holds by proof and is not
     evaluated, the provenance carries ``"joint_route": "certified"``, and
     ``chain_value`` and ``chain_residual`` are NaN (``null`` in the CLI's
-    JSON).  Across code changes ``chain_value`` reproduces only to about 1e-8:
-    the chain dephases in its first step's argbasis, which a flat minimum
-    fixes only to about the square root of rounding.
+    JSON).  Across code changes ``chain_value`` reproduces only to about
+    1e-8: the chain dephases in its first step's argbasis, which a flat
+    minimum fixes only to about the square root of rounding.
     """
     a = _analysis(state, cfg, "thm3")
     if a.state.n_subsystems != 3:
         return _skipped("thm3", "inequality", "needs a tripartite state")
     re_b, re_c = _measured_minima(a.state, (1, 2), a.cfg, dephasing=True)
     detail = re_discord_detailed(a.state, (1, 2), a.cfg, first=re_b)
-    chain_residual = detail.value - detail.chain_value
+    chain_residual = detail.joint_value - detail.chain_value
     provenance = {
         "chain_value": detail.chain_value,
         "joint_value": detail.joint_value,

@@ -4,13 +4,14 @@ import csv
 import io
 import json
 import os
+import sys
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from discordkit import OptimizerConfig, PureStateVector, state_to_json
-from discordkit import cli, correlations
+from discordkit import cli, correlations, qstate
 from discordkit.cli import main
 from discordkit.verify import RELATIONS
 
@@ -99,6 +100,16 @@ def test_verify_rejects_a_suite_without_distinct_names(suite, message, capsys):
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("family", [["haar_pure", "--dims", "2"], ["random_mixed", "--dims", "3", "--rank", "2"]])
+def test_verify_on_a_one_subsystem_family_skips_every_row(family, tmp_path, capsys):
+    out = tmp_path / "one.json"
+    suite = ",".join(RELATIONS)
+    assert main(["verify", "--suite", suite, "--family", *family, "--samples", "2", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary == {name: {"pass": 0, "fail": 0, "skip": 2, "recorded_violations": 0} for name in RELATIONS}
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_survey_mode_exit_zero(capsys):
@@ -204,19 +215,46 @@ def test_hunt_bad_range(capsys):
     assert capsys.readouterr() == ("", "error: bad --x value 'abc'\n")
 
 
-def test_hunt_takes_each_entropy_once(monkeypatch, capsys):
-    # hunt computes S(A), S(B) and S(AB) itself and derives J from one
-    # conditional-entropy minimum, so the correlations layer computes no
-    # entropy; a discord above its proved bound still exits 1.
-    def refuse(state):
-        raise AssertionError("an entropy was computed twice")
+def _count_entropy_calls(monkeypatch) -> dict:
+    """Patch ``von_neumann_entropy`` and ``numpy.linalg.eigvalsh`` everywhere in the package to log their calls."""
+    calls = {"entropy": [], "eigvalsh": []}
+    entropy, eigvalsh = qstate.von_neumann_entropy, np.linalg.eigvalsh
 
-    monkeypatch.setattr(correlations, "von_neumann_entropy", refuse)
+    def counting_entropy(state):
+        calls["entropy"].append(state.dims)
+        return entropy(state)
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"].append(None)
+        return eigvalsh(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("discordkit") and hasattr(module, "von_neumann_entropy"):
+            monkeypatch.setattr(module, "von_neumann_entropy", counting_entropy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return calls
+
+
+def test_hunt_takes_each_entropy_once(monkeypatch, capsys):
+    # Each hunt row reads S(A), S(B) and S(AB) once, through the one
+    # _j_and_d of its conditional-entropy minimum; a discord above its
+    # proved bound still exits 1.
+    calls = _count_entropy_calls(monkeypatch)
     assert main(["hunt", "--d", "2", "--x=-0.5:0.5:3", "--restarts", "2"]) == 0
+    assert calls["entropy"] == [(2,), (2,), (2, 2)] * 3
     monkeypatch.setattr(correlations, "CONJECTURE_I_SLACK", -2.0)
     capsys.readouterr()
     assert main(["hunt", "--d", "2", "--x=0.5:0.5:1", "--restarts", "2"]) == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: discord estimate")
+
+
+def test_example3_takes_each_entropy_once(monkeypatch, capsys):
+    # example3 reads S(A), S(B) and S(AB) from the run behind D_A, not a
+    # second time of its own: 3 entropies, and 4 eigvalsh calls in all.
+    calls = _count_entropy_calls(monkeypatch)
+    assert main(["example", "example3", "--format", "json"]) == 0
+    assert calls["entropy"] == [(4,), (2,), (4, 2)]
+    assert len(calls["eigvalsh"]) == 4
 
 
 @pytest.mark.parametrize("rank", ["0", "9", "-1"])

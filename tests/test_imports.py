@@ -9,7 +9,10 @@ cache of seeded draws, ``seeded_isometries``: every search starts through
 ``minimize_over_measurements`` call, and every certificate through
 ``_descent.certify``, which only ``solve`` calls.  Only the maps that
 derive a state from a valid one skip validation (``qstate._derived_state``);
-every state built from outside data goes through ``QState(...)``.
+every state built from outside data goes through ``QState(...)``.  Only
+``correlations._measured_run``, ``correlations.correlation_report`` and
+``verify._StateAnalysis.j_and_d`` call ``correlations._j_and_d``, and the
+cli computes no entropy of its own.
 """
 
 import ast
@@ -120,6 +123,16 @@ def test_only_the_derived_state_maps_skip_validation():
     assert "QState" in called_names((PACKAGE / "states.py").read_text(encoding="utf-8"))
     assert {"qstate.state_from_json", "qstate.tensor"} <= callers_of({"QState"})
     assert "cli._load_state" in callers_of({"state_from_json"})
+
+
+def test_one_function_turns_a_minimum_into_j_and_d():
+    # _j_and_d reads its own entropies; the cli reads them from _measured_run.
+    assert callers_of({"_j_and_d"}) == {
+        "correlations._measured_run",
+        "correlations.correlation_report",
+        "verify.j_and_d",
+    }
+    assert "von_neumann_entropy" not in called_names((PACKAGE / "cli.py").read_text(encoding="utf-8"))
 
 
 def test_verify_imports_no_givens_name():

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -73,6 +73,20 @@ def test_eq5_saturation_and_product_slack():
 
     rand = check_eq5(random_mixed((2, 2), 2, 3))
     assert rand.holds
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [StateFamilySpec("haar_pure", {"dims": (2,)}, 1), StateFamilySpec("random_mixed", {"dims": (3,), "rank": 2}, 1)],
+    ids=["pure", "mixed"],
+)
+def test_a_one_subsystem_input_skips_every_relation(spec):
+    # eq5 splits off the first subsystem from the rest, so it needs two;
+    # every other row has a stronger hypothesis, and the suite completes.
+    row = check_eq5(spec.sample(0))
+    assert row.skipped == "needs at least two subsystems" and row.holds is None
+    report = run_suite(spec, tuple(RELATIONS), 2, FAST)
+    assert report.n_skip == len(report.rows) == 2 * len(RELATIONS) and report.all_pass
 
 
 def test_koashi_winter_on_example3_and_random_states():
@@ -226,7 +240,7 @@ def test_thm2_fails_when_its_identity_residual_exceeds_the_tolerance():
     spec = StateFamilySpec("classical_quantum", {"k": 2, "dims": (2,), "orthogonal": True}, 6)
     analysis = _StateAnalysis(spec.sample(0), FAST)
     j_b, d_b = analysis.j_and_d("state", 1)
-    analysis._memo[("j_and_d", "state", 1)] = (j_b, d_b + 1e-2)
+    analysis._memo[("j_and_d", analysis.state, 1)] = (j_b, d_b + 1e-2)
     row = check_thm2(analysis, FAST)
     assert row.skipped is None and row.slack >= -row.tolerance
     assert row.provenance["identity_residual"] > row.tolerance and row.holds is False
@@ -461,8 +475,28 @@ def test_thm3_reads_both_sides_in_one_solve():
         assert (row.lhs, row.rhs, row.slack) == (detail.value, re_b.value + re_c.value,
                                                  (re_b.value + re_c.value) - detail.value)
         assert row.provenance == {"chain_value": detail.chain_value, "joint_value": detail.joint_value,
-                                  "chain_residual": detail.value - detail.chain_value}
+                                  "chain_residual": detail.joint_value - detail.chain_value}
         assert row.holds
+
+
+@pytest.mark.parametrize("excess, holds", [(1e-6, False), (1e-10, True)])
+def test_thm3_fails_when_the_joint_value_exceeds_the_chain_value(monkeypatch, excess, holds):
+    # Check (a): the joint search over all bases of BC must reach what the
+    # chained product basis reaches.  A joint value above the chain value by
+    # more than 1e-9 fails the row, though the lower of the two still meets
+    # the bound (b).
+    import discordkit.verify as verify
+
+    detailed = verify.re_discord_detailed
+
+    def joint_above_chain(*args, **kwargs):
+        detail = detailed(*args, **kwargs)
+        return replace(detail, value=detail.chain_value, joint_value=detail.chain_value + excess)
+
+    monkeypatch.setattr(verify, "re_discord_detailed", joint_above_chain)
+    row = check_thm3(random_mixed((2, 2, 2), 8, 7400), FAST)
+    assert row.provenance["chain_residual"] == pytest.approx(excess, rel=1e-3)
+    assert row.slack >= -row.tolerance and row.holds is holds
 
 
 def test_thm3_certified_route_skips_the_chain(monkeypatch):
