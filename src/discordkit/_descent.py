@@ -62,12 +62,17 @@ MEMORY = 4
 SLOTS = MEMORY + 1
 
 GRADIENT, NO_DECREASE, CAP = "gradient", "no_decrease", "cap"
+# The agreement cut (``descend``): its stop reason, how close the lowest
+# stopped values must be, and at most how many of them it compares.
+AGREED = "agreed"
+AGREE_TOL = 1e-9
+AGREE_K = 3
 # A candidate within CERTIFY_TOL of a proved lower bound is optimal to
 # rounding and stops both searches before they start, with stop reason
 # CERTIFIED (``certify``).
 CERTIFY_TOL = 1e-12
 CERTIFIED = "certified"
-_REASONS = ("", GRADIENT, NO_DECREASE, CAP)
+_REASONS = ("", GRADIENT, NO_DECREASE, CAP, AGREED)
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,9 @@ class Descent:
     lowest of the restart's iterates since an accepted step always decreases
     it.  ``iterations`` counts accepted steps, ``evaluations`` the objective
     calls the restart was live for (its start included), and ``reasons`` why
-    it stopped: ``GRADIENT``, ``NO_DECREASE``, ``CAP``, or ``CERTIFIED`` for
-    the one restart of a ``certify`` run.
+    it stopped: ``GRADIENT``, ``NO_DECREASE``, ``CAP``, ``AGREED`` (cut when
+    its problem's stopped restarts agreed), or ``CERTIFIED`` for the one
+    restart of a ``certify`` run.
     """
 
     x: np.ndarray
@@ -284,6 +290,28 @@ class _LimitedMemory:
         return (np.array(coefs)[:, None, :] @ ring)[:, 0], slopes, [gp[0] for gp, _ in products]
 
 
+def _cut_agreed(done: list, f: list, owner: list, agree_k: list, settled: list) -> None:
+    """Mark AGREED (4) every live restart of a problem whose lowest restarts stopped on their own agree.
+
+    ``done`` holds this round's stop reasons and ``f`` the values of the live
+    restarts, ``owner`` their problems; ``settled[q]`` gains the non-NaN
+    values of q's restarts stopping now on GRADIENT or NO_DECREASE.
+    """
+    checked = set()
+    for why, value, q in zip(done, f, owner):
+        if why in (1, 2) and agree_k[q] >= 2:
+            checked.add(q)
+            if value == value:
+                settled[q].append(value)
+    for q in checked:
+        lowest = sorted(settled[q])[: agree_k[q]]
+        running = [k for k, p in enumerate(owner) if p == q and not done[k]]
+        if (len(lowest) == agree_k[q] and lowest[-1] - lowest[0] <= AGREE_TOL
+                and not any(f[k] < lowest[0] for k in running)):
+            for k in running:
+                done[k] = 4
+
+
 def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) -> Descent:
     """Minimize ``objective`` from every isometry of the stack ``x``.
 
@@ -303,11 +331,23 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     stops when its Riemannian gradient norm reaches ``GRAD_TOL``, when its
     next trial predicts a decrease below ``DECREASE_TOL`` (relative to max(1,
     |f|)), or after ``max_iter`` iterates.
+
+    The agreement cut ends a problem early.  After a round in which a
+    restart of problem q stopped on ``GRADIENT`` or ``NO_DECREASE``, let K =
+    min(``AGREE_K``, sizes[q] - 1): when the K lowest non-NaN values of such
+    restarts of q lie within ``AGREE_TOL`` and no live restart of q is below
+    the lowest, every live restart of q stops there with ``AGREED``.  A block
+    of one or two restarts is never cut.  The rule reads only q's restarts,
+    and every restart makes one call a round, so a problem is cut in the
+    same round stacked or alone, and a cut restart's x and value are those
+    of its run alone with ``max_iter`` its iterations.
     """
     out_x = np.array(x, dtype=complex)
     n_restarts = out_x.shape[0]
     live = [n_restarts] if sizes is None else list(sizes)
     problem = [q for q, size in enumerate(live) for _ in range(size)]
+    agree_k = [min(AGREE_K, size - 1) for size in live]
+    settled = [[] for _ in live]  # the non-NaN values of q's restarts that stopped on their own
     out_f, out_iterations, out_evaluations, reasons = ([v] * n_restarts for v in (0.0, 0, 0, ""))
 
     # Per live restart (``ids`` maps them to the stack), in arrays: the
@@ -332,6 +372,7 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
 
     while True:
         if any(done):
+            _cut_agreed(done, f, [problem[i] for i in ids], agree_k, settled)
             for k, i in enumerate(ids):
                 if done[k]:
                     out_x[i], out_f[i], reasons[i] = x[k], f[k], _REASONS[done[k]]
@@ -507,16 +548,28 @@ def summary(run: Descent, tol: float) -> tuple[int, float, bool]:
 
     The best restart has the lowest value that is not NaN, ties going to the
     lowest index; restart 0 when every value is NaN.  The spread is max - min
-    of the values of the restarts that stopped before the cap (infinite when
-    none did, NaN when one of them is NaN).  The run converged when more than
-    half of its restarts stopped before the cap and their spread is at most
-    ``10 * tol``, which a NaN spread is not.
+    of the values of the restarts that stopped on their own, neither at the
+    cap nor ``AGREED`` (infinite when none did, NaN when one of them is NaN).
+    The run converged when more than half of its restarts stopped before the
+    cap, an ``AGREED`` restart included (``counts``), and the spread is at
+    most ``10 * tol``, which a NaN spread is not.
     """
     values = run.values.tolist()
     best = min((k for k, v in enumerate(values) if v == v), key=values.__getitem__, default=0)
-    stopped = [v for v, why in zip(values, run.reasons) if why != CAP]
-    spread = max(stopped) - min(stopped) if stopped else math.inf
-    if any(v != v for v in stopped):  # max and min would depend on where the NaN sits
+    own = [v for v, why in zip(values, run.reasons) if why not in (CAP, AGREED)]
+    spread = max(own) - min(own) if own else math.inf
+    if any(v != v for v in own):  # max and min would depend on where the NaN sits
         spread = math.nan
-    converged = 2 * len(stopped) > len(values) and spread <= 10.0 * tol
+    converged = 2 * counts(run, tol)[0] > len(values) and spread <= 10.0 * tol
     return best, spread, converged
+
+
+def counts(run: Descent, tol: float) -> tuple[int, int]:
+    """How many restarts of ``run`` stopped before the cap, and how many ended within ``10 * tol`` of the best.
+
+    The best is the lowest value that is not NaN; a NaN value is at no
+    distance from it, and with every value NaN no restart is at the best.
+    """
+    values = run.values.tolist()
+    best = min((v for v in values if v == v), default=math.nan)
+    return sum(why != CAP for why in run.reasons), sum(v - best <= 10.0 * tol for v in values)

@@ -24,9 +24,11 @@ def _integer(name: str, value, least: int | None = None) -> int:
 class OptimizerConfig:
     """Budget and seeding for measurement optimization and the convex roof.
 
-    Both searches run ``restarts`` restarts of Riemannian descent, seeded from
-    ``seed``, each of at most ``max_iter`` accepted steps; ``tol`` bounds the
-    restart spread of a converged result (``_descent.summary``).
+    Both searches run ``restarts`` restarts of Riemannian descent in
+    lockstep, seeded from ``seed``, each of at most ``max_iter`` accepted
+    steps; at most ``restarts`` restarts run to their own stop, as the rest
+    end once the lowest stopped ones agree (``_descent.descend``).  ``tol``
+    bounds the restart spread of a converged result (``_descent.summary``).
     """
 
     restarts: int = 16

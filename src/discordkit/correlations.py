@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import CERTIFIED, Descent, Problem, restart_stack, search, solve, summary
+from ._descent import CERTIFIED, Descent, Problem, counts, restart_stack, search, solve, summary
 from .config import OptimizerConfig
 from .entanglement import EofResult, _eof_of_concurrence, _roof, _upper_bound, _wootters_rows
 from .measurement import ProjectiveMeasurement, _measurement_factor, dephase
@@ -79,21 +79,26 @@ class OptimizedValue:
     """Result of a measurement optimization.
 
     ``value`` equals the optimized quantity at ``argbasis``; ``spread`` and
-    ``converged`` are ``_descent.summary``'s.  The per-restart tuples run in
-    restart order: ``restart_values`` holds the minima of the underlying
-    objective (the running minimum is the convergence trajectory),
-    ``iterations`` the accepted descent steps, ``evaluations`` the objective
-    calls the restart was live for, and ``stop_reasons`` why it stopped:
-    ``gradient`` (Riemannian gradient norm), ``no_decrease`` (the next step
-    could not measurably lower the value), ``cap`` (``max_iter``) or
-    ``certified`` (a candidate basis met a proved lower bound and no search
-    ran: one restart, ``_descent.certify``).
+    ``converged`` are ``_descent.summary``'s, and ``restarts_stopped`` and
+    ``restarts_at_best`` are ``_descent.counts``: the restarts that stopped
+    before the cap, and those within 10 tol of ``value``.  The per-restart
+    tuples run in restart order: ``restart_values`` holds the minima of the
+    underlying objective (the running minimum is the convergence
+    trajectory), ``iterations`` the accepted descent steps, ``evaluations``
+    the objective calls the restart was live for, and ``stop_reasons`` why it
+    stopped: ``gradient`` (Riemannian gradient norm), ``no_decrease`` (the
+    next step could not measurably lower the value), ``cap`` (``max_iter``),
+    ``agreed`` (cut once the lowest restarts that stopped agreed,
+    ``_descent.descend``) or ``certified`` (a candidate basis met a proved
+    lower bound and no search ran: one restart, ``_descent.certify``).
     """
 
     value: float
     argbasis: ProjectiveMeasurement
     spread: float
     converged: bool
+    restarts_stopped: int = 0
+    restarts_at_best: int = 0
     restart_values: tuple = ()
     iterations: tuple = ()
     evaluations: tuple = ()
@@ -103,6 +108,8 @@ class OptimizedValue:
         return {
             "spread": self.spread,
             "converged": self.converged,
+            "restarts_stopped": self.restarts_stopped,
+            "restarts_at_best": self.restarts_at_best,
             "restart_values": list(self.restart_values),
             "iterations": list(self.iterations),
             "evaluations": list(self.evaluations),
@@ -137,11 +144,14 @@ def minimize_over_measurements(
 def _optimized(run: Descent, tol: float, subsystem: int) -> OptimizedValue:
     """The ``OptimizedValue`` of a searched or certified run on V: its best restart's V^H and ``summary``."""
     b, spread, converged = summary(run, tol)
+    stopped, at_best = counts(run, tol)
     return OptimizedValue(
         value=float(run.values[b]),
         argbasis=ProjectiveMeasurement(subsystem, run.x[b].conj().T),
         spread=spread,
         converged=converged,
+        restarts_stopped=stopped,
+        restarts_at_best=at_best,
         restart_values=tuple(float(v) for v in run.values),
         iterations=run.iterations,
         evaluations=run.evaluations,
@@ -360,7 +370,7 @@ class ReDiscordDetail(OptimizedValue):
     ``chain_value`` comes from optimizing each measured factor in turn on the
     running dephased state (a product basis), ``joint_value`` from one
     minimization over full bases of the merged factor; ``value`` and
-    ``argbasis`` belong to the lower of the two.  ``spread`` and the
+    ``argbasis`` belong to the lower of the two.  ``spread``, the counts and the
     per-restart tuples are the joint step's, and ``converged`` holds when
     every search converged.  A certified joint value is the minimum over all
     bases of the merged factor, product bases included, so the chain is then

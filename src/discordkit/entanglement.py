@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import Descent, Problem, solve, summary
+from ._descent import Descent, Problem, counts, solve, summary
 from .config import OptimizerConfig
 from .qstate import (
     InvalidStateError,
@@ -70,7 +70,8 @@ class EofResult:
     ``tag`` is one of ``exact_pure``, ``exact_wootters``, ``upper_bound``;
     only ``upper_bound`` results carry a decomposition witness and the
     convex-roof diagnostics, which follow ``correlations.OptimizedValue``
-    (``restart_spread`` is its ``spread``): ``certified`` means that
+    (``restart_spread`` is its ``spread``; an exact result ran no restart,
+    so its two counts are 0): ``certified`` means that
     Wootters' decomposition of a two-qubit state met the exact value and no
     search ran.
     """
@@ -81,6 +82,8 @@ class EofResult:
     crosscheck_gap: float | None = None
     converged: bool = True
     restart_spread: float = 0.0
+    restarts_stopped: int = 0
+    restarts_at_best: int = 0
     iterations: tuple[int, ...] = ()
     evaluations: tuple[int, ...] = ()
     stop_reasons: tuple[str, ...] = ()
@@ -313,6 +316,7 @@ def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float)
     side.
     """
     b, spread, converged = summary(run, tol)
+    stopped, at_best = counts(run, tol)
     value, iso = float(run.values[b]), run.x[b]
     psi = iso @ e0
     weights = np.real(np.einsum("id,id->i", psi, psi.conj()))
@@ -325,6 +329,8 @@ def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float)
         crosscheck_gap=None if oracle is None else value - oracle,
         converged=converged,
         restart_spread=spread,
+        restarts_stopped=stopped,
+        restarts_at_best=at_best,
         iterations=run.iterations,
         evaluations=run.evaluations,
         stop_reasons=run.reasons,

@@ -33,6 +33,7 @@ from discordkit import (
 )
 from discordkit import _descent, cli, correlations, verify
 from discordkit._descent import (
+    AGREED,
     ARMIJO,
     CAP,
     CERTIFIED,
@@ -47,6 +48,7 @@ from discordkit._descent import (
     SHRINK,
     Descent,
     certify,
+    counts,
     descend,
     objective_of,
     random_isometries,
@@ -307,9 +309,90 @@ def test_descend_reaches_the_rayleigh_minimum_on_the_stiefel_manifold(n, p):
     starts, _ = np.linalg.qr(g.normal(size=(4, n, p)) + 1j * g.normal(size=(4, n, p)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        run = descend(objective, starts, *objective(starts), 500)
+        run = descend(objective, starts, *objective(starts), 500, (1,) * 4)  # each its own problem: never cut
     assert CAP not in run.reasons
     np.testing.assert_allclose(run.values, np.linalg.eigvalsh(a)[:p].sum(), rtol=0, atol=1e-12)
+
+
+def _rayleigh_on_c3(x, _sizes=None):
+    # tr(X^H A X) for A = diag(1, 2, 0) on unit vectors of C^3: e_0 is a
+    # stationary point of value 1, and the minimum 0 lies at e_2.
+    a = np.diag([1.0, 2.0, 0.0]).astype(complex)
+    return np.einsum("rip,ij,rjp->r", x.conj(), a, x).real, 2.0 * a @ x
+
+
+@pytest.mark.parametrize("last, cut", [((1.0, 0.0, 1.0), False), ((1.0, 1.0, 0.0), True)])
+def test_the_agreement_cut_spares_a_live_restart_below_the_agreeing_values(last, cut):
+    # Restarts 0-2 start at the stationary e_0 (up to a phase), so they stop
+    # on the gradient at once with value 1, and agree.  Restart 3 is live:
+    # at (e_0 + e_2) / sqrt(2), value 1/2, it is below them and runs on to
+    # the minimum 0 as it would alone; at (e_0 + e_1) / sqrt(2), value 3/2,
+    # it is cut at its start with the reason AGREED.
+    x = np.zeros((4, 3, 1), dtype=complex)
+    x[:3, 0, 0] = [1.0, 1j, -1.0]
+    x[3, :, 0] = np.array(last) / np.sqrt(2.0)
+    run = descend(_rayleigh_on_c3, x, *_rayleigh_on_c3(x), 500)
+    alone = descend(_rayleigh_on_c3, x[3:], *_rayleigh_on_c3(x[3:]), 500)
+    assert run.reasons[:3] == (GRADIENT,) * 3 and run.values[:3].tolist() == [1.0] * 3
+    if cut:
+        assert (run.reasons[3], run.iterations[3], run.evaluations[3]) == (AGREED, 0, 1)
+        assert run.x[3].tobytes() == x[3].tobytes() and run.values[3] == _rayleigh_on_c3(x[3:])[0][0]
+        # An agreed restart counts as stopped, but not in the spread.
+        assert summary(run, 1e-9) == (0, 0.0, True) and counts(run, 1e-9) == (4, 3)
+    else:
+        assert run.reasons[3] != AGREED and run.values[3] < 1e-12
+        assert run.x[3].tobytes() == alone.x[0].tobytes() and run.iterations[3] == alone.iterations[0]
+        assert summary(run, 1e-9) == (3, 1.0 - run.values[3], False) and counts(run, 1e-9) == (4, 1)
+
+
+def test_results_count_the_restarts_that_stopped_and_those_at_the_best():
+    # Both sides of a (2,3) rank-6 report and a (3,2) rank-3 roof search and
+    # are cut; the two counts read the per-restart reasons and values.
+    cfg = OptimizerConfig(seed=1)
+    report = correlation_report(random_mixed((2, 3), 6, 1), cfg)
+    for side in (report.diagnostics[k] for k in ("measured_a", "measured_b")):
+        values, reasons = side["restart_values"], side["stop_reasons"]
+        assert AGREED in reasons and CAP not in reasons
+        assert side["restarts_stopped"] == len(values)
+        assert side["restarts_at_best"] == sum(v - min(values) <= 10.0 * cfg.tol for v in values) > 0
+    roof = eof_upper(random_mixed((3, 2), 3, 1))
+    assert AGREED in roof.stop_reasons
+    assert roof.restarts_stopped == len(roof.stop_reasons) - roof.stop_reasons.count(CAP)
+    assert 1 <= roof.restarts_at_best <= len(roof.stop_reasons)
+
+
+def _x_states(count):
+    """``count`` seeded two-qubit X states, with coherences at 0.3-1 of their positivity bound."""
+    rng = np.random.default_rng(20100405)
+    for _ in range(count):
+        a, b, c, d = rng.dirichlet(np.ones(4))
+        w = np.sqrt(a * d) * rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        z = np.sqrt(b * c) * rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        yield QState((2, 2), np.array([[a, 0, 0, w], [0, b, z, 0], [0, np.conj(z), c, 0], [np.conj(w), 0, 0, d]]))
+
+
+@pytest.mark.parametrize("population", ["3x3-rank2", "x-states"])
+def test_the_agreement_cut_never_misses_the_best_restart(population):
+    # On (3,3) rank 2 a first wave of restarts missed the best value, and on
+    # X states the identity start is a stationary point above it.  The cut
+    # search's best value stays within 1e-9 of the best of its restarts each
+    # run to its own stop: as one-restart problems of one stack, which the
+    # cut never ends.
+    states = ([random_mixed((3, 3), 2, 1, i) for i in range(24)] if population == "3x3-rank2"
+              else list(_x_states(24)))
+    cfg, cuts = OptimizerConfig(), 0
+    for state in states:
+        for measured in (0, 1):
+            problem = replace(_measurement_problem(state, measured, cfg, False), candidate=None)
+            x = restart_stack(problem.first, cfg, problem.basis)
+            sizes = (1,) * cfg.restarts
+            objective = objective_of([problem] * cfg.restarts)
+            uncut = descend(objective, x, *objective(x, sizes), cfg.max_iter, sizes)
+            assert AGREED not in uncut.reasons
+            searched = measurement_search(state, measured, cfg, False)
+            cuts += AGREED in searched.stop_reasons
+            assert abs(searched.value - float(np.nanmin(uncut.values))) <= 1e-9
+    assert cuts >= len(states)
 
 
 def _plain_lbfgs(objective, x, n_calls):
@@ -532,10 +615,12 @@ def test_certify_is_a_one_restart_run_only_at_the_bound():
 )
 def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephasing, max_iter, model, monkeypatch):
     # Each restart of the measurement search, replayed alone in V = U^H
-    # from the start the search scored, follows the same path bit for bit.
-    # At 7 iterations 9 (dense) or 12 (L-BFGS) of the 16 restarts stop at
-    # the cap and the rest stop before it, so some rounds hold restarts that
-    # reach the cap beside others that backtrack or take a step.
+    # from the start the search scored, follows the same path bit for bit:
+    # to its own stop, or, when the agreement cut ended it, to the iteration
+    # it was cut at.  Every case is cut.  At 7 iterations 3 (dense) or 10
+    # (L-BFGS) of the 16 restarts stop at the cap and the rest stop before
+    # it, so some rounds hold restarts that reach the cap beside others that
+    # backtrack or take a step.
     _use_model(monkeypatch, model)
     state = random_mixed(dims, rank, 11)
     objective, d = measurement_objective(state, measured, dephasing)
@@ -547,6 +632,8 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
         return objective(v, sizes)
 
     monkeypatch.setattr(_descent, "objective_of", lambda problems: recording)
+    runs, descend_alone = [], _descent.descend
+    monkeypatch.setattr(_descent, "descend", lambda *args: runs.append(descend_alone(*args)) or runs[-1])
     opt = measurement_search(state, measured, cfg, dephasing)
     # The first call scores the starts, and every later call is one
     # lockstep round.
@@ -554,14 +641,19 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     assert starts.shape == (cfg.restarts, d, d) and starts[0].tobytes() == np.eye(d, dtype=complex).tobytes()
     assert len(calls) == max(opt.evaluations)
     values, grads = objective(starts, (len(starts),))
-    alone = [descend(objective, starts[k : k + 1], values[k : k + 1], grads[k : k + 1], cfg.max_iter)
+    cut = [why == AGREED for why in opt.stop_reasons]
+    alone = [descend(objective, starts[k : k + 1], values[k : k + 1], grads[k : k + 1],
+                     opt.iterations[k] if cut[k] else cfg.max_iter)
              for k in range(cfg.restarts)]
-    assert opt.iterations == tuple(run.iterations[0] for run in alone)
-    assert opt.evaluations == tuple(run.evaluations[0] for run in alone)
-    assert opt.stop_reasons == tuple(run.reasons[0] for run in alone)
-    assert opt.stop_reasons.count(CAP) == (0 if max_iter == 2000 else 9 if model == "dense" else 12)
+    kept = [k for k in range(cfg.restarts) if not cut[k]]
+    assert [opt.iterations[k] for k in kept] == [alone[k].iterations[0] for k in kept]
+    assert [opt.evaluations[k] for k in kept] == [alone[k].evaluations[0] for k in kept]
+    assert [opt.stop_reasons[k] for k in kept] == [alone[k].reasons[0] for k in kept]
+    assert opt.stop_reasons.count(CAP) == (0 if max_iter == 2000 else 3 if model == "dense" else 10)
+    assert AGREED in opt.stop_reasons
     assert len(set(opt.iterations)) > 1
     assert opt.restart_values == tuple(float(run.values[0]) for run in alone)
+    assert all(runs[0].x[k].tobytes() == alone[k].x[0].tobytes() for k in range(cfg.restarts))
     best = int(np.argmin([run.values[0] for run in alone]))
     assert opt.value == alone[best].values[0]
     assert opt.argbasis.basis.tobytes() == alone[best].x[0].conj().T.tobytes()
@@ -1422,14 +1514,8 @@ def test_discord_on_x_states_meets_the_sigma_z_and_sigma_x_closed_forms():
     # optimum, which is at most the better of the two closed forms.  The
     # identity start is stationary on X states, so a search from it alone
     # stops at D_z even where D_x is lower.
-    rng = np.random.default_rng(20100405)
     below_z = 0
-    for _ in range(50):
-        a, b, c, d = rng.dirichlet(np.ones(4))
-        w = np.sqrt(a * d) * rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
-        z = np.sqrt(b * c) * rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
-        m = np.array([[a, 0, 0, w], [0, b, z, 0], [0, np.conj(z), c, 0], [np.conj(w), 0, 0, d]])
-        state = QState((2, 2), m)
+    for state in _x_states(50):
         swapped = permute_subsystems(state, (1, 0))
         for side, rho in ((1, state), (0, swapped)):
             x = rho.matrix

@@ -21,7 +21,7 @@ from discordkit import (
     von_neumann_entropy,
 )
 from discordkit import _descent, entanglement, qstate
-from discordkit._descent import CAP, CERTIFIED, DENSE_MAX, Descent, descend, random_isometries, summary
+from discordkit._descent import AGREED, CAP, CERTIFIED, DENSE_MAX, Descent, descend, random_isometries, summary
 from discordkit.entanglement import (
     EOF_DEFAULT_CONFIG,
     EXACT_PURE,
@@ -312,30 +312,41 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, seed, index, max
     # ``DENSE_MAX``, and the others force the model that D does not pick (a
     # dense rank-6 stack would hold 16 matrices of 432 x 432).
     assert 54 <= DENSE_MAX < 128
+    # A restart that the agreement cut ended follows its run alone to the
+    # iteration it was cut at, bit for bit.
     _use_model(monkeypatch, model)
     state = random_mixed(dims, rank, seed, index)
     cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter)
+    runs, descend_alone = [], _descent.descend
+    monkeypatch.setattr(_descent, "descend", lambda *args: runs.append(descend_alone(*args)) or runs[-1])
     roof = roof_search(state, cfg=cfg)
     assert CERTIFIED not in roof.stop_reasons
 
     objective = _roof_objective(_canonical_rows(state), dims, (0,), (1,))
     m = rank * rank
+    cut = [why == AGREED for why in roof.stop_reasons]
     alone = []
     for k in range(restarts):
         start = _dft_isometry(m, rank) if k == 0 else random_isometries([stream(0, k)], m, rank)[0]
-        alone.append(descend(objective, start[None], *objective(start[None], (1,)), max_iter))
-    assert roof.iterations == tuple(run.iterations[0] for run in alone)
-    assert roof.evaluations == tuple(run.evaluations[0] for run in alone)
-    assert roof.stop_reasons == tuple(run.reasons[0] for run in alone)
+        cap = roof.iterations[k] if cut[k] else max_iter
+        alone.append(descend(objective, start[None], *objective(start[None], (1,)), cap))
+    kept = [k for k in range(restarts) if not cut[k]]
+    assert [roof.iterations[k] for k in kept] == [alone[k].iterations[0] for k in kept]
+    assert [roof.evaluations[k] for k in kept] == [alone[k].evaluations[0] for k in kept]
+    assert [roof.stop_reasons[k] for k in kept] == [alone[k].reasons[0] for k in kept]
+    assert all(runs[0].x[k].tobytes() == alone[k].x[0].tobytes() for k in range(restarts))
+    assert runs[0].values.tobytes() == np.array([run.values[0] for run in alone]).tobytes()
     if (dims, restarts) == ((2, 2), 3):
-        assert len(set(roof.iterations)) == 3  # the restarts leave after different rounds
+        # The restarts leave after different rounds, the last one cut.
+        assert len(set(roof.evaluations)) == 2 and roof.stop_reasons.count(AGREED) == 1
     finals = [run.values[0] for run in alone]
-    stopped = [f for f, run in zip(finals, alone) if run.reasons[0] != CAP]
-    spread = max(stopped) - min(stopped) if stopped else math.inf
+    own = [f for f, why in zip(finals, roof.stop_reasons) if why not in (CAP, AGREED)]
+    spread = max(own) - min(own) if own else math.inf
+    stopped = restarts - roof.stop_reasons.count(CAP)
     best = int(np.argmin(finals))
     assert roof.value == pytest.approx(finals[best], abs=1e-12)
     assert roof.restart_spread == pytest.approx(spread, abs=1e-12)
-    assert roof.converged == (2 * len(stopped) > restarts and spread <= 10.0 * cfg.tol)
+    assert roof.converged == (2 * stopped > restarts and spread <= 10.0 * cfg.tol)
     np.testing.assert_allclose(roof.decomposition.isometry, alone[best].x[0], rtol=0, atol=1e-12)
     others = [k for k in range(restarts) if k != best]
     assert all(np.abs(alone[k].x[0] - alone[best].x[0]).max() > 1e-6 for k in others)
