@@ -543,16 +543,21 @@ def certify(objective: Callable, x: np.ndarray, bound: float) -> Descent | None:
                    reasons=(CERTIFIED,))
 
 
-def summary(run: Descent, tol: float) -> tuple[int, float, bool]:
-    """The best restart of ``run``, its restart spread, and whether it converged.
+def summary(run: Descent, tol: float) -> tuple[int, float, dict]:
+    """The one reader of a finished run: its best restart, its restart spread, and the diagnostics ``fields``.
 
     The best restart has the lowest value that is not NaN, ties going to the
     lowest index; restart 0 when every value is NaN.  The spread is max - min
     of the values of the restarts that stopped on their own, neither at the
     cap nor ``AGREED`` (infinite when none did, NaN when one of them is NaN).
-    The run converged when more than half of its restarts stopped before the
-    cap, an ``AGREED`` restart included (``counts``), and the spread is at
-    most ``10 * tol``, which a NaN spread is not.
+    ``fields`` holds the keyword fields that every result of a run takes
+    (``correlations.OptimizedValue``, ``entanglement.EofResult``):
+    ``restarts_stopped``, the restarts that stopped before the cap, an
+    ``AGREED`` one included; ``restarts_at_best``, those within ``10 * tol``
+    of the best value (a NaN value is at no distance from it, and with every
+    value NaN none is); ``converged``, when more than half stopped before the
+    cap and the spread is at most ``10 * tol``, which a NaN spread is not;
+    and the run's ``iterations``, ``evaluations`` and ``stop_reasons``.
     """
     values = run.values.tolist()
     best = min((k for k, v in enumerate(values) if v == v), key=values.__getitem__, default=0)
@@ -560,16 +565,12 @@ def summary(run: Descent, tol: float) -> tuple[int, float, bool]:
     spread = max(own) - min(own) if own else math.inf
     if any(v != v for v in own):  # max and min would depend on where the NaN sits
         spread = math.nan
-    converged = 2 * counts(run, tol)[0] > len(values) and spread <= 10.0 * tol
-    return best, spread, converged
-
-
-def counts(run: Descent, tol: float) -> tuple[int, int]:
-    """How many restarts of ``run`` stopped before the cap, and how many ended within ``10 * tol`` of the best.
-
-    The best is the lowest value that is not NaN; a NaN value is at no
-    distance from it, and with every value NaN no restart is at the best.
-    """
-    values = run.values.tolist()
-    best = min((v for v in values if v == v), default=math.nan)
-    return sum(why != CAP for why in run.reasons), sum(v - best <= 10.0 * tol for v in values)
+    stopped = sum(why != CAP for why in run.reasons)
+    return best, spread, {
+        "converged": 2 * stopped > len(values) and spread <= 10.0 * tol,
+        "restarts_stopped": stopped,
+        "restarts_at_best": sum(v - values[best] <= 10.0 * tol for v in values),
+        "iterations": run.iterations,
+        "evaluations": run.evaluations,
+        "stop_reasons": run.reasons,
+    }

@@ -394,7 +394,7 @@ def _cmd_hunt(args, cfg: OptimizerConfig) -> int:
                 "trajectory": trajectory,
                 "converged": opt.converged,
                 "spread": opt.spread,
-                "route": CERTIFIED if opt.stop_reasons == (CERTIFIED,) else "searched",
+                "route": CERTIFIED if opt.certified else "searched",
             }
         )
     payload = {"mode": "hunt", "d": args.d, "label": HUNT_LABEL, "rows": rows}

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from ._descent import CERTIFIED, Descent, Problem, counts, restart_stack, search, solve, summary
+from ._descent import CERTIFIED, Descent, Problem, restart_stack, search, solve, summary
 from .config import OptimizerConfig
 from .entanglement import EofResult, _eof_of_concurrence, _roof, _upper_bound, _wootters_rows
 from .measurement import ProjectiveMeasurement, _measurement_factor, dephase
@@ -78,19 +78,21 @@ DEFAULT_CONFIG = OptimizerConfig()
 class OptimizedValue:
     """Result of a measurement optimization.
 
-    ``value`` equals the optimized quantity at ``argbasis``; ``spread`` and
-    ``converged`` are ``_descent.summary``'s, and ``restarts_stopped`` and
-    ``restarts_at_best`` are ``_descent.counts``: the restarts that stopped
-    before the cap, and those within 10 tol of ``value``.  The per-restart
-    tuples run in restart order: ``restart_values`` holds the minima of the
-    underlying objective (the running minimum is the convergence
-    trajectory), ``iterations`` the accepted descent steps, ``evaluations``
-    the objective calls the restart was live for, and ``stop_reasons`` why it
-    stopped: ``gradient`` (Riemannian gradient norm), ``no_decrease`` (the
-    next step could not measurably lower the value), ``cap`` (``max_iter``),
-    ``agreed`` (cut once the lowest restarts that stopped agreed,
-    ``_descent.descend``) or ``certified`` (a candidate basis met a proved
-    lower bound and no search ran: one restart, ``_descent.certify``).
+    ``value`` equals the optimized quantity at ``argbasis``.  Every field
+    after those two is a diagnostic (``diagnostics``), and all but
+    ``restart_values`` come from ``_descent.summary``, the one reader of a
+    finished run: ``spread``, ``converged``, and the counts of the restarts
+    that stopped before the cap and of those within 10 tol of ``value``.
+    The per-restart tuples run in restart order: ``restart_values`` holds the
+    minima of the underlying objective (the running minimum is the
+    convergence trajectory), ``iterations`` the accepted descent steps,
+    ``evaluations`` the objective calls the restart was live for, and
+    ``stop_reasons`` why it stopped: ``gradient`` (Riemannian gradient norm),
+    ``no_decrease`` (the next step could not measurably lower the value),
+    ``cap`` (``max_iter``), ``agreed`` (cut once the lowest restarts that
+    stopped agreed, ``_descent.descend``) or ``certified`` (a candidate basis
+    met a proved lower bound and no search ran: one restart,
+    ``_descent.certify``), which ``certified`` alone reads.
     """
 
     value: float
@@ -104,17 +106,15 @@ class OptimizedValue:
     evaluations: tuple = ()
     stop_reasons: tuple = ()
 
+    @property
+    def certified(self) -> bool:
+        """Whether a candidate basis met its proved bound, so that no search ran."""
+        return self.stop_reasons == (CERTIFIED,)
+
     def diagnostics(self) -> dict:
-        return {
-            "spread": self.spread,
-            "converged": self.converged,
-            "restarts_stopped": self.restarts_stopped,
-            "restarts_at_best": self.restarts_at_best,
-            "restart_values": list(self.restart_values),
-            "iterations": list(self.iterations),
-            "evaluations": list(self.evaluations),
-            "stop_reasons": list(self.stop_reasons),
-        }
+        """Every ``OptimizedValue`` field after ``value`` and ``argbasis``, in order, tuples as lists."""
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(OptimizedValue)[2:]}
 
 
 def minimize_over_measurements(
@@ -143,20 +143,9 @@ def minimize_over_measurements(
 
 def _optimized(run: Descent, tol: float, subsystem: int) -> OptimizedValue:
     """The ``OptimizedValue`` of a searched or certified run on V: its best restart's V^H and ``summary``."""
-    b, spread, converged = summary(run, tol)
-    stopped, at_best = counts(run, tol)
-    return OptimizedValue(
-        value=float(run.values[b]),
-        argbasis=ProjectiveMeasurement(subsystem, run.x[b].conj().T),
-        spread=spread,
-        converged=converged,
-        restarts_stopped=stopped,
-        restarts_at_best=at_best,
-        restart_values=tuple(float(v) for v in run.values),
-        iterations=run.iterations,
-        evaluations=run.evaluations,
-        stop_reasons=run.reasons,
-    )
+    b, spread, diagnostics = summary(run, tol)
+    return OptimizedValue(float(run.values[b]), ProjectiveMeasurement(subsystem, run.x[b].conj().T), spread,
+                          restart_values=tuple(run.values.tolist()), **diagnostics)
 
 
 def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing: bool) -> Problem:
@@ -403,7 +392,7 @@ def re_discord_detailed(
     rest_dims = tuple(state.dims[i] for i in rest)
     [joint] = _measured_minima(_derived_state((d_joint,) + rest_dims, sigma.matrix), (0,), cfg, dephasing=True)
     detail = ReDiscordDetail(**vars(joint), chain_value=math.nan, joint_value=joint.value)
-    if joint.stop_reasons == (CERTIFIED,):
+    if joint.certified:
         return detail
 
     # Chain route: optimize each measured factor on the running dephased state.

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._descent import Descent, Problem, counts, solve, summary
+from ._descent import Descent, Problem, solve, summary
 from .config import OptimizerConfig
 from .qstate import (
     InvalidStateError,
@@ -69,11 +69,11 @@ class EofResult:
 
     ``tag`` is one of ``exact_pure``, ``exact_wootters``, ``upper_bound``;
     only ``upper_bound`` results carry a decomposition witness and the
-    convex-roof diagnostics, which follow ``correlations.OptimizedValue``
-    (``restart_spread`` is its ``spread``; an exact result ran no restart,
-    so its two counts are 0): ``certified`` means that
-    Wootters' decomposition of a two-qubit state met the exact value and no
-    search ran.
+    convex-roof diagnostics, ``_descent.summary``'s spread
+    (``restart_spread``) and ``fields``, which follow
+    ``correlations.OptimizedValue`` (an exact result ran no restart, so its
+    two counts are 0): ``certified`` means that Wootters' decomposition of a
+    two-qubit state met the exact value and no search ran.
     """
 
     value: float
@@ -315,26 +315,14 @@ def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float)
     ``crosscheck_gap`` on either partition, since E_F does not depend on the
     side.
     """
-    b, spread, converged = summary(run, tol)
-    stopped, at_best = counts(run, tol)
+    b, spread, diagnostics = summary(run, tol)
     value, iso = float(run.values[b]), run.x[b]
     psi = iso @ e0
     weights = np.real(np.einsum("id,id->i", psi, psi.conj()))
     keep = weights > 1e-12
     vectors = psi[keep] / np.sqrt(weights[keep])[:, None]
-    return EofResult(
-        value=value,
-        tag=UPPER_BOUND,
-        decomposition=EnsembleDecomposition(weights[keep], vectors, iso),
-        crosscheck_gap=None if oracle is None else value - oracle,
-        converged=converged,
-        restart_spread=spread,
-        restarts_stopped=stopped,
-        restarts_at_best=at_best,
-        iterations=run.iterations,
-        evaluations=run.evaluations,
-        stop_reasons=run.reasons,
-    )
+    return EofResult(value, UPPER_BOUND, EnsembleDecomposition(weights[keep], vectors, iso),
+                     None if oracle is None else value - oracle, restart_spread=spread, **diagnostics)
 
 
 def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None) -> EofResult:

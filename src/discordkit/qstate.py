@@ -357,7 +357,7 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
         p = w.sum(axis=axes, keepdims=True)
         mu = w / np.where(p > 0.0, p, 1.0)
         logs = np.log2(np.maximum(mu, EIG_CLIP))
-        values = -((mu if dephasing else w) * logs).sum(axis=(-2, -1))
+        values = -((mu if dephasing else w) * logs).sum(axis=(-2, -1)) + 0.0  # no -0.0 for all-zero terms
         if dephasing:
             logs = (logs + values[..., None, None]) / p
         t = _blockwise(apply(logs).reshape(-1, s * s), sizes, kernels_h).reshape(v.shape + (n,))  # -T

@@ -244,7 +244,7 @@ def _measurement_route(a: _StateAnalysis, *minima: tuple[str, int]) -> dict:
     that the row reads.  Such a row tests a certificate of
     ``correlations._measurement_problem``, not the search.
     """
-    if all(a.minimum(name, measured).stop_reasons == (CERTIFIED,) for name, measured in minima):
+    if all(a.minimum(name, measured).certified for name, measured in minima):
         return {"measurement_route": CERTIFIED}
     return {}
 
@@ -333,7 +333,7 @@ _ROWS = {
     ),
     "eq8": _Relation(
         "identity", TOL_OPT,
-        lambda a: (_d(a, 0) - a.eof("bc")[0], -(a.entropy("state") - a.entropy("state", (0,)))),
+        lambda a: (_d(a, 0) - a.eof("bc")[0], a.entropy("state", (0,)) - a.entropy("state")),
         _kw_unmet, provenance=_bc_routes,
     ),
     "monogamy": _Relation(
@@ -485,7 +485,7 @@ def check_thm3(state: QState, cfg: OptimizerConfig | None = None) -> BoundCheck:
         "joint_value": detail.joint_value,
         "chain_residual": chain_residual,
     }
-    if detail.stop_reasons == (CERTIFIED,):
+    if detail.certified:
         provenance["joint_route"] = CERTIFIED
     return _bound(
         "thm3", "inequality", detail.value, re_b.value + re_c.value, TOL_OPT2,

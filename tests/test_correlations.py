@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -48,7 +48,6 @@ from discordkit._descent import (
     SHRINK,
     Descent,
     certify,
-    counts,
     descend,
     objective_of,
     random_isometries,
@@ -56,7 +55,6 @@ from discordkit._descent import (
     retract,
     seeded_isometries,
     solve,
-    summary,
     tangent,
 )
 from discordkit.correlations import (
@@ -87,6 +85,19 @@ from conftest import (
 )
 
 CFG = OptimizerConfig(restarts=8, seed=1)
+
+
+def summary(run, tol):
+    """``_descent.summary``'s best restart, spread and ``converged``."""
+    best, spread, diagnostics = _descent.summary(run, tol)
+    return best, spread, diagnostics["converged"]
+
+
+def counts(run, tol):
+    """``_descent.summary``'s counts: the restarts that stopped before the cap, and those at the best."""
+    diagnostics = _descent.summary(run, tol)[2]
+    return diagnostics["restarts_stopped"], diagnostics["restarts_at_best"]
+
 
 EX4_ENTROPY = 0.5 * math.log2(6.0) + 0.5
 EX4_INFO = 2.0 - EX4_ENTROPY
@@ -1481,6 +1492,39 @@ def test_re_discord_on_several_subsystems_keeps_restart_diagnostics(monkeypatch)
     mixed = re_discord(random_mixed((2, 2, 2), 8, 3), (1, 2), cfg).diagnostics()
     for key in ("restart_values", "iterations", "evaluations", "stop_reasons"):
         assert len(mixed[key]) == cfg.restarts
+
+
+def test_diagnostics_are_the_fields_after_value_and_argbasis():
+    # diagnostics() reads the dataclass's fields in order, the tuples as
+    # lists; a ReDiscordDetail's chain fields are not diagnostics.
+    names = [f.name for f in fields(correlations.OptimizedValue)][2:]
+    assert names[:2] == ["spread", "converged"] and names[-1] == "stop_reasons"
+    opt = min_conditional_entropy(random_mixed((2, 2), 4, 1), 0, CFG)
+    diagnostics = opt.diagnostics()
+    assert list(diagnostics) == names
+    assert diagnostics == {name: getattr(opt, name) for name in names[:4]} | {
+        name: list(getattr(opt, name)) for name in names[4:]}
+    detail = re_discord_detailed(haar_random_pure((2, 2, 2), 3).to_density(), (1, 2), CFG)
+    assert isinstance(detail, correlations.ReDiscordDetail) and list(detail.diagnostics()) == names
+
+
+def test_certified_holds_on_a_certified_side_only():
+    # A rank-2 two-qubit side is certified by Wootters' basis; a rank-4 one
+    # searches.
+    certified = min_conditional_entropy(random_mixed((2, 2), 2, 1), 0, CFG)
+    searched = min_conditional_entropy(random_mixed((2, 2), 4, 1), 0, CFG)
+    assert certified.certified is True and certified.stop_reasons == (CERTIFIED,)
+    assert searched.certified is False and CERTIFIED not in searched.stop_reasons
+
+
+def test_a_product_state_reports_positive_zero_correlations():
+    # Both sides of a pure product state are certified at 0, and D and J
+    # must come out as +0.0, which a report prints as "0", never "-0".
+    for dims in ((2, 3), (3, 2)):
+        product = tensor(haar_random_pure(dims[:1], 1).to_density(), haar_random_pure(dims[1:], 2).to_density())
+        report = correlation_report(product, CFG)
+        for value in (report.d_a, report.d_b, report.j_a, report.j_b):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def _binary_entropy(p):

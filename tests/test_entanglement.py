@@ -21,7 +21,7 @@ from discordkit import (
     von_neumann_entropy,
 )
 from discordkit import _descent, entanglement, qstate
-from discordkit._descent import AGREED, CAP, CERTIFIED, DENSE_MAX, Descent, descend, random_isometries, summary
+from discordkit._descent import AGREED, CAP, CERTIFIED, DENSE_MAX, Descent, descend, random_isometries
 from discordkit.entanglement import (
     EOF_DEFAULT_CONFIG,
     EXACT_PURE,
@@ -42,6 +42,12 @@ from discordkit.states import (
 )
 
 from conftest import bell_diagonal, bell_state, bell_vector, haar_unitary, roof_search
+
+
+def summary(run, tol):
+    """``_descent.summary``'s best restart, spread and ``converged``."""
+    best, spread, diagnostics = _descent.summary(run, tol)
+    return best, spread, diagnostics["converged"]
 
 
 def _werner_mix(p: float) -> QState:

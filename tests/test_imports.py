@@ -12,7 +12,9 @@ derive a state from a valid one skip validation (``qstate._derived_state``);
 every state built from outside data goes through ``QState(...)``.  Only
 ``correlations._measured_run``, ``correlations.correlation_report`` and
 ``verify._StateAnalysis.j_and_d`` call ``correlations._j_and_d``, and the
-cli computes no entropy of its own.
+cli computes no entropy of its own.  ``_descent.summary`` is the one reader
+of a finished run, and only ``correlations.OptimizedValue.certified``
+compares stop reasons with ``(CERTIFIED,)``.
 """
 
 import ast
@@ -144,3 +146,42 @@ def test_verify_imports_no_givens_name():
 def test_called_name_detection():
     source = "from . import _descent\nx = descend(f, x0)\ny = _descent.random_starts(2, 2, 0, 3)\nz = g()(1)\n"
     assert called_names(source) == {"descend", "random_starts", "g", None}
+
+
+def certified_comparisons(source: str, module: str) -> set:
+    """The functions of ``source``, as ``module.qualname``, that compare a value with ``(CERTIFIED,)``."""
+    found = set()
+
+    def is_certified(node) -> bool:
+        return (isinstance(node, ast.Tuple) and len(node.elts) == 1
+                and ast.unparse(node.elts[0]) in ("CERTIFIED", "'certified'", "_descent.CERTIFIED"))
+
+    def visit(node, names: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, names + (child.name,))
+                continue
+            if isinstance(child, ast.Compare) and any(map(is_certified, [child.left, *child.comparators])):
+                found.add(".".join((module,) + names))
+            visit(child, names)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_one_owner_reads_a_finished_run_and_its_certificate():
+    from discordkit import _descent
+
+    assert not hasattr(_descent, "counts")
+    owners = set().union(*(certified_comparisons(path.read_text(encoding="utf-8"), path.stem)
+                           for path in PACKAGE.glob("*.py")))
+    assert owners == {"correlations.OptimizedValue.certified"}
+
+
+def test_certified_comparison_detection():
+    source = (
+        "class R:\n    def ok(self):\n        return self.stop_reasons == (CERTIFIED,)\n"
+        "def f(opt):\n    return 'x' if ('certified',) != opt.stop_reasons else 'y'\n"
+        "def g(opt):\n    return opt.stop_reasons == (CERTIFIED, CERTIFIED) or CERTIFIED in opt.stop_reasons\n"
+    )
+    assert certified_comparisons(source, "m") == {"m.R.ok", "m.f"}

@@ -21,6 +21,7 @@ from discordkit import (
     validate,
     von_neumann_entropy,
 )
+from discordkit.measurement import _measurement_factor
 from discordkit.qstate import _ensemble_objective, _gram_spectrum, normalize_partition
 from discordkit.states import example3_state, random_mixed, werner_2qubit_example4
 
@@ -406,3 +407,15 @@ def test_ensemble_objective_matches_member_blocks(da, db, n, m, dephasing):
         ref_values, ref_grads = _member_block_objective(rows, da, db, dephasing, v)
         np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dephasing", [False, True], ids=["entropy", "dephasing"])
+def test_ensemble_objective_scores_a_rank_one_factor_as_positive_zero(dephasing):
+    # Every member of a pure product state's factor is pure, so each term of
+    # the value is 0 * log 1 = 0; their negated sum must be +0.0, not -0.0,
+    # which a report would print as "-0".
+    product = tensor(QState((2,), np.diag([1.0, 0.0]).astype(complex)), QState((3,), np.full((3, 3), 1.0 / 3.0)))
+    factor, r, _lam = _measurement_factor(product, 0)
+    objective = _ensemble_objective(factor[None], r, factor.shape[1] // r, dephasing)
+    values, _grad = objective(np.eye(2, dtype=complex)[None], (1,))
+    assert values.tolist() == [0.0] and math.copysign(1.0, values[0]) == 1.0

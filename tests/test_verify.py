@@ -24,6 +24,7 @@ from discordkit._descent import random_isometries
 from discordkit.measurement import OUTCOME_FLOOR
 from discordkit.states import (
     StateFamilySpec,
+    classical_quantum,
     example3_state,
     haar_random_pure,
     random_mixed,
@@ -139,6 +140,19 @@ def test_eq8_pure_and_random():
     assert row.holds
     for i in range(10):
         assert check_eq8(random_mixed((2, 2), 2, 7100 + i), CFG).holds
+
+
+def test_eq8_rhs_is_positive_zero_when_s_ab_equals_s_a():
+    # A classical-quantum state with pure conditional states has S(AB) =
+    # S(A) = H(p), so the right side -S(B|A) must be +0.0, printed "0", not
+    # "-0".  D_A and E_F(BC) both vanish, so the left side is +0.0 too.
+    zero = QState((2,), np.diag([1.0, 0.0]).astype(complex))
+    plus = QState((2,), np.full((2, 2), 0.5, dtype=complex))
+    cq = classical_quantum([0.3, 0.7], [zero, plus])
+    assert von_neumann_entropy(cq) == von_neumann_entropy(partial_trace(cq, (0,)))
+    row = check_eq8(cq, CFG)
+    assert row.holds and (row.lhs, row.rhs) == (0.0, 0.0)
+    assert math.copysign(1.0, row.lhs) == math.copysign(1.0, row.rhs) == 1.0
 
 
 def test_monogamy():
