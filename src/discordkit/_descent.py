@@ -1,16 +1,23 @@
 """Riemannian quasi-Newton (BFGS) descent on stacks of isometries.
 
 A stack holds R independent restarts, each an n x p isometry (X^H X = I):
-a point of the Stiefel manifold, with U(n) as the square case.  Under the
-embedded metric <A, B> = Re tr(A^H B) the Riemannian gradient is the
-tangent projection of the Euclidean one.  Each restart takes quasi-Newton
-steps from its (s, y) pairs in the ambient coordinates (the D = 2 n p
-reals of X), on a curvature model chosen once per stack from D
-(``DENSE_MAX``), with the direction projected onto the tangent space
-(Huang, Gallivan & Absil, SIAM J. Optim. 25(3), 2015; Nocedal & Wright,
-Numerical Optimization, 2006, ch. 6-7), Armijo backtracking and the QR
-retraction (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20(2),
-1998).
+a point of the Stiefel manifold, with U(n) as the square case.  Each
+restart takes quasi-Newton steps from its (s, y) pairs (Huang, Gallivan &
+Absil, SIAM J. Optim. 25(3), 2015; Nocedal & Wright, Numerical
+Optimization, 2006, ch. 6-7) with Armijo backtracking, in a chart and on a
+curvature model both chosen once per stack, the model from the chart's
+coordinate count (``coordinates``, ``DENSE_MAX``):
+
+- a non-square stack (the convex roof, or a measurement padded beside it)
+  takes the embedded chart (``_Embedded``): the D = 2 n p reals of X under
+  <A, B> = Re tr(A^H B), the gradient and every direction projected onto
+  the tangent space, and the QR retraction (Edelman, Arias & Smith, SIAM
+  J. Matrix Anal. Appl. 20(2), 1998);
+- a square stack (a measurement on U(d)) takes the left-trivialized chart
+  (``_Cayley``): the d^2 - d reals of a skew-Hermitian Omega with a zero
+  diagonal, Cayley steps and no projection.  It leaves out the row phases
+  V -> Phi V, so the objective of a square stack must not depend on them,
+  as no function of a projective measurement does.
 
 All restarts advance in lockstep, one objective call a round for every
 live restart's pending trial.  Only the stacks are arrays: with a few live
@@ -48,13 +55,14 @@ GROW = 4.0
 MAX_STEP = 2.0
 # Norm of a restart's first step: a rotation by about this angle.
 FIRST_ANGLE = 0.5
-# The curvature model, by D = 2 n p: up to DENSE_MAX a dense D x D inverse
-# Hessian per restart (``_Dense``), above it L-BFGS over the last MEMORY
-# pairs (``_LimitedMemory``).  The dense update costs O(D^2) a step against
-# O(MEMORY D), and pays only where it saves rounds: it does on the convex
-# roof up to rank 4 (D = 128), but on U(d) from d = 6 (D = 72) the slowest
-# restart of a measurement search takes more rounds on it, so the dense
-# model stops below d = 6 and the rank-4 roof stays on L-BFGS.
+# The curvature model, by the D ``coordinates`` of a stack: up to DENSE_MAX
+# a dense D x D inverse Hessian per restart (``_Dense``), above it L-BFGS
+# over the last MEMORY pairs (``_LimitedMemory``).  The dense update costs
+# O(D^2) a step against O(MEMORY D), and pays only where it saves rounds.
+# On U(d) in the Cayley chart it takes fewer rounds and less time than
+# L-BFGS at d = 4, 6 and 8 (D = 12, 30, 56) and ties at d = 10 (D = 90),
+# so every measurement search up to d = 8 is dense; on the embedded roof
+# the rank-3 roof (D = 54) is dense and the rank-4 roof (D = 128) L-BFGS.
 DENSE_MAX = 64
 # L-BFGS memory: the (s, y) pairs each restart keeps, in a ring with one
 # more slot, where the newest pair is written before its s.y is known.
@@ -117,6 +125,91 @@ def retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     a = x + v
     chol = np.linalg.cholesky(_herm(a) @ a)
     return a @ _herm(np.linalg.inv(chol))
+
+
+def coordinates(n: int, p: int) -> int:
+    """The reals of a tangent vector of an n x p stack: n^2 - n on U(n) (``_Cayley``), else 2 n p (``_Embedded``)."""
+    return n * n - n if n == p else 2 * n * p
+
+
+class _Embedded:
+    """The embedded chart of the Stiefel manifold: a tangent vector is an n x p array.
+
+    A gradient is the ``tangent`` projection of the Euclidean one, a
+    direction is projected onto the new tangent space, and a step is the QR
+    ``retract``; the curvature model reads the 2 n p reals of the arrays.
+    Both charts give ``descend`` the same maps: ``gradient`` and
+    ``direction`` a tangent vector in the chart's form, ``flat`` its real
+    coordinates, ``norms2`` their squared norms, and ``move`` the trial
+    points of a step with the step's coordinates s.
+    """
+
+    @staticmethod
+    def gradient(x: np.ndarray, egrad: np.ndarray) -> np.ndarray:
+        return tangent(x, egrad)
+
+    @staticmethod
+    def flat(a: np.ndarray) -> np.ndarray:
+        return a.reshape(len(a), -1).view(float)
+
+    @staticmethod
+    def norms2(a: np.ndarray) -> np.ndarray:
+        return np.einsum("rij,rij->r", a.conj(), a).real
+
+    @staticmethod
+    def move(x: np.ndarray, step: list, eta: np.ndarray):
+        moves = np.array(step)[:, None, None] * eta
+        return retract(x, moves), moves.reshape(len(x), -1).view(float)
+
+    @staticmethod
+    def direction(at: np.ndarray, d: np.ndarray):
+        eta = tangent(at, d.view(complex).reshape(at.shape))
+        return eta, eta.reshape(len(at), -1).view(float)
+
+
+class _Cayley:
+    """The left-trivialized chart of U(n): a tangent vector at V is Omega V, Omega skew-Hermitian.
+
+    Its coordinates are the n^2 - n reals of sqrt(2) times Omega's strict
+    upper triangle, so that |u| = |Omega|_F.  Omega's diagonal moves the row
+    phases V -> Phi V, which every function of a projective measurement
+    ignores, so the chart leaves it out.  The gradient is read off as
+    (G V^H - V G^H) / sqrt(2) above the diagonal, with no projection; a step
+    is the Cayley transform V' = (I - Omega/2)^-1 (I + Omega/2) V = 2 (I -
+    Omega/2)^-1 V - V, one batched solve (Wen & Yin, Math. Program. 142,
+    397, 2013); and (s, y) pairs need no transport, as the coordinates do
+    not turn with the tangent space (Huang, Gallivan & Absil, SIAM J. Optim.
+    25, 1660, 2015).
+    """
+
+    def __init__(self, n: int):
+        upper = np.triu_indices(n, 1)
+        self.upper, self.mirror = (np.ravel_multi_index(ij, (n, n)) for ij in (upper, upper[::-1]))
+        self.off, self.step = np.concatenate([self.upper, self.mirror]), n + 1
+
+    def gradient(self, x: np.ndarray, egrad: np.ndarray) -> np.ndarray:
+        a = (egrad @ _herm(x)).reshape(len(x), -1)
+        return ((a.take(self.upper, axis=1) - a.take(self.mirror, axis=1).conj()) * math.sqrt(0.5)).view(float)
+
+    @staticmethod
+    def flat(a: np.ndarray) -> np.ndarray:
+        return a
+
+    @staticmethod
+    def norms2(a: np.ndarray) -> np.ndarray:
+        return np.einsum("ri,ri->r", a, a)
+
+    def move(self, x: np.ndarray, step: list, eta: np.ndarray):
+        moves = np.array(step)[:, None] * eta
+        w = moves.view(complex) * math.sqrt(0.125)  # Omega / 2 above the diagonal
+        a = np.zeros((len(x), x.shape[1] ** 2), dtype=complex)  # I - Omega / 2, flattened
+        a[:, self.off] = np.concatenate([-w, w.conj()], axis=1)
+        a[:, :: self.step] = 1.0
+        return 2.0 * np.linalg.solve(a.reshape(x.shape), x) - x, moves
+
+    @staticmethod
+    def direction(_at: np.ndarray, d: np.ndarray):
+        return d, d
 
 
 def random_isometries(gens, n: int, p: int) -> np.ndarray:
@@ -319,18 +412,24 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     order (one problem when ``sizes`` is None).  ``objective(x', live)`` maps
     an (R', n, p) stack of live restarts, ``live[q]`` of them problem q's and
     still in stack order, to their values and Euclidean gradients (df = Re
-    tr(G^H dX)); ``values`` and ``egrad`` are its output at ``x``.  The first
-    line is steepest descent with a step of norm ``FIRST_ANGLE``.  A trial
-    that fails the Armijo test shrinks its step by a safeguarded quadratic
-    fit.  One that passes becomes the next iterate and stores the pair s =
-    step eta, y = g_new - g_old, unless s.y <= 0 (a pair that would make the
+    tr(G^H dX)); ``values`` and ``egrad`` are its output at ``x``.  A square
+    stack (n = p) runs in the Cayley chart of U(n), which leaves out the row
+    phases, so there the objective must not change under X -> Phi X, Phi
+    diagonal unitary, as no function of a projective measurement does; any
+    other stack runs in the embedded chart (module docstring).  Vectors,
+    norms and slopes are read in the chart's coordinates.  The first line is
+    steepest descent with a step of norm ``FIRST_ANGLE``.  A trial that
+    fails the Armijo test shrinks its step by a safeguarded quadratic fit.
+    One that passes becomes the next iterate and stores the pair s = step
+    eta, y = g_new - g_old, unless s.y <= 0 (a pair that would make the
     inverse Hessian indefinite).  The next direction is the model's -H g,
-    projected, with a first trial step of 1; with no stored pair, or when it
-    does not descend, steepest descent with a first step of ``GROW`` times
-    the last.  Every first step is capped at norm ``MAX_STEP``.  A restart
-    stops when its Riemannian gradient norm reaches ``GRAD_TOL``, when its
-    next trial predicts a decrease below ``DECREASE_TOL`` (relative to max(1,
-    |f|)), or after ``max_iter`` iterates.
+    projected in the embedded chart, with a first trial step of 1; with no
+    stored pair, or when it does not descend, steepest descent with a first
+    step of ``GROW`` times the last.  Every first step is capped at norm
+    ``MAX_STEP``.  A restart stops when its Riemannian gradient norm reaches
+    ``GRAD_TOL``, when its next trial predicts a decrease below
+    ``DECREASE_TOL`` (relative to max(1, |f|)), or after ``max_iter``
+    iterates.
 
     The agreement cut ends a problem early.  After a round in which a
     restart of problem q stopped on ``GRADIENT`` or ``NO_DECREASE``, let K =
@@ -351,18 +450,19 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     out_f, out_iterations, out_evaluations, reasons = ([v] * n_restarts for v in (0.0, 0, 0, ""))
 
     # Per live restart (``ids`` maps them to the stack), in arrays: the
-    # iterate x, the direction eta and, in ``model``, the curvature pairs as
-    # real views of the flattened complex arrays, so that <A, B> is a real
-    # dot product.  In lists: its value f, the slope along eta, the next
-    # trial step, the iterations, and the index of the stop reason in
-    # _REASONS (0 while it runs).
+    # iterate x, the direction eta in the chart's form and, in ``model``,
+    # the curvature pairs as the chart's real coordinates (``flat``), so
+    # that <A, B> is a real dot product.  In lists: its value f, the slope
+    # along eta, the next trial step, the iterations, and the index of the
+    # stop reason in _REASONS (0 while it runs).
     ids = list(range(n_restarts))
     x = out_x.copy()
-    grad = tangent(x, np.asarray(egrad))
-    gnorm2 = np.einsum("rij,rij->r", grad.conj(), grad).real
+    n, p = x.shape[1:]
+    chart = _Cayley(n) if n == p else _Embedded
+    grad = chart.gradient(x, np.asarray(egrad))
+    gnorm2 = chart.norms2(grad)
     eta = -grad
-    flat = grad.reshape(n_restarts, -1).view(float)
-    model = (_Dense if flat.shape[1] <= DENSE_MAX else _LimitedMemory)(flat)
+    model = (_Dense if coordinates(n, p) <= DENSE_MAX else _LimitedMemory)(chart.flat(grad))
     f = np.array(values, dtype=float).tolist()
     slope = (-gnorm2).tolist()
     step = (FIRST_ANGLE / np.sqrt(np.where(gnorm2 > 0.0, gnorm2, 1.0))).tolist()
@@ -384,8 +484,7 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
             x, eta, done = x[keep], eta[keep], [0] * len(keep)
             model.keep(keep)
             ids, f, slope, step, iterations = ([v[k] for k in keep] for v in (ids, f, slope, step, iterations))
-        moves = np.array(step)[:, None, None] * eta
-        trial = retract(x, moves)
+        trial, s_new = chart.move(x, step, eta)
         f_trial, g_trial = objective(trial, tuple(live))
         f_trial, evaluations = f_trial.tolist(), evaluations + 1
         accepted = []
@@ -406,8 +505,7 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
         # directions, and steepest descent where a direction does not descend.
         every = len(accepted) == len(ids)
         at = trial if every else trial[accepted]
-        g = tangent(at, g_trial if every else g_trial[accepted]).reshape(len(accepted), -1).view(float)
-        s_new = moves.reshape(len(ids), -1).view(float)
+        g = chart.flat(chart.gradient(at, g_trial if every else g_trial[accepted]))
         d, slopes_new, gg = model.directions(accepted, g, s_new if every else s_new[accepted])
         steps_new = []
         for row, k in enumerate(accepted):
@@ -417,8 +515,7 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
                 # No stored pair (a NaN or zero slope) or no descent: steepest descent.
                 d[row], slopes_new[row] = -g[row], -gg[row]
                 steps_new.append(GROW * step[k])
-        eta_new = tangent(at, d.view(complex).reshape(at.shape))
-        flat = eta_new.reshape(len(accepted), -1).view(float)
+        eta_new, flat = chart.direction(at, d)
         norms2 = np.einsum("ri,ri->r", flat, flat).tolist()
         for k, g2, slope_new, s, d2 in zip(accepted, gg, slopes_new, steps_new, norms2):
             if s * s * d2 > MAX_STEP**2:
@@ -510,15 +607,17 @@ def solve(problems) -> list[Descent]:
     Every certificate passes here, and every search but that of a caller's
     own objective (``minimize_over_measurements``).  The problems left run in
     one ``search`` per key: rows shape, d_A, dephasing and offset, ``cfg``,
-    and whether D = 2 m n is at most ``DENSE_MAX``, so each keeps the
-    curvature model of its search alone; above it only one shape groups, so
-    no limited-memory search is padded.
+    and whether the ``coordinates`` of its m x n start are at most
+    ``DENSE_MAX``, so each keeps the curvature model of its search alone (a
+    U(d) problem padded beside a taller one runs in the embedded chart);
+    above it only one shape groups, so no limited-memory search is padded.
     """
     runs = [None if p.candidate is None else certify(objective_of([p]), p.candidate, p.bound) for p in problems]
     groups: dict = {}
     for i, p in enumerate(problems):
         if runs[i] is None:
-            key = (p.rows.shape, p.da, p.dephasing, p.offset, p.cfg, 2 * p.first.size <= DENSE_MAX or p.first.shape)
+            dense = coordinates(*p.first.shape) <= DENSE_MAX
+            key = (p.rows.shape, p.da, p.dephasing, p.offset, p.cfg, dense or p.first.shape)
             groups.setdefault(key, []).append(i)
     for group in groups.values():
         stack = [problems[i] for i in group]

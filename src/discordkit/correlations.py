@@ -124,12 +124,14 @@ def minimize_over_measurements(
 
     ``objective`` is batched: it maps an (R, d, d) stack of bases U (columns
     are the measurement vectors) and the sizes of its blocks, here (R,), to R
-    values and R Euclidean gradients G_U (df = Re tr(G^H dU)).  The search
-    runs on V = U^H, as every measurement search does, from the canonical
-    basis and the random starts of ``_descent.restart_stack``; ``subsystem``
-    labels the reported basis.  Deterministic given ``cfg.seed``; restart ties
-    break toward the lowest restart index.  Non-convergence is flagged, never
-    raised.
+    values and R Euclidean gradients G_U (df = Re tr(G^H dU)).  It must not
+    change when a column of U takes a phase, as no function of the
+    measurement does: the search on U(d) steps in a chart that leaves those
+    phases out (``_descent.descend``).  The search runs on V = U^H, as every
+    measurement search does, from the canonical basis and the random starts
+    of ``_descent.restart_stack``; ``subsystem`` labels the reported basis.
+    Deterministic given ``cfg.seed``; restart ties break toward the lowest
+    restart index.  Non-convergence is flagged, never raised.
     """
     cfg = cfg or DEFAULT_CONFIG
 

@@ -185,9 +185,10 @@ class _StateAnalysis:
 
     def source(self, name: str) -> QState:
         """The state ``name``; ``"abc"`` and its reductions exist where ``_pure_abc`` holds."""
-        if name == "abc":
-            return self._memoized(name, lambda: purify(self.state).to_density())
-        return self._memoized(name, lambda: partial_trace(self.source("abc"), _PAIRS[name]))
+        if name not in self._memo:  # a memo hit, the common read, builds nothing
+            self._memo[name] = (purify(self.state).to_density() if name == "abc"
+                                else partial_trace(self.source("abc"), _PAIRS[name]))
+        return self._memo[name]
 
     def entropy(self, name: str, keep: tuple | None = None) -> float:
         """S of ``source(name)``, or of its reduction to ``keep``, from the source's one ``_entropies`` reader."""

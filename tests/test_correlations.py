@@ -48,6 +48,7 @@ from discordkit._descent import (
     SHRINK,
     Descent,
     certify,
+    coordinates,
     descend,
     objective_of,
     random_isometries,
@@ -560,6 +561,68 @@ def test_retract_is_the_householder_q_factor(shape):
         np.testing.assert_allclose(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(shape[-1]), 0.0, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("dephasing", [False, True], ids=["conditional", "dephasing"])
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_cayley_chart_slope_is_the_derivative_along_its_step(d, dephasing):
+    # On U(d) a tangent vector at V is Omega V, Omega skew-Hermitian with a
+    # zero diagonal, in d^2 - d coordinates u with |u| = |Omega|_F.  The
+    # chart reads its gradient g with no projection, so <g, u> must be the
+    # derivative of the measurement objective along the Cayley step V(t) =
+    # Cay(t Omega) V, and |V(t) - V| / t must tend to |u|.
+    objective, _d = measurement_objective(random_mixed((d, 2), 2 * d, 5), 0, dephasing)
+    chart, g = _descent._Cayley(d), np.random.default_rng(d)
+    v = haar_unitary(g, d)[None]
+    u = g.normal(size=(1, d * d - d))
+    slope = chart.gradient(v, objective(v, (1,))[1])[0] @ u[0]
+    h = 1e-5
+    ahead, behind = (chart.move(v, [t], u)[0] for t in (h, -h))
+    central = (objective(ahead, (1,))[0][0] - objective(behind, (1,))[0][0]) / (2.0 * h)
+    assert abs(central - slope) <= 1e-8 * max(1.0, abs(slope))
+    assert np.linalg.norm(ahead - v) / h == pytest.approx(np.linalg.norm(u), rel=1e-4)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_cayley_steps_keep_every_restart_unitary(d):
+    # Cayley steps never re-orthonormalize: each is unitary to rounding, so
+    # the drift must stay at rounding, over a whole search and over 1000
+    # further steps of norm up to MAX_STEP from where its restarts stopped.
+    cfg = OptimizerConfig(seed=3, max_iter=3000)
+    problem = replace(_measurement_problem(random_mixed((d, 2), 2 * d, 7), 0, cfg, False), candidate=None)
+    [run] = solve([problem])
+    chart, g, x = _descent._Cayley(d), np.random.default_rng(d), run.x
+
+    def drift(v):
+        return np.abs(np.swapaxes(v.conj(), 1, 2) @ v - np.eye(d)).max()
+
+    assert drift(x) <= 1e-13
+    for _ in range(1000):
+        u = g.normal(size=(len(x), d * d - d))
+        u *= g.uniform(0.0, MAX_STEP, size=(len(x), 1)) / np.linalg.norm(u, axis=1, keepdims=True)
+        x = chart.move(x, [1.0] * len(x), u)[0]
+    assert drift(x) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 8])
+def test_descend_reaches_the_brockett_minimum_on_u_d(d):
+    # f(V) = tr(C V A V^H), C = diag(c): a weighted sum of <v_k|A|v_k> over
+    # the rows of V, so row phases leave it unchanged, as the chart on U(d)
+    # assumes.  The diagonal of V A V^H is majorized by A's spectrum, so
+    # the minimum pairs the ascending c with the descending eigenvalues.
+    g = np.random.default_rng(100 + d)
+    h = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+    a, c = (h + h.conj().T) / 2.0, np.arange(1.0, d + 1.0)
+
+    def objective(v, _sizes=None):
+        return np.einsum("k,rki,ij,rkj->r", c, v, a, v.conj()).real, 2.0 * c[:, None] * (v @ a)
+
+    starts = np.stack([haar_unitary(g, d) for _ in range(4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run = descend(objective, starts, *objective(starts), 1000, (1,) * 4)  # each its own problem: never cut
+    assert CAP not in run.reasons
+    np.testing.assert_allclose(run.values, c @ np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-11)
+
+
 def _run(values, reasons):
     n = len(values)
     return Descent(np.zeros((n, 1, 1)), np.array(values, dtype=float), (1,) * n, (2,) * n, tuple(reasons))
@@ -620,7 +683,7 @@ def test_certify_is_a_one_restart_run_only_at_the_bound():
     "dims, rank, measured, dephasing, max_iter, model",
     _on_both_models(
         [((2, 2), 4, 0, False, 2000), ((2, 3), 6, 1, False, 2000), ((4, 2), 8, 0, True, 2000),
-         ((2, 2), 4, 0, False, 7)],
+         ((2, 2), 4, 0, False, {"dense": 6, "lbfgs": 7})],
         ["2x2-rank4", "2x3-rank6-B", "4x2-rank8-dephasing", "2x2-rank4-capped"],
     ),
 )
@@ -628,11 +691,12 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     # Each restart of the measurement search, replayed alone in V = U^H
     # from the start the search scored, follows the same path bit for bit:
     # to its own stop, or, when the agreement cut ended it, to the iteration
-    # it was cut at.  Every case is cut.  At 7 iterations 3 (dense) or 10
-    # (L-BFGS) of the 16 restarts stop at the cap and the rest stop before
-    # it, so some rounds hold restarts that reach the cap beside others that
-    # backtrack or take a step.
+    # it was cut at.  Every case is cut.  At 6 iterations (dense) 11 of the
+    # 16 restarts stop at the cap, and at 7 (L-BFGS) 4 do; the rest stop
+    # before it, so some rounds hold restarts that reach the cap beside
+    # others that backtrack or take a step.
     _use_model(monkeypatch, model)
+    max_iter = max_iter[model] if isinstance(max_iter, dict) else max_iter
     state = random_mixed(dims, rank, 11)
     objective, d = measurement_objective(state, measured, dephasing)
     cfg = OptimizerConfig(seed=2, max_iter=max_iter)
@@ -660,7 +724,7 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
     assert [opt.iterations[k] for k in kept] == [alone[k].iterations[0] for k in kept]
     assert [opt.evaluations[k] for k in kept] == [alone[k].evaluations[0] for k in kept]
     assert [opt.stop_reasons[k] for k in kept] == [alone[k].reasons[0] for k in kept]
-    assert opt.stop_reasons.count(CAP) == (0 if max_iter == 2000 else 3 if model == "dense" else 10)
+    assert opt.stop_reasons.count(CAP) == (0 if max_iter == 2000 else 11 if model == "dense" else 4)
     assert AGREED in opt.stop_reasons
     assert len(set(opt.iterations)) > 1
     assert opt.restart_values == tuple(float(run.values[0]) for run in alone)
@@ -671,21 +735,22 @@ def test_lockstep_restarts_equal_restarts_run_alone(dims, rank, measured, dephas
 
 
 @pytest.mark.parametrize(
-    "dims, rank, restarts, model",
-    [((2, 2), 4, 16, "dense"), ((6, 2), 5, 4, "lbfgs")],
-    ids=["d2-dense", "d6-lbfgs"],
+    "dims, rank, restarts, seeds, model",
+    [((2, 2), 4, 16, (9, 10), "dense"), ((9, 2), 6, 4, (3, 4), "lbfgs")],
+    ids=["d2-dense", "d9-lbfgs"],
 )
-def test_stacked_searches_equal_searches_run_alone(dims, rank, restarts, model, monkeypatch):
+def test_stacked_searches_equal_searches_run_alone(dims, rank, restarts, seeds, model, monkeypatch):
     # Two problems of one key, each with its own restart 0, in one descend:
     # every restart follows the path it takes alone, bit for bit.  The
     # problems stop in different rounds, so one block runs on after the
-    # other has emptied.
+    # other has emptied.  U(9) has 72 coordinates, the least d above
+    # DENSE_MAX.
     d = dims[0]
-    assert (2 * d * d <= DENSE_MAX) == (model == "dense")
+    assert (coordinates(d, d) <= DENSE_MAX) == (model == "dense")
     cfg = OptimizerConfig(seed=2, restarts=restarts)
     firsts = (np.eye(d, dtype=complex), random_isometries([stream(9, 0)], d, d)[0])
     problems = [replace(_measurement_problem(random_mixed(dims, rank, seed), 0, cfg, False), first=first)
-                for seed, first in zip((3, 4), firsts)]
+                for seed, first in zip(seeds, firsts)]
     sizes, objective_of = [], _descent.objective_of
 
     def recording(stack):
@@ -782,16 +847,17 @@ def test_minimum_with_roof_runs_apart_where_the_problems_do_not_share_a_key(monk
     # No descend holds both problems, and each result equals its computation
     # alone exactly: without a config (the two defaults differ), where the
     # Koashi-Winter certificate applies, where rank(BC) differs from d_A,
-    # where the rows match but the roof's D exceeds DENSE_MAX and the
-    # measurement's does not (d_A = 4), and where both exceed it (d_A = 6),
-    # so that the measurement would be padded in a limited-memory search.
+    # where the rows match but the roof's coordinates exceed DENSE_MAX and
+    # the measurement's do not (d_A = 4, 6), and where both exceed it
+    # (d_A = 9), so that the measurement would be padded in a limited-memory
+    # search.
     cfg, short = OptimizerConfig(seed=1), OptimizerConfig(seed=1, restarts=2, max_iter=30)
     unentangled_a = QState((2, 3), np.kron(np.diag([1.0, 0.0]), np.eye(3) / 3.0))
-    four, six = random_mixed((4, 2), 3, 1, 0), random_mixed((6, 2), 4, 1, 0)
-    for state, dense in ((four, (True, False)), (six, (False, False))):
+    four, six, nine = random_mixed((4, 2), 3, 1, 0), random_mixed((6, 2), 4, 1, 0), random_mixed((9, 2), 5, 1, 0)
+    for state, dense in ((four, (True, False)), (six, (True, False)), (nine, (False, False))):
         minimum, roof = _measurement_problem(state, 0, cfg, False), _roof(_bc_of(state), None, cfg)[0]
         assert (roof.rows.shape, roof.da) == (minimum.rows.shape, minimum.da)
-        assert tuple(2 * p.first.size <= DENSE_MAX for p in (minimum, roof)) == dense
+        assert tuple(coordinates(*p.first.shape) <= DENSE_MAX for p in (minimum, roof)) == dense
     descends = record_descends(monkeypatch)
     for state, config in (
         (random_mixed((2, 2), 3, 1, 0), None),
@@ -799,6 +865,7 @@ def test_minimum_with_roof_runs_apart_where_the_problems_do_not_share_a_key(monk
         (unentangled_a, cfg),
         (four, cfg),
         (six, short),
+        (nine, short),
     ):
         descends.clear()
         opt, roof = _minimum_with_roof(state, _bc_of(state), config)
