@@ -5,19 +5,10 @@ a point of the Stiefel manifold, with U(n) as the square case.  Each
 restart takes quasi-Newton steps from its (s, y) pairs (Huang, Gallivan &
 Absil, SIAM J. Optim. 25(3), 2015; Nocedal & Wright, Numerical
 Optimization, 2006, ch. 6-7) with Armijo backtracking, in a chart and on a
-curvature model both chosen once per stack, the model from the chart's
-coordinate count (``coordinates``, ``DENSE_MAX``):
-
-- a non-square stack (the convex roof, or a measurement padded beside it)
-  takes the embedded chart (``_Embedded``): the D = 2 n p reals of X under
-  <A, B> = Re tr(A^H B), the gradient and every direction projected onto
-  the tangent space, and the QR retraction (Edelman, Arias & Smith, SIAM
-  J. Matrix Anal. Appl. 20(2), 1998);
-- a square stack (a measurement on U(d)) takes the left-trivialized chart
-  (``_Cayley``): the d^2 - d reals of a skew-Hermitian Omega with a zero
-  diagonal, Cayley steps and no projection.  It leaves out the row phases
-  V -> Phi V, so the objective of a square stack must not depend on them,
-  as no function of a projective measurement does.
+curvature model both chosen once per stack.  The start's shape picks the
+chart: a square stack is a measurement on U(d) and steps in ``_Cayley``,
+any other in ``_Embedded`` (the square-start rule, ``descend``).  The
+chart's coordinate count picks the model (``coordinates``, ``DENSE_MAX``).
 
 All restarts advance in lockstep, one objective call a round for every
 live restart's pending trial.  Only the stacks are arrays: with a few live
@@ -133,47 +124,49 @@ def coordinates(n: int, p: int) -> int:
 
 
 class _Embedded:
-    """The embedded chart of the Stiefel manifold: a tangent vector is an n x p array.
+    """The embedded chart of the Stiefel manifold: a tangent vector is the 2 n p reals of an n x p array.
 
-    A gradient is the ``tangent`` projection of the Euclidean one, a
-    direction is projected onto the new tangent space, and a step is the QR
-    ``retract``; the curvature model reads the 2 n p reals of the arrays.
-    Both charts give ``descend`` the same maps: ``gradient`` and
-    ``direction`` a tangent vector in the chart's form, ``flat`` its real
-    coordinates, ``norms2`` their squared norms, and ``move`` the trial
-    points of a step with the step's coordinates s.
+    Under <A, B> = Re tr(A^H B), a gradient is the ``tangent`` projection of
+    the Euclidean one, a direction is projected onto the new tangent space,
+    and a step is the QR ``retract`` (Edelman, Arias & Smith, SIAM J. Matrix
+    Anal. Appl. 20(2), 1998).  Both charts give ``descend`` the same maps,
+    all on (R, D) real coordinates, D = ``coordinates(n, p)``: ``gradient``
+    and ``direction`` a tangent vector, ``norms2`` its squared norm, and
+    ``move`` the trial points of a step with the step's coordinates s.
     """
 
     @staticmethod
     def gradient(x: np.ndarray, egrad: np.ndarray) -> np.ndarray:
-        return tangent(x, egrad)
-
-    @staticmethod
-    def flat(a: np.ndarray) -> np.ndarray:
-        return a.reshape(len(a), -1).view(float)
+        return tangent(x, egrad).reshape(len(x), -1).view(float)
 
     @staticmethod
     def norms2(a: np.ndarray) -> np.ndarray:
-        return np.einsum("rij,rij->r", a.conj(), a).real
+        """Squared norms, summed over whole complex entries.
+
+        A flat real sum differs from it in the last bit on most stacks, and
+        moves seeded (2, 3) rank-4 L-BFGS roofs by up to 2.4e-13, with other
+        iteration counts.
+        """
+        c = a.view(complex)
+        return np.einsum("ri,ri->r", c.conj(), c).real
 
     @staticmethod
     def move(x: np.ndarray, step: list, eta: np.ndarray):
-        moves = np.array(step)[:, None, None] * eta
-        return retract(x, moves), moves.reshape(len(x), -1).view(float)
+        moves = np.array(step)[:, None] * eta
+        return retract(x, moves.view(complex).reshape(x.shape)), moves
 
     @staticmethod
-    def direction(at: np.ndarray, d: np.ndarray):
-        eta = tangent(at, d.view(complex).reshape(at.shape))
-        return eta, eta.reshape(len(at), -1).view(float)
+    def direction(at: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return _Embedded.gradient(at, d.view(complex).reshape(at.shape))
 
 
 class _Cayley:
     """The left-trivialized chart of U(n): a tangent vector at V is Omega V, Omega skew-Hermitian.
 
     Its coordinates are the n^2 - n reals of sqrt(2) times Omega's strict
-    upper triangle, so that |u| = |Omega|_F.  Omega's diagonal moves the row
-    phases V -> Phi V, which every function of a projective measurement
-    ignores, so the chart leaves it out.  The gradient is read off as
+    upper triangle, so that |u| = |Omega|_F.  Omega's diagonal, which only
+    moves the row phases, is left out (the square-start rule, ``descend``).
+    The gradient is read off as
     (G V^H - V G^H) / sqrt(2) above the diagonal, with no projection; a step
     is the Cayley transform V' = (I - Omega/2)^-1 (I + Omega/2) V = 2 (I -
     Omega/2)^-1 V - V, one batched solve (Wen & Yin, Math. Program. 142,
@@ -192,10 +185,6 @@ class _Cayley:
         return ((a.take(self.upper, axis=1) - a.take(self.mirror, axis=1).conj()) * math.sqrt(0.5)).view(float)
 
     @staticmethod
-    def flat(a: np.ndarray) -> np.ndarray:
-        return a
-
-    @staticmethod
     def norms2(a: np.ndarray) -> np.ndarray:
         return np.einsum("ri,ri->r", a, a)
 
@@ -208,8 +197,8 @@ class _Cayley:
         return 2.0 * np.linalg.solve(a.reshape(x.shape), x) - x, moves
 
     @staticmethod
-    def direction(_at: np.ndarray, d: np.ndarray):
-        return d, d
+    def direction(_at: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return d
 
 
 def random_isometries(gens, n: int, p: int) -> np.ndarray:
@@ -237,16 +226,15 @@ def seeded_isometries(n: int, p: int, seed: int, first: int, count: int) -> np.n
     return draws
 
 
-def restart_stack(first: np.ndarray, cfg: OptimizerConfig, basis: bool = False) -> np.ndarray:
+def restart_stack(first: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     """A search's starts: restart 0 ``first``, an m x n isometry, then restart k from stream k of ``cfg.seed``.
 
     Every search of one shape and configuration shares its random starts
-    (``seeded_isometries``).  A ``basis`` search runs on V = U^H, so its
-    random starts are the conjugate transposes of the draws Q: restart k
-    measures in the basis Q.
+    (``seeded_isometries``).  A square ``first`` takes the conjugate
+    transposes of the draws (the square-start rule, ``descend``).
     """
     later = seeded_isometries(*first.shape, cfg.seed, 1, cfg.restarts - 1)
-    return np.concatenate([first[None], _herm(later) if basis else later])
+    return np.concatenate([first[None], _herm(later) if first.shape[0] == first.shape[1] else later])
 
 
 def _stall(step: float, slope: float, f: float) -> int:
@@ -412,24 +400,30 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     order (one problem when ``sizes`` is None).  ``objective(x', live)`` maps
     an (R', n, p) stack of live restarts, ``live[q]`` of them problem q's and
     still in stack order, to their values and Euclidean gradients (df = Re
-    tr(G^H dX)); ``values`` and ``egrad`` are its output at ``x``.  A square
-    stack (n = p) runs in the Cayley chart of U(n), which leaves out the row
-    phases, so there the objective must not change under X -> Phi X, Phi
-    diagonal unitary, as no function of a projective measurement does; any
-    other stack runs in the embedded chart (module docstring).  Vectors,
-    norms and slopes are read in the chart's coordinates.  The first line is
-    steepest descent with a step of norm ``FIRST_ANGLE``.  A trial that
-    fails the Armijo test shrinks its step by a safeguarded quadratic fit.
-    One that passes becomes the next iterate and stores the pair s = step
-    eta, y = g_new - g_old, unless s.y <= 0 (a pair that would make the
-    inverse Hessian indefinite).  The next direction is the model's -H g,
-    projected in the embedded chart, with a first trial step of 1; with no
-    stored pair, or when it does not descend, steepest descent with a first
-    step of ``GROW`` times the last.  Every first step is capped at norm
-    ``MAX_STEP``.  A restart stops when its Riemannian gradient norm reaches
-    ``GRAD_TOL``, when its next trial predicts a decrease below
-    ``DECREASE_TOL`` (relative to max(1, |f|)), or after ``max_iter``
-    iterates.
+    tr(G^H dX)); ``values`` and ``egrad`` are its output at ``x``.
+
+    The square-start rule: a square stack (n = p) is a measurement on V =
+    U^H, U its basis.  It steps in the Cayley chart (``_Cayley``), which
+    leaves out the row phases, so its objective must not change under V ->
+    Phi V, Phi diagonal unitary, as no function of a projective measurement
+    does; and its random starts are the conjugate transposes of the draws
+    (``restart_stack``), so that restart k measures in the drawn basis.  The
+    one square stack that is no measurement, the 1 x 1 roof of a pure state,
+    loses nothing: a phase changes none of its values.  Any other stack
+    steps in the embedded chart (``_Embedded``).  Vectors, norms and slopes
+    are read in the chart's real coordinates, whose count sizes the
+    curvature model.  The first line is steepest descent with a step of norm
+    ``FIRST_ANGLE``.  A trial that fails the Armijo test shrinks its step by
+    a safeguarded quadratic fit.  One that passes becomes the next iterate
+    and stores the pair s = step eta, y = g_new - g_old, unless s.y <= 0 (a
+    pair that would make the inverse Hessian indefinite).  The next
+    direction is the model's -H g, projected in the embedded chart, with a
+    first trial step of 1; with no stored pair, or when it does not descend,
+    steepest descent with a first step of ``GROW`` times the last.  Every
+    first step is capped at norm ``MAX_STEP``.  A restart stops when its
+    Riemannian gradient norm reaches ``GRAD_TOL``, when its next trial
+    predicts a decrease below ``DECREASE_TOL`` (relative to max(1, |f|)), or
+    after ``max_iter`` iterates.
 
     The agreement cut ends a problem early.  After a round in which a
     restart of problem q stopped on ``GRADIENT`` or ``NO_DECREASE``, let K =
@@ -450,11 +444,11 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     out_f, out_iterations, out_evaluations, reasons = ([v] * n_restarts for v in (0.0, 0, 0, ""))
 
     # Per live restart (``ids`` maps them to the stack), in arrays: the
-    # iterate x, the direction eta in the chart's form and, in ``model``,
-    # the curvature pairs as the chart's real coordinates (``flat``), so
-    # that <A, B> is a real dot product.  In lists: its value f, the slope
-    # along eta, the next trial step, the iterations, and the index of the
-    # stop reason in _REASONS (0 while it runs).
+    # iterate x and, in the chart's real coordinates, the direction eta and
+    # the curvature pairs of ``model``, so that <A, B> is a real dot
+    # product.  In lists: its value f, the slope along eta, the next trial
+    # step, the iterations, and the index of the stop reason in _REASONS (0
+    # while it runs).
     ids = list(range(n_restarts))
     x = out_x.copy()
     n, p = x.shape[1:]
@@ -462,7 +456,7 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     grad = chart.gradient(x, np.asarray(egrad))
     gnorm2 = chart.norms2(grad)
     eta = -grad
-    model = (_Dense if coordinates(n, p) <= DENSE_MAX else _LimitedMemory)(chart.flat(grad))
+    model = (_Dense if grad.shape[1] <= DENSE_MAX else _LimitedMemory)(grad)
     f = np.array(values, dtype=float).tolist()
     slope = (-gnorm2).tolist()
     step = (FIRST_ANGLE / np.sqrt(np.where(gnorm2 > 0.0, gnorm2, 1.0))).tolist()
@@ -505,7 +499,7 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
         # directions, and steepest descent where a direction does not descend.
         every = len(accepted) == len(ids)
         at = trial if every else trial[accepted]
-        g = chart.flat(chart.gradient(at, g_trial if every else g_trial[accepted]))
+        g = chart.gradient(at, g_trial if every else g_trial[accepted])
         d, slopes_new, gg = model.directions(accepted, g, s_new if every else s_new[accepted])
         steps_new = []
         for row, k in enumerate(accepted):
@@ -515,8 +509,8 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
                 # No stored pair (a NaN or zero slope) or no descent: steepest descent.
                 d[row], slopes_new[row] = -g[row], -gg[row]
                 steps_new.append(GROW * step[k])
-        eta_new, flat = chart.direction(at, d)
-        norms2 = np.einsum("ri,ri->r", flat, flat).tolist()
+        eta_new = chart.direction(at, d)
+        norms2 = np.einsum("ri,ri->r", eta_new, eta_new).tolist()
         for k, g2, slope_new, s, d2 in zip(accepted, gg, slopes_new, steps_new, norms2):
             if s * s * d2 > MAX_STEP**2:
                 s = MAX_STEP / math.sqrt(d2)
@@ -570,9 +564,9 @@ class Problem:
     ``candidate``, when given, is an isometry of ``first``'s shape scored
     against ``bound``, a proved lower bound (``certify``).  With ``dephasing``
     the value is the entropy of the union of the member spectra, less
-    ``offset``.  A ``basis`` problem is a measurement on V = U^H, U the basis
-    (``correlations._measurement_problem``); the convex roof is a problem of
-    its isometries (``entanglement._roof``).
+    ``offset``.  A square ``first`` makes a measurement on V = U^H (the
+    square-start rule, ``descend``; ``correlations._measurement_problem``);
+    the convex roof is a problem of its isometries (``entanglement._roof``).
     """
 
     rows: np.ndarray
@@ -583,7 +577,6 @@ class Problem:
     bound: float = 0.0
     dephasing: bool = False
     offset: float = 0.0
-    basis: bool = False
 
 
 def objective_of(problems) -> Callable:
@@ -608,9 +601,11 @@ def solve(problems) -> list[Descent]:
     own objective (``minimize_over_measurements``).  The problems left run in
     one ``search`` per key: rows shape, d_A, dephasing and offset, ``cfg``,
     and whether the ``coordinates`` of its m x n start are at most
-    ``DENSE_MAX``, so each keeps the curvature model of its search alone (a
-    U(d) problem padded beside a taller one runs in the embedded chart);
+    ``DENSE_MAX``, so each keeps the curvature model of its search alone;
     above it only one shape groups, so no limited-memory search is padded.
+    A U(d) problem padded beside a taller one keeps its square starts
+    (``restart_stack``) but steps in the embedded chart, as its stack is not
+    square (the square-start rule, ``descend``).
     """
     runs = [None if p.candidate is None else certify(objective_of([p]), p.candidate, p.bound) for p in problems]
     groups: dict = {}
@@ -621,7 +616,7 @@ def solve(problems) -> list[Descent]:
             groups.setdefault(key, []).append(i)
     for group in groups.values():
         stack = [problems[i] for i in group]
-        starts = [restart_stack(p.first, p.cfg, p.basis) for p in stack]
+        starts = [restart_stack(p.first, p.cfg) for p in stack]
         for i, run in zip(group, search(objective_of(stack), starts, stack[0].cfg)):
             runs[i] = run
     return runs

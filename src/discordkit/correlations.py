@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._descent import CERTIFIED, Descent, Problem, restart_stack, search, solve, summary
-from .config import OptimizerConfig
+from .config import OptimizerConfig, _integer
 from .entanglement import EofResult, _eof_of_concurrence, _roof, _upper_bound, _wootters_rows
 from .measurement import ProjectiveMeasurement, _measurement_factor, dephase
 from .qstate import (
@@ -123,15 +123,15 @@ def minimize_over_measurements(
     """Minimize ``objective`` over projective bases on a d-level subsystem.
 
     ``objective`` is batched: it maps an (R, d, d) stack of bases U (columns
-    are the measurement vectors) and the sizes of its blocks, here (R,), to R
-    values and R Euclidean gradients G_U (df = Re tr(G^H dU)).  It must not
-    change when a column of U takes a phase, as no function of the
-    measurement does: the search on U(d) steps in a chart that leaves those
-    phases out (``_descent.descend``).  The search runs on V = U^H, as every
-    measurement search does, from the canonical basis and the random starts
-    of ``_descent.restart_stack``; ``subsystem`` labels the reported basis.
-    Deterministic given ``cfg.seed``; restart ties break toward the lowest
-    restart index.  Non-convergence is flagged, never raised.
+    are the measurement vectors) and the sizes of its blocks, here (R,), to
+    R values and R Euclidean gradients G_U (df = Re tr(G^H dU)).  It must
+    not change when a column of U takes a phase, as no function of the
+    measurement does.  The search runs on V = U^H from the canonical basis,
+    under the square-start rule (``_descent.descend``); ``subsystem`` labels
+    the reported basis, and a ``d`` that is not an integer >= 1 raises
+    ``ValueError``.  Deterministic given ``cfg.seed``; restart ties break
+    toward the lowest restart index.  Non-convergence is flagged, never
+    raised.
     """
     cfg = cfg or DEFAULT_CONFIG
 
@@ -139,7 +139,7 @@ def minimize_over_measurements(
         values, grad = objective(np.swapaxes(v.conj(), -1, -2), sizes)
         return values, np.swapaxes(grad.conj(), -1, -2)
 
-    [run] = search(in_v, [restart_stack(np.eye(int(d), dtype=complex), cfg, basis=True)], cfg)
+    [run] = search(in_v, [restart_stack(np.eye(_integer("d", d, 1), dtype=complex), cfg)], cfg)
     return _optimized(run, cfg.tol, subsystem)
 
 
@@ -154,12 +154,13 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
     """The ``_descent.Problem`` of the least measurement objective on subsystem k, with its certificate.
 
     The rows are a factor rho = L L^H (``_measurement_factor``), searched on
-    V = U^H, a ``basis`` problem, from V = I: outcome k's conditional block
-    is N_k N_k^H, N_k row k of V L, and the value is sum_k p_k S(rho_k), or
-    with ``dephasing`` S(dephased) - S(rho), S(rho) being the offset.  This is
-    the one list of the certificates: the first case that applies gives a
-    candidate basis U, scored as V = U^H against a proved lower bound; a side
-    whose candidate misses, or that has none, is searched.
+    V = U^H from V = I (the square-start rule, ``_descent.descend``):
+    outcome k's conditional block is N_k N_k^H, N_k row k of V L, and the
+    value is sum_k p_k S(rho_k), or with ``dephasing`` S(dephased) - S(rho),
+    S(rho) being the offset.  This is the one list of the certificates: the
+    first case that applies gives a candidate basis U, scored as V = U^H
+    against a proved lower bound; a side whose candidate misses, or that has
+    none, is searched.
 
     - with ``dephasing``, the eigenbasis of rho_X against L = max(0,
       S(rho_X) - S(rho)), S(rho) read from the factor's spectrum.  Every
@@ -202,7 +203,7 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
     elif factor.shape[1] == r:  # rank 1
         candidate = first
     return Problem(factor, r, first, cfg, candidate, bound, dephasing,
-                   _entropy_bits(lam) if dephasing else 0.0, basis=True)
+                   _entropy_bits(lam) if dephasing else 0.0)
 
 
 def _werner_coefficients(state: QState) -> tuple[float, float] | None:

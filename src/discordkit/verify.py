@@ -507,10 +507,11 @@ def check_kw_pointwise(
     involved.  Evaluates the worst residual, in one pass, over
     ``n_measurements`` seeded random unitary bases (streams
     ``_MEASUREMENT_SALT + j`` of the seed), or over a single supplied
-    measurement, which must measure A or ``ValueError`` is raised.  The
-    outcomes and conditional states are ``apply_measurement``'s
-    (``measurement._outcomes``).  An input without a pure tripartite form
-    (``_pure_abc``) skips the row, supplied measurement or not.  Without a supplied measurement, a non-integral
+    measurement, which must be projective (else ``TypeError``) and measure A
+    (else ``ValueError``).  The outcomes and conditional states are
+    ``apply_measurement``'s (``measurement._outcomes``).  An input without a
+    pure tripartite form (``_pure_abc``) skips the row, supplied measurement
+    or not.  Without a supplied measurement, a non-integral
     ``n_measurements`` or one below 1 raises ``ValueError``: a row that
     checked nothing must not pass.
     """
@@ -522,6 +523,8 @@ def check_kw_pointwise(
     if measurement is None:
         count = _integer("n_measurements", n_measurements, 1)
         bases = seeded_isometries(d_a, d_a, (a.cfg or DEFAULT_CONFIG).seed, _MEASUREMENT_SALT, count)
+    elif not isinstance(measurement, ProjectiveMeasurement):
+        raise TypeError("the pointwise identity requires a complete projective measurement")
     elif measurement.subsystem != 0:
         raise ValueError(f"the measurement must be on subsystem 0 (A), not {measurement.subsystem}")
     elif measurement.d != d_a:

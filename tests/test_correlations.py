@@ -151,16 +151,33 @@ def test_mutual_information_partition_validation():
         mutual_information(state, ((0, 1), (1, 2)))
 
 
-def test_minimize_quadratic_objective():
-    # ||U - V||^2 + 0.25 over U(2): minimum 0.25 at U = V, gradient 2 (U - V).
-    target = unitary_from_params(2, [0.4, 1.3])
+def _brockett(a: np.ndarray, c: np.ndarray):
+    """sum_k c_k <u_k|A|u_k> over the columns u_k of U, with its gradient 2 A U C: no column phase moves it."""
 
     def objective(u, _sizes):
-        return np.sum(np.abs(u - target) ** 2, axis=(-2, -1)) + 0.25, 2.0 * (u - target)
+        return np.einsum("k,rik,ij,rjk->r", c, u.conj(), a, u).real, 2.0 * (a @ u) * c
 
-    opt = minimize_over_measurements(objective, 2, OptimizerConfig(restarts=4, seed=2))
-    assert opt.value == pytest.approx(0.25, abs=1e-7)
-    np.testing.assert_allclose(opt.argbasis.basis, target, rtol=0, atol=1e-4)
+    return objective
+
+
+def test_minimize_brockett_objective():
+    # The diagonal of U^H A U is majorized by A's spectrum, so the minimum
+    # pairs the ascending c with the descending eigenvalues, each column an
+    # eigenvector of A up to its phase.
+    a = np.array([[1.0, 0.3j, 0.2], [-0.3j, 0.4, 0.5 - 0.1j], [0.2, 0.5 + 0.1j, -0.7]])
+    c = np.array([1.0, 2.0, 3.0])
+    lam, vec = np.linalg.eigh(a)
+    opt = minimize_over_measurements(_brockett(a, c), 3, OptimizerConfig(restarts=4, seed=2))
+    assert opt.value == pytest.approx(float(c @ lam[::-1]), abs=1e-9)
+    overlaps = np.abs(vec[:, ::-1].conj().T @ opt.argbasis.basis)
+    np.testing.assert_allclose(overlaps, np.eye(3), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("d", [2.5, 0, -1, "3"])
+def test_minimize_over_measurements_rejects_a_non_dimension(d):
+    # No d but an integer >= 1 names a U(d): none may be rounded to one or fail inside the search.
+    with pytest.raises(ValueError, match="d must be"):
+        minimize_over_measurements(_brockett(np.eye(2), np.ones(2)), d, OptimizerConfig(restarts=2))
 
 
 def test_minimize_constant_objective_has_zero_spread():
@@ -396,7 +413,7 @@ def test_the_agreement_cut_never_misses_the_best_restart(population):
     for state in states:
         for measured in (0, 1):
             problem = replace(_measurement_problem(state, measured, cfg, False), candidate=None)
-            x = restart_stack(problem.first, cfg, problem.basis)
+            x = restart_stack(problem.first, cfg)
             sizes = (1,) * cfg.restarts
             objective = objective_of([problem] * cfg.restarts)
             uncut = descend(objective, x, *objective(x, sizes), cfg.max_iter, sizes)
@@ -796,7 +813,7 @@ def test_paired_problems_equal_their_padded_searches_run_alone(dims, rank, monke
         # and restarts 1, 2, ... are its random unitaries.
         d, height = len(minimum.first), len(roof.first)
         x = np.zeros((cfg.restarts, height, d), dtype=complex)
-        x[:, :d] = restart_stack(minimum.first, cfg, basis=True)
+        x[:, :d] = restart_stack(minimum.first, cfg)
         objective = objective_of([minimum])
         padded = descend(objective, x, *objective(x, (cfg.restarts,)), cfg.max_iter)
         assert not padded.x[:, d:].any()
@@ -949,9 +966,9 @@ def test_min_conditional_entropy_meets_koashi_winter_oracle(restarts):
 def test_cached_restart_bases_equal_a_fresh_build(n, p):
     # The starts come from one stacked QR; each equals the Q factor of its
     # own Gaussian matrix, factored alone.  A search stacks them behind its
-    # restart 0, and a basis search (on V = U^H) their conjugate
-    # transposes, so that it measures in the bases Q.  The same cache draws
-    # check_kw_pointwise's bases, on streams _MEASUREMENT_SALT + j.
+    # restart 0, and a square start (a measurement on V = U^H) their
+    # conjugate transposes, so that it measures in the bases Q.  The same
+    # cache draws check_kw_pointwise's bases, on streams _MEASUREMENT_SALT + j.
     def gaussian(g):
         return g.normal(size=(n, p)) + 1j * g.normal(size=(n, p))
 
@@ -960,11 +977,9 @@ def test_cached_restart_bases_equal_a_fresh_build(n, p):
 
     fresh = fresh_build(range(1, 16))
     first, cfg = np.eye(n, p, dtype=complex), OptimizerConfig(seed=5, restarts=16)
-    assert restart_stack(first, cfg).tobytes() == np.concatenate([first[None], fresh]).tobytes()
-    if n == p:
-        bases = restart_stack(first, cfg, basis=True)
-        assert bases[0].tobytes() == first.tobytes()
-        assert np.array_equal(np.swapaxes(bases[1:].conj(), -1, -2), fresh)
+    starts = restart_stack(first, cfg)
+    assert starts[0].tobytes() == first.tobytes()
+    assert np.array_equal(np.swapaxes(starts[1:].conj(), -1, -2) if n == p else starts[1:], fresh)
     for start, count in ((1, 15), (verify._MEASUREMENT_SALT, 10)):
         expected = fresh_build(range(start, start + count))
         for _ in range(2):  # a first call and a repeat

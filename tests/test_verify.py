@@ -9,6 +9,7 @@ import pytest
 
 from discordkit import (
     OptimizerConfig,
+    POVM,
     ProjectiveMeasurement,
     QState,
     apply_measurement,
@@ -629,6 +630,9 @@ def test_kw_pointwise_rejects_a_measurement_off_a():
             check_kw_pointwise(abc, CFG, measurement=ProjectiveMeasurement(subsystem, np.eye(d)))
     with pytest.raises(ValueError, match="dimension"):
         check_kw_pointwise(abc, CFG, measurement=ProjectiveMeasurement(0, np.eye(3)))
+    # A POVM has no orthonormal basis for the identity to read.
+    with pytest.raises(TypeError, match="projective"):
+        check_kw_pointwise(abc, CFG, measurement=POVM(0, (np.eye(2) / 2.0, np.eye(2) / 2.0)))
     # A mixed tripartite input has no pure ABC form: the row is skipped.
     mixed_abc = tensor(random_mixed((2, 2), 2, 1), QState((2,), np.eye(2) / 2.0))
     row = check_kw_pointwise(mixed_abc, CFG)
