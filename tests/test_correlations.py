@@ -977,9 +977,8 @@ def test_cached_restart_bases_equal_a_fresh_build(n, p):
 
     fresh = fresh_build(range(1, 16))
     first, cfg = np.eye(n, p, dtype=complex), OptimizerConfig(seed=5, restarts=16)
-    starts = restart_stack(first, cfg)
-    assert starts[0].tobytes() == first.tobytes()
-    assert np.array_equal(np.swapaxes(starts[1:].conj(), -1, -2) if n == p else starts[1:], fresh)
+    draws = np.swapaxes(fresh.conj(), -1, -2) if n == p else fresh
+    assert restart_stack(first, cfg).tobytes() == np.concatenate([first[None], draws]).tobytes()
     for start, count in ((1, 15), (verify._MEASUREMENT_SALT, 10)):
         expected = fresh_build(range(start, start + count))
         for _ in range(2):  # a first call and a repeat

@@ -196,12 +196,13 @@ def test_eof_upper_meets_wootters_to_rounding(rank, seed):
 
 
 def test_eof_upper_witness_reconstructs_state():
-    state = random_mixed((2, 2), 3, 31)
-    roof = eof_upper(state)
-    witness = roof.decomposition
-    assert witness is not None
-    np.testing.assert_allclose(witness.reconstruct(), state.matrix, atol=1e-8)
-    assert witness.weights.sum() == pytest.approx(1.0, abs=1e-9)
+    # A (2, 3) rank-4 roof searches 16 x 4 isometries in the L-BFGS model.
+    assert _descent.coordinates(16, 4) > DENSE_MAX
+    for state in (random_mixed((2, 2), 3, 31), random_mixed((2, 3), 4, 1, 0), random_mixed((2, 3), 4, 1, 1)):
+        witness = eof_upper(state).decomposition
+        assert witness is not None
+        np.testing.assert_allclose(witness.reconstruct(), state.matrix, atol=1e-8)
+        assert witness.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
