@@ -407,10 +407,8 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     leaves out the row phases, so its objective must not change under V ->
     Phi V, Phi diagonal unitary, as no function of a projective measurement
     does; and its random starts are the conjugate transposes of the draws
-    (``restart_stack``), so that restart k measures in the drawn basis.  The
-    one square stack that is no measurement, the 1 x 1 roof of a pure state,
-    loses nothing: a phase changes none of its values.  Any other stack
-    steps in the embedded chart (``_Embedded``).  Vectors, norms and slopes
+    (``restart_stack``), so that restart k measures in the drawn basis.  Any
+    other stack steps in the embedded chart (``_Embedded``).  Vectors, norms and slopes
     are read in the chart's real coordinates, whose count sizes the
     curvature model.  The first line is steepest descent with a step of norm
     ``FIRST_ANGLE``.  A trial that fails the Armijo test shrinks its step by

@@ -10,11 +10,13 @@ __all__ = ["OptimizerConfig"]
 
 
 def _integer(name: str, value, least: int | None = None) -> int:
-    """``operator.index(value)``; a non-integer, or one below ``least``, raises ``ValueError`` naming ``name``."""
+    """``operator.index(value)``; a bool, a non-integer or one below ``least`` is a ``ValueError`` naming ``name``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value

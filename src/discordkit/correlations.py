@@ -28,6 +28,7 @@ from .qstate import (
     QState,
     _derived_state,
     _entropy_bits,
+    _subsystems,
     normalize_partition,
     partial_trace,
     permute_subsystems,
@@ -424,18 +425,10 @@ def re_discord(
     subsystems give ``re_discord_detailed``'s result, whose basis refers to
     the merged measured block of the state permuted measured-subsystems-first.
     """
-    if isinstance(measured, (int, np.integer)):
-        measured_t = (int(measured),)
-    else:
-        measured_t = tuple(sorted({int(i) for i in measured}))
-    n = state.n_subsystems
-    if not measured_t:
-        raise ValueError("measured must name at least one subsystem")
-    if measured_t[0] < 0 or measured_t[-1] >= n:
-        raise ValueError(f"measured indices {measured_t} out of range for {n} subsystems")
-    if len(measured_t) == 1:
-        return _measured_minima(state, measured_t, cfg, dephasing=True)[0]
-    return re_discord_detailed(state, measured_t, cfg)
+    measured = _subsystems("measured", measured, state.n_subsystems)
+    if len(measured) == 1:
+        return _measured_minima(state, measured, cfg, dephasing=True)[0]
+    return re_discord_detailed(state, measured, cfg)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,8 +24,10 @@ from .qstate import (
     _ensemble_objective,
     is_pure,
     normalize_partition,
+    partial_trace,
     purify,
     spectrum,
+    von_neumann_entropy,
 )
 
 __all__ = [
@@ -289,7 +291,8 @@ def _roof(state: QState, partition, cfg: OptimizerConfig | None) -> tuple[Proble
     ``cfg`` (``EOF_DEFAULT_CONFIG`` when None).  On dims (2, 2), either
     partition, the oracle is the exact ``eof_2qubit`` value (None elsewhere),
     and the candidate is Wootters' optimal decomposition [W; 0]
-    (``_wootters_rows`` on e0), with the oracle as its bound.
+    (``_wootters_rows`` on e0), with the oracle as its bound; elsewhere a pure
+    state's start is its one ensemble, with its S(A) as the bound.
     """
     part_a, part_b = normalize_partition(state.n_subsystems, partition)
     pure = purify(state)
@@ -297,13 +300,15 @@ def _roof(state: QState, partition, cfg: OptimizerConfig | None) -> tuple[Proble
     e0 = pure.amplitudes.reshape(-1, r).T
     rows, da = _roof_rows(e0, state.dims, part_a, part_b)
     first, cfg = _dft_isometry(r * r, r), cfg or EOF_DEFAULT_CONFIG
-    if state.dims != (2, 2):
-        return Problem(rows, da, first, cfg), e0, None
-    oracle = eof_2qubit(state).value
-    w, _c = _wootters_rows(e0)
-    candidate = np.zeros_like(first)
-    candidate[: w.shape[0]] = w
-    return Problem(rows, da, first, cfg, candidate, oracle), e0, oracle
+    candidate, bound, oracle = None, 0.0, None
+    if state.dims == (2, 2):
+        oracle = eof_2qubit(state).value
+        w, _c = _wootters_rows(e0)
+        candidate, bound = np.zeros_like(first), oracle
+        candidate[: w.shape[0]] = w
+    elif r == 1:
+        candidate, bound = first, von_neumann_entropy(partial_trace(state, part_a))
+    return Problem(rows, da, first, cfg, candidate, bound), e0, oracle
 
 
 def _upper_bound(run: Descent, e0: np.ndarray, oracle: float | None, tol: float) -> EofResult:
@@ -329,8 +334,9 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     """Convex-roof upper bound on the entanglement of formation.
 
     The roof is built once (``_roof``) and solved (``_descent.solve``): on
-    dims (2, 2), either partition, its Wootters candidate is scored first and
-    certified within ``CERTIFY_TOL`` of the exact value.  Otherwise the search
+    dims (2, 2), either partition, its Wootters candidate, and on any other
+    state of rank 1 its one ensemble, is scored first and certified within
+    ``CERTIFY_TOL`` of the exact value.  Otherwise the search
     minimizes sum_i p_i S_A(psi_i) over ensembles psi = V e0 generated from
     the canonical purification e0 by an isometry V: a point of the Stiefel
     manifold (Rothlisberger, Rehacek & Loss, PRA 80, 042301, 2009).  Every

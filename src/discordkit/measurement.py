@@ -18,7 +18,8 @@ from typing import Union
 
 import numpy as np
 
-from .qstate import QState, _derived_state, von_neumann_entropy
+from .config import _integer
+from .qstate import QState, _derived_state, _subsystems, von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -59,7 +60,7 @@ def unitary_from_params(d: int, params) -> np.ndarray:
     broadcast: ``params`` of shape (..., d^2 - d) gives unitaries of shape
     (..., d, d), and a 1-D vector gives one (d, d) unitary.
     """
-    d = int(d)
+    d = _integer("d", d, 1)
     params = np.asarray(params, dtype=float)
     n_pairs = d * (d - 1) // 2
     if params.ndim == 0 or params.shape[-1] != 2 * n_pairs:
@@ -94,7 +95,7 @@ class ProjectiveMeasurement:
         if not residual <= UNITARITY_TOL:  # a NaN residual fails too
             raise ValueError(f"basis unitarity residual {residual:.3g} exceeds {UNITARITY_TOL}")
         b.setflags(write=False)
-        object.__setattr__(self, "subsystem", int(self.subsystem))
+        object.__setattr__(self, "subsystem", _integer("subsystem", self.subsystem, 0))
         object.__setattr__(self, "basis", b)
 
     @property
@@ -127,7 +128,7 @@ class POVM:
             total += e
         if not float(np.max(np.abs(total - np.eye(d)))) <= COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "subsystem", int(self.subsystem))
+        object.__setattr__(self, "subsystem", _integer("subsystem", self.subsystem, 0))
         object.__setattr__(self, "elements", elems)
 
     @property
@@ -174,13 +175,11 @@ def _measured_axes(n: int, subsystem: int) -> tuple[tuple[int, ...], tuple[int, 
 
 def _measured_view(state: QState, subsystem: int):
     """``state`` as a (d_m, R, d_m, R) tensor, measured factor first; also d_m and the other dims in order."""
-    n = state.n_subsystems
-    if not 0 <= subsystem < n:
-        raise ValueError(f"subsystem {subsystem} out of range for {n} subsystems")
+    (subsystem,) = _subsystems("measured subsystem", subsystem, state.n_subsystems)
     dims = state.dims
-    order, axes = _measured_axes(n, subsystem)
+    order, axes = _measured_axes(state.n_subsystems, subsystem)
     rest = tuple(dims[i] for i in order[1:])
-    r = int(np.prod(rest)) if rest else 1
+    r = math.prod(rest)
     t = state.matrix.reshape(dims + dims).transpose(axes).reshape(dims[subsystem], r, dims[subsystem], r)
     return t, dims[subsystem], rest
 
@@ -274,8 +273,7 @@ def dephase(state: QState, m: ProjectiveMeasurement) -> QState:
     blocks = _conditional_blocks(t, m.basis)
     deph = np.einsum("ak,bk,krs->arbs", m.basis, m.basis.conj(), blocks, optimize=True)
     order, axes = _measured_axes(n, m.subsystem)
-    rest_dims = rest if rest else ()
-    deph = deph.reshape((dm,) + rest_dims + (dm,) + rest_dims)
+    deph = deph.reshape((dm,) + rest + (dm,) + rest)
     deph = deph.transpose(np.argsort(axes))
     side = state.dim
     out = deph.reshape(side, side)

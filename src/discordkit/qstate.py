@@ -10,7 +10,10 @@ for purification; the searches' batched entropy floors the logarithm
 instead (``_ensemble_objective``).  Values are immutable after
 construction and safe to share across concurrent workers.
 
-Validation happens at the boundary.  Every state built from outside data
+Validation happens at the boundary.  ``config._integer`` reads every
+integer argument, and ``_subsystems`` every subsystem index through it: a
+bool, a float or an index out of range raises ``ValueError`` naming the
+argument.  Every state built from outside data
 (a caller's ``QState(...)``, ``state_from_json``, ``tensor``, the state
 families) passes ``validate``'s eigensolver check.  The states that this
 package's maps compute from a valid state (``partial_trace``,
@@ -33,6 +36,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .config import _integer
 
 __all__ = [
     "EIG_CLIP",
@@ -72,11 +77,23 @@ class InvalidStateError(ValueError):
 
 
 def _as_dims(dims) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(_integer("dims", d, 1) for d in dims)
     if not out:
         raise ValueError("dims must contain at least one subsystem")
-    if any(d < 1 for d in out):
-        raise ValueError(f"subsystem dimensions must be positive, got {out}")
+    return out
+
+
+def _subsystems(name: str, indices, n: int) -> tuple[int, ...]:
+    """``indices``, one index or an iterable, as a nonempty sorted tuple of distinct indices in range(n)."""
+    try:
+        items = list(indices)
+    except TypeError:  # one index
+        items = [indices]
+    out = tuple(sorted({_integer(name, i) for i in items}))
+    if not out:
+        raise ValueError(f"{name} must name at least one subsystem")
+    if out[0] < 0 or out[-1] >= n:
+        raise ValueError(f"{name} indices {out} out of range for {n} subsystems")
     return out
 
 
@@ -390,16 +407,11 @@ def tensor(a: QState, b: QState) -> QState:
 
 
 def partial_trace(state: QState, keep: Iterable[int]) -> QState:
-    """Trace out the subsystems not in ``keep`` (nonempty, in range, else ``ValueError``); the rest keep order."""
-    kept = sorted({int(k) for k in keep})
-    n = state.n_subsystems
-    if not kept:
-        raise ValueError("keep must name at least one subsystem")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise ValueError(f"keep indices {kept} out of range for {n} subsystems")
+    """Trace out the subsystems not in ``keep`` (read by ``_subsystems``); the rest keep order."""
+    kept = _subsystems("keep", keep, state.n_subsystems)
     dims = state.dims
     t = state.matrix.reshape(dims + dims)
-    for ax in reversed([i for i in range(n) if i not in kept]):
+    for ax in reversed([i for i in range(state.n_subsystems) if i not in kept]):
         t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
     kept_dims = tuple(dims[i] for i in kept)
     side = int(np.prod(kept_dims))
@@ -408,7 +420,7 @@ def partial_trace(state: QState, keep: Iterable[int]) -> QState:
 
 def permute_subsystems(state: QState, order: Sequence[int]) -> QState:
     """Reorder subsystems so that new position ``k`` holds old ``order[k]``."""
-    order = tuple(int(o) for o in order)
+    order = tuple(_integer("order", o) for o in order)
     n = state.n_subsystems
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of range({n})")
@@ -426,8 +438,7 @@ def normalize_partition(n: int, partition) -> tuple[tuple[int, ...], tuple[int, 
         if n < 2:
             raise ValueError("a bipartition needs at least two subsystems")
         return (0,), tuple(range(1, n))
-    part_a = tuple(int(i) for i in partition[0])
-    part_b = tuple(int(i) for i in partition[1])
+    part_a, part_b = (tuple(_integer("partition", i) for i in part) for part in partition[:2])
     if sorted(part_a + part_b) != list(range(n)) or not part_a or not part_b:
         raise ValueError(
             f"partition {partition} must split all {n} subsystems into two nonempty groups"
@@ -438,18 +449,16 @@ def normalize_partition(n: int, partition) -> tuple[tuple[int, ...], tuple[int, 
 def conditional_entropy(state: QState, target: int, condition: int) -> float:
     """S(target | condition) = S(joint) - S(condition marginal), in bits.
 
-    Both indices name single subsystems of ``state``, and the joint is the
-    reduction onto the pair.  May be negative for entangled states.
+    ``target`` and ``condition`` are disjoint subsystems of ``state``, each
+    one index or a set (``_subsystems``), and the joint is the reduction onto
+    both.  May be negative for entangled states.
     """
-    target, condition = int(target), int(condition)
-    if target == condition:
+    target = _subsystems("target", target, state.n_subsystems)
+    condition = _subsystems("condition", condition, state.n_subsystems)
+    if set(target) & set(condition):
         raise ValueError("target and condition must be distinct subsystems")
-    n = state.n_subsystems
-    for idx in (target, condition):
-        if idx < 0 or idx >= n:
-            raise ValueError(f"subsystem index {idx} out of range for {n} subsystems")
-    joint = partial_trace(state, (target, condition))
-    marginal = partial_trace(state, (condition,))
+    joint = partial_trace(state, target + condition)
+    marginal = partial_trace(state, condition)
     return von_neumann_entropy(joint) - von_neumann_entropy(marginal)
 
 

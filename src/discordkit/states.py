@@ -7,12 +7,14 @@ of a family always comes from stream ``(seed, i)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .qstate import PureStateVector, QState
+from .config import _integer
+from .qstate import PureStateVector, QState, _as_dims
 
 __all__ = [
     "StateFamilySpec",
@@ -32,7 +34,7 @@ _MASK64 = (1 << 64) - 1
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Philox-backed generator for stream ``index`` of ``seed``."""
-    key = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
+    key = np.array([_integer("seed", seed) & _MASK64, _integer("index", index) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -47,9 +49,7 @@ def werner_qudit(d: int, x: float) -> QState:
     rho = (d - x)/(d^3 - d) * I + (d*x - 1)/(d^3 - d) * F, where F is the
     flip (swap) operator, so Tr(rho F) = x.  Requires d >= 2 and x in [-1, 1].
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"werner_qudit needs d >= 2, got {d}")
+    d = _integer("d", d, 2)
     x = float(x)
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"werner_qudit needs x in [-1, 1], got {x}")
@@ -106,16 +106,11 @@ def classical_quantum(probs: Sequence[float], states: Sequence[QState]) -> QStat
     return QState((k,) + qdims, m)
 
 
-def _haar_vector(g: np.random.Generator, dim: int) -> np.ndarray:
-    z = g.normal(size=dim) + 1j * g.normal(size=dim)
-    return z / np.linalg.norm(z)
-
-
 def haar_random_pure(dims, seed: int, index: int = 0) -> PureStateVector:
     """Haar-random pure state (a normalized complex Gaussian vector), deterministic per ``(seed, index)``."""
-    dims = tuple(int(d) for d in dims)
-    g = stream(seed, index)
-    return PureStateVector(dims, _haar_vector(g, int(np.prod(dims))))
+    dims, g = _as_dims(dims), stream(seed, index)
+    z = g.normal(size=math.prod(dims)) + 1j * g.normal(size=math.prod(dims))
+    return PureStateVector(dims, z / np.linalg.norm(z))
 
 
 def random_mixed(dims, rank: int, seed: int, index: int = 0) -> QState:
@@ -124,12 +119,16 @@ def random_mixed(dims, rank: int, seed: int, index: int = 0) -> QState:
     rho = G G^dag / Tr(G G^dag) with G a (prod(dims) x rank) complex
     Gaussian matrix; deterministic per ``(seed, index)``.
     """
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    rank = int(rank)
+    dims = _as_dims(dims)
+    total = math.prod(dims)
+    rank = _integer("rank", rank)
     if not 1 <= rank <= total:
         raise ValueError(f"rank must be in [1, {total}], got {rank}")
-    g = stream(seed, index)
+    return _ginibre(stream(seed, index), dims, rank)
+
+
+def _ginibre(g: np.random.Generator, dims: tuple, rank: int) -> QState:
+    total = math.prod(dims)
     gin = g.normal(size=(total, rank)) + 1j * g.normal(size=(total, rank))
     m = gin @ gin.conj().T
     return QState(dims, m / np.real(np.trace(m)))
@@ -151,7 +150,9 @@ class StateFamilySpec:
 
     ``params`` carries the family-specific parameters; random families draw
     sample ``i`` from ``stream(seed, i)``.  Deterministic families ignore the
-    sample index.
+    sample index.  Construction reads ``seed`` and the ``d``, ``k``, ``rank``
+    and ``dims`` of ``params`` (``config._integer``), checks their ranges,
+    and keeps a copy of ``params`` holding the values read.
     """
 
     family: str
@@ -161,72 +162,61 @@ class StateFamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        p = self.params
+        p = dict(self.params)
+        for key, least in (("d", None), ("k", 1), ("rank", None)):
+            if key in p:
+                p[key] = _integer(f"{self.family} {key}", p[key], least)
         if self.family == "werner_qudit":
-            if int(p.get("d", 0)) < 2:
+            if p.get("d", 0) < 2:
                 raise ValueError("werner_qudit requires d >= 2")
             if not -1.0 <= float(p.get("x", 2.0)) <= 1.0:
                 raise ValueError("werner_qudit requires x in [-1, 1]")
         if self.family in ("haar_pure", "random_mixed", "classical_quantum"):
             if not p.get("dims"):
                 raise ValueError(f"{self.family} requires a 'dims' parameter")
+            p["dims"] = _as_dims(p["dims"])
         if self.family in ("random_mixed", "classical_quantum"):
-            total = int(np.prod(tuple(p["dims"])))
-            rank = int(p.get("rank", 1 if self.family == "classical_quantum" else 0))
+            total = math.prod(p["dims"])
+            rank = p.get("rank", 1 if self.family == "classical_quantum" else 0)
             if not 1 <= rank <= total:
                 raise ValueError(f"{self.family} rank must be in [1, {total}]")
+        object.__setattr__(self, "params", p)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
 
     def sample(self, index: int = 0):
         """Generate sample ``index``; returns a QState or PureStateVector."""
         p = self.params
         if self.family == "werner_qudit":
-            return werner_qudit(int(p["d"]), float(p["x"]))
+            return werner_qudit(p["d"], float(p["x"]))
         if self.family == "werner_2qubit":
             return werner_2qubit_example4()
         if self.family == "example3":
             return example3_state()
         if self.family == "haar_pure":
-            return haar_random_pure(tuple(p["dims"]), self.seed, index)
+            return haar_random_pure(p["dims"], self.seed, index)
         if self.family == "random_mixed":
-            return random_mixed(tuple(p["dims"]), int(p["rank"]), self.seed, index)
+            return random_mixed(p["dims"], p["rank"], self.seed, index)
         # classical_quantum: random weights plus random component states.
         # With orthogonal=True the components are a common Haar-rotated
         # computational basis, making the state classical-classical.
-        qdims = tuple(int(d) for d in p["dims"])
-        k = int(p.get("k", 2))
-        rank = int(p.get("rank", 1))
+        qdims, k = p["dims"], p.get("k", 2)
         g = stream(self.seed, index)
-        if "probs" in p:
-            probs = np.asarray(p["probs"], dtype=float)
-        else:
-            probs = g.dirichlet(np.ones(k))
-        total = int(np.prod(qdims))
-        sigmas = []
-        if p.get("orthogonal"):
-            if probs.size > total:
-                raise ValueError("orthogonal components need k <= prod(dims)")
-            z = g.normal(size=(total, total)) + 1j * g.normal(size=(total, total))
-            u, _ = np.linalg.qr(z)
-            for i in range(probs.size):
-                sigmas.append(QState(qdims, np.outer(u[:, i], u[:, i].conj())))
-        else:
-            for _ in range(probs.size):
-                gin = g.normal(size=(total, rank)) + 1j * g.normal(size=(total, rank))
-                m = gin @ gin.conj().T
-                sigmas.append(QState(qdims, m / np.real(np.trace(m))))
-        return classical_quantum(probs, sigmas)
+        probs = g.dirichlet(np.ones(k))
+        if not p.get("orthogonal"):
+            return classical_quantum(probs, [_ginibre(g, qdims, p.get("rank", 1)) for _ in range(k)])
+        total = math.prod(qdims)
+        if k > total:
+            raise ValueError("orthogonal components need k <= prod(dims)")
+        u, _ = np.linalg.qr(g.normal(size=(total, total)) + 1j * g.normal(size=(total, total)))
+        return classical_quantum(probs, [QState(qdims, np.outer(u[:, i], u[:, i].conj())) for i in range(k)])
 
     def to_json(self) -> dict:
         params = {
             key: (list(val) if isinstance(val, (tuple, list, np.ndarray)) else val)
             for key, val in self.params.items()
         }
-        return {"family": self.family, "params": params, "seed": int(self.seed)}
+        return {"family": self.family, "params": params, "seed": self.seed}
 
     @staticmethod
     def from_json(obj: dict) -> "StateFamilySpec":
-        params = {
-            key: (tuple(val) if isinstance(val, list) else val)
-            for key, val in dict(obj.get("params", {})).items()
-        }
-        return StateFamilySpec(obj["family"], params, int(obj.get("seed", 0)))
+        return StateFamilySpec(obj["family"], obj.get("params", {}), obj.get("seed", 0))

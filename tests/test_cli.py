@@ -426,6 +426,17 @@ def test_compute_accepts_a_valid_edge_input(tmp_path, capsys):
     assert captured.err == "" and json.loads(captured.out) == report
 
 
+@pytest.mark.parametrize("dim", [2.5, 2.0])
+def test_compute_rejects_a_non_integral_dimension(dim, tmp_path, capsys):
+    # dims are integers: 2.5 is not read as 2, nor 2.0 as 2.
+    path = tmp_path / "state.json"
+    matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    path.write_text(json.dumps({"dims": [dim, 2], "matrix": matrix}))
+    assert main(["compute", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: bad 'dims' field: dims must be an integer, got {dim!r}\n"
+
+
 def test_hunt_flat_werner_objective_converges(tmp_path):
     out = tmp_path / "hunt.json"
     rc = main(["hunt", "--d", "3", "--x=-0.5:0.5:2", "--restarts", "4", "--seed", "3",

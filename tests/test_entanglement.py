@@ -119,10 +119,14 @@ def test_eof_2qubit_matches_eof_pure_on_pure_inputs():
 
 
 def test_eof_upper_collapses_on_pure_input():
-    rho = haar_random_pure((2, 2), 7).to_density()
-    roof = eof_upper(rho)
-    assert roof.tag == UPPER_BOUND
-    assert roof.value == pytest.approx(eof_pure(rho).value, abs=1e-9)
+    # Every ensemble of a pure state is the state itself: its one member
+    # meets the exact value, so no search runs.
+    for dims in ((2, 2), (2, 3), (3, 2), (2, 2, 2)):
+        rho = haar_random_pure(dims, 7).to_density()
+        roof = eof_upper(rho)
+        assert roof.tag == UPPER_BOUND
+        assert roof.value == pytest.approx(eof_pure(rho).value, abs=1e-9)
+        assert roof.stop_reasons == ("certified",) and roof.evaluations == (1,)
 
 
 def test_eof_upper_separable_states():

@@ -14,7 +14,9 @@ every state built from outside data goes through ``QState(...)``.  Only
 ``verify._StateAnalysis.j_and_d`` call ``correlations._j_and_d``, and the
 cli computes no entropy of its own.  ``_descent.summary`` is the one reader
 of a finished run, and only ``correlations.OptimizedValue.certified``
-compares stop reasons with ``(CERTIFIED,)``.
+compares stop reasons with ``(CERTIFIED,)``.  ``config._integer`` is the one
+reader of integer arguments (``qstate._subsystems`` reads subsystem indices
+through it): ``int()`` converts only counts, and the cli's text.
 """
 
 import ast
@@ -148,20 +150,16 @@ def test_called_name_detection():
     assert called_names(source) == {"descend", "random_starts", "g", None}
 
 
-def certified_comparisons(source: str, module: str) -> set:
-    """The functions of ``source``, as ``module.qualname``, that compare a value with ``(CERTIFIED,)``."""
+def functions_where(source: str, module: str, holds) -> set:
+    """The functions of ``source``, as ``module.qualname`` (``module`` at top level), holding a node where ``holds``."""
     found = set()
-
-    def is_certified(node) -> bool:
-        return (isinstance(node, ast.Tuple) and len(node.elts) == 1
-                and ast.unparse(node.elts[0]) in ("CERTIFIED", "'certified'", "_descent.CERTIFIED"))
 
     def visit(node, names: tuple) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, names + (child.name,))
                 continue
-            if isinstance(child, ast.Compare) and any(map(is_certified, [child.left, *child.comparators])):
+            if holds(child):
                 found.add(".".join((module,) + names))
             visit(child, names)
 
@@ -169,13 +167,60 @@ def certified_comparisons(source: str, module: str) -> set:
     return found
 
 
+def package_functions_where(holds) -> set:
+    return set().union(*(functions_where(path.read_text(encoding="utf-8"), path.stem, holds)
+                         for path in PACKAGE.glob("*.py")))
+
+
+def compares_with_certified(node) -> bool:
+    """A comparison of a value with ``(CERTIFIED,)``."""
+
+    def is_certified(node) -> bool:
+        return (isinstance(node, ast.Tuple) and len(node.elts) == 1
+                and ast.unparse(node.elts[0]) in ("CERTIFIED", "'certified'", "_descent.CERTIFIED"))
+
+    return isinstance(node, ast.Compare) and any(map(is_certified, [node.left, *node.comparators]))
+
+
 def test_one_owner_reads_a_finished_run_and_its_certificate():
     from discordkit import _descent
 
     assert not hasattr(_descent, "counts")
-    owners = set().union(*(certified_comparisons(path.read_text(encoding="utf-8"), path.stem)
-                           for path in PACKAGE.glob("*.py")))
-    assert owners == {"correlations.OptimizedValue.certified"}
+    assert package_functions_where(compares_with_certified) == {"correlations.OptimizedValue.certified"}
+
+
+def converts_a_non_count(node) -> bool:
+    """An ``int(...)`` of anything but a count: an ``np.prod``, an ``np.count_nonzero`` or a ``.sum()``."""
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "int"):
+        return False
+    arg = node.args[0] if node.args else None
+    return not (isinstance(arg, ast.Call) and (ast.unparse(arg.func) in ("np.prod", "np.count_nonzero")
+                                               or getattr(arg.func, "attr", None) == "sum"))
+
+
+def uses_operator_index(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "operator" and "index" in {alias.name for alias in node.names}
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "operator.index"
+
+
+def test_one_reader_reads_every_integer_argument():
+    # config._integer reads every integer argument, and qstate._subsystems
+    # every subsystem index through it; int() only converts counts, or
+    # parses the cli's own text.
+    assert package_functions_where(converts_a_non_count) <= {"cli._parse_dims", "cli._parse_range"}
+    assert package_functions_where(uses_operator_index) == {"config._integer"}
+
+
+def test_integer_read_detection():
+    source = (
+        "import operator\nfrom operator import index\n"
+        "def f(d, x):\n    return int(np.prod(d)) + int(x.sum()) + int(np.count_nonzero(x)) + operator.attrgetter(x)\n"
+        "def g(k):\n    return int(k)\n"
+        "class C:\n    def h(self, k):\n        return operator.index(k)\n"
+    )
+    assert functions_where(source, "m", converts_a_non_count) == {"m.g"}
+    assert functions_where(source, "m", uses_operator_index) == {"m", "m.C.h"}
 
 
 def test_certified_comparison_detection():
@@ -184,4 +229,4 @@ def test_certified_comparison_detection():
         "def f(opt):\n    return 'x' if ('certified',) != opt.stop_reasons else 'y'\n"
         "def g(opt):\n    return opt.stop_reasons == (CERTIFIED, CERTIFIED) or CERTIFIED in opt.stop_reasons\n"
     )
-    assert certified_comparisons(source, "m") == {"m.R.ok", "m.f"}
+    assert functions_where(source, "m", compares_with_certified) == {"m.R.ok", "m.f"}

@@ -6,24 +6,33 @@ import numpy as np
 import pytest
 
 from discordkit import (
+    POVM,
     InvalidStateError,
+    OptimizerConfig,
+    ProjectiveMeasurement,
     PureStateVector,
     QState,
+    StateFamilySpec,
     conditional_entropy,
+    dephase,
+    discord,
+    haar_random_pure,
     partial_trace,
     permute_subsystems,
     purify,
     purity,
+    re_discord,
     spectrum,
     state_from_json,
     state_to_json,
     tensor,
     validate,
     von_neumann_entropy,
+    werner_qudit,
 )
-from discordkit.measurement import _measurement_factor
+from discordkit.measurement import _measurement_factor, unitary_from_params
 from discordkit.qstate import _ensemble_objective, _gram_spectrum, normalize_partition
-from discordkit.states import example3_state, random_mixed, werner_2qubit_example4
+from discordkit.states import example3_state, random_mixed, stream, werner_2qubit_example4
 
 from conftest import bell_state, bell_vector, ghz_vector, haar_unitary
 
@@ -322,6 +331,70 @@ def test_normalize_partition():
             normalize_partition(3, bad)
     with pytest.raises(ValueError, match="at least two subsystems"):
         normalize_partition(1, None)
+
+
+_RHO = random_mixed((2, 2), 3, 1)
+_PURE = haar_random_pure((2, 2), 3).to_density()  # both sides certified: no search runs
+_CFG = OptimizerConfig(restarts=2)
+
+# Every entry point that reads an integer or subsystem-index argument: a call
+# with the value v, the name its error must carry, a valid value, and one out
+# of its range (None where every integer is valid).
+_INTEGER_ARGUMENTS = {
+    "QState-dims": (lambda v: QState((v, 2), np.eye(4) / 4.0), "dims", 2, 0),
+    "partial_trace-keep": (lambda v: partial_trace(_RHO, (v,)), "keep", 1, 2),
+    "permute_subsystems-order": (lambda v: permute_subsystems(_RHO, (v, 0)), "order", 1, 2),
+    "normalize_partition": (lambda v: normalize_partition(2, ((v,), (0,))), "partition", 1, 2),
+    "conditional_entropy-target": (lambda v: conditional_entropy(_RHO, v, 0), "target", 1, 2),
+    "conditional_entropy-condition": (lambda v: conditional_entropy(_RHO, 0, v), "condition", 1, 2),
+    "ProjectiveMeasurement-subsystem": (lambda v: ProjectiveMeasurement(v, np.eye(2)), "subsystem", 1, -1),
+    "POVM-subsystem": (lambda v: POVM(v, (np.eye(2) / 2.0, np.eye(2) / 2.0)), "subsystem", 1, -1),
+    "dephase-subsystem": (lambda v: dephase(_RHO, ProjectiveMeasurement(v, np.eye(2))), "subsystem", 1, 2),
+    "discord-measured": (lambda v: discord(_PURE, v, _CFG), "measured", 1, 2),
+    "unitary_from_params-d": (lambda v: unitary_from_params(v, np.full(2, 0.3)), "d", 2, 0),
+    "re_discord-measured": (lambda v: re_discord(_PURE, v, _CFG), "measured", 1, 2),
+    "re_discord-measured-set": (lambda v: re_discord(_PURE, [v, 0], _CFG), "measured", 1, 2),
+    "stream-seed": (lambda v: stream(v).random(3), "seed", 5, None),
+    "stream-index": (lambda v: stream(5, v).random(3), "index", 1, None),
+    "werner_qudit-d": (lambda v: werner_qudit(v, 0.3), "d", 3, 1),
+    "haar_random_pure-dims": (lambda v: haar_random_pure((v, 2), 1), "dims", 2, 0),
+    "haar_random_pure-seed": (lambda v: haar_random_pure((2, 2), v), "seed", 1, None),
+    "haar_random_pure-index": (lambda v: haar_random_pure((2, 2), 1, v), "index", 1, None),
+    "random_mixed-dims": (lambda v: random_mixed((v, 2), 2, 1), "dims", 2, 0),
+    "random_mixed-rank": (lambda v: random_mixed((2, 2), v, 1), "rank", 3, 5),
+    "random_mixed-seed": (lambda v: random_mixed((2, 2), 3, v), "seed", 1, None),
+    "random_mixed-index": (lambda v: random_mixed((2, 2), 3, 1, v), "index", 1, None),
+    "StateFamilySpec-d": (lambda v: StateFamilySpec("werner_qudit", {"d": v, "x": 0.3}), "d", 3, 1),
+    "StateFamilySpec-k": (lambda v: StateFamilySpec("classical_quantum", {"k": v, "dims": (2,)}), "k", 2, 0),
+    "StateFamilySpec-rank": (lambda v: StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": v}), "rank", 3, 5),
+    "StateFamilySpec-dims": (lambda v: StateFamilySpec("haar_pure", {"dims": (v, 2)}), "dims", 2, 0),
+    "StateFamilySpec-seed": (lambda v: StateFamilySpec("haar_pure", {"dims": (2, 2)}, v), "seed", 3, None),
+    "OptimizerConfig-restarts": (lambda v: OptimizerConfig(restarts=v), "restarts", 2, 0),
+}
+
+
+def _fingerprint(result):
+    """The bytes and reprs of a result, so that two results must agree bit for bit and in their int types."""
+    if isinstance(result, StateFamilySpec):
+        result = (result.to_json(), result.sample(0))
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, tuple):
+        return tuple(map(_fingerprint, result))
+    if hasattr(result, "__dict__"):
+        return {key: _fingerprint(value) for key, value in vars(result).items()}
+    return repr(result)
+
+
+@pytest.mark.parametrize("call, name, good, out_of_range", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS)
+def test_integer_arguments_are_read_by_one_reader(call, name, good, out_of_range):
+    # No float is rounded to an index and no bool counts as one; each bad
+    # value is a ValueError naming the argument, and a numpy integer reads
+    # as the int it holds.
+    for bad in (2.5, 1.7, True) + (() if out_of_range is None else (out_of_range,)):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call(bad)
+    assert _fingerprint(call(np.int64(good))) == _fingerprint(call(good))
 
 
 def _gram_cases(side: int, g: np.random.Generator) -> np.ndarray:
