@@ -203,25 +203,18 @@ def _parse_x(text: str) -> float:
 
 
 def _family_spec_from_args(args) -> StateFamilySpec:
-    family = args.family
-    if family is None:
+    if args.family is None:
         raise ValueError("either --state or --family is required")
-    if family == "werner_qudit":
-        if args.d is None or args.x is None:
-            raise ValueError("werner_qudit requires --d and --x")
-        return StateFamilySpec(family, {"d": args.d, "x": _parse_x(args.x)}, args.seed)
-    if family not in ("haar_pure", "random_mixed", "classical_quantum"):
-        return StateFamilySpec(family, {}, args.seed)
-    if args.dims is None:
-        raise ValueError(f"{family} requires --dims")
-    dims = _parse_dims(args.dims)
-    if family == "haar_pure":
-        return StateFamilySpec(family, {"dims": dims}, args.seed)
-    if family == "random_mixed":
-        rank = args.rank if args.rank is not None else int(np.prod(dims))
-        return StateFamilySpec(family, {"dims": dims, "rank": rank}, args.seed)
-    rank = args.rank if args.rank is not None else 1
-    return StateFamilySpec(family, {"k": dims[0], "dims": dims[1:] or (2,), "rank": rank}, args.seed)
+    params = {key: getattr(args, key) for key in ("d", "x", "dims", "rank") if getattr(args, key) is not None}
+    for key, parse in (("x", _parse_x), ("dims", _parse_dims)):
+        if key in params:
+            params[key] = parse(params[key])
+    if args.family == "classical_quantum" and "dims" in params:
+        k, *dims = params["dims"]
+        params = {"k": k, **params, "dims": tuple(dims) or (2,), "rank": params.get("rank", 1)}
+    if args.family == "random_mixed" and "dims" in params:
+        params.setdefault("rank", math.prod(params["dims"]))
+    return StateFamilySpec(args.family, params, args.seed)
 
 
 def _load_state(args) -> QState:
@@ -325,19 +318,6 @@ def _cmd_verify(args, cfg: OptimizerConfig) -> int:
 
 def _example_rows(name: str, cfg: OptimizerConfig):
     """One worked example: its (quantity, reference, computed) rows and its diagnostics."""
-    if name == "example3":
-        state = example3_state()
-        opt, (_j, d_a, s_a, s_b, s_ab) = _measured_run(state, 0, cfg)
-        ef_bc = eof_2qubit(partial_trace(purify(state).to_density(), (1, 2))).value
-        return [
-            ("S(A)", 2.0, s_a),
-            ("S(B)", 1.0, s_b),
-            ("S(AB)", 1.0, s_ab),
-            ("purity", 0.5, purity(state)),
-            ("E_F(BC)", 0.0, ef_bc),
-            ("D_A", 1.0, d_a),
-            ("S(A)-S(AB)-S(B)", 0.0, s_a - s_ab - s_b),
-        ], {"d_a": opt.diagnostics()}
     if name == "example4":
         report = correlation_report(werner_2qubit_example4(), cfg)
         s_ab = 0.5 * math.log2(6.0) + 0.5
@@ -348,13 +328,26 @@ def _example_rows(name: str, cfg: OptimizerConfig):
             ("J_A", 0.082, report.j_a),
         ], {"diagnostics": report.diagnostics}
     # example2: a seeded random pure state; D_A = D_B = S(B) for pure states.
-    report = correlation_report(haar_random_pure((2, 2), cfg.seed).to_density(), cfg)
+    if name == "example2":
+        report = correlation_report(haar_random_pure((2, 2), cfg.seed).to_density(), cfg)
+        return [
+            ("S(B)", report.s_b, report.s_b),
+            ("D_A", report.s_b, report.d_a),
+            ("D_B", report.s_b, report.d_b),
+            ("discord distance", 0.0, report.discord_distance),
+        ], {"diagnostics": report.diagnostics}
+    state = example3_state()
+    opt, (_j, d_a, s_a, s_b, s_ab) = _measured_run(state, 0, cfg)
+    ef_bc = eof_2qubit(partial_trace(purify(state).to_density(), (1, 2))).value
     return [
-        ("S(B)", report.s_b, report.s_b),
-        ("D_A", report.s_b, report.d_a),
-        ("D_B", report.s_b, report.d_b),
-        ("discord distance", 0.0, report.discord_distance),
-    ], {"diagnostics": report.diagnostics}
+        ("S(A)", 2.0, s_a),
+        ("S(B)", 1.0, s_b),
+        ("S(AB)", 1.0, s_ab),
+        ("purity", 0.5, purity(state)),
+        ("E_F(BC)", 0.0, ef_bc),
+        ("D_A", 1.0, d_a),
+        ("S(A)-S(AB)-S(B)", 0.0, s_a - s_ab - s_b),
+    ], {"d_a": opt.diagnostics()}
 
 
 def _cmd_example(args, cfg: OptimizerConfig) -> int:

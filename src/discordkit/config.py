@@ -22,6 +22,13 @@ def _integer(name: str, value, least: int | None = None) -> int:
     return value
 
 
+def _uint64(name: str, value) -> int:
+    """``_integer(name, value, 0)``, refused at 2^64 too: a seed or a stream index keys Philox as a 64-bit word."""
+    if (value := _integer(name, value, 0)) >= 1 << 64:
+        raise ValueError(f"{name} must be < 2**64, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Budget and seeding for measurement optimization and the convex roof.
@@ -39,8 +46,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iter", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, read in (("restarts", _integer), ("max_iter", _integer), ("seed", _uint64)):
+            object.__setattr__(self, name, read(name, getattr(self, name)))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0.0):

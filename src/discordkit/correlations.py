@@ -376,18 +376,19 @@ class ReDiscordDetail(OptimizedValue):
 
 def re_discord_detailed(
     state: QState,
-    measured: tuple[int, ...],
+    measured,
     cfg: OptimizerConfig | None = None,
     first: OptimizedValue | None = None,
 ) -> ReDiscordDetail:
     """Joint-basis and chained product-basis dephasing minimization (``ReDiscordDetail``).
 
-    ``measured`` is a sorted tuple of subsystem indices.  Works on the state
-    permuted so the measured subsystems sit in front; the reported basis
-    refers to their merged factor.  The chain's first step is
+    ``measured`` is one index or a set, read sorted (``qstate._subsystems``).
+    Works on the state permuted so the measured subsystems sit in front; the
+    reported basis refers to their merged factor.  The chain's first step is
     ``re_discord(state, measured[0], cfg)`` on the unpermuted state
     (``first``, when given, is that result already computed).
     """
+    measured = _subsystems("measured", measured, state.n_subsystems)
     if first is not None and first.argbasis.subsystem != measured[0]:
         raise ValueError(f"first must measure subsystem {measured[0]}, not {first.argbasis.subsystem}")
     rest = tuple(i for i in range(state.n_subsystems) if i not in measured)
@@ -421,9 +422,8 @@ def re_discord(
 ) -> OptimizedValue:
     """Relative-entropy (projective) discord: min over bases of S(Pi(rho)) - S(rho).
 
-    ``measured`` is one subsystem index or a set of them.  Several measured
-    subsystems give ``re_discord_detailed``'s result, whose basis refers to
-    the merged measured block of the state permuted measured-subsystems-first.
+    ``measured`` is one subsystem index or a set of them; several give
+    ``re_discord_detailed``'s result, on their merged block.
     """
     measured = _subsystems("measured", measured, state.n_subsystems)
     if len(measured) == 1:

@@ -175,7 +175,9 @@ def _measured_axes(n: int, subsystem: int) -> tuple[tuple[int, ...], tuple[int, 
 
 def _measured_view(state: QState, subsystem: int):
     """``state`` as a (d_m, R, d_m, R) tensor, measured factor first; also d_m and the other dims in order."""
-    (subsystem,) = _subsystems("measured subsystem", subsystem, state.n_subsystems)
+    subsystem, *more = _subsystems("measured subsystem", subsystem, state.n_subsystems)
+    if more:
+        raise ValueError(f"measured subsystem must be one index, got {(subsystem, *more)}")
     dims = state.dims
     order, axes = _measured_axes(state.n_subsystems, subsystem)
     rest = tuple(dims[i] for i in order[1:])

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import _integer
+from .config import _integer, _uint64
 from .qstate import PureStateVector, QState, _as_dims
 
 __all__ = [
@@ -29,12 +29,10 @@ __all__ = [
     "werner_qudit",
 ]
 
-_MASK64 = (1 << 64) - 1
-
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Philox-backed generator for stream ``index`` of ``seed``."""
-    key = np.array([_integer("seed", seed) & _MASK64, _integer("index", index) & _MASK64], dtype=np.uint64)
+    """Philox-backed generator for stream ``index`` of ``seed``, both in [0, 2^64)."""
+    key = np.array([_uint64("seed", seed), _uint64("index", index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -134,25 +132,67 @@ def _ginibre(g: np.random.Generator, dims: tuple, rank: int) -> QState:
     return QState(dims, m / np.real(np.trace(m)))
 
 
-FAMILIES = (
-    "werner_qudit",
-    "werner_2qubit",
-    "example3",
-    "classical_quantum",
-    "haar_pure",
-    "random_mixed",
-)
+def _classical_quantum_sample(seed: int, index: int, dims: tuple, k: int, rank: int, orthogonal: bool) -> QState:
+    """Random weights and k random components of ``rank``; ``orthogonal`` ones are a
+    common Haar-rotated computational basis, making the state classical-classical."""
+    g = stream(seed, index)
+    probs = g.dirichlet(np.ones(k))
+    if not orthogonal:
+        return classical_quantum(probs, [_ginibre(g, dims, rank) for _ in range(k)])
+    total = math.prod(dims)
+    u, _ = np.linalg.qr(g.normal(size=(total, total)) + 1j * g.normal(size=(total, total)))
+    return classical_quantum(probs, [QState(dims, np.outer(u[:, i], u[:, i].conj())) for i in range(k)])
+
+
+# family -> (parameters it requires, the others it takes with their defaults, sampler(seed, index, **params))
+_FAMILIES = {
+    "werner_qudit": (("d", "x"), {}, lambda seed, index, d, x: werner_qudit(d, x)),
+    "werner_2qubit": ((), {}, lambda seed, index: werner_2qubit_example4()),
+    "example3": ((), {}, lambda seed, index: example3_state()),
+    "classical_quantum": (("dims",), {"k": 2, "rank": 1, "orthogonal": False}, _classical_quantum_sample),
+    "haar_pure": (("dims",), {}, lambda seed, index, dims: haar_random_pure(dims, seed, index)),
+    "random_mixed": (("dims", "rank"), {}, lambda seed, index, dims, rank: random_mixed(dims, rank, seed, index)),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def _read_params(family: str, params: dict) -> dict:
+    """``params`` read against ``family``'s row of ``_FAMILIES``: an unknown or a missing one is refused by name."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    required, optional, _sampler = _FAMILIES[family]
+    takes = (*required, *optional)
+    for key in params:
+        if key not in takes:
+            raise ValueError(f"{family} takes no {key!r} parameter (it takes {', '.join(takes) or 'none'})")
+    for key in required:
+        if key not in params:
+            raise ValueError(f"{family} requires a {key!r} parameter")
+    p = dict(params)
+    for key, least in (("d", 2), ("k", 1), ("rank", None)):
+        if key in p:
+            p[key] = _integer(f"{family} {key}", p[key], least)
+    if "x" in p and not -1.0 <= float(p["x"]) <= 1.0:
+        raise ValueError(f"{family} requires x in [-1, 1]")
+    if "dims" in p:
+        p["dims"] = _as_dims(p["dims"])
+    total = math.prod(p.get("dims", ()))
+    if "rank" in p and not 1 <= p["rank"] <= total:
+        raise ValueError(f"{family} rank must be in [1, {total}]")
+    if not isinstance(p.get("orthogonal", False), bool):
+        raise ValueError(f"{family} orthogonal must be a bool, got {p['orthogonal']!r}")
+    if p.get("orthogonal") and {**optional, **p}["k"] > total:
+        raise ValueError("orthogonal components need k <= prod(dims)")
+    return p
 
 
 @dataclass(frozen=True)
 class StateFamilySpec:
     """Serializable recipe for regenerating a (possibly random) state.
 
-    ``params`` carries the family-specific parameters; random families draw
-    sample ``i`` from ``stream(seed, i)``.  Deterministic families ignore the
-    sample index.  Construction reads ``seed`` and the ``d``, ``k``, ``rank``
-    and ``dims`` of ``params`` (``config._integer``), checks their ranges,
-    and keeps a copy of ``params`` holding the values read.
+    ``params`` holds the parameters ``_FAMILIES`` lists for ``family``; random
+    families draw sample ``i`` from ``stream(seed, i)``.  Construction reads
+    ``params`` (``_read_params``) and ``seed`` (``config._uint64``).
     """
 
     family: str
@@ -160,55 +200,13 @@ class StateFamilySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        p = dict(self.params)
-        for key, least in (("d", None), ("k", 1), ("rank", None)):
-            if key in p:
-                p[key] = _integer(f"{self.family} {key}", p[key], least)
-        if self.family == "werner_qudit":
-            if p.get("d", 0) < 2:
-                raise ValueError("werner_qudit requires d >= 2")
-            if not -1.0 <= float(p.get("x", 2.0)) <= 1.0:
-                raise ValueError("werner_qudit requires x in [-1, 1]")
-        if self.family in ("haar_pure", "random_mixed", "classical_quantum"):
-            if not p.get("dims"):
-                raise ValueError(f"{self.family} requires a 'dims' parameter")
-            p["dims"] = _as_dims(p["dims"])
-        if self.family in ("random_mixed", "classical_quantum"):
-            total = math.prod(p["dims"])
-            rank = p.get("rank", 1 if self.family == "classical_quantum" else 0)
-            if not 1 <= rank <= total:
-                raise ValueError(f"{self.family} rank must be in [1, {total}]")
-        object.__setattr__(self, "params", p)
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "params", _read_params(self.family, self.params))
+        object.__setattr__(self, "seed", _uint64("seed", self.seed))
 
     def sample(self, index: int = 0):
         """Generate sample ``index``; returns a QState or PureStateVector."""
-        p = self.params
-        if self.family == "werner_qudit":
-            return werner_qudit(p["d"], float(p["x"]))
-        if self.family == "werner_2qubit":
-            return werner_2qubit_example4()
-        if self.family == "example3":
-            return example3_state()
-        if self.family == "haar_pure":
-            return haar_random_pure(p["dims"], self.seed, index)
-        if self.family == "random_mixed":
-            return random_mixed(p["dims"], p["rank"], self.seed, index)
-        # classical_quantum: random weights plus random component states.
-        # With orthogonal=True the components are a common Haar-rotated
-        # computational basis, making the state classical-classical.
-        qdims, k = p["dims"], p.get("k", 2)
-        g = stream(self.seed, index)
-        probs = g.dirichlet(np.ones(k))
-        if not p.get("orthogonal"):
-            return classical_quantum(probs, [_ginibre(g, qdims, p.get("rank", 1)) for _ in range(k)])
-        total = math.prod(qdims)
-        if k > total:
-            raise ValueError("orthogonal components need k <= prod(dims)")
-        u, _ = np.linalg.qr(g.normal(size=(total, total)) + 1j * g.normal(size=(total, total)))
-        return classical_quantum(probs, [QState(qdims, np.outer(u[:, i], u[:, i].conj())) for i in range(k)])
+        _required, optional, sampler = _FAMILIES[self.family]
+        return sampler(self.seed, index, **{**optional, **self.params})
 
     def to_json(self) -> dict:
         params = {

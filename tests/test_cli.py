@@ -264,6 +264,30 @@ def test_classical_quantum_rank_out_of_range_is_a_usage_error(rank, capsys):
     assert captured.err == "error: classical_quantum rank must be in [1, 2]\n" and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "family, flags, message",
+    [
+        ("haar_pure", ["--dims", "2x2", "--rank", "3"], "haar_pure takes no 'rank' parameter (it takes dims)"),
+        ("werner_2qubit", ["--dims", "9x9"], "werner_2qubit takes no 'dims' parameter (it takes none)"),
+        ("random_mixed", ["--dims", "2x2", "--d", "3"], "random_mixed takes no 'd' parameter (it takes dims, rank)"),
+        ("classical_quantum", ["--dims", "2x2", "--x", "0.5"], "classical_quantum takes no 'x' parameter"),
+        ("random_mixed", [], "random_mixed requires a 'dims' parameter"),
+        ("werner_qudit", ["--d", "3"], "werner_qudit requires a 'x' parameter"),
+    ],
+    ids=["haar_pure-rank", "werner_2qubit-dims", "random_mixed-d", "classical_quantum-x", "random_mixed-no-dims",
+         "werner_qudit-no-x"],
+)
+def test_a_family_flag_the_family_does_not_take_is_a_usage_error(family, flags, message, capsys):
+    # Every family flag given reaches the spec, which refuses the ones its
+    # family does not take, and a missing one, before anything is computed.
+    for command in ("compute", "verify"):
+        suite = ["--suite", "eq5"] if command == "verify" else []
+        assert main([command, *suite, "--family", family, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 _ONE_OF_EACH = [
     ["compute", "--family", "example3"],
     ["verify", "--suite", "eq5", "--family", "example3"],
@@ -275,8 +299,9 @@ _ONE_OF_EACH = [
 @pytest.mark.parametrize("command", _ONE_OF_EACH, ids=["compute", "verify", "example", "hunt"])
 @pytest.mark.parametrize(
     "bad",
-    [["--restarts", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "0"]],
-    ids=["restarts", "tol", "tol-nan", "tol-inf", "max-iter"],
+    [["--restarts", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "0"],
+     ["--seed", "-1"], ["--seed", str(1 << 64)]],
+    ids=["restarts", "tol", "tol-nan", "tol-inf", "max-iter", "seed-negative", "seed-2**64"],
 )
 def test_bad_optimizer_config_is_a_usage_error(command, bad, capsys):
     assert main(command + bad) == 2

@@ -1660,6 +1660,40 @@ def test_re_discord_index_validation():
         re_discord(state, (), CFG)
 
 
+def test_a_measured_side_names_one_subsystem():
+    # A set of two or more indices is refused by name; a one-element set
+    # reads as its index.
+    state = random_mixed((2, 2, 2), 4, 1)
+    for call in (discord, min_conditional_entropy):
+        with pytest.raises(ValueError, match=r"^measured subsystem must be one index, got \(0, 1\)$"):
+            call(state, (0, 1), CFG)
+    for a, b in zip(_measured_view(state, (1,)), _measured_view(state, 1)):
+        assert (a.tobytes() == b.tobytes()) if isinstance(a, np.ndarray) else a == b
+
+
+def test_re_discord_detailed_reads_its_measured_set():
+    # measured is read as a sorted set of distinct indices in range, as
+    # re_discord reads it.
+    state = random_mixed((2, 2, 2), 4, 1)
+    cfg = OptimizerConfig(restarts=2, max_iter=100, seed=5)
+
+    def fingerprint(detail):
+        return (detail.value, detail.argbasis.basis.tobytes(), detail.chain_value, detail.joint_value,
+                detail.restart_values, detail.stop_reasons)
+
+    assert fingerprint(re_discord_detailed(state, (2, 0), cfg)) == fingerprint(re_discord_detailed(state, (0, 2), cfg))
+    assert fingerprint(re_discord_detailed(state, (1, 1), cfg)) == fingerprint(re_discord_detailed(state, (1,), cfg))
+    for bad in ((0, 3), (-1, 1), ()):
+        with pytest.raises(ValueError, match=r"^measured "):
+            re_discord_detailed(state, bad, cfg)
+    # The first step measures the lowest index, whatever order names it.
+    first = re_discord(state, 0, cfg)
+    assert fingerprint(re_discord_detailed(state, (2, 0), cfg, first=first)) == fingerprint(
+        re_discord_detailed(state, (0, 2), cfg))
+    with pytest.raises(ValueError, match="first must measure subsystem 0"):
+        re_discord_detailed(state, (2, 0), cfg, first=re_discord(state, 2, cfg))
+
+
 def test_correlation_report_csv_and_json_shape():
     report = correlation_report(bell_state(), OptimizerConfig(restarts=2, seed=1))
     payload = report.to_json()

@@ -16,7 +16,9 @@ cli computes no entropy of its own.  ``_descent.summary`` is the one reader
 of a finished run, and only ``correlations.OptimizedValue.certified``
 compares stop reasons with ``(CERTIFIED,)``.  ``config._integer`` is the one
 reader of integer arguments (``qstate._subsystems`` reads subsystem indices
-through it): ``int()`` converts only counts, and the cli's text.
+through it): ``int()`` converts only counts, and the cli's text.  Only
+``states._FAMILIES`` decides a family's parameters and sampler: no module
+compares a family name, but for the cli's two shorthands.
 """
 
 import ast
@@ -230,3 +232,37 @@ def test_certified_comparison_detection():
         "def g(opt):\n    return opt.stop_reasons == (CERTIFIED, CERTIFIED) or CERTIFIED in opt.stop_reasons\n"
     )
     assert functions_where(source, "m", compares_with_certified) == {"m.R.ok", "m.f"}
+
+
+def compares_a_family_name(node) -> bool:
+    """A comparison with a family name, or with a tuple, list or set holding one."""
+    from discordkit.states import FAMILIES
+
+    def names_a_family(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names_a_family, node.elts))
+        return isinstance(node, ast.Constant) and node.value in FAMILIES
+
+    return isinstance(node, ast.Compare) and any(map(names_a_family, [node.left, *node.comparators]))
+
+
+def test_one_table_owns_every_state_family():
+    # _FAMILIES maps each family to its parameters and sampler, so neither
+    # StateFamilySpec nor the cli branches on a family; the cli keeps its
+    # classical_quantum and random_mixed shorthands.
+    assert package_functions_where(compares_a_family_name) == {"cli._family_spec_from_args"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    [spec_from_args] = [node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "_family_spec_from_args"]
+    assert sorted(ast.unparse(node) for node in ast.walk(spec_from_args) if compares_a_family_name(node)) == [
+        "args.family == 'classical_quantum'", "args.family == 'random_mixed'"]
+
+
+def test_family_comparison_detection():
+    source = (
+        "def f(family):\n    return family == 'haar_pure'\n"
+        "def g(family):\n    return family in ('x', 'werner_2qubit')\n"
+        "def h(name):\n    return name == 'example2' or {'haar_pure': 1}[name]\n"
+        "class C:\n    def k(self):\n        return 'random_mixed' != self.family\n"
+    )
+    assert functions_where(source, "m", compares_a_family_name) == {"m.f", "m.g", "m.C.k"}

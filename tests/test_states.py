@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from discordkit import (
+    OptimizerConfig,
     QState,
     partial_trace,
     purify,
@@ -15,6 +16,8 @@ from discordkit import (
     von_neumann_entropy,
 )
 from discordkit.states import (
+    _FAMILIES,
+    FAMILIES,
     StateFamilySpec,
     classical_quantum,
     example3_state,
@@ -242,3 +245,66 @@ def test_stream_independence():
     b = stream(5, 1).normal(size=4)
     assert not np.allclose(a, b)
     assert np.array_equal(stream(5, 0).normal(size=4), a)
+
+
+# One accepted spec per family: every parameter it takes, given.
+_EVERY_PARAMETER = {
+    "werner_qudit": {"d": 3, "x": 0.3},
+    "werner_2qubit": {},
+    "example3": {},
+    "classical_quantum": {"dims": (2,), "k": 2, "rank": 2, "orthogonal": False},
+    "haar_pure": {"dims": (2, 2)},
+    "random_mixed": {"dims": (2, 2), "rank": 3},
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_spec_refuses_an_unknown_or_a_missing_parameter_by_name(family):
+    params = _EVERY_PARAMETER[family]
+    StateFamilySpec(family, params, 1).sample(0)
+    for unknown in ("rnak", *(key for key in ("d", "x", "dims", "rank") if key not in params)):
+        with pytest.raises(ValueError, match=rf"^{family} takes no '{unknown}' parameter"):
+            StateFamilySpec(family, {**params, unknown: 2}, 1)
+    required, _optional, _sampler = _FAMILIES[family]
+    for missing in required:
+        with pytest.raises(ValueError, match=rf"^{family} requires a '{missing}' parameter$"):
+            StateFamilySpec(family, {key: val for key, val in params.items() if key != missing}, 1)
+
+
+def test_a_spec_keeps_the_parameters_given_and_writes_no_default():
+    spec = StateFamilySpec("classical_quantum", {"dims": [2], "rank": np.int64(2)}, 3)
+    assert spec.to_json() == {"family": "classical_quantum", "params": {"dims": [2], "rank": 2}, "seed": 3}
+    assert type(spec.params["rank"]) is int and spec.params["dims"] == (2,)
+    full = StateFamilySpec("classical_quantum", {"dims": (2,), "rank": 2, "k": 2, "orthogonal": False}, 3)
+    assert np.array_equal(spec.sample(1).matrix, full.sample(1).matrix)
+
+
+def test_orthogonal_is_checked_at_construction():
+    with pytest.raises(ValueError, match=r"orthogonal components need k <= prod\(dims\)"):
+        StateFamilySpec("classical_quantum", {"k": 3, "dims": (2,), "orthogonal": True}, 0)
+    with pytest.raises(ValueError, match=r"orthogonal components need k <= prod\(dims\)"):
+        StateFamilySpec("classical_quantum", {"dims": (1,), "orthogonal": True}, 0)  # k defaults to 2
+    for bad in (1, "yes", None):
+        with pytest.raises(ValueError, match="classical_quantum orthogonal must be a bool"):
+            StateFamilySpec("classical_quantum", {"k": 2, "dims": (2,), "orthogonal": bad}, 0)
+    assert StateFamilySpec("classical_quantum", {"k": 2, "dims": (2,), "orthogonal": True}, 0).sample(0).dims == (2, 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seeds_outside_64_bits_are_refused_not_aliased(seed):
+    for call in (
+        lambda: stream(seed),
+        lambda: OptimizerConfig(seed=seed),
+        lambda: StateFamilySpec("example3", {}, seed),
+        lambda: random_mixed((2, 2), 3, seed),
+    ):
+        with pytest.raises(ValueError, match=r"^seed must be"):
+            call()
+    with pytest.raises(ValueError, match=r"^index must be"):
+        stream(1, seed)
+    # The ends of the range stay valid and distinct; so do the benchmark's
+    # per-item family seeds.
+    top = (1 << 64) - 1
+    assert not np.array_equal(stream(top).random(4), stream(0).random(4))
+    assert not np.array_equal(stream(0, top).random(4), stream(0).random(4))
+    assert StateFamilySpec("haar_pure", {"dims": (2, 2)}, (90210 << 16) + 999).seed == (90210 << 16) + 999
