@@ -23,7 +23,7 @@ import numpy as np
 from ._descent import CERTIFIED, Descent, Problem, restart_stack, search, solve, summary
 from .config import OptimizerConfig, _integer
 from .entanglement import EofResult, _eof_of_concurrence, _roof, _upper_bound, _wootters_rows
-from .measurement import ProjectiveMeasurement, _measurement_factor, dephase
+from .measurement import ProjectiveMeasurement, _computed_measurement, _measured_index, _measurement_factor, dephase
 from .qstate import (
     QState,
     _derived_state,
@@ -129,12 +129,13 @@ def minimize_over_measurements(
     not change when a column of U takes a phase, as no function of the
     measurement does.  The search runs on V = U^H from the canonical basis,
     under the square-start rule (``_descent.descend``); ``subsystem`` labels
-    the reported basis, and a ``d`` that is not an integer >= 1 raises
-    ``ValueError``.  Deterministic given ``cfg.seed``; restart ties break
-    toward the lowest restart index.  Non-convergence is flagged, never
-    raised.
+    the reported basis.  A ``d`` that is not an integer >= 1, or a
+    ``subsystem`` that is not one >= 0, raises ``ValueError``.  Deterministic
+    given ``cfg.seed``; restart ties break toward the lowest restart index.
+    Non-convergence is flagged, never raised.
     """
     cfg = cfg or DEFAULT_CONFIG
+    subsystem = _integer("subsystem", subsystem, 0)
 
     def in_v(v: np.ndarray, sizes):
         values, grad = objective(np.swapaxes(v.conj(), -1, -2), sizes)
@@ -145,9 +146,13 @@ def minimize_over_measurements(
 
 
 def _optimized(run: Descent, tol: float, subsystem: int) -> OptimizedValue:
-    """The ``OptimizedValue`` of a searched or certified run on V: its best restart's V^H and ``summary``."""
+    """The ``OptimizedValue`` of a searched or certified run on V: its best restart's V^H and ``summary``.
+
+    V is unitary by construction, so the basis is not checked again
+    (``measurement._computed_measurement``).
+    """
     b, spread, diagnostics = summary(run, tol)
-    return OptimizedValue(float(run.values[b]), ProjectiveMeasurement(subsystem, run.x[b].conj().T), spread,
+    return OptimizedValue(float(run.values[b]), _computed_measurement(subsystem, run.x[b].conj().T), spread,
                           restart_values=tuple(run.values.tolist()), **diagnostics)
 
 
@@ -239,8 +244,13 @@ def _werner_coefficients(state: QState) -> tuple[float, float] | None:
 def _measured_minima(
     state: QState, measured: tuple[int, ...], cfg: OptimizerConfig | None, dephasing: bool
 ) -> list[OptimizedValue]:
-    """Each ``measured`` side's ``_measurement_problem``, solved at once: sides of one key search stacked."""
+    """Each ``measured`` side's ``_measurement_problem``, solved at once: sides of one key search stacked.
+
+    Each side is read once, as one index (``measurement._measured_index``),
+    so ``(0,)`` measures as ``0`` does.
+    """
     cfg = cfg or DEFAULT_CONFIG
+    measured = [_measured_index(state, k) for k in measured]
     runs = solve([_measurement_problem(state, k, cfg, dephasing) for k in measured])
     return [_optimized(run, cfg.tol, k) for run, k in zip(runs, measured)]
 
@@ -320,7 +330,7 @@ def _j_and_d(state: QState, measured: int, m: float, entropy: Callable) -> tuple
 def _measured_run(state: QState, measured: int, cfg: OptimizerConfig | None):
     """One conditional-entropy minimization and its ``_j_and_d`` tuple: (minimum, (J, D, S(measured), ...))."""
     opt = min_conditional_entropy(state, measured, cfg)
-    return opt, _j_and_d(state, measured, opt.value, _entropies(state))
+    return opt, _j_and_d(state, opt.argbasis.subsystem, opt.value, _entropies(state))
 
 
 def classical_correlation(
@@ -408,12 +418,12 @@ def re_discord_detailed(
         step = first if pos == 0 else _measured_minima(tau, (pos,), cfg, dephasing=True)[0]
         bases.append(step.argbasis.basis)
         converged = converged and step.converged
-        tau = dephase(tau, ProjectiveMeasurement(pos, step.argbasis.basis))
+        tau = dephase(tau, _computed_measurement(pos, step.argbasis.basis))
     chain_value = von_neumann_entropy(tau) - von_neumann_entropy(sigma)
     detail = replace(detail, chain_value=chain_value, converged=converged)
     if chain_value < joint.value:
         product_basis = functools.reduce(np.kron, bases)
-        detail = replace(detail, value=chain_value, argbasis=ProjectiveMeasurement(0, product_basis))
+        detail = replace(detail, value=chain_value, argbasis=_computed_measurement(0, product_basis))
     return detail
 
 

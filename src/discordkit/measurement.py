@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .config import _integer
-from .qstate import QState, _derived_state, _subsystems, von_neumann_entropy
+from .qstate import QState, _decomposition, _derived_state, _subsystems, von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -103,6 +103,22 @@ class ProjectiveMeasurement:
         return self.basis.shape[0]
 
 
+def _computed_measurement(subsystem: int, basis: np.ndarray) -> ProjectiveMeasurement:
+    """A ``ProjectiveMeasurement`` of a basis this package computed unitary, not checked again.
+
+    For the bases that ``correlations`` reports: an ``eigh``, a certificate's
+    candidate, a search iterate on its retraction, or a Kronecker product of
+    those.  ``subsystem`` must already be an int.  The basis is stored as a
+    read-only complex copy, as the checked constructor stores it.
+    """
+    b = np.array(basis, dtype=np.complex128)
+    b.setflags(write=False)
+    m = object.__new__(ProjectiveMeasurement)
+    object.__setattr__(m, "subsystem", subsystem)
+    object.__setattr__(m, "basis", b)
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class POVM:
     """General measurement given by PSD elements summing to the identity."""
@@ -173,11 +189,17 @@ def _measured_axes(n: int, subsystem: int) -> tuple[tuple[int, ...], tuple[int, 
     return order, order + tuple(n + i for i in order)
 
 
-def _measured_view(state: QState, subsystem: int):
-    """``state`` as a (d_m, R, d_m, R) tensor, measured factor first; also d_m and the other dims in order."""
+def _measured_index(state: QState, subsystem) -> int:
+    """``subsystem``, one index or a one-element set, read as one index of ``state`` (``qstate._subsystems``)."""
     subsystem, *more = _subsystems("measured subsystem", subsystem, state.n_subsystems)
     if more:
         raise ValueError(f"measured subsystem must be one index, got {(subsystem, *more)}")
+    return subsystem
+
+
+def _measured_view(state: QState, subsystem: int):
+    """``state`` as a (d_m, R, d_m, R) tensor, measured factor first; also d_m and the other dims in order."""
+    subsystem = _measured_index(state, subsystem)
     dims = state.dims
     order, axes = _measured_axes(state.n_subsystems, subsystem)
     rest = tuple(dims[i] for i in order[1:])
@@ -219,11 +241,13 @@ def _measurement_factor(state: QState, measured: int) -> tuple[np.ndarray, int, 
     L keeps the s eigenvalues of rho above ``_RANK_FLOOR`` as a (d_m, R s)
     matrix: row x, reshaped to (R, s), is the amplitude block phi_x of the
     purification sum_x |x> (x) phi_x over (rest, purifier), so measuring in a
-    basis U is the ensemble of the rows of V L, V = U^H.
+    basis U is the ensemble of the rows of V L, V = U^H.  Subsystem 0 reads
+    the state's kept decomposition (``qstate``); another takes one ``eigh``
+    of the permuted matrix.
     """
     t, dm, _rest = _measured_view(state, measured)
     r = t.shape[1]
-    lam, vec = np.linalg.eigh(t.reshape(dm * r, dm * r))
+    lam, vec = _decomposition(state) if measured == 0 else np.linalg.eigh(t.reshape(dm * r, dm * r))
     keep = lam > _RANK_FLOOR
     return (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * int(keep.sum())), r, lam
 

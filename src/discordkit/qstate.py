@@ -7,8 +7,16 @@ entropies in bits.  Eigenvalues below ``EIG_CLIP`` are treated as exact
 zeros and the rest renormalized, which keeps ``0 * log 0`` and positivity
 checks stable under floating-point eigensolvers and fixes the rank used
 for purification; the searches' batched entropy floors the logarithm
-instead (``_ensemble_objective``).  Values are immutable after
-construction and safe to share across concurrent workers.
+instead (``_ensemble_objective``).
+
+Each state is decomposed once.  ``validate`` takes one ``eigh`` of the
+Hermitian part (m + m^H)/2, and the constructor keeps that pair; a derived
+state, Hermitian by construction, takes one ``eigh`` of its matrix on its
+first spectral read and keeps it.  ``von_neumann_entropy``, ``spectrum``
+(and so ``purify``) and ``measurement._measurement_factor`` on subsystem 0
+read the kept pair.  A state's matrix and its pair are read-only arrays
+that depend only on the matrix, so states are safe to share across
+concurrent workers.
 
 Validation happens at the boundary.  ``config._integer`` reads every
 integer argument, and ``_subsystems`` every subsystem index through it: a
@@ -32,7 +40,7 @@ product is Hermitian and positive semidefinite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -106,11 +114,17 @@ def _as_complex_matrix(matrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateDiagnostics:
-    """Validation residuals for a candidate density matrix."""
+    """Validation residuals for a candidate density matrix.
+
+    ``decomposition`` is the ``_kept_eigh`` pair behind
+    ``min_eigenvalue``, which ``QState`` keeps (``_decomposition``); it is
+    left out of ``repr`` and comparison.
+    """
 
     hermiticity_error: float
     trace_error: float
     min_eigenvalue: float
+    decomposition: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def hermitian_ok(self) -> bool:
@@ -147,10 +161,18 @@ def validate(matrix, dims) -> StateDiagnostics:
     mh = m.conj().swapaxes(-1, -2)
     herm = float(np.abs(m - mh).max(initial=0.0))
     tr = float(np.abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
-    # eigvalsh assumes Hermitian input; symmetrize so the positivity residual
+    # eigh assumes Hermitian input; symmetrize so the positivity residual
     # stays meaningful even when the Hermiticity check itself fails.
-    w = np.linalg.eigvalsh((m + mh) / 2.0)
-    return StateDiagnostics(herm, tr, float(w[..., 0].min(initial=np.inf)))
+    pair = _kept_eigh((m + mh) / 2.0)
+    return StateDiagnostics(herm, tr, float(pair[0][..., 0].min(initial=np.inf)), pair)
+
+
+def _kept_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of Hermitian ``h`` (``numpy.linalg.eigh``), as read-only arrays."""
+    w, v = np.linalg.eigh(h)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +198,7 @@ class QState:
         m.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_pair", diag.decomposition)
 
     @property
     def dim(self) -> int:
@@ -193,15 +216,23 @@ def _derived_state(dims: tuple[int, ...], matrix: np.ndarray) -> QState:
     """A ``QState`` computed from a valid state by a map of the module docstring, not validated again.
 
     ``dims`` must already be a tuple of positive ints.  The matrix is stored
-    as a read-only complex copy, bit for bit: no Hermitization, no
-    eigensolver.
+    as a read-only complex copy, bit for bit, with no eigensolver: the
+    state's one decomposition waits for its first spectral read.
     """
     m = np.array(matrix, dtype=np.complex128)
     m.setflags(write=False)
     state = object.__new__(QState)
     object.__setattr__(state, "dims", dims)
     object.__setattr__(state, "matrix", m)
+    object.__setattr__(state, "_pair", None)
     return state
+
+
+def _decomposition(state: QState) -> tuple[np.ndarray, np.ndarray]:
+    """``state``'s one decomposition (module docstring): kept by the constructor, or computed on first read."""
+    if state._pair is None:
+        object.__setattr__(state, "_pair", _kept_eigh(state.matrix))
+    return state._pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,21 +303,21 @@ class Spectrum:
 
 
 def spectrum(state: QState) -> Spectrum:
-    """Spectral decomposition of ``state`` with clipping and phase fixing."""
-    w, v = np.linalg.eigh(state.matrix)
+    """Spectral decomposition of ``state`` with clipping and phase fixing, from its kept pair."""
+    w, v = _decomposition(state)
     order = np.argsort(-w, kind="stable")
     w = w[order]
-    v = np.array(v[:, order])
+    v = v[:, order]
     w = np.where(w < EIG_CLIP, 0.0, w)
     total = w.sum()
     if total > 0.0:
         w = w / total
-    for k in range(v.shape[1]):
-        nz = np.flatnonzero(np.abs(v[:, k]) > 1e-8)
-        if nz.size:
-            pivot = v[nz[0], k]
-            v[:, k] = v[:, k] * (pivot.conjugate() / abs(pivot))
-    return Spectrum(w, v)
+    big = np.abs(v) > 1e-8
+    pivot = v[big.argmax(axis=0), np.arange(v.shape[1])]
+    has = big.any(axis=0)
+    # np.hypot, not np.abs: it rounds |pivot| as the scalar abs does.
+    phase = pivot.conjugate() / np.where(has, np.hypot(pivot.real, pivot.imag), 1.0)
+    return Spectrum(w, np.where(has, v * phase, v))
 
 
 def _entropy_bits(weights: np.ndarray) -> np.ndarray:
@@ -361,7 +392,8 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
     for c in rows.reshape(len(rows), n, da, db):
         if da > db:
             c = np.swapaxes(c, -1, -2)
-        kernel = np.einsum("kab,lcb->klac", c, c.conj()).reshape(n * n, s * s)
+        c2 = c.reshape(n * s, -1)
+        kernel = (c2 @ c2.conj().T).reshape(n, s, n, s).transpose(0, 2, 1, 3).reshape(n * n, s * s)
         kernels.append(kernel)
         kernels_h.append(np.ascontiguousarray(kernel.conj().T))
     axes = (-2, -1) if dephasing else -1
@@ -398,7 +430,7 @@ def _blockwise(a: np.ndarray, sizes: tuple, mats) -> np.ndarray:
 
 def von_neumann_entropy(state: QState) -> float:
     """Von Neumann entropy of ``state`` in bits; ``0 * log 0`` is 0."""
-    return float(_entropy_bits(np.linalg.eigvalsh(state.matrix)))
+    return float(_entropy_bits(_decomposition(state)[0]))
 
 
 def tensor(a: QState, b: QState) -> QState:

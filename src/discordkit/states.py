@@ -8,6 +8,7 @@ of a family always comes from stream ``(seed, i)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -172,8 +173,11 @@ def _read_params(family: str, params: dict) -> dict:
     for key, least in (("d", 2), ("k", 1), ("rank", None)):
         if key in p:
             p[key] = _integer(f"{family} {key}", p[key], least)
-    if "x" in p and not -1.0 <= float(p["x"]) <= 1.0:
-        raise ValueError(f"{family} requires x in [-1, 1]")
+    if "x" in p:
+        if isinstance(p["x"], bool) or not isinstance(p["x"], numbers.Real):
+            raise ValueError(f"{family} x must be a real number, got {p['x']!r}")
+        if not -1.0 <= float(p["x"]) <= 1.0:
+            raise ValueError(f"{family} requires x in [-1, 1]")
     if "dims" in p:
         p["dims"] = _as_dims(p["dims"])
     total = math.prod(p.get("dims", ()))

@@ -73,3 +73,24 @@ def record_descends(monkeypatch):
 
     monkeypatch.setattr(_descent, "descend", recording)
     return calls
+
+
+def record_eigensolves(monkeypatch) -> list:
+    """Patch ``numpy.linalg.eigh`` and ``eigvalsh`` to log a copy of every input, a stack as one entry."""
+    calls = []
+
+    def recording(solver):
+        def solve_and_log(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return solver(a, *args, **kwargs)
+
+        return solve_and_log
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    return calls
+
+
+def calls_on(calls: list, matrix: np.ndarray) -> int:
+    """How many logged eigensolver inputs are ``matrix``, to rounding (its Hermitian part counts)."""
+    return sum(a.shape == matrix.shape and np.allclose(a, matrix, rtol=0.0, atol=1e-13) for a in calls)

@@ -10,12 +10,13 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from discordkit import OptimizerConfig, PureStateVector, state_to_json
+from discordkit import OptimizerConfig, PureStateVector, partial_trace, purify, state_to_json, werner_qudit
 from discordkit import cli, correlations, qstate
 from discordkit.cli import main
+from discordkit.states import example3_state
 from discordkit.verify import RELATIONS
 
-from conftest import bell_state
+from conftest import bell_state, calls_on, record_eigensolves
 
 
 @pytest.fixture
@@ -216,22 +217,17 @@ def test_hunt_bad_range(capsys):
 
 
 def _count_entropy_calls(monkeypatch) -> dict:
-    """Patch ``von_neumann_entropy`` and ``numpy.linalg.eigvalsh`` everywhere in the package to log their calls."""
-    calls = {"entropy": [], "eigvalsh": []}
-    entropy, eigvalsh = qstate.von_neumann_entropy, np.linalg.eigvalsh
+    """Patch ``von_neumann_entropy`` everywhere in the package to log the dims of each call's state."""
+    calls = {"entropy": []}
+    entropy = qstate.von_neumann_entropy
 
     def counting_entropy(state):
         calls["entropy"].append(state.dims)
         return entropy(state)
 
-    def counting_eigvalsh(*args, **kwargs):
-        calls["eigvalsh"].append(None)
-        return eigvalsh(*args, **kwargs)
-
     for name, module in list(sys.modules.items()):
         if name.startswith("discordkit") and hasattr(module, "von_neumann_entropy"):
             monkeypatch.setattr(module, "von_neumann_entropy", counting_entropy)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     return calls
 
 
@@ -250,11 +246,30 @@ def test_hunt_takes_each_entropy_once(monkeypatch, capsys):
 
 def test_example3_takes_each_entropy_once(monkeypatch, capsys):
     # example3 reads S(A), S(B) and S(AB) from the run behind D_A, not a
-    # second time of its own: 3 entropies, and 4 eigvalsh calls in all.
+    # second time of its own: 3 entropies.  Each matrix is decomposed once:
+    # rho at construction, whose pair serves S(AB), D_A's factor and the
+    # purification; then rho_B, and rho_A and rho_BC, both I/4, one each.
+    rho = example3_state()
+    bc = partial_trace(purify(rho).to_density(), (1, 2))
+    assert np.allclose(bc.matrix, np.eye(4) / 4.0) and np.allclose(partial_trace(rho, (0,)).matrix, bc.matrix)
     calls = _count_entropy_calls(monkeypatch)
+    solved = record_eigensolves(monkeypatch)
     assert main(["example", "example3", "--format", "json"]) == 0
     assert calls["entropy"] == [(4,), (2,), (4, 2)]
-    assert len(calls["eigvalsh"]) == 4
+    assert [calls_on(solved, m) for m in (rho.matrix, partial_trace(rho, (1,)).matrix, bc.matrix)] == [1, 1, 2]
+    assert len(solved) == 4
+
+
+@pytest.mark.parametrize("x", [-0.5, 0.3])
+def test_hunt_decomposes_each_werner_state_once(x, monkeypatch, capsys):
+    # A d = 6 hunt row decomposes its 36 x 36 Werner state once, when the
+    # constructor validates it; S(AB) and the measurement factor read that
+    # pair (three decompositions before the state kept it).
+    rho = werner_qudit(6, x).matrix
+    solved = record_eigensolves(monkeypatch)
+    assert main(["hunt", "--d", "6", f"--x={x}:{x}:1", "--format", "json"]) == 0
+    assert sum(a.shape[-2:] == (36, 36) for a in solved) == 1
+    assert calls_on(solved, rho) == 1
 
 
 @pytest.mark.parametrize("rank", ["0", "9", "-1"])

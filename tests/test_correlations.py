@@ -65,7 +65,7 @@ from discordkit.correlations import (
     _werner_coefficients,
 )
 from discordkit.entanglement import _roof
-from discordkit.measurement import _measured_view, n_measurement_params, unitary_from_params
+from discordkit.measurement import UNITARITY_TOL, _measured_view, n_measurement_params, unitary_from_params
 from discordkit.states import (
     classical_quantum,
     example3_state,
@@ -79,10 +79,12 @@ from discordkit.states import (
 from conftest import (
     bell_diagonal,
     bell_state,
+    calls_on,
     haar_unitary,
     measurement_objective,
     measurement_search,
     record_descends,
+    record_eigensolves,
 )
 
 CFG = OptimizerConfig(restarts=8, seed=1)
@@ -171,6 +173,33 @@ def test_minimize_brockett_objective():
     assert opt.value == pytest.approx(float(c @ lam[::-1]), abs=1e-9)
     overlaps = np.abs(vec[:, ::-1].conj().T @ opt.argbasis.basis)
     np.testing.assert_allclose(overlaps, np.eye(3), rtol=0, atol=1e-6)
+
+
+def test_every_reported_basis_is_unitary():
+    # Reported bases skip ProjectiveMeasurement's unitarity check
+    # (measurement._computed_measurement), so every route that reports one
+    # is checked here: each basis is unitary within UNITARITY_TOL, read-only,
+    # and labeled with an int subsystem.
+    cfg = OptimizerConfig(restarts=4, seed=2)
+    ab = random_mixed((2, 2), 3, 1)
+    paired, _roof_result = _minimum_with_roof(ab, partial_trace(purify(ab).to_density(), (1, 2)), cfg)
+    routes = {
+        "certified pure": min_conditional_entropy(haar_random_pure((2, 3), 1).to_density(), 1, cfg),
+        "certified Werner": min_conditional_entropy(werner_qudit(3, 0.3), 0, cfg),
+        "certified Koashi-Winter": min_conditional_entropy(random_mixed((2, 2), 2, 1), 0, cfg),
+        "searched": min_conditional_entropy(random_mixed((2, 3), 6, 1), 1, cfg),
+        "stacked": correlations._measured_minima(random_mixed((2, 2), 4, 1), (0, 1), cfg, False),
+        "paired": paired,
+        "minimize_over_measurements": minimize_over_measurements(
+            _brockett(np.diag([1.0, 0.4, -0.7]), np.array([1.0, 2.0, 3.0])), 3, cfg, np.int64(1)),
+    }
+    certified = {name: name.startswith("certified") for name in routes}
+    for name, opts in routes.items():
+        for opt in opts if isinstance(opts, list) else [opts]:
+            assert opt.certified == certified[name], name
+            b = opt.argbasis.basis
+            assert float(np.max(np.abs(b.conj().T @ b - np.eye(len(b))))) <= UNITARITY_TOL, name
+            assert not b.flags.writeable and type(opt.argbasis.subsystem) is int, name
 
 
 @pytest.mark.parametrize("d", [2.5, 0, -1, "3"])
@@ -1314,37 +1343,51 @@ def test_zero_discord_certificate_on_pure_states(dims, monkeypatch):
     # Every basis leaves pure conditional states, so the canonical basis
     # meets the bound max(0, S(rho) - S(rho_X)) = 0 on either side, exactly
     # (a Gram side of 1), and no search runs: D_A = S(B) and D_B = S(A).
-    # The side's one eigensolve is its factor's; none is of a marginal.
+    # No marginal is decomposed for a candidate.  rho, a derived state, is
+    # decomposed once, on side 0's first read, and keeps the pair; side 1
+    # decomposes its permuted matrix, and the report adds one decomposition
+    # per marginal, for S(A) and S(B).
     scored = _record_candidates(monkeypatch)
     calls = record_descends(monkeypatch)
-    eigh_alone, eigh_shapes = np.linalg.eigh, []
-
-    def counted_eigh(a, *args, **kwargs):
-        eigh_shapes.append(np.shape(a))
-        return eigh_alone(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    solved = record_eigensolves(monkeypatch)
     cfg = OptimizerConfig(restarts=4, seed=3)
-    whole = (math.prod(dims),) * 2
     for i in range(3):
         state = haar_random_pure(dims, 60 + i).to_density()
+        swapped = permute_subsystems(state, (1, 0)).matrix
+        marginals = [partial_trace(state, (k,)).matrix for k in (0, 1)]
+        solved.clear()
         for m in (0, 1):
             scored.clear()
-            eigh_shapes.clear()
             opt = min_conditional_entropy(state, m, cfg)
             [(candidate, bound)] = scored
             assert bound == 0.0 and np.array_equal(candidate, np.eye(dims[m]))
             _assert_certified(opt, bound)
             assert opt.value == 0.0
             assert opt.argbasis.subsystem == m
-            assert eigh_shapes == [whole]
-        eigh_shapes.clear()
+        assert len(solved) == 2 and [calls_on(solved, a) for a in (state.matrix, swapped)] == [1, 1]
+        solved.clear()
         report = correlation_report(state, cfg)
-        assert eigh_shapes == [whole, whole]
+        assert len(solved) == 3 and [calls_on(solved, a) for a in (state.matrix, swapped, *marginals)] == [0, 1, 1, 1]
         assert [report.diagnostics[k]["stop_reasons"] for k in ("measured_a", "measured_b")] == [[CERTIFIED]] * 2
         assert report.d_a == pytest.approx(report.s_b, abs=1e-12)
         assert report.d_b == pytest.approx(report.s_a, abs=1e-12)
     assert calls == []
+
+
+def test_a_report_never_decomposes_a_validated_state_again(monkeypatch):
+    # The constructor keeps validation's decomposition of rho, which serves
+    # side 0's factor and S(AB): a report on a searched (2, 3) rank-6 state
+    # makes no eigensolver call on rho itself, one on side 1's permuted
+    # matrix and one on each marginal.  The searches' Gram stacks are
+    # batched, so 2-D inputs are the states'.
+    state = random_mixed((2, 3), 6, 1)
+    swapped = permute_subsystems(state, (1, 0)).matrix
+    marginals = [partial_trace(state, (k,)).matrix for k in (0, 1)]
+    solved = record_eigensolves(monkeypatch)
+    report = correlation_report(state, OptimizerConfig(seed=1))
+    assert CERTIFIED not in report.diagnostics["measured_b"]["stop_reasons"]
+    flat = [a for a in solved if a.ndim == 2]
+    assert len(flat) == 3 and [calls_on(flat, a) for a in (state.matrix, swapped, *marginals)] == [0, 1, 1, 1]
 
 
 @pytest.mark.parametrize("dims", ZERO_DISCORD_DIMS, ids=["2x2", "2x3", "3x2", "3x3"])
@@ -1669,6 +1712,17 @@ def test_a_measured_side_names_one_subsystem():
             call(state, (0, 1), CFG)
     for a, b in zip(_measured_view(state, (1,)), _measured_view(state, 1)):
         assert (a.tobytes() == b.tobytes()) if isinstance(a, np.ndarray) else a == b
+
+
+def test_a_one_element_measured_set_measures_as_its_index():
+    # Each side is read once, as one index, so (0,) runs the search of 0 bit
+    # for bit, and the reported subsystem is the int 0.
+    state = random_mixed((2, 2, 2), 4, 1)
+    cfg = OptimizerConfig(restarts=2, max_iter=100, seed=5)
+    for call in (discord, classical_correlation, min_conditional_entropy):
+        as_set, as_index = call(state, (0,), cfg), call(state, 0, cfg)
+        assert _run_bits(as_set) == _run_bits(as_index)
+        assert type(as_set.argbasis.subsystem) is int and as_set.argbasis.subsystem == 0
 
 
 def test_re_discord_detailed_reads_its_measured_set():

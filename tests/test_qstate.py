@@ -31,10 +31,10 @@ from discordkit import (
     werner_qudit,
 )
 from discordkit.measurement import _measurement_factor, unitary_from_params
-from discordkit.qstate import _ensemble_objective, _gram_spectrum, normalize_partition
+from discordkit.qstate import _decomposition, _ensemble_objective, _gram_spectrum, normalize_partition
 from discordkit.states import example3_state, random_mixed, stream, werner_2qubit_example4
 
-from conftest import bell_state, bell_vector, ghz_vector, haar_unitary
+from conftest import bell_state, bell_vector, calls_on, ghz_vector, haar_unitary, record_eigensolves
 
 
 def test_validate_flags_residuals():
@@ -198,6 +198,53 @@ def test_spectrum_descending_and_reconstruction():
             col = sp.eigenvectors[:, k]
             pivot = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
             assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+
+
+def _phased_by_columns(v: np.ndarray) -> np.ndarray:
+    """The per-column phase loop that ``spectrum`` ran before its vectorized step: the reference."""
+    v = np.array(v)
+    for k in range(v.shape[1]):
+        nz = np.flatnonzero(np.abs(v[:, k]) > 1e-8)
+        if nz.size:
+            pivot = v[nz[0], k]
+            v[:, k] = v[:, k] * (pivot.conjugate() / abs(pivot))
+    return v
+
+
+def test_spectrum_phases_match_the_column_loop():
+    # The arithmetic is unchanged, so the vectorized phase step must equal
+    # the loop bit for bit: on full-rank, low-rank, degenerate and pure
+    # states, whose eigenvectors often lead with entries below 1e-8.
+    states = [random_mixed(dims, rank, 700 + i) for i, (dims, rank) in
+              enumerate([((2, 2), 4), ((2, 3), 2), ((3, 3), 9), ((2, 2, 2), 3), ((6,), 6)] * 8)]
+    states += [werner_qudit(d, x) for d in (2, 3, 6) for x in (-0.5, 0.0, 0.9)]
+    states += [haar_random_pure((2, 3), 720 + i).to_density() for i in range(8)]
+    states += [QState((2, 2), np.diag([0.5, 0.0, 0.5, 0.0])), example3_state()]
+    for state in states:
+        w, v = _decomposition(state)
+        expected = _phased_by_columns(v[:, np.argsort(-w, kind="stable")])
+        assert spectrum(state).eigenvectors.tobytes() == expected.tobytes()
+
+
+def test_a_state_keeps_one_read_only_decomposition(monkeypatch):
+    # A validated state keeps validation's pair; a derived state computes
+    # the same eigh on its first spectral read.  Every later read, by
+    # entropy, spectrum, purification or the factor of subsystem 0, takes
+    # the kept pair, and neither array can be written.
+    state = random_mixed((2, 3), 4, 1)
+    derived = partial_trace(haar_random_pure((2, 2, 2), 3).to_density(), (0, 2))
+    diag = validate(state.matrix, state.dims)
+    assert "decomposition" not in repr(diag) and diag == validate(state.matrix, state.dims)
+    for kept, fresh in zip(_decomposition(state), diag.decomposition):
+        assert kept.tobytes() == fresh.tobytes() and not kept.flags.writeable
+    solved = record_eigensolves(monkeypatch)
+    for _ in range(2):
+        for rho in (state, derived):
+            von_neumann_entropy(rho), spectrum(rho), purify(rho), _measurement_factor(rho, 0)
+    assert len(solved) == 1 and calls_on(solved, derived.matrix) == 1
+    assert all(not a.flags.writeable for a in _decomposition(derived))
+    with pytest.raises(ValueError):
+        _decomposition(derived)[1][0, 0] = 0.0
 
 
 def test_purify_pure_state_has_trivial_environment():

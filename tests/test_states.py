@@ -1,6 +1,7 @@
 """State generators: named states, seeded families, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,22 @@ def test_a_spec_keeps_the_parameters_given_and_writes_no_default():
     assert type(spec.params["rank"]) is int and spec.params["dims"] == (2,)
     full = StateFamilySpec("classical_quantum", {"dims": (2,), "rank": 2, "k": 2, "orthogonal": False}, 3)
     assert np.array_equal(spec.sample(1).matrix, full.sample(1).matrix)
+
+
+@pytest.mark.parametrize("x", [None, "0.3", True, False], ids=["none", "string", "true", "false"])
+def test_a_spec_refuses_an_x_that_is_not_a_real_number(x):
+    # As config._integer refuses a bool for an integer, x refuses a bool, a
+    # string and None by name, before any float() conversion.
+    with pytest.raises(ValueError, match=rf"^werner_qudit x must be a real number, got {re.escape(repr(x))}$"):
+        StateFamilySpec("werner_qudit", {"d": 3, "x": x}, 0)
+
+
+@pytest.mark.parametrize("x", [1, -1, 0.3, np.float64(-0.25)], ids=["int", "negative-int", "float", "numpy-float"])
+def test_a_spec_keeps_a_numeric_x_as_given(x):
+    spec = StateFamilySpec("werner_qudit", {"d": 3, "x": x}, 0)
+    assert spec.params["x"] is x
+    assert spec.to_json() == {"family": "werner_qudit", "params": {"d": 3, "x": x}, "seed": 0}
+    assert np.array_equal(spec.sample(0).matrix, werner_qudit(3, float(x)).matrix)
 
 
 def test_orthogonal_is_checked_at_construction():
