@@ -26,6 +26,7 @@ from .entanglement import EofResult, _eof_of_concurrence, _roof, _upper_bound, _
 from .measurement import ProjectiveMeasurement, _computed_measurement, _measured_index, _measurement_factor, dephase
 from .qstate import (
     QState,
+    _decomposition,
     _derived_state,
     _entropy_bits,
     _subsystems,
@@ -169,7 +170,7 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
     none, is searched.
 
     - with ``dephasing``, the eigenbasis of rho_X against L = max(0,
-      S(rho_X) - S(rho)), S(rho) read from the factor's spectrum.  Every
+      S(rho_X) - S(rho)), both read from ``qstate``'s kept facts.  Every
       basis scores at least L: dephasing never lowers entropy, and S(Pi_X
       rho) = H(p) + sum_k p_k S(rho_k) >= H(p) >= S(rho_X), as the outcome
       distribution p is majorized by rho_X's spectrum.  Every pure state,
@@ -193,12 +194,13 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
       pure conditional states, whose Gram side is 1, so the value is exactly
       0 in every basis.
     """
-    factor, r, lam = _measurement_factor(state, k)
+    factor, r = _measurement_factor(state, k)
     first = np.eye(factor.shape[0], dtype=complex)
     candidate, bound = None, 0.0
     if dephasing:
-        lam_x, vec = np.linalg.eigh(partial_trace(state, (k,)).matrix)
-        candidate, bound = vec.conj().T, max(0.0, float(_entropy_bits(lam_x)) - float(_entropy_bits(lam)))
+        rho_x = partial_trace(state, (k,))
+        candidate = _decomposition(rho_x)[1].conj().T
+        bound = max(0.0, von_neumann_entropy(rho_x) - von_neumann_entropy(state))
     elif factor.shape == (2, 4) and r == 2:
         candidate, c = _wootters_rows(factor)
         bound = _eof_of_concurrence(c)
@@ -209,7 +211,7 @@ def _measurement_problem(state: QState, k: int, cfg: OptimizerConfig, dephasing:
     elif factor.shape[1] == r:  # rank 1
         candidate = first
     return Problem(factor, r, first, cfg, candidate, bound, dephasing,
-                   _entropy_bits(lam) if dephasing else 0.0)
+                   von_neumann_entropy(state) if dephasing else 0.0)
 
 
 def _werner_coefficients(state: QState) -> tuple[float, float] | None:
@@ -294,28 +296,20 @@ def min_conditional_entropy(
     return _measured_minima(state, (measured,), cfg, dephasing=False)[0]
 
 
-def _entropies(state: QState) -> Callable:
-    """``keep -> S`` of ``state``'s reduction to ``keep`` (None: the whole state), each computed on first read."""
-
-    @functools.cache
-    def entropy(keep: tuple | None = None) -> float:
-        return von_neumann_entropy(state if keep is None else partial_trace(state, keep))
-
-    return entropy
-
-
-def _j_and_d(state: QState, measured: int, m: float, entropy: Callable) -> tuple:
+def _j_and_d(state: QState, measured: int, m: float) -> tuple:
     """(J, D, S(measured), S(rest), S(state)) from the conditional-entropy minimum ``m`` of ``state``.
 
     The one place that turns a minimum into J and D and picks the entropies
-    they need, read through ``entropy``, an ``_entropies`` reader of
-    ``state`` that callers may share between sides: J = S(rest) - m and D =
-    m - S(rest | measured), the rest being every other subsystem.  A D above
+    they need, each kept by ``qstate`` on ``state`` or its reduction, so
+    that sides and callers read one value: J = S(rest) - m and D = m -
+    S(rest | measured), the rest being every other subsystem.  A D above
     S(measured) + ``CONJECTURE_I_SLACK`` breaks a proved bound, so it raises
     ``DiscordBoundError``: it indicates a defect.
     """
     rest = tuple(i for i in range(state.n_subsystems) if i != measured)
-    s_measured, s_rest, s_total = entropy((measured,)), entropy(rest), entropy()
+    s_measured = von_neumann_entropy(partial_trace(state, (measured,)))
+    s_rest = von_neumann_entropy(partial_trace(state, rest))
+    s_total = von_neumann_entropy(state)
     j = s_rest - m
     d = m - (s_total - s_measured)
     if d > s_measured + CONJECTURE_I_SLACK:
@@ -330,7 +324,7 @@ def _j_and_d(state: QState, measured: int, m: float, entropy: Callable) -> tuple
 def _measured_run(state: QState, measured: int, cfg: OptimizerConfig | None):
     """One conditional-entropy minimization and its ``_j_and_d`` tuple: (minimum, (J, D, S(measured), ...))."""
     opt = min_conditional_entropy(state, measured, cfg)
-    return opt, _j_and_d(state, opt.argbasis.subsystem, opt.value, _entropies(state))
+    return opt, _j_and_d(state, opt.argbasis.subsystem, opt.value)
 
 
 def classical_correlation(
@@ -468,13 +462,12 @@ class CorrelationReport:
 
 
 def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> CorrelationReport:
-    """Full report of a two-subsystem state: both minima solved at once, both sides' entropies read once."""
+    """Full report of a two-subsystem state: both minima solved at once, each entropy computed once."""
     if state.n_subsystems != 2:
         raise ValueError("correlation_report needs a state with exactly two subsystems")
     opt_a, opt_b = _measured_minima(state, (0, 1), cfg, dephasing=False)
-    entropy = _entropies(state)
-    j_a, d_a, s_a, s_b, s_ab = _j_and_d(state, 0, opt_a.value, entropy)
-    j_b, d_b, *_ = _j_and_d(state, 1, opt_b.value, entropy)
+    j_a, d_a, s_a, s_b, s_ab = _j_and_d(state, 0, opt_a.value)
+    j_b, d_b, *_ = _j_and_d(state, 1, opt_b.value)
     return CorrelationReport(
         s_a=s_a,
         s_b=s_b,

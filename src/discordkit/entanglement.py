@@ -21,7 +21,9 @@ from .qstate import (
     InvalidStateError,
     PureStateVector,
     QState,
+    _decomposition,
     _ensemble_objective,
+    _kept_eigh,
     is_pure,
     normalize_partition,
     partial_trace,
@@ -133,13 +135,13 @@ def _require_two_qubits(state: QState, name: str):
 def concurrence_2qubit(state: QState) -> float:
     """Wootters concurrence of a two-qubit state, in [0, 1].
 
-    From the singular values of L^T (sigma_y x sigma_y) L, rho = L L^dag: the
-    descending square-rooted eigenvalues of rho (sigma_y x sigma_y) rho*
-    (sigma_y x sigma_y), without the direct route's square-root noise
-    amplification.
+    From the singular values of L^T (sigma_y x sigma_y) L, rho = L L^dag
+    from the state's kept decomposition (``qstate``): the descending
+    square-rooted eigenvalues of rho (sigma_y x sigma_y) rho* (sigma_y x
+    sigma_y), without the direct route's square-root noise amplification.
     """
     _require_two_qubits(state, "concurrence_2qubit")
-    w, v = np.linalg.eigh(state.matrix)
+    w, v = _decomposition(state)
     factor = v * np.sqrt(np.maximum(w, 0.0))
     tau = factor.T @ _SYSY @ factor
     lam = np.linalg.svd(tau, compute_uv=False)
@@ -181,7 +183,7 @@ def _takagi(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     embedding = np.empty((2 * r, 2 * r))
     embedding[:r, :r], embedding[:r, r:] = tau.real, tau.imag
     embedding[r:, :r], embedding[r:, r:] = tau.imag, -tau.real
-    _w, v = np.linalg.eigh(embedding)
+    _w, v = _kept_eigh(embedding)
     top = v[:, ::-1][:, :r]
     cols = np.linalg.qr(top[:r] + 1j * top[r:])[0]
     z = np.einsum("ji,jk,ki->i", cols.conj(), tau, cols.conj())

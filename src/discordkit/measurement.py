@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .config import _integer
-from .qstate import QState, _decomposition, _derived_state, _subsystems, von_neumann_entropy
+from .qstate import QState, _decomposition, _derived_state, _kept_eigh, _subsystems, von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -138,7 +138,7 @@ class POVM:
             # Each test is negated, so that a NaN residual fails it too.
             if not float(np.max(np.abs(e - e.conj().T))) <= ELEMENT_PSD_TOL:
                 raise ValueError("POVM element is not Hermitian")
-            if not float(np.linalg.eigvalsh(e)[0]) >= -ELEMENT_PSD_TOL:
+            if not float(_kept_eigh(e)[0][0]) >= -ELEMENT_PSD_TOL:
                 raise ValueError("POVM element is not positive semidefinite")
             e.setflags(write=False)
             total += e
@@ -235,21 +235,21 @@ def _povm_blocks(t: np.ndarray, elements) -> np.ndarray:
     return np.einsum("kab,bras->krs", e, t, optimize=True)
 
 
-def _measurement_factor(state: QState, measured: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """A factor rho = L L^H with the measured index first, the rest dimension R, and rho's spectrum.
+def _measurement_factor(state: QState, measured: int) -> tuple[np.ndarray, int]:
+    """A factor rho = L L^H with the measured index first, and the rest dimension R.
 
     L keeps the s eigenvalues of rho above ``_RANK_FLOOR`` as a (d_m, R s)
     matrix: row x, reshaped to (R, s), is the amplitude block phi_x of the
     purification sum_x |x> (x) phi_x over (rest, purifier), so measuring in a
     basis U is the ensemble of the rows of V L, V = U^H.  Subsystem 0 reads
-    the state's kept decomposition (``qstate``); another takes one ``eigh``
-    of the permuted matrix.
+    the state's kept decomposition (``qstate``); another takes one
+    ``qstate._kept_eigh`` of the permuted matrix.
     """
     t, dm, _rest = _measured_view(state, measured)
     r = t.shape[1]
-    lam, vec = _decomposition(state) if measured == 0 else np.linalg.eigh(t.reshape(dm * r, dm * r))
+    lam, vec = _decomposition(state) if measured == 0 else _kept_eigh(t.reshape(dm * r, dm * r))
     keep = lam > _RANK_FLOOR
-    return (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * int(keep.sum())), r, lam
+    return (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * int(keep.sum())), r
 
 
 def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:

@@ -9,14 +9,22 @@ checks stable under floating-point eigensolvers and fixes the rank used
 for purification; the searches' batched entropy floors the logarithm
 instead (``_ensemble_objective``).
 
-Each state is decomposed once.  ``validate`` takes one ``eigh`` of the
-Hermitian part (m + m^H)/2, and the constructor keeps that pair; a derived
-state, Hermitian by construction, takes one ``eigh`` of its matrix on its
-first spectral read and keeps it.  ``von_neumann_entropy``, ``spectrum``
-(and so ``purify``) and ``measurement._measurement_factor`` on subsystem 0
-read the kept pair.  A state's matrix and its pair are read-only arrays
-that depend only on the matrix, so states are safe to share across
-concurrent workers.
+This module is the one owner of a state's spectral facts, and every
+eigensolver call of the package passes through it (``_kept_eigh``,
+``_gram_spectrum``).  A state keeps three things beside its matrix, each
+computed once.  Its decomposition (``_decomposition``): ``validate`` takes
+one ``eigh`` of the Hermitian part (m + m^H)/2, and the constructor keeps
+that pair; a derived state, Hermitian by construction, takes one ``eigh`` of
+its matrix on its first spectral read.  Its entropy, which
+``von_neumann_entropy`` computes from that pair on first read.  Its
+reductions, which ``partial_trace`` keeps keyed by the sorted kept indices,
+so that every reader of one reduction reads one object, with one
+decomposition and one entropy.  ``spectrum`` (and so ``purify``),
+``measurement._measurement_factor`` on subsystem 0 and
+``entanglement.concurrence_2qubit`` read the kept pair.  Each fact depends
+only on the matrix, and the arrays are read-only, so states are safe to
+share across concurrent workers: two workers that race on a first read
+compute the same value.
 
 Validation happens at the boundary.  ``config._integer`` reads every
 integer argument, and ``_subsystems`` every subsystem index through it: a
@@ -195,10 +203,7 @@ class QState:
         diag = validate(m, dims)
         if not diag.ok:
             raise InvalidStateError(f"invalid density matrix: {diag}")
-        m.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_pair", diag.decomposition)
+        _store(self, dims, m, diag.decomposition)
 
     @property
     def dim(self) -> int:
@@ -219,12 +224,16 @@ def _derived_state(dims: tuple[int, ...], matrix: np.ndarray) -> QState:
     as a read-only complex copy, bit for bit, with no eigensolver: the
     state's one decomposition waits for its first spectral read.
     """
-    m = np.array(matrix, dtype=np.complex128)
+    return _store(object.__new__(QState), dims, np.array(matrix, dtype=np.complex128), None)
+
+
+def _store(state: QState, dims: tuple[int, ...], m: np.ndarray, pair: tuple | None) -> QState:
+    """``state`` with ``dims``, ``m`` made read-only, and its kept facts, set past the frozen ``__setattr__``.
+
+    The kept facts (module docstring) start as ``pair`` (None for a derived state), no entropy and no reduction.
+    """
     m.setflags(write=False)
-    state = object.__new__(QState)
-    object.__setattr__(state, "dims", dims)
-    object.__setattr__(state, "matrix", m)
-    object.__setattr__(state, "_pair", None)
+    vars(state).update(dims=dims, matrix=m, _pair=pair, _entropy=None, _reductions={})
     return state
 
 
@@ -429,8 +438,10 @@ def _blockwise(a: np.ndarray, sizes: tuple, mats) -> np.ndarray:
 
 
 def von_neumann_entropy(state: QState) -> float:
-    """Von Neumann entropy of ``state`` in bits; ``0 * log 0`` is 0."""
-    return float(_entropy_bits(_decomposition(state)[0]))
+    """Von Neumann entropy of ``state`` in bits; ``0 * log 0`` is 0.  Kept on the state after the first read."""
+    if state._entropy is None:
+        object.__setattr__(state, "_entropy", float(_entropy_bits(_decomposition(state)[0])))
+    return state._entropy
 
 
 def tensor(a: QState, b: QState) -> QState:
@@ -439,15 +450,20 @@ def tensor(a: QState, b: QState) -> QState:
 
 
 def partial_trace(state: QState, keep: Iterable[int]) -> QState:
-    """Trace out the subsystems not in ``keep`` (read by ``_subsystems``); the rest keep order."""
+    """Trace out the subsystems not in ``keep`` (read by ``_subsystems``); the rest keep order.
+
+    Kept on ``state`` under the sorted kept indices: every spelling of ``keep`` returns one object.
+    """
     kept = _subsystems("keep", keep, state.n_subsystems)
-    dims = state.dims
-    t = state.matrix.reshape(dims + dims)
-    for ax in reversed([i for i in range(state.n_subsystems) if i not in kept]):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-    kept_dims = tuple(dims[i] for i in kept)
-    side = int(np.prod(kept_dims))
-    return _derived_state(kept_dims, t.reshape(side, side))
+    if kept not in state._reductions:
+        dims = state.dims
+        t = state.matrix.reshape(dims + dims)
+        for ax in reversed([i for i in range(state.n_subsystems) if i not in kept]):
+            t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+        kept_dims = tuple(dims[i] for i in kept)
+        side = int(np.prod(kept_dims))
+        state._reductions[kept] = _derived_state(kept_dims, t.reshape(side, side))
+    return state._reductions[kept]
 
 
 def permute_subsystems(state: QState, order: Sequence[int]) -> QState:

@@ -29,7 +29,6 @@ from .correlations import (
     CERTIFIED,
     DEFAULT_CONFIG,
     OptimizedValue,
-    _entropies,
     _j_and_d,
     _measured_minima,
     _minimum_with_roof,
@@ -42,9 +41,11 @@ from .qstate import (
     PureStateVector,
     QState,
     _entropy_bits,
+    _kept_eigh,
     is_pure,
     partial_trace,
     purify,
+    von_neumann_entropy,
 )
 from .states import StateFamilySpec
 
@@ -145,24 +146,25 @@ _READ_D_A = frozenset({"thm1", "lindblad", "monogamy"})
 
 
 class _StateAnalysis:
-    """The quantities the relations read on one state, each computed on first use and kept here only.
+    """The sources, searches and roofs the relations read on one state, each computed on first use and kept here.
 
     A source is the input state (``"state"``), its pure tripartite form
     (``"abc"``, the purification of a bipartite input) or a reduction of
-    ``"abc"`` named in ``_PAIRS``.  The memo holds each source under its
-    names and every quantity under its source's object, not a name:
-    ``__init__`` puts the input under ``"ab"`` too when it is bipartite, and
-    under ``"abc"`` when it is pure tripartite, so each entropy and search
-    runs once per distinct state.  Any other input has no ``"abc"``, and the
-    rows that read it skip (``_pure_abc``).  (``purify`` drops eigenvalues
-    below ``EIG_CLIP``, so the AB reduction of the purification may differ
-    from the input by that weight, far inside monogamy's 2e-3; the paper
-    states its relations for the input.)  When the ``relations`` that will
-    read the analysis read both the D_A minimum and E_F(BC) of a bipartite
-    input (``_READ_D_A``, ``_READ_EF_BC``) and E_F(BC) takes the convex
-    roof, the first read of either solves the two together
-    (``correlations._minimum_with_roof``); otherwise a suite that reads one
-    of them never runs the other.
+    ``"abc"`` named in ``_PAIRS``, which ``qstate.partial_trace`` keeps on
+    ``"abc"``, as ``qstate`` keeps every entropy on its state.  The memo
+    holds the input under its names and ``"abc"``, and every search under
+    its source's object, not a name: ``__init__`` puts the input under
+    ``"ab"`` too when it is bipartite, and under ``"abc"`` when it is pure
+    tripartite, so each search runs once per distinct state.  Any other
+    input has no ``"abc"``, and the rows that read it skip (``_pure_abc``).
+    (``purify`` drops eigenvalues below ``EIG_CLIP``, so the AB reduction
+    of the purification may differ from the input by that weight, far
+    inside monogamy's 2e-3; the paper states its relations for the input.)
+    When the ``relations`` that will read the analysis read both the D_A
+    minimum and E_F(BC) of a bipartite input (``_READ_D_A``,
+    ``_READ_EF_BC``) and E_F(BC) takes the convex roof, the first read of
+    either solves the two together (``correlations._minimum_with_roof``);
+    otherwise a suite that reads one of them never runs the other.
     """
 
     def __init__(self, state, cfg: OptimizerConfig | None, relations: tuple = ()):
@@ -185,17 +187,14 @@ class _StateAnalysis:
 
     def source(self, name: str) -> QState:
         """The state ``name``; ``"abc"`` and its reductions exist where ``_pure_abc`` holds."""
-        if name not in self._memo:  # a memo hit, the common read, builds nothing
-            self._memo[name] = (purify(self.state).to_density() if name == "abc"
-                                else partial_trace(self.source("abc"), _PAIRS[name]))
-        return self._memo[name]
+        if name in _PAIRS and name not in self._memo:  # a reduction, which qstate keeps on "abc"
+            return partial_trace(self.source("abc"), _PAIRS[name])
+        return self._memoized(name, lambda: purify(self.state).to_density())  # the input, or "abc"
 
     def entropy(self, name: str, keep: tuple | None = None) -> float:
-        """S of ``source(name)``, or of its reduction to ``keep``, from the source's one ``_entropies`` reader."""
-        return self._entropies(self.source(name))(keep)
-
-    def _entropies(self, rho: QState) -> Callable:
-        return self._memoized(("entropies", rho), _entropies, rho)
+        """S of ``source(name)``, or of its reduction to ``keep``, as ``qstate`` keeps it."""
+        rho = self.source(name)
+        return von_neumann_entropy(rho if keep is None else partial_trace(rho, keep))
 
     def _pair(self) -> None:
         """Run the D_A minimum and E_F(BC) as one search, once, where they pair."""
@@ -225,12 +224,8 @@ class _StateAnalysis:
         return self._memoized(("minimum", rho, measured), min_conditional_entropy, rho, measured, self.cfg)
 
     def j_and_d(self, name: str, measured: int) -> tuple[float, float]:
-        """(J, D) of ``source(name)`` measured on ``measured``: ``_j_and_d`` of ``minimum`` and ``entropy``."""
-        rho = self.source(name)
-        key = ("j_and_d", rho, measured)
-        if key not in self._memo:
-            self._memo[key] = _j_and_d(rho, measured, self.minimum(name, measured).value, self._entropies(rho))[:2]
-        return self._memo[key]
+        """(J, D) of ``source(name)`` measured on ``measured``: ``_j_and_d`` of ``minimum``."""
+        return _j_and_d(self.source(name), measured, self.minimum(name, measured).value)[:2]
 
 
 def _analysis(state, cfg, relation: str) -> _StateAnalysis:
@@ -538,7 +533,7 @@ def check_kw_pointwise(
     for subscripts in ("kbcdc->kbd", "kbcbd->kcd"):
         reduced = np.einsum(subscripts, per_outcome)
         terms = np.zeros(kept.shape)
-        terms[kept] = p * _entropy_bits(np.linalg.eigvalsh(reduced))
+        terms[kept] = p * _entropy_bits(_kept_eigh(reduced)[0])
         s_meas.append(np.array([math.fsum(row) for row in terms.tolist()]))
     s_a = a.entropy("abc", (0,))
     s_c = a.entropy("abc", (2,))

@@ -923,9 +923,8 @@ def test_minimum_with_roof_runs_apart_where_the_problems_do_not_share_a_key(monk
 def _two_search_report(state, cfg):
     # correlation_report built from two min_conditional_entropy runs, one a side.
     opt_a, opt_b = (min_conditional_entropy(state, k, cfg) for k in (0, 1))
-    entropy = correlations._entropies(state)
-    j_a, d_a, s_a, s_b, s_ab = correlations._j_and_d(state, 0, opt_a.value, entropy)
-    j_b, d_b, *_ = correlations._j_and_d(state, 1, opt_b.value, entropy)
+    j_a, d_a, s_a, s_b, s_ab = correlations._j_and_d(state, 0, opt_a.value)
+    j_b, d_b, *_ = correlations._j_and_d(state, 1, opt_b.value)
     diagnostics = {"measured_a": opt_a.diagnostics(), "measured_b": opt_b.diagnostics()}
     return correlations.CorrelationReport(s_a, s_b, s_ab, s_a + s_b - s_ab, j_a, j_b, d_a, d_b, abs(d_a - d_b),
                                           diagnostics)

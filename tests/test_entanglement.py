@@ -199,6 +199,55 @@ def test_eof_upper_meets_wootters_to_rounding(rank, seed):
     assert roof.crosscheck_gap <= 1e-12
 
 
+def _isotropic(d: int, f: float) -> QState:
+    """The isotropic state of fidelity f with |Phi+> = sum_i |ii> / sqrt(d) on two d-level systems."""
+    phi = np.eye(d).reshape(-1) / math.sqrt(d)
+    projector = np.outer(phi, phi)
+    return QState((d, d), f * projector + (1.0 - f) / (d * d - 1) * (np.eye(d * d) - projector))
+
+
+def _vollbrecht_werner(x: float) -> float:
+    """E_F of a Werner state of flip expectation x, any d (Vollbrecht & Werner, PRA 64, 062307, 2001)."""
+    return binary_entropy((1.0 - math.sqrt(1.0 - x * x)) / 2.0) if x < 0.0 else 0.0
+
+
+def _terhal_vollbrecht(d: int, f: float) -> float:
+    """E_F of the d x d isotropic state of fidelity f (Terhal & Vollbrecht, PRL 85, 2625, 2000).
+
+    Zero up to f = 1/d; then R(f) = h(g) + (1 - g) log2(d - 1), g = (sqrt(f) +
+    sqrt((d - 1)(1 - f)))^2 / d, up to f = 4 (d - 1) / d^2; above it the line
+    to log2 d at f = 1.
+    """
+    if f <= 1.0 / d:
+        return 0.0
+    if f >= 4.0 * (d - 1) / d**2:
+        return d * math.log2(d - 1) / (d - 2) * (f - 1.0) + math.log2(d)
+    g = (math.sqrt(f) + math.sqrt((d - 1) * (1.0 - f))) ** 2 / d
+    return binary_entropy(g) + (1.0 - g) * math.log2(d - 1)
+
+
+_EXACT_ROOFS = [(werner_qudit(3, x), _vollbrecht_werner(x)) for x in (-0.9, -0.5, -0.2, 0.3)] + [
+    (_isotropic(3, f), _terhal_vollbrecht(3, f)) for f in (0.4, 0.8, 0.95)]
+
+
+@pytest.mark.parametrize(
+    "index", range(len(_EXACT_ROOFS)),
+    ids=[f"werner-x{x}" for x in (-0.9, -0.5, -0.2, 0.3)] + [f"isotropic-f{f}" for f in (0.4, 0.8, 0.95)],
+)
+def test_eof_upper_meets_exact_roofs_above_two_qubits(index):
+    # Closed forms of E_F on 3 x 3 states of full rank 9, where no
+    # certificate applies: the roof searches 81 x 9 isometries in the
+    # L-BFGS model.  A seeded local rotation U (x) V keeps E_F and hides the
+    # symmetry of the state from the search's start.
+    assert _descent.coordinates(81, 9) > DENSE_MAX
+    state, exact = _EXACT_ROOFS[index]
+    g = stream(4100 + index)
+    u = np.kron(haar_unitary(g, 3), haar_unitary(g, 3))
+    roof = eof_upper(QState((3, 3), u @ state.matrix @ u.conj().T))
+    assert CERTIFIED not in roof.stop_reasons
+    assert -1e-12 <= roof.value - exact <= 1e-9
+
+
 def test_eof_upper_witness_reconstructs_state():
     # A (2, 3) rank-4 roof searches 16 x 4 isometries in the L-BFGS model.
     assert _descent.coordinates(16, 4) > DENSE_MAX

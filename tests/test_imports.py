@@ -18,7 +18,9 @@ compares stop reasons with ``(CERTIFIED,)``.  ``config._integer`` is the one
 reader of integer arguments (``qstate._subsystems`` reads subsystem indices
 through it): ``int()`` converts only counts, and the cli's text.  Only
 ``states._FAMILIES`` decides a family's parameters and sampler: no module
-compares a family name, but for the cli's two shorthands.
+compares a family name, but for the cli's two shorthands.  Only ``qstate``
+names NumPy's ``eigh`` or ``eigvalsh``: it owns every decomposition,
+entropy and reduction of a state.
 """
 
 import ast
@@ -212,6 +214,30 @@ def test_one_reader_reads_every_integer_argument():
     # parses the cli's own text.
     assert package_functions_where(converts_a_non_count) <= {"cli._parse_dims", "cli._parse_range"}
     assert package_functions_where(uses_operator_index) == {"config._integer"}
+
+
+def names_an_eigensolver(node) -> bool:
+    """A reference to NumPy's ``eigh`` or ``eigvalsh``, called or not."""
+    return (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")) or (
+        isinstance(node, ast.Name) and node.id in ("eigh", "eigvalsh"))
+
+
+def test_qstate_owns_every_eigensolve():
+    # Every decomposition, entropy and reduction of a state is qstate's:
+    # the other modules read the kept pair or call _kept_eigh.
+    assert package_functions_where(names_an_eigensolver) == {"qstate._kept_eigh", "qstate._gram_spectrum"}
+
+
+def test_eigensolver_detection():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import eigvalsh\n"
+        "def f(a):\n    return np.linalg.eigh(a)\n"
+        "def g(a):\n    return eigvalsh(a)[0]\n"
+        "def h(a):\n    solve = np.linalg.eigvalsh\n    return solve(a)\n"
+        "def k(a):\n    return _kept_eigh(a), np.linalg.eig(a), np.linalg.svd(a), a.eigh_count\n"
+        "class C:\n    def m(self, a):\n        return numpy.linalg.eigh(a)[1]\n"
+    )
+    assert functions_where(source, "m", names_an_eigensolver) == {"m.f", "m.g", "m.h", "m.C.m"}
 
 
 def test_integer_read_detection():

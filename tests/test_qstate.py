@@ -247,6 +247,22 @@ def test_a_state_keeps_one_read_only_decomposition(monkeypatch):
         _decomposition(derived)[1][0, 0] = 0.0
 
 
+def test_a_state_keeps_its_reductions_and_their_entropies(monkeypatch):
+    # partial_trace keeps each reduction on its source under the sorted kept
+    # indices, however they are spelled, and von_neumann_entropy keeps its
+    # value: two entropy reads of one reduction make one eigensolve.
+    state = random_mixed((2, 2, 3), 5, 1)
+    reduced = partial_trace(state, 0)
+    assert partial_trace(state, (0,)) is reduced and partial_trace(state, [0]) is reduced
+    assert partial_trace(state, (2, 0)) is partial_trace(state, [0, 2]) is not partial_trace(state, (0, 1))
+    solved = record_eigensolves(monkeypatch)
+    first, second = von_neumann_entropy(partial_trace(state, [0])), von_neumann_entropy(reduced)
+    assert first == second and len(solved) == 1 and calls_on(solved, reduced.matrix) == 1
+    for _ in range(2):
+        conditional_entropy(state, 1, 0)
+    assert len(solved) == 2 and calls_on(solved, partial_trace(state, (0, 1)).matrix) == 1
+
+
 def test_purify_pure_state_has_trivial_environment():
     pure = bell_state()
     vec = purify(pure)
@@ -535,7 +551,7 @@ def test_ensemble_objective_scores_a_rank_one_factor_as_positive_zero(dephasing)
     # the value is 0 * log 1 = 0; their negated sum must be +0.0, not -0.0,
     # which a report would print as "-0".
     product = tensor(QState((2,), np.diag([1.0, 0.0]).astype(complex)), QState((3,), np.full((3, 3), 1.0 / 3.0)))
-    factor, r, _lam = _measurement_factor(product, 0)
+    factor, r = _measurement_factor(product, 0)
     objective = _ensemble_objective(factor[None], r, factor.shape[1] // r, dephasing)
     values, _grad = objective(np.eye(2, dtype=complex)[None], (1,))
     assert values.tolist() == [0.0] and math.copysign(1.0, values[0]) == 1.0

@@ -250,12 +250,13 @@ def test_thm2_and_cor2():
 
 
 def test_thm2_fails_when_its_identity_residual_exceeds_the_tolerance():
-    # Shift D_B by 1e-2: the bound |D_A - D_B| <= S(AB) still holds, but the
-    # identity D_A - D_B = S(A) - S(B) no longer does, so the row must fail.
+    # Shift D_B by 1e-2, through its conditional-entropy minimum: the bound
+    # |D_A - D_B| <= S(AB) still holds, but the identity D_A - D_B = S(A) -
+    # S(B) no longer does, so the row must fail.
     spec = StateFamilySpec("classical_quantum", {"k": 2, "dims": (2,), "orthogonal": True}, 6)
     analysis = _StateAnalysis(spec.sample(0), FAST)
-    j_b, d_b = analysis.j_and_d("state", 1)
-    analysis._memo[("j_and_d", analysis.state, 1)] = (j_b, d_b + 1e-2)
+    opt_b = analysis.minimum("state", 1)
+    analysis._memo[("minimum", analysis.state, 1)] = replace(opt_b, value=opt_b.value + 1e-2)
     row = check_thm2(analysis, FAST)
     assert row.skipped is None and row.slack >= -row.tolerance
     assert row.provenance["identity_residual"] > row.tolerance and row.holds is False
@@ -269,7 +270,7 @@ def _record_eof_pairs(monkeypatch, analysis):
     certified_eof, eof_upper = verify._certified_eof, verify.eof_upper
 
     def pair_of(state):
-        return next(p for p in ("ac", "bc") if analysis._memo.get(p) is state)
+        return next(p for p in ("ac", "bc") if analysis.source(p) is state)
 
     def recording_certified_eof(state, cfg):
         pairs.append(pair_of(state))
@@ -492,6 +493,31 @@ def test_thm3_reads_both_sides_in_one_solve():
         assert row.provenance == {"chain_value": detail.chain_value, "joint_value": detail.joint_value,
                                   "chain_residual": detail.joint_value - detail.chain_value}
         assert row.holds
+
+
+def test_thm3_stacks_d_b_and_d_c_in_one_descend(monkeypatch):
+    # Both sides read one kept S(rho) as their offset (qstate), so on a
+    # (2, 2, 2) input D_B and D_C share a _descent.solve key and run as two
+    # blocks of one descend.  When each side read S(rho) from an eigensolve
+    # of its own permuted matrix, 22 of these 40 states ran them apart
+    # (0, 2, 5, 7, 10, ...).
+    import discordkit.verify as verify
+
+    cfg = OptimizerConfig(restarts=2, max_iter=400, seed=7)
+    calls, measured_minima = [], verify._measured_minima
+    descends = record_descends(monkeypatch)
+
+    def recording(state, measured, c, dephasing):
+        descends.clear()
+        out = measured_minima(state, measured, c, dephasing)
+        calls.append(list(descends))
+        return out
+
+    monkeypatch.setattr(verify, "_measured_minima", recording)
+    for i in range(40):
+        calls.clear()
+        row = check_thm3(random_mixed((2, 2, 2), 8, 5000 + i), cfg)
+        assert row.skipped is None and calls == [[(cfg.restarts, cfg.restarts)]], i
 
 
 @pytest.mark.parametrize("excess, holds", [(1e-6, False), (1e-10, True)])
