@@ -397,7 +397,7 @@ def re_discord_detailed(
         raise ValueError(f"first must measure subsystem {measured[0]}, not {first.argbasis.subsystem}")
     rest = tuple(i for i in range(state.n_subsystems) if i not in measured)
     sigma = permute_subsystems(state, measured + rest)
-    d_joint = int(np.prod([state.dims[i] for i in measured]))
+    d_joint = math.prod([state.dims[i] for i in measured])
     rest_dims = tuple(state.dims[i] for i in rest)
     [joint] = _measured_minima(_derived_state((d_joint,) + rest_dims, sigma.matrix), (0,), cfg, dephasing=True)
     detail = ReDiscordDetail(**vars(joint), chain_value=math.nan, joint_value=joint.value)

@@ -9,6 +9,7 @@ carry an exactness tag and upper bounds are never reported as exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -170,10 +171,11 @@ def _takagi(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The real symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]] has
     the eigenvalues +-s_i; an eigenvector (a, b) of +s_i gives a column u =
     a + i b with tau conj(u) = s_i u, and those of s_i > 0 are orthonormal.
-    The top r eigenvectors, in descending order, are orthonormalized in that
-    order by a QR factorization, so that U is exactly unitary: among zero
-    values (tau singular to rounding) an eigenvector may be a complex multiple
-    of an earlier one, and Q then completes the columns with unit vectors
+    The top r eigenvectors, in descending order, give U when their columns
+    are orthonormal to 1e-13; otherwise a QR factorization orthonormalizes
+    them in that order, so that U is unitary: among zero values (tau
+    singular to rounding) an eigenvector may be a complex multiple of an
+    earlier one, and Q then completes the columns with unit vectors
     orthogonal to the s_i > 0 columns, which span the null space of tau
     conj(.).  Each column is phased so that u_i^H tau conj(u_i) = s_i >= 0,
     and the columns are sorted by descending s_i, so that s1 >= s2 holds
@@ -185,8 +187,11 @@ def _takagi(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     embedding[r:, :r], embedding[r:, r:] = tau.imag, -tau.real
     _w, v = _kept_eigh(embedding)
     top = v[:, ::-1][:, :r]
-    cols = np.linalg.qr(top[:r] + 1j * top[r:])[0]
-    z = np.einsum("ji,jk,ki->i", cols.conj(), tau, cols.conj())
+    cols = top[:r] + 1j * top[r:]
+    if not np.abs(cols.conj().T @ cols - np.eye(r)).max() <= 1e-13:
+        cols = np.linalg.qr(cols)[0]
+    uh = cols.conj().T
+    z = ((uh @ tau) * uh).sum(axis=1)
     order = np.argsort(-np.abs(z), kind="stable")
     return (cols * np.exp(0.5j * np.angle(z)))[:, order], np.abs(z)[order]
 
@@ -263,7 +268,7 @@ def _wootters_rows(phi: np.ndarray) -> tuple[np.ndarray, float]:
 def _roof_rows(e0: np.ndarray, dims, part_a, part_b) -> tuple[np.ndarray, int]:
     """e0's r amplitude rows permuted to the (A, B) order of the member blocks (d_A x d_B), and d_A."""
     r = e0.shape[0]
-    da = int(np.prod([dims[i] for i in part_a]))
+    da = math.prod([dims[i] for i in part_a])
     order = (0,) + tuple(1 + i for i in part_a) + tuple(1 + i for i in part_b)
     return e0.reshape((r,) + tuple(dims)).transpose(order).reshape(r, -1), da
 
@@ -274,10 +279,13 @@ def _roof_objective(e0: np.ndarray, dims, part_a, part_b) -> Callable:
     return _ensemble_objective(rows[None], da, rows.shape[1] // da)
 
 
+@functools.lru_cache(maxsize=16)
 def _dft_isometry(m: int, r: int) -> np.ndarray:
-    """The first r columns of the unitary m-point DFT: every row has norm sqrt(r / m)."""
+    """The first r columns of the unitary m-point DFT, read-only: every row has norm sqrt(r / m)."""
     jk = np.outer(np.arange(m), np.arange(r)) % m
-    return np.exp(-2j * np.pi * jk / m) / math.sqrt(m)
+    out = np.exp(-2j * np.pi * jk / m) / math.sqrt(m)
+    out.setflags(write=False)
+    return out
 
 
 def _roof(state: QState, partition, cfg: OptimizerConfig | None) -> tuple[Problem, np.ndarray, float | None]:

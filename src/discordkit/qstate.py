@@ -19,12 +19,13 @@ its matrix on its first spectral read.  Its entropy, which
 ``von_neumann_entropy`` computes from that pair on first read.  Its
 reductions, which ``partial_trace`` keeps keyed by the sorted kept indices,
 so that every reader of one reduction reads one object, with one
-decomposition and one entropy.  ``spectrum`` (and so ``purify``),
-``measurement._measurement_factor`` on subsystem 0 and
-``entanglement.concurrence_2qubit`` read the kept pair.  Each fact depends
-only on the matrix, and the arrays are read-only, so states are safe to
-share across concurrent workers: two workers that race on a first read
-compute the same value.
+decomposition and one entropy; a ``keep`` spelled as such a key answers
+before it is parsed, and every other spelling is read in full.
+``spectrum`` (and so ``purify``), ``measurement._measurement_factor`` on
+subsystem 0 and ``entanglement.concurrence_2qubit`` read the kept pair.
+Each fact depends only on the matrix, and the arrays are read-only, so
+states are safe to share across concurrent workers: two workers that race
+on a first read compute the same value.
 
 Validation happens at the boundary.  ``config._integer`` reads every
 integer argument, and ``_subsystems`` every subsystem index through it: a
@@ -48,6 +49,7 @@ product is Hermitian and positive semidefinite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -163,7 +165,7 @@ def validate(matrix, dims) -> StateDiagnostics:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     d = _as_dims(dims)
-    side = int(np.prod(d))
+    side = math.prod(d)
     if m.shape[-1] != side:
         raise ValueError(f"matrix side {m.shape[-1]} does not match prod(dims) = {side}")
     mh = m.conj().swapaxes(-1, -2)
@@ -207,7 +209,7 @@ class QState:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_subsystems(self) -> int:
@@ -254,7 +256,7 @@ class PureStateVector:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         amps = np.array(self.amplitudes, dtype=np.complex128).ravel()
-        if amps.size != int(np.prod(dims)):
+        if amps.size != math.prod(dims):
             raise ValueError(
                 f"amplitude length {amps.size} does not match prod(dims)"
             )
@@ -267,7 +269,7 @@ class PureStateVector:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_subsystems(self) -> int:
@@ -453,15 +455,19 @@ def partial_trace(state: QState, keep: Iterable[int]) -> QState:
     """Trace out the subsystems not in ``keep`` (read by ``_subsystems``); the rest keep order.
 
     Kept on ``state`` under the sorted kept indices: every spelling of ``keep`` returns one object.
+    A kept key itself, a sorted tuple of ``int``, answers before parsing; any other spelling (a
+    bool, a float, a NumPy scalar, unsorted or repeated indices) is read in full.
     """
+    if type(keep) is tuple and all(type(i) is int for i in keep) and keep in state._reductions:
+        return state._reductions[keep]
     kept = _subsystems("keep", keep, state.n_subsystems)
     if kept not in state._reductions:
         dims = state.dims
         t = state.matrix.reshape(dims + dims)
         for ax in reversed([i for i in range(state.n_subsystems) if i not in kept]):
-            t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+            t = t.trace(axis1=ax, axis2=ax + t.ndim // 2)
         kept_dims = tuple(dims[i] for i in kept)
-        side = int(np.prod(kept_dims))
+        side = math.prod(kept_dims)
         state._reductions[kept] = _derived_state(kept_dims, t.reshape(side, side))
     return state._reductions[kept]
 

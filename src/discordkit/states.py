@@ -97,7 +97,7 @@ def classical_quantum(probs: Sequence[float], states: Sequence[QState]) -> QStat
     qdims = states[0].dims
     if any(s.dims != qdims for s in states):
         raise ValueError("all component states must share the same dims")
-    d = int(np.prod(qdims))
+    d = math.prod(qdims)
     k = p.size
     m = np.zeros((k * d, k * d), dtype=complex)
     for i, (w, s) in enumerate(zip(p, states)):

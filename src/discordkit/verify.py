@@ -10,9 +10,10 @@ row, with NaN sides, instead of failing it; a ``survey`` row whose E_F term
 fails is still evaluated.  ``check_thm3`` and ``check_kw_pointwise`` are
 written by hand.  ``run_suite`` aggregates checks over seeded state families
 into reproducible ``SuiteReport`` objects, computing each quantity of a
-sample once (``_StateAnalysis``).  Exact entropy identities use a 1e-9
-tolerance; optimizer-dependent checks use 1e-3 to 2e-3, sized around the
-one-sided estimator bias (discord estimates high, classical correlation low).
+sample once (``_StateAnalysis``, which also keeps each J and D).  Exact
+entropy identities use a 1e-9 tolerance; optimizer-dependent checks use
+1e-3 to 2e-3, sized around the one-sided estimator bias (discord estimates
+high, classical correlation low).
 """
 
 from __future__ import annotations
@@ -146,16 +147,16 @@ _READ_D_A = frozenset({"thm1", "lindblad", "monogamy"})
 
 
 class _StateAnalysis:
-    """The sources, searches and roofs the relations read on one state, each computed on first use and kept here.
+    """The sources, searches, roofs, J and D the relations read on one state, each computed once and kept here.
 
     A source is the input state (``"state"``), its pure tripartite form
     (``"abc"``, the purification of a bipartite input) or a reduction of
     ``"abc"`` named in ``_PAIRS``, which ``qstate.partial_trace`` keeps on
     ``"abc"``, as ``qstate`` keeps every entropy on its state.  The memo
-    holds the input under its names and ``"abc"``, and every search under
-    its source's object, not a name: ``__init__`` puts the input under
-    ``"ab"`` too when it is bipartite, and under ``"abc"`` when it is pure
-    tripartite, so each search runs once per distinct state.  Any other
+    holds the input under its names and ``"abc"``, and every search, J and
+    D under its source's object, not a name: ``__init__`` puts the input
+    under ``"ab"`` too when it is bipartite, and under ``"abc"`` when it is
+    pure tripartite, so each search runs once per distinct state.  Any other
     input has no ``"abc"``, and the rows that read it skip (``_pure_abc``).
     (``purify`` drops eigenvalues below ``EIG_CLIP``, so the AB reduction
     of the purification may differ from the input by that weight, far
@@ -224,8 +225,11 @@ class _StateAnalysis:
         return self._memoized(("minimum", rho, measured), min_conditional_entropy, rho, measured, self.cfg)
 
     def j_and_d(self, name: str, measured: int) -> tuple[float, float]:
-        """(J, D) of ``source(name)`` measured on ``measured``: ``_j_and_d`` of ``minimum``."""
-        return _j_and_d(self.source(name), measured, self.minimum(name, measured).value)[:2]
+        """(J, D) of ``source(name)`` measured on ``measured``: ``_j_and_d`` of ``minimum``, once per source."""
+        rho = self.source(name)
+        return self._memoized(
+            ("j_and_d", rho, measured), lambda: _j_and_d(rho, measured, self.minimum(name, measured).value)[:2],
+        )
 
 
 def _analysis(state, cfg, relation: str) -> _StateAnalysis:
@@ -648,16 +652,8 @@ def run_suite(
         analysis = _StateAnalysis(spec.sample(i), cfg, relations)
         for name in relations:
             row = RELATIONS[name](analysis, cfg)
-            row = replace(
-                row,
-                provenance={
-                    **row.provenance,
-                    "family": dict(family),
-                    "sample": i,
-                    "seed": spec.seed,
-                    "optimizer": dict(optimizer),
-                },
-            )
+            # Every check returns a fresh provenance dict, which no one else holds yet.
+            row.provenance.update(family=dict(family), sample=i, seed=spec.seed, optimizer=dict(optimizer))
             rows.append(row)
     suite_id = f"{spec.family}:{'+'.join(relations)}"
     return SuiteReport(suite_id, spec, relations, samples, tuple(rows))

@@ -263,6 +263,19 @@ def test_a_state_keeps_its_reductions_and_their_entropies(monkeypatch):
     assert len(solved) == 2 and calls_on(solved, partial_trace(state, (0, 1)).matrix) == 1
 
 
+def test_a_kept_reduction_answers_only_its_own_key():
+    # A kept key answers before parsing, but (True,), (1.0,) and
+    # (np.bool_(True),) equal and hash as the kept (1,): each must still be
+    # read in full and refused, as must an index out of range.
+    state = random_mixed((2, 2), 3, 1)
+    kept = partial_trace(state, (1,))
+    for keep in ((True,), (1.0,), (np.bool_(True),), (5,)):
+        with pytest.raises(ValueError, match="keep"):
+            partial_trace(state, keep)
+    for keep in (1, [1], (1,), (np.int64(1),), (1, 1)):
+        assert partial_trace(state, keep) is kept
+
+
 def test_purify_pure_state_has_trivial_environment():
     pure = bell_state()
     vec = purify(pure)

@@ -779,6 +779,40 @@ def test_run_suite_computes_each_quantity_once(monkeypatch):
         assert len(opt_inputs) == 1
 
 
+def test_run_suite_reads_j_and_d_once_per_source_and_builds_each_provenance_once(monkeypatch):
+    import discordkit.verify as verify
+
+    calls = []
+    j_and_d = verify._j_and_d
+
+    def counting_j_and_d(state, measured, m):
+        calls.append((state, measured))
+        return j_and_d(state, measured, m)
+
+    monkeypatch.setattr(verify, "_j_and_d", counting_j_and_d)
+    spec = StateFamilySpec("random_mixed", {"dims": (2, 2), "rank": 2}, 1)
+    report = run_suite(spec, tuple(RELATIONS), 1, FAST)
+    # Seven reads of J or D: of the input measured on A (also read as
+    # "ab", the same state) and of the AC reduction, one call each.
+    assert len(report.rows) == 12 and len(calls) == len(set(calls)) == 2
+
+    # Each row keeps its own keys first, then the suite's, in that order.
+    analysis = _StateAnalysis(spec.sample(0), FAST, tuple(RELATIONS))
+    suite_keys = ["family", "sample", "seed", "optimizer"]
+    for row in report.rows:
+        assert list(row.provenance) == list(RELATIONS[row.name](analysis, FAST).provenance) + suite_keys
+    # No two rows share a provenance dict or its family and optimizer dicts.
+    first, *rest = report.rows
+    first.provenance["family"]["family"] = "changed"
+    first.provenance["optimizer"]["seed"] = -1
+    first.provenance["sample"] = -1
+    assert all(
+        row.provenance["family"] == spec.to_json() and row.provenance["optimizer"] == FAST.to_json()
+        and row.provenance["sample"] == 0
+        for row in rest
+    )
+
+
 def test_run_suite_counts_skips_separately():
     spec = StateFamilySpec("werner_2qubit", {}, 0)
     report = run_suite(spec, ("lindblad",), 1, CFG)
