@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 __all__ = ["OptimizerConfig"]
 
@@ -56,4 +56,5 @@ class OptimizerConfig:
             raise ValueError("max_iter must be >= 1")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The four fields by name, in order: ``dataclasses.fields``, not ``asdict``'s recursive copy."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -110,13 +110,13 @@ def binary_entropy(x: float) -> float:
 
 
 def eof_pure(state, partition=None) -> EofResult:
-    """Entanglement of a pure ``PureStateVector`` or ``QState`` (purity within 1e-9 of 1): either side's entropy."""
+    """Entanglement of a pure ``PureStateVector`` or ``QState`` (rank 1, ``qstate.is_pure``): either side's entropy."""
     if isinstance(state, PureStateVector):
         dims = state.dims
         amps = state.amplitudes
     elif isinstance(state, QState):
         if not is_pure(state):
-            raise InvalidStateError("eof_pure needs a pure state (purity < 1 - 1e-9)")
+            raise InvalidStateError("eof_pure needs a state of rank 1")
         sp = spectrum(state)
         dims = state.dims
         amps = sp.eigenvectors[:, 0]

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .config import _integer
-from .qstate import QState, _decomposition, _derived_state, _kept_eigh, _subsystems, von_neumann_entropy
+from .qstate import EIG_CLIP, QState, _decomposition, _derived_state, _kept_eigh, _subsystems, von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -41,10 +41,6 @@ COMPLETENESS_TOL = 1e-9
 # Outcomes with probability below this floor are dropped to avoid 0/0 in
 # conditional-state normalization.
 OUTCOME_FLOOR = 1e-12
-
-# Eigenvalues of rho at or below this floor are rounding noise: the factor
-# rho = L L^H keeps only the others.
-_RANK_FLOOR = 1e-14
 
 
 def n_measurement_params(d: int) -> int:
@@ -238,17 +234,18 @@ def _povm_blocks(t: np.ndarray, elements) -> np.ndarray:
 def _measurement_factor(state: QState, measured: int) -> tuple[np.ndarray, int]:
     """A factor rho = L L^H with the measured index first, and the rest dimension R.
 
-    L keeps the s eigenvalues of rho above ``_RANK_FLOOR`` as a (d_m, R s)
-    matrix: row x, reshaped to (R, s), is the amplitude block phi_x of the
-    purification sum_x |x> (x) phi_x over (rest, purifier), so measuring in a
-    basis U is the ensemble of the rows of V L, V = U^H.  Subsystem 0 reads
-    the state's kept decomposition (``qstate``); another takes one
-    ``qstate._kept_eigh`` of the permuted matrix.
+    L keeps the s eigenvalues of rho at or above ``qstate.EIG_CLIP`` (the
+    package's one rank rule) as a (d_m, R s) matrix: row x, reshaped to (R,
+    s), is the amplitude block phi_x of the purification sum_x |x> (x) phi_x
+    over (rest, purifier), so measuring in a basis U is the ensemble of the
+    rows of V L, V = U^H.  Subsystem 0 reads the state's kept decomposition
+    (``qstate``); another takes one ``qstate._kept_eigh`` of the permuted
+    matrix.
     """
     t, dm, _rest = _measured_view(state, measured)
     r = t.shape[1]
     lam, vec = _decomposition(state) if measured == 0 else _kept_eigh(t.reshape(dm * r, dm * r))
-    keep = lam > _RANK_FLOOR
+    keep = lam >= EIG_CLIP
     return (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * int(keep.sum())), r
 
 
@@ -259,18 +256,14 @@ def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:
     (``qstate``); the unmeasured subsystems keep their original order.
     Outcomes with p_k below ``OUTCOME_FLOOR`` are dropped.
     """
-    t, dm, rest = _measured_view(state, m.subsystem)
-    if isinstance(m, ProjectiveMeasurement):
-        if m.d != dm:
-            raise ValueError(f"measurement dimension {m.d} does not match subsystem dimension {dm}")
-        blocks = _conditional_blocks(t, m.basis)
-    elif isinstance(m, POVM):
-        if m.d != dm:
-            raise ValueError(f"POVM dimension {m.d} does not match subsystem dimension {dm}")
-        blocks = _povm_blocks(t, m.elements)
-    else:
+    projective = isinstance(m, ProjectiveMeasurement)
+    if not (projective or isinstance(m, POVM)):
         raise TypeError(f"unsupported measurement type {type(m).__name__}")
-    p, _kept, states = _outcomes(blocks)
+    t, dm, rest = _measured_view(state, m.subsystem)
+    if m.d != dm:
+        kind = "measurement" if projective else "POVM"
+        raise ValueError(f"{kind} dimension {m.d} does not match subsystem dimension {dm}")
+    p, _kept, states = _outcomes(_conditional_blocks(t, m.basis) if projective else _povm_blocks(t, m.elements))
     rest_dims = rest if rest else (1,)
     return OutcomeEnsemble(p, tuple(_derived_state(rest_dims, c) for c in states))
 

@@ -5,9 +5,19 @@ traces, spectral decompositions, von Neumann entropies, and canonical
 purification, on small dense matrices (total dimension up to ~64), with
 entropies in bits.  Eigenvalues below ``EIG_CLIP`` are treated as exact
 zeros and the rest renormalized, which keeps ``0 * log 0`` and positivity
-checks stable under floating-point eigensolvers and fixes the rank used
-for purification; the searches' batched entropy floors the logarithm
-instead (``_ensemble_objective``).
+checks stable under floating-point eigensolvers; the searches' batched
+entropy floors the logarithm instead (``_ensemble_objective``).
+
+One rank rule: a state's rank is the number of eigenvalues of its kept
+decomposition at or above ``EIG_CLIP``.  Every reader of a rank takes it
+there: ``is_pure`` (rank 1), and through it ``verify``'s pure-ABC test and
+``pure`` E_F route and ``entanglement.eof_pure``'s check; ``spectrum``, and
+through it ``purify``'s environment, which sizes ``verify._kw_unmet``'s
+rank and ``entanglement._roof``; ``_entropy_bits``; and
+``measurement._measurement_factor``, whose column count gives the
+zero-discord and Koashi-Winter certificates their rank.  The other floors
+are on weights, not ranks: the searches' logarithm floor,
+``measurement.OUTCOME_FLOOR`` and the roof witness's weight floor.
 
 This module is the one owner of a state's spectral facts, and every
 eigensolver call of the package passes through it (``_kept_eigh``,
@@ -522,8 +532,9 @@ def purity(state: QState) -> float:
     return float(np.real(np.trace(m @ m)))
 
 
-def is_pure(state: QState, tol: float = 1e-9) -> bool:
-    return purity(state) >= 1.0 - tol
+def is_pure(state: QState) -> bool:
+    """Whether ``state`` has rank 1: exactly one eigenvalue of its kept decomposition is at least ``EIG_CLIP``."""
+    return np.count_nonzero(_decomposition(state)[0] >= EIG_CLIP) == 1
 
 
 def purify(state: QState) -> PureStateVector:

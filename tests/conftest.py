@@ -11,7 +11,7 @@ from discordkit import OptimizerConfig, PureStateVector, QState, _descent
 from discordkit._descent import objective_of, solve
 from discordkit.correlations import DEFAULT_CONFIG, _measurement_problem, _optimized
 from discordkit.entanglement import _roof, _upper_bound
-from discordkit.states import stream
+from discordkit.states import haar_random_pure, stream
 
 
 def bell_vector() -> PureStateVector:
@@ -94,3 +94,15 @@ def record_eigensolves(monkeypatch) -> list:
 def calls_on(calls: list, matrix: np.ndarray) -> int:
     """How many logged eigensolver inputs are ``matrix``, to rounding (its Hermitian part counts)."""
     return sum(a.shape == matrix.shape and np.allclose(a, matrix, rtol=0.0, atol=1e-13) for a in calls)
+
+
+def near_pure(dims: tuple, weight: float) -> QState:
+    """(1 - weight)|psi><psi| + weight|phi><phi|, psi and phi the Haar draws of seeds 3 and 4.
+
+    phi is orthogonalized against psi, so the state's second eigenvalue is ``weight``.
+    """
+    psi = haar_random_pure(dims, 3).amplitudes
+    phi = haar_random_pure(dims, 4).amplitudes
+    phi = phi - np.vdot(psi, phi) * psi
+    phi = phi / np.linalg.norm(phi)
+    return QState(dims, (1.0 - weight) * np.outer(psi, psi.conj()) + weight * np.outer(phi, phi.conj()))

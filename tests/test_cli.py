@@ -212,6 +212,8 @@ def test_hunt_bad_range(capsys):
         capsys.readouterr()
         assert main(["hunt", "--d", "2", f"--x={sweep}"]) == 2
         assert capsys.readouterr() == ("", f"error: bad range '{sweep}'; expected start:end:count\n")
+    assert main(["hunt", "--d", "2", "--x=0.1:0.2:0"]) == 2
+    assert capsys.readouterr() == ("", "error: range count must be >= 1\n")
     assert main(["compute", "--family", "werner_qudit", "--d", "3", "--x", "abc"]) == 2
     assert capsys.readouterr() == ("", "error: bad --x value 'abc'\n")
 
@@ -288,13 +290,16 @@ def test_classical_quantum_rank_out_of_range_is_a_usage_error(rank, capsys):
         ("classical_quantum", ["--dims", "2x2", "--x", "0.5"], "classical_quantum takes no 'x' parameter"),
         ("random_mixed", [], "random_mixed requires a 'dims' parameter"),
         ("werner_qudit", ["--d", "3"], "werner_qudit requires a 'x' parameter"),
+        ("random_mixed", ["--dims", "2xa"], "bad --dims value '2xa'; expected e.g. 2x2x2"),
+        ("random_mixed", ["--dims", "2x0"], "bad --dims value '2x0'; dimensions must be positive"),
     ],
     ids=["haar_pure-rank", "werner_2qubit-dims", "random_mixed-d", "classical_quantum-x", "random_mixed-no-dims",
-         "werner_qudit-no-x"],
+         "werner_qudit-no-x", "random_mixed-dims-not-a-number", "random_mixed-dims-zero"],
 )
 def test_a_family_flag_the_family_does_not_take_is_a_usage_error(family, flags, message, capsys):
     # Every family flag given reaches the spec, which refuses the ones its
-    # family does not take, and a missing one, before anything is computed.
+    # family does not take, and a missing one, before anything is computed;
+    # a --dims that does not read as positive integers is refused first.
     for command in ("compute", "verify"):
         suite = ["--suite", "eq5"] if command == "verify" else []
         assert main([command, *suite, "--family", family, *flags]) == 2

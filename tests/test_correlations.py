@@ -83,6 +83,7 @@ from conftest import (
     haar_unitary,
     measurement_objective,
     measurement_search,
+    near_pure,
     record_descends,
     record_eigensolves,
 )
@@ -126,6 +127,11 @@ def test_optimizer_config_validation():
             OptimizerConfig(tol=tol)
 
 
+def test_optimizer_config_json_lists_its_fields_in_order():
+    cfg = OptimizerConfig(restarts=3, tol=1e-7, max_iter=50, seed=9)
+    assert list(cfg.to_json().items()) == [("restarts", 3), ("tol", 1e-7), ("max_iter", 50), ("seed", 9)]
+
+
 @pytest.mark.parametrize("field", ["restarts", "max_iter", "seed"])
 def test_optimizer_config_rejects_non_integral_counts(field):
     # A float count is refused at construction, not deep in a search; an
@@ -151,6 +157,8 @@ def test_mutual_information_partition_validation():
         mutual_information(state, ((0,), (1,)))
     with pytest.raises(ValueError):
         mutual_information(state, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="exactly two subsystems"):
+        correlation_report(state)
 
 
 def _brockett(a: np.ndarray, c: np.ndarray):
@@ -1371,6 +1379,16 @@ def test_zero_discord_certificate_on_pure_states(dims, monkeypatch):
         assert report.d_a == pytest.approx(report.s_b, abs=1e-12)
         assert report.d_b == pytest.approx(report.s_a, abs=1e-12)
     assert calls == []
+
+
+def test_zero_discord_certificate_on_a_near_pure_state():
+    # A second eigenvalue of 1e-11 lies below EIG_CLIP, so the state has
+    # rank 1 for every reader: each side's factor has one kept eigenvalue
+    # and is certified, and D_A and D_B meet S(B) and S(A) to rounding.
+    report = correlation_report(near_pure((2, 3), 1e-11))
+    assert [report.diagnostics[k]["stop_reasons"] for k in ("measured_a", "measured_b")] == [[CERTIFIED]] * 2
+    assert abs(report.d_a - report.s_b) <= 1e-12
+    assert abs(report.d_b - report.s_a) <= 1e-12
 
 
 def test_a_report_never_decomposes_a_validated_state_again(monkeypatch):

@@ -70,8 +70,10 @@ def test_eof_pure_values():
 
 
 def test_eof_pure_rejects_mixed_density():
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(InvalidStateError, match="needs a state of rank 1"):
         eof_pure(random_mixed((2, 2), 2, 3))
+    with pytest.raises(TypeError, match="unsupported state type ndarray"):
+        eof_pure(np.eye(4) / 4.0)
     # a pure density matrix is accepted
     assert eof_pure(bell_state()).value == pytest.approx(1.0, abs=1e-9)
 

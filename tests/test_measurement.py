@@ -18,7 +18,7 @@ from discordkit import (
     tensor,
     von_neumann_entropy,
 )
-from discordkit.measurement import n_measurement_params, unitary_from_params
+from discordkit.measurement import OutcomeEnsemble, n_measurement_params, unitary_from_params
 from discordkit.states import (
     classical_quantum,
     random_mixed,
@@ -82,6 +82,8 @@ def test_basis_covers_arbitrary_directions(rng):
 def test_projective_validation():
     with pytest.raises(ValueError):
         ProjectiveMeasurement(0, np.array([[1.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="basis must be square"):
+        ProjectiveMeasurement(0, np.eye(3)[:, :2])
 
 
 def test_projective_rejects_a_nan_basis():
@@ -98,6 +100,10 @@ def test_povm_validation():
         POVM(0, (half,))  # does not sum to identity
     with pytest.raises(ValueError):
         POVM(0, (np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))  # not PSD
+    with pytest.raises(ValueError, match="at least one element"):
+        POVM(0, ())
+    with pytest.raises(ValueError, match="share one dimension"):
+        POVM(0, (half, np.eye(3) / 2.0))
 
 
 def test_povm_rejects_nan_elements():
@@ -198,6 +204,30 @@ def test_dephase_rejects_povm():
     povm = POVM(0, (np.eye(2) / 2.0, np.eye(2) / 2.0))
     with pytest.raises(TypeError):
         dephase(bell_state(), povm)
+
+
+def test_a_measurement_of_the_wrong_dimension_or_kind_is_refused():
+    # A (2, 3) state measured on its qubit by a qutrit basis or POVM.
+    state = random_mixed((2, 3), 2, 5)
+    qutrit = ProjectiveMeasurement(0, np.eye(3))
+    with pytest.raises(ValueError, match="measurement dimension 3 does not match subsystem dimension 2"):
+        apply_measurement(state, qutrit)
+    with pytest.raises(ValueError, match="measurement dimension 3 does not match subsystem dimension 2"):
+        dephase(state, qutrit)
+    with pytest.raises(ValueError, match="POVM dimension 3 does not match subsystem dimension 2"):
+        apply_measurement(state, POVM(0, (np.eye(3) / 2.0, np.eye(3) / 2.0)))
+    with pytest.raises(TypeError, match="unsupported measurement type ndarray"):
+        apply_measurement(state, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "probabilities, n_states, message",
+    [([0.5, 0.5], 1, "matching lengths"), ([], 0, "at least one outcome"), ([1.0, 0.0], 2, "must be positive")],
+    ids=["mismatched", "empty", "zero-probability"],
+)
+def test_outcome_ensemble_validation(probabilities, n_states, message):
+    with pytest.raises(ValueError, match=message):
+        OutcomeEnsemble(probabilities, (QState((2,), np.eye(2) / 2.0),) * n_states)
 
 
 def test_probabilities_match_dephased_diagonal_blocks(rng):

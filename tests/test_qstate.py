@@ -1,5 +1,6 @@
 """Density-matrix algebra: validation, reductions, entropies, purification."""
 
+import inspect
 import math
 
 import numpy as np
@@ -30,11 +31,12 @@ from discordkit import (
     von_neumann_entropy,
     werner_qudit,
 )
+from discordkit import measurement
 from discordkit.measurement import _measurement_factor, unitary_from_params
-from discordkit.qstate import _decomposition, _ensemble_objective, _gram_spectrum, normalize_partition
+from discordkit.qstate import _decomposition, _ensemble_objective, _gram_spectrum, is_pure, normalize_partition
 from discordkit.states import example3_state, random_mixed, stream, werner_2qubit_example4
 
-from conftest import bell_state, bell_vector, calls_on, ghz_vector, haar_unitary, record_eigensolves
+from conftest import bell_state, bell_vector, calls_on, ghz_vector, haar_unitary, near_pure, record_eigensolves
 
 
 def test_validate_flags_residuals():
@@ -58,6 +60,8 @@ def test_validate_dimension_mismatch():
         validate(np.eye(4) / 4.0, (2, 3))
     with pytest.raises(ValueError):
         validate(np.stack([np.eye(4) / 4.0] * 2), (2, 3))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        validate(np.ones((2, 3)) / 2.0, (2,))
 
 
 def test_validate_reports_the_worst_member_of_a_stack():
@@ -85,6 +89,10 @@ def test_qstate_rejects_invalid():
         QState((2,), np.eye(2))  # trace 2
     with pytest.raises(InvalidStateError):
         QState((2,), np.diag([1.0 + 1e-6, -1e-6]))  # eigenvalue -1e-6
+    with pytest.raises(ValueError, match="at least one subsystem"):
+        QState((), np.ones((1, 1)))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        QState((2,), np.ones((2, 3)) / 2.0)
 
 
 def test_qstate_matrix_is_immutable():
@@ -98,6 +106,8 @@ def test_pure_vector_norm_check():
         PureStateVector((2,), np.array([1.0, 1.0]))
     with pytest.raises(InvalidStateError):
         PureStateVector((2, 2), np.array([np.nan, 0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="amplitude length 2 does not match"):
+        PureStateVector((2, 2), np.array([1.0, 0.0]))
     vec = bell_vector()
     assert purity(vec.to_density()) == pytest.approx(1.0, abs=1e-9)
 
@@ -276,6 +286,25 @@ def test_a_kept_reduction_answers_only_its_own_key():
         assert partial_trace(state, keep) is kept
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)], ids=["2x3", "2x2x2"])
+@pytest.mark.parametrize("weight", [1e-15, 1e-12, 5e-11, 9e-11, 1.1e-10, 3e-10, 1e-9])
+def test_every_reader_of_a_rank_takes_the_one_rule(dims, weight):
+    # EIG_CLIP = 1e-10 decides rank on the kept decomposition: purity,
+    # spectrum, purification and each side's measurement factor (of R
+    # columns per kept eigenvalue, R the side's rest dimension) agree on
+    # either side of it.
+    state = near_pure(dims, weight)
+    rest = [math.prod(dims) // d for d in dims]
+    readers = [is_pure(state), spectrum(state).rank == 1, purify(state).dims[-1] == 1]
+    readers += [_measurement_factor(state, k)[0].shape[1] == rest[k] for k in range(len(dims))]
+    assert readers == [weight < 1e-10] * len(readers)
+
+
+def test_the_rank_rule_has_no_second_threshold():
+    assert list(inspect.signature(is_pure).parameters) == ["state"]
+    assert not hasattr(measurement, "_RANK_FLOOR")
+
+
 def test_purify_pure_state_has_trivial_environment():
     pure = bell_state()
     vec = purify(pure)
@@ -397,6 +426,10 @@ def test_state_json_errors():
         state_from_json({"dims": [2]})
     with pytest.raises(InvalidStateError):
         state_from_json({"dims": [2], "matrix": [[1.0, 0.0], [0.0, 0.0]]})
+    with pytest.raises(InvalidStateError, match="must be an object"):
+        state_from_json([2, [[1.0, 0.0]]])
+    with pytest.raises(InvalidStateError, match=r"entries must be \[re, im\] pairs"):
+        state_from_json({"dims": [2], "matrix": [[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]})
 
 
 def test_normalize_partition():

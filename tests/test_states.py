@@ -145,6 +145,8 @@ def test_classical_quantum_construction():
         classical_quantum([0.7, 0.7], [zero, plus])
     with pytest.raises(ValueError):
         classical_quantum([1.0], [zero, plus])
+    with pytest.raises(ValueError, match="share the same dims"):
+        classical_quantum([0.5, 0.5], [zero, QState((3,), np.eye(3) / 3.0)])
 
 
 def test_haar_random_pure_determinism():

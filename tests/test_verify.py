@@ -52,7 +52,7 @@ from discordkit.verify import (
     run_suite,
 )
 
-from conftest import bell_state, ghz_vector, record_descends
+from conftest import bell_state, ghz_vector, near_pure, record_descends
 
 CFG = OptimizerConfig(restarts=6, seed=2)
 FAST = OptimizerConfig(restarts=2, max_iter=400, seed=2)
@@ -187,6 +187,30 @@ def test_thm1_example3_equality_and_random_inequality():
 
     for i in range(5):
         assert check_thm1(random_mixed((2, 2), 2, 7200 + i), CFG).holds
+
+
+def test_thm1_takes_the_pure_route_on_a_pure_bc():
+    # AB = |0><0| (x) rho_B with rho_B of rank 2 leaves BC pure, of dims
+    # (3, 2): E_F(BC) is exact, S(B), and the saturation flag is a bool.
+    rho_b = random_mixed((3,), 2, 1)
+    analysis = _StateAnalysis(tensor(QState((2,), np.diag([1.0, 0.0])), rho_b), FAST, tuple(RELATIONS))
+    row = check_thm1(analysis)
+    assert analysis.source("bc").dims == (3, 2)
+    assert row.provenance["entanglement_route"] == "pure"
+    assert abs(analysis.eof("bc")[0] - von_neumann_entropy(rho_b)) <= 1e-12
+    assert isinstance(row.equality, bool)
+
+
+def test_a_near_pure_tripartite_state_is_not_read_as_pure(monkeypatch):
+    # A second eigenvalue of 3e-10 lies above EIG_CLIP, so the input has
+    # rank 2 for every reader, and the rows whose identities hold only on a
+    # pure ABC skip it rather than read it as one.
+    state = near_pure((2, 2, 2), 3e-10)
+    monkeypatch.setattr(StateFamilySpec, "sample", lambda self, index=0: state)
+    report = run_suite(StateFamilySpec("example3"), tuple(RELATIONS), 1)
+    assert report.n_fail == 0, [(r.name, r.slack) for r in report.rows if r.holds is False]
+    skipped = {r.name for r in report.rows if r.skipped == "needs a bipartite or a pure tripartite state"}
+    assert skipped == {"monogamy", "eq12", "kw_pointwise"}
 
 
 def test_cor1_example3_and_hypothesis_skip():
