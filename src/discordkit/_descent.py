@@ -9,6 +9,10 @@ curvature model both chosen once per stack.  The start's shape picks the
 chart: a square stack is a measurement on U(d) and steps in ``_Cayley``,
 any other in ``_Embedded`` (the square-start rule, ``descend``).  The
 chart's coordinate count picks the model (``coordinates``, ``DENSE_MAX``).
+On a dense embedded stack of more than ``RESEED_MIN`` coordinates each
+restart that is not padded replaces its inverse Hessian once with the
+regularized inverse of a finite-difference Riemannian Hessian (the re-seed,
+``descend``), as BFGS alone stays in its linear phase on the rank-3 roof.
 
 All restarts advance in lockstep, one objective call a round for every
 live restart's pending trial.  Only the stacks are arrays: with a few live
@@ -55,6 +59,24 @@ FIRST_ANGLE = 0.5
 # so every measurement search up to d = 8 is dense; on the embedded roof
 # the rank-3 roof (D = 54) is dense and the rank-4 roof (D = 128) L-BFGS.
 DENSE_MAX = 64
+# The re-seed (``descend``): a dense stack in the embedded chart of more than
+# RESEED_MIN coordinates replaces a restart's H, once, with (S + mu I)^-1, S
+# its finite-difference Riemannian Hessian of step RESEED_H (``_hessians``),
+# at its first accepted iterate whose gradient norm is at most RESEED_AT
+# times its start's; mu = 1 / (RESEED_DAMP s), s its BFGS scale
+# (``_Dense.reseed``).  BFGS alone stays in its linear phase on the rank-3
+# roof (D = 54), the gap to the final value shrinking by about 0.4 a step;
+# the re-seed cuts its rounds by about 40% (43.3 -> 27.6 on
+# random_mixed((3, 2), 3, 1, i), i < 16).  At D = 16 the rounds fall too,
+# but a prototype re-seed cost about 3 rounds there: rank-2 roofs took
+# 2.55 -> 4.37 ms a solve (15.2 -> 11.2 rounds), and the paired 2 x 2
+# rank-3 stack 4.55 -> 6.35 ms (13.7 -> 9.3 rounds), hence the gate.  A
+# fixed-round trigger (round 12 or 16) sent one state from 28 to 5,190
+# rounds, and mu = 1 / (100 s) one from 85 to 338.
+RESEED_MIN = 32
+RESEED_AT = 0.03
+RESEED_H = 1e-6
+RESEED_DAMP = 10.0
 # L-BFGS memory: the (s, y) pairs each restart keeps, in a ring with one
 # more slot, where the newest pair is written before its s.y is known.
 MEMORY = 4
@@ -81,7 +103,8 @@ class Descent:
     ``x`` holds the last iterates and ``values`` the objective there, the
     lowest of the restart's iterates since an accepted step always decreases
     it.  ``iterations`` counts accepted steps, ``evaluations`` the objective
-    calls the restart was live for (its start included), and ``reasons`` why
+    calls the restart was live for (its start included) plus one for its
+    re-seed call, if it re-seeded (``descend``), and ``reasons`` why
     it stopped: ``GRADIENT``, ``NO_DECREASE``, ``CAP``, ``AGREED`` (cut when
     its problem's stopped restarts agreed), or ``CERTIFIED`` for the one
     restart of a ``certify`` run.
@@ -244,6 +267,61 @@ def _stall(step: float, slope: float, f: float) -> int:
     return 0 if -step * slope > DECREASE_TOL * max(abs(f), 1.0) else 2
 
 
+def _cholesky(a: np.ndarray) -> list:
+    """The Cholesky factor of each matrix of the stack ``a``, None where one is not positive definite."""
+    try:
+        return list(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        return [None] if len(a) == 1 else [_cholesky(m[None])[0] for m in a]
+
+
+@functools.lru_cache(maxsize=8)
+def _hermitian_basis(p: int) -> np.ndarray:
+    """The p^2 p x p Hermitian E_b, orthonormal under Re tr(A^H B), side by side: the p x p^3 [E_1 ... E_p^2]."""
+    basis = []
+    for j in range(p):
+        for k in range(j, p):
+            for u in [1.0] if j == k else [math.sqrt(0.5), 1j * math.sqrt(0.5)]:
+                e = np.zeros((p, p), dtype=complex)
+                e[j, k], e[k, j] = u, np.conj(u)
+                basis.append(e)
+    return np.concatenate(basis, axis=1)
+
+
+def _hessians(objective: Callable, x: np.ndarray, egrad: np.ndarray, counts: list):
+    """Finite-difference Riemannian Hessians S of a (T, n, p) stack of isometries, and the frames they are read in.
+
+    The frame of X is an orthonormal basis, as real rows, of its tangent
+    vectors orthogonal to the row phases i diag(theta) X, which the objective
+    of a ``search`` does not see: 2 n p - p^2 - n of them (36 on a rank-3
+    roof), the complement of the orthonormal row phases i E_jj X / |X_j| and
+    normal space X S (S Hermitian), from one complete QR.  S[a, b] = <xi_a,
+    Hess f(X)[xi_b]>, with Hess f(X)[xi] = P_X(D grad f(X)[xi] - xi sym(X^H
+    grad f(X))) (Absil, Mahony & Sepulchre, Optimization Algorithms on
+    Matrix Manifolds, 2008, sec. 5.3), D grad f(X)[xi] ~ (grad f(X + h xi) -
+    grad f(X)) / h with h = ``RESEED_H``, and P_X dropped as the frame is
+    tangent; S is then symmetrized.  X + h xi is off the manifold, where the
+    ensemble objective is still defined.  ``egrad`` holds the Euclidean
+    gradients at ``x``, and ``counts`` the restarts of each problem in ``x``:
+    one ``objective`` call scores every restart's frame points, in its
+    problem's block.
+    """
+    t, n, p = x.shape
+    known = np.empty((t, n + p * p, n, p), dtype=complex)
+    known[:, :n] = 1j * np.eye(n)[:, :, None] * (x / np.linalg.norm(x, axis=2, keepdims=True))[:, None]
+    known[:, n:] = np.swapaxes((x @ _hermitian_basis(p)).reshape(t, n, p * p, p), 1, 2)
+    q = np.linalg.qr(np.swapaxes(known.reshape(t, n + p * p, -1).view(float), 1, 2), mode="complete")[0]
+    frame = np.ascontiguousarray(np.swapaxes(q[:, :, n + p * p :], 1, 2))
+    xi = frame.view(complex).reshape(t, -1, n, p)
+    sizes = tuple(xi.shape[1] * c for c in counts)
+    _values, grads = objective((x[:, None] + RESEED_H * xi).reshape(-1, n, p), sizes)
+    xg = _herm(x) @ egrad
+    z = (grads.reshape(xi.shape) - egrad[:, None]) / RESEED_H - (
+        xi.reshape(t, -1, p) @ ((xg + _herm(xg)) / 2.0)).reshape(xi.shape)
+    hess = frame @ np.swapaxes(z.reshape(frame.shape[:2] + (-1,)).view(float), 1, 2)
+    return (hess + np.swapaxes(hess, 1, 2)) / 2.0, frame
+
+
 class _Dense:
     """Dense BFGS: one D x D inverse Hessian H per live restart, as a stack.
 
@@ -251,7 +329,7 @@ class _Dense:
     steepest descent; that pair sets H = (s.y / y.y) I, and every stored pair
     takes the BFGS update H+ = (I - rho s y^T) H (I - rho y s^T) + rho s s^T,
     rho = 1 / s.y, as one rank-2 product batched over the restarts that store
-    a pair.
+    a pair.  ``reseed`` may replace a restart's H once.
     """
 
     def __init__(self, grad: np.ndarray):
@@ -263,6 +341,42 @@ class _Dense:
         self.g, self.h = self.g[keep], self.h[keep]
         self.started = [self.started[k] for k in keep]
 
+    def _put(self, h: np.ndarray, rows: list, live: list, scales: list, frame=None, core=None) -> None:
+        """Set h[rows], the H of the live restarts ``live``, to scales I, plus frame^T core frame when given."""
+        for k in live:
+            self.started[k] = True
+        new = np.array(scales)[:, None, None] * np.eye(h.shape[-1])
+        if frame is not None:
+            new += np.swapaxes(frame, 1, 2) @ core @ frame
+        h[rows] = new
+
+    def reseed(self, live: list, hess: np.ndarray, frame: np.ndarray, g: np.ndarray):
+        """Put H = (S + mu I)^-1 for each of the live restarts ``live`` where it gives a descent direction.
+
+        ``hess`` and ``frame`` come from ``_hessians`` and ``g`` holds the
+        gradients, so S is F^T hess F, F the frame, and H = F^T (hess + mu
+        I)^-1 F + (I - F^T F) / mu, with mu = 1 / (``RESEED_DAMP`` s), s the
+        restart's BFGS scale: tr H / D, or 1 / max |diag hess| before its
+        first stored pair.  H stays where hess + mu I is not positive
+        definite (its Cholesky factorization fails) or -H g does not descend.
+        Returns the indices into ``live`` that took the new H, and their -H g.
+        """
+        inverse = [RESEED_DAMP * float(np.trace(self.h[k]) / g.shape[1] if self.started[k]
+                                       else 1.0 / np.abs(np.diagonal(a)).max()) for k, a in zip(live, hess)]
+        eye = np.eye(hess.shape[1])
+        factors = _cholesky(hess + (1.0 / np.array(inverse))[:, None, None] * eye)
+        ok = [j for j, chol in enumerate(factors) if chol is not None]
+        if not ok:
+            return [], []
+        inverse, frame, g = [inverse[j] for j in ok], frame[ok], g[ok]
+        chol_inv = np.linalg.inv(np.stack([factors[j] for j in ok]))
+        core = np.swapaxes(chol_inv, 1, 2) @ chol_inv - np.array(inverse)[:, None, None] * eye  # H - I / mu, in F
+        d = -np.array(inverse)[:, None] * g - (np.swapaxes(frame, 1, 2) @ (core @ (frame @ g[:, :, None])))[:, :, 0]
+        good = [j for j, slope in enumerate(np.einsum("ri,ri->r", g, d).tolist()) if slope < 0.0]
+        rows = [live[ok[j]] for j in good]
+        self._put(self.h, rows, rows, [inverse[j] for j in good], frame[good], core[good])
+        return [ok[j] for j in good], d[good]
+
     def directions(self, accepted: list, g: np.ndarray, s: np.ndarray):
         """-H g after storing each accepted restart's pair, its slopes <g, d> and |g|^2."""
         every = len(accepted) == len(self.g)
@@ -273,10 +387,9 @@ class _Dense:
         if store:
             whole = len(store) == len(accepted)
             hs, ss, ys = (h, s, y) if whole else (h[store], s[store], y[store])
-            for j, i in enumerate(store):
-                if not self.started[accepted[i]]:
-                    self.started[accepted[i]] = True
-                    hs[j] = sy[i] / yy[i] * np.eye(g.shape[1])
+            first = [j for j, i in enumerate(store) if not self.started[accepted[i]]]
+            if first:
+                self._put(hs, first, [accepted[store[j]] for j in first], [sy[store[j]] / yy[store[j]] for j in first])
             # H+ = H + s w^T + w s^T, w = (rho + rho^2 y.Hy) s / 2 - rho Hy.
             hy = (hs @ ys[:, :, None])[:, :, 0]
             rho = 1.0 / np.array([sy[i] for i in store])
@@ -423,6 +536,22 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     predicts a decrease below ``DECREASE_TOL`` (relative to max(1, |f|)), or
     after ``max_iter`` iterates.
 
+    The re-seed replaces a restart's dense inverse Hessian H once.  It
+    applies where the stack is in the embedded chart, on the dense model and
+    of more than ``RESEED_MIN`` coordinates, and only to restarts without an
+    exactly zero row at the start: a padded problem's (``search``) zero rows
+    must stay zero, and the re-seed's directions would move them.  The
+    trigger reads the restart alone: its first accepted iterate, before the
+    cap, whose gradient norm is above ``GRAD_TOL`` and at most ``RESEED_AT``
+    times its start's.  H then becomes (S + mu I)^-1 on the frame of
+    ``_hessians``, S its finite-difference Riemannian Hessian, and 1 / mu off
+    it, with mu = 1 / (``RESEED_DAMP`` s) and s the BFGS scale tr H / D, or
+    1 / max |diag S| before its first stored pair (``_Dense.reseed``); BFGS
+    updates go on from it.  H stays where S + mu I is not positive definite
+    or -H g does not descend.  The restarts that trigger in one round share
+    one extra objective call, each in its problem's block, which counts as
+    one evaluation of each of them and of no other restart.
+
     The agreement cut ends a problem early.  After a round in which a
     restart of problem q stopped on ``GRADIENT`` or ``NO_DECREASE``, let K =
     min(``AGREE_K``, sizes[q] - 1): when the K lowest non-NaN values of such
@@ -458,7 +587,13 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
     f = np.array(values, dtype=float).tolist()
     slope = (-gnorm2).tolist()
     step = (FIRST_ANGLE / np.sqrt(np.where(gnorm2 > 0.0, gnorm2, 1.0))).tolist()
-    iterations, evaluations = [0] * n_restarts, 1  # the calls each live restart has made
+    iterations, evaluations = [0] * n_restarts, 1  # the rounds each live restart has been live for
+    # The re-seed: |g|^2 at or below which a restart re-seeds (-1 once it has,
+    # or where it never may), and its re-seed calls, which count as evaluations.
+    reseed = chart is _Embedded and isinstance(model, _Dense) and grad.shape[1] > RESEED_MIN
+    trigger = (np.where(out_x.any(axis=2).all(axis=1), RESEED_AT**2 * gnorm2, -1.0) if reseed
+               else np.full(n_restarts, -1.0)).tolist()
+    extra = [0] * n_restarts
     done = [1 if g2 <= GRAD_TOL**2 else _stall(s, sl, fk)
             for g2, s, sl, fk in zip(gnorm2.tolist(), step, slope, f)]
 
@@ -468,14 +603,15 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
             for k, i in enumerate(ids):
                 if done[k]:
                     out_x[i], out_f[i], reasons[i] = x[k], f[k], _REASONS[done[k]]
-                    out_iterations[i], out_evaluations[i] = iterations[k], evaluations
+                    out_iterations[i], out_evaluations[i] = iterations[k], evaluations + extra[k]
                     live[problem[i]] -= 1
             keep = [k for k in range(len(ids)) if not done[k]]
             if not keep:
                 break
             x, eta, done = x[keep], eta[keep], [0] * len(keep)
             model.keep(keep)
-            ids, f, slope, step, iterations = ([v[k] for k in keep] for v in (ids, f, slope, step, iterations))
+            ids, f, slope, step, iterations, trigger, extra = (
+                [v[k] for k in keep] for v in (ids, f, slope, step, iterations, trigger, extra))
         trial, s_new = chart.move(x, step, eta)
         f_trial, g_trial = objective(trial, tuple(live))
         f_trial, evaluations = f_trial.tolist(), evaluations + 1
@@ -497,8 +633,22 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
         # directions, and steepest descent where a direction does not descend.
         every = len(accepted) == len(ids)
         at = trial if every else trial[accepted]
-        g = chart.gradient(at, g_trial if every else g_trial[accepted])
+        egrad = g_trial if every else g_trial[accepted]
+        g = chart.gradient(at, egrad)
         d, slopes_new, gg = model.directions(accepted, g, s_new if every else s_new[accepted])
+        due = [row for row, k in enumerate(accepted)
+               if GRAD_TOL**2 < gg[row] <= trigger[k] and iterations[k] + 1 < max_iter] if reseed else ()
+        if due:
+            # Each due restart's frame points in its problem's block of one call.
+            rows = [accepted[row] for row in due]
+            counts = [0] * len(live)
+            for k in rows:
+                counts[problem[ids[k]]] += 1
+                trigger[k], extra[k] = -1.0, extra[k] + 1
+            hess, frame = _hessians(objective, at[due], egrad[due], counts)
+            taken, d_taken = model.reseed(rows, hess, frame, g[due])
+            for j, d_row in zip(taken, d_taken):
+                d[due[j]], slopes_new[due[j]] = d_row, float(g[due[j]] @ d_row)
         steps_new = []
         for row, k in enumerate(accepted):
             if slopes_new[row] < 0.0:

@@ -88,7 +88,8 @@ class OptimizedValue:
     The per-restart tuples run in restart order: ``restart_values`` holds the
     minima of the underlying objective (the running minimum is the
     convergence trajectory), ``iterations`` the accepted descent steps,
-    ``evaluations`` the objective calls the restart was live for, and
+    ``evaluations`` the objective calls the restart was live for, plus one
+    if it re-seeded its BFGS model (``_descent.descend``), and
     ``stop_reasons`` why it stopped: ``gradient`` (Riemannian gradient norm),
     ``no_decrease`` (the next step could not measurably lower the value),
     ``cap`` (``max_iter``), ``agreed`` (cut once the lowest restarts that

@@ -77,7 +77,9 @@ class EofResult:
     convex-roof diagnostics, ``_descent.summary``'s spread
     (``restart_spread``) and ``fields``, which follow
     ``correlations.OptimizedValue`` (an exact result ran no restart, so its
-    two counts are 0): ``certified`` means that Wootters' decomposition of a
+    two counts are 0): a roof restart's ``evaluations`` count its re-seed
+    call too, on the dense roofs of rank 3 (``_descent.descend``), and
+    ``certified`` means that Wootters' decomposition of a
     two-qubit state met the exact value and no search ran.
     """
 

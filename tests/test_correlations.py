@@ -1,5 +1,7 @@
 """Correlation measures: mutual information, J, D, distances, dephasing discord."""
 
+import functools
+import hashlib
 import math
 import warnings
 from dataclasses import fields, replace
@@ -40,11 +42,15 @@ from discordkit._descent import (
     CERTIFY_TOL,
     DENSE_MAX,
     FIRST_ANGLE,
+    GRAD_TOL,
     GRADIENT,
     GROW,
     MAX_STEP,
     MEMORY,
     NO_DECREASE,
+    RESEED_AT,
+    RESEED_DAMP,
+    RESEED_MIN,
     SHRINK,
     Descent,
     certify,
@@ -503,15 +509,21 @@ def _plain_lbfgs(objective, x, n_calls):
     return trials, skips, values
 
 
-def _plain_bfgs(objective, x, n_calls):
+def _plain_bfgs(objective, x, n_calls, max_iter=math.inf, reseed=False):
     # One restart of ``descend`` on the dense model, written on the vectors
     # themselves: H = (s.y / y.y) I at the first stored pair, then the BFGS
-    # update in product form, skipping a pair with s.y <= 0.  Returns its
-    # trial points, whether H had started at each skip, and the value at
-    # each accepted step.
+    # update in product form, skipping a pair with s.y <= 0.  With
+    # ``reseed``, the re-seed rule: at the first accepted iterate (before the
+    # cap) whose |g| is at most RESEED_AT |g_0| and above GRAD_TOL, H becomes
+    # F^T (S + mu I)^-1 F + (I - F^T F) / mu, from ``_hessians``' S and frame
+    # F, mu = 1 / (RESEED_DAMP s), s = tr H / D (1 / max |diag S| with no
+    # pair), unless S + mu I has an eigenvalue <= 0 (read by eigvalsh) or
+    # -H g does not descend.  Returns its trial points, whether H had started
+    # at each skip, and the value at each accepted step.
     f, e = objective(x)
     g = tangent(x, e)
     d, step, h, trials, skips, values = -g, FIRST_ANGLE / np.linalg.norm(g), None, [], [], [f[0]]
+    due = RESEED_AT**2 * np.vdot(g, g).real if reseed else -1.0
     for _ in range(n_calls):
         slope = np.vdot(g, d).real
         trial = retract(x, step * d)
@@ -533,6 +545,17 @@ def _plain_bfgs(objective, x, n_calls):
             skips.append(h is not None)
         x, f, g = trial, f_t, g_t
         values.append(f[0])
+        flat = g.ravel().view(float)
+        if GRAD_TOL**2 < flat @ flat <= due and len(values) - 1 < max_iter:
+            due = -1.0
+            (hess,), (frame,) = _descent._hessians(objective, x, e_t, [1])
+            scale = np.trace(h) / len(flat) if h is not None else 1.0 / np.abs(np.diag(hess)).max()
+            mu = 1.0 / (RESEED_DAMP * scale)
+            if np.linalg.eigvalsh(hess + mu * np.eye(len(hess))).min() > 0.0:
+                chol_inv = np.linalg.inv(np.linalg.cholesky(hess + mu * np.eye(len(hess))))
+                new = np.eye(len(flat)) / mu + frame.T @ (chol_inv.T @ chol_inv - np.eye(len(hess)) / mu) @ frame
+                if flat @ (new @ flat) > 0.0:
+                    h = new
         if h is not None:
             d, step = tangent(x, -(h @ g.ravel().view(float)).view(complex).reshape(g.shape)), 1.0
         if h is None or not np.vdot(g, d).real < 0.0:
@@ -554,11 +577,13 @@ def _quartic_start(seed, n):
     return x0 / np.linalg.norm(x0)
 
 
-def _recorded_descent(x0, max_iter):
+def _recorded_descent(x0, max_iter, reseeds=None):
+    # The run and its trial points; the re-seed's frame points, scored in
+    # calls of more than one point, go to ``reseeds`` when given.
     calls = []
 
     def recording(x, sizes):
-        calls.append(x.copy())
+        (calls if len(x) == 1 else reseeds).append(x.copy())
         return _quartic(x, sizes)
 
     with warnings.catch_warnings():
@@ -588,15 +613,25 @@ def test_descend_skips_pairs_of_negative_curvature(seed, model, monkeypatch):
 
 
 def test_descend_keeps_a_dense_inverse_hessian_up_to_dense_max():
-    # A (1, n, 1) stack has D = 2 n reals: n = DENSE_MAX / 2 follows the
-    # plain dense BFGS, and the next size, D = DENSE_MAX + 2, plain L-BFGS.
-    # The two part within a few steps, so each run matches one of them only.
-    for n, plain, other in ((DENSE_MAX // 2, _plain_bfgs, _plain_lbfgs),
-                            (DENSE_MAX // 2 + 1, _plain_lbfgs, _plain_bfgs)):
-        x0 = _quartic_start(n, n)
-        run, calls = _recorded_descent(x0, 30)
+    # A (1, n, 1) stack has D = 2 n reals: n = RESEED_MIN / 2 follows the
+    # plain dense BFGS, n = DENSE_MAX / 2 the dense BFGS with its one
+    # re-seed (the quartic sees no row phase, so its frame is the re-seed's),
+    # and the next size, D = DENSE_MAX + 2, plain L-BFGS.  The models part
+    # within a few steps, so each run matches one of them only.  The
+    # re-seeded run meets the minimum -1 at its 15th step, after which its
+    # trial points move by rounding alone, so it is capped at 14.
+    for n, cap, reseed in ((RESEED_MIN // 2, 30, False), (DENSE_MAX // 2, 14, True), (DENSE_MAX // 2 + 1, 30, False)):
+        with_reseed = functools.partial(_plain_bfgs, max_iter=cap, reseed=True)
+        models = [_plain_bfgs, with_reseed, _plain_lbfgs]
+        plain = models[2] if 2 * n > DENSE_MAX else models[int(reseed)]
+        x0, reseeds = _quartic_start(n, n), []
+        run, calls = _recorded_descent(x0, cap, reseeds)
+        assert run.evaluations[0] == len(calls) + 1 + len(reseeds)
+        assert [len(points) for points in reseeds] == ([2 * n - 1 - n] if reseed else [])
         np.testing.assert_allclose(calls, np.array(plain(_quartic, x0, len(calls))[0]), rtol=0, atol=1e-12)
-        assert np.abs(calls - np.array(other(_quartic, x0, len(calls))[0])).max() > 1e-6
+        for other in models:
+            if other is not plain:
+                assert np.abs(calls - np.array(other(_quartic, x0, len(calls))[0])).max() > 1e-6
 
 
 @pytest.mark.parametrize("shape", [(3, 16, 4), (3, 9, 3), (16, 2, 2), (16, 4, 4), (4, 6, 6)])
@@ -895,6 +930,44 @@ def test_minimum_with_roof_equals_each_computed_alone(dims, rank, monkeypatch):
         assert len(opt.restart_values) == cfg.restarts
         objective, _d = measurement_objective(ab, 0, False)
         assert objective(opt.argbasis.basis.conj().T[None], (1,))[0][0] == pytest.approx(opt.value, abs=1e-14)
+
+
+# The paired D_A minima of random_mixed((3, 2), 6, 1, i), i < 4, at seed 1,
+# before the roof's re-seed: its value, the sum of its evaluations and the
+# SHA-256 prefix of its basis bytes.
+_PAIRED_MINIMA = (
+    ("0x1.563c6c74807f9p-1", 255, "93de39a9e23aed7f"),
+    ("0x1.3c07b03576536p-1", 237, "e0a07e9ed4004deb"),
+    ("0x1.71f93253c5ffdp-1", 235, "d72cc277d2fa99fb"),
+    ("0x1.0c759b92ffc35p-1", 236, "7ffa6f03a8ff5e51"),
+)
+
+
+def test_paired_roof_reseeds_and_its_padded_minimum_keeps_its_path(monkeypatch):
+    # (3, 2) rank 6: a 9 x 3 stack (D = 54) of the roof of BC and the D_A
+    # search on U(3), padded with zero rows.  The roof restarts re-seed, so
+    # the roof is eof_upper's bit for bit; the padded restarts may not, so
+    # their zero rows stay exactly zero and the minimum is the one pinned
+    # before the re-seed existed, bit for bit.
+    runs, calls, descend_alone, hessians = [], [], _descent.descend, _descent._hessians
+    monkeypatch.setattr(_descent, "descend", lambda *args: runs.append(descend_alone(*args)) or runs[-1])
+    monkeypatch.setattr(_descent, "_hessians", lambda *args: calls.append(args[3]) or hessians(*args))
+    cfg = OptimizerConfig(seed=1)
+    for i, (value, evaluations, digest) in enumerate(_PAIRED_MINIMA):
+        ab = random_mixed((3, 2), 6, 1, i)
+        bc = _bc_of(ab)
+        runs.clear()
+        calls.clear()
+        opt, roof = _minimum_with_roof(ab, bc, cfg)
+        assert len(runs) == 1 and runs[0].x.shape == (2 * cfg.restarts, 9, 3)
+        assert calls and all(counts[0] == 0 for counts in calls)  # only roof restarts re-seed
+        assert not runs[0].x[: cfg.restarts, 3:].any()
+        assert (float.hex(opt.value), sum(opt.evaluations)) == (value, evaluations)
+        assert hashlib.sha256(opt.argbasis.basis.tobytes()).hexdigest()[:16] == digest
+        alone = eof_upper(bc, cfg=cfg)
+        assert (roof.value, roof.decomposition.isometry.tobytes(), roof.iterations, roof.evaluations,
+                roof.stop_reasons) == (alone.value, alone.decomposition.isometry.tobytes(), alone.iterations,
+                                       alone.evaluations, alone.stop_reasons)
 
 
 def test_minimum_with_roof_runs_apart_where_the_problems_do_not_share_a_key(monkeypatch):
