@@ -25,6 +25,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from discordkit import _descent
 from discordkit.cli import main
 
 CORPUS = pathlib.Path(__file__).with_name("corpus")
@@ -66,6 +67,8 @@ def _commands() -> dict:
         ("random_mixed-2x2-r3", ["random_mixed", "--dims", "2x2", "--rank", "3"]),
         ("random_mixed-2x2x2-r8", ["random_mixed", "--dims", "2x2x2", "--rank", "8"]),
         ("random_mixed-2x3-r2", ["random_mixed", "--dims", "2x3", "--rank", "2"]),
+        ("random_mixed-3x2-r6", ["random_mixed", "--dims", "3x2", "--rank", "6"]),
+        ("random_mixed-4x2-r3", ["random_mixed", "--dims", "4x2", "--rank", "3"]),
         ("haar_pure-2x2x2", ["haar_pure", "--dims", "2x2x2"]),
         ("haar_pure-2", ["haar_pure", "--dims", "2"]),
         ("werner_qudit-d3", ["werner_qudit", "--d", "3", "--x", "0.3"]),
@@ -199,6 +202,31 @@ def test_command_writes_its_pinned_output(name, manifest, monkeypatch):
         if want:
             differences = _differences(kind, want, got)
             assert not differences, f"{stream}: {differences[:10]}"
+
+
+def test_the_corpus_runs_every_search_path(monkeypatch):
+    """Over the corpus commands ``_descent.descend`` meets a Cayley, a dense embedded and an L-BFGS stack, and a re-seed.
+
+    So a change to any of the search's paths moves some pinned output.
+    """
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    seen = set()
+    descend, hessians = _descent.descend, _descent._hessians
+
+    def recording_descend(objective, x, *args, **kwargs):
+        n, p = np.shape(x)[1:]
+        seen.add(("cayley" if n == p else "embedded", _descent.coordinates(n, p) <= _descent.DENSE_MAX))
+        return descend(objective, x, *args, **kwargs)
+
+    def recording_hessians(*args):
+        seen.add("reseed")
+        return hessians(*args)
+
+    monkeypatch.setattr(_descent, "descend", recording_descend)
+    monkeypatch.setattr(_descent, "_hessians", recording_hessians)
+    for argv in _commands().values():
+        _run(argv)
+    assert {("cayley", True), ("embedded", True), ("embedded", False), "reseed"} <= seen, seen
 
 
 def _rewrite() -> None:
