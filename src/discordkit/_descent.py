@@ -121,9 +121,9 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def tangent(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Projection of ``z`` onto the tangent space at ``x``: Z - X sym(X^H Z)."""
-    xz = _herm(x) @ z
+def tangent(x: np.ndarray, z: np.ndarray, xh: np.ndarray | None = None) -> np.ndarray:
+    """Projection of ``z`` onto the tangent space at ``x``: Z - X sym(X^H Z); ``xh``, when given, is X^H."""
+    xz = (_herm(x) if xh is None else xh) @ z
     return z - x @ ((xz + _herm(xz)) / 2.0)
 
 
@@ -134,11 +134,22 @@ def retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     unique Householder Q to rounding.  For a tangent V, A^H A = I + V^H V has
     condition number at most 1 + |V|_2^2: Q stays orthonormal to rounding
     for steps of norm up to 10, and ``descend`` caps its trial steps at
-    ``MAX_STEP``.
+    ``MAX_STEP``.  At p = 2 the Cholesky factor L of the 2 x 2 Gram and
+    R^-1 = L^-H are closed forms (Gram-Schmidt on the two columns), since
+    batched LAPACK makes one call per 2 x 2 matrix; Q agrees with LAPACK's
+    Cholesky QR to about 1e-15.  Wider stacks take LAPACK's ``cholesky`` and
+    ``inv``.
     """
     a = x + v
-    chol = np.linalg.cholesky(_herm(a) @ a)
-    return a @ _herm(np.linalg.inv(chol))
+    gram = _herm(a) @ a
+    if a.shape[-1] != 2:
+        return a @ _herm(np.linalg.inv(np.linalg.cholesky(gram)))
+    l11 = np.sqrt(gram[..., 0, 0].real)
+    l21 = gram[..., 1, 0] / l11
+    i11, i22 = 1.0 / l11, 1.0 / np.sqrt(gram[..., 1, 1].real - (l21.real**2 + l21.imag**2))
+    r_inv = np.zeros_like(gram)
+    r_inv[..., 0, 0], r_inv[..., 0, 1], r_inv[..., 1, 1] = i11, (-l21 * i11 * i22).conj(), i22
+    return a @ r_inv
 
 
 def coordinates(n: int, p: int) -> int:
@@ -156,11 +167,13 @@ class _Embedded:
     all on (R, D) real coordinates, D = ``coordinates(n, p)``: ``gradient``
     and ``direction`` a tangent vector, ``norms2`` its squared norm, and
     ``move`` the trial points of a step with the step's coordinates s.
+    ``gradient`` and ``direction`` at one iterate take its X^H as ``xh``,
+    formed once by the caller (None forms it).
     """
 
     @staticmethod
-    def gradient(x: np.ndarray, egrad: np.ndarray) -> np.ndarray:
-        return tangent(x, egrad).reshape(len(x), -1).view(float)
+    def gradient(x: np.ndarray, egrad: np.ndarray, xh: np.ndarray | None = None) -> np.ndarray:
+        return tangent(x, egrad, xh).reshape(len(x), -1).view(float)
 
     @staticmethod
     def norms2(a: np.ndarray) -> np.ndarray:
@@ -179,8 +192,8 @@ class _Embedded:
         return retract(x, moves.view(complex).reshape(x.shape)), moves
 
     @staticmethod
-    def direction(at: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return _Embedded.gradient(at, d.view(complex).reshape(at.shape))
+    def direction(at: np.ndarray, d: np.ndarray, xh: np.ndarray | None = None) -> np.ndarray:
+        return _Embedded.gradient(at, d.view(complex).reshape(at.shape), xh)
 
 
 class _Cayley:
@@ -203,8 +216,8 @@ class _Cayley:
         self.upper, self.mirror = (np.ravel_multi_index(ij, (n, n)) for ij in (upper, upper[::-1]))
         self.off, self.step = np.concatenate([self.upper, self.mirror]), n + 1
 
-    def gradient(self, x: np.ndarray, egrad: np.ndarray) -> np.ndarray:
-        a = (egrad @ _herm(x)).reshape(len(x), -1)
+    def gradient(self, x: np.ndarray, egrad: np.ndarray, xh: np.ndarray | None = None) -> np.ndarray:
+        a = (egrad @ (_herm(x) if xh is None else xh)).reshape(len(x), -1)
         return ((a.take(self.upper, axis=1) - a.take(self.mirror, axis=1).conj()) * math.sqrt(0.5)).view(float)
 
     @staticmethod
@@ -220,7 +233,7 @@ class _Cayley:
         return 2.0 * np.linalg.solve(a.reshape(x.shape), x) - x, moves
 
     @staticmethod
-    def direction(_at: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def direction(_at: np.ndarray, d: np.ndarray, _xh=None) -> np.ndarray:
         return d
 
 
@@ -381,7 +394,8 @@ class _Dense:
         """-H g after storing each accepted restart's pair, its slopes <g, d> and |g|^2."""
         every = len(accepted) == len(self.g)
         y = g - (self.g if every else self.g[accepted])
-        gg, sy, yy = (np.einsum("ri,ri->r", a, b).tolist() for a, b in ((g, g), (s, y), (y, y)))
+        gg, sy, yy = (np.einsum("ri,ri->r", g, g).tolist(), np.einsum("ri,ri->r", s, y).tolist(),
+                      np.einsum("ri,ri->r", y, y).tolist())
         store = [i for i, (a, b) in enumerate(zip(sy, yy)) if a > 0.0 and b > 0.0]
         h = self.h if every else self.h[accepted]
         if store:
@@ -390,12 +404,12 @@ class _Dense:
             first = [j for j, i in enumerate(store) if not self.started[accepted[i]]]
             if first:
                 self._put(hs, first, [accepted[store[j]] for j in first], [sy[store[j]] / yy[store[j]] for j in first])
-            # H+ = H + s w^T + w s^T, w = (rho + rho^2 y.Hy) s / 2 - rho Hy.
+            # H+ = H + s w^T + w s^T = H + [s; w]^T [w; s], w = (rho + rho^2 y.Hy) s / 2 - rho Hy.
             hy = (hs @ ys[:, :, None])[:, :, 0]
             rho = 1.0 / np.array([sy[i] for i in store])
             half = 0.5 * rho * (1.0 + rho * np.einsum("ri,ri->r", ys, hy))
-            sw = np.stack([ss, half[:, None] * ss - rho[:, None] * hy], axis=2)
-            hs += sw @ np.swapaxes(sw[:, :, ::-1], 1, 2)
+            sw = np.concatenate([ss[:, None], (half[:, None] * ss - rho[:, None] * hy)[:, None]], axis=1)
+            hs += np.swapaxes(sw, 1, 2) @ sw[:, ::-1]
             if not whole:
                 h[store] = hs
         d = -(h @ g[:, :, None])[:, :, 0]
@@ -634,7 +648,7 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
         every = len(accepted) == len(ids)
         at = trial if every else trial[accepted]
         egrad = g_trial if every else g_trial[accepted]
-        g = chart.gradient(at, egrad)
+        g = chart.gradient(at, egrad, at_h := _herm(at))
         d, slopes_new, gg = model.directions(accepted, g, s_new if every else s_new[accepted])
         due = [row for row, k in enumerate(accepted)
                if GRAD_TOL**2 < gg[row] <= trigger[k] and iterations[k] + 1 < max_iter] if reseed else ()
@@ -657,7 +671,7 @@ def descend(objective: Callable, x, values, egrad, max_iter: int, sizes=None) ->
                 # No stored pair (a NaN or zero slope) or no descent: steepest descent.
                 d[row], slopes_new[row] = -g[row], -gg[row]
                 steps_new.append(GROW * step[k])
-        eta_new = chart.direction(at, d)
+        eta_new = chart.direction(at, d, at_h)
         norms2 = np.einsum("ri,ri->r", eta_new, eta_new).tolist()
         for k, g2, slope_new, s, d2 in zip(accepted, gg, slopes_new, steps_new, norms2):
             if s * s * d2 > MAX_STEP**2:
@@ -735,8 +749,8 @@ def objective_of(problems) -> Callable:
     if not head.offset:
         return ensemble
 
-    def objective(v: np.ndarray, sizes):
-        values, grad = ensemble(v, sizes)
+    def objective(v: np.ndarray, sizes, gradient: bool = True):
+        values, grad = ensemble(v, sizes, gradient)
         return values - head.offset, grad
 
     return objective
@@ -773,12 +787,13 @@ def solve(problems) -> list[Descent]:
 def certify(objective: Callable, x: np.ndarray, bound: float) -> Descent | None:
     """A finished one-restart run at ``x``, or None when ``x`` misses the lower ``bound``.
 
-    ``objective`` scores ``x`` once.  A value within ``CERTIFY_TOL`` of a
-    proved lower bound is optimal to rounding, so no search needs to run: the
-    run has one evaluation, no iterations and the reason ``CERTIFIED``.  A
-    value above that, or NaN, gives None.
+    ``objective`` scores ``x`` once, for its value alone (``gradient=False``,
+    which gives the value the full call gives, bit for bit).  A value within
+    ``CERTIFY_TOL`` of a proved lower bound is optimal to rounding, so no
+    search needs to run: the run has one evaluation, no iterations and the
+    reason ``CERTIFIED``.  A value above that, or NaN, gives None.
     """
-    values, _grad = objective(x[None], (1,))
+    values, _grad = objective(x[None], (1,), gradient=False)
     if not values[0] <= bound + CERTIFY_TOL:  # a NaN value is not certified
         return None
     return Descent(x=x[None], values=np.asarray(values, dtype=float), iterations=(0,), evaluations=(1,),

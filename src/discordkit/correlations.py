@@ -29,6 +29,7 @@ from .qstate import (
     _decomposition,
     _derived_state,
     _entropy_bits,
+    _state,
     _subsystems,
     normalize_partition,
     partial_trace,
@@ -279,7 +280,7 @@ def _minimum_with_roof(ab: QState, bc: QState, cfg: OptimizerConfig | None) -> t
 
 def mutual_information(state: QState, partition=None) -> float:
     """Quantum mutual information S(A) + S(B) - S(AB) across ``partition`` (default: 0 versus the rest)."""
-    part_a, part_b = normalize_partition(state.n_subsystems, partition)
+    part_a, part_b = normalize_partition((state := _state(state)).n_subsystems, partition)
     s_a = von_neumann_entropy(partial_trace(state, part_a))
     s_b = von_neumann_entropy(partial_trace(state, part_b))
     return s_a + s_b - von_neumann_entropy(state)
@@ -294,7 +295,7 @@ def min_conditional_entropy(
     both derive from the same run, so they add up to the mutual information
     to rounding.  The value is always one that the objective reached.
     """
-    return _measured_minima(state, (measured,), cfg, dephasing=False)[0]
+    return _measured_minima(_state(state), (measured,), cfg, dephasing=False)[0]
 
 
 def _j_and_d(state: QState, measured: int, m: float) -> tuple:
@@ -324,7 +325,7 @@ def _j_and_d(state: QState, measured: int, m: float) -> tuple:
 
 def _measured_run(state: QState, measured: int, cfg: OptimizerConfig | None):
     """One conditional-entropy minimization and its ``_j_and_d`` tuple: (minimum, (J, D, S(measured), ...))."""
-    opt = min_conditional_entropy(state, measured, cfg)
+    opt = min_conditional_entropy(state := _state(state), measured, cfg)
     return opt, _j_and_d(state, opt.argbasis.subsystem, opt.value)
 
 
@@ -356,7 +357,7 @@ def discord(
 
 def discord_distance(state: QState, cfg: OptimizerConfig | None = None) -> float:
     """|D_A - D_B| of a bipartite state: the ``discord_distance`` of ``correlation_report``."""
-    if state.n_subsystems != 2:
+    if (state := _state(state)).n_subsystems != 2:
         raise ValueError("discord_distance needs a state with exactly two subsystems")
     return correlation_report(state, cfg).discord_distance
 
@@ -393,7 +394,7 @@ def re_discord_detailed(
     ``re_discord(state, measured[0], cfg)`` on the unpermuted state
     (``first``, when given, is that result already computed).
     """
-    measured = _subsystems("measured", measured, state.n_subsystems)
+    measured = _subsystems("measured", measured, (state := _state(state)).n_subsystems)
     if first is not None and first.argbasis.subsystem != measured[0]:
         raise ValueError(f"first must measure subsystem {measured[0]}, not {first.argbasis.subsystem}")
     rest = tuple(i for i in range(state.n_subsystems) if i not in measured)
@@ -430,7 +431,7 @@ def re_discord(
     ``measured`` is one subsystem index or a set of them; several give
     ``re_discord_detailed``'s result, on their merged block.
     """
-    measured = _subsystems("measured", measured, state.n_subsystems)
+    measured = _subsystems("measured", measured, (state := _state(state)).n_subsystems)
     if len(measured) == 1:
         return _measured_minima(state, measured, cfg, dephasing=True)[0]
     return re_discord_detailed(state, measured, cfg)
@@ -464,7 +465,7 @@ class CorrelationReport:
 
 def correlation_report(state: QState, cfg: OptimizerConfig | None = None) -> CorrelationReport:
     """Full report of a two-subsystem state: both minima solved at once, each entropy computed once."""
-    if state.n_subsystems != 2:
+    if (state := _state(state)).n_subsystems != 2:
         raise ValueError("correlation_report needs a state with exactly two subsystems")
     opt_a, opt_b = _measured_minima(state, (0, 1), cfg, dephasing=False)
     j_a, d_a, s_a, s_b, s_ab = _j_and_d(state, 0, opt_a.value)

@@ -25,6 +25,7 @@ from .qstate import (
     _decomposition,
     _ensemble_objective,
     _kept_eigh,
+    _state,
     is_pure,
     normalize_partition,
     partial_trace,
@@ -125,7 +126,7 @@ def eof_pure(state, partition=None) -> EofResult:
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     part_a, part_b = normalize_partition(len(dims), partition)
-    values, _ = _roof_objective(amps[None, :], dims, part_a, part_b)(np.ones((1, 1, 1)), (1,))
+    values, _ = _roof_objective(amps[None, :], dims, part_a, part_b)(np.ones((1, 1, 1)), (1,), gradient=False)
     value = values[0] / np.vdot(amps, amps).real
     return EofResult(float(value), EXACT_PURE)
 
@@ -143,7 +144,7 @@ def concurrence_2qubit(state: QState) -> float:
     square-rooted eigenvalues of rho (sigma_y x sigma_y) rho* (sigma_y x
     sigma_y), without the direct route's square-root noise amplification.
     """
-    _require_two_qubits(state, "concurrence_2qubit")
+    _require_two_qubits(state := _state(state), "concurrence_2qubit")
     w, v = _decomposition(state)
     factor = v * np.sqrt(np.maximum(w, 0.0))
     tau = factor.T @ _SYSY @ factor
@@ -163,7 +164,7 @@ def _eof_of_concurrence(c: float) -> float:
 
 def eof_2qubit(state: QState) -> EofResult:
     """Exact two-qubit entanglement of formation via the concurrence."""
-    _require_two_qubits(state, "eof_2qubit")
+    _require_two_qubits(state := _state(state), "eof_2qubit")
     return EofResult(_eof_of_concurrence(concurrence_2qubit(state)), EXACT_WOOTTERS)
 
 
@@ -355,5 +356,5 @@ def eof_upper(state: QState, partition=None, cfg: OptimizerConfig | None = None)
     isometry gives a valid ensemble, so the value is an upper bound by
     construction; ties go to the lowest restart.
     """
-    problem, e0, oracle = _roof(state, partition, cfg)
+    problem, e0, oracle = _roof(_state(state), partition, cfg)
     return _upper_bound(solve([problem])[0], e0, oracle, problem.cfg.tol)

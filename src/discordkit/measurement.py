@@ -19,7 +19,8 @@ from typing import Union
 import numpy as np
 
 from .config import _integer
-from .qstate import EIG_CLIP, QState, _decomposition, _derived_state, _kept_eigh, _subsystems, von_neumann_entropy
+from .qstate import EIG_CLIP, QState, _decomposition, _derived_state, _kept_eigh, _state, _subsystems
+from .qstate import von_neumann_entropy
 
 __all__ = [
     "OUTCOME_FLOOR",
@@ -164,7 +165,7 @@ class OutcomeEnsemble:
             raise ValueError("probabilities and states must have matching lengths")
         if p.size == 0:
             raise ValueError("ensemble must contain at least one outcome")
-        if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p > 0.0) and abs(p.sum() - 1.0) <= 1e-9):  # negated, so that a NaN fails too
             raise ValueError("probabilities must be positive and sum to 1 within 1e-9")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
@@ -238,15 +239,15 @@ def _measurement_factor(state: QState, measured: int) -> tuple[np.ndarray, int]:
     package's one rank rule) as a (d_m, R s) matrix: row x, reshaped to (R,
     s), is the amplitude block phi_x of the purification sum_x |x> (x) phi_x
     over (rest, purifier), so measuring in a basis U is the ensemble of the
-    rows of V L, V = U^H.  Subsystem 0 reads the state's kept decomposition
-    (``qstate``); another takes one ``qstate._kept_eigh`` of the permuted
-    matrix.
+    rows of V L, V = U^H.  Every measured side reads the state's kept
+    decomposition (``qstate``): the permuted matrix's eigenvectors are the
+    kept ones with their rows permuted, so no side decomposes it.
     """
-    t, dm, _rest = _measured_view(state, measured)
-    r = t.shape[1]
-    lam, vec = _decomposition(state) if measured == 0 else _kept_eigh(t.reshape(dm * r, dm * r))
+    order = _measured_axes(state.n_subsystems, _measured_index(state, measured))[0]
+    lam, vec = _decomposition(state)
     keep = lam >= EIG_CLIP
-    return (vec[:, keep] * np.sqrt(lam[keep])).reshape(dm, r * int(keep.sum())), r
+    kept = (vec[:, keep] * np.sqrt(lam[keep])).reshape(state.dims + (-1,)).transpose(order + (len(order),))
+    return kept.reshape(state.dims[order[0]], -1), state.dim // state.dims[order[0]]
 
 
 def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:
@@ -259,7 +260,7 @@ def apply_measurement(state: QState, m: Measurement) -> OutcomeEnsemble:
     projective = isinstance(m, ProjectiveMeasurement)
     if not (projective or isinstance(m, POVM)):
         raise TypeError(f"unsupported measurement type {type(m).__name__}")
-    t, dm, rest = _measured_view(state, m.subsystem)
+    t, dm, rest = _measured_view(_state(state), m.subsystem)
     if m.d != dm:
         kind = "measurement" if projective else "POVM"
         raise ValueError(f"{kind} dimension {m.d} does not match subsystem dimension {dm}")
@@ -285,7 +286,7 @@ def dephase(state: QState, m: ProjectiveMeasurement) -> QState:
     """
     if not isinstance(m, ProjectiveMeasurement):
         raise TypeError("dephasing requires a complete projective measurement")
-    n = state.n_subsystems
+    n = (state := _state(state)).n_subsystems
     t, dm, rest = _measured_view(state, m.subsystem)
     if m.d != dm:
         raise ValueError(f"measurement dimension {m.d} does not match subsystem dimension {dm}")

@@ -32,7 +32,8 @@ so that every reader of one reduction reads one object, with one
 decomposition and one entropy; a ``keep`` spelled as such a key answers
 before it is parsed, and every other spelling is read in full.
 ``spectrum`` (and so ``purify``), ``measurement._measurement_factor`` on
-subsystem 0 and ``entanglement.concurrence_2qubit`` read the kept pair.
+every measured side and ``entanglement.concurrence_2qubit`` read the kept
+pair.
 Each fact depends only on the matrix, and the arrays are read-only, so
 states are safe to share across concurrent workers: two workers that race
 on a first read compute the same value.
@@ -40,12 +41,13 @@ on a first read compute the same value.
 Validation happens at the boundary.  ``config._integer`` reads every
 integer argument, and ``_subsystems`` every subsystem index through it: a
 bool, a float or an index out of range raises ``ValueError`` naming the
-argument.  Every state built from outside data
-(a caller's ``QState(...)``, ``state_from_json``, ``tensor``, the state
-families) passes ``validate``'s eigensolver check.  The states that this
-package's maps compute from a valid state (``partial_trace``,
-``permute_subsystems``, ``measurement.apply_measurement``'s conditional
-states, ``measurement.dephase``, and the measured subsystems of
+argument.  ``_state`` reads every state argument of a public function.
+Every state built from outside data (a caller's ``QState(...)``,
+``state_from_json``, ``tensor``, the state families) passes ``validate``'s
+eigensolver check.  The states that this package's maps compute from a
+valid state (``partial_trace``, ``permute_subsystems``,
+``measurement.apply_measurement``'s conditional states,
+``measurement.dephase``, and the measured subsystems of
 ``correlations.re_discord_detailed`` regrouped into one factor) are built
 by ``_derived_state`` and not checked again, nor are the conditional
 states of ``verify.check_kw_pointwise``, which stay arrays: each map keeps
@@ -302,6 +304,16 @@ class PureStateVector:
         return f"PureStateVector(dims={self.dims})"
 
 
+def _state(state) -> QState:
+    """The one reader of a state argument: a ``QState`` as is, a ``PureStateVector`` as its ``to_density``.
+
+    Any other type raises ``TypeError`` naming it.
+    """
+    if not isinstance(state, (QState, PureStateVector)):
+        raise TypeError(f"expected a QState or a PureStateVector, got {type(state).__name__}")
+    return state.to_density() if isinstance(state, PureStateVector) else state
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Clipped, renormalized spectral decomposition, eigenvalues descending.
@@ -325,7 +337,7 @@ class Spectrum:
 
 def spectrum(state: QState) -> Spectrum:
     """Spectral decomposition of ``state`` with clipping and phase fixing, from its kept pair."""
-    w, v = _decomposition(state)
+    w, v = _decomposition(_state(state))
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -382,8 +394,9 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
     ``rows`` is a (P, n, da db) stack, one set of rows per problem.  The
     objective maps an (R, m, n) stack V and ``sizes``, the restarts of each
     problem in stack order (P blocks, some perhaps empty), to R values and R
-    gradients G_V (df = Re tr(G^H dV)); each block takes the products it
-    takes alone, on a slice, so it scores as its problem alone.  Member i is
+    gradients G_V (df = Re tr(G^H dV)), or with ``gradient`` false to the
+    same values and None; each block takes the products it takes alone, on
+    a slice, so it scores as its problem alone.  Member i is
     the row (V rows)_i cut into a da x db block M_i = sum_k V_ik B_k, with
     state rho_i = M_i M_i^H of weight p_i = tr rho_i.  The value is sum_i p_i
     S(rho_i / p_i), or with ``dephasing`` the entropy S of the union of all
@@ -419,7 +432,7 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
         kernels_h.append(np.ascontiguousarray(kernel.conj().T))
     axes = (-2, -1) if dephasing else -1
 
-    def objective(v: np.ndarray, sizes):
+    def objective(v: np.ndarray, sizes, gradient: bool = True):
         outer = (v[..., :, None] * v.conj()[..., None, :]).reshape(-1, n * n)
         grams = _blockwise(outer, sizes, kernels).reshape(v.shape[:-1] + (s, s))
         w, apply = _gram_spectrum(grams)
@@ -428,6 +441,8 @@ def _ensemble_objective(rows: np.ndarray, da: int, db: int, dephasing: bool = Fa
         mu = w / np.where(p > 0.0, p, 1.0)
         logs = np.log2(np.maximum(mu, EIG_CLIP))
         values = -((mu if dephasing else w) * logs).sum(axis=(-2, -1)) + 0.0  # no -0.0 for all-zero terms
+        if not gradient:
+            return values, None
         if dephasing:
             logs = (logs + values[..., None, None]) / p
         t = _blockwise(apply(logs).reshape(-1, s * s), sizes, kernels_h).reshape(v.shape + (n,))  # -T
@@ -451,14 +466,14 @@ def _blockwise(a: np.ndarray, sizes: tuple, mats) -> np.ndarray:
 
 def von_neumann_entropy(state: QState) -> float:
     """Von Neumann entropy of ``state`` in bits; ``0 * log 0`` is 0.  Kept on the state after the first read."""
-    if state._entropy is None:
+    if (state := _state(state))._entropy is None:
         object.__setattr__(state, "_entropy", float(_entropy_bits(_decomposition(state)[0])))
     return state._entropy
 
 
 def tensor(a: QState, b: QState) -> QState:
     """Kronecker product of two states; dims are concatenated."""
-    return QState(a.dims + b.dims, np.kron(a.matrix, b.matrix))
+    return QState((a := _state(a)).dims + (b := _state(b)).dims, np.kron(a.matrix, b.matrix))
 
 
 def partial_trace(state: QState, keep: Iterable[int]) -> QState:
@@ -468,6 +483,7 @@ def partial_trace(state: QState, keep: Iterable[int]) -> QState:
     A kept key itself, a sorted tuple of ``int``, answers before parsing; any other spelling (a
     bool, a float, a NumPy scalar, unsorted or repeated indices) is read in full.
     """
+    state = _state(state)
     if type(keep) is tuple and all(type(i) is int for i in keep) and keep in state._reductions:
         return state._reductions[keep]
     kept = _subsystems("keep", keep, state.n_subsystems)
@@ -485,7 +501,7 @@ def partial_trace(state: QState, keep: Iterable[int]) -> QState:
 def permute_subsystems(state: QState, order: Sequence[int]) -> QState:
     """Reorder subsystems so that new position ``k`` holds old ``order[k]``."""
     order = tuple(_integer("order", o) for o in order)
-    n = state.n_subsystems
+    n = (state := _state(state)).n_subsystems
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of range({n})")
     dims = state.dims
@@ -517,7 +533,7 @@ def conditional_entropy(state: QState, target: int, condition: int) -> float:
     one index or a set (``_subsystems``), and the joint is the reduction onto
     both.  May be negative for entangled states.
     """
-    target = _subsystems("target", target, state.n_subsystems)
+    target = _subsystems("target", target, (state := _state(state)).n_subsystems)
     condition = _subsystems("condition", condition, state.n_subsystems)
     if set(target) & set(condition):
         raise ValueError("target and condition must be distinct subsystems")
@@ -528,13 +544,13 @@ def conditional_entropy(state: QState, target: int, condition: int) -> float:
 
 def purity(state: QState) -> float:
     """Tr(rho^2), in (0, 1]."""
-    m = state.matrix
+    m = _state(state).matrix
     return float(np.real(np.trace(m @ m)))
 
 
 def is_pure(state: QState) -> bool:
     """Whether ``state`` has rank 1: exactly one eigenvalue of its kept decomposition is at least ``EIG_CLIP``."""
-    return np.count_nonzero(_decomposition(state)[0] >= EIG_CLIP) == 1
+    return np.count_nonzero(_decomposition(_state(state))[0] >= EIG_CLIP) == 1
 
 
 def purify(state: QState) -> PureStateVector:
@@ -544,7 +560,7 @@ def purify(state: QState) -> PureStateVector:
     so the output is reproducible.  The environment is the last subsystem;
     tracing it out recovers ``state``.
     """
-    sp = spectrum(state)
+    sp = spectrum(state := _state(state))
     r = sp.rank
     amps = sp.eigenvectors[:, :r] * np.sqrt(sp.eigenvalues[:r])
     return PureStateVector(state.dims + (r,), amps.reshape(-1))
@@ -569,7 +585,7 @@ def matrix_from_json(rows) -> np.ndarray:
 
 def state_to_json(state: QState) -> dict:
     """JSON-ready dict with ``dims`` and a [re, im]-pair matrix."""
-    return {"dims": list(state.dims), "matrix": matrix_to_json(state.matrix)}
+    return {"dims": list((state := _state(state)).dims), "matrix": matrix_to_json(state.matrix)}
 
 
 def state_from_json(obj) -> QState:

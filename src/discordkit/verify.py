@@ -39,10 +39,10 @@ from .correlations import (
 from .entanglement import eof_2qubit, eof_pure, eof_upper
 from .measurement import ProjectiveMeasurement, _conditional_blocks, _measured_view, _outcomes
 from .qstate import (
-    PureStateVector,
     QState,
     _entropy_bits,
     _kept_eigh,
+    _state,
     is_pure,
     partial_trace,
     purify,
@@ -169,9 +169,7 @@ class _StateAnalysis:
     """
 
     def __init__(self, state, cfg: OptimizerConfig | None, relations: tuple = ()):
-        if isinstance(state, PureStateVector):
-            state = state.to_density()
-        self.state = state
+        self.state = state = _state(state)
         self.cfg = cfg
         n = state.n_subsystems
         names = ("state", "ab") if n == 2 else ("state", "abc") if n == 3 and is_pure(state) else ("state",)
@@ -508,11 +506,13 @@ def check_kw_pointwise(
     ``_MEASUREMENT_SALT + j`` of the seed), or over a single supplied
     measurement, which must be projective (else ``TypeError``) and measure A
     (else ``ValueError``).  The outcomes and conditional states are
-    ``apply_measurement``'s (``measurement._outcomes``).  An input without a
-    pure tripartite form (``_pure_abc``) skips the row, supplied measurement
-    or not.  Without a supplied measurement, a non-integral
-    ``n_measurements`` or one below 1 raises ``ValueError``: a row that
-    checked nothing must not pass.
+    ``apply_measurement``'s (``measurement._outcomes``); the B and C sides'
+    conditional spectra take one ``qstate._kept_eigh`` and one
+    ``qstate._entropy_bits`` where their shapes agree, one each otherwise.
+    An input without a pure tripartite form (``_pure_abc``) skips the row,
+    supplied measurement or not.  Without a supplied measurement, a
+    non-integral ``n_measurements`` or one below 1 raises ``ValueError``: a
+    row that checked nothing must not pass.
     """
     a = _analysis(state, cfg, "kw_pointwise")
     if _pure_abc(a):
@@ -533,12 +533,12 @@ def check_kw_pointwise(
     rest = abc.dims[1:]
     p, kept, cond = _outcomes(_conditional_blocks(_measured_view(abc, 0)[0], bases))
     per_outcome = cond.reshape((-1,) + rest + rest)
-    s_meas = []
-    for subscripts in ("kbcdc->kbd", "kbcbd->kcd"):
-        reduced = np.einsum(subscripts, per_outcome)
-        terms = np.zeros(kept.shape)
-        terms[kept] = p * _entropy_bits(_kept_eigh(reduced)[0])
-        s_meas.append(np.array([math.fsum(row) for row in terms.tolist()]))
+    reduced = [np.einsum(subscripts, per_outcome) for subscripts in ("kbcdc->kbd", "kbcbd->kcd")]
+    # The B and C sides' spectra and entropies, in one pass where their shapes agree.
+    stacks = [np.concatenate(reduced)] if rest[0] == rest[1] else reduced
+    terms = np.zeros((2,) + kept.shape)
+    terms[:, kept] = p * np.concatenate([_entropy_bits(_kept_eigh(r)[0]) for r in stacks]).reshape(2, -1)
+    s_meas = [np.array([math.fsum(row) for row in side]) for side in terms.tolist()]
     s_a = a.entropy("abc", (0,))
     s_c = a.entropy("abc", (2,))
     s_b_given_a = _s_cond(a, (0, 1), (0,))

@@ -650,6 +650,46 @@ def test_retract_is_the_householder_q_factor(shape):
         np.testing.assert_allclose(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(shape[-1]), 0.0, rtol=0, atol=1e-13)
 
 
+def test_two_column_retraction_is_lapacks_cholesky_qr():
+    # At p = 2 retract takes the Cholesky factor of the 2 x 2 Gram and its
+    # inverse in closed form.  On n x 2 stacks and tangent steps of norm
+    # 1e-8 to 10, its Q is orthonormal to 1e-14 and agrees with the Cholesky
+    # QR through LAPACK's cholesky and inv to 1e-15.
+    for n in (2, 3, 4, 9):
+        g = np.random.default_rng(n)
+        x, _ = np.linalg.qr(g.normal(size=(16, n, 2)) + 1j * g.normal(size=(16, n, 2)))
+        for norm in (1e-8, 1e-4, 1e-2, 0.1, 1.0, 3.0, 10.0):
+            v = tangent(x, g.normal(size=x.shape) + 1j * g.normal(size=x.shape))
+            v *= norm / np.linalg.norm(v, axis=(-2, -1), keepdims=True)
+            a = x + v
+            chol = np.linalg.cholesky(np.swapaxes(a.conj(), 1, 2) @ a)
+            lapack = a @ np.swapaxes(np.linalg.inv(chol).conj(), 1, 2)
+            q = retract(x, v)
+            assert np.abs(np.swapaxes(q.conj(), 1, 2) @ q - np.eye(2)).max() <= 1e-14, (n, norm)
+            assert np.abs(q - lapack).max() <= 1e-15, (n, norm)
+
+
+@pytest.mark.parametrize("kind", ["dephasing", "koashi_winter", "werner", "rank1", "wootters"])
+def test_a_certified_value_is_the_full_objective_value(kind):
+    # certify scores its candidate for the value alone, which must be the
+    # value of the full call, the gradient's, bit for bit, on every kind of
+    # certificate.
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    problem = {
+        "dephasing": lambda i: _measurement_problem(haar_random_pure((2, 3), 70, i).to_density(), 0, cfg, True),
+        "koashi_winter": lambda i: _measurement_problem(random_mixed((2, 2), 2, 70, i), 0, cfg, False),
+        "werner": lambda i: _measurement_problem(werner_qudit(3, 0.2 * i - 0.3), 1, cfg, False),
+        "rank1": lambda i: _measurement_problem(haar_random_pure((2, 3), 70, i).to_density(), 1, cfg, False),
+        "wootters": lambda i: _roof(random_mixed((2, 2), 4, 70, i), None, cfg)[0],
+    }[kind]
+    for i in range(4):
+        p = problem(i)
+        [run] = solve([p])
+        assert run.reasons == (CERTIFIED,)
+        full, _grad = objective_of([p])(p.candidate[None], (1,))
+        assert run.values.tobytes() == full.tobytes()
+
+
 @pytest.mark.parametrize("dephasing", [False, True], ids=["conditional", "dephasing"])
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_cayley_chart_slope_is_the_derivative_along_its_step(d, dephasing):
@@ -747,20 +787,20 @@ def test_summary_passes_over_nan_values():
 
 
 def test_certify_is_a_one_restart_run_only_at_the_bound():
-    # One evaluation of the candidate: within CERTIFY_TOL of the bound it is
-    # a finished run that summary scores as converged with spread 0; just
-    # above the bound, or NaN, it is no run at all.
+    # One value-only evaluation of the candidate: within CERTIFY_TOL of the
+    # bound it is a finished run that summary scores as converged with
+    # spread 0; just above the bound, or NaN, it is no run at all.
     x = np.eye(2, dtype=complex)
     calls = []
 
     def scoring(value):
-        def objective(stack, sizes):
-            calls.append((stack.shape, sizes))
-            return np.full(len(stack), value), np.zeros_like(stack)
+        def objective(stack, sizes, gradient=True):
+            calls.append((stack.shape, sizes, gradient))
+            return np.full(len(stack), value), np.zeros_like(stack) if gradient else None
         return objective
 
     run = certify(scoring(0.25 + 0.5 * CERTIFY_TOL), x, 0.25)
-    assert calls == [((1, 2, 2), (1,))]
+    assert calls == [((1, 2, 2), (1,), False)]
     assert run.reasons == (CERTIFIED,) and run.iterations == (0,) and run.evaluations == (1,)
     assert run.x.shape == (1, 2, 2) and run.values.tolist() == [0.25 + 0.5 * CERTIFY_TOL]
     assert summary(run, 1e-9) == (0, 0.0, True)
@@ -1424,9 +1464,9 @@ def test_zero_discord_certificate_on_pure_states(dims, monkeypatch):
     # meets the bound max(0, S(rho) - S(rho_X)) = 0 on either side, exactly
     # (a Gram side of 1), and no search runs: D_A = S(B) and D_B = S(A).
     # No marginal is decomposed for a candidate.  rho, a derived state, is
-    # decomposed once, on side 0's first read, and keeps the pair; side 1
-    # decomposes its permuted matrix, and the report adds one decomposition
-    # per marginal, for S(A) and S(B).
+    # decomposed once, on side 0's first read, and keeps the pair, which
+    # side 1 reads too: its permuted matrix is never decomposed.  The report
+    # adds one decomposition per marginal, for S(A) and S(B).
     scored = _record_candidates(monkeypatch)
     calls = record_descends(monkeypatch)
     solved = record_eigensolves(monkeypatch)
@@ -1444,10 +1484,10 @@ def test_zero_discord_certificate_on_pure_states(dims, monkeypatch):
             _assert_certified(opt, bound)
             assert opt.value == 0.0
             assert opt.argbasis.subsystem == m
-        assert len(solved) == 2 and [calls_on(solved, a) for a in (state.matrix, swapped)] == [1, 1]
+        assert len(solved) == 1 and [calls_on(solved, a) for a in (state.matrix, swapped)] == [1, 0]
         solved.clear()
         report = correlation_report(state, cfg)
-        assert len(solved) == 3 and [calls_on(solved, a) for a in (state.matrix, swapped, *marginals)] == [0, 1, 1, 1]
+        assert len(solved) == 2 and [calls_on(solved, a) for a in (state.matrix, swapped, *marginals)] == [0, 0, 1, 1]
         assert [report.diagnostics[k]["stop_reasons"] for k in ("measured_a", "measured_b")] == [[CERTIFIED]] * 2
         assert report.d_a == pytest.approx(report.s_b, abs=1e-12)
         assert report.d_b == pytest.approx(report.s_a, abs=1e-12)
@@ -1466,9 +1506,9 @@ def test_zero_discord_certificate_on_a_near_pure_state():
 
 def test_a_report_never_decomposes_a_validated_state_again(monkeypatch):
     # The constructor keeps validation's decomposition of rho, which serves
-    # side 0's factor and S(AB): a report on a searched (2, 3) rank-6 state
-    # makes no eigensolver call on rho itself, one on side 1's permuted
-    # matrix and one on each marginal.  The searches' Gram stacks are
+    # both sides' factors and S(AB): a report on a searched (2, 3) rank-6
+    # state makes no eigensolver call on rho itself or on side 1's permuted
+    # matrix, and one on each marginal.  The searches' Gram stacks are
     # batched, so 2-D inputs are the states'.
     state = random_mixed((2, 3), 6, 1)
     swapped = permute_subsystems(state, (1, 0)).matrix
@@ -1477,7 +1517,7 @@ def test_a_report_never_decomposes_a_validated_state_again(monkeypatch):
     report = correlation_report(state, OptimizerConfig(seed=1))
     assert CERTIFIED not in report.diagnostics["measured_b"]["stop_reasons"]
     flat = [a for a in solved if a.ndim == 2]
-    assert len(flat) == 3 and [calls_on(flat, a) for a in (state.matrix, swapped, *marginals)] == [0, 1, 1, 1]
+    assert len(flat) == 2 and [calls_on(flat, a) for a in (state.matrix, swapped, *marginals)] == [0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("dims", ZERO_DISCORD_DIMS, ids=["2x2", "2x3", "3x2", "3x3"])

@@ -222,8 +222,9 @@ def test_a_measurement_of_the_wrong_dimension_or_kind_is_refused():
 
 @pytest.mark.parametrize(
     "probabilities, n_states, message",
-    [([0.5, 0.5], 1, "matching lengths"), ([], 0, "at least one outcome"), ([1.0, 0.0], 2, "must be positive")],
-    ids=["mismatched", "empty", "zero-probability"],
+    [([0.5, 0.5], 1, "matching lengths"), ([], 0, "at least one outcome"), ([1.0, 0.0], 2, "must be positive"),
+     ([math.nan, math.nan], 2, "must be positive"), ([1.0, math.nan], 2, "must be positive")],
+    ids=["mismatched", "empty", "zero-probability", "nan-probabilities", "one-nan-probability"],
 )
 def test_outcome_ensemble_validation(probabilities, n_states, message):
     with pytest.raises(ValueError, match=message):
