@@ -687,7 +687,8 @@ def test_a_certified_value_is_the_full_objective_value(kind):
         [run] = solve([p])
         assert run.reasons == (CERTIFIED,)
         full, _grad = objective_of([p])(p.candidate[None], (1,))
-        assert run.values.tobytes() == full.tobytes()
+        alone, none = objective_of([p])(p.candidate[None], (1,), gradient=False)
+        assert none is None and run.values.tobytes() == alone.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("dephasing", [False, True], ids=["conditional", "dephasing"])
